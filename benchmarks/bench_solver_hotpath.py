@@ -1,23 +1,21 @@
-"""Solver hot path: Newton steps/sec and phase breakdown, fused vs unfused.
+"""Solver hot path: Newton steps/sec, phase breakdown, operator modes.
 
-The fused assembly path extracts residual and Jacobian from a single
-SFad workset sweep and fills a cached sparsity plan (symbolic assembly
-done once), so each Newton step pays one DAG evaluation plus a pure
-numeric scatter.  This bench runs the small synthetic Antarctica both
-ways and reports:
+Each Newton step extracts residual and Jacobian from a single SFad
+workset sweep and fills a cached sparsity plan (symbolic assembly done
+once), so a step pays one DAG evaluation plus a pure numeric scatter.
+This bench runs the small synthetic Antarctica and reports:
 
 - Newton steps per second (end-to-end ``StokesVelocityProblem.solve``),
 - the per-phase wall-time split (evaluate / scatter / preconditioner /
   gmres) from ``VelocitySolution.diagnostics["phase_seconds"]``,
 - the evaluator-DAG sweep counts per mode, which pin the fusion
   invariant: one jacobian sweep per accepted step, one residual sweep
-  per line-search trial (plus the initial residual).
+  per line-search trial and no initial residual-only sweep.
 
 Wall time comes from the observability span tracer rather than an ad-hoc
-``perf_counter`` pair: each variant's solve runs inside an
-``obs.tracing()`` session, the end-to-end number is the ``bench.solve``
-span, and the recorded span aggregate plus the solve's own
-``diagnostics["observability"]`` snapshot land in the JSON artifact.
+``perf_counter`` pair: the solve runs inside an ``obs.tracing()``
+session, the end-to-end number is the ``bench.solve`` span, and the
+recorded span aggregate lands in the JSON artifact.
 
 A second section compares the two ``operator_mode`` settings of the
 Newton--Krylov hot path: ``assembled`` (CSR fill + SpMV matvecs + MGS
@@ -28,13 +26,11 @@ bandwidth-bound regime the fusion targets; the modeled HBM bytes per
 GMRES iteration come from the ``gmres.{matvec,stream}.bytes.*``
 counters, and the matrix-free mode must move strictly fewer.
 
-Artifacts land in ``benchmarks/results/solver_hotpath.{json,csv}`` and
-the combined report (including the measured data-movement win) in
-``BENCH_hotpath.json`` at the repo root, plus the normalized
-perf-trajectory ``BENCH_solver.json`` that ``tools/check_bench.py``
-diffs against the committed baseline in CI (deterministic counters are
-hard-gated, wall seconds are advisory).  Run standalone for a quick
-smoke (well under a minute)::
+The one artifact is the normalized perf-trajectory ``BENCH_solver.json``
+at the repo root, which ``tools/check_bench.py`` diffs against the
+committed baseline in CI (deterministic counters are hard-gated, wall
+seconds are advisory).  Run standalone for a quick smoke (well under a
+minute)::
 
     PYTHONPATH=src python benchmarks/bench_solver_hotpath.py
 """
@@ -48,9 +44,9 @@ from pathlib import Path
 from repro import observability as obs
 from repro.app.antarctica import AntarcticaTest
 from repro.app.config import AntarcticaConfig, VelocityConfig
-from repro.perf.report import format_table, write_csv
+from repro.perf.report import format_table
 
-#: small enough that both variants finish in seconds, large enough that
+#: small enough that every solve finishes in seconds, large enough that
 #: the assembly/solve phases dominate interpreter overhead
 SMOKE_CONFIG = AntarcticaConfig(
     resolution_km=400.0,
@@ -62,47 +58,37 @@ PHASES = ("evaluate", "scatter", "preconditioner", "gmres")
 
 
 def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
-    """Solve the configured Antarctica with and without fused assembly."""
-    out = {}
+    """Solve the configured Antarctica; report rates, phases and sweeps."""
     # warmup: first-touch BLAS/ufunc initialization otherwise lands in
-    # whichever variant runs first and skews the phase split
+    # the timed solve and skews the phase split
     AntarcticaTest.build(
         replace(config, resolution_km=2.0 * config.resolution_km, num_layers=2)
     ).run()
-    for fused in (True, False):
-        cfg = replace(config, velocity=replace(config.velocity, fused_assembly=fused))
-        test = AntarcticaTest.build(cfg)
-        obs.get_metrics().reset()  # per-variant snapshot, not cumulative
-        with obs.tracing() as tracer:
-            with tracer.span("bench.solve", variant="fused" if fused else "unfused") as sp:
-                sol = test.run()
-        d = sol.diagnostics
-        out["fused" if fused else "unfused"] = {
-            "wall_seconds": sp.dur_s,
-            "solve_seconds": d["solve_seconds"],
-            "newton_steps": sol.newton.iterations,
-            "newton_steps_per_s": d["newton_steps_per_s"],
-            "phase_seconds": d["phase_seconds"],
-            "eval_sweeps": d["eval_sweeps"],
-            "mean_velocity": sol.mean_velocity,
-            "span_totals": {
-                name: agg["total_s"] for name, agg in tracer.aggregate().items()
-            },
-            # full per-span aggregate (count + inclusive + self seconds):
-            # the trajectory artifact's "spans" section, which perfdiff
-            # consumes when the CI perf-gate trips
-            "span_aggregate": {
-                name: {
-                    "count": agg["count"],
-                    "total_s": agg["total_s"],
-                    "self_s": agg["self_s"],
-                }
-                for name, agg in tracer.aggregate().items()
-            },
-            "observability": d["observability"],
-        }
-    out["speedup"] = out["unfused"]["solve_seconds"] / out["fused"]["solve_seconds"]
-    return out
+    test = AntarcticaTest.build(config)
+    obs.get_metrics().reset()  # this solve's snapshot, not cumulative
+    with obs.tracing() as tracer:
+        with tracer.span("bench.solve"):
+            sol = test.run()
+    d = sol.diagnostics
+    return {
+        "solve_seconds": d["solve_seconds"],
+        "newton_steps": sol.newton.iterations,
+        "newton_steps_per_s": d["newton_steps_per_s"],
+        "phase_seconds": d["phase_seconds"],
+        "eval_sweeps": d["eval_sweeps"],
+        "line_search_trials": sol.newton.num_residual_evals,
+        # per-span aggregate (count + inclusive + self seconds): the
+        # trajectory artifact's "spans" section, which perfdiff consumes
+        # when the CI perf-gate trips
+        "span_aggregate": {
+            name: {
+                "count": agg["count"],
+                "total_s": agg["total_s"],
+                "self_s": agg["self_s"],
+            }
+            for name, agg in tracer.aggregate().items()
+        },
+    }
 
 
 def run_operator_modes(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
@@ -197,8 +183,10 @@ def _check_mode_report(modes: dict) -> None:
 
 #: schema of the normalized CI perf-trajectory artifact; bump when the
 #: layout changes so tools/check_bench.py refuses to diff across schemas
-#: (2: added the "spans" per-span time aggregate for perfdiff)
-BENCH_SOLVER_SCHEMA = 2
+#: (2: added the "spans" per-span time aggregate for perfdiff; 3: the
+#: fused/unfused nesting and the fused_*/unfused_* advisory leaves went
+#: with the unfused solve path)
+BENCH_SOLVER_SCHEMA = 3
 
 
 def solver_trajectory(report: dict, modes: dict) -> dict:
@@ -209,22 +197,19 @@ def solver_trajectory(report: dict, modes: dict) -> dict:
     a reproducible counter (iterations, modeled bytes, sweep counts --
     lower is better) that ``tools/check_bench.py`` hard-fails on;
     everything under ``"advisory"`` is wall-clock (machine-dependent)
-    and only ever warns.  The ``"spans"`` section (schema 2) carries the
-    fused variant's per-span time aggregate -- ignored by the gate's
-    leaf diff, but ``python -m repro perfdiff`` reads it to attribute a
-    tripped gate to specific solver phases.
+    and only ever warns.  The ``"spans"`` section carries the default
+    solve's per-span time aggregate -- ignored by the gate's leaf diff,
+    but ``python -m repro perfdiff`` reads it to attribute a tripped
+    gate to specific solver phases.
     """
     det = {
-        "newton": {},
+        "newton": {
+            "newton_steps": report["newton_steps"],
+            "eval_sweeps_residual": report["eval_sweeps"]["residual"],
+            "eval_sweeps_jacobian": report["eval_sweeps"]["jacobian"],
+        },
         "gmres": {},
     }
-    for variant in ("fused", "unfused"):
-        r = report[variant]
-        det["newton"][variant] = {
-            "newton_steps": r["newton_steps"],
-            "eval_sweeps_residual": r["eval_sweeps"]["residual"],
-            "eval_sweeps_jacobian": r["eval_sweeps"]["jacobian"],
-        }
     for mode in ("assembled", "matrix-free"):
         m = modes[mode]
         det["gmres"][mode] = {
@@ -236,11 +221,9 @@ def solver_trajectory(report: dict, modes: dict) -> dict:
         }
     det["bytes_per_iteration_ratio"] = modes["bytes_per_iteration_ratio"]
     advisory = {
-        "fused_solve_seconds": report["fused"]["solve_seconds"],
-        "unfused_solve_seconds": report["unfused"]["solve_seconds"],
+        "solve_seconds": report["solve_seconds"],
         "assembled_solve_seconds": modes["assembled"]["solve_seconds"],
         "matrix_free_solve_seconds": modes["matrix-free"]["solve_seconds"],
-        "fused_speedup": report["speedup"],
     }
     return {
         "bench": "solver_hotpath",
@@ -252,7 +235,7 @@ def solver_trajectory(report: dict, modes: dict) -> dict:
         },
         "deterministic": det,
         "advisory": advisory,
-        "spans": report["fused"]["span_aggregate"],
+        "spans": report["span_aggregate"],
     }
 
 
@@ -263,46 +246,19 @@ def _write_solver_trajectory(report: dict, modes: dict, out: Path | None = None)
     return path
 
 
-def _write_root_artifact(report: dict, modes: dict) -> Path:
-    """``BENCH_hotpath.json`` at the repo root: the CI-consumed summary."""
-    path = Path(__file__).parents[1] / "BENCH_hotpath.json"
-    payload = {
-        "bench": "solver_hotpath",
-        "config": {
-            "resolution_km": SMOKE_CONFIG.resolution_km,
-            "num_layers": SMOKE_CONFIG.num_layers,
-            "operator_mode_preconditioner": "jacobi",
-        },
-        "fused_vs_unfused": {
-            "speedup": report["speedup"],
-            "fused_solve_seconds": report["fused"]["solve_seconds"],
-            "unfused_solve_seconds": report["unfused"]["solve_seconds"],
-        },
-        "operator_modes": modes,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
 def _rows(report: dict) -> list[list]:
-    rows = []
-    for variant in ("fused", "unfused"):
-        r = report[variant]
-        rows.append(
-            [
-                variant,
-                r["solve_seconds"],
-                r["newton_steps_per_s"],
-                *[r["phase_seconds"][p] for p in PHASES],
-                r["eval_sweeps"]["residual"],
-                r["eval_sweeps"]["jacobian"],
-            ]
-        )
-    return rows
+    return [
+        [
+            report["solve_seconds"],
+            report["newton_steps_per_s"],
+            *[report["phase_seconds"][p] for p in PHASES],
+            report["eval_sweeps"]["residual"],
+            report["eval_sweeps"]["jacobian"],
+        ]
+    ]
 
 
 HEADERS = [
-    "Variant",
     "Solve [s]",
     "Steps/s",
     "Evaluate [s]",
@@ -314,83 +270,53 @@ HEADERS = [
 ]
 
 
-def test_solver_hotpath_report(print_once, results_dir, benchmark):
+def _report_tables(report: dict, modes: dict) -> list[tuple[str, str]]:
+    return [
+        ("solver_hotpath", format_table(HEADERS, _rows(report), title="Solver hot path")),
+        (
+            "solver_hotpath_modes",
+            format_table(
+                MODE_HEADERS,
+                _mode_rows(modes),
+                title="Operator modes: assembled vs matrix-free "
+                f"(bytes/iter ratio {modes['bytes_per_iteration_ratio']:.2f}x)",
+            ),
+        ),
+    ]
+
+
+def _check_hotpath_report(report: dict) -> None:
+    # the fusion invariant: one jacobian sweep per accepted step, one
+    # residual sweep per line-search trial, no initial residual sweep
+    assert report["eval_sweeps"]["jacobian"] == report["newton_steps"]
+    assert report["eval_sweeps"]["residual"] == report["line_search_trials"]
+    # phase instrumentation covers the bulk of the solve wall time
+    phase_sum = sum(report["phase_seconds"].values())
+    assert 0.0 < phase_sum <= report["solve_seconds"] * 1.05
+
+
+def test_solver_hotpath_report(print_once, benchmark):
     report = run_hotpath()
-    rows = _rows(report)
-    print_once(
-        "solver_hotpath",
-        format_table(
-            HEADERS,
-            rows,
-            title="Solver hot path: fused vs unfused assembly "
-            f"(speedup {report['speedup']:.2f}x)",
-        ),
-    )
     modes = run_operator_modes()
-    print_once(
-        "solver_hotpath_modes",
-        format_table(
-            MODE_HEADERS,
-            _mode_rows(modes),
-            title="Operator modes: assembled vs matrix-free "
-            f"(bytes/iter ratio {modes['bytes_per_iteration_ratio']:.2f}x)",
-        ),
-    )
-    write_csv(results_dir / "solver_hotpath.csv", HEADERS, rows)
-    (results_dir / "solver_hotpath.json").write_text(json.dumps(report, indent=2) + "\n")
+    for key, table in _report_tables(report, modes):
+        print_once(key, table)
+    _check_hotpath_report(report)
     _check_mode_report(modes)
-    _write_root_artifact(report, modes)
     _write_solver_trajectory(report, modes)
 
-    fused, unfused = report["fused"], report["unfused"]
-    # both variants converge to the same physics
-    assert abs(fused["mean_velocity"] - unfused["mean_velocity"]) <= 1.0e-8 * abs(
-        unfused["mean_velocity"]
-    )
-    # fusion removes the per-step residual-mode sweep: the fused run does
-    # strictly fewer residual sweeps while jacobian sweeps stay put
-    assert fused["eval_sweeps"]["jacobian"] == unfused["eval_sweeps"]["jacobian"]
-    assert fused["eval_sweeps"]["residual"] < unfused["eval_sweeps"]["residual"]
-    # phase instrumentation covers the bulk of the solve wall time
-    for variant in (fused, unfused):
-        phase_sum = sum(variant["phase_seconds"].values())
-        assert 0.0 < phase_sum <= variant["solve_seconds"] * 1.05
-
-    # the benchmarked operation: one fused end-to-end solve
+    # the benchmarked operation: one end-to-end solve
     test = AntarcticaTest.build(SMOKE_CONFIG)
     benchmark(test.problem.solve)
 
 
 def main() -> int:
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
     report = run_hotpath()
-    print(
-        format_table(
-            HEADERS,
-            _rows(report),
-            title="Solver hot path: fused vs unfused assembly "
-            f"(speedup {report['speedup']:.2f}x)",
-        )
-    )
     modes = run_operator_modes()
-    print(
-        format_table(
-            MODE_HEADERS,
-            _mode_rows(modes),
-            title="Operator modes: assembled vs matrix-free "
-            f"(bytes/iter ratio {modes['bytes_per_iteration_ratio']:.2f}x)",
-        )
-    )
-    write_csv(results_dir / "solver_hotpath.csv", HEADERS, _rows(report))
-    (results_dir / "solver_hotpath.json").write_text(json.dumps(report, indent=2) + "\n")
+    for _, table in _report_tables(report, modes):
+        print(table)
+    _check_hotpath_report(report)
     _check_mode_report(modes)
-    root_artifact = _write_root_artifact(report, modes)
-    trajectory = _write_solver_trajectory(report, modes)
-    print(
-        f"artifacts: {results_dir / 'solver_hotpath.json'}, "
-        f"{root_artifact}, {trajectory}"
-    )
+    print(f"artifact: {_write_solver_trajectory(report, modes)}")
     return 0
 
 

@@ -31,11 +31,6 @@ def main() -> None:
         help="quad = paper's hexahedral test; voronoi = MALI's MPAS/prism path",
     )
     ap.add_argument("--newton-steps", type=int, default=8)
-    ap.add_argument(
-        "--no-fused-assembly",
-        action="store_true",
-        help="evaluate residual and Jacobian in separate DAG sweeps (the pre-fusion path)",
-    )
     ap.add_argument("--store-reference", action="store_true", help="record this run as the regression reference")
     args = ap.parse_args()
 
@@ -47,7 +42,6 @@ def main() -> None:
             kernel_impl=args.impl,
             preconditioner=args.precond,
             newton_steps=args.newton_steps,
-            fused_assembly=not args.no_fused_assembly,
         ),
     )
     print(f"building Antarctica test: {args.resolution_km} km, {args.layers} layers, {args.impl} kernel")
@@ -70,8 +64,7 @@ def main() -> None:
     phases = d["phase_seconds"]
     print(
         f"  {d['newton_steps_per_s']:.2f} newton steps/s "
-        f"({'fused' if d['fused_assembly'] else 'unfused'} assembly; "
-        f"sweeps: {d['eval_sweeps']['jacobian']} jacobian, {d['eval_sweeps']['residual']} residual)"
+        f"(sweeps: {d['eval_sweeps']['jacobian']} jacobian, {d['eval_sweeps']['residual']} residual)"
     )
     print(
         "  phases [s]: "

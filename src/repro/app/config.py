@@ -47,11 +47,6 @@ class VelocityConfig:
     #: (line relaxation only), "mdsc-amg" (multilevel pairwise
     #: semicoarsening hierarchy), "jacobi", or "none"
     preconditioner: str = "mdsc"
-    mg_coarse_size: int = 400
-    #: fuse residual+Jacobian extraction into one SFad sweep per Newton
-    #: step (the paper's loop-fusion theme applied host-side); False
-    #: falls back to separate residual/jacobian evaluations
-    fused_assembly: bool = True
     #: inner linear operator of the Newton--Krylov solve: "assembled"
     #: (CSR fill per step, SpMV matvecs) or "matrix-free" (GMRES applies
     #: the cached SFad element blocks directly -- no CSR fill, no

@@ -44,13 +44,17 @@ from repro.solvers.multigrid import (
 )
 from repro.solvers.newton import NewtonResult, newton_solve
 from repro.solvers.reductions import column_block_reducer
-from repro.solvers.smoothers import (
-    JacobiSmoother,
-    MatrixFreeVerticalLineSmoother,
-    VerticalLineSmoother,
-)
+from repro.solvers.smoothers import JacobiSmoother, VerticalLineSmoother
 
 __all__ = ["StokesVelocityProblem", "VelocitySolution"]
+
+#: evaluation mode -> (evaluator-DAG mode, residual blocks?, Jacobian blocks?);
+#: the mode name is also the label the fault plane and the spans see
+_SWEEPS = {
+    "residual": ("residual", True, False),
+    "jacobian": ("jacobian", False, True),
+    "jacobian_fused": ("jacobian", True, True),
+}
 
 
 @dataclass
@@ -291,42 +295,6 @@ class StokesVelocityProblem:
             )
             yield a, b, self.field_manager.evaluate(ws)
 
-    def _sweep_owned(self, u: np.ndarray, mode: str, owned: np.ndarray):
-        """Evaluator sweep over one rank's owned cells.
-
-        The evaluator DAG is strictly per-element, so the result depends
-        only on ``owned`` -- whichever rank executes the sweep (the owner
-        or, after a rank failure, a survivor) produces bitwise-identical
-        blocks, which is what keeps degraded trajectories equal to
-        healthy ones.
-        """
-        k = self.dofmap.dofs_per_elem
-        if mode == "jacobian_fused":
-            loc_r = np.empty((len(owned), k))
-            loc_j = np.empty((len(owned), k, k))
-            for a, b, ws in self._worksets(u, "jacobian", cells=owned):
-                loc_r[a:b] = ws.out_residual
-                loc_j[a:b] = ws.out_jacobian
-            return loc_r, loc_j
-        if mode == "jacobian":
-            loc = np.empty((len(owned), k, k))
-            for a, b, ws in self._worksets(u, mode, cells=owned):
-                loc[a:b] = ws.out_jacobian
-            return loc
-        loc = np.empty((len(owned), k))
-        for a, b, ws in self._worksets(u, mode, cells=owned):
-            loc[a:b] = ws.out_residual
-        return loc
-
-    def _perturb_block(self, block, plane, rank: int, mode: str):
-        """Route a sweep's output through the ``sweep.output`` fault site."""
-        if not plane.active:
-            return block
-        if isinstance(block, tuple):
-            loc_r, loc_j = block
-            return plane.perturb("sweep.output", loc_r, rank=rank, mode=mode), loc_j
-        return plane.perturb("sweep.output", block, rank=rank, mode=mode)
-
     def _mark_dead(self, p: int, plane) -> None:
         """Record a rank failure and its redistribution decision."""
         self._dead_ranks.add(p)
@@ -343,29 +311,31 @@ class StokesVelocityProblem:
                 log.record("recovery", "serial_fallback", "spmd.rank", rank=p)
         get_metrics().counter("resilience.dead_ranks").inc()
 
-    def _rank_blocks(self, u: np.ndarray, mode: str) -> list:
-        """Per-rank evaluator sweeps over owned cells (the SPMD scatter
-        sources).  Returns residual blocks, Jacobian blocks, or both.
+    def _sweep_blocks(self, u: np.ndarray, mode: str) -> list[tuple]:
+        """Evaluator sweeps feeding the scatter: one ``(residual, jacobian)``
+        block pair per rank, ``None`` for the half ``mode`` does not ask for.
 
-        Graceful degradation: a rank killed by the fault plane is marked
+        A serial solve is the one-block case (``cells=None``: every cell,
+        contiguous slices).  The evaluator DAG is strictly per-element,
+        so a block depends only on its cell list -- whichever rank
+        executes the sweep produces it bitwise.  That is what graceful
+        degradation rests on: a rank killed by the fault plane is marked
         dead for the rest of the solve and its owned cells are swept by
-        the lowest-numbered survivor (serial fallback when none remain).
-        Because sweeps are per-element and the scatter order is fixed by
-        the assembly routes, the degraded result is bitwise equal to the
-        healthy one.
+        the lowest-numbered survivor (serial fallback when none remain),
+        and since the scatter order is fixed by the assembly routes the
+        degraded result is bitwise equal to the healthy one.
         """
-        self.spmd.record_ghost_refresh()
+        dag_mode, want_r, want_j = _SWEEPS[mode]
+        k = self.dofmap.dofs_per_elem
+        if self.spmd is None:
+            cell_sets = [None]
+        else:
+            self.spmd.record_ghost_refresh()
+            cell_sets = [self.spmd.owned_elems(p) for p in range(self.config.nparts)]
         plane = fault_plane()
-        if not plane.active and not self._dead_ranks:
-            # disarmed fast path: one attribute read, no per-rank pokes
-            return [
-                self._sweep_owned(u, mode, self.spmd.owned_elems(p))
-                for p in range(self.config.nparts)
-            ]
         blocks = []
-        for p in range(self.config.nparts):
-            owned = self.spmd.owned_elems(p)
-            if plane.active and p not in self._dead_ranks:
+        for p, cells in enumerate(cell_sets):
+            if plane.active and self.spmd is not None and p not in self._dead_ranks:
                 try:
                     plane.poke("spmd.rank", rank=p, mode=mode)
                 except RankFailure:
@@ -374,124 +344,81 @@ class StokesVelocityProblem:
             if p in self._dead_ranks:
                 survivor = choose_survivor(self._dead_ranks, self.config.nparts)
                 executor = survivor if survivor is not None else p
-            block = self._sweep_owned(u, mode, owned)
-            blocks.append(self._perturb_block(block, plane, executor, mode))
+            n = self.mesh.num_elems if cells is None else len(cells)
+            loc_r = np.empty((n, k)) if want_r else None
+            loc_j = np.empty((n, k, k)) if want_j else None
+            for a, b, ws in self._worksets(u, dag_mode, cells=cells):
+                if want_r:
+                    loc_r[a:b] = ws.out_residual
+                if want_j:
+                    loc_j[a:b] = ws.out_jacobian
+            if plane.active:
+                # the ``sweep.output`` fault site: the residual block
+                # when the sweep produced one, else the Jacobian block
+                if want_r:
+                    loc_r = plane.perturb("sweep.output", loc_r, rank=executor, mode=mode)
+                else:
+                    loc_j = plane.perturb("sweep.output", loc_j, rank=executor, mode=mode)
+            blocks.append((loc_r, loc_j))
         return blocks
 
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        """Global residual F(u) with Dirichlet rows replaced by u - 0."""
-        tr = get_tracer()
-        if self.spmd is not None:
-            with tr.span("stokes.evaluate", mode="residual", spmd=True) as sp:
-                blocks = self._rank_blocks(u, "residual")
-            self.phase_seconds["evaluate"] += sp.dur_s
-            self.eval_counts["residual"] += 1
-            with tr.span("stokes.scatter", mode="residual", spmd=True) as sp:
-                f = self.spmd.assemble_residual(blocks)
-                f[self.bc_dofs] = self.bc_diag_scale * u[self.bc_dofs]
-            self.phase_seconds["scatter"] += sp.dur_s
-            return f
-        local = np.empty((self.mesh.num_elems, self.dofmap.dofs_per_elem))
-        with tr.span("stokes.evaluate", mode="residual") as sp:
-            for start, stop, ws in self._worksets(u, "residual"):
-                local[start:stop] = ws.out_residual
-        plane = fault_plane()
-        if plane.active:
-            local = plane.perturb("sweep.output", local, rank=0, mode="residual")
-        self.phase_seconds["evaluate"] += sp.dur_s
-        self.eval_counts["residual"] += 1
-        with tr.span("stokes.scatter", mode="residual") as sp:
-            f = self._finish_residual(local, u)
-        self.phase_seconds["scatter"] += sp.dur_s
-        return f
+    def _evaluate(self, u: np.ndarray, mode: str):
+        """Evaluate -> perturb -> scatter: the one body behind
+        :meth:`residual`, :meth:`jacobian` and :meth:`residual_and_jacobian`.
 
-    def jacobian(self, u: np.ndarray):
-        """Global Jacobian dF/du with scaled Dirichlet rows.
-
-        Serial: a :class:`CsrMatrix`.  SPMD: a row-partitioned
-        :class:`DistributedMatrix` whose SpMV and gathered operator are
-        bitwise equal to the serial matrix.
+        Returns ``(f, A)`` with ``None`` for the half ``mode`` skips.
+        ``A`` is a :class:`CsrMatrix` (serial assembled), a
+        :class:`MatrixFreeJacobian` (serial matrix-free) or a row-
+        partitioned :class:`DistributedMatrix` (SPMD) whose SpMV and
+        gathered operator are bitwise equal to the serial matrix.
         """
+        dag_mode, want_r, want_j = _SWEEPS[mode]
         tr = get_tracer()
-        if self.spmd is not None:
-            with tr.span("stokes.evaluate", mode="jacobian", spmd=True) as sp:
-                blocks = self._rank_blocks(u, "jacobian")
-            self.phase_seconds["evaluate"] += sp.dur_s
-            self.eval_counts["jacobian"] += 1
-            with tr.span("stokes.scatter", mode="jacobian", spmd=True) as sp:
-                A = self.spmd.assemble_jacobian(blocks, diag_scale=self.bc_diag_scale)
-            self.phase_seconds["scatter"] += sp.dur_s
-            return A
-        k = self.dofmap.dofs_per_elem
-        local = np.empty((self.mesh.num_elems, k, k))
-        with tr.span("stokes.evaluate", mode="jacobian") as sp:
-            for start, stop, ws in self._worksets(u, "jacobian"):
-                local[start:stop] = ws.out_jacobian
-        plane = fault_plane()
-        if plane.active:
-            local = plane.perturb("sweep.output", local, rank=0, mode="jacobian")
+        tags = {"mode": mode, "nparts": self.config.nparts}
+        with tr.span("stokes.evaluate", **tags) as sp:
+            blocks = self._sweep_blocks(u, mode)
         self.phase_seconds["evaluate"] += sp.dur_s
-        self.eval_counts["jacobian"] += 1
-        with tr.span("stokes.scatter", mode="jacobian", operator=self.config.operator_mode) as sp:
-            A = self._wrap_jacobian(local)
-        self.phase_seconds["scatter"] += sp.dur_s
-        return A
-
-    def residual_and_jacobian(self, u: np.ndarray):
-        """Fused evaluation: F(u) and dF/du from one jacobian-mode sweep.
-
-        The SFad evaluation computes the residual as the value component
-        of the Fad residual, so a single workset sweep in ``jacobian``
-        mode yields both outputs -- the paper's loop-fusion theme applied
-        to the host-side solve, which previously paid a second full
-        residual-mode sweep per Newton step.
-        """
-        tr = get_tracer()
-        if self.spmd is not None:
-            with tr.span("stokes.evaluate", mode="jacobian_fused", spmd=True) as sp:
-                blocks = self._rank_blocks(u, "jacobian_fused")
-            self.phase_seconds["evaluate"] += sp.dur_s
-            self.eval_counts["jacobian"] += 1
-            with tr.span("stokes.scatter", mode="jacobian_fused", spmd=True) as sp:
-                f = self.spmd.assemble_residual([r for r, _ in blocks])
+        self.eval_counts[dag_mode] += 1
+        f = A = None
+        with tr.span("stokes.scatter", operator=self.config.operator_mode, **tags) as sp:
+            if want_r:
+                loc_r = [r for r, _ in blocks]
+                if self.spmd is not None:
+                    f = self.spmd.assemble_residual(loc_r)
+                else:
+                    f = self.plan.assemble_vector(loc_r[0])
+                # Dirichlet rows are replaced by (scaled) u - 0
                 f[self.bc_dofs] = self.bc_diag_scale * u[self.bc_dofs]
-                A = self.spmd.assemble_jacobian(
-                    [j for _, j in blocks], diag_scale=self.bc_diag_scale
-                )
-            self.phase_seconds["scatter"] += sp.dur_s
-            return f, A
-        k = self.dofmap.dofs_per_elem
-        local_r = np.empty((self.mesh.num_elems, k))
-        local_j = np.empty((self.mesh.num_elems, k, k))
-        with tr.span("stokes.evaluate", mode="jacobian_fused") as sp:
-            for start, stop, ws in self._worksets(u, "jacobian"):
-                local_r[start:stop] = ws.out_residual
-                local_j[start:stop] = ws.out_jacobian
-        plane = fault_plane()
-        if plane.active:
-            local_r = plane.perturb(
-                "sweep.output", local_r, rank=0, mode="jacobian_fused"
-            )
-        self.phase_seconds["evaluate"] += sp.dur_s
-        self.eval_counts["jacobian"] += 1
-        with tr.span(
-            "stokes.scatter", mode="jacobian_fused", operator=self.config.operator_mode
-        ) as sp:
-            f = self._finish_residual(local_r, u)
-            A = self._wrap_jacobian(local_j)
+            if want_j:
+                loc_j = [j for _, j in blocks]
+                if self.spmd is not None:
+                    A = self.spmd.assemble_jacobian(loc_j, diag_scale=self.bc_diag_scale)
+                elif self.matrix_free:
+                    A = self.plan.matrix_free_operator(loc_j[0], diag_scale=self.bc_diag_scale)
+                else:
+                    A = self.plan.assemble_matrix(loc_j[0], diag_scale=self.bc_diag_scale)
         self.phase_seconds["scatter"] += sp.dur_s
         return f, A
 
-    def _wrap_jacobian(self, local_j: np.ndarray):
-        """Serial Jacobian blocks -> solver operator, per ``operator_mode``."""
-        if self.matrix_free:
-            return self.plan.matrix_free_operator(local_j, diag_scale=self.bc_diag_scale)
-        return self.plan.assemble_matrix(local_j, diag_scale=self.bc_diag_scale)
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """Global residual F(u) from a residual-mode sweep."""
+        return self._evaluate(u, "residual")[0]
 
-    def _finish_residual(self, local: np.ndarray, u: np.ndarray) -> np.ndarray:
-        f = self.plan.assemble_vector(local)
-        f[self.bc_dofs] = self.bc_diag_scale * u[self.bc_dofs]
-        return f
+    def jacobian(self, u: np.ndarray):
+        """Global Jacobian dF/du with scaled Dirichlet rows."""
+        return self._evaluate(u, "jacobian")[1]
+
+    def residual_and_jacobian(self, u: np.ndarray):
+        """F(u) and dF/du from one jacobian-mode sweep -- what the solve runs.
+
+        The SFad evaluation computes the residual as the value component
+        of the Fad residual, so a single workset sweep in ``jacobian``
+        mode yields both outputs: the paper's loop-fusion theme applied
+        to the host-side solve.  :meth:`residual` and :meth:`jacobian`
+        are the separate sweeps the ``fused-assembly-vs-separate``
+        oracle holds this against, bitwise.
+        """
+        return self._evaluate(u, "jacobian_fused")
 
     # ------------------------------------------------------------------
     def _preconditioner(self, A):
@@ -523,62 +450,37 @@ class StokesVelocityProblem:
             return self._precond_ladder(A)
 
     def _build_preconditioner(self, A, kind: str | None = None):
-        cfg = self.config
-        kind = kind if kind is not None else cfg.preconditioner
+        kind = kind if kind is not None else self.config.preconditioner
         if isinstance(A, DistributedMatrix):
             # replicated preconditioner setup from the gathered operator
             # (bitwise equal to the serial matrix); the gather is metered
             # on the matrix_gather channel
             A = A.gather_global()
-        if isinstance(A, MatrixFreeJacobian):
-            # matrix-free routing: point Jacobi, the line smoother and
-            # the two-level MDSC all have element-block constructions;
-            # the multilevel AMG hierarchy needs Galerkin CSR products
-            # and is assembled-only by design
-            if kind == "jacobi":
-                return JacobiSmoother(A, iters=3)
-            if kind == "vline":
-                return MatrixFreeVerticalLineSmoother(A, self.mesh.levels * 2, iters=2)
-            if kind == "mdsc":
-                return MatrixFreeColumnCollapseMdsc(
-                    A,
-                    num_columns=self.mesh.footprint.num_nodes,
-                    levels=self.mesh.levels,
-                    ndof=2,
-                )
-            raise OperatorModeError(
-                f"preconditioner {kind!r} requires an assembled CSR Jacobian, but this "
-                "solve runs with operator_mode='matrix-free'; choose a preconditioner "
-                "with a matrix-free construction ('mdsc', 'vline', 'jacobi', 'none') or "
-                "set operator_mode='assembled'"
-            )
-        if not isinstance(A, CsrMatrix):
-            raise OperatorModeError(
-                f"cannot build preconditioner {kind!r} from operator type "
-                f"{type(A).__name__}: expected an assembled CsrMatrix (or a "
-                "MatrixFreeJacobian for the matrix-free routings); check the solve's "
-                "operator_mode"
-            )
+        # point Jacobi and the line relaxation consume the operator
+        # protocol (diagonal / column_blocks), whichever operator mode
         if kind == "jacobi":
             return JacobiSmoother(A, iters=3)
         if kind == "vline":
             # the MDSC vertical-line relaxation: with ice-sheet aspect
             # ratios the exact column solve is a near-ideal preconditioner
             return VerticalLineSmoother(A, self.mesh.levels * 2, iters=2)
-        if kind == "mdsc":
-            return ColumnCollapseMdsc(
-                A,
-                num_columns=self.mesh.footprint.num_nodes,
-                levels=self.mesh.levels,
-                ndof=2,
-            )
-        return build_mdsc_amg(
-            A,
-            num_columns=self.mesh.footprint.num_nodes,
-            levels=self.mesh.levels,
-            ndof=2,
-            coarse_size=cfg.mg_coarse_size,
+        extrusion = dict(
+            num_columns=self.mesh.footprint.num_nodes, levels=self.mesh.levels, ndof=2
         )
+        if kind == "mdsc":
+            if isinstance(A, MatrixFreeJacobian):
+                return MatrixFreeColumnCollapseMdsc(A, **extrusion)
+            return ColumnCollapseMdsc(A, **extrusion)
+        if not isinstance(A, CsrMatrix):
+            # the multilevel AMG hierarchy needs Galerkin CSR products
+            # and is assembled-only by design
+            raise OperatorModeError(
+                f"preconditioner {kind!r} requires an assembled CSR Jacobian, but this "
+                "solve runs with operator_mode='matrix-free'; choose a preconditioner "
+                "with a matrix-free construction ('mdsc', 'vline', 'jacobi', 'none') or "
+                "set operator_mode='assembled'"
+            )
+        return build_mdsc_amg(A, **extrusion)
 
     def solve(
         self,
@@ -594,9 +496,9 @@ class StokesVelocityProblem:
     ) -> VelocitySolution:
         """Run the damped Newton solve and report diagnostics.
 
-        With ``config.fused_assembly`` (the default) each Newton step
-        evaluates residual and Jacobian in a single SFad sweep; the
-        per-phase wall-time breakdown (evaluate / scatter /
+        Each Newton step evaluates residual and Jacobian in a single
+        SFad sweep (:meth:`residual_and_jacobian`); the per-phase
+        wall-time breakdown (evaluate / scatter /
         preconditioner / gmres) lands in ``diagnostics["phase_seconds"]``.
         All phase times come from observability spans, so running inside
         ``repro.observability.tracing()`` additionally records the full
@@ -666,12 +568,11 @@ class StokesVelocityProblem:
             num_dofs=self.dofmap.num_dofs,
             num_cells=self.mesh.num_elems,
             nparts=cfg.nparts,
-            fused=cfg.fused_assembly,
             operator_mode=cfg.operator_mode,
         ) as solve_span:
             newton = newton_solve(
                 self.residual,
-                self.jacobian,
+                None,
                 u0,
                 max_steps=cfg.newton_steps,
                 tol=cfg.newton_tol if newton_tol is None else float(newton_tol),
@@ -681,7 +582,7 @@ class StokesVelocityProblem:
                 gmres_orth=gmres_orth,
                 preconditioner_fn=self._preconditioner,
                 callback=callback,
-                residual_jacobian_fn=self.residual_and_jacobian if cfg.fused_assembly else None,
+                residual_jacobian_fn=self.residual_and_jacobian,
                 reducer=self.reducer,
                 resilience=resilience,
                 checkpoint_every=checkpoint_every,
@@ -705,7 +606,6 @@ class StokesVelocityProblem:
             "linear_flags": newton.linear_flags,
             "num_dofs": self.dofmap.num_dofs,
             "num_cells": self.mesh.num_elems,
-            "fused_assembly": cfg.fused_assembly,
             "operator_mode": "matrix-free" if self.matrix_free else "assembled",
             "gmres_orth": gmres_orth,
             # autotuner provenance: "off" is a hand-picked config; "auto"

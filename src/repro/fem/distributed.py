@@ -373,6 +373,15 @@ class DistributedMatrix:
     def nparts(self) -> int:
         return self.assembly.nparts
 
+    @property
+    def nnz(self) -> int:
+        """Stored entries over all ranks' rows (equals the serial plan's nnz)."""
+        return sum(len(d) for d in self.data_parts)
+
+    def isfinite(self) -> bool:
+        """Whether every rank's stored values are finite."""
+        return all(bool(np.all(np.isfinite(d))) for d in self.data_parts)
+
     def local_matrix(self, part: int) -> CsrMatrix:
         """Rank ``part``'s (owned rows x column map) CSR block."""
         if self._local is None:

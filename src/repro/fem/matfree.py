@@ -44,8 +44,9 @@ class OperatorModeError(TypeError):
 
 
 class MatrixFreeJacobian:
-    """Element-block operator with the protocol GMRES and the matrix-free
-    smoothers consume (``shape``, ``matvec``, ``diagonal``).
+    """Element-block operator with the protocol GMRES and the smoothers
+    consume (``shape``, ``matvec``, ``diagonal``, ``column_blocks``,
+    ``isfinite``).
 
     Parameters
     ----------
@@ -144,10 +145,9 @@ class MatrixFreeJacobian:
         With column-major dof numbering, block ``p`` covers the dof
         range ``[p*blk, (p+1)*blk)`` (one vertical column); the entries
         are gathered straight from the element blocks by masking
-        same-column (row, col) pairs -- the matrix-free analogue of the
-        CSR extraction in :class:`~repro.solvers.smoothers.
-        VerticalLineSmoother`, and the block source for its 3D-blocked
-        matrix-free variant.
+        same-column (row, col) pairs -- the matrix-free analogue of
+        :meth:`CsrMatrix.column_blocks`, consumed by
+        :class:`~repro.solvers.smoothers.VerticalLineSmoother`.
         """
         blk = int(block_size)
         if self.n % blk != 0:

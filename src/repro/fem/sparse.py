@@ -125,6 +125,28 @@ class CsrMatrix:
         d[rows[hit]] = self.data[hit]
         return d
 
+    def isfinite(self) -> bool:
+        """Whether every stored value is finite (Newton's per-step health check)."""
+        return bool(np.all(np.isfinite(self.data)))
+
+    def column_blocks(self, block_size: int) -> np.ndarray:
+        """Dense on-diagonal blocks ``(n // blk, blk, blk)``.
+
+        With column-major dof numbering, block ``p`` covers the dof range
+        ``[p*blk, (p+1)*blk)`` -- one vertical column's coupling, which
+        the vertical-line smoother inverts.
+        """
+        blk = int(block_size)
+        n = self.shape[0]
+        if n % blk != 0:
+            raise ValueError(f"matrix size {n} not divisible by column block {blk}")
+        blocks = np.zeros((n // blk, blk, blk))
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        cols = self.indices
+        on = rows // blk == cols // blk
+        blocks[rows[on] // blk, rows[on] % blk, cols[on] % blk] = self.data[on]
+        return blocks
+
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(column indices, values) of row ``i`` (views, do not mutate ids)."""
         a, b = self.indptr[i], self.indptr[i + 1]

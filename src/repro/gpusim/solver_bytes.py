@@ -24,7 +24,7 @@ Counting rules (the same first-touch convention as
 All functions are dependency-free and deterministic; they are consumed
 by :func:`repro.solvers.gmres.gmres` (per-iteration accumulation into
 ``gmres.*.bytes`` metrics) and by ``benchmarks/bench_solver_hotpath.py``
-(the ``BENCH_hotpath.json`` bytes/iteration table).
+(the ``BENCH_solver.json`` bytes/iteration table).
 
 The ``*_flops`` companions price the float64 operations of the same
 kernels, so roofline attribution (``observability/attribution.py``)

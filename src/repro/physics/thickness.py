@@ -87,7 +87,10 @@ class ThicknessEvolver:
         if vmax == 0.0:
             return np.inf
         length_scale = np.sqrt(self.areas.min())
-        return 0.4 * length_scale / vmax
+        # a subnormal ``vmax`` overflows the quotient to inf, which is the
+        # right answer (every dt is stable), so the overflow is not a warning
+        with np.errstate(over="ignore"):
+            return float(0.4 * length_scale / vmax)
 
     def step(
         self,

@@ -7,7 +7,7 @@ meshes (Tuminaro et al. 2016).  This package implements that stack:
 
 * :mod:`~repro.solvers.gmres` -- restarted, right-preconditioned GMRES.
 * :mod:`~repro.solvers.smoothers` -- damped Jacobi, vertical-line (block)
-  Jacobi for extruded columns, ILU(0).
+  Jacobi for extruded columns.
 * :mod:`~repro.solvers.multigrid` -- vertical semicoarsening followed by
   horizontal aggregation AMG, applied as a V-cycle preconditioner.
 * :mod:`~repro.solvers.newton` -- damped Newton with backtracking.
@@ -15,12 +15,7 @@ meshes (Tuminaro et al. 2016).  This package implements that stack:
 
 from repro.solvers.gmres import GmresResult, gmres
 from repro.solvers.reductions import BlockReducer, column_block_reducer
-from repro.solvers.smoothers import (
-    IdentityPreconditioner,
-    JacobiSmoother,
-    VerticalLineSmoother,
-    Ilu0Preconditioner,
-)
+from repro.solvers.smoothers import IdentityPreconditioner, JacobiSmoother, VerticalLineSmoother
 from repro.solvers.multigrid import MgLevel, SemicoarseningMultigrid, ColumnCollapseMdsc, build_mdsc_amg
 from repro.solvers.newton import NewtonResult, newton_solve
 
@@ -32,7 +27,6 @@ __all__ = [
     "IdentityPreconditioner",
     "JacobiSmoother",
     "VerticalLineSmoother",
-    "Ilu0Preconditioner",
     "MgLevel",
     "SemicoarseningMultigrid",
     "ColumnCollapseMdsc",

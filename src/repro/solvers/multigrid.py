@@ -21,13 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fem.matfree import OperatorModeError
 from repro.fem.sparse import CsrMatrix
 from repro.observability import get_tracer
-from repro.solvers.smoothers import (
-    JacobiSmoother,
-    MatrixFreeVerticalLineSmoother,
-    VerticalLineSmoother,
-)
+from repro.solvers.smoothers import JacobiSmoother, VerticalLineSmoother
 
 __all__ = [
     "MgLevel",
@@ -228,8 +225,7 @@ class MatrixFreeColumnCollapseMdsc:
     correction -- driven entirely by a matrix-free operator:
 
     * the line smoother takes its column blocks from the operator's
-      element blocks (:class:`~repro.solvers.smoothers.
-      MatrixFreeVerticalLineSmoother`);
+      element blocks (``MatrixFreeJacobian.column_blocks``);
     * restriction/prolongation are the piecewise-constant column
       collapse applied as a ``bincount`` / gather (the explicit
       prolongator matrix is never formed);
@@ -261,14 +257,12 @@ class MatrixFreeColumnCollapseMdsc:
             raise ValueError("operator size inconsistent with columns x levels x ndof")
         collapse = getattr(op, "collapse", None)
         if collapse is None:
-            from repro.fem.matfree import OperatorModeError
-
             raise OperatorModeError(
                 "MatrixFreeColumnCollapseMdsc needs an operator exposing "
                 f"collapse() (e.g. MatrixFreeJacobian); got {type(op).__name__}"
             )
         self.A = op
-        self.smoother = MatrixFreeVerticalLineSmoother(
+        self.smoother = VerticalLineSmoother(
             op, levels * ndof, omega=vertical_omega, iters=smoother_iters
         )
         col = np.arange(n) // (levels * ndof)

@@ -7,9 +7,8 @@ preconditioned GMRES.
 
 The paper's headline optimization is loop fusion: SFad evaluation
 already produces the residual as the value component of the Jacobian
-sweep, so ``newton_solve`` accepts an optional fused
-``residual_jacobian_fn`` that returns ``(F(x), J(x))`` from one sweep.
-Line-search trials still use the cheap residual-only path.
+sweep, so each step makes one ``(F(x), J(x))`` evaluate call.  Line-
+search trials use the cheap residual-only path.
 
 Resilience.  Production ice-sheet runs hit non-finite residuals (thin-
 ice viscosity blowups), stagnating GMRES and corrupted evaluations, and
@@ -55,11 +54,10 @@ class NewtonResult:
     #: per-step GMRES outcome flag (``converged`` / ``maxiter`` /
     #: ``stagnated`` / ``breakdown``), aligned with ``linear_iterations``
     linear_flags: list[str] = field(default_factory=list)
-    #: residual-only evaluations: line-search trials, plus the initial
-    #: check when no fused ``residual_jacobian_fn`` is supplied
+    #: residual-only evaluations: one per line-search trial
     num_residual_evals: int = 0
-    #: Jacobian (or fused residual+Jacobian) sweeps -- one per accepted
-    #: step (the fused initial evaluation doubles as the step-0 Jacobian)
+    #: ``(f, J)`` sweeps -- one per accepted step (the initial evaluation
+    #: doubles as the step-0 sweep), plus any recovery re-evaluations
     num_jacobian_evals: int = 0
     #: wall time per solver phase: evaluate (residual/Jacobian callbacks),
     #: preconditioner (setup per step), gmres (linear solves).  Sourced
@@ -80,26 +78,16 @@ class NewtonResult:
 
 
 def _jacobian_finite(J) -> bool:
-    """Cheap finiteness check on a Jacobian's stored values.
+    """Finiteness check on a Jacobian's stored values.
 
-    Covers :class:`CsrMatrix` (``data``), :class:`DistributedMatrix`
-    (``data_parts``) and operators that advertise their own check via
-    ``isfinite()`` (e.g. :class:`repro.fem.matfree.MatrixFreeJacobian`,
-    which scans its element blocks).  A ``matvec``-only operator is
-    probed with a single ones-vector application: non-finite storage
-    anywhere in a row surfaces as a non-finite output entry, because a
-    NaN/Inf coefficient contaminates its row's sum.  Only operators
-    exposing none of the above (not even ``matvec`` + ``shape``) are
-    assumed healthy -- previously *every* non-CSR operator was, so in
-    matrix-free mode Jacobian damage skipped the step-boundary check
-    and the resilience ladder mis-attributed the failure to GMRES.
+    Solver operators (:class:`CsrMatrix`, :class:`DistributedMatrix`,
+    :class:`MatrixFreeJacobian`) answer through the operator protocol's
+    ``isfinite()``.  A foreign ``matvec``-only operator is probed with a
+    single ones-vector application: non-finite storage anywhere in a row
+    surfaces as a non-finite output entry, because a NaN/Inf coefficient
+    contaminates its row's sum.  Only objects exposing neither are
+    assumed healthy.
     """
-    data = getattr(J, "data", None)
-    if data is not None:
-        return bool(np.all(np.isfinite(data)))
-    parts = getattr(J, "data_parts", None)
-    if parts is not None:
-        return all(bool(np.all(np.isfinite(d))) for d in parts)
     own_check = getattr(J, "isfinite", None)
     if callable(own_check):
         return bool(own_check())
@@ -147,14 +135,14 @@ def newton_solve(
     Parameters
     ----------
     residual_fn:
-        ``x -> F(x)``.
+        ``x -> F(x)``, the residual-only path of the line search.
     jacobian_fn:
-        ``x -> J`` (object with ``matvec``).
+        ``x -> J`` (object with ``matvec``); may be ``None`` when
+        ``residual_jacobian_fn`` is given.
     residual_jacobian_fn:
-        Optional fused ``x -> (F(x), J(x))`` evaluated in one sweep; when
-        given it replaces the per-step ``jacobian_fn`` call and provides
-        the step's residual for free (``jacobian_fn`` is then unused and
-        may be ``None``).
+        ``x -> (F(x), J(x))`` evaluated in one sweep -- the step's one
+        evaluate call.  When omitted it is composed from ``residual_fn``
+        and ``jacobian_fn`` (closed-form callers).
     preconditioner_fn:
         Optional ``J -> M`` building a preconditioner per Newton step.
     gmres_orth:
@@ -197,8 +185,13 @@ def newton_solve(
         the first step completes raises with ``checkpoint=None`` --
         an immediate typed timeout, never partial garbage.
     """
-    if residual_jacobian_fn is None and jacobian_fn is None:
-        raise ValueError("either jacobian_fn or residual_jacobian_fn is required")
+    if residual_jacobian_fn is None:
+        if jacobian_fn is None:
+            raise ValueError("either jacobian_fn or residual_jacobian_fn is required")
+
+        def residual_jacobian_fn(x):
+            return residual_fn(x), jacobian_fn(x)
+
     norm_fn = np.linalg.norm if reducer is None else reducer.norm
     gmres_dot = None if reducer is None else reducer.dot
     gmres_norm = None if reducer is None else reducer.norm
@@ -227,18 +220,44 @@ def newton_solve(
         res.linear_flags = list(resume_from.linear_flags)
         res.checkpoint = resume_from
 
-    def evaluate_full(what: str):
-        """One evaluation at the current ``x``: (f, J_or_None)."""
-        with tr.span("newton.evaluate", what=what) as sp:
-            if residual_jacobian_fn is not None:
-                f_new, J_new = residual_jacobian_fn(x)
-                res.num_jacobian_evals += 1
-            else:
-                f_new = residual_fn(x)
-                res.num_residual_evals += 1
-                J_new = None
+    def sweep(what: str, step: int):
+        with tr.span("newton.evaluate", what=what, step=step) as sp:
+            out = residual_jacobian_fn(x)
         phases["evaluate"] += sp.dur_s
-        return f_new, J_new
+        res.num_jacobian_evals += 1
+        return out
+
+    def evaluate(what: str, step: int):
+        """``(f, J)`` at the current ``x`` -- the one evaluate call.
+
+        A NaN produced by the sweep must not propagate silently into
+        norms and GMRES: without a policy it raises naming the step;
+        with one the sweep is re-run (a poisoned sweep is transient,
+        genuinely bad thickness/viscosity inputs are not).
+        """
+        attempts = 0
+        while True:
+            f_new, J_new = sweep("reevaluate" if attempts else what, step)
+            f_ok = bool(np.all(np.isfinite(f_new)))
+            if f_ok and _jacobian_finite(J_new):
+                if attempts:
+                    log.record(
+                        "recovery", "reevaluation", "newton.evaluate",
+                        step=step, phase=what, attempts=attempts,
+                    )
+                return f_new, J_new
+            attempts += 1
+            if policy is None or attempts > policy.max_reevaluations:
+                if not f_ok and what != "step":
+                    raise FloatingPointError(
+                        "non-finite residual at the initial guess; check inputs "
+                        "(thickness/viscosity fields) before starting Newton"
+                    )
+                _raise_nonfinite(step, "evaluate", None if f_ok else f_new)
+            log.record(
+                "detection", "nonfinite_evaluation", "newton.evaluate",
+                step=step, phase=what, attempt=attempts,
+            )
 
     def _check_deadline(phase: str) -> None:
         # cooperative budget check: reads the clock and branches only,
@@ -249,33 +268,14 @@ def newton_solve(
         if deadline is not None:
             deadline.check(phase, checkpoint=res.checkpoint)
 
-    # initial evaluation: the fused path gets the step-0 Jacobian for
-    # free (the residual is the value component of the same SFad sweep),
-    # so a full solve performs exactly one DAG sweep per accepted step
-    # plus one residual-only sweep per line-search trial.  A resumed
-    # solve re-evaluates at the checkpointed iterate (same sweep shape).
+    # the initial evaluation doubles as the step-0 sweep (the residual
+    # is the value component of the same SFad sweep), so a full solve
+    # performs exactly one DAG sweep per accepted step plus one
+    # residual-only sweep per line-search trial.  A resumed solve
+    # re-evaluates at the checkpointed iterate (same sweep shape).
     what0 = "initial" if resume_from is None else "resume"
     _check_deadline(f"newton.{what0}")
-    f, J_next = evaluate_full(what0)
-    attempts = 0
-    while not (np.all(np.isfinite(f)) and _jacobian_finite(J_next)):
-        # a poisoned initial sweep is retryable under a policy; a truly
-        # bad initial guess (bad thickness/viscosity inputs) is not
-        attempts += 1
-        if policy is None or attempts > policy.max_reevaluations:
-            raise FloatingPointError(
-                "non-finite residual at the initial guess; check inputs "
-                "(thickness/viscosity fields) before starting Newton"
-            )
-        log.record(
-            "detection", "nonfinite_evaluation", "newton.evaluate",
-            step=start_step, phase=what0, attempt=attempts,
-        )
-        f, J_next = evaluate_full(f"{what0}_retry")
-        log.record(
-            "recovery", "reevaluation", "newton.evaluate",
-            step=start_step, phase=what0, attempts=attempts,
-        )
+    f, J = evaluate(what0, start_step)
     fnorm = float(norm_fn(f))
     if _SAN.active:
         _SAN.check("newton.residual_norm", fnorm, f, site="initial")
@@ -293,52 +293,11 @@ def newton_solve(
             rejections = 0
             while True:  # step-attempt loop: rejected attempts retry here
                 _check_deadline(f"newton.step {step}")
-                with tr.span("newton.evaluate", step=step) as sp:
-                    if J_next is not None:
-                        J, J_next = J_next, None
-                    elif residual_jacobian_fn is not None:
-                        # fused: one jacobian-mode sweep yields both
-                        # outputs; its value component replaces the
-                        # carried line-search residual
-                        f, J = residual_jacobian_fn(x)
-                        fnorm = float(norm_fn(f))
-                        res.num_jacobian_evals += 1
-                    else:
-                        J = jacobian_fn(x)
-                        res.num_jacobian_evals += 1
-                phases["evaluate"] += sp.dur_s
-
-                # per-step guard: a NaN produced by this (or a carried)
-                # sweep must not propagate silently into norms and GMRES
-                attempts = 0
-                while not (np.all(np.isfinite(f)) and _jacobian_finite(J)):
-                    if policy is None:
-                        _raise_nonfinite(step, "evaluate", f)
-                    attempts += 1
-                    if attempts > policy.max_reevaluations:
-                        _raise_nonfinite(step, "evaluate", f)
-                    log.record(
-                        "detection", "nonfinite_evaluation", "newton.evaluate",
-                        step=step, phase="evaluate", attempt=attempts,
-                    )
-                    with tr.span("resilience.recover", site="newton.evaluate", step=step):
-                        f2, J2 = evaluate_full("reevaluate")
-                        if J2 is not None:
-                            f, J = f2, J2
-                            fnorm = float(norm_fn(f))
-                        else:
-                            if not np.all(np.isfinite(f)):
-                                f = f2
-                                fnorm = float(norm_fn(f))
-                            with tr.span("newton.evaluate", what="reevaluate_jac") as sp:
-                                J = jacobian_fn(x)
-                                res.num_jacobian_evals += 1
-                            phases["evaluate"] += sp.dur_s
-                    if np.all(np.isfinite(f)) and _jacobian_finite(J):
-                        log.record(
-                            "recovery", "reevaluation", "newton.evaluate",
-                            step=step, attempts=attempts,
-                        )
+                if J is None:
+                    # the sweep's value component replaces the carried
+                    # line-search residual
+                    f, J = evaluate("step", step)
+                    fnorm = float(norm_fn(f))
 
                 with tr.span("newton.precond_setup", step=step) as sp:
                     M = preconditioner_fn(J) if preconditioner_fn is not None else None
@@ -458,6 +417,7 @@ def newton_solve(
                                 break
                         alpha *= 0.5
 
+                J = None  # consumed: the next attempt or step sweeps afresh
                 if not rejected:
                     break  # step attempt succeeded
                 # reject the step: resume from the last good iterate with

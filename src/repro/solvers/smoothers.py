@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fem.matfree import OperatorModeError
 from repro.fem.sparse import CsrMatrix
 
 __all__ = [
     "IdentityPreconditioner",
     "JacobiSmoother",
     "VerticalLineSmoother",
-    "MatrixFreeVerticalLineSmoother",
-    "Ilu0Preconditioner",
 ]
 
 
@@ -78,31 +77,28 @@ class VerticalLineSmoother:
     With column-major dof numbering, the dofs of footprint node ``p``
     occupy the contiguous range ``[p*blk, (p+1)*blk)`` with ``blk =
     levels * ndof_per_node``; each diagonal block is a narrow banded
-    matrix (the vertical tridiagonal coupling) that we factor once and
-    solve batched.
+    matrix (the vertical tridiagonal coupling) that we invert once and
+    apply batched.  The blocks come from the operator's own
+    ``column_blocks`` -- the CSR diagonal blocks or, matrix-free, the
+    element blocks -- so one smoother serves both operator modes.
     """
 
-    def __init__(self, A: CsrMatrix, block_size: int, omega: float = 0.9, iters: int = 1):
+    def __init__(self, A, block_size: int, omega: float = 0.9, iters: int = 1):
+        column_blocks = getattr(A, "column_blocks", None)
+        if column_blocks is None:
+            raise OperatorModeError(
+                "VerticalLineSmoother needs an operator exposing column_blocks() "
+                f"(CsrMatrix or MatrixFreeJacobian); got {type(A).__name__}"
+            )
         n = A.shape[0]
         if n % block_size != 0:
             raise ValueError(f"matrix size {n} not divisible by column block {block_size}")
         self.A = A
-        self.blk = block_size
-        self.nblocks = n // block_size
+        self.blk = int(block_size)
+        self.nblocks = n // self.blk
         self.omega = omega
         self.iters = iters
-        self._factorize()
-
-    def _factorize(self) -> None:
-        blk, nb = self.blk, self.nblocks
-        blocks = np.zeros((nb, blk, blk))
-        rows = np.repeat(np.arange(self.A.shape[0]), np.diff(self.A.indptr))
-        cols = self.A.indices
-        rb, cb = rows // blk, cols // blk
-        onblock = rb == cb
-        blocks[rb[onblock], rows[onblock] % blk, cols[onblock] % blk] = self.A.data[onblock]
-        self.lu_blocks = blocks
-        self.inv_blocks = _invert_column_blocks(blocks)
+        self.inv_blocks = _invert_column_blocks(column_blocks(self.blk))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self.smooth(self.A, r, np.zeros_like(r), self.iters)
@@ -115,126 +111,3 @@ class VerticalLineSmoother:
             dx = np.matmul(self.inv_blocks, rb[..., None])[..., 0]
             x += self.omega * dx.ravel()
         return x
-
-
-class MatrixFreeVerticalLineSmoother:
-    """Vertical-line relaxation without an assembled matrix.
-
-    The same block-Jacobi column solve as :class:`VerticalLineSmoother`,
-    but the per-column diagonal blocks are extracted straight from the
-    operator's element Jacobian blocks (``MatrixFreeJacobian.
-    column_blocks``) and the residual uses the element-by-element
-    matvec -- no CSR structure anywhere.
-
-    The batched solve is *3D-blocked* in the sense of the geodynamics
-    matrix-free smoother literature: columns are processed in contiguous
-    footprint tiles (``tile`` columns at a time), so the working set of
-    one tile -- its inverse blocks plus residual slice -- fits cache
-    while streaming over the full domain.  ``tile=None`` processes all
-    columns in one batched GEMV, which is optimal at the problem sizes
-    the pure-Python tests run; the tiled path exists to model (and
-    test) the blocked execution shape.
-    """
-
-    def __init__(self, op, block_size: int, omega: float = 0.9, iters: int = 1, tile: int | None = None):
-        column_blocks = getattr(op, "column_blocks", None)
-        if column_blocks is None:
-            from repro.fem.matfree import OperatorModeError
-
-            raise OperatorModeError(
-                "MatrixFreeVerticalLineSmoother needs an operator exposing "
-                f"column_blocks() (e.g. MatrixFreeJacobian); got {type(op).__name__}"
-            )
-        n = op.shape[0]
-        if n % block_size != 0:
-            raise ValueError(f"operator size {n} not divisible by column block {block_size}")
-        if tile is not None and tile <= 0:
-            raise ValueError("tile must be positive (or None for one batch)")
-        self.A = op
-        self.blk = int(block_size)
-        self.nblocks = n // self.blk
-        self.omega = omega
-        self.iters = iters
-        self.tile = tile
-        self.inv_blocks = _invert_column_blocks(column_blocks(self.blk))
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.smooth(self.A, r, np.zeros_like(r), self.iters)
-
-    def _block_solve(self, rb: np.ndarray) -> np.ndarray:
-        if self.tile is None:
-            return np.matmul(self.inv_blocks, rb[..., None])[..., 0]
-        dx = np.empty_like(rb)
-        for a in range(0, self.nblocks, self.tile):
-            b = min(a + self.tile, self.nblocks)
-            dx[a:b] = np.matmul(self.inv_blocks[a:b], rb[a:b, :, None])[..., 0]
-        return dx
-
-    def smooth(self, A, b, x, iters: int | None = None) -> np.ndarray:
-        x = np.array(x, dtype=np.float64)
-        for _ in range(self.iters if iters is None else iters):
-            r = b - A.matvec(x)
-            rb = r.reshape(self.nblocks, self.blk)
-            x += self.omega * self._block_solve(rb).ravel()
-        return x
-
-
-class Ilu0Preconditioner:
-    """Incomplete LU with zero fill (same sparsity as A).
-
-    Reference implementation (row-by-row IKJ variant); intended for
-    modest problem sizes and as the AMG alternative in experiments.
-    """
-
-    def __init__(self, A: CsrMatrix):
-        self.A = A
-        n = A.shape[0]
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("ILU(0) requires a square matrix")
-        indptr, indices = A.indptr, A.indices
-        data = A.data.copy()
-        diag_ptr = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            for p in range(indptr[i], indptr[i + 1]):
-                if indices[p] == i:
-                    diag_ptr[i] = p
-        if np.any(diag_ptr < 0):
-            raise ValueError("ILU(0) requires a full diagonal")
-
-        for i in range(n):
-            row_cols = indices[indptr[i] : indptr[i + 1]]
-            row_pos = {int(c): int(indptr[i] + k) for k, c in enumerate(row_cols)}
-            for p in range(indptr[i], indptr[i + 1]):
-                k = indices[p]
-                if k >= i:
-                    break
-                dk = data[diag_ptr[k]]
-                if dk == 0.0:
-                    raise ZeroDivisionError(f"zero pivot in ILU(0) at row {k}")
-                lik = data[p] / dk
-                data[p] = lik
-                for q in range(diag_ptr[k] + 1, indptr[k + 1]):
-                    j = indices[q]
-                    pj = row_pos.get(int(j))
-                    if pj is not None:
-                        data[pj] -= lik * data[q]
-        self.indptr, self.indices, self.data, self.diag_ptr = indptr, indices, data, diag_ptr
-        self.n = n
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """Solve ``L U z = r`` (unit-diagonal L)."""
-        indptr, indices, data, diag_ptr = self.indptr, self.indices, self.data, self.diag_ptr
-        z = np.array(r, dtype=np.float64)
-        # forward: L z = r
-        for i in range(self.n):
-            s = z[i]
-            for p in range(indptr[i], diag_ptr[i]):
-                s -= data[p] * z[indices[p]]
-            z[i] = s
-        # backward: U x = z
-        for i in range(self.n - 1, -1, -1):
-            s = z[i]
-            for p in range(diag_ptr[i] + 1, indptr[i + 1]):
-                s -= data[p] * z[indices[p]]
-            z[i] = s / data[diag_ptr[i]]
-        return z

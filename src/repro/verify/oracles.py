@@ -624,15 +624,13 @@ for _geom in ("antarctica", "greenland"):
     "matrix-free vertical-line blocks equal the CSR-extracted blocks",
 )
 def _oracle_matfree_blocks():
-    from repro.solvers.smoothers import VerticalLineSmoother
-
     pa, pm = _operator_pair("antarctica")
     rng = np.random.default_rng(9)
     u = rng.normal(size=pa.dofmap.num_dofs) * 10.0
     u[pa.bc_dofs] = 0.0
     A, B = pa.jacobian(u), pm.jacobian(u)
     blk = pa.mesh.levels * 2
-    ref = VerticalLineSmoother(A, blk).lu_blocks
+    ref = A.column_blocks(blk)
     alt = B.column_blocks(blk)
     scale = max(1.0e-30, float(np.max(np.abs(ref))))
     d = first_divergence(

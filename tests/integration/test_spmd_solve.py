@@ -68,6 +68,10 @@ class TestSpmdOperatorsBitwise:
         assert np.array_equal(As.indptr, Ag.indptr)
         assert np.array_equal(As.indices, Ag.indices)
         assert np.array_equal(As.data, Ag.data)
+        # the step-boundary health check sees every rank's rows
+        assert Ap.isfinite()
+        Ap.data_parts[-1][0] = np.inf
+        assert not Ap.isfinite()
 
     def test_spmv_bitwise(self, antarctica_pair):
         serial, spmd = antarctica_pair

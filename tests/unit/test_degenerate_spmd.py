@@ -26,6 +26,7 @@ from repro import resilience as res
 from repro.app.config import VelocityConfig
 from repro.app.velocity_solver import StokesVelocityProblem
 from repro.fem.distributed import DistributedStokesAssembly
+from repro.gpusim.solver_bytes import operator_traffic
 from repro.mesh.extrude import extrude_footprint
 from repro.mesh.geometry import IceGeometry
 from repro.mesh.partition import HaloExchange, Partition, partition_footprint
@@ -83,6 +84,10 @@ def _assert_assembly_matches_serial(problem, partition):
     A = spmd.assemble_jacobian([local_j[spmd.owned_elems(p)] for p in range(nparts)])
     x = rng.normal(size=plan.num_dofs)
     assert np.array_equal(A.matvec(x), plan.assemble_matrix(local_j).matvec(x))
+    # regression: without ``nnz`` GMRES priced every SPMD matvec "opaque", 0 bytes
+    assert A.nnz == plan.nnz
+    assert operator_traffic(A) == operator_traffic(A.gather_global())
+    assert operator_traffic(A)[0] == "assembled"
     return spmd
 
 

@@ -23,7 +23,7 @@ from repro.solvers.gmres import gmres
 from repro.solvers.multigrid import ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc
 from repro.solvers.newton import _jacobian_finite, newton_solve
 from repro.solvers.reductions import BlockReducer
-from repro.solvers.smoothers import MatrixFreeVerticalLineSmoother, VerticalLineSmoother
+from repro.solvers.smoothers import VerticalLineSmoother
 
 SMALL = AntarcticaConfig(
     resolution_km=400.0,
@@ -169,29 +169,47 @@ class TestAgainstAssembled:
 
 
 class TestMatrixFreeSmoothers:
+    """One :class:`VerticalLineSmoother` serves both operator modes: its
+    blocks come from the operator's own ``column_blocks``."""
+
     def test_vertical_line_matches_assembled(self, problem_pair, jacobian_pair):
         pa, _ = problem_pair
         A, B, _ = jacobian_pair
         blk = pa.mesh.levels * 2
+        ba, bm = A.column_blocks(blk), B.column_blocks(blk)
+        assert np.allclose(bm, ba, rtol=1e-12, atol=1e-12 * np.max(np.abs(ba)))
         ref = VerticalLineSmoother(A, blk, iters=2)
-        alt = MatrixFreeVerticalLineSmoother(B, blk, iters=2)
+        alt = VerticalLineSmoother(B, blk, iters=2)
         rng = np.random.default_rng(21)
         r = rng.normal(size=A.shape[0])
         xa, xm = ref.apply(r), alt.apply(r)
         scale = np.max(np.abs(xa))
         assert np.allclose(xm, xa, rtol=1e-12, atol=1e-12 * scale)
 
-    def test_tiled_solve_bitwise_equals_batched(self, jacobian_pair):
-        _, B, _ = jacobian_pair
-        blk = 6  # 3 levels * 2 dofs
-        full = MatrixFreeVerticalLineSmoother(B, blk, iters=2)
-        tiled = MatrixFreeVerticalLineSmoother(B, blk, iters=2, tile=7)
-        r = np.sin(np.arange(B.n, dtype=np.float64))
-        assert np.array_equal(tiled.apply(r), full.apply(r))
+    def test_column_blocks_bitwise_per_operator(self, problem_pair, jacobian_pair):
+        """Each extraction is pinned bitwise to an independent dense
+        construction (what the per-mode smoothers it replaces inverted):
+        CSR blocks are pure placement, element-built blocks sum entries
+        in element order exactly like the slow scatter loop."""
+        pa, _ = problem_pair
+        A, B, _ = jacobian_pair
+        blk = pa.mesh.levels * 2
+        n = A.shape[0]
+        dense = {
+            "csr": (A, A.toarray()),
+            "element": (
+                B, _dense_reference(B.elem_dofs, B.local_jac, n, B.bc_dofs, B.diag_scale)
+            ),
+        }
+        for name, (op, M) in dense.items():
+            diag_blocks = np.stack(
+                [M[p * blk : (p + 1) * blk, p * blk : (p + 1) * blk] for p in range(n // blk)]
+            )
+            assert np.array_equal(op.column_blocks(blk), diag_blocks), name
 
     def test_requires_column_blocks(self):
         with pytest.raises(OperatorModeError, match="column_blocks"):
-            MatrixFreeVerticalLineSmoother(CsrMatrix.identity(4), 2)
+            VerticalLineSmoother(_CountingOperator(np.eye(4)), 2)
 
     def test_mdsc_matches_assembled(self, problem_pair, jacobian_pair):
         pa, _ = problem_pair

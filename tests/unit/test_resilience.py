@@ -321,13 +321,14 @@ class TestNewtonGuards:
         def F(x):
             calls["n"] += 1
             out = F0(x)
-            if calls["n"] > 2:  # healthy through step 0, then poison
+            if calls["n"] > 3:  # healthy through the step-1 sweep, then poison
                 out = out.copy()
                 out[0] = np.nan
             return out
 
-        # call 3 is the step-1 line-search trial: the raise must name
-        # exactly that step and phase
+        # calls 1-3 are the initial sweep, the step-0 trial and the
+        # step-1 sweep; call 4 is the step-1 line-search trial: the
+        # raise must name exactly that step and phase
         with pytest.raises(FloatingPointError, match=r"step 1 \(phase 'line_search'\)"):
             newton_solve(F, J, x0, max_steps=4)
 

@@ -11,7 +11,6 @@ from repro.solvers import (
     gmres,
     JacobiSmoother,
     VerticalLineSmoother,
-    Ilu0Preconditioner,
     IdentityPreconditioner,
     build_mdsc_amg,
     newton_solve,
@@ -213,22 +212,6 @@ class TestSmoothers:
     def test_vertical_line_size_check(self):
         with pytest.raises(ValueError):
             VerticalLineSmoother(_laplace_1d(10), 3)
-
-    def test_ilu0_exact_for_triangular_pattern(self):
-        """ILU(0) on a dense-pattern small matrix == full LU (no fill)."""
-        A = _random_spd(8, seed=4)
-        ilu = Ilu0Preconditioner(A)
-        rng = np.random.default_rng(4)
-        r = rng.normal(size=8)
-        # dense pattern -> ILU(0) is exact LU
-        assert np.allclose(A.matvec(ilu.apply(r)), r, atol=1e-8)
-
-    def test_ilu0_preconditions_gmres(self):
-        A = _extruded_operator(ncols=8, levels=4, aniso=50.0)
-        b = np.random.default_rng(12).normal(size=A.shape[0])
-        plain = gmres(A, b, tol=1e-8, maxiter=300)
-        pre = gmres(A, b, tol=1e-8, maxiter=300, M=Ilu0Preconditioner(A))
-        assert pre.converged and pre.iterations < plain.iterations
 
     def test_identity_preconditioner(self):
         p = IdentityPreconditioner()
@@ -496,8 +479,3 @@ class TestFailureInjection:
         sm = VerticalLineSmoother(A, 2, iters=1)
         out = sm.apply(np.ones(4))
         assert np.all(np.isfinite(out))
-
-    def test_ilu0_zero_pivot_detected(self):
-        A = CsrMatrix.from_coo([0, 0, 1, 1], [0, 1, 0, 1], [0.0, 1.0, 1.0, 1.0], (2, 2))
-        with pytest.raises((ZeroDivisionError, ValueError)):
-            Ilu0Preconditioner(A)

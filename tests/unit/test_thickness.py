@@ -1,5 +1,7 @@
 """Tests for the thickness-evolution substrate (Eq. 2)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,15 @@ class TestThicknessEvolver:
     def test_infinite_dt_for_static_ice(self):
         fp, ev = _setup()
         assert ev.max_stable_dt(np.zeros((fp.num_elems, 2))) == np.inf
+
+    def test_subnormal_velocity_is_static_without_a_warning(self):
+        # regression: 0.4 * L / 5e-324 overflowed with a RuntimeWarning
+        fp, ev = _setup()
+        v = np.zeros((fp.num_elems, 2))
+        v[0, 0] = 5.0e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ev.max_stable_dt(v) == np.inf
 
     @given(st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=20, deadline=None)
