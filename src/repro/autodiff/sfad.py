@@ -40,7 +40,7 @@ class FadArray:
     # Beat ndarray in mixed binary ops so __r*__ methods run.
     __array_priority__ = 1000.0
 
-    __slots__ = ("val", "dx")
+    __slots__ = ("val", "dx", "identity_seeded")
 
     def __init__(self, val, dx):
         val = np.asarray(val, dtype=np.float64)
@@ -57,6 +57,10 @@ class FadArray:
             )
         self.val = val
         self.dx = dx
+        #: set by ``GatherSolution`` on the one array whose ``dx`` is the
+        #: identity over its trailing axes (and frozen there); every
+        #: derived array starts over at ``False``
+        self.identity_seeded = False
 
     # ------------------------------------------------------------------
     # construction helpers

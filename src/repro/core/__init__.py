@@ -3,8 +3,10 @@
 This package holds the baseline and optimized element Residual/Jacobian
 kernels of Fig. 2 (single-source: the same body runs vectorized host
 numerics, serial reference numerics, and the trace mode that feeds the
-GPU performance simulator), the variant registry with the loop-structure
-and register metadata the simulator consumes, and the LaunchBounds
+GPU performance simulator), the optimized listing's lowering for the
+vectorized host space (what the solve's launches execute; an oracle ties
+it to the listing), the variant registry with the loop-structure and
+register metadata the simulator consumes, and the LaunchBounds
 configurations studied in Table II.
 """
 

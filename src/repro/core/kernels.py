@@ -25,7 +25,9 @@ global view exactly once.
 The bodies are single-source in the Kokkos sense: ``cell`` may be a
 slice (vectorized host numerics), an int (serial reference), or the
 symbolic thread index 0 with :class:`~repro.core.fields.TraceFields`
-(performance tracing) -- same code path each time.
+(performance tracing) -- same code path each time.  A ``HostVector``
+launch of the optimized variant executes its lowering
+(:mod:`repro.core.lowering`) instead of this listing with a slice.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from repro.core.kernels import (
     StokesFOResidFusedOnly,
     StokesFOResidOptimized,
 )
+from repro.core.lowering import StokesFOResidHostLowering
 from repro.core.viscosity_kernel import ViscosityFOKernel
 
 __all__ = ["RegisterProfile", "KernelVariant", "VARIANTS", "get_variant", "variant_names"]
@@ -75,12 +76,22 @@ class KernelVariant:
     cuda_scratch_bytes: int = 0
     #: kernel family: selects the field set ("stokes" | "viscosity")
     family: str = "stokes"
+    #: the listing lowered for execution spaces that launch a whole range
+    #: in one call (``HostVector``); ``None``: the listing runs there too
+    host_lowering: type | None = None
 
     @property
     def fad_dim(self) -> int:
         return 16 if self.mode == "jacobian" else 0
 
-    def make_functor(self, fields):
+    def make_functor(self, fields, space=None):
+        """The functor a launch on ``space`` executes.
+
+        Without a space -- the simulator's tracer, the race checker --
+        and on per-index spaces this is the Fig. 2 listing.
+        """
+        if self.host_lowering is not None and space is not None and space.vectorized:
+            return self.host_lowering(fields)
         return self.functor_cls(fields)
 
 
@@ -134,6 +145,7 @@ _register(
         profile_tight=RegisterProfile(128, 0, scratch_bytes=2900),
         cuda_regs=232,
         cuda_scratch_bytes=704,
+        host_lowering=StokesFOResidHostLowering,
     )
 )
 
@@ -173,6 +185,7 @@ _register(
         profile_relaxed=RegisterProfile(128, 0),
         profile_tight=RegisterProfile(84, 4, scratch_bytes=64, issue_penalty=1.17),
         cuda_regs=96,
+        host_lowering=StokesFOResidHostLowering,
     )
 )
 

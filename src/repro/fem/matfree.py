@@ -96,6 +96,9 @@ class MatrixFreeJacobian:
             self.bc_dofs = bc_dofs
             self._is_bc = np.zeros(self.n, dtype=bool)
             self._is_bc[bc_dofs] = True
+            #: element rows that are cleared Dirichlet rows, gathered once
+            #: (every matvec masks with it)
+            self._elem_row_is_bc = self._is_bc[elem_dofs]
         #: matvecs applied so far (instrumentation for tests/benches)
         self.num_matvecs = 0
 
@@ -111,7 +114,7 @@ class MatrixFreeJacobian:
             # cleared Dirichlet rows must not receive element
             # contributions; zero them before the scatter so the result
             # matches the assembled row replacement exactly
-            ye[self._is_bc[self.elem_dofs]] = 0.0
+            ye[self._elem_row_is_bc] = 0.0
         y = np.bincount(self.elem_dofs.ravel(), weights=ye.ravel(), minlength=self.n)
         if self.bc_dofs is not None:
             y[self.bc_dofs] = self.diag_scale * x[self.bc_dofs]
@@ -125,7 +128,7 @@ class MatrixFreeJacobian:
         """Global diagonal (scatter of element block diagonals)."""
         de = np.einsum("cii->ci", self.local_jac)
         if self.bc_dofs is not None:
-            de = np.where(self._is_bc[self.elem_dofs], 0.0, de)
+            de = np.where(self._elem_row_is_bc, 0.0, de)
         d = np.bincount(self.elem_dofs.ravel(), weights=de.ravel(), minlength=self.n)
         if self.bc_dofs is not None:
             d[self.bc_dofs] = self.diag_scale

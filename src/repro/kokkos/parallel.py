@@ -29,6 +29,7 @@ __all__ = [
     "parallel_reduce",
     "deep_copy",
     "fence",
+    "DEFAULT_SPACE",
     "Sum",
     "Max",
     "Min",
@@ -37,7 +38,8 @@ __all__ = [
     "enable_kernel_log",
 ]
 
-_DEFAULT_SPACE = HostVector()
+#: where a launch without an explicit ``space`` runs
+DEFAULT_SPACE = HostVector()
 _REGISTRY = hooks.registry()
 _FAULT_PLANE = fault_plane()
 
@@ -138,7 +140,7 @@ def _coerce_policy(policy) -> RangePolicy:
 def parallel_for(name: str, policy, functor, space: ExecutionSpace | None = None) -> None:
     """Execute ``functor`` over ``policy`` on ``space`` (default vectorized host)."""
     policy = _coerce_policy(policy)
-    space = space or _DEFAULT_SPACE
+    space = space or DEFAULT_SPACE
     if _FAULT_PLANE.active:
         _poke_launch(name, policy.extent)
     reg = _REGISTRY
@@ -165,7 +167,7 @@ def parallel_reduce(
     the policy carries one); contributions are written into ``acc``.
     """
     policy = _coerce_policy(policy)
-    space = space or _DEFAULT_SPACE
+    space = space or DEFAULT_SPACE
     if _FAULT_PLANE.active:
         _poke_launch(name, policy.extent)
     reg = _REGISTRY

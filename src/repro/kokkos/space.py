@@ -2,7 +2,9 @@
 
 ``HostVector`` exploits that every kernel in this codebase is written so
 that the parallel index may be a slice/array -- one functor call executes
-all iterations through vectorized numpy (the production path).
+all iterations through vectorized numpy (the production path).  A kernel
+variant may register a lowering for such spaces (``vectorized``): a
+functor written for a whole range at once rather than for one index.
 ``HostSerial`` calls the functor per index, which is slow but exercises
 the exact per-thread semantics (used by tests and by the trace recorder).
 """
@@ -19,6 +21,9 @@ class ExecutionSpace:
 
     name = "abstract"
     concurrency = 1
+    #: a range launch is one functor call with a ``slice`` index, so a
+    #: kernel variant may substitute its range-wise host lowering
+    vectorized = False
 
     def run_range(self, policy, functor):
         raise NotImplementedError
@@ -41,6 +46,7 @@ class HostVector(ExecutionSpace):
     """
 
     name = "HostVector"
+    vectorized = True
 
     def run_range(self, policy, functor):
         if policy.extent == 0:

@@ -96,8 +96,6 @@ class SolveService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._supervisor: asyncio.Task | None = None
         self._running = False
-        #: every terminal response, in completion order (chaos assertions)
-        self.responses: list[SolveResponse] = []
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -149,7 +147,6 @@ class SolveService:
         response.latency_s = self.clock() - t0
         get_metrics().histogram("serve.latency_s").observe(response.latency_s)
         get_metrics().counter(f"serve.response.{response.status}").inc()
-        self.responses.append(response)
         return response
 
     # ------------------------------------------------------------------

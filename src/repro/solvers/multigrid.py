@@ -185,15 +185,17 @@ class ColumnCollapseMdsc:
 
         Each smoother sweep streams the fine operator once (its
         residual matvec) plus three vector passes for the block solve
-        and update; the coarse correction adds one fine residual matvec
-        and the restriction/prolongation vector streams (the tiny
-        collapsed factor solve is counted as coarse-vector traffic).
+        and update -- except the first pre-smoothing sweep, which starts
+        from zero and needs no operator product; the coarse correction
+        adds one fine residual matvec and the restriction/prolongation
+        vector streams (the tiny collapsed factor solve is counted as
+        coarse-vector traffic).
         """
         from repro.gpusim.solver_bytes import spmv_bytes, vector_stream_bytes
 
         n, nnz = self.A.shape[0], self.A.nnz
         sweeps = 2 * self.smoother.iters  # pre + post relaxation
-        smoother_b = sweeps * (spmv_bytes(n, nnz) + 3 * vector_stream_bytes(n))
+        smoother_b = (sweeps - 1) * spmv_bytes(n, nnz) + sweeps * 3 * vector_stream_bytes(n)
         coarse_b = (
             spmv_bytes(n, nnz)
             + 4 * vector_stream_bytes(n)
@@ -207,7 +209,7 @@ class ColumnCollapseMdsc:
         with tr.span("mdsc.vcycle", kind="column-collapse") as sp:
             if tr.recording:
                 sp.args["bytes"] = self.bytes_per_apply
-            x = self.smoother.smooth(self.A, r, np.zeros_like(r))
+            x = self.smoother.apply(r)  # zero guess: no operator product in sweep 1
             rr = r - self.A.matvec(x)
             xc = self._coarse.solve(self.P.rmatvec(rr))
             x = x + self.coarse_damping * self.P.matvec(xc)
@@ -290,7 +292,7 @@ class MatrixFreeColumnCollapseMdsc:
         n = self.A.shape[0]
         op_b = float(self.A.bytes_per_matvec)
         sweeps = 2 * self.smoother.iters  # pre + post relaxation
-        smoother_b = sweeps * (op_b + 3 * vector_stream_bytes(n))
+        smoother_b = (sweeps - 1) * op_b + sweeps * 3 * vector_stream_bytes(n)
         coarse_b = op_b + 4 * vector_stream_bytes(n) + 4 * vector_stream_bytes(self.ncoarse)
         return smoother_b + coarse_b
 
@@ -300,7 +302,7 @@ class MatrixFreeColumnCollapseMdsc:
         with tr.span("mdsc.vcycle", kind="column-collapse-matrix-free") as sp:
             if tr.recording:
                 sp.args["bytes"] = self.bytes_per_apply
-            x = self.smoother.smooth(self.A, r, np.zeros_like(r))
+            x = self.smoother.apply(r)  # zero guess: no operator product in sweep 1
             rr = r - self.A.matvec(x)
             rc = np.bincount(self.agg, weights=rr, minlength=self.ncoarse)
             xc = self._coarse.solve(rc)

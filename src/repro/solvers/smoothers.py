@@ -100,14 +100,24 @@ class VerticalLineSmoother:
         self.iters = iters
         self.inv_blocks = _invert_column_blocks(column_blocks(self.blk))
 
+    def _block_solve(self, r: np.ndarray) -> np.ndarray:
+        rb = r.reshape(self.nblocks, self.blk)
+        return np.matmul(self.inv_blocks, rb[..., None])[..., 0].ravel()
+
     def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.smooth(self.A, r, np.zeros_like(r), self.iters)
+        """``iters`` sweeps from a zero guess.
+
+        The first residual ``r - A @ 0`` is ``r`` itself, so the first
+        sweep costs no operator product; the result equals
+        ``smooth(A, r, zeros, iters)``.
+        """
+        if self.iters < 1:
+            return np.zeros_like(r, dtype=np.float64)
+        x = self.omega * self._block_solve(r)
+        return self.smooth(self.A, r, x, self.iters - 1)
 
     def smooth(self, A, b, x, iters: int | None = None) -> np.ndarray:
         x = np.array(x, dtype=np.float64)
         for _ in range(self.iters if iters is None else iters):
-            r = b - A.matvec(x)
-            rb = r.reshape(self.nblocks, self.blk)
-            dx = np.matmul(self.inv_blocks, rb[..., None])[..., 0]
-            x += self.omega * dx.ravel()
+            x += self.omega * self._block_solve(b - A.matvec(x))
         return x

@@ -187,10 +187,17 @@ def fill_stokes_fields(fields: StokesFields, seed: int = 0) -> StokesFields:
     return fields
 
 
-def stokes_fields_factory(num_cells: int = 6, mode: str = "residual", seed: int = 0):
+def stokes_fields_factory(
+    num_cells: int = 6,
+    mode: str = "residual",
+    seed: int = 0,
+    num_nodes: int = 8,
+    num_qps: int = 8,
+):
     """A zero-argument factory for identically-initialized Stokes fields."""
 
     def factory() -> StokesFields:
-        return fill_stokes_fields(make_stokes_fields(num_cells, mode=mode), seed=seed)
+        fields = make_stokes_fields(num_cells, num_nodes=num_nodes, num_qps=num_qps, mode=mode)
+        return fill_stokes_fields(fields, seed=seed)
 
     return factory

@@ -17,8 +17,11 @@ from repro.core import (
     JACOBIAN_FAD_SIZE,
 )
 from repro.core.fields import TraceFields
+from repro.core.lowering import StokesFOResidHostLowering
 from repro.autodiff.sfad import SFad
-from repro.kokkos.space import HostSerial
+from repro.kokkos.parallel import parallel_for
+from repro.kokkos.policy import RangePolicy
+from repro.kokkos.space import HostSerial, HostVector
 
 
 def _fill_fields(fields, seed=0):
@@ -229,3 +232,75 @@ class TestTraceMode:
         fo = self._trace("optimized-residual", "residual").flops
         # same math modulo the removed re-initialization; within 20%
         assert abs(fb - fo) / fb < 0.2
+
+
+class TestHostLowering:
+    """The optimized variant's HostVector launch (batched GEMMs per cell,
+    walked in 128-cell chunks) against the listing it lowers."""
+
+    def test_dispatch_follows_the_execution_space(self):
+        f = make_stokes_fields(2)
+        for mode in ("residual", "jacobian"):
+            v = get_variant(f"optimized-{mode}")
+            assert isinstance(v.make_functor(f, HostVector()), StokesFOResidHostLowering)
+            # the device program: what gpusim traces and HostSerial replays
+            assert type(v.make_functor(f)) is StokesFOResidOptimized
+            assert type(v.make_functor(f, HostSerial())) is StokesFOResidOptimized
+        for key in ("baseline-jacobian", "fused-jacobian"):
+            v = get_variant(key)
+            assert type(v.make_functor(f, HostVector())) is v.functor_cls
+
+    @pytest.mark.parametrize("nn,nq", [(8, 8), (6, 6)])
+    @pytest.mark.parametrize("mode", ["residual", "jacobian"])
+    def test_matches_listing_serial(self, mode, nn, nq):
+        def make():
+            return _fill_fields(make_stokes_fields(131, nn, nq, mode=mode), seed=12)
+
+        fv, fs = make(), make()
+        run_kernel(f"optimized-{mode}", fv)
+        run_kernel(f"optimized-{mode}", fs, space=HostSerial())
+        parts = [(fv.Residual.values(), fs.Residual.values())]
+        if mode == "jacobian":
+            parts.append((fv.Residual.data.dx, fs.Residual.data.dx))
+        for got, ref in parts:
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("mode", ["residual", "jacobian"])
+    def test_cell_blocks_do_not_depend_on_the_launch(self, mode):
+        """Alone, in a range of 7, across a chunk boundary (129, 257) or
+        in the full range: the same bits.  SPMD == serial, degraded-rank
+        and resume equality rest on this."""
+        num_cells = 300
+        variant = get_variant(f"optimized-{mode}")
+
+        def launch(begin, end):
+            f = _fill_fields(make_stokes_fields(num_cells, mode=mode), seed=13)
+            parallel_for("t", RangePolicy(begin, end), variant.make_functor(f, HostVector()))
+            return f.Residual.data
+
+        full = launch(0, num_cells)
+        for cell in (0, 127, 128, 256):
+            ranges = [(cell, cell + 1), (0, 129), (0, 257)]
+            ranges.append((max(0, cell - 3), max(0, cell - 3) + 7))
+            for begin, end in ranges:
+                if not begin <= cell < end:
+                    continue
+                part = launch(begin, end)
+                if mode == "jacobian":
+                    assert np.array_equal(part.val[cell], full.val[cell]), (cell, begin, end)
+                    assert np.array_equal(part.dx[cell], full.dx[cell]), (cell, begin, end)
+                else:
+                    assert np.array_equal(part[cell], full[cell]), (cell, begin, end)
+
+    def test_jacobian_launch_returns_the_residual_launch_values(self):
+        """The value product is the same call in both modes (what keeps
+        ``fused-assembly-vs-separate`` bitwise)."""
+        fj = _fill_fields(make_stokes_fields(140, mode="jacobian"), seed=14)
+        fr = make_stokes_fields(140, mode="residual")
+        for name in ("Ugrad", "muLandIce", "force"):
+            getattr(fr, name).data[...] = getattr(fj, name).data.val
+        fr.wBF.data[...] = fj.wBF.data
+        fr.wGradBF.data[...] = fj.wGradBF.data
+        run_kernel("optimized-jacobian", fj)
+        run_kernel("optimized-residual", fr)
+        assert np.array_equal(fj.Residual.values(), fr.Residual.values())

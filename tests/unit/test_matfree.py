@@ -227,6 +227,51 @@ class TestMatrixFreeSmoothers:
         scale = np.max(np.abs(xa))
         assert np.allclose(xm, xa, rtol=1e-9, atol=1e-9 * scale)
 
+    @pytest.mark.parametrize("iters", [1, 2, 3])
+    def test_zero_start_skips_first_product(self, problem_pair, jacobian_pair, iters):
+        """``apply`` is ``smooth`` from a zero guess -- the same bits --
+        minus the ``A @ 0`` of the first sweep."""
+        pa, _ = problem_pair
+        A, B, _ = jacobian_pair
+        blk = pa.mesh.levels * 2
+        r = np.random.default_rng(25).normal(size=A.shape[0])
+        for op in (A, B):
+            sm = VerticalLineSmoother(op, blk, iters=iters)
+            assert np.array_equal(sm.apply(r), sm.smooth(op, r, np.zeros_like(r)))
+        before = B.num_matvecs
+        VerticalLineSmoother(B, blk, iters=iters).apply(r)
+        assert B.num_matvecs - before == iters - 1
+
+    def test_vcycle_operator_products_and_bytes(self, problem_pair, jacobian_pair):
+        """One V-cycle applies the fine operator ``2 * iters`` times
+        (``iters - 1`` pre, 1 coarse residual, ``iters`` post) and is
+        priced accordingly; the result is what the five-product cycle
+        (pre-smoothing through ``smooth`` from zeros) returns."""
+        from repro.gpusim.solver_bytes import spmv_bytes, vector_stream_bytes
+
+        pa, _ = problem_pair
+        A, B, _ = jacobian_pair
+        kw = dict(
+            num_columns=pa.mesh.footprint.num_nodes, levels=pa.mesh.levels, smoother_iters=2
+        )
+        r = np.random.default_rng(27).normal(size=A.shape[0])
+        n = A.shape[0]
+        nco = 2 * kw["num_columns"]
+
+        mf = MatrixFreeColumnCollapseMdsc(B, **kw)
+        before = B.num_matvecs
+        x = mf.apply(r)
+        assert B.num_matvecs - before == 4
+        x0 = mf.smoother.smooth(B, r, np.zeros_like(r))
+        rr = r - B.matvec(x0)
+        xc = mf._coarse.solve(np.bincount(mf.agg, weights=rr, minlength=mf.ncoarse))
+        assert np.array_equal(x, mf.smoother.smooth(B, r, x0 + mf.coarse_damping * xc[mf.agg]))
+
+        vec, cvec = vector_stream_bytes(n), vector_stream_bytes(nco)
+        assert mf.bytes_per_apply == 4 * B.bytes_per_matvec + 16 * vec + 4 * cvec
+        asm = ColumnCollapseMdsc(A, **kw)
+        assert asm.bytes_per_apply == 4 * spmv_bytes(n, A.nnz) + 16 * vec + 4 * cvec
+
     def test_mdsc_requires_collapse(self):
         with pytest.raises(OperatorModeError, match="collapse"):
             MatrixFreeColumnCollapseMdsc(CsrMatrix.identity(8), num_columns=2, levels=2)

@@ -94,6 +94,42 @@ class TestInterp:
                     assert np.allclose(out.dx[c, q, 0, d].reshape(nn, 2)[:, 0], g[c, :, q, d])
                     assert np.allclose(out.dx[c, q, 0, d].reshape(nn, 2)[:, 1], 0.0)
 
+    @pytest.mark.parametrize("nn,nq", [(8, 8), (6, 6)])
+    def test_seeded_grad_interp_equals_einsum_bitwise(self, nn, nq):
+        """``GatherSolution`` marks its identity-seeded ``U``; the marked
+        path writes ``dUgrad/dU`` from ``grad_bf`` and must return what
+        the contraction it skips returns."""
+        ws = _make_workset("jacobian", nc=7, nn=nn, nq=nq, seed=6)
+        GatherSolution().evaluate(ws)
+        U = ws.fields["U"]
+        assert U.identity_seeded
+        DOFVecGradInterpolation().evaluate(ws)
+        got = ws.fields["Ugrad"]
+        unmarked = SFad(2 * nn)(U.val, U.dx)
+        assert not unmarked.identity_seeded
+        ref = _interp_grad(unmarked, ws.grad_bf)
+        assert np.array_equal(got.val, ref.val)
+        assert np.array_equal(got.dx, ref.dx)
+        assert np.array_equal(ref.dx, np.einsum("cnkf,cnqd->cqkdf", U.dx, ws.grad_bf))
+
+    def test_identity_mark_cannot_go_stale(self):
+        """The marked seed block is frozen, and nothing derived from the
+        marked array inherits the mark -- so any other ``dx`` reaches
+        ``_interp_grad`` unmarked and takes the einsum."""
+        ws = _make_workset("jacobian", nc=3, seed=7)
+        GatherSolution().evaluate(ws)
+        U = ws.fields["U"]
+        with pytest.raises(ValueError):
+            U.dx[0, 0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            U[0] = 0.0
+        for derived in (U[:2], U.copy(), 2.0 * U, U + U, U.reshape(3, 16)):
+            assert not derived.identity_seeded
+        scaled = 2.0 * U  # dx = 2 I: the assignment path would be wrong here
+        out = _interp_grad(scaled, ws.grad_bf)
+        assert np.array_equal(out.dx, np.einsum("cnkf,cnqd->cqkdf", scaled.dx, ws.grad_bf))
+        assert not np.array_equal(out.dx, _interp_grad(U, ws.grad_bf).dx)
+
     def test_interp_value(self):
         rng = np.random.default_rng(4)
         U = rng.normal(size=(2, 4, 2))

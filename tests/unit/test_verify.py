@@ -271,6 +271,28 @@ class TestOracles:
         for impl in ("optimized", "fused"):
             for mode in ("residual", "jacobian"):
                 assert f"{impl}-{mode}-vs-baseline" in by_name
+        assert "host-lowering-vs-listing" in by_name
+
+    def test_host_lowering_oracle_detects_a_wrong_lowering(self, monkeypatch):
+        """A lowering one part in 1e9 off in one cell of the second chunk
+        is a divergence from the listing."""
+        from dataclasses import replace
+
+        from repro.core.lowering import StokesFOResidHostLowering
+        from repro.core.variants import VARIANTS
+        from repro.verify.oracles import ORACLES
+
+        class OffByALittle(StokesFOResidHostLowering):
+            def __call__(self, cell):
+                super().__call__(cell)
+                self.Residual.values()[130] *= 1.0 + 1.0e-9
+
+        oracle = [o for o in ORACLES if o.name == "host-lowering-vs-listing"][0]
+        assert not oracle.fn()[0]
+        for key in ("optimized-residual", "optimized-jacobian"):
+            monkeypatch.setitem(VARIANTS, key, replace(VARIANTS[key], host_lowering=OffByALittle))
+        divs, _ = oracle.fn()
+        assert len(divs) == 4  # values of both element shapes x both modes
 
     def test_perturbed_divergences_nonempty(self):
         from repro.verify.oracles import perturbed_divergences
