@@ -26,6 +26,11 @@ bandwidth-bound regime the fusion targets; the modeled HBM bytes per
 GMRES iteration come from the ``gmres.{matvec,stream}.bytes.*``
 counters, and the matrix-free mode must move strictly fewer.
 
+A third section repeats both modes with the production ``mdsc``
+preconditioner, so the gate also sees what users run: GMRES iterations,
+matvecs and the modeled V-cycle bytes per solve.  A line smoother
+pushed back past its stability limit shows here as iteration growth.
+
 The one artifact is the normalized perf-trajectory ``BENCH_solver.json``
 at the repo root, which ``tools/check_bench.py`` diffs against the
 committed baseline in CI (deterministic counters are hard-gated, wall
@@ -44,6 +49,7 @@ from pathlib import Path
 from repro import observability as obs
 from repro.app.antarctica import AntarcticaTest
 from repro.app.config import AntarcticaConfig, VelocityConfig
+from repro.observability.attribution import span_bytes
 from repro.perf.report import format_table
 
 #: small enough that every solve finishes in seconds, large enough that
@@ -91,21 +97,24 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
     }
 
 
-def run_operator_modes(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
+def run_operator_modes(
+    config: AntarcticaConfig = SMOKE_CONFIG, preconditioner: str = "jacobi"
+) -> dict:
     """Solve with assembled vs matrix-free operators; report modeled bytes.
 
-    The Jacobi preconditioner is deliberately weak: deep Krylov cycles
-    are where the byte model separates the modes (fused
+    The default Jacobi preconditioner is deliberately weak: deep Krylov
+    cycles are where the byte model separates the modes (fused
     orthogonalization streams each basis vector once per iteration
     instead of ``k`` times, and the element apply skips the CSR
-    value/index streams).
+    value/index streams).  ``preconditioner="mdsc"`` is the production
+    solve, whose V-cycles carry their own modeled bytes.
     """
     out = {}
     for mode in ("assembled", "matrix-free"):
         cfg = replace(
             config,
             velocity=replace(
-                config.velocity, operator_mode=mode, preconditioner="jacobi"
+                config.velocity, operator_mode=mode, preconditioner=preconditioner
             ),
         )
         test = AntarcticaTest.build(cfg)
@@ -128,6 +137,9 @@ def run_operator_modes(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
             "matvec_bytes": matvec_bytes,
             "stream_bytes": stream_bytes,
             "bytes_per_iteration": (matvec_bytes + stream_bytes) / max(1, gmres_iters),
+            "vcycle_bytes": sum(
+                span_bytes(s) for s in tracer.spans if s.name == "mdsc.vcycle"
+            ),
             "mean_velocity": sol.mean_velocity,
         }
     out["bytes_per_iteration_ratio"] = (
@@ -185,11 +197,12 @@ def _check_mode_report(modes: dict) -> None:
 #: layout changes so tools/check_bench.py refuses to diff across schemas
 #: (2: added the "spans" per-span time aggregate for perfdiff; 3: the
 #: fused/unfused nesting and the fused_*/unfused_* advisory leaves went
-#: with the unfused solve path)
-BENCH_SOLVER_SCHEMA = 3
+#: with the unfused solve path; 4: the "mdsc" block -- until then every
+#: gated GMRES leaf came from the Jacobi rung)
+BENCH_SOLVER_SCHEMA = 4
 
 
-def solver_trajectory(report: dict, modes: dict) -> dict:
+def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
     """The normalized ``BENCH_solver.json`` payload.
 
     Two signal classes, with the gate contract encoded in the layout
@@ -209,6 +222,7 @@ def solver_trajectory(report: dict, modes: dict) -> dict:
             "eval_sweeps_jacobian": report["eval_sweeps"]["jacobian"],
         },
         "gmres": {},
+        "mdsc": {},
     }
     for mode in ("assembled", "matrix-free"):
         m = modes[mode]
@@ -218,6 +232,12 @@ def solver_trajectory(report: dict, modes: dict) -> dict:
             "matvec_bytes": m["matvec_bytes"],
             "stream_bytes": m["stream_bytes"],
             "bytes_per_iteration": m["bytes_per_iteration"],
+        }
+        p = mdsc_modes[mode]
+        det["mdsc"][mode] = {
+            "gmres_iterations": p["gmres_iterations"],
+            "gmres_matvecs": p["gmres_matvecs"],
+            "vcycle_bytes": p["vcycle_bytes"],
         }
     det["bytes_per_iteration_ratio"] = modes["bytes_per_iteration_ratio"]
     advisory = {
@@ -239,10 +259,12 @@ def solver_trajectory(report: dict, modes: dict) -> dict:
     }
 
 
-def _write_solver_trajectory(report: dict, modes: dict, out: Path | None = None) -> Path:
+def _write_solver_trajectory(
+    report: dict, modes: dict, mdsc_modes: dict, out: Path | None = None
+) -> Path:
     """``BENCH_solver.json`` at the repo root: the perf-gate trajectory."""
     path = out if out is not None else Path(__file__).parents[1] / "BENCH_solver.json"
-    path.write_text(json.dumps(solver_trajectory(report, modes), indent=2) + "\n")
+    path.write_text(json.dumps(solver_trajectory(report, modes, mdsc_modes), indent=2) + "\n")
     return path
 
 
@@ -270,7 +292,7 @@ HEADERS = [
 ]
 
 
-def _report_tables(report: dict, modes: dict) -> list[tuple[str, str]]:
+def _report_tables(report: dict, modes: dict, mdsc_modes: dict) -> list[tuple[str, str]]:
     return [
         ("solver_hotpath", format_table(HEADERS, _rows(report), title="Solver hot path")),
         (
@@ -280,6 +302,17 @@ def _report_tables(report: dict, modes: dict) -> list[tuple[str, str]]:
                 _mode_rows(modes),
                 title="Operator modes: assembled vs matrix-free "
                 f"(bytes/iter ratio {modes['bytes_per_iteration_ratio']:.2f}x)",
+            ),
+        ),
+        (
+            "solver_hotpath_mdsc",
+            format_table(
+                MODE_HEADERS + ["V-cycle bytes"],
+                [
+                    row + [mdsc_modes[row[0]]["vcycle_bytes"]]
+                    for row in _mode_rows(mdsc_modes)
+                ],
+                title="Production preconditioner (mdsc), both operator modes",
             ),
         ),
     ]
@@ -298,11 +331,12 @@ def _check_hotpath_report(report: dict) -> None:
 def test_solver_hotpath_report(print_once, benchmark):
     report = run_hotpath()
     modes = run_operator_modes()
-    for key, table in _report_tables(report, modes):
+    mdsc_modes = run_operator_modes(preconditioner="mdsc")
+    for key, table in _report_tables(report, modes, mdsc_modes):
         print_once(key, table)
     _check_hotpath_report(report)
     _check_mode_report(modes)
-    _write_solver_trajectory(report, modes)
+    _write_solver_trajectory(report, modes, mdsc_modes)
 
     # the benchmarked operation: one end-to-end solve
     test = AntarcticaTest.build(SMOKE_CONFIG)
@@ -312,11 +346,12 @@ def test_solver_hotpath_report(print_once, benchmark):
 def main() -> int:
     report = run_hotpath()
     modes = run_operator_modes()
-    for _, table in _report_tables(report, modes):
+    mdsc_modes = run_operator_modes(preconditioner="mdsc")
+    for _, table in _report_tables(report, modes, mdsc_modes):
         print(table)
     _check_hotpath_report(report)
     _check_mode_report(modes)
-    print(f"artifact: {_write_solver_trajectory(report, modes)}")
+    print(f"artifact: {_write_solver_trajectory(report, modes, mdsc_modes)}")
     return 0
 
 

@@ -461,8 +461,9 @@ class StokesVelocityProblem:
         if kind == "jacobi":
             return JacobiSmoother(A, iters=3)
         if kind == "vline":
-            # the MDSC vertical-line relaxation: with ice-sheet aspect
-            # ratios the exact column solve is a near-ideal preconditioner
+            # the MDSC vertical-line relaxation alone, damping derived
+            # from lambda_max like inside the V-cycle: with ice-sheet
+            # aspect ratios the exact column solve carries most of it
             return VerticalLineSmoother(A, self.mesh.levels * 2, iters=2)
         extrusion = dict(
             num_columns=self.mesh.footprint.num_nodes, levels=self.mesh.levels, ndof=2

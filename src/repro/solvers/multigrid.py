@@ -41,24 +41,6 @@ def _galerkin(A: CsrMatrix, P: CsrMatrix) -> CsrMatrix:
     return CsrMatrix.from_scipy((Ps.T @ As @ Ps).tocsr())
 
 
-def _smooth_prolongator(A: CsrMatrix, P: CsrMatrix, omega: float = 0.66) -> CsrMatrix:
-    """Damped-Jacobi prolongator smoothing: ``P <- (I - w D^-1 A) P``.
-
-    Plain piecewise-constant aggregation yields an indefinite
-    preconditioned operator on the nonsymmetric Stokes Jacobian (coarse
-    corrections overshoot); one Jacobi smoothing pass on the tentative
-    prolongator -- the smoothed-aggregation construction of ML/MueLu --
-    restores a contraction.
-    """
-    import scipy.sparse as sp
-
-    d = A.diagonal()
-    d[d == 0.0] = 1.0
-    Dinv = sp.diags(omega / d)
-    Ps = P.to_scipy()
-    return CsrMatrix.from_scipy((Ps - Dinv @ (A.to_scipy() @ Ps)).tocsr())
-
-
 def _aggregation_prolongator(n_fine: int, agg: np.ndarray, n_coarse: int) -> CsrMatrix:
     """Piecewise-constant prolongator from an aggregate map."""
     if agg.shape != (n_fine,):
@@ -144,9 +126,12 @@ class ColumnCollapseMdsc:
     (column, velocity component), i.e. the vertically-collapsed membrane
     problem -- with exact vertical-line relaxation as pre/post smoother.
     This mirrors the structure MDSC-AMG reaches after its vertical
-    phase, and is robust on the strongly anisotropic, variable-viscosity
-    operators where intermediate pairwise vertical aggregation produces
-    indefinite corrections.
+    phase.  On the ice Jacobians it needs 7-8 GMRES iterations per
+    Newton step at every mesh measured (600 km / 3 layers to 200 km /
+    10), against 11-12 for the pairwise hierarchy of
+    :func:`build_mdsc_amg`, for one sparse factorization of the
+    membrane problem per set-up.  The line smoother's damping is
+    derived from the operator (:class:`VerticalLineSmoother`).
     """
 
     def __init__(
@@ -157,7 +142,6 @@ class ColumnCollapseMdsc:
         ndof: int = 2,
         smoother_iters: int = 2,
         coarse_damping: float = 1.0,
-        vertical_omega: float = 0.9,
     ):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
@@ -166,7 +150,7 @@ class ColumnCollapseMdsc:
         if n != num_columns * levels * ndof:
             raise ValueError("matrix size inconsistent with columns x levels x ndof")
         self.A = A
-        self.smoother = VerticalLineSmoother(A, levels * ndof, omega=vertical_omega, iters=smoother_iters)
+        self.smoother = VerticalLineSmoother(A, levels * ndof, iters=smoother_iters)
         col = np.arange(n) // (levels * ndof)
         comp = np.arange(n) % ndof
         agg = col * ndof + comp
@@ -202,6 +186,13 @@ class ColumnCollapseMdsc:
             + 4 * vector_stream_bytes(self.P.shape[1])
         )
         return smoother_b + coarse_b
+
+    @property
+    def bytes_per_setup(self) -> float:
+        """Modeled HBM traffic of the set-up's operator work: the line
+        smoother's damping estimate (the block inversion and the coarse
+        factorization are not modeled)."""
+        return self.smoother.bytes_per_setup
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Pre-smooth, coarse-correct on the collapsed membrane, post-smooth."""
@@ -249,7 +240,6 @@ class MatrixFreeColumnCollapseMdsc:
         ndof: int = 2,
         smoother_iters: int = 2,
         coarse_damping: float = 1.0,
-        vertical_omega: float = 0.9,
     ):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
@@ -264,9 +254,7 @@ class MatrixFreeColumnCollapseMdsc:
                 f"collapse() (e.g. MatrixFreeJacobian); got {type(op).__name__}"
             )
         self.A = op
-        self.smoother = VerticalLineSmoother(
-            op, levels * ndof, omega=vertical_omega, iters=smoother_iters
-        )
+        self.smoother = VerticalLineSmoother(op, levels * ndof, iters=smoother_iters)
         col = np.arange(n) // (levels * ndof)
         comp = np.arange(n) % ndof
         self.agg = col * ndof + comp
@@ -295,6 +283,13 @@ class MatrixFreeColumnCollapseMdsc:
         smoother_b = (sweeps - 1) * op_b + sweeps * 3 * vector_stream_bytes(n)
         coarse_b = op_b + 4 * vector_stream_bytes(n) + 4 * vector_stream_bytes(self.ncoarse)
         return smoother_b + coarse_b
+
+    @property
+    def bytes_per_setup(self) -> float:
+        """Modeled HBM traffic of the set-up's operator work: the line
+        smoother's damping estimate (the block inversion and the coarse
+        factorization are not modeled)."""
+        return self.smoother.bytes_per_setup
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Pre-smooth, coarse-correct on the collapsed membrane, post-smooth."""
@@ -326,28 +321,21 @@ class MgLevel:
 class SemicoarseningMultigrid:
     """V-cycle preconditioner over a prebuilt MDSC-AMG hierarchy.
 
-    ``coarse_damping`` under-relaxes every coarse-grid correction;
-    piecewise-constant aggregation on the nonsymmetric, strongly
-    anisotropic Stokes Jacobian overshoots in a few modes (the
-    preconditioned operator turns indefinite at damping 1.0), and a
-    damped correction restores a definite, contractive preconditioner.
+    Coarse corrections are added undamped and the prolongators are the
+    plain piecewise-constant ones.  Both rely on every line smoother
+    sitting inside its stability limit (``omega * lambda_max < 2``,
+    which :class:`VerticalLineSmoother` derives per operator): a
+    smoother past it amplifies the oscillatory modes, and the
+    preconditioned operator then looks indefinite whatever the coarse
+    levels do (DESIGN.md section 7 has the measurements).
     """
 
-    def __init__(
-        self,
-        levels: list[MgLevel],
-        pre_sweeps: int = 1,
-        post_sweeps: int = 1,
-        coarse_damping: float = 0.7,
-    ):
+    def __init__(self, levels: list[MgLevel], pre_sweeps: int = 1, post_sweeps: int = 1):
         if not levels:
             raise ValueError("empty multigrid hierarchy")
-        if not 0.0 < coarse_damping <= 1.0:
-            raise ValueError("coarse damping must be in (0, 1]")
         self.levels = levels
         self.pre = pre_sweeps
         self.post = post_sweeps
-        self.coarse_damping = coarse_damping
         import scipy.linalg as sla
 
         coarse = levels[-1].A.toarray()
@@ -369,7 +357,7 @@ class SemicoarseningMultigrid:
         P = self.levels[k + 1].P
         rc = P.rmatvec(r)
         xc = self._cycle(k + 1, rc)
-        x = x + self.coarse_damping * P.matvec(xc)
+        x = x + P.matvec(xc)
         x = level.smoother.smooth(level.A, b, x, self.post)
         return x
 
@@ -413,7 +401,6 @@ def build_mdsc_amg(
     ndof: int = 2,
     coarse_size: int = 400,
     theta: float = 0.02,
-    vertical_omega: float = 0.95,
     jacobi_omega: float = 0.7,
 ) -> SemicoarseningMultigrid:
     """Build the MDSC-AMG hierarchy for an extruded-mesh operator.
@@ -421,22 +408,23 @@ def build_mdsc_amg(
     ``num_columns``/``levels`` describe the extrusion (column-major dof
     numbering assumed); vertical semicoarsening halves the layer count
     until single-layer, then horizontal aggregation coarsens to
-    ``coarse_size``.
+    ``coarse_size``.  Prolongators are piecewise constant and every
+    multi-layer level gets a line smoother with its own derived damping
+    (the Galerkin operators have their own ``lambda_max``).
     """
     with get_tracer().span("mdsc.build_hierarchy", n=A.shape[0], levels=levels):
         mg_levels: list[MgLevel] = [
-            MgLevel(A, None, VerticalLineSmoother(A, levels * ndof, omega=vertical_omega), "vertical")
+            MgLevel(A, None, VerticalLineSmoother(A, levels * ndof), "vertical")
         ]
         cur_A, cur_levels = A, levels
         # vertical semicoarsening phase
         while cur_levels > 1:
             agg, cl, ncoarse = vertical_aggregates(num_columns, cur_levels, ndof)
             P = _aggregation_prolongator(cur_A.shape[0], agg, ncoarse)
-            P = _smooth_prolongator(cur_A, P)
             Ac = _galerkin(cur_A, P)
             cur_A, cur_levels = Ac, cl
             smoother = (
-                VerticalLineSmoother(Ac, cl * ndof, omega=vertical_omega)
+                VerticalLineSmoother(Ac, cl * ndof)
                 if cl > 1
                 else JacobiSmoother(Ac, omega=jacobi_omega, iters=2)
             )
@@ -448,7 +436,6 @@ def build_mdsc_amg(
             if ncoarse >= cur_A.shape[0]:  # no coarsening progress; stop
                 break
             P = _aggregation_prolongator(cur_A.shape[0], agg, ncoarse)
-            P = _smooth_prolongator(cur_A, P)
             Ac = _galerkin(cur_A, P)
             mg_levels.append(
                 MgLevel(Ac, P, JacobiSmoother(Ac, omega=jacobi_omega, iters=2), "horizontal")

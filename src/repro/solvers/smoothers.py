@@ -71,6 +71,14 @@ class JacobiSmoother:
         return x
 
 
+#: steps of the power iteration that estimates lambda_max(B^-1 A)
+_POWER_STEPS = 10
+#: ten power steps land 7 % below to 2 % above lambda_max on the ice
+#: Jacobians (DESIGN.md section 7); with this factor ``omega *
+#: lambda_max`` stays at 1.2-1.3, well inside the stability limit of 2
+_POWER_SAFETY = 1.1
+
+
 class VerticalLineSmoother:
     """Block Jacobi over vertical columns of an extruded mesh.
 
@@ -81,9 +89,22 @@ class VerticalLineSmoother:
     apply batched.  The blocks come from the operator's own
     ``column_blocks`` -- the CSR diagonal blocks or, matrix-free, the
     element blocks -- so one smoother serves both operator modes.
+
+    The damping follows the operator: block Jacobi contracts only while
+    ``omega * lambda_max(B^-1 A) < 2`` (``B`` = the column blocks), and
+    on the ice Jacobians ``lambda_max`` is 2.0-2.4 and grows along the
+    Newton trajectory, so no constant near 1 is safe.  Construction
+    estimates it by power iteration (``lambda_max``; ``_POWER_STEPS``
+    operator applications from a seeded start vector, so every rank and
+    every rerun computes the same bits) and sets ``omega = 4 / (3 *
+    _POWER_SAFETY * lambda_max)`` -- the damped-Jacobi choice that
+    shrinks the upper half of the spectrum, the horizontally oscillatory
+    modes no coarse level sees, by a factor of three per sweep.  An
+    explicit ``omega`` skips the estimate (``omega=1`` solves a
+    block-diagonal system exactly).
     """
 
-    def __init__(self, A, block_size: int, omega: float = 0.9, iters: int = 1):
+    def __init__(self, A, block_size: int, omega: float | None = None, iters: int = 1):
         column_blocks = getattr(A, "column_blocks", None)
         if column_blocks is None:
             raise OperatorModeError(
@@ -96,9 +117,39 @@ class VerticalLineSmoother:
         self.A = A
         self.blk = int(block_size)
         self.nblocks = n // self.blk
-        self.omega = omega
         self.iters = iters
         self.inv_blocks = _invert_column_blocks(column_blocks(self.blk))
+        #: the power-iteration estimate (``None`` under an explicit omega)
+        self.lambda_max = None
+        if omega is None:
+            self.lambda_max = self._estimate_lambda_max()
+            omega = 4.0 / (3.0 * _POWER_SAFETY * self.lambda_max)
+        self.omega = omega
+
+    def _estimate_lambda_max(self) -> float:
+        """Growth factor ``|B^-1 A v|`` of the normalized iterate after
+        ``_POWER_STEPS`` steps."""
+        v = np.random.default_rng(0).standard_normal(self.A.shape[0])
+        lam = np.linalg.norm(v)
+        for _ in range(_POWER_STEPS):
+            v = self._block_solve(self.A.matvec(v / lam))
+            lam = np.linalg.norm(v)
+        return float(lam)
+
+    @property
+    def bytes_per_setup(self) -> float:
+        """Modeled HBM traffic of the damping estimate.
+
+        Each power step is priced like a smoother sweep -- one operator
+        stream plus three vector passes (block solve, norm, scale); the
+        block extraction and inversion are not modeled.
+        """
+        from repro.gpusim.solver_bytes import operator_traffic, vector_stream_bytes
+
+        if self.lambda_max is None:
+            return 0.0
+        n = self.A.shape[0]
+        return _POWER_STEPS * (operator_traffic(self.A)[1] + 3 * vector_stream_bytes(n))
 
     def _block_solve(self, r: np.ndarray) -> np.ndarray:
         rb = r.reshape(self.nblocks, self.blk)

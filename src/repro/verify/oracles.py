@@ -33,7 +33,15 @@ import numpy as np
 
 from repro.verify.compare import Divergence, first_divergence
 
-__all__ = ["Oracle", "OracleResult", "ORACLES", "run_oracles", "suite_names", "perturbed_divergences"]
+__all__ = [
+    "Oracle",
+    "OracleResult",
+    "ORACLES",
+    "run_oracles",
+    "suite_names",
+    "perturbed_divergences",
+    "smoother_contraction_divergences",
+]
 
 
 @dataclass(frozen=True)
@@ -796,6 +804,77 @@ def _oracle_matvec_bytes():
         f"matrix-free+fused {per_m:.3e} ({per_m / per_a:.2f}x), "
         f"matvecs {ra.matvecs}/{rm.matvecs} within budget 400"
     )
+
+
+#: the derived damping must leave this much room below the stability
+#: limit ``omega * lambda_max = 2`` (measured 1.24-1.30)
+_CONTRACTION_BOUND = 1.5
+#: the ten-step power estimate over ``scipy.sparse.linalg.eigs``
+#: (measured 0.93-1.02 across meshes and Newton steps)
+_ESTIMATE_BAND = (0.85, 1.1)
+
+
+def _out_of_bound(name: str, got: float, bound: float) -> Divergence:
+    err = abs(got - bound)
+    return Divergence(
+        name=name, index=(0,), lhs=got, rhs=bound, abs_err=err, max_abs_err=err, num_bad=1
+    )
+
+
+def smoother_contraction_divergences(omega: float | None = None):
+    """Is the vertical-line smoother inside its stability limit?
+
+    On the converged-state Jacobian of the 600 km / 3-layer mesh -- the
+    largest ``lambda_max(B^-1 A)`` of the meshes on record, 2.35 -- block
+    Jacobi contracts only if ``omega * lambda_max < 2``.  The reference
+    ``lambda_max`` comes from ARPACK, not from the smoother's own power
+    iteration.  ``omega=None`` checks the derived damping (and the
+    estimate behind it); a planted constant such as the former 0.9 is
+    the negative control.
+    """
+    import scipy.sparse.linalg as spla
+
+    from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
+    from repro.solvers.smoothers import VerticalLineSmoother
+
+    divs, detail = [], []
+    for mode in ("assembled", "matrix-free"):
+        cfg = AntarcticaConfig(
+            resolution_km=600.0, num_layers=3, velocity=VelocityConfig(operator_mode=mode)
+        )
+        problem = AntarcticaTest.build(cfg).problem
+        J = problem.jacobian(problem.solve().u)
+        sm = VerticalLineSmoother(J, problem.mesh.levels * 2, omega=omega)
+        n = J.shape[0]
+        BinvA = spla.LinearOperator(
+            (n, n), matvec=lambda v, J=J, sm=sm: sm._block_solve(J.matvec(v)), dtype=np.float64
+        )
+        lam_ref = float(
+            abs(spla.eigs(BinvA, k=1, which="LM", v0=np.ones(n), return_eigenvectors=False)[0])
+        )
+        if not sm.omega * lam_ref < _CONTRACTION_BOUND:
+            divs.append(
+                _out_of_bound(f"{mode}: omega * lambda_max", sm.omega * lam_ref, _CONTRACTION_BOUND)
+            )
+        if sm.lambda_max is not None:
+            ratio = sm.lambda_max / lam_ref
+            lo, hi = _ESTIMATE_BAND
+            if not lo <= ratio <= hi:
+                divs.append(
+                    _out_of_bound(f"{mode}: estimate / lambda_max", ratio, lo if ratio < lo else hi)
+                )
+        detail.append(f"{mode} lambda_max {lam_ref:.3f}, omega {sm.omega:.3f}")
+    return divs, (
+        f"{'; '.join(detail)}; omega * lambda_max < {_CONTRACTION_BOUND}, "
+        f"estimate within {_ESTIMATE_BAND[0]}-{_ESTIMATE_BAND[1]}x"
+    )
+
+
+_register(
+    "smoother-contraction",
+    "matvec",
+    "the line smoother's derived damping sits inside the stability limit 2 / lambda_max(B^-1 A)",
+)(smoother_contraction_divergences)
 
 
 def matfree_perturbed_divergences(rel: float = 1.0e-4):

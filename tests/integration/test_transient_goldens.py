@@ -13,7 +13,7 @@ operator mode, but tier-1 also runs under ``REPRO_OPERATOR_MODE=
 matrix-free`` (different GMRES orthogonalization, different roundoff).
 Measured assembled-vs-matrix-free drift over the 6-step goldens:
 thickness <= 2e-16 relative, volumes bitwise, particle positions
-<= 2e-10 m absolute, iteration counts identical.  Tolerances sit 3-6
+<= 5e-10 m absolute, iteration counts identical.  Tolerances sit 3-6
 orders above those measurements, far below any physically meaningful
 change:
 

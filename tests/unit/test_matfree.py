@@ -230,7 +230,8 @@ class TestMatrixFreeSmoothers:
     @pytest.mark.parametrize("iters", [1, 2, 3])
     def test_zero_start_skips_first_product(self, problem_pair, jacobian_pair, iters):
         """``apply`` is ``smooth`` from a zero guess -- the same bits --
-        minus the ``A @ 0`` of the first sweep."""
+        minus the ``A @ 0`` of the first sweep.  The damping estimate's
+        ten products belong to the set-up, not to ``apply``."""
         pa, _ = problem_pair
         A, B, _ = jacobian_pair
         blk = pa.mesh.levels * 2
@@ -239,8 +240,11 @@ class TestMatrixFreeSmoothers:
             sm = VerticalLineSmoother(op, blk, iters=iters)
             assert np.array_equal(sm.apply(r), sm.smooth(op, r, np.zeros_like(r)))
         before = B.num_matvecs
-        VerticalLineSmoother(B, blk, iters=iters).apply(r)
-        assert B.num_matvecs - before == iters - 1
+        sm = VerticalLineSmoother(B, blk, iters=iters)
+        built = B.num_matvecs
+        assert built - before == 10
+        sm.apply(r)
+        assert B.num_matvecs - built == iters - 1
 
     def test_vcycle_operator_products_and_bytes(self, problem_pair, jacobian_pair):
         """One V-cycle applies the fine operator ``2 * iters`` times
@@ -271,6 +275,10 @@ class TestMatrixFreeSmoothers:
         assert mf.bytes_per_apply == 4 * B.bytes_per_matvec + 16 * vec + 4 * cvec
         asm = ColumnCollapseMdsc(A, **kw)
         assert asm.bytes_per_apply == 4 * spmv_bytes(n, A.nnz) + 16 * vec + 4 * cvec
+        # the set-up's damping estimate: ten operator streams, each with
+        # a block solve priced like a smoother sweep
+        assert mf.bytes_per_setup == 10 * (B.bytes_per_matvec + 3 * vec)
+        assert asm.bytes_per_setup == 10 * (spmv_bytes(n, A.nnz) + 3 * vec)
 
     def test_mdsc_requires_collapse(self):
         with pytest.raises(OperatorModeError, match="collapse"):

@@ -206,8 +206,33 @@ class TestSmoothers:
         rng = np.random.default_rng(3)
         x0 = rng.normal(size=A.shape[0])
         xj = JacobiSmoother(A, omega=0.7, iters=3).smooth(A, b, x0)
-        xv = VerticalLineSmoother(A, 8 * 2, omega=0.95, iters=3).smooth(A, b, x0)
+        xv = VerticalLineSmoother(A, 8 * 2, iters=3).smooth(A, b, x0)
         assert np.linalg.norm(xv) < 0.5 * np.linalg.norm(xj)
+
+    def test_vertical_line_damping_follows_lambda_max(self):
+        """The derived omega sits inside the stability limit of the
+        operator at hand: ``I - omega B^-1 A`` is a contraction."""
+        A = _extruded_operator(ncols=12, levels=4, aniso=1.0)
+        blk = 4 * 2
+        sm = VerticalLineSmoother(A, blk)
+        M = A.toarray()
+        B = np.zeros_like(M)
+        for p in range(12):
+            B[p * blk : (p + 1) * blk, p * blk : (p + 1) * blk] = M[
+                p * blk : (p + 1) * blk, p * blk : (p + 1) * blk
+            ]
+        lam = np.linalg.eigvals(np.linalg.solve(B, M))
+        lam_max = float(np.max(np.abs(lam)))
+        assert sm.lambda_max == pytest.approx(lam_max, rel=0.1)
+        assert sm.omega == pytest.approx(4.0 / (3.0 * 1.1 * sm.lambda_max))
+        assert sm.omega * lam_max < 1.5
+        assert np.max(np.abs(1.0 - sm.omega * lam)) < 1.0
+
+    def test_vertical_line_explicit_omega_skips_estimate(self):
+        A = _extruded_operator(ncols=4, levels=4)
+        sm = VerticalLineSmoother(A, 4 * 2, omega=0.8)
+        assert sm.omega == 0.8 and sm.lambda_max is None
+        assert sm.bytes_per_setup == 0.0
 
     def test_vertical_line_size_check(self):
         with pytest.raises(ValueError):

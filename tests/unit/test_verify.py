@@ -294,6 +294,20 @@ class TestOracles:
         divs, _ = oracle.fn()
         assert len(divs) == 4  # values of both element shapes x both modes
 
+    def test_smoother_contraction_oracle_detects_a_planted_constant(self):
+        """omega = 0.9 is past 2 / lambda_max on the 600 km Jacobian: the
+        oracle passes with the derived damping and flags the constant
+        for both operator modes."""
+        from repro.verify.oracles import smoother_contraction_divergences
+
+        assert not smoother_contraction_divergences()[0]
+        divs, _ = smoother_contraction_divergences(omega=0.9)
+        assert [d.name for d in divs] == [
+            "assembled: omega * lambda_max",
+            "matrix-free: omega * lambda_max",
+        ]
+        assert all(d.lhs > 2.0 for d in divs)
+
     def test_perturbed_divergences_nonempty(self):
         from repro.verify.oracles import perturbed_divergences
 

@@ -144,7 +144,7 @@ def _report_drift(path: Path, fresh: dict) -> None:
         a, b = np.asarray(old[key]), np.asarray(val)
         if a.shape != b.shape:
             print(f"  {path.name}:{key}: shape {a.shape} -> {b.shape}")
-        elif a.dtype.kind in "US" or b.dtype.kind in "US":
+        elif a.dtype.kind in "USb" or b.dtype.kind in "USb":
             if not np.array_equal(a, b):
                 print(f"  {path.name}:{key}: changed")
         else:
