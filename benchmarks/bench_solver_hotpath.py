@@ -17,14 +17,14 @@ Wall time comes from the observability span tracer rather than an ad-hoc
 session, the end-to-end number is the ``bench.solve`` span, and the
 recorded span aggregate lands in the JSON artifact.
 
-A second section compares the two ``operator_mode`` settings of the
-Newton--Krylov hot path: ``assembled`` (CSR fill + SpMV matvecs + MGS
-orthogonalization) vs ``matrix-free`` (element-block apply + fused
-batched-CGS orthogonalization).  Both run with the weak Jacobi
-preconditioner so the Krylov depths are representative of the
-bandwidth-bound regime the fusion targets; the modeled HBM bytes per
-GMRES iteration come from the ``gmres.{matvec,stream}.bytes.*``
-counters, and the matrix-free mode must move strictly fewer.
+A second section runs the two ``operator_mode`` settings of the
+Newton--Krylov hot path: ``assembled`` (CSR fill + SpMV matvecs) and
+``matrix-free`` (element-block apply), same MGS orthogonalization.
+Both run with the weak Jacobi preconditioner, so the Krylov spaces are
+deep and the vector streams dominate; the modeled HBM bytes come from
+the ``gmres.{matvec,stream}.bytes.*`` counters.  Neither mode is
+asserted to move fewer: the element apply itself streams slightly more
+than the SpMV on these meshes (DESIGN.md section 13).
 
 A third section repeats both modes with the production ``mdsc``
 preconditioner, so the gate also sees what users run: GMRES iterations,
@@ -103,11 +103,9 @@ def run_operator_modes(
     """Solve with assembled vs matrix-free operators; report modeled bytes.
 
     The default Jacobi preconditioner is deliberately weak: deep Krylov
-    cycles are where the byte model separates the modes (fused
-    orthogonalization streams each basis vector once per iteration
-    instead of ``k`` times, and the element apply skips the CSR
-    value/index streams).  ``preconditioner="mdsc"`` is the production
-    solve, whose V-cycles carry their own modeled bytes.
+    cycles put weight on the orthogonalization streams, which the
+    production solve barely exercises.  ``preconditioner="mdsc"`` is
+    the production solve, whose V-cycles carry their own modeled bytes.
     """
     out = {}
     for mode in ("assembled", "matrix-free"):
@@ -133,7 +131,6 @@ def run_operator_modes(
             "newton_steps": sol.newton.iterations,
             "gmres_iterations": gmres_iters,
             "gmres_matvecs": counters.get("gmres.matvecs", 0.0),
-            "gmres_orth": d["gmres_orth"],
             "matvec_bytes": matvec_bytes,
             "stream_bytes": stream_bytes,
             "bytes_per_iteration": (matvec_bytes + stream_bytes) / max(1, gmres_iters),
@@ -142,16 +139,11 @@ def run_operator_modes(
             ),
             "mean_velocity": sol.mean_velocity,
         }
-    out["bytes_per_iteration_ratio"] = (
-        out["matrix-free"]["bytes_per_iteration"]
-        / out["assembled"]["bytes_per_iteration"]
-    )
     return out
 
 
 MODE_HEADERS = [
     "Mode",
-    "Orth",
     "Solve [s]",
     "GMRES its",
     "Matvecs",
@@ -165,7 +157,6 @@ def _mode_rows(modes: dict) -> list[list]:
     return [
         [
             mode,
-            modes[mode]["gmres_orth"],
             modes[mode]["solve_seconds"],
             modes[mode]["gmres_iterations"],
             modes[mode]["gmres_matvecs"],
@@ -184,12 +175,6 @@ def _check_mode_report(modes: dict) -> None:
     assert abs(m["mean_velocity"] - a["mean_velocity"]) <= 1.0e-5 * abs(
         a["mean_velocity"]
     )
-    # the headline: the matrix-free hot path moves fewer modeled bytes
-    # per GMRES iteration than the assembled SpMV + MGS path
-    assert m["bytes_per_iteration"] < a["bytes_per_iteration"], (
-        f"matrix-free bytes/iter {m['bytes_per_iteration']:.3e} not below "
-        f"assembled {a['bytes_per_iteration']:.3e}"
-    )
     assert a["matvec_bytes"] > 0.0 and m["matvec_bytes"] > 0.0
 
 
@@ -198,8 +183,9 @@ def _check_mode_report(modes: dict) -> None:
 #: (2: added the "spans" per-span time aggregate for perfdiff; 3: the
 #: fused/unfused nesting and the fused_*/unfused_* advisory leaves went
 #: with the unfused solve path; 4: the "mdsc" block -- until then every
-#: gated GMRES leaf came from the Jacobi rung)
-BENCH_SOLVER_SCHEMA = 4
+#: gated GMRES leaf came from the Jacobi rung; 5: bytes_per_iteration_ratio
+#: went with the fused orthogonalization it measured)
+BENCH_SOLVER_SCHEMA = 5
 
 
 def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
@@ -239,7 +225,6 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
             "gmres_matvecs": p["gmres_matvecs"],
             "vcycle_bytes": p["vcycle_bytes"],
         }
-    det["bytes_per_iteration_ratio"] = modes["bytes_per_iteration_ratio"]
     advisory = {
         "solve_seconds": report["solve_seconds"],
         "assembled_solve_seconds": modes["assembled"]["solve_seconds"],
@@ -300,8 +285,7 @@ def _report_tables(report: dict, modes: dict, mdsc_modes: dict) -> list[tuple[st
             format_table(
                 MODE_HEADERS,
                 _mode_rows(modes),
-                title="Operator modes: assembled vs matrix-free "
-                f"(bytes/iter ratio {modes['bytes_per_iteration_ratio']:.2f}x)",
+                title="Operator modes: assembled vs matrix-free (jacobi)",
             ),
         ),
         (

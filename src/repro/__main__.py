@@ -51,8 +51,8 @@ fault-free one (the CI gate).
 
 ``tune`` runs the online autotuner for a coarse Antarctica (or
 ``--mesh greenland``) mesh and persists the winning configuration --
-kernel variant, LaunchBounds, preconditioner, operator mode, GMRES
-orthogonalization and restart -- to the versioned JSON cache (location:
+kernel variant, LaunchBounds, preconditioner and operator mode -- to
+the versioned JSON cache (location:
 ``REPRO_TUNE_CACHE`` or ``~/.cache/repro/tuned_configs.json``).  Any
 later solve built with ``VelocityConfig(tuned="auto")`` on the same
 (mesh, GPU) pair reuses it with zero trials.  ``--gpu`` picks the

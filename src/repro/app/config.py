@@ -11,12 +11,14 @@ __all__ = ["VelocityConfig", "AntarcticaConfig", "PRECONDITIONERS", "PRECOND_COS
 #: every preconditioner factory the velocity solver can build
 PRECONDITIONERS = ("mdsc", "vline", "mdsc-amg", "jacobi", "none")
 
-#: setup+apply cost order, most expensive first -- the serve degradation
+#: measured solve-time order, slowest first -- the serve degradation
 #: ladder steps right through it ("cheaper rung") when the service is
-#: under pressure; "none" is deliberately excluded (an unpreconditioned
-#: solve can cost *more* wall clock in extra GMRES iterations than it
-#: saves in setup, which defeats load shedding)
-PRECOND_COST_ORDER = ("mdsc-amg", "mdsc", "vline", "jacobi")
+#: under pressure.  "jacobi" and "none" are deliberately excluded: they
+#: cost far *more* wall clock in extra GMRES iterations than they save
+#: in set-up (200 km / 10 layers: mdsc 0.67 s, vline 0.57 s, jacobi
+#: 23 s with 3 of 8 linear solves unconverged), which defeats load
+#: shedding
+PRECOND_COST_ORDER = ("mdsc-amg", "mdsc", "vline")
 
 
 def _default_operator_mode() -> str:
@@ -55,12 +57,6 @@ class VelocityConfig:
     #: 1``) always assemble: the row-partitioned distributed operator is
     #: the communication unit, so the axis applies to serial solves.
     operator_mode: str = field(default_factory=_default_operator_mode)
-    #: GMRES orthogonalization: "mgs" (modified Gram-Schmidt -- the
-    #: bitwise-pinned reference), "fused" (batched single-pass CGS with
-    #: DGKS safeguard -- streams each Krylov vector once per iteration
-    #: instead of k times), or "auto" (fused in matrix-free mode, mgs
-    #: otherwise, preserving assembled-mode golden trajectories)
-    gmres_orth: str = "auto"
     #: number of SPMD ranks (MALI: one MPI rank per GPU).  With
     #: ``nparts > 1`` the solve runs over a real RCB footprint partition:
     #: rank-restricted assembly, row-partitioned SpMV with ghost refresh,
@@ -71,9 +67,9 @@ class VelocityConfig:
     #: autotuner cache for this mesh + GPU and, on a miss, run a bounded
     #: online search seeded by the gpusim byte model -- see
     #: :mod:`repro.tune`).  The tuned axes are ``kernel_impl``,
-    #: ``preconditioner``, ``operator_mode``, ``gmres_orth`` and
-    #: ``gmres_restart``; everything else (tolerances, Newton budget,
-    #: ``nparts``) is preserved from this config.
+    #: ``preconditioner`` and ``operator_mode``; everything else
+    #: (tolerances, GMRES budget, Newton budget, ``nparts``) is
+    #: preserved from this config.
     tuned: str = "off"
 
     def cheaper_preconditioner(self) -> str | None:
@@ -83,13 +79,14 @@ class VelocityConfig:
         request admitted with a cheaper preconditioner rung still
         completes (degraded convergence beats shedding), and the cached
         problem artifacts are reused -- only the per-step factory
-        changes.  At the bottom of the ladder (``jacobi``/``none``)
-        there is nothing cheaper, so the caller moves to the next
-        degradation rung (coarser mesh, cached result) instead.
+        changes.  At the bottom of the ladder (``vline``) and off it
+        (``jacobi``/``none``) there is nothing cheaper, so the caller
+        moves to the next degradation rung (coarser mesh, cached
+        result) instead.
         """
         try:
             i = PRECOND_COST_ORDER.index(self.preconditioner)
-        except ValueError:  # "none": already cheapest possible
+        except ValueError:  # "jacobi"/"none": not on the ladder
             return None
         if i + 1 >= len(PRECOND_COST_ORDER):
             return None
@@ -107,10 +104,6 @@ class VelocityConfig:
         if self.operator_mode not in ("assembled", "matrix-free"):
             raise ValueError(
                 f"unknown operator_mode {self.operator_mode!r}; have: assembled, matrix-free"
-            )
-        if self.gmres_orth not in ("auto", "mgs", "fused"):
-            raise ValueError(
-                f"unknown gmres_orth {self.gmres_orth!r}; have: auto, mgs, fused"
             )
         if self.tuned not in ("off", "auto"):
             raise ValueError(f"unknown tuned mode {self.tuned!r}; have: off, auto")

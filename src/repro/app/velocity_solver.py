@@ -556,12 +556,6 @@ class StokesVelocityProblem:
         # cumulative ones (regression-tested)
         self.phase_seconds = {"evaluate": 0.0, "scatter": 0.0}
         self.eval_counts = {"residual": 0, "jacobian": 0}
-        # "auto" keeps assembled-mode trajectories on the bitwise-pinned
-        # MGS reference and gives the matrix-free hot path the fused
-        # single-pass orthogonalization it exists for
-        gmres_orth = cfg.gmres_orth
-        if gmres_orth == "auto":
-            gmres_orth = "fused" if self.matrix_free else "mgs"
 
         tr = get_tracer()
         with tr.span(
@@ -580,7 +574,6 @@ class StokesVelocityProblem:
                 linear_tol=cfg.linear_tol,
                 gmres_restart=cfg.gmres_restart,
                 gmres_maxiter=cfg.gmres_maxiter,
-                gmres_orth=gmres_orth,
                 preconditioner_fn=self._preconditioner,
                 callback=callback,
                 residual_jacobian_fn=self.residual_and_jacobian,
@@ -608,7 +601,6 @@ class StokesVelocityProblem:
             "num_dofs": self.dofmap.num_dofs,
             "num_cells": self.mesh.num_elems,
             "operator_mode": "matrix-free" if self.matrix_free else "assembled",
-            "gmres_orth": gmres_orth,
             # autotuner provenance: "off" is a hand-picked config; "auto"
             # means the axes above came from the tune cache / online search
             "tuned": cfg.tuned,

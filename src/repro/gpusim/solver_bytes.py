@@ -5,8 +5,7 @@ bandwidth-bound: on both A100 and MI250X the Newton--Krylov iteration
 moves far more bytes than it computes flops on.  This module prices the
 per-iteration data movement of the two operator modes so the solver can
 *measure* (accumulate, iteration by iteration, with the Krylov depth it
-actually reached) rather than merely assert the data-movement win of
-the matrix-free + fused-orthogonalization path.
+actually reached) rather than merely assert what each mode moves.
 
 Counting rules (the same first-touch convention as
 :mod:`repro.gpusim.memtrace` applies at cache-line granularity):
@@ -43,16 +42,12 @@ __all__ = [
     "spmv_bytes",
     "element_apply_bytes",
     "mgs_orth_bytes",
-    "fused_orth_bytes",
-    "fused_reorth_bytes",
     "cycle_close_bytes",
     "assembled_fill_bytes",
     "operator_traffic",
     "spmv_flops",
     "element_apply_flops",
     "mgs_orth_flops",
-    "fused_orth_flops",
-    "fused_reorth_flops",
     "cycle_close_flops",
     "operator_flops",
 ]
@@ -93,21 +88,6 @@ def mgs_orth_bytes(n: int, depth: int) -> float:
     return (5 * depth + 4) * vector_stream_bytes(n)
 
 
-def fused_orth_bytes(n: int, depth: int) -> float:
-    """Fused (batched classical Gram-Schmidt) orthogonalization: one
-    block-dot pass reading V[0..k] and w, one fused update pass reading
-    V[0..k] and w and writing w, then the norm and normalized-write
-    passes -- ``2 depth + 6`` vector streams, i.e. the basis is
-    streamed twice per iteration regardless of depth instead of twice
-    *per column*."""
-    return (2 * depth + 6) * vector_stream_bytes(n)
-
-
-def fused_reorth_bytes(n: int, depth: int) -> float:
-    """One DGKS re-orthogonalization pass (block dot + fused update)."""
-    return (2 * depth + 3) * vector_stream_bytes(n)
-
-
 def cycle_close_bytes(n: int, k_used: int) -> float:
     """End-of-cycle update ``x += Z[:k]^T y`` plus the true-residual
     vector work (``r = b - A x`` minus the matvec itself, which is
@@ -138,17 +118,6 @@ def mgs_orth_flops(n: int, depth: int) -> float:
     """MGS at Krylov depth ``depth``: per column one dot (2n) and one
     axpy (2n); then the norm (2n) and the normalizing scale (n)."""
     return float(4 * depth * n + 3 * n)
-
-
-def fused_orth_flops(n: int, depth: int) -> float:
-    """Fused CGS moves the same flops as MGS through fewer streams:
-    the block dot and fused update are still 2n per column each."""
-    return mgs_orth_flops(n, depth)
-
-
-def fused_reorth_flops(n: int, depth: int) -> float:
-    """One DGKS re-orthogonalization pass: block dot + fused update."""
-    return float(4 * depth * n)
 
 
 def cycle_close_flops(n: int, k_used: int) -> float:

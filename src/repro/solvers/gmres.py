@@ -4,20 +4,9 @@ Arnoldi with Givens-rotation updates of the least-squares problem;
 right preconditioning keeps the monitored residual equal to the true
 residual of ``A x = b``.
 
-Two orthogonalization kernels are available:
-
-* ``orth="mgs"`` (default): classic modified Gram-Schmidt, one dot and
-  one axpy pass per basis column -- the bitwise-stable reference that
-  the golden trajectories pin.
-* ``orth="fused"``: batched classical Gram-Schmidt with a DGKS
-  re-orthogonalization safeguard.  All ``k+1`` projection coefficients
-  come from one fused block-dot pass and are applied in one fused
-  update pass, so each Krylov vector is streamed **twice per
-  iteration** instead of twice per column -- the Chalmers & Warburton
-  "streaming operations" fusion that makes the matrix-free hot path
-  bandwidth-lean.  When the post-projection norm collapses below half
-  the pre-projection norm, one DGKS repeat pass restores the
-  orthogonality that CGS alone would lose.
+Orthogonalization is modified Gram-Schmidt, one dot and one axpy pass
+per basis column -- the bitwise-stable recurrence the golden
+trajectories pin (DESIGN.md section 7 records why it is the only one).
 
 The solver also *measures* its modeled HBM traffic: every matvec is
 priced via :mod:`repro.gpusim.solver_bytes` (CSR SpMV vs element-block
@@ -76,8 +65,6 @@ class GmresResult:
     #: modeled HBM bytes of the GMRES vector work (orthogonalization,
     #: basis writes, cycle-closing updates) at the depths actually run
     stream_bytes: float = 0.0
-    #: DGKS re-orthogonalization passes taken (``orth="fused"`` only)
-    reorthogonalizations: int = 0
 
     @property
     def final_residual(self) -> float:
@@ -87,11 +74,6 @@ class GmresResult:
     def reason(self) -> str:
         """Human-readable description of :attr:`flag`."""
         return _FLAG_REASONS.get(self.flag, self.flag)
-
-    @property
-    def total_bytes(self) -> float:
-        """Modeled matvec + vector-stream traffic of the whole solve."""
-        return self.matvec_bytes + self.stream_bytes
 
 
 def _as_operator(A):
@@ -110,8 +92,6 @@ def gmres(
     M=None,
     dot=None,
     norm=None,
-    orth: str = "mgs",
-    dot_many=None,
     deadline=None,
 ) -> GmresResult:
     """Solve ``A x = b`` with restarted right-preconditioned GMRES.
@@ -137,16 +117,6 @@ def gmres(
         reductions here (e.g. :class:`repro.solvers.reductions.
         BlockReducer`) so the Arnoldi recurrence runs on rank-local
         partial sums combined in a decomposition-independent order.
-    orth:
-        ``"mgs"`` (modified Gram-Schmidt, the bitwise reference) or
-        ``"fused"`` (batched one-pass classical Gram-Schmidt with DGKS
-        re-orthogonalization -- streams each Krylov vector once per
-        fused pass instead of once per column).
-    dot_many:
-        Optional batched inner product ``(X, y) -> [x_i . y]`` used by
-        the fused path (e.g. :meth:`repro.solvers.reductions.
-        BlockReducer.dot_many`); defaults to a single BLAS-2 product
-        when ``dot`` is the numpy default.
     deadline:
         Optional :class:`repro.resilience.Deadline`.  Checked at every
         cycle start and inner iteration; expiry raises a typed
@@ -155,8 +125,6 @@ def gmres(
         read the clock, so a solve that finishes within budget is
         bitwise equal to one run without a deadline.
     """
-    if orth not in ("mgs", "fused"):
-        raise ValueError(f"unknown orthogonalization {orth!r}; have: mgs, fused")
     matvec = _as_operator(A)
     if dot is None:
         dot = np.dot
@@ -172,20 +140,16 @@ def gmres(
     nmv = 0
     stream_bytes = 0.0
     stream_flops = 0.0
-    reorths = 0
 
     def _finish(res: GmresResult) -> GmresResult:
         res.matvecs = nmv
         res.operator_mode = op_mode
         res.matvec_bytes = nmv * apply_bytes
         res.stream_bytes = stream_bytes
-        res.reorthogonalizations = reorths
         metrics = get_metrics()
         metrics.counter("gmres.matvecs").inc(nmv)
         metrics.counter(f"gmres.matvec.bytes.{op_mode}").inc(res.matvec_bytes)
         metrics.counter(f"gmres.stream.bytes.{op_mode}").inc(stream_bytes)
-        if reorths:
-            metrics.counter("gmres.reorthogonalizations").inc(reorths)
         return res
 
     bnorm = norm(b)
@@ -210,17 +174,6 @@ def gmres(
     tr = get_tracer()
     series = get_series()
     it_counter = get_metrics().counter("gmres.iterations")
-
-    batched_dots = None
-    if orth == "fused":
-        if dot_many is not None:
-            batched_dots = dot_many
-        elif dot is np.dot:
-            batched_dots = lambda X, y: X @ y  # noqa: E731 - one fused BLAS-2 pass
-        else:
-            batched_dots = lambda X, y: np.array(  # noqa: E731
-                [dot(y, X[i]) for i in range(X.shape[0])]
-            )
 
     cycle = 0
     while rnorm > target and not breakdown:
@@ -257,53 +210,24 @@ def gmres(
                     nmv += 1
                     if _SAN.active:
                         _SAN.check("gmres.matvec", w, Z[k], site=f"cycle {cycle} k={k}")
-                    if orth == "mgs":
-                        if _SAN.active:
-                            _wnorm0 = norm(w)
-                        # modified Gram-Schmidt: one dot + one axpy pass
-                        # per column (the k-fold re-stream of the basis)
-                        for i in range(k + 1):
-                            H[i, k] = dot(w, V[i])
-                            w -= H[i, k] * V[i]
-                        H[k + 1, k] = norm(w)
-                        if _SAN.active:
-                            # the orthogonalized remainder collapsing
-                            # relative to the pre-MGS norm is the classic
-                            # loss-of-orthogonality cancellation
-                            _SAN.check_cancellation(
-                                "gmres.mgs", _wnorm0, _wnorm0, H[k + 1, k],
-                                site=f"cycle {cycle} k={k}",
-                            )
-                        stream_bytes += _bytes.mgs_orth_bytes(n, k + 1)
-                        stream_flops += _bytes.mgs_orth_flops(n, k + 1)
-                    else:
-                        # fused batched CGS: all coefficients from one
-                        # block-dot pass, one fused update pass
-                        wnorm0 = norm(w)
-                        Vk = V[: k + 1]
-                        h = np.asarray(batched_dots(Vk, w), dtype=np.float64)
-                        w = w - h @ Vk
-                        wn = norm(w)
-                        stream_bytes += _bytes.fused_orth_bytes(n, k + 1)
-                        stream_flops += _bytes.fused_orth_flops(n, k + 1)
-                        if wn < 0.5 * wnorm0:
-                            # DGKS safeguard: severe cancellation means
-                            # CGS left O(eps * wnorm0) components along
-                            # the basis; one repeat pass removes them
-                            h2 = np.asarray(batched_dots(Vk, w), dtype=np.float64)
-                            w = w - h2 @ Vk
-                            h = h + h2
-                            wn = norm(w)
-                            reorths += 1
-                            stream_bytes += _bytes.fused_reorth_bytes(n, k + 1)
-                            stream_flops += _bytes.fused_reorth_flops(n, k + 1)
-                        H[: k + 1, k] = h
-                        H[k + 1, k] = wn
-                        if _SAN.active:
-                            _SAN.check_cancellation(
-                                "gmres.mgs", wnorm0, wnorm0, H[k + 1, k],
-                                site=f"cycle {cycle} k={k}",
-                            )
+                    if _SAN.active:
+                        _wnorm0 = norm(w)
+                    # modified Gram-Schmidt: one dot + one axpy pass
+                    # per column (the k-fold re-stream of the basis)
+                    for i in range(k + 1):
+                        H[i, k] = dot(w, V[i])
+                        w -= H[i, k] * V[i]
+                    H[k + 1, k] = norm(w)
+                    if _SAN.active:
+                        # the orthogonalized remainder collapsing
+                        # relative to the pre-MGS norm is the classic
+                        # loss-of-orthogonality cancellation
+                        _SAN.check_cancellation(
+                            "gmres.mgs", _wnorm0, _wnorm0, H[k + 1, k],
+                            site=f"cycle {cycle} k={k}",
+                        )
+                    stream_bytes += _bytes.mgs_orth_bytes(n, k + 1)
+                    stream_flops += _bytes.mgs_orth_flops(n, k + 1)
                     if H[k + 1, k] > 1.0e-14 * max(1.0, abs(H[k, k])):
                         V[k + 1] = w / H[k + 1, k]
                     else:

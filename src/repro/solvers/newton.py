@@ -118,7 +118,6 @@ def newton_solve(
     linear_tol: float = 1.0e-6,
     gmres_restart: int = 50,
     gmres_maxiter: int = 400,
-    gmres_orth: str = "mgs",
     preconditioner_fn=None,
     damping_min: float = 1.0 / 64.0,
     callback=None,
@@ -145,9 +144,6 @@ def newton_solve(
         and ``jacobian_fn`` (closed-form callers).
     preconditioner_fn:
         Optional ``J -> M`` building a preconditioner per Newton step.
-    gmres_orth:
-        Orthogonalization kernel passed through to :func:`gmres`
-        (``"mgs"`` reference or ``"fused"`` single-pass batched CGS).
     max_steps:
         Maximum (and, when ``tol`` is not reached, exact) Newton steps --
         the paper's test uses eight.
@@ -195,7 +191,6 @@ def newton_solve(
     norm_fn = np.linalg.norm if reducer is None else reducer.norm
     gmres_dot = None if reducer is None else reducer.dot
     gmres_norm = None if reducer is None else reducer.norm
-    gmres_dot_many = getattr(reducer, "dot_many", None) if reducer is not None else None
     phases = {"evaluate": 0.0, "preconditioner": 0.0, "gmres": 0.0}
     tr = get_tracer()
     metrics = get_metrics()
@@ -321,8 +316,6 @@ def newton_solve(
                                 M=M,
                                 dot=gmres_dot,
                                 norm=gmres_norm,
-                                orth=gmres_orth,
-                                dot_many=gmres_dot_many,
                                 deadline=deadline,
                             )
                     except SolveTimeout as exc:

@@ -75,29 +75,6 @@ class BlockReducer:
         self._record_allreduce()
         return float(np.sum(partials))
 
-    def dot_many(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Batched decomposition-independent dots ``[x_i . y for x_i in X]``.
-
-        One fused pass over ``y`` and the rows of ``X`` -- the single
-        kernel the fused-orthogonalization GMRES issues instead of
-        ``len(X)`` separate :meth:`dot` calls -- with the same fixed
-        block summation tree per row, so ``dot_many(X, y)[i]`` is
-        bitwise equal to ``dot(X[i], y)``.  A distributed run combines
-        all ``len(X)`` partial rows in one allreduce instead of one per
-        column (recorded once on the meter accordingly).
-        """
-        X = np.asarray(X)
-        y = np.asarray(y)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"expected rows of length {self.n}")
-        partials = np.add.reduceat(X * y[None, :], self.block_ptr[:-1], axis=1)
-        if self.meter is not None:
-            # one combine of the stacked partial rows (8 bytes per row
-            # per rank), not one allreduce per Krylov column
-            self.meter.record("allreduce", None, None, 8 * X.shape[0] * self.meter.nparts)
-            self.meter.count_event("allreduce")
-        return np.sum(partials, axis=1)
-
     def norm(self, x: np.ndarray) -> float:
         """Decomposition-independent 2-norm (via :meth:`dot`)."""
         x = np.asarray(x)

@@ -1,8 +1,8 @@
 """Online autotuner with persisted per-(mesh, GPU) configurations.
 
 The paper's Table II shows ~1.5x sitting in a LaunchBounds choice; the
-smoother/operator-mode/orthogonalization axes added by PRs 1-6 hide
-comparable factors.  This package picks all of them automatically:
+smoother and operator-mode axes added by PRs 1-6 hide comparable
+factors.  This package picks all of them automatically:
 
 * :mod:`repro.tune.space` -- the discrete candidate space;
 * :mod:`repro.tune.prior` -- the gpusim byte/occupancy model as the

@@ -30,7 +30,7 @@ from repro.tune.space import TuneCandidate
 
 __all__ = ["SCHEMA_VERSION", "TuneRecord", "TuneCache", "default_cache_path", "cache_key"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: environment override for the cache location (tests point this at a
 #: tmp dir; CI keeps it out of the workspace)

@@ -13,8 +13,8 @@ the way time does on real hardware):
   This is where Table II lives: a LaunchBounds that spills SFad
   accumulators to scratch pays real modeled bytes and loses.
 * **solver side** -- the :mod:`repro.gpusim.solver_bytes` analytic model
-  at an *estimated* Krylov depth: matvec bytes per operator mode, fused
-  vs MGS orthogonalization streams, the assembled mode's per-step CSR
+  at an *estimated* Krylov depth: matvec bytes per operator mode, the
+  MGS orthogonalization streams, the assembled mode's per-step CSR
   fill, scaled by a per-preconditioner iteration-count heuristic.
 
 The prior never decides the winner -- measured deterministic counters
@@ -24,7 +24,6 @@ by the candidate's position in the enumeration).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.gpusim import solver_bytes as _bytes
@@ -36,12 +35,16 @@ __all__ = ["ProblemModel", "PriorScore", "GpusimPrior", "ITERATION_FACTOR"]
 
 #: relative GMRES iteration-count factor per preconditioner (the MDSC
 #: two-level solve is the reference; line relaxation loses the membrane
-#: coupling, Jacobi loses the column coupling too).  Heuristic ordering
-#: only -- measured trials overrule it.
-ITERATION_FACTOR = {"mdsc": 1.0, "mdsc-amg": 1.1, "vline": 2.0, "jacobi": 6.0, "none": 20.0}
+#: coupling, Jacobi loses the column coupling too).  Measured after the
+#: PR 14 damping fix, eight-step solves at 600 km / 3, 400 km / 4 and
+#: 200 km / 10 layers: mdsc 59 / 58 / 60 iterations, vline 86 / 86 / 88,
+#: mdsc-amg 85 / 87 / 93, jacobi 486 / 976 / 6127 and none 827 / 2273
+#: (both mesh-dependent; the 400 km / 4 ratio is used, a lower bound
+#: on finer meshes).  Ordering only -- measured trials overrule it.
+ITERATION_FACTOR = {"mdsc": 1.0, "mdsc-amg": 1.5, "vline": 1.5, "jacobi": 17.0, "none": 40.0}
 
-#: baseline GMRES iterations per Newton step under MDSC (coarse meshes)
-BASE_ITERS_PER_STEP = 12.0
+#: GMRES iterations per Newton step under MDSC: 7-8 at all three meshes
+BASE_ITERS_PER_STEP = 7.5
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,6 @@ class GpusimPrior:
         est_iters = BASE_ITERS_PER_STEP * ITERATION_FACTOR.get(
             candidate.preconditioner, 4.0
         )
-        # short restarts pay extra cycles: each restart discards the
-        # Krylov space, costing roughly one cycle-close + restart matvec
-        cycles = max(1.0, math.ceil(est_iters / candidate.gmres_restart))
-        depth = min(float(candidate.gmres_restart), est_iters / cycles)
 
         n, k = m.num_dofs, m.dofs_per_elem
         if candidate.operator_mode == "matrix-free":
@@ -119,15 +118,11 @@ class GpusimPrior:
         else:
             matvec = _bytes.spmv_bytes(n, m.nnz)
             fill = _bytes.assembled_fill_bytes(n, m.nnz, m.num_cells, k)
-        # average orthogonalization stream over a cycle of depth d: the
-        # per-iteration depth grows 1..d, so price it at depth d/2
-        mid = max(1, int(round(depth / 2.0)))
-        if candidate.gmres_orth == "fused":
-            orth = _bytes.fused_orth_bytes(n, mid)
-        else:
-            orth = _bytes.mgs_orth_bytes(n, mid)
-        per_iter = matvec + orth
-        close = cycles * (_bytes.cycle_close_bytes(n, int(depth)) + matvec)
+        # one cycle of depth est_iters: the per-iteration depth grows
+        # 1..d, so the orthogonalization stream is priced at depth d/2
+        mid = max(1, int(round(est_iters / 2.0)))
+        per_iter = matvec + _bytes.mgs_orth_bytes(n, mid)
+        close = _bytes.cycle_close_bytes(n, int(est_iters)) + matvec
         solver_bytes = est_iters * per_iter + close + fill
 
         return PriorScore(

@@ -1,16 +1,15 @@
 """The autotuner's discrete configuration space.
 
-One :class:`TuneCandidate` is a full solver configuration along the six
+One :class:`TuneCandidate` is a full solver configuration along the four
 tuned axes: kernel implementation, ``Kokkos::LaunchBounds`` (Table II's
-knob, consumed by the GPU model), preconditioner, operator mode, GMRES
-orthogonalization and GMRES restart length.  The space is the cross
-product of :data:`DEFAULT_SPACE`, filtered down to candidates that are
-actually *launchable* on the target GPU spec (a LaunchBounds whose
-block exceeds ``max_threads_per_cu`` cannot run on real hardware and is
-rejected by the occupancy model too) and *constructible* as a
-:class:`repro.app.config.VelocityConfig` (e.g. the multilevel
-``mdsc-amg`` hierarchy needs Galerkin CSR products, so it never pairs
-with ``operator_mode="matrix-free"``).
+knob, consumed by the GPU model), preconditioner and operator mode.
+The space is the cross product of :data:`DEFAULT_SPACE`, filtered down
+to candidates that are actually *launchable* on the target GPU spec (a
+LaunchBounds whose block exceeds ``max_threads_per_cu`` cannot run on
+real hardware and is rejected by the occupancy model too) and
+*constructible* as a :class:`repro.app.config.VelocityConfig` (e.g. the
+multilevel ``mdsc-amg`` hierarchy needs Galerkin CSR products, so it
+never pairs with ``operator_mode="matrix-free"``).
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ class TuneCandidate:
     launch_bounds: LaunchBounds
     preconditioner: str
     operator_mode: str
-    gmres_orth: str
-    gmres_restart: int
 
     @property
     def solver_axes(self) -> tuple:
@@ -48,18 +45,12 @@ class TuneCandidate:
         kernel cost (both implementations compute identical physics), so
         two candidates sharing these axes share one measured trial.
         """
-        return (
-            self.preconditioner,
-            self.operator_mode,
-            self.gmres_orth,
-            self.gmres_restart,
-        )
+        return (self.preconditioner, self.operator_mode)
 
     def describe(self) -> str:
         return (
             f"{self.kernel_impl}/lb={self.launch_bounds}/"
-            f"{self.preconditioner}/{self.operator_mode}/"
-            f"{self.gmres_orth}/restart={self.gmres_restart}"
+            f"{self.preconditioner}/{self.operator_mode}"
         )
 
     def effective_launch_bounds(self, mode: str) -> LaunchBounds:
@@ -70,14 +61,13 @@ class TuneCandidate:
 
     def apply_to(self, config: VelocityConfig) -> VelocityConfig:
         """Overlay the tuned axes onto ``config`` (everything else --
-        tolerances, Newton budget, ``nparts``, ``tuned`` -- survives)."""
+        tolerances, GMRES and Newton budgets, ``nparts``, ``tuned`` --
+        survives)."""
         return dataclasses.replace(
             config,
             kernel_impl=self.kernel_impl,
             preconditioner=self.preconditioner,
             operator_mode=self.operator_mode,
-            gmres_orth=self.gmres_orth,
-            gmres_restart=self.gmres_restart,
         )
 
     def to_dict(self) -> dict:
@@ -90,8 +80,6 @@ class TuneCandidate:
             },
             "preconditioner": self.preconditioner,
             "operator_mode": self.operator_mode,
-            "gmres_orth": self.gmres_orth,
-            "gmres_restart": self.gmres_restart,
         }
 
     @classmethod
@@ -106,8 +94,6 @@ class TuneCandidate:
             ),
             preconditioner=str(d["preconditioner"]),
             operator_mode=str(d["operator_mode"]),
-            gmres_orth=str(d["gmres_orth"]),
-            gmres_restart=int(d["gmres_restart"]),
         )
 
 
@@ -119,8 +105,6 @@ class TuneSpace:
     launch_bounds: tuple[LaunchBounds, ...] = tuple(TABLE2_LAUNCH_CONFIGS)
     preconditioners: tuple[str, ...] = ("mdsc", "vline", "jacobi")
     operator_modes: tuple[str, ...] = ("assembled", "matrix-free")
-    gmres_orths: tuple[str, ...] = ("mgs", "fused")
-    gmres_restarts: tuple[int, ...] = (30, 100, 300)
 
     def enumerate(self, spec: GPUSpec | None = None) -> list[TuneCandidate]:
         """All launchable, constructible candidates, in a fixed order.
@@ -134,11 +118,9 @@ class TuneSpace:
             for lb in self.launch_bounds:
                 for pc in self.preconditioners:
                     for op in self.operator_modes:
-                        for orth in self.gmres_orths:
-                            for restart in self.gmres_restarts:
-                                c = TuneCandidate(impl, lb, pc, op, orth, restart)
-                                if self._admissible(c, spec):
-                                    out.append(c)
+                        c = TuneCandidate(impl, lb, pc, op)
+                        if self._admissible(c, spec):
+                            out.append(c)
         return out
 
     def _admissible(self, c: TuneCandidate, spec: GPUSpec | None) -> bool:
@@ -161,20 +143,10 @@ DEFAULT_SPACE = TuneSpace()
 def candidate_from_config(
     config: VelocityConfig, launch_bounds: LaunchBounds | None = None
 ) -> TuneCandidate:
-    """The candidate a hand-picked :class:`VelocityConfig` corresponds to.
-
-    ``gmres_orth="auto"`` resolves exactly as the solver resolves it
-    (fused in matrix-free mode, MGS otherwise) so the baseline trial
-    measures what the untuned solve would actually run.
-    """
-    orth = config.gmres_orth
-    if orth == "auto":
-        orth = "fused" if config.operator_mode == "matrix-free" else "mgs"
+    """The candidate a hand-picked :class:`VelocityConfig` corresponds to."""
     return TuneCandidate(
         kernel_impl=config.kernel_impl,
         launch_bounds=launch_bounds if launch_bounds is not None else TABLE2_LAUNCH_CONFIGS[0],
         preconditioner=config.preconditioner,
         operator_mode=config.operator_mode,
-        gmres_orth=orth,
-        gmres_restart=config.gmres_restart,
     )

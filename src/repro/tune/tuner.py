@@ -1,7 +1,7 @@
 """The online autotuner: prior-seeded search with measured trials.
 
 The search closes the loop ROADMAP item 5 describes: the repo could
-already *measure* every variant/LaunchBounds/smoother/restart tradeoff,
+already *measure* every variant/LaunchBounds/smoother tradeoff,
 but a human still picked the configuration.  ``AutoTuner.tune()`` picks
 it automatically, per (mesh key, GPU architecture):
 
@@ -270,10 +270,9 @@ class AutoTuner:
                 ):
                     t.valid = False
 
-            winner = min(
-                (t for t in trials if t.valid),
-                key=lambda t: (t.cost_bytes, t.candidate.describe()),
-            )
+            # min() keeps the first of equal costs, i.e. trial order: an
+            # exact tie never displaces the hand-picked default (trial 0)
+            winner = min((t for t in trials if t.valid), key=lambda t: t.cost_bytes)
             record = TuneRecord(
                 candidate=winner.candidate,
                 cost_bytes=winner.cost_bytes,

@@ -10,7 +10,7 @@ incompatible trajectories.
 
 Tolerance rationale -- the trajectories are deterministic for a fixed
 operator mode, but tier-1 also runs under ``REPRO_OPERATOR_MODE=
-matrix-free`` (different GMRES orthogonalization, different roundoff).
+matrix-free`` (a different operator application, different roundoff).
 Measured assembled-vs-matrix-free drift over the 6-step goldens:
 thickness <= 2e-16 relative, volumes bitwise, particle positions
 <= 5e-10 m absolute, iteration counts identical.  Tolerances sit 3-6

@@ -13,6 +13,8 @@ The contract, measured on the coarse Antarctica *and* Greenland:
   trial sequence and the same winner.
 """
 
+import json
+
 import pytest
 
 from repro.app.antarctica import AntarcticaTest
@@ -23,7 +25,15 @@ from repro.mesh import greenland_geometry
 from repro.mesh.extrude import extrude_footprint
 from repro.mesh.planar import masked_quad_footprint
 from repro.observability import get_metrics
-from repro.tune import AutoTuner, TuneCache, cache_key, candidate_from_config
+from repro.tune import (
+    SCHEMA_VERSION,
+    AutoTuner,
+    GpusimPrior,
+    ProblemModel,
+    TuneCache,
+    cache_key,
+    candidate_from_config,
+)
 from repro.tune.cache import CACHE_ENV
 
 COARSE = dict(resolution_km=400.0, num_layers=4)
@@ -74,6 +84,25 @@ class TestTunedBeatsDefault:
         assert winner_trials and winner_trials[0].valid
 
 
+class TestPriorMatchesMeasurement:
+    def test_preconditioner_ordering_matches_measured_iterations(self, antarctica_mesh):
+        """``ITERATION_FACTOR`` orders mdsc/vline/jacobi the way the
+        400 km / 4-layer solves do (58 / 86 / 976 iterations)."""
+        geometry, mesh = antarctica_mesh
+        # est_iterations_per_step does not depend on the mesh numbers
+        prior = GpusimPrior(MI250X_GCD, ProblemModel(1, mesh.num_elems, 1, 1))
+        measured, modeled = {}, {}
+        for pc in ("mdsc", "vline", "jacobi"):
+            cfg = VelocityConfig(preconditioner=pc)
+            newton = StokesVelocityProblem(mesh, geometry, cfg).solve().newton
+            measured[pc] = sum(newton.linear_iterations) / newton.iterations
+            modeled[pc] = prior.score(candidate_from_config(cfg)).est_iterations_per_step
+        assert sorted(measured, key=measured.get) == sorted(modeled, key=modeled.get)
+        # and the estimates are the right size, not just the right order
+        for pc in measured:
+            assert 0.5 < modeled[pc] / measured[pc] < 2.0
+
+
 class TestDeterminism:
     def test_same_seed_same_sequence_and_winner(self, antarctica_mesh, tmp_path):
         geometry, mesh = antarctica_mesh
@@ -113,6 +142,36 @@ class TestPersistedReuse:
         # the record is keyed by (mesh key, GPU)
         cache = TuneCache(tmp_path / "cache.json")
         assert cache.get(cache_key(cfg.key, "MI250X-GCD")) is not None
+
+    def test_schema_1_cache_is_retuned(self, tmp_path, monkeypatch):
+        """A cache written before the orth/restart axes went is stale:
+        ignored on load, searched again, overwritten -- never a crash."""
+        path = tmp_path / "cache.json"
+        monkeypatch.setenv(CACHE_ENV, str(path))
+        monkeypatch.setenv("REPRO_TUNE_GPU", "MI250X-GCD")
+        cfg = AntarcticaConfig(**COARSE, velocity=VelocityConfig(tuned="auto"))
+        key = cache_key(cfg.key, "MI250X-GCD")
+        config = dict(
+            candidate_from_config(cfg.velocity).to_dict(),
+            preconditioner="jacobi", gmres_orth="fused", gmres_restart=100,
+        )
+        entry = {
+            "schema_version": 1, "config": config, "cost_bytes": 1.0,
+            "gmres_iterations": 1, "trials": 5, "default_cost_bytes": 2.0,
+        }
+        path.write_text(json.dumps({"schema_version": 1, "entries": {key: entry}}))
+
+        metrics = get_metrics()
+        stale, trials = metrics.value("tune.cache.stale"), metrics.value("tune.trials")
+        test = AntarcticaTest.build(cfg)
+        assert metrics.value("tune.cache.stale") == stale + 1
+        assert metrics.value("tune.trials") - trials >= 2
+        assert test.problem.config.preconditioner != "jacobi"
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == SCHEMA_VERSION
+        assert set(doc["entries"][key]["config"]) == {
+            "kernel_impl", "launch_bounds", "preconditioner", "operator_mode"
+        }
 
     def test_tuned_solve_matches_reference(self, tmp_path, monkeypatch):
         """A tuned solve still passes the stored regression check."""

@@ -402,11 +402,18 @@ class TestSolveService:
             )
             async with service:
                 resp = await service.submit(SolveRequest(scenario("a")))
+                last = await service.submit(
+                    SolveRequest(scenario("v", preconditioner="vline"))
+                )
             assert resp.status == "degraded"
             assert resp.reason == "cheap_precond"
             # mdsc's next-cheaper rung in PRECOND_COST_ORDER is vline
             assert problems["a"].calls[0]["preconditioner"] == "vline"
             assert resp.solved == scenario("a")
+            # vline is the last rung: jacobi costs 9-35x the solve time it
+            # would shed, so the request keeps its own preconditioner
+            assert last.status == "ok"
+            assert problems["v"].calls[0]["preconditioner"] is None
         run(body())
 
     def test_degradation_rung_coarser_mesh(self):

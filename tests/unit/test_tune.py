@@ -7,6 +7,7 @@ a single Newton step.
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 from repro.app.config import VelocityConfig
 from repro.core.launch import TABLE2_LAUNCH_CONFIGS
@@ -22,6 +23,7 @@ from repro.tune import (
     TuneCache,
     TuneCandidate,
     TuneRecord,
+    TrialResult,
     cache_key,
     candidate_from_config,
 )
@@ -36,8 +38,6 @@ def _candidate(**overrides) -> TuneCandidate:
         launch_bounds=LaunchBounds(128, 2),
         preconditioner="mdsc",
         operator_mode="assembled",
-        gmres_orth="mgs",
-        gmres_restart=30,
     )
     base.update(overrides)
     return TuneCandidate(**base)
@@ -49,7 +49,10 @@ class TestSpace:
         first = DEFAULT_SPACE.enumerate(spec)
         second = DEFAULT_SPACE.enumerate(spec)
         assert first == second
-        assert len(first) > 100  # the cross product is a real space
+        # 10 launchable (kernel_impl, LaunchBounds) pairs x 3
+        # preconditioners x 2 operator modes
+        assert len(DEFAULT_SPACE.enumerate(MI250X_GCD)) == 60
+        assert len({c.solver_axes for c in first}) == 6
 
     def test_mdsc_amg_never_pairs_with_matrix_free(self):
         space = dataclasses.replace(
@@ -81,19 +84,19 @@ class TestSpace:
         assert TuneCandidate.from_dict(json.loads(json.dumps(c.to_dict()))) == c
 
     def test_apply_to_preserves_untuned_fields(self):
-        cfg = VelocityConfig(newton_tol=1.0e-9, nparts=2, tuned="auto")
-        out = _candidate(preconditioner="vline", gmres_restart=100).apply_to(cfg)
+        cfg = VelocityConfig(newton_tol=1.0e-9, gmres_restart=100, nparts=2, tuned="auto")
+        out = _candidate(preconditioner="vline").apply_to(cfg)
         assert out.preconditioner == "vline"
         assert out.gmres_restart == 100
         assert out.newton_tol == 1.0e-9
         assert out.nparts == 2
         assert out.tuned == "auto"
 
-    def test_candidate_from_config_resolves_auto_orth(self):
-        mf = candidate_from_config(VelocityConfig(operator_mode="matrix-free"))
-        asm = candidate_from_config(VelocityConfig(operator_mode="assembled"))
-        assert mf.gmres_orth == "fused"
-        assert asm.gmres_orth == "mgs"
+    def test_candidate_from_config_round_trips(self):
+        # the default trial measures exactly what the untuned solve runs
+        for mode in ("assembled", "matrix-free"):
+            cfg = VelocityConfig(operator_mode=mode, preconditioner="vline")
+            assert candidate_from_config(cfg).apply_to(cfg) == cfg
 
 
 class TestPrior:
@@ -222,8 +225,8 @@ class TestTrialQueue:
             seed=seed,
         )
 
-    def _queue(self, seed: int, tmp_path):
-        tuner = self._tuner(seed, tmp_path)
+    def _queue(self, seed: int, tmp_path, budget: int = 5):
+        tuner = self._tuner(seed, tmp_path, budget)
         prior = GpusimPrior(MI250X_GCD, MODEL)
         cands = tuner._candidates()
         axes = tuner._best_kernel_axes(cands, prior)
@@ -242,6 +245,24 @@ class TestTrialQueue:
         # Newton--Krylov trajectory twice
         axes = [c.solver_axes for c in queue]
         assert len(set(axes)) == len(axes)
+        # a budget past the six measurable configurations stops at six
+        queue, _ = self._queue(0, tmp_path, budget=8)
+        assert len({c.solver_axes for c in queue}) == len(queue) == 6
+
+    def test_exact_tie_keeps_the_earlier_trial(self, tmp_path):
+        # regression: ties were broken by describe() string order, so an
+        # equal-cost "jacobi" displaced the hand-picked "mdsc" default
+        tuner = self._tuner(0, tmp_path, budget=3)
+        shape = SimpleNamespace(num_dofs=600, num_elems=240, nnz=14_000, dofs_per_elem=24)
+        tuner.problem_factory = lambda cfg: SimpleNamespace(dofmap=shape, mesh=shape, plan=shape)
+        tuner._run_trial = lambda cand, prior: TrialResult(
+            candidate=cand, gmres_iterations=60, gmres_matvecs=68, matvec_bytes=1.0e8,
+            stream_bytes=1.0e8, kernel_bytes=1.0e9, eval_sweeps={}, newton_converged=True,
+            mean_velocity=12.6, wall_seconds=0.1,
+        )
+        report = tuner.tune()
+        assert len(report.trials) == 3
+        assert report.record.candidate == report.trials[0].candidate
 
     def test_spmd_base_config_drops_matrix_free(self, tmp_path):
         tuner = AutoTuner(

@@ -249,8 +249,8 @@ class TestOracles:
 
     def test_matvec_suite_passes(self):
         """The operator-mode differential oracles (matrix-free vs
-        assembled J@v, fused vs reference orthogonalization, byte
-        reconciliation, planted-defect detection) all hold."""
+        assembled J@v, byte reconciliation, planted-defect detection)
+        all hold."""
         from repro.verify.oracles import run_oracles
 
         results = run_oracles(["matvec"])
@@ -293,6 +293,23 @@ class TestOracles:
             monkeypatch.setitem(VARIANTS, key, replace(VARIANTS[key], host_lowering=OffByALittle))
         divs, _ = oracle.fn()
         assert len(divs) == 4  # values of both element shapes x both modes
+
+    def test_matvec_bytes_oracle_detects_a_miscounted_matvec(self, monkeypatch):
+        """GMRES billing one word per matvec more than the operator model
+        prices is a divergence of both modes' counters."""
+        from repro.gpusim import solver_bytes
+        from repro.verify.oracles import ORACLES
+
+        oracle = [o for o in ORACLES if o.name == "matvec-bytes-reconciliation"][0]
+        assert not oracle.fn()[0]
+        exact = solver_bytes.operator_traffic
+        monkeypatch.setattr(
+            solver_bytes, "operator_traffic", lambda A: (exact(A)[0], exact(A)[1] + 8.0)
+        )
+        assert [d.name for d in oracle.fn()[0]] == [
+            "assembled.matvec_bytes",
+            "matrix-free.matvec_bytes",
+        ]
 
     def test_smoother_contraction_oracle_detects_a_planted_constant(self):
         """omega = 0.9 is past 2 / lambda_max on the 600 km Jacobian: the
