@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass, field
 
@@ -148,22 +147,6 @@ class AntarcticaConfig:
             raise ValueError(f"unknown footprint type {self.footprint!r}")
         if self.family not in ("antarctica", "greenland"):
             raise ValueError(f"unknown ice-sheet family {self.family!r}")
-
-    def coarsened(self, factor: float = 2.0) -> "AntarcticaConfig":
-        """A cheaper variant of this problem for serve degradation.
-
-        Doubles the footprint spacing (quartering the cell count) and
-        halves the extruded layer count (floor 3 so the vertical
-        structure the FO Stokes physics needs survives).  A degraded
-        request solves this mesh instead of the requested one -- an
-        approximate answer under overload beats a shed request, and the
-        coarse problem's artifacts are cached like any other scenario's.
-        """
-        return dataclasses.replace(
-            self,
-            resolution_km=self.resolution_km * float(factor),
-            num_layers=max(3, self.num_layers // 2),
-        )
 
     @property
     def key(self) -> str:

@@ -8,20 +8,18 @@ seamless diagnostics) every ``k`` steps; ``newton_solve(resume_from=
 ckpt)`` re-enters the loop at the checkpointed step with bit-identical
 state, so a killed solve continues instead of recomputing.
 
-The on-disk format is a single ``.npz``: the iterate as a float64 array
-plus the scalar histories -- small (one vector), self-describing, and
-loadable with plain numpy.  ``digest`` guards against restarting from a
-corrupted file (the same CRC32 the halo checksums use).
+On disk it is a :mod:`repro.store` record: one ``.npz`` of the fields
+below, written atomically and guarded by a CRC32 over all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.resilience.detectors import payload_checksum
+from repro.store import load_record, record_digest, record_field, save_record
 
 __all__ = ["NewtonCheckpoint"]
 
@@ -30,12 +28,12 @@ __all__ = ["NewtonCheckpoint"]
 class NewtonCheckpoint:
     """State of a Newton solve after ``step`` accepted steps."""
 
-    step: int
-    x: np.ndarray
-    residual_norms: list[float] = field(default_factory=list)
-    step_lengths: list[float] = field(default_factory=list)
-    linear_iterations: list[int] = field(default_factory=list)
-    linear_flags: list[str] = field(default_factory=list)
+    step: int = record_field(np.int64)
+    x: np.ndarray = record_field(np.float64)
+    residual_norms: list[float] = record_field(np.float64, default_factory=list)
+    step_lengths: list[float] = record_field(np.float64, default_factory=list)
+    linear_iterations: list[int] = record_field(np.int64, default_factory=list)
+    linear_flags: list[str] = record_field("U16", default_factory=list)
 
     @property
     def fnorm(self) -> float:
@@ -44,42 +42,14 @@ class NewtonCheckpoint:
 
     @property
     def digest(self) -> int:
-        """CRC32 of the iterate (integrity check on restart)."""
-        return payload_checksum(np.ascontiguousarray(self.x, dtype=np.float64))
+        """CRC32 over every stored field (integrity check on restart)."""
+        return record_digest(self)
 
-    # ------------------------------------------------------------------
     def save(self, path: str | Path) -> Path:
         """Write the checkpoint as a ``.npz`` (returns the path written)."""
-        path = Path(path)
-        np.savez(
-            path,
-            step=np.int64(self.step),
-            x=np.ascontiguousarray(self.x, dtype=np.float64),
-            residual_norms=np.asarray(self.residual_norms, dtype=np.float64),
-            step_lengths=np.asarray(self.step_lengths, dtype=np.float64),
-            linear_iterations=np.asarray(self.linear_iterations, dtype=np.int64),
-            linear_flags=np.asarray(self.linear_flags, dtype="U16"),
-            digest=np.uint64(self.digest),
-        )
-        # np.savez appends .npz when missing; report the real file
-        return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
+        return save_record(path, self)
 
     @classmethod
     def load(cls, path: str | Path) -> "NewtonCheckpoint":
         """Load and integrity-check a saved checkpoint."""
-        with np.load(Path(path), allow_pickle=False) as z:
-            ckpt = cls(
-                step=int(z["step"]),
-                x=np.array(z["x"], dtype=np.float64),
-                residual_norms=[float(v) for v in z["residual_norms"]],
-                step_lengths=[float(v) for v in z["step_lengths"]],
-                linear_iterations=[int(v) for v in z["linear_iterations"]],
-                linear_flags=[str(v) for v in z["linear_flags"]],
-            )
-            stored = int(z["digest"])
-        if ckpt.digest != stored:
-            raise ValueError(
-                f"checkpoint {path} failed its integrity check "
-                f"(stored digest {stored}, recomputed {ckpt.digest})"
-            )
-        return ckpt
+        return load_record(cls, path)

@@ -15,8 +15,9 @@ in the service shape that workload implies:
   preconditioner -> coarser mesh -> cached result -> shed);
 * :mod:`~repro.serve.breaker` -- deterministic per-scenario circuit
   breaker (closed/open/half-open, outcome-driven);
-* :mod:`~repro.serve.cache` -- digest-keyed artifact cache (build each
-  mesh once; remember last-good results);
+* :mod:`~repro.serve.cache` -- the :mod:`repro.store` artifact cache
+  under its serve-side name (build each mesh once; remember last-good
+  results);
 * :mod:`~repro.serve.pool` -- supervised worker threads with
   checkpoint heartbeats; dead or hung workers are respawned and their
   jobs resumed bitwise-exactly from the last Newton checkpoint;

@@ -1,105 +1,10 @@
-"""Artifact cache: build each scenario's problem once, keep its golden.
+"""The artifact cache lives in :mod:`repro.store`; this is its serve-side name.
 
-Building a scenario (geometry, footprint masking, extrusion, basis
-precomputation, the AssemblyPlan symbolic pass) dwarfs the marginal
-cost of another solve on the same mesh, so the service keys built
-problems by :attr:`SolveScenario.digest` and reuses them across
-requests.  Each entry also remembers the last known-good solution --
-the bottom rung of the degradation ladder serves it when the queue is
-full ("a recent answer now" beats "the right answer never").
-
-Entries carry a per-entry lock: the Stokes problem object holds
-per-solve mutable state (phase timers, resilience hooks, the
-preconditioner override), so two workers must not solve the SAME
-problem object concurrently.  Different entries solve in parallel.
+Kept as a module because the frozen end-to-end benchmark binds
+``repro.serve.cache.ArtifactCache.get`` by this path
+(``benchmarks/e2e/trace.py:TARGETS``).
 """
 
-from __future__ import annotations
-
-import threading
-
-from repro.observability import get_metrics
-from repro.serve.requests import SolveScenario
+from repro.store import ArtifactCache, CacheEntry
 
 __all__ = ["ArtifactCache", "CacheEntry"]
-
-
-class CacheEntry:
-    """One built scenario: problem artifacts + last good result."""
-
-    def __init__(self, scenario: SolveScenario, test):
-        self.scenario = scenario
-        #: the built AntarcticaTest (mesh + geometry + problem)
-        self.test = test
-        #: last known-good VelocitySolution (the cached-result rung)
-        self.last_good = None
-        #: serializes solves on this entry's problem object
-        self.lock = threading.Lock()
-        self.hits = 0
-
-    @property
-    def problem(self):
-        return self.test.problem
-
-
-class ArtifactCache:
-    """Digest-keyed cache of built scenarios (thread-safe)."""
-
-    def __init__(self, builder=None, max_entries: int = 32):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        # injectable builder so unit tests swap in a stub problem
-        if builder is None:
-            from repro.app.antarctica import AntarcticaTest
-
-            builder = lambda scenario: AntarcticaTest.build(scenario.to_config())  # noqa: E731
-        self._builder = builder
-        self.max_entries = max_entries
-        self._entries: dict[str, CacheEntry] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def peek(self, scenario: SolveScenario) -> CacheEntry | None:
-        """The entry for ``scenario`` if already built (no build, no miss)."""
-        return self._entries.get(scenario.digest)
-
-    def get(self, scenario: SolveScenario) -> CacheEntry:
-        """The built entry for ``scenario``, building it on first use."""
-        metrics = get_metrics()
-        digest = scenario.digest
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None:
-                entry.hits += 1
-                metrics.counter("serve.cache.hit").inc()
-                return entry
-            # build outside no lock?  No: building the same scenario
-            # twice concurrently wastes minutes of work; a placeholder
-            # entry whose lock we hold during the build would serialize
-            # readers anyway.  Builds are rare (cold cache), so holding
-            # the cache lock through one keeps the invariant simple:
-            # an entry in the dict is always fully built.
-            metrics.counter("serve.cache.miss").inc()
-            if len(self._entries) >= self.max_entries:
-                # evict the coldest entry (fewest hits, oldest on ties:
-                # dict preserves insertion order)
-                coldest = min(self._entries, key=lambda d: self._entries[d].hits)
-                del self._entries[coldest]
-                metrics.counter("serve.cache.evicted").inc()
-            entry = CacheEntry(scenario, self._builder(scenario))
-            self._entries[digest] = entry
-            metrics.gauge("serve.cache.entries").set(len(self._entries))
-            return entry
-
-    def remember_good(self, scenario: SolveScenario, result) -> None:
-        """Record a known-good result for the cached-result rung."""
-        entry = self._entries.get(scenario.digest)
-        if entry is not None:
-            entry.last_good = result
-
-    def cached_result(self, scenario: SolveScenario):
-        """Last known-good result for ``scenario``, or None."""
-        entry = self._entries.get(scenario.digest)
-        return None if entry is None else entry.last_good

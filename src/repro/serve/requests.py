@@ -15,10 +15,10 @@ on (retry/resume counts, dedup, degradation rung).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.app.config import PRECONDITIONERS, AntarcticaConfig, VelocityConfig
+from repro.store import content_digest
 
 __all__ = ["SolveScenario", "SolveRequest", "SolveResponse", "STATUSES"]
 
@@ -64,12 +64,11 @@ class SolveScenario:
         for the same numbers ARE the same problem and must dedup/cache
         together.
         """
-        key = (
+        return content_digest(
             f"res={self.resolution_km!r}|nz={self.num_layers}|"
             f"pc={self.preconditioner}|np={self.nparts}|ns={self.newton_steps}|"
             f"fam={self.family}"
         )
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def to_config(self) -> AntarcticaConfig:
         """The buildable problem configuration for this scenario."""

@@ -16,13 +16,7 @@ named experiments).
 from repro.transient.checkpoint import TransientCheckpoint
 from repro.transient.engine import TransientEngine, TransientKilled, TransientResult
 from repro.transient.particles import ParticleSet
-from repro.transient.scenarios import (
-    FORCINGS,
-    SCENARIOS,
-    TransientScenario,
-    build_scenario_problem,
-    get_scenario,
-)
+from repro.transient.scenarios import FORCINGS, SCENARIOS, TransientScenario, get_scenario
 
 __all__ = [
     "TransientCheckpoint",
@@ -34,5 +28,4 @@ __all__ = [
     "SCENARIOS",
     "FORCINGS",
     "get_scenario",
-    "build_scenario_problem",
 ]

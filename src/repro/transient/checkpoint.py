@@ -9,20 +9,19 @@ next step's warm start), the derived Newton absolute tolerance (fixed
 at the cold start and never recomputed, so a resumed run solves to the
 same tolerance), the particle ensemble, and the recorded histories.
 
-Same on-disk contract too: a single self-describing ``.npz`` loadable
-with plain numpy, guarded by the CRC32 ``digest`` the halo checksums
-use, so a truncated or bit-flipped file refuses to resume instead of
-silently forking the trajectory.
+Same on-disk contract too: a :mod:`repro.store` record, so a truncated
+or bit-flipped file -- in the state *or* the histories -- refuses to
+resume instead of silently forking the trajectory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.resilience.detectors import payload_checksum
+from repro.store import load_record, record_digest, record_field, save_record
 
 __all__ = ["TransientCheckpoint"]
 
@@ -31,81 +30,30 @@ __all__ = ["TransientCheckpoint"]
 class TransientCheckpoint:
     """Coupled transient state after ``step`` completed steps."""
 
-    step: int  # completed steps (resume starts at this index)
-    t_years: float  # model time after those steps
-    tol_abs: float  # Newton absolute tolerance derived at the cold start
-    thickness: np.ndarray  # (num_footprint_elems,) cell thickness [m]
-    u: np.ndarray  # (num_dofs,) last velocity (next warm start)
-    particles_xy: np.ndarray  # (np, 2)
-    particles_zeta: np.ndarray  # (np,)
-    particles_active: np.ndarray  # (np,) bool
-    scenario_digest: str = ""
-    volumes: list[float] = field(default_factory=list)  # V_0 .. V_step
-    times: list[float] = field(default_factory=list)  # t after each step
-    dts: list[float] = field(default_factory=list)  # accepted dt per step
-    newton_iterations: list[int] = field(default_factory=list)
+    step: int = record_field(np.int64)  # completed steps (resume starts here)
+    t_years: float = record_field(np.float64)  # model time after those steps
+    tol_abs: float = record_field(np.float64)  # Newton abs tol, fixed at the cold start
+    thickness: np.ndarray = record_field(np.float64)  # (num_footprint_elems,) [m]
+    u: np.ndarray = record_field(np.float64)  # (num_dofs,) last velocity (next warm start)
+    particles_xy: np.ndarray = record_field(np.float64)  # (np, 2)
+    particles_zeta: np.ndarray = record_field(np.float64)  # (np,)
+    particles_active: np.ndarray = record_field(bool)  # (np,)
+    scenario_digest: str = record_field("U32", default="")
+    volumes: list[float] = record_field(np.float64, default_factory=list)  # V_0 .. V_step
+    times: list[float] = record_field(np.float64, default_factory=list)  # t after each step
+    dts: list[float] = record_field(np.float64, default_factory=list)  # accepted dt per step
+    newton_iterations: list[int] = record_field(np.int64, default_factory=list)
 
     @property
     def digest(self) -> int:
-        """CRC32 over the full resume-critical payload."""
-        payload = np.concatenate(
-            [
-                np.ascontiguousarray(self.thickness, dtype=np.float64),
-                np.ascontiguousarray(self.u, dtype=np.float64),
-                np.ascontiguousarray(self.particles_xy, dtype=np.float64).ravel(),
-                np.ascontiguousarray(self.particles_zeta, dtype=np.float64),
-                np.asarray(self.particles_active, dtype=np.float64),
-                np.asarray([float(self.step), self.t_years, self.tol_abs]),
-            ]
-        )
-        return payload_checksum(payload)
+        """CRC32 over every stored field."""
+        return record_digest(self)
 
-    # ------------------------------------------------------------------
     def save(self, path: str | Path) -> Path:
         """Write the checkpoint as a ``.npz`` (returns the path written)."""
-        path = Path(path)
-        np.savez(
-            path,
-            step=np.int64(self.step),
-            t_years=np.float64(self.t_years),
-            tol_abs=np.float64(self.tol_abs),
-            thickness=np.ascontiguousarray(self.thickness, dtype=np.float64),
-            u=np.ascontiguousarray(self.u, dtype=np.float64),
-            particles_xy=np.ascontiguousarray(self.particles_xy, dtype=np.float64),
-            particles_zeta=np.ascontiguousarray(self.particles_zeta, dtype=np.float64),
-            particles_active=np.asarray(self.particles_active, dtype=bool),
-            scenario_digest=np.asarray(self.scenario_digest, dtype="U32"),
-            volumes=np.asarray(self.volumes, dtype=np.float64),
-            times=np.asarray(self.times, dtype=np.float64),
-            dts=np.asarray(self.dts, dtype=np.float64),
-            newton_iterations=np.asarray(self.newton_iterations, dtype=np.int64),
-            digest=np.uint64(self.digest),
-        )
-        return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
+        return save_record(path, self)
 
     @classmethod
     def load(cls, path: str | Path) -> "TransientCheckpoint":
         """Load and integrity-check a saved checkpoint."""
-        with np.load(Path(path), allow_pickle=False) as z:
-            ckpt = cls(
-                step=int(z["step"]),
-                t_years=float(z["t_years"]),
-                tol_abs=float(z["tol_abs"]),
-                thickness=np.array(z["thickness"], dtype=np.float64),
-                u=np.array(z["u"], dtype=np.float64),
-                particles_xy=np.array(z["particles_xy"], dtype=np.float64),
-                particles_zeta=np.array(z["particles_zeta"], dtype=np.float64),
-                particles_active=np.array(z["particles_active"], dtype=bool),
-                scenario_digest=str(z["scenario_digest"]),
-                volumes=[float(v) for v in z["volumes"]],
-                times=[float(v) for v in z["times"]],
-                dts=[float(v) for v in z["dts"]],
-                newton_iterations=[int(v) for v in z["newton_iterations"]],
-            )
-            stored = int(z["digest"])
-        if ckpt.digest != stored:
-            raise ValueError(
-                f"transient checkpoint {path} failed its integrity check "
-                f"(stored digest {stored}, recomputed {ckpt.digest})"
-            )
-        return ckpt
+        return load_record(cls, path)

@@ -6,9 +6,11 @@ with the three amortizations that make it affordable:
 
 * **artifact reuse** -- the mesh, DofMap, AssemblyPlan and
   preconditioner scaffolding are built once per scenario (via the
-  serve-layer :class:`~repro.serve.cache.ArtifactCache`) and only the
-  vertical coordinate is re-extruded each step
-  (:meth:`~repro.app.velocity_solver.StokesVelocityProblem.refresh_geometry`);
+  :class:`~repro.store.ArtifactCache`) and only the vertical coordinate
+  is re-extruded each step
+  (:meth:`~repro.app.velocity_solver.StokesVelocityProblem.refresh_geometry`),
+  in place on the cached problem -- so a run holds its cache entry's
+  lock throughout, as a serve worker does for a solve;
 * **warm starts** -- each Newton solve starts from the previous step's
   velocity.  The cold start measures ``||F(0)||`` once and fixes the
   absolute tolerance ``tol_abs = newton_rtol * ||F(0)||`` for the whole
@@ -37,9 +39,10 @@ import numpy as np
 
 from repro.observability import get_metrics, get_series, get_tracer
 from repro.physics.thickness import ThicknessEvolver
+from repro.store import ArtifactCache
 from repro.transient.checkpoint import TransientCheckpoint
 from repro.transient.particles import ParticleSet
-from repro.transient.scenarios import TransientScenario, build_scenario_problem
+from repro.transient.scenarios import TransientScenario
 
 __all__ = ["TransientEngine", "TransientResult", "TransientKilled"]
 
@@ -99,7 +102,8 @@ class TransientResult:
         return float(np.mean(warm)) if warm else float("nan")
 
     def final_checkpoint(self) -> TransientCheckpoint:
-        """The end-of-run state as a checkpoint (extendable runs)."""
+        """The state after the last recorded step: the one place a
+        checkpoint is built (periodic, kill-point and end-of-run)."""
         return TransientCheckpoint(
             step=len(self.dts),
             t_years=self.times[-1],
@@ -122,13 +126,9 @@ class TransientEngine:
 
     def __init__(self, scenario: TransientScenario, cache=None):
         self.scenario = scenario
-        if cache is None:
-            from repro.serve.cache import ArtifactCache
-
-            cache = ArtifactCache(builder=build_scenario_problem)
-        self.cache = cache
-        entry = cache.get(scenario)
-        self.test = entry.test
+        self.cache = cache if cache is not None else ArtifactCache()
+        self.entry = self.cache.get(scenario)
+        self.test = self.entry.test
         self.problem = self.test.problem
         self.mesh = self.test.mesh
         self.geometry = self.test.geometry
@@ -245,24 +245,41 @@ class TransientEngine:
         clipped_total = 0.0
         source_total = 0.0
 
-        def snapshot(step_done: int) -> TransientCheckpoint:
-            return TransientCheckpoint(
-                step=step_done,
-                t_years=t,
-                tol_abs=float(tol_abs),
+        def so_far() -> TransientResult:
+            # the run up to the last recorded step (also every snapshot)
+            return TransientResult(
+                scenario=sc,
                 thickness=h,
                 u=u_prev,
-                particles_xy=particles.xy,
-                particles_zeta=particles.zeta,
-                particles_active=particles.active,
-                scenario_digest=sc.digest,
-                volumes=list(volumes),
-                times=list(times),
-                dts=list(dts),
-                newton_iterations=list(newton_its),
+                particles=particles,
+                volumes=volumes,
+                times=times,
+                dts=dts,
+                newton_iterations=newton_its,
+                warm_started=warm_flags,
+                tol_abs=float(tol_abs),
+                diagnostics={
+                    "scenario": sc.name,
+                    "scenario_digest": sc.digest,
+                    "num_steps": len(dts),
+                    "t_final_years": t,
+                    "tol_abs": float(tol_abs),
+                    "cold_iterations": newton_its[0] if newton_its else 0,
+                    "active_particles": particles.num_active,
+                    # conservation audit: V_N - V_0 must equal the credited
+                    # sources (SMB/BMB) plus the H>=0 clip corrections; the
+                    # residual is the unexplained (bug) volume
+                    "volume_budget_residual": float(
+                        volumes[-1] - volumes[0] - source_total - clipped_total
+                    ),
+                    "clipped_volume": clipped_total,
+                    "source_volume": source_total,
+                },
             )
 
-        with tracer.span("transient.run", scenario=sc.name, steps=total):
+        # refresh_geometry rewrites the cached problem in place: own it
+        run_span = tracer.span("transient.run", scenario=sc.name, steps=total)
+        with self.entry.lock, run_span:
             for s in range(start, total):
                 with tracer.span("transient.step", step=s):
                     # 1. geometry from the current thickness (every step,
@@ -340,45 +357,17 @@ class TransientEngine:
 
                 done = s + 1
                 if ckpt_dir is not None and every and done % every == 0 and done < total:
-                    snapshot(done).save(ckpt_dir / f"step{done:04d}.npz")
+                    so_far().final_checkpoint().save(ckpt_dir / f"step{done:04d}.npz")
                     metrics.counter("transient.checkpoints").inc()
                 if kill_at_step is not None and s == kill_at_step:
-                    ck = snapshot(done)
+                    ck = so_far().final_checkpoint()
                     path = None
                     if ckpt_dir is not None:
                         path = ck.save(ckpt_dir / f"killed_step{done:04d}.npz")
                     metrics.counter("transient.kills").inc()
                     raise TransientKilled(ck, path)
 
-        result = TransientResult(
-            scenario=sc,
-            thickness=h,
-            u=u_prev,
-            particles=particles,
-            volumes=volumes,
-            times=times,
-            dts=dts,
-            newton_iterations=newton_its,
-            warm_started=warm_flags,
-            tol_abs=float(tol_abs),
-            diagnostics={
-                "scenario": sc.name,
-                "scenario_digest": sc.digest,
-                "num_steps": len(dts),
-                "t_final_years": t,
-                "tol_abs": float(tol_abs),
-                "cold_iterations": newton_its[0] if newton_its else 0,
-                "active_particles": particles.num_active,
-                # conservation audit: V_N - V_0 must equal the credited
-                # sources (SMB/BMB) plus the H>=0 clip corrections; the
-                # residual is the unexplained (bug) volume
-                "volume_budget_residual": float(
-                    volumes[-1] - volumes[0] - source_total - clipped_total
-                ),
-                "clipped_volume": clipped_total,
-                "source_volume": source_total,
-            },
-        )
+        result = so_far()
         if ckpt_dir is not None:
             result.final_checkpoint().save(ckpt_dir / "final.npz")
         return result

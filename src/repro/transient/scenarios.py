@@ -3,12 +3,11 @@
 A :class:`TransientScenario` is the complete, hashable identity of one
 transient experiment -- which synthetic ice sheet, at what resolution,
 stepped how, under which forcing, with how many tracked particles.  Its
-:attr:`~TransientScenario.digest` keys the serve-layer
-:class:`~repro.serve.cache.ArtifactCache` (the cache is generic over
-anything with a ``digest``), so repeated runs of the same scenario --
-the CLI check's cold / killed / resumed trio above all -- share one
-built mesh + Stokes problem instead of paying the symbolic assembly
-pass three times.
+:attr:`~TransientScenario.digest` keys the
+:class:`~repro.store.ArtifactCache`, so repeated runs of the same
+scenario -- the CLI check's cold / killed / resumed trio above all --
+share one built mesh + Stokes problem instead of paying the symbolic
+assembly pass three times.
 
 The library below is small and curated, like the reference-value table:
 each entry exercises one coupling regime (closed mass budget, margin
@@ -18,16 +17,12 @@ collapse) and is cheap enough for CI.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
-__all__ = [
-    "TransientScenario",
-    "SCENARIOS",
-    "get_scenario",
-    "build_scenario_problem",
-    "FORCINGS",
-]
+from repro.app.config import AntarcticaConfig, VelocityConfig
+from repro.store import content_digest
+
+__all__ = ["TransientScenario", "SCENARIOS", "get_scenario", "FORCINGS"]
 
 #: supported mass-balance forcings (applied by the engine each step):
 #: "none" -- zero SMB/BMB everywhere (closed budget: total volume is an
@@ -88,7 +83,7 @@ class TransientScenario:
         like :class:`~repro.serve.requests.SolveScenario`); includes
         every numeric knob because any of them changes the trajectory.
         """
-        key = (
+        return content_digest(
             f"fam={self.family}|res={self.resolution_km!r}|nz={self.num_layers}|"
             f"ns={self.newton_steps}|steps={self.num_steps}|dt={self.dt_years!r}|"
             f"cfl={self.cfl_safety!r}|rtol={self.newton_rtol!r}|"
@@ -97,31 +92,20 @@ class TransientScenario:
             f"rampyr={self.forcing_ramp_years!r}|"
             f"np={self.num_particles}|pseed={self.particle_seed}"
         )
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+    def to_config(self) -> AntarcticaConfig:
+        """The buildable problem configuration (what the ArtifactCache's
+        default builder asks of any scenario, as of ``SolveScenario``)."""
+        return AntarcticaConfig(
+            resolution_km=self.resolution_km,
+            num_layers=self.num_layers,
+            family=self.family,
+            velocity=VelocityConfig(newton_steps=self.newton_steps),
+        )
 
     def with_steps(self, num_steps: int) -> "TransientScenario":
         """Same experiment truncated/extended to ``num_steps`` steps."""
         return replace(self, num_steps=int(num_steps))
-
-
-def build_scenario_problem(scenario: TransientScenario):
-    """ArtifactCache builder: the built AntarcticaTest for a scenario.
-
-    Matches the :class:`~repro.serve.cache.ArtifactCache` builder
-    protocol (scenario in, built test out) so one cache instance can
-    hold solve-service scenarios and transient scenarios side by side --
-    both key by ``digest``.
-    """
-    from repro.app.antarctica import AntarcticaTest
-    from repro.app.config import AntarcticaConfig, VelocityConfig
-
-    config = AntarcticaConfig(
-        resolution_km=scenario.resolution_km,
-        num_layers=scenario.num_layers,
-        family=scenario.family,
-        velocity=VelocityConfig(newton_steps=scenario.newton_steps),
-    )
-    return AntarcticaTest.build(config)
 
 
 #: the curated scenario library, keyed by name

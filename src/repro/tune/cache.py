@@ -14,8 +14,8 @@ the hand-picked defaults":
 * unknown axis values from a future repo version -> that entry is
   dropped on load (it no longer describes a constructible config).
 
-Writes are atomic (tmp file + ``os.replace``) so a crashed tuner never
-leaves a half-written cache behind.
+Writes are atomic (:func:`repro.store.atomic_open`) so a crashed tuner
+never leaves a half-written cache behind.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.observability import get_metrics
+from repro.store import atomic_open
 from repro.tune.space import TuneCandidate
 
 __all__ = ["SCHEMA_VERSION", "TuneRecord", "TuneCache", "default_cache_path", "cache_key"]
@@ -147,7 +148,6 @@ class TuneCache:
             "entries": {k: self._entries[k].to_dict() for k in sorted(self._entries)},
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
+        with atomic_open(self.path) as fh:
+            fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
         return self.path

@@ -1,18 +1,19 @@
 """Integration tests of the transient engine on real velocity solves.
 
-One module-scoped :class:`~repro.serve.cache.ArtifactCache` backs every
+One module-scoped :class:`~repro.store.ArtifactCache` backs every
 test (the same amortization the engine itself relies on), so the mesh
 and AssemblyPlan are built once for the whole module.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.serve.cache import ArtifactCache
+from repro.store import ArtifactCache
 from repro.transient import (
     TransientEngine,
     TransientKilled,
-    build_scenario_problem,
     get_scenario,
 )
 
@@ -23,7 +24,7 @@ KILL_AT = 1  # kill after step 2 of 5: resume covers most of the run
 
 @pytest.fixture(scope="module")
 def cache():
-    return ArtifactCache(builder=build_scenario_problem)
+    return ArtifactCache()
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,34 @@ class TestArtifactReuse:
         assert prob._fp_basis is fp_basis
         assert prob._elem_col is elem_col
         assert prob.basis is not basis_before  # 3D basis WAS recomputed
+
+    def test_a_run_owns_its_cache_entry(self, cache, scenario):
+        """refresh_geometry rewrites the shared problem in place, so the
+        run holds the entry lock serve's workers take for the same object."""
+        lock = cache.get(scenario).lock
+        held = []
+        TransientEngine(scenario, cache=cache).run(
+            num_steps=2, callback=lambda step, info: held.append(lock.locked())
+        )
+        assert held == [True, True]
+        assert not lock.locked()
+
+    def test_two_threaded_engines_match_solo(self, cache, scenario, baseline):
+        results = {}
+
+        def work(tag):
+            results[tag] = TransientEngine(scenario, cache=cache).run()
+
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+            assert not t.is_alive()
+        for tag in "ab":
+            assert np.array_equal(results[tag].thickness, baseline.thickness)
+            assert np.array_equal(results[tag].u, baseline.u)
+            assert results[tag].volumes == baseline.volumes
 
 
 class TestScenarioLibrary:

@@ -267,6 +267,7 @@ class TestPolicies:
 
 
 class TestCheckpoint:
+    # corruption / truncation / atomic-write cases: tests/unit/test_store.py
     def _ckpt(self):
         return res.NewtonCheckpoint(
             step=3,
@@ -286,16 +287,6 @@ class TestCheckpoint:
         assert np.array_equal(back.x, ckpt.x)
         assert back.linear_flags == ckpt.linear_flags
         assert back.digest == ckpt.digest
-
-    def test_load_rejects_corrupted_checkpoint(self, tmp_path):
-        ckpt = self._ckpt()
-        path = ckpt.save(tmp_path / "newton.npz")
-        with np.load(path) as z:
-            arrs = {k: z[k] for k in z.files}
-        arrs["x"] = arrs["x"] + 1.0e-12  # silent corruption, stale digest
-        np.savez(path, **arrs)
-        with pytest.raises(ValueError, match="integrity"):
-            res.NewtonCheckpoint.load(path)
 
 
 # ---------------------------------------------------------------------------

@@ -242,44 +242,6 @@ class TestWorkerPool:
 
 
 # ----------------------------------------------------------------------
-# artifact cache
-# ----------------------------------------------------------------------
-
-class TestArtifactCache:
-    def test_hit_miss_and_reuse(self):
-        cache, problems = make_cache()
-        s = scenario("a")
-        e1 = cache.get(s)
-        e2 = cache.get(s)
-        assert e1 is e2
-        assert e2.hits == 1
-        assert len(problems) == 1
-        assert cache.peek(scenario("other", num_layers=7)) is None
-        assert len(problems) == 1  # peek never builds
-
-    def test_evicts_coldest(self):
-        cache, _ = make_cache()
-        cache.max_entries = 2
-        a, b, c = scenario("a"), scenario("b", num_layers=4), scenario("c", num_layers=5)
-        cache.get(a)
-        cache.get(b)
-        cache.get(a)          # a is now warmer than b
-        cache.get(c)          # evicts b
-        assert cache.peek(a) is not None
-        assert cache.peek(b) is None
-        assert cache.peek(c) is not None
-
-    def test_remember_good_feeds_cached_result(self):
-        cache, _ = make_cache()
-        s = scenario("a")
-        assert cache.cached_result(s) is None
-        cache.get(s)
-        token = object()
-        cache.remember_good(s, token)
-        assert cache.cached_result(s) is token
-
-
-# ----------------------------------------------------------------------
 # the service itself
 # ----------------------------------------------------------------------
 

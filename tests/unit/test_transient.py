@@ -88,6 +88,7 @@ class TestParticles:
 
 
 class TestTransientCheckpoint:
+    # corruption / truncation / atomic-write cases: tests/unit/test_store.py
     def _ckpt(self) -> TransientCheckpoint:
         rng = np.random.default_rng(0)
         return TransientCheckpoint(
@@ -119,16 +120,6 @@ class TestTransientCheckpoint:
         assert back.scenario_digest == "abc123"
         assert back.volumes == ckpt.volumes and back.dts == ckpt.dts
         assert back.digest == ckpt.digest
-
-    def test_load_rejects_corrupted_checkpoint(self, tmp_path):
-        ckpt = self._ckpt()
-        path = ckpt.save(tmp_path / "transient.npz")
-        with np.load(path) as z:
-            arrs = {k: z[k] for k in z.files}
-        arrs["thickness"] = arrs["thickness"] + 1.0e-9  # silent bit drift
-        np.savez(path, **arrs)
-        with pytest.raises(ValueError, match="integrity"):
-            TransientCheckpoint.load(path)
 
 
 class TestScenarios:
