@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.app.config import PRECONDITIONERS, VelocityConfig
+from repro.core.lowering import pack_geom, qp_seed_operand
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.discretization import compute_basis_data, compute_face_basis_data
 from repro.fem.distributed import DistributedMatrix, DistributedStokesAssembly
@@ -110,6 +111,7 @@ class StokesVelocityProblem:
             qp_xy[..., 0], qp_xy[..., 1], zeta_mid[lay][:, None]
         )
         self.flow_factor_qp = flow_factor_arrhenius(temp)  # (ne3, nq3)
+        self.flow_factor_qp.flags.writeable = False
 
         # basal friction is sampled at face-qp xy positions -- also
         # invariant under vertical-only coordinate updates
@@ -118,7 +120,10 @@ class StokesVelocityProblem:
         self.basal_beta_qp = np.asarray(
             self.geometry.basal_friction(fq[..., 0], fq[..., 1]), dtype=np.float64
         )  # (nbasal, nqf)
-        self._basal_of_elem = {int(e): i for i, e in enumerate(basal_elems)}
+        self.basal_beta_qp.flags.writeable = False
+        # row of each cell in the basal-face arrays, -1 off the bed
+        self._basal_row = np.full(mesh.num_elems, -1, dtype=np.int64)
+        self._basal_row[basal_elems] = np.arange(len(basal_elems))
 
         # Dirichlet: zero velocity on the lateral (margin) boundary
         lat = mesh.lateral_nodes()
@@ -184,17 +189,27 @@ class StokesVelocityProblem:
     def _geometry_numeric_setup(self) -> None:
         """The coords-dependent slice of :meth:`_precompute`.
 
-        3-D basis data (jacobians, weighted gradients, qp positions),
-        the surface gradient replicated to the 3-D quadrature rule, and
-        the basal face geometry.  Everything here is a pure function of
+        3-D basis data (jacobians, weighted gradients, qp positions) with
+        the host lowering's two operands packed from it, the surface
+        gradient replicated to the 3-D quadrature rule, and the basal
+        face geometry.  Everything here is a pure function of
         ``mesh.coords``/``mesh.surface2d``; :meth:`refresh_geometry`
-        re-runs exactly this block after a vertical re-extrusion.
+        re-runs exactly this block after a vertical re-extrusion -- the
+        one place a sweep's geometry-only inputs are (re)built.  Every
+        sweep of every request on the problem shares them: read-only.
         """
         mesh = self.mesh
         fp = mesh.footprint
         order = self.config.quadrature_order
 
-        self.basis = compute_basis_data(mesh.coords, mesh.elems, mesh.elem_type, order)
+        basis = self.basis = compute_basis_data(mesh.coords, mesh.elems, mesh.elem_type, order)
+        # one copy of the weighted basis, packed as the kernel's GEMM
+        # operand; ``w_grad_bf``/``w_bf`` are views of it
+        self._w_packed = pack_geom(basis.w_grad_bf, basis.w_bf)
+        self._w_packed.flags.writeable = False
+        basis.w_grad_bf, basis.w_bf = self._w_packed[..., :3], self._w_packed[..., 3]
+        self._grad_bf_qp = qp_seed_operand(basis.grad_bf)
+        self._grad_bf_qp.flags.writeable = False
 
         # surface gradient at footprint quadrature points, replicated to
         # the 3-D rule: hex qp q maps to footprint qp q // order (tensor
@@ -205,6 +220,7 @@ class StokesVelocityProblem:
         q2_of_q3 = np.arange(nq3) // order
         # per 3-D cell: its column's surface gradient at the matching qp
         self.grad_s_qp = grad_s_2d[self._elem_col][:, q2_of_q3, :]  # (ne3, nq3, 2)
+        self.grad_s_qp.flags.writeable = False
 
         # basal faces: bottom quad/tri of each layer-0 element
         self.face_basis = compute_face_basis_data(
@@ -266,7 +282,6 @@ class StokesVelocityProblem:
         mesh = self.mesh
         cfg = self.config
         u_local = self.dofmap.gather(u).reshape(mesh.num_elems, mesh.nodes_per_elem, 2)
-        nz = mesh.nlayers
         if cells is not None:
             cells = np.asarray(cells, dtype=np.int64)
         total = mesh.num_elems if cells is None else len(cells)
@@ -274,17 +289,15 @@ class StokesVelocityProblem:
             b = min(a + cfg.workset_size, total)
             # contiguous slices for the full sweep (views, no copies)
             idx = slice(a, b) if cells is None else cells[a:b]
-            chunk = np.arange(a, b) if cells is None else cells[a:b]
-            basal_mask = chunk % nz == 0
-            basal_cells_local = np.flatnonzero(basal_mask)
-            basal_rows = np.array(
-                [self._basal_of_elem[int(c)] for c in chunk[basal_mask]], dtype=np.int64
-            )
+            rows = self._basal_row[idx]
+            basal_cells_local = np.flatnonzero(rows >= 0)
+            basal_rows = rows[basal_cells_local]
+            packed = self._w_packed[idx]
             ws = Workset(
                 mode=mode,
                 solution_local=u_local[idx],
-                w_bf=self.basis.w_bf[idx],
-                w_grad_bf=self.basis.w_grad_bf[idx],
+                w_bf=packed[..., 3],
+                w_grad_bf=packed[..., :3],
                 grad_bf=self.basis.grad_bf[idx],
                 flow_factor_qp=self.flow_factor_qp[idx],
                 grad_s_qp=self.grad_s_qp[idx],
@@ -292,6 +305,8 @@ class StokesVelocityProblem:
                 basal_w_bf=self.face_basis.w_bf[basal_rows] if len(basal_rows) else None,
                 basal_beta_qp=self.basal_beta_qp[basal_rows] if len(basal_rows) else None,
                 basal_bf=self.face_basis.bf if len(basal_rows) else None,
+                w_packed=packed,
+                grad_bf_qp=self._grad_bf_qp[idx] if mode == "jacobian" else None,
             )
             yield a, b, self.field_manager.evaluate(ws)
 

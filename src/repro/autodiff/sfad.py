@@ -40,7 +40,7 @@ class FadArray:
     # Beat ndarray in mixed binary ops so __r*__ methods run.
     __array_priority__ = 1000.0
 
-    __slots__ = ("val", "dx", "identity_seeded")
+    __slots__ = ("val", "dx")
 
     def __init__(self, val, dx):
         val = np.asarray(val, dtype=np.float64)
@@ -57,10 +57,6 @@ class FadArray:
             )
         self.val = val
         self.dx = dx
-        #: set by ``GatherSolution`` on the one array whose ``dx`` is the
-        #: identity over its trailing axes (and frozen there); every
-        #: derived array starts over at ``False``
-        self.identity_seeded = False
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -154,10 +150,9 @@ class FadArray:
 
     def __mul__(self, other):
         if isinstance(other, FadArray):
-            return self._like(
-                self.val * other.val,
-                self.dx * other.val[..., None] + other.dx * self.val[..., None],
-            )
+            dx = self.dx * other.val[..., None]
+            dx += other.dx * self.val[..., None]
+            return self._like(self.val * other.val, dx)
         c = _as_const(other)
         return self._like(self.val * c, self.dx * c[..., None])
 

@@ -3,8 +3,12 @@
 A :class:`StokesFields` bundles the six views of the paper's kernel
 (Fig. 2): ``Ugrad``, ``muLandIce``, ``force``, ``wBF``, ``wGradBF`` and
 ``Residual``.  For the Jacobian evaluation the solution-dependent views
-carry ``SFad(16)`` scalars (8 nodes x 2 velocity components); the basis
-views stay plain doubles (Albany's ``MeshScalarT``).
+carry ``SFad`` scalars, each view its own spec: the device program
+(:func:`make_stokes_fields`) is ``SFad(16)`` throughout (8 nodes x 2
+velocity components); the host production sweep feeds ``Ugrad`` and
+``muLandIce`` as ``SFad(6)`` seeded at the quadrature point plus the
+``seed`` operand.  The basis views stay plain doubles (Albany's
+``MeshScalarT``).
 
 :class:`TraceFields` exposes the same attribute surface backed by
 recording views, so the identical kernel body yields the per-thread
@@ -45,8 +49,14 @@ class StokesFields:
     wBF: View  # (nc, nn, nqp), MeshScalarT (stored double, zero derivs)
     wGradBF: View  # (nc, nn, nqp, 3), MeshScalarT
     Residual: View  # (nc, nn, 2), ScalarT
-    scalar: ScalarSpec
+    scalar: ScalarSpec  # the Residual's
     mesh_scalar: ScalarSpec = DOUBLE
+    #: geometry-only operands of the host lowering: ``[wGradBF | wBF]`` as
+    #: ``(nc, nn, nqp, 4)`` (``None``: packed per launch) and ``grad_bf`` as
+    #: ``(nc, nqp, 3, nn)``, present when the input derivatives are w.r.t.
+    #: ``Ugrad`` at the qp (``None``: they are the Residual's)
+    geom: np.ndarray | None = None
+    seed: np.ndarray | None = None
 
     @property
     def num_cells(self) -> int:

@@ -40,20 +40,19 @@ def run_kernel(
 
 
 def local_residual_blocks(fields: StokesFields) -> np.ndarray:
-    """Residual values as per-element blocks, shape ``(nc, 2 * nn)``."""
+    """Residual values as per-element blocks ``(nc, 2 * nn)``: a view, like the Jacobian's."""
     vals = fields.Residual.values()  # (nc, nn, 2)
-    nc = vals.shape[0]
-    return vals.reshape(nc, -1).copy()
+    return vals.reshape(vals.shape[0], -1)
 
 
 def local_jacobian_blocks(fields: StokesFields) -> np.ndarray:
-    """Local Jacobians d(local residual)/d(local dof), shape ``(nc, k, k)``.
+    """Local Jacobians d(local residual)/d(local dof), a ``(nc, k, k)`` view.
 
     Requires fields allocated in Jacobian mode (Fad residual).
     """
     if not fields.scalar.is_fad:
         raise ValueError("fields were not evaluated in Jacobian mode")
-    dx = fields.Residual.data.dx  # (nc, nn, 2, 16)
+    dx = fields.Residual.data.dx  # (nc, nn, 2, 2 * nn)
     nc = dx.shape[0]
     k = dx.shape[1] * dx.shape[2]
-    return dx.reshape(nc, k, k).copy()
+    return dx.reshape(nc, k, k)

@@ -29,6 +29,9 @@ class BasisData:
     * ``grad_bf``: (nc, nn, nq, d) physical gradients,
     * ``w_grad_bf``: (nc, nn, nq, d) physical gradients x weight x |detJ|,
     * ``det_j``: (nc, nq), ``qp_coords``: (nc, nq, d), ``weights``: (nq,).
+
+    Read-only: worksets slice these without copying and a built problem
+    is shared between solves.
     """
 
     elem_type: str
@@ -39,6 +42,11 @@ class BasisData:
     det_j: np.ndarray
     qp_coords: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def num_cells(self) -> int:

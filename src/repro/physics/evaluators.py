@@ -2,7 +2,7 @@
 
 Albany evaluates physics as a directed acyclic graph of small evaluators
 over *worksets* (bounded chunks of cells); the scalar type -- double or
-``SFad(16)`` -- selects Residual vs Jacobian evaluation.  This module
+``SFad`` -- selects Residual vs Jacobian evaluation.  This module
 reproduces that structure:
 
 ``GatherSolution -> DOFVecGradInterpolation -> ViscosityFO -> BodyForce
@@ -11,6 +11,14 @@ ScatterResidual``
 
 The field manager topologically orders evaluators by their
 requires/provides field names and runs them per workset.
+
+The Jacobian evaluation applies the chain rule in two stages.  Everything
+between the interpolation and the kernel is a function of the six
+components of ``Ugrad`` alone, so ``DOFVecGradInterpolation`` seeds there
+(``SFad(6)``, independents its own ``(k, d)`` components), viscosity and
+stresses run on that type, and ``dUgrad/dU`` -- the constant ``grad_bf``
+-- is applied once, by :func:`repro.core.lowering.expand_qp_seed`.
+``Residual`` is the only ``SFad(2 * nodes)`` field of a sweep.
 """
 
 from __future__ import annotations
@@ -19,11 +27,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from repro.autodiff import ops
-from repro.autodiff.sfad import FadArray, SFad, is_fad
+from repro.autodiff.sfad import SFad, is_fad
 from repro.constants import RHO_G_KPA
-from repro.core.fields import JACOBIAN_FAD_SIZE, StokesFields
+from repro.core.fields import StokesFields
 from repro.core.jacobian import local_jacobian_blocks, local_residual_blocks, run_kernel
+from repro.core.lowering import expand_qp_seed, qp_seed_operand
+from repro.core.variants import get_variant
 from repro.kokkos.view import DOUBLE, View, fad_spec
 from repro.observability import get_tracer
 from repro.physics.viscosity import effective_strain_rate_squared, glen_viscosity
@@ -49,6 +58,8 @@ class Workset:
 
     Basal arrays are ``None`` for worksets with no basal faces.  The
     evaluators populate :attr:`fields` and finally the ``out_*`` blocks.
+    ``w_packed``/``grad_bf_qp`` are the host lowering's geometry-only
+    operands, sliced from what the problem packs once per geometry.
     """
 
     mode: str  # "residual" | "jacobian"
@@ -62,6 +73,8 @@ class Workset:
     basal_beta_qp: np.ndarray | None = None  # (nb, nqf)
     basal_bf: np.ndarray | None = None  # (nqf, nnf) reference face shapes
     basal_cells: np.ndarray | None = None  # workset-local cell ids of basal cells
+    w_packed: np.ndarray | None = None  # (nc, nn, nq, 4); None: packed per launch
+    grad_bf_qp: np.ndarray | None = None  # (nc, nq, 3, nn), Jacobian mode; None: laid out here
     fields: dict = dc_field(default_factory=dict)
     out_residual: np.ndarray | None = None  # (nc, 2*nn)
     out_jacobian: np.ndarray | None = None  # (nc, 2*nn, 2*nn)
@@ -69,6 +82,8 @@ class Workset:
     def __post_init__(self):
         if self.mode not in ("residual", "jacobian"):
             raise ValueError(f"unknown workset mode {self.mode!r}")
+        if self.grad_bf_qp is None and self.is_jacobian:
+            self.grad_bf_qp = qp_seed_operand(self.grad_bf)
 
     @property
     def num_cells(self) -> int:
@@ -169,86 +184,52 @@ class FieldManager:
 # concrete evaluators
 # ----------------------------------------------------------------------
 class GatherSolution(Evaluator):
-    """Gather nodal unknowns; seed SFad(16) derivatives in Jacobian mode.
-
-    The seeded ``U`` is marked ``identity_seeded`` and its ``dx`` frozen,
-    so :class:`DOFVecGradInterpolation` may write ``dUgrad/dU`` straight
-    from ``grad_bf`` instead of contracting the identity against it.
-    """
+    """Gather nodal unknowns: plain doubles in both modes (the Jacobian
+    evaluation is seeded one evaluator later, at the quadrature point)."""
 
     name = "GatherSolution"
     provides = ("U",)
 
     def evaluate(self, ws: Workset) -> None:
-        u = np.ascontiguousarray(ws.solution_local, dtype=np.float64)
-        if ws.is_jacobian:
-            nc, nn, nk = u.shape
-            n = ws.fad_size
-            dx = np.zeros((nc, nn, nk, n))
-            j = np.arange(n)
-            dx.reshape(nc, n, n)[:, j, j] = 1.0
-            dx.flags.writeable = False  # the mark below stays true
-            U = SFad(n)(u, dx)
-            U.identity_seeded = True
-            ws.fields["U"] = U
-        else:
-            ws.fields["U"] = u
+        ws.fields["U"] = np.ascontiguousarray(ws.solution_local, dtype=np.float64)
 
 
 def _interp_grad_values(u: np.ndarray, grad_bf: np.ndarray) -> np.ndarray:
     """``sum_n u(c,n,k) * grad_bf(c,n,q,d)`` as one small GEMM per cell.
 
-    The one value contraction of every mode and scalar type (so the
-    Jacobian sweep's values are the residual sweep's, bitwise); ~20x
-    faster than the equivalent ``einsum("cnk,cnqd->cqkd")``.
+    The one value contraction of every mode (so the Jacobian sweep's
+    values are the residual sweep's, bitwise); ~20x faster than the
+    equivalent ``einsum("cnk,cnqd->cqkd")``.
     """
     nc, nn, nq, nd = grad_bf.shape
     out = np.matmul(u.transpose(0, 2, 1), grad_bf.reshape(nc, nn, nq * nd))  # (c, k, q d)
-    return np.ascontiguousarray(out.reshape(nc, -1, nq, nd).transpose(0, 2, 1, 3))
+    return out.reshape(nc, -1, nq, nd).transpose(0, 2, 1, 3)
 
 
-def _interp_grad(U, grad_bf: np.ndarray):
-    """Ugrad(c,q,k,d) = sum_n U(c,n,k) * grad_bf(c,n,q,d) (Fad-aware).
-
-    For an identity-seeded ``U`` (``dx[c,n,k,f] = [f == n*nk + k]``) every
-    sum of the derivative contraction has the single non-zero term
-    ``1.0 * grad_bf(c,n,q,d)``, so it is written by one strided
-    assignment per component -- bitwise what the einsum returns.
-    """
-    if not is_fad(U):
-        return _interp_grad_values(U, grad_bf)
-    val = _interp_grad_values(U.val, grad_bf)
-    if U.identity_seeded:
-        nc, nn, nk = U.shape
-        nq, nd = grad_bf.shape[2:]
-        dx = np.zeros((nc, nq, nk, nd, nn, nk))
-        g = grad_bf.transpose(0, 2, 3, 1)  # (c, q, d, n)
-        for k in range(nk):
-            dx[:, :, k, :, :, k] = g
-        dx = dx.reshape(nc, nq, nk, nd, nn * nk)
-    else:
-        dx = np.einsum("cnkf,cnqd->cqkdf", U.dx, grad_bf)
-    return type(U)(val, dx)
-
-
-def _interp_value(U, bf: np.ndarray):
-    """u(c,q,k) = sum_n U(c,n,k) * bf(q,n) (Fad-aware)."""
-    if is_fad(U):
-        val = np.einsum("cnk,qn->cqk", U.val, bf)
-        dx = np.einsum("cnkf,qn->cqkf", U.dx, bf)
-        return type(U)(val, dx)
+def _interp_value(U: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """u(c,q,k) = sum_n U(c,n,k) * bf(q,n)."""
     return np.einsum("cnk,qn->cqk", U, bf)
 
 
+#: the qp seed ``dUgrad(k, d) / dUgrad(k', d')``, ``f = 3 k' + d'``: every
+#: Jacobian-mode ``Ugrad`` broadcasts this one read-only block
+_QP_SEED = np.eye(6).reshape(2, 3, 6)
+_QP_SEED.flags.writeable = False
+
+
 class DOFVecGradInterpolation(Evaluator):
-    """Velocity gradients at quadrature points."""
+    """Velocity gradients at quadrature points; in Jacobian mode ``SFad(6)``
+    seeded as their own independents (the sweep's one seeding site)."""
 
     name = "DOFVecGradInterpolation"
     requires = ("U",)
     provides = ("Ugrad",)
 
     def evaluate(self, ws: Workset) -> None:
-        ws.fields["Ugrad"] = _interp_grad(ws.fields["U"], ws.grad_bf)
+        g = _interp_grad_values(ws.fields["U"], ws.grad_bf)
+        if ws.is_jacobian:
+            g = SFad(6)(g, np.broadcast_to(_QP_SEED, g.shape + (6,)))
+        ws.fields["Ugrad"] = g
 
 
 class ViscosityFOEvaluator(Evaluator):
@@ -270,23 +251,32 @@ class ViscosityFOEvaluator(Evaluator):
 class BodyForceEvaluator(Evaluator):
     """Gravitational driving stress ``rho g grad(s)`` at quadrature points.
 
-    The force does not depend on the velocity, so in Jacobian mode it is
-    an SFad constant (zero derivatives) -- exactly Albany's behavior.
+    The force does not depend on the velocity: a plain array in both
+    modes (no block of zero derivatives in the Jacobian evaluation).
     """
 
     name = "StokesFOBodyForce"
     provides = ("force",)
 
     def evaluate(self, ws: Workset) -> None:
-        f = RHO_G_KPA * np.ascontiguousarray(ws.grad_s_qp, dtype=np.float64)
-        if ws.is_jacobian:
-            ws.fields["force"] = SFad(ws.fad_size).constant(f)
-        else:
-            ws.fields["force"] = f
+        ws.fields["force"] = RHO_G_KPA * np.ascontiguousarray(ws.grad_s_qp, dtype=np.float64)
+
+
+def _nodal_fad(x, seed: np.ndarray):
+    """A qp-seeded ``SFad(6)`` field as ``SFad(2 nn)`` w.r.t. the nodal unknowns."""
+    dx = expand_qp_seed(x.dx, seed).swapaxes(-1, -2)  # (..., m, k''): f = 2 m + k''
+    return SFad(2 * seed.shape[-1])(x.val, dx.reshape(*x.shape, -1))
 
 
 class StokesFOResidEvaluator(Evaluator):
-    """Run the paper's kernel (baseline or optimized) over the workset."""
+    """Run the paper's kernel (baseline or optimized) over the workset.
+
+    In Jacobian mode a variant with a host lowering takes ``Ugrad``/``mu``
+    as they come, ``SFad(6)`` at the qp, plus the ``grad_bf`` seed operand
+    (``dUgrad/dU`` applied late, on its GEMM operand).  Where the Fig. 2
+    listing itself executes the same expansion goes in early: every view
+    of the listing is ``SFad(2 nn)``.
+    """
 
     name = "StokesFOResid"
     requires = ("Ugrad", "mu", "force")
@@ -299,24 +289,26 @@ class StokesFOResidEvaluator(Evaluator):
 
     def evaluate(self, ws: Workset) -> None:
         nc, nn, nq = ws.num_cells, ws.num_nodes, ws.num_qps
+        variant = get_variant(f"{self.impl}-{ws.mode}")
+        Ugrad, mu, seed = ws.fields["Ugrad"], ws.fields["mu"], ws.grad_bf_qp
+        if ws.is_jacobian and variant.host_lowering is None:
+            Ugrad, mu, seed = _nodal_fad(Ugrad, seed), _nodal_fad(mu, seed), None
         scalar = fad_spec(ws.fad_size) if ws.is_jacobian else DOUBLE
-        mu = ws.fields["mu"]
-        force = ws.fields["force"]
-        if ws.is_jacobian:
-            # promote any non-Fad inputs to Fad constants
-            if not is_fad(force):
-                force = SFad(ws.fad_size).constant(force)
+        in_scalar = fad_spec(Ugrad.num_derivs) if ws.is_jacobian else DOUBLE
+        frc_scalar = scalar if seed is None else DOUBLE
         sf = StokesFields(
-            Ugrad=View("Ugrad", (nc, nq, 2, 3), scalar, data=ws.fields["Ugrad"]),
-            muLandIce=View("muLandIce", (nc, nq), scalar, data=mu),
-            force=View("force", (nc, nq, 2), scalar, data=force),
+            Ugrad=View("Ugrad", (nc, nq, 2, 3), in_scalar, data=Ugrad),
+            muLandIce=View("muLandIce", (nc, nq), in_scalar, data=mu),
+            force=View("force", (nc, nq, 2), frc_scalar, data=ws.fields["force"]),
             wBF=View("wBF", (nc, nn, nq), DOUBLE, data=ws.w_bf),
             wGradBF=View("wGradBF", (nc, nn, nq, 3), DOUBLE, data=ws.w_grad_bf),
             Residual=View("Residual", (nc, nn, 2), scalar),
             scalar=scalar,
             mesh_scalar=scalar,
+            geom=ws.w_packed,
+            seed=seed,
         )
-        run_kernel(f"{self.impl}-{ws.mode}", sf)
+        run_kernel(variant, sf)
         ws.fields["__stokes_fields__"] = sf
         ws.fields["Residual"] = sf.Residual.data
 
@@ -326,7 +318,8 @@ class BasalFrictionResidEvaluator(Evaluator):
 
     Only cells listed in ``ws.basal_cells`` receive contributions, on
     their first ``nnf`` local nodes (the bottom face of the extruded
-    element).  Linear sliding law: well-posed and Newton-friendly.
+    element).  Linear sliding law: well-posed and Newton-friendly; its
+    Jacobian block is ``delta(k, k') * sum_q beta w(n, q) phi(q, m)``.
     """
 
     name = "StokesFOBasalResid"
@@ -343,17 +336,15 @@ class BasalFrictionResidEvaluator(Evaluator):
         bc = np.asarray(ws.basal_cells, dtype=np.int64)
         nnf = ws.basal_w_bf.shape[1]
 
-        U = ws.fields["U"]
-        u_face = U[bc, :nnf, :] if is_fad(U) else U[bc, :nnf, :]
-        u_qp = _interp_value(u_face, ws.basal_bf)  # (nb, nqf, 2)
-
-        if is_fad(u_qp):
-            cv = np.einsum("bq,bqkf,bnq->bnkf", ws.basal_beta_qp, u_qp.dx, ws.basal_w_bf)
-            vv = np.einsum("bq,bqk,bnq->bnk", ws.basal_beta_qp, u_qp.val, ws.basal_w_bf)
+        u_qp = _interp_value(ws.fields["U"][bc, :nnf, :], ws.basal_bf)  # (nb, nqf, 2)
+        vv = np.einsum("bq,bqk,bnq->bnk", ws.basal_beta_qp, u_qp, ws.basal_w_bf)
+        if is_fad(res):
             res.val[bc, :nnf, :] += vv
-            res.dx[bc, :nnf, :, :] += cv
+            block = np.einsum("bq,bnq,qm->bnm", ws.basal_beta_qp, ws.basal_w_bf, ws.basal_bf)
+            dx = res.dx.reshape(ws.num_cells, ws.num_nodes, 2, ws.num_nodes, 2)
+            for k in range(2):
+                dx[bc, :nnf, k, :nnf, k] += block
         else:
-            vv = np.einsum("bq,bqk,bnq->bnk", ws.basal_beta_qp, u_qp, ws.basal_w_bf)
             res[bc, :nnf, :] += vv
         ws.fields["ResidualWithFriction"] = res
 

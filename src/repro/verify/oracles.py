@@ -40,6 +40,7 @@ __all__ = [
     "run_oracles",
     "suite_names",
     "perturbed_divergences",
+    "qp_seeded_divergences",
     "smoother_contraction_divergences",
 ]
 
@@ -163,6 +164,36 @@ for _impl in ("optimized", "fused"):
             return _compare_stokes(impl, mode)
 
 
+def _qp_seeded_pair(nn: int, nq: int, num_cells: int, seed: int):
+    """One Jacobian launch as the evaluator feeds it to the lowering (``Ugrad``/
+    ``muLandIce`` ``SFad(6)`` with dense random ``dx``, a ``seed`` operand, a plain
+    ``force``) and to the listing (``dUgrad/dU`` applied, every view ``SFad(2 nn)``)."""
+    from dataclasses import replace
+
+    from repro.autodiff.sfad import SFad
+    from repro.core.lowering import qp_seed_operand
+    from repro.kokkos.view import DOUBLE, View, fad_spec
+    from repro.physics.evaluators import _nodal_fad
+    from repro.verify.fixtures import stokes_fields_factory
+
+    base = stokes_fields_factory(num_cells, "jacobian", seed, nn, nq)()
+    rng = np.random.default_rng(seed + 1)
+    seed_op = qp_seed_operand(rng.normal(size=(num_cells, nn, nq, 3)) * 1e-3)
+    qp = {
+        name: SFad(6)(view.values(), rng.normal(size=view.shape + (6,)) * 0.01)
+        for name, view in (("Ugrad", base.Ugrad), ("muLandIce", base.muLandIce))
+    }
+
+    def form(scalar, frc_scalar, lift, **operands):
+        views = {name: View(name, x.shape, scalar, data=lift(x)) for name, x in qp.items()}
+        views["force"] = View("force", base.force.shape, frc_scalar, data=base.force.values())
+        views["Residual"] = View("Residual", base.Residual.shape, base.scalar)
+        return replace(base, **views, **operands)
+
+    late = form(fad_spec(6), DOUBLE, lambda x: x, seed=seed_op)
+    return late, form(base.scalar, base.scalar, lambda x: _nodal_fad(x, seed_op))
+
+
 @_register(
     "host-lowering-vs-listing",
     "kernels",
@@ -172,7 +203,9 @@ def _oracle_host_lowering():
     """HostVector launch (batched-GEMM lowering) vs ``HostSerial`` (listing).
 
     131 cells: the vectorized launch crosses a chunk boundary and ends
-    on a ragged chunk.  Hexahedra and the Voronoi mesh's prisms.
+    on a ragged chunk.  Hexahedra and the Voronoi mesh's prisms; the
+    Jacobian launch dense (random ``dx`` on ``Ugrad``, ``mu`` *and*
+    ``force``) and in the qp-seeded form the production sweep feeds.
     """
     from repro.core.jacobian import run_kernel
     from repro.kokkos.space import HostSerial
@@ -189,8 +222,13 @@ def _oracle_host_lowering():
             run_kernel(f"optimized-{mode}", ref, space=HostSerial())
             run_kernel(f"optimized-{mode}", alt)
             divs += _residual_divergences(f"{elem}/optimized-{mode}", ref, alt)
+        alt, ref = _qp_seeded_pair(nn, nq, num_cells=131, seed=13)
+        run_kernel("optimized-jacobian", ref, space=HostSerial())
+        run_kernel("optimized-jacobian", alt)
+        divs += _residual_divergences(f"{elem}/optimized-jacobian (qp-seeded)", ref, alt)
     return divs, (
-        f"{len(shapes)} element shapes x residual/jacobian, 131 cells @ rtol {_KERNEL_RTOL:g}"
+        f"{len(shapes)} element shapes x residual/jacobian/qp-seeded jacobian, "
+        f"131 cells @ rtol {_KERNEL_RTOL:g}"
     )
 
 
@@ -463,6 +501,99 @@ def _oracle_fused_assembly():
     if d:
         divs.append(d)
     return divs, f"{problem.dofmap.num_dofs} dofs, bitwise"
+
+
+def _u_seeded_blocks(ws):
+    """Element blocks of an evaluated Jacobian-mode workset, recomputed with
+    the seed at the nodal unknowns: ``U`` is ``SFad(2 nn)`` with an identity
+    ``dx``, the interpolation contracts it against ``grad_bf``, and viscosity,
+    kernel (the lowering with no seed operand) and basal friction carry all
+    ``2 nn`` components.  The sweep before it seeded at the qp: its reference."""
+    from dataclasses import replace
+
+    from repro.autodiff.seeding import seed_block
+    from repro.constants import RHO_G_KPA
+    from repro.core.jacobian import local_jacobian_blocks, local_residual_blocks, run_kernel
+    from repro.kokkos.view import View, fad_spec
+    from repro.physics.evaluators import _interp_grad_values
+    from repro.physics.viscosity import effective_strain_rate_squared, glen_viscosity
+
+    nc, nn, n = ws.num_cells, ws.num_nodes, ws.fad_size
+    scalar = fad_spec(n)
+    U = seed_block(ws.fields["U"].reshape(nc, n), n).reshape(nc, nn, 2)
+    g = type(U)(
+        _interp_grad_values(U.val, ws.grad_bf), np.einsum("cnkf,cnqd->cqkdf", U.dx, ws.grad_bf)
+    )
+    eps_sq = effective_strain_rate_squared(*(g[:, :, k, d] for k in range(2) for d in range(3)))
+    mu = glen_viscosity(eps_sq, ws.flow_factor_qp)
+    inputs = {"Ugrad": g, "muLandIce": mu, "force": RHO_G_KPA * ws.grad_s_qp}
+    sf = replace(
+        ws.fields["__stokes_fields__"],
+        seed=None,
+        Residual=View("Residual", (nc, nn, 2), scalar),
+        **{name: View(name, x.shape, scalar, data=x) for name, x in inputs.items()},
+    )
+    run_kernel("optimized-jacobian", sf)
+    if ws.basal_cells is not None and len(ws.basal_cells):
+        bc, nnf, res = ws.basal_cells, ws.basal_w_bf.shape[1], sf.Residual.data
+        u_qp = np.einsum("bnk,qn->bqk", U.val[bc, :nnf], ws.basal_bf)
+        du_qp = np.einsum("bnkf,qn->bqkf", U.dx[bc, :nnf], ws.basal_bf)
+        res.val[bc, :nnf] += np.einsum("bq,bqk,bnq->bnk", ws.basal_beta_qp, u_qp, ws.basal_w_bf)
+        res.dx[bc, :nnf] += np.einsum("bq,bqkf,bnq->bnkf", ws.basal_beta_qp, du_qp, ws.basal_w_bf)
+    return local_residual_blocks(sf), local_jacobian_blocks(sf)
+
+
+_SEED_RTOL = 1.0e-13  # of max|J|: the two chains differ in reassociated sums only
+_FD_BOUND = 2.0e-5  # relative error of J @ v against central differences of F
+
+
+def qp_seeded_divergences():
+    """The production Jacobian sweep (``SFad(6)`` seeded at the qp, ``dUgrad/dU``
+    applied on the GEMM operand) against :func:`_u_seeded_blocks` on the hex
+    and the prism fixture, basal faces included: residual blocks bitwise,
+    Jacobian blocks within 1e-13 of ``max|J|``.  The kernel-level derivative
+    oracles feed dense ``dx`` and never see the seed, so the assembled
+    ``J @ v`` is also held against central differences of ``F``."""
+    from repro.app import AntarcticaConfig, AntarcticaTest
+
+    divs, detail = [], []
+    rng = np.random.default_rng(17)
+    for elem, footprint in (("hex8", "quad"), ("wedge6", "voronoi")):
+        cfg = AntarcticaConfig(resolution_km=400.0, num_layers=3, footprint=footprint)
+        problem = AntarcticaTest.build(cfg).problem
+        u = rng.normal(size=problem.dofmap.num_dofs) * 10.0
+        u[problem.bc_dofs] = 0.0
+        for a, _, ws in problem._worksets(u, "jacobian"):
+            ref_r, ref_j = _u_seeded_blocks(ws)
+            atol = _SEED_RTOL * float(np.max(np.abs(ref_j)))
+            divs += filter(None, (
+                first_divergence(f"{elem}/residual blocks @ cell {a}", ws.out_residual, ref_r),
+                first_divergence(
+                    f"{elem}/jacobian blocks @ cell {a}", ws.out_jacobian, ref_j, rtol=0.0, atol=atol
+                ),
+            ))
+        detail.append(f"{elem} {problem.mesh.num_elems} cells")
+        if elem != "hex8":
+            continue
+        A = problem.jacobian(u)
+        for k in range(4):
+            v = rng.normal(size=len(u))
+            eps = 1.0e-6 * max(1.0, np.linalg.norm(u)) / np.linalg.norm(v)
+            fd = (problem.residual(u + eps * v) - problem.residual(u - eps * v)) / (2.0 * eps)
+            err = float(np.linalg.norm(A.matvec(v) - fd) / np.linalg.norm(fd))
+            if not err < _FD_BOUND:
+                divs.append(_out_of_bound(f"J@v vs central FD (direction {k})", err, _FD_BOUND))
+    return divs, (
+        f"{', '.join(detail)}: residual bitwise, jacobian @ {_SEED_RTOL:g} max|J|; "
+        f"J@v vs FD along 4 directions < {_FD_BOUND:g}"
+    )
+
+
+_register(
+    "qp-seeded-vs-u-seeded",
+    "jacobian",
+    "the qp-seeded Jacobian sweep equals the U-seeded SFad(2 nn) chain and central differences",
+)(qp_seeded_divergences)
 
 
 @_register(

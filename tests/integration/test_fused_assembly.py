@@ -61,6 +61,62 @@ class TestFusedEvaluation:
         assert np.array_equal(f_fused, p.residual(u0))
 
 
+class TestGeometryOperands:
+    """What a sweep slices and only geometry can change -- the packed
+    ``[wGradBF | wBF]`` GEMM operand, the ``grad_bf`` layout of the
+    expansion -- is rebuilt in one place, ``_geometry_numeric_setup``,
+    and shared read-only."""
+
+    @pytest.mark.parametrize("operator_mode", ["assembled", "matrix-free"])
+    def test_refresh_leaves_no_stale_operand(self, operator_mode):
+        """G1, evaluate, G2 gives what a fresh problem taken straight to
+        G2 gives: bitwise, vector and stored operator numbers."""
+        stale, fresh = (_problem(operator_mode=operator_mode).problem for _ in range(2))
+        h0, bed = stale.mesh.thickness2d.copy(), stale.mesh.bed2d.copy()
+        u = _state(stale, 5)
+        stale.refresh_geometry(0.9 * h0, bed + 0.9 * h0)
+        f1, _ = stale.residual_and_jacobian(u)
+        for p in (stale, fresh):
+            p.refresh_geometry(0.8 * h0, bed + 0.8 * h0)
+        (fa, Aa), (fb, Ab) = (p.residual_and_jacobian(u) for p in (stale, fresh))
+        assert not np.array_equal(f1, fa)
+        assert np.array_equal(fa, fb)
+        store = "local_jac" if operator_mode == "matrix-free" else "data"
+        assert np.array_equal(getattr(Aa, store), getattr(Ab, store))
+
+    def test_a_write_through_a_workset_slice_raises(self):
+        """The sliced arrays belong to a problem ``ArtifactCache`` hands to
+        every request on its digest: an evaluator writing into an input
+        must fail loudly, not corrupt the next sweep."""
+        p = _problem().problem
+        _, _, ws = next(p._worksets(_state(p, 6), "jacobian"))
+        shared = ("w_bf", "w_grad_bf", "grad_bf", "flow_factor_qp", "grad_s_qp",
+                  "w_packed", "grad_bf_qp", "basal_bf")
+        for name in shared:
+            a = getattr(ws, name)
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        for a in (p.basal_beta_qp, p.face_basis.w_bf, p.basis.w_bf, p.basis.w_grad_bf):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ws.fields["Ugrad"].dx[...] = 0.0
+
+    @pytest.mark.parametrize("footprint,nn", [("quad", 8), ("voronoi", 6)])
+    def test_only_the_residual_is_nodal_wide(self, footprint, nn):
+        """After a Jacobian-mode sweep: nothing between the interpolation
+        and the kernel carries more than the 6 qp derivative components;
+        ``Residual`` is the one ``SFad(2 nn)`` field."""
+        from repro.autodiff.sfad import is_fad
+
+        p = AntarcticaTest.build(replace(SMALL, footprint=footprint)).problem
+        _, _, ws = next(p._worksets(_state(p, 7), "jacobian"))
+        widths = {k: f.num_derivs for k, f in ws.fields.items() if is_fad(f)}
+        assert widths == {"Ugrad": 6, "mu": 6, "Residual": 2 * nn, "ResidualWithFriction": 2 * nn}
+        assert ws.fields["ResidualWithFriction"] is ws.fields["Residual"]
+        assert ws.out_jacobian.shape[1:] == (2 * nn, 2 * nn)
+
+
 class TestSweepAccounting:
     def _check(self, test):
         sol = test.run()

@@ -268,29 +268,44 @@ class TestHostLowering:
     @pytest.mark.parametrize("mode", ["residual", "jacobian"])
     def test_cell_blocks_do_not_depend_on_the_launch(self, mode):
         """Alone, in a range of 7, across a chunk boundary (129, 257) or
-        in the full range: the same bits.  SPMD == serial, degraded-rank
-        and resume equality rest on this."""
+        in the full range: the same bits, for hexahedra and prisms, and in
+        Jacobian mode through the qp-seeded path's expansion product too.
+        SPMD == serial, degraded-rank and resume equality rest on this."""
+        from repro.verify.oracles import _qp_seeded_pair
+
         num_cells = 300
         variant = get_variant(f"optimized-{mode}")
+        makers = {}
+        for nn, nq in ((8, 8), (6, 6)):
+            makers[mode, nn] = lambda nn=nn, nq=nq: _fill_fields(
+                make_stokes_fields(num_cells, nn, nq, mode=mode), seed=13
+            )
+            if mode == "jacobian":
+                makers["qp-seeded", nn] = lambda nn=nn, nq=nq: _qp_seeded_pair(
+                    nn, nq, num_cells, seed=13
+                )[0]
 
-        def launch(begin, end):
-            f = _fill_fields(make_stokes_fields(num_cells, mode=mode), seed=13)
-            parallel_for("t", RangePolicy(begin, end), variant.make_functor(f, HostVector()))
-            return f.Residual.data
+        for form, make in makers.items():
 
-        full = launch(0, num_cells)
-        for cell in (0, 127, 128, 256):
-            ranges = [(cell, cell + 1), (0, 129), (0, 257)]
-            ranges.append((max(0, cell - 3), max(0, cell - 3) + 7))
-            for begin, end in ranges:
-                if not begin <= cell < end:
-                    continue
-                part = launch(begin, end)
-                if mode == "jacobian":
-                    assert np.array_equal(part.val[cell], full.val[cell]), (cell, begin, end)
-                    assert np.array_equal(part.dx[cell], full.dx[cell]), (cell, begin, end)
-                else:
-                    assert np.array_equal(part[cell], full[cell]), (cell, begin, end)
+            def launch(begin, end):
+                f = make()
+                parallel_for("t", RangePolicy(begin, end), variant.make_functor(f, HostVector()))
+                return f.Residual.data
+
+            full = launch(0, num_cells)
+            for cell in (0, 127, 128, 256):
+                ranges = [(cell, cell + 1), (0, 129), (0, 257)]
+                ranges.append((max(0, cell - 3), max(0, cell - 3) + 7))
+                for begin, end in ranges:
+                    if not begin <= cell < end:
+                        continue
+                    part = launch(begin, end)
+                    if mode == "jacobian":
+                        assert np.array_equal(part.val[cell], full.val[cell]), (form, cell, begin, end)
+                        assert np.array_equal(part.dx[cell], full.dx[cell]), (form, cell, begin, end)
+                        assert np.any(full.dx[cell] != 0.0)
+                    else:
+                        assert np.array_equal(part[cell], full[cell]), (form, cell, begin, end)
 
     def test_jacobian_launch_returns_the_residual_launch_values(self):
         """The value product is the same call in both modes (what keeps

@@ -22,7 +22,10 @@ from repro.physics import (
     ScatterResidual,
     build_stokes_field_manager,
 )
-from repro.physics.evaluators import _interp_grad, _interp_value
+from repro.autodiff.sfad import is_fad
+from repro.core.lowering import expand_qp_seed
+from repro.physics import evaluators
+from repro.physics.evaluators import _interp_grad_values, _interp_value, _nodal_fad
 
 
 class TestViscosity:
@@ -74,21 +77,19 @@ class TestInterp:
         rng = np.random.default_rng(2)
         U = rng.normal(size=(3, 8, 2))
         g = rng.normal(size=(3, 8, 4, 3))
-        out = _interp_grad(U, g)
+        out = _interp_grad_values(U, g)
         assert np.allclose(out, np.einsum("cnk,cnqd->cqkd", U, g))
 
     def test_interp_grad_fad_derivatives(self):
-        rng = np.random.default_rng(3)
-        nc, nn = 2, 8
-        vals = rng.normal(size=(nc, nn, 2))
-        dx = np.zeros((nc, nn, 2, 16))
-        j = np.arange(16)
-        dx.reshape(nc, 16, 16)[:, j, j] = 1.0
-        U = SFad(16)(vals, dx)
-        g = rng.normal(size=(nc, nn, 4, 3))
-        out = _interp_grad(U, g)
-        # derivative of Ugrad(c,q,k,d) w.r.t. local dof (n,k') = delta_kk' * g(c,n,q,d)
-        for c in range(nc):
+        """The qp seed chained through ``grad_bf``: the derivative of
+        Ugrad(c,q,k,d) w.r.t. local dof (n,k') is delta_kk' * g(c,n,q,d)."""
+        ws = _make_workset("jacobian", nc=2, nq=4, seed=3)
+        nn, g = ws.num_nodes, ws.grad_bf
+        GatherSolution().evaluate(ws)
+        DOFVecGradInterpolation().evaluate(ws)
+        out = _nodal_fad(ws.fields["Ugrad"], ws.grad_bf_qp)
+        assert type(out) is SFad(2 * nn)
+        for c in range(2):
             for q in range(4):
                 for d in range(3):
                     assert np.allclose(out.dx[c, q, 0, d].reshape(nn, 2)[:, 0], g[c, :, q, d])
@@ -96,39 +97,40 @@ class TestInterp:
 
     @pytest.mark.parametrize("nn,nq", [(8, 8), (6, 6)])
     def test_seeded_grad_interp_equals_einsum_bitwise(self, nn, nq):
-        """``GatherSolution`` marks its identity-seeded ``U``; the marked
-        path writes ``dUgrad/dU`` from ``grad_bf`` and must return what
-        the contraction it skips returns."""
+        """``DOFVecGradInterpolation`` seeds ``Ugrad`` at the qp; expanded
+        through ``grad_bf`` it must be what contracting an identity-seeded
+        ``U`` against ``grad_bf`` returns."""
         ws = _make_workset("jacobian", nc=7, nn=nn, nq=nq, seed=6)
         GatherSolution().evaluate(ws)
-        U = ws.fields["U"]
-        assert U.identity_seeded
+        assert not is_fad(ws.fields["U"])
         DOFVecGradInterpolation().evaluate(ws)
         got = ws.fields["Ugrad"]
-        unmarked = SFad(2 * nn)(U.val, U.dx)
-        assert not unmarked.identity_seeded
-        ref = _interp_grad(unmarked, ws.grad_bf)
-        assert np.array_equal(got.val, ref.val)
-        assert np.array_equal(got.dx, ref.dx)
-        assert np.array_equal(ref.dx, np.einsum("cnkf,cnqd->cqkdf", U.dx, ws.grad_bf))
+        assert type(got) is SFad(6)
+        assert np.array_equal(got.val, _interp_grad_values(ws.fields["U"], ws.grad_bf))
+        identity = np.eye(2 * nn).reshape(nn, 2, 2 * nn)
+        ref = np.einsum("cnkf,cnqd->cqkdf", np.broadcast_to(identity, (7, nn, 2, 2 * nn)), ws.grad_bf)
+        assert np.array_equal(_nodal_fad(got, ws.grad_bf_qp).dx, ref)
+        # the late form the lowering uses is the same numbers, (k'', m)-major
+        late = expand_qp_seed(got.dx, ws.grad_bf_qp)
+        assert np.array_equal(late.swapaxes(-1, -2).reshape(ref.shape), ref)
 
     def test_identity_mark_cannot_go_stale(self):
-        """The marked seed block is frozen, and nothing derived from the
-        marked array inherits the mark -- so any other ``dx`` reaches
-        ``_interp_grad`` unmarked and takes the einsum."""
+        """Every Jacobian-mode ``Ugrad`` broadcasts one shared seed block:
+        it is frozen, and anything derived from it owns its derivatives."""
         ws = _make_workset("jacobian", nc=3, seed=7)
         GatherSolution().evaluate(ws)
-        U = ws.fields["U"]
+        DOFVecGradInterpolation().evaluate(ws)
+        g = ws.fields["Ugrad"]
+        assert g.dx.strides[:2] == (0, 0)  # nothing allocated per (cell, qp)
         with pytest.raises(ValueError):
-            U.dx[0, 0, 0, 0] = 2.0
+            g.dx[0, 0, 0, 0, 0] = 2.0
         with pytest.raises(ValueError):
-            U[0] = 0.0
-        for derived in (U[:2], U.copy(), 2.0 * U, U + U, U.reshape(3, 16)):
-            assert not derived.identity_seeded
-        scaled = 2.0 * U  # dx = 2 I: the assignment path would be wrong here
-        out = _interp_grad(scaled, ws.grad_bf)
-        assert np.array_equal(out.dx, np.einsum("cnkf,cnqd->cqkdf", scaled.dx, ws.grad_bf))
-        assert not np.array_equal(out.dx, _interp_grad(U, ws.grad_bf).dx)
+            g[0] = 0.0
+        with pytest.raises(ValueError):
+            evaluators._QP_SEED[0, 0, 0] = 2.0
+        scaled = 2.0 * g
+        scaled.dx[0, 0, 0, 0, 0] = 5.0  # a derived array is its own storage
+        assert np.array_equal(g.dx[0, 0].reshape(6, 6), np.eye(6))
 
     def test_interp_value(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,12 @@
-"""Tests for the calibration tools (tools/calibrate.py, tools/search_params.py)."""
+"""Tests for the calibration tools (tools/calibrate.py, tools/search_params.py)
+and the golden regenerator's measuring mode (tools/regen_goldens.py)."""
 
 import math
+import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -11,6 +14,7 @@ if str(REPO_ROOT / "tools") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import calibrate  # noqa: E402
+import regen_goldens  # noqa: E402
 import search_params  # noqa: E402
 
 
@@ -108,3 +112,40 @@ class TestSearchParams:
         with pytest.raises(SystemExit) as exc:
             search_params.main(["--quick", "--limit", "0"])
         assert exc.value.code == 2
+
+
+class TestRegenGoldensDryRun:
+    """``--dry-run`` measures against the stored goldens and writes nothing."""
+
+    @pytest.fixture
+    def golden_copy(self, tmp_path, monkeypatch):
+        path = tmp_path / "table3.npz"
+        shutil.copy(regen_goldens.GOLDEN_DIR / "table3.npz", path)
+        monkeypatch.setattr(regen_goldens, "GOLDEN_DIR", tmp_path)
+        return path
+
+    def test_clean_tree_reports_no_drift(self, golden_copy, capsys):
+        before = golden_copy.read_bytes()
+        assert regen_goldens.main(["--dry-run", "--only", "table3"]) == 0
+        assert "drift" not in capsys.readouterr().out
+        assert golden_copy.read_bytes() == before
+
+    def test_a_planted_drift_fails_and_nothing_is_written(self, golden_copy, capsys):
+        with np.load(golden_copy) as f:
+            fields = dict(f)
+        fields["speedup"] = fields["speedup"] * (1.0 + 1.0e-9)  # the test holds it to 1e-12
+        np.savez_compressed(golden_copy, **fields)
+        before = golden_copy.read_bytes()
+        assert regen_goldens.main(["--dry-run", "--only", "table3"]) == 1
+        out = capsys.readouterr().out
+        assert "table3.npz:speedup: max |drift|" in out and "PAST ITS TEST'S TOLERANCE" in out
+        assert out.count("PAST") == 1 and "wrote" not in out
+        assert golden_copy.read_bytes() == before
+
+    def test_drift_inside_the_tolerance_is_reported_not_failed(self, golden_copy, capsys):
+        with np.load(golden_copy) as f:
+            fields = dict(f)
+        fields["speedup"] = fields["speedup"] * (1.0 + 4.0e-16)
+        np.savez_compressed(golden_copy, **fields)
+        assert regen_goldens.main(["--dry-run", "--only", "table3"]) == 0
+        assert "table3.npz:speedup: max |drift|" in capsys.readouterr().out

@@ -292,7 +292,8 @@ class TestOracles:
         for key in ("optimized-residual", "optimized-jacobian"):
             monkeypatch.setitem(VARIANTS, key, replace(VARIANTS[key], host_lowering=OffByALittle))
         divs, _ = oracle.fn()
-        assert len(divs) == 4  # values of both element shapes x both modes
+        # values of both element shapes x (residual, jacobian, qp-seeded jacobian)
+        assert len(divs) == 6
 
     def test_matvec_bytes_oracle_detects_a_miscounted_matvec(self, monkeypatch):
         """GMRES billing one word per matvec more than the operator model
@@ -324,6 +325,26 @@ class TestOracles:
             "matrix-free: omega * lambda_max",
         ]
         assert all(d.lhs > 2.0 for d in divs)
+
+    def test_qp_seeded_oracle_detects_a_component_swap(self, monkeypatch):
+        """The expansion through ``grad_bf`` with the two velocity components
+        of ``dUgrad(k', d')/dU(m, k'')`` swapped: element blocks of both
+        element shapes and all four finite-difference directions diverge."""
+        from repro.core import lowering
+        from repro.verify.oracles import ORACLES, qp_seeded_divergences
+
+        assert "qp-seeded-vs-u-seeded" in [o.name for o in ORACLES if o.suite == "jacobian"]
+        assert not qp_seeded_divergences()[0]
+        expand = lowering.expand_qp_seed
+        monkeypatch.setattr(
+            lowering, "expand_qp_seed", lambda dx, seed: expand(dx, seed)[..., ::-1, :]
+        )
+        names = [d.name for d in qp_seeded_divergences()[0]]
+        assert names == [
+            "hex8/jacobian blocks @ cell 0",
+            *(f"J@v vs central FD (direction {k})" for k in range(4)),
+            "wedge6/jacobian blocks @ cell 0",
+        ]
 
     def test_perturbed_divergences_nonempty(self):
         from repro.verify.oracles import perturbed_divergences

@@ -6,6 +6,12 @@ drift against the old goldens before committing the new ``.npz`` files:
 
     PYTHONPATH=src python tools/regen_goldens.py            # all goldens
     PYTHONPATH=src python tools/regen_goldens.py --only antarctica
+    PYTHONPATH=src python tools/regen_goldens.py --dry-run  # measure, write nothing
+
+``--dry-run`` prints the same drift table, writes nothing and exits 1 if
+a field drifts past the tolerance its golden test uses -- the way to
+record how far a roundoff-only change moved the goldens it did not
+regenerate.
 
 Each golden stores the inputs that produced it (resolution, layers,
 grid) so the diff test can refuse to compare against a stale fixture.
@@ -132,25 +138,70 @@ GOLDENS = {
 }
 
 
-def _report_drift(path: Path, fresh: dict) -> None:
+def _within(rtol: float = 0.0, atol: float = 0.0, scaled: float = 0.0, head: int | None = None):
+    """``|new - old| <= atol + scaled * max|old| + rtol * |old|`` on the first ``head`` entries."""
+
+    def ok(old: np.ndarray, new: np.ndarray) -> bool:
+        old, new = np.atleast_1d(old)[:head], np.atleast_1d(new)[:head]
+        tol = atol + scaled * float(np.max(np.abs(old), initial=0.0)) + rtol * np.abs(old)
+        return bool(np.all(np.abs(new - old) <= tol))
+
+    return ok
+
+
+#: the tolerance each golden test holds a field to (tests/integration/
+#: test_goldens.py, test_transient_goldens.py); a field not named here is
+#: not compared by its test and is reported only
+GATES = {
+    "u": _within(rtol=1.0e-5, scaled=1.0e-8),
+    "mean_velocity": _within(rtol=1.0e-6),
+    "max_velocity": _within(rtol=1.0e-6),
+    "surface_mean_velocity": _within(rtol=1.0e-6),
+    "residual_norms": _within(rtol=1.0e-12, head=1),
+    "baseline_time_s": _within(rtol=1.0e-12),
+    "optimized_time_s": _within(rtol=1.0e-12),
+    "speedup": _within(rtol=1.0e-12),
+    "thickness": _within(scaled=1.0e-12),
+    "volumes": _within(rtol=1.0e-12),
+    "particles_xy": _within(atol=1.0e-4),
+    "particles_active": np.array_equal,
+    "newton_iterations": np.array_equal,
+    "scenario_digest": np.array_equal,
+}
+
+
+def _report_drift(path: Path, fresh: dict) -> bool:
+    """Print how ``fresh`` differs from the golden at ``path``; True when a
+    field is past its test's tolerance (or changed shape)."""
     if not path.exists():
         print(f"  {path.name}: new golden")
-        return
-    old = np.load(path, allow_pickle=False)
-    for key, val in fresh.items():
-        if key not in old:
-            print(f"  {path.name}:{key}: new field")
-            continue
-        a, b = np.asarray(old[key]), np.asarray(val)
-        if a.shape != b.shape:
-            print(f"  {path.name}:{key}: shape {a.shape} -> {b.shape}")
-        elif a.dtype.kind in "USb" or b.dtype.kind in "USb":
-            if not np.array_equal(a, b):
-                print(f"  {path.name}:{key}: changed")
-        else:
-            diff = float(np.max(np.abs(a - b))) if a.size else 0.0
-            if diff > 0.0:
-                print(f"  {path.name}:{key}: max |drift| = {diff:.3e}")
+        return False
+    failed = False
+    with np.load(path, allow_pickle=False) as old:
+        for key, val in fresh.items():
+            if key not in old:
+                print(f"  {path.name}:{key}: new field")
+                continue
+            a, b = np.asarray(old[key]), np.asarray(val)
+            if a.shape != b.shape:
+                print(f"  {path.name}:{key}: shape {a.shape} -> {b.shape}")
+                failed = True
+                continue
+            past = key in GATES and not GATES[key](a, b)
+            failed |= past
+            flag = "  PAST ITS TEST'S TOLERANCE" if past else ""
+            if a.dtype.kind in "USb" or b.dtype.kind in "USb":
+                if not np.array_equal(a, b):
+                    print(f"  {path.name}:{key}: changed{flag}")
+            else:
+                diff = float(np.max(np.abs(a - b))) if a.size else 0.0
+                if diff > 0.0:
+                    scale = float(np.max(np.abs(a)))
+                    print(
+                        f"  {path.name}:{key}: max |drift| = {diff:.3e} "
+                        f"({diff / scale:.1e} of scale){flag}"
+                    )
+    return failed
 
 
 def main(argv=None) -> int:
@@ -163,6 +214,11 @@ def main(argv=None) -> int:
         action="store_true",
         help="regenerate only the transient scenario trajectories",
     )
+    parser.add_argument(
+        "--dry-run",
+        action="store_true",
+        help="report the drift and write nothing; exit 1 if a field is past its test's tolerance",
+    )
     args = parser.parse_args(argv)
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
@@ -172,14 +228,16 @@ def main(argv=None) -> int:
         names = sorted(n for n in GOLDENS if n.startswith("transient_"))
     else:
         names = sorted(GOLDENS)
+    failed = False
     for name in names:
-        print(f"regenerating {name} ...")
+        print(f"{'measuring' if args.dry_run else 'regenerating'} {name} ...")
         fresh = GOLDENS[name]()
         path = GOLDEN_DIR / f"{name}.npz"
-        _report_drift(path, fresh)
-        np.savez_compressed(path, **fresh)
-        print(f"  wrote {path.relative_to(REPO_ROOT)}")
-    return 0
+        failed |= _report_drift(path, fresh)
+        if not args.dry_run:
+            np.savez_compressed(path, **fresh)
+            print(f"  wrote {path.relative_to(REPO_ROOT)}")
+    return int(args.dry_run and failed)
 
 
 if __name__ == "__main__":
