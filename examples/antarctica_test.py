@@ -5,7 +5,7 @@ steps with GMRES (linear tolerance 1e-6), then compares the mean of the
 final solution against the stored reference at relative tolerance 1e-5.
 
 Run:  python examples/antarctica_test.py [--resolution-km 300] [--layers 5]
-      [--impl optimized|baseline] [--precond mdsc|vline|jacobi|none]
+      [--impl optimized|baseline] [--precond NAME]
 
 Note: the paper's single-GPU setting is 16 km / 20 layers (~256K cells);
 pure-Python numerics make that expensive, so the default here is coarse.
@@ -16,6 +16,7 @@ import argparse
 import time
 
 from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
+from repro.app.config import PRECONDITIONERS
 
 
 def main() -> None:
@@ -23,7 +24,7 @@ def main() -> None:
     ap.add_argument("--resolution-km", type=float, default=300.0)
     ap.add_argument("--layers", type=int, default=5)
     ap.add_argument("--impl", default="optimized", choices=["optimized", "baseline"])
-    ap.add_argument("--precond", default="mdsc", choices=["mdsc", "vline", "mdsc-amg", "jacobi", "none"])
+    ap.add_argument("--precond", default="mdsc", choices=PRECONDITIONERS)
     ap.add_argument(
         "--footprint",
         default="quad",

@@ -50,14 +50,15 @@ and the recovered solution sits within ``10 x newton_tol`` of the
 fault-free one (the CI gate).
 
 ``tune`` runs the online autotuner for a coarse Antarctica (or
-``--mesh greenland``) mesh and persists the winning configuration --
-kernel variant, LaunchBounds, preconditioner and operator mode -- to
-the versioned JSON cache (location:
-``REPRO_TUNE_CACHE`` or ``~/.cache/repro/tuned_configs.json``).  Any
-later solve built with ``VelocityConfig(tuned="auto")`` on the same
-(mesh, GPU) pair reuses it with zero trials.  ``--gpu`` picks the
-modeled architecture, ``--budget`` bounds the measured trials,
-``--force`` retunes through an existing cache entry.
+``--mesh greenland``) mesh and persists the winning configuration to
+the versioned JSON cache (location: ``REPRO_TUNE_CACHE`` or
+``~/.cache/repro/tuned_configs.json``): kernel variant and LaunchBounds
+by the GPU model, preconditioner and operator mode by one measured
+solve per configuration worth a trial (four), every one priced at the
+same kernel axes.  Any later solve built with
+``VelocityConfig(tuned="auto")`` on the same (mesh, GPU) pair reuses it
+with zero trials.  ``--gpu`` picks the modeled architecture, ``--force``
+retunes through an existing cache entry.
 
 ``serve`` starts the resilient asyncio solve service with its stdlib
 HTTP frontend (``POST /solve``, ``GET /healthz``, ``GET /metrics`` in
@@ -435,40 +436,22 @@ def tune(
     mesh: str = "antarctica",
     resolution_km: float = 350.0,
     layers: int = 4,
-    budget: int = 5,
-    seed: int = 0,
     gpu: str | None = None,
     cache_path: str | None = None,
     force: bool = False,
 ) -> int:
     """Warm the autotuner cache for one (mesh, GPU) pair."""
-    from repro.app.config import VelocityConfig
+    from repro.app import AntarcticaConfig, AntarcticaTest
     from repro.app.velocity_solver import StokesVelocityProblem
     from repro.gpusim.specs import ALL_GPUS, default_tuning_spec
-    from repro.mesh.extrude import extrude_footprint
-    from repro.mesh.planar import masked_quad_footprint
     from repro.tune import AutoTuner, TuneCache, cache_key
 
     spec = ALL_GPUS[gpu] if gpu else default_tuning_spec()
-    vcfg = VelocityConfig()
-    if mesh == "antarctica":
-        from repro.app import AntarcticaConfig, AntarcticaTest
-
-        acfg = AntarcticaConfig(resolution_km=resolution_km, num_layers=layers)
-        test = AntarcticaTest.build(acfg)
-        geometry, emesh, mesh_key = test.geometry, test.mesh, acfg.key
-    elif mesh == "greenland":
-        from repro.mesh.geometry import greenland_geometry
-
-        geometry = greenland_geometry()
-        res_m = resolution_km * 1.0e3
-        nx = max(4, int(round(geometry.lx / res_m)))
-        ny = max(4, int(round(geometry.ly / res_m)))
-        fp = masked_quad_footprint(nx, ny, geometry.lx, geometry.ly, geometry.mask)
-        emesh = extrude_footprint(fp, geometry, layers)
-        mesh_key = f"greenland_res{resolution_km:g}km_nz{layers}_{vcfg.kernel_impl}"
-    else:
-        raise SystemExit(f"unknown mesh {mesh!r}; have: antarctica, greenland")
+    try:
+        acfg = AntarcticaConfig(family=mesh, resolution_km=resolution_km, num_layers=layers)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    mesh_key = acfg.key
 
     cache = TuneCache(cache_path)
     key = cache_key(mesh_key, spec.name)
@@ -480,16 +463,18 @@ def tune(
         print(f"cache: {cache.path}")
         return 0
 
+    # the one builder, so the key written here is the key a
+    # tuned="auto" build of the same config looks up
+    test = AntarcticaTest.build(acfg)
     tuner = AutoTuner(
-        lambda c: StokesVelocityProblem(emesh, geometry, c),
-        vcfg,
+        lambda c: StokesVelocityProblem(test.mesh, test.geometry, c),
+        acfg.velocity,
         mesh_key,
         spec=spec,
         cache=cache,
-        budget=budget,
-        seed=seed,
     )
     report = tuner.tune()
+    default = report.trials[0]
     rows = []
     for t in report.trials:
         marker = "*" if t.candidate == report.record.candidate else ("" if t.valid else "x")
@@ -500,19 +485,23 @@ def tune(
             f"{t.kernel_bytes / 1e9:.3f}",
             f"{t.solver_bytes / 1e9:.3f}",
             f"{t.cost_bytes / 1e9:.3f}",
-            f"{t.cost_bytes / report.trials[0].cost_bytes:.2f}x",
+            f"{t.cost_bytes / default.cost_bytes:.2f}x",
             f"{t.wall_seconds:.2f}",
         ])
     print(format_table(
         ["", "candidate", "gmres its", "kernel GB", "solver GB", "cost GB", "vs default", "wall [s]"],
         rows,
         title=f"autotuner trials: {mesh_key} on {spec.name} "
-        f"({report.num_candidates} candidates, {len(report.trials)} measured)",
+        f"({len(report.trials)} solver configurations measured at one kernel configuration)",
     ))
     rec = report.record
     print(f"winner: {rec.candidate.describe()}")
     print(f"deterministic cost: {rec.cost_bytes:.3e} bytes "
-          f"({rec.cost_bytes / rec.default_cost_bytes:.2f}x the hand-picked default)")
+          f"({rec.cost_bytes / rec.default_cost_bytes:.2f}x the default solver axes)")
+    print(f"kernel axes, by model: {rec.candidate.kernel_impl}/lb={rec.candidate.launch_bounds} -- "
+          f"{default.kernel_bytes / 1e9:.3f} GB of sweeps vs {report.default_kernel_bytes / 1e9:.3f} GB "
+          f"at {acfg.velocity.kernel_impl}/lb=default "
+          f"({default.kernel_bytes / report.default_kernel_bytes:.2f}x)")
     print(f"persisted to {cache.path} under key {key!r}")
     return 0
 
@@ -600,7 +589,6 @@ def main(argv=None) -> int:
         "--mesh", default="antarctica",
         help="tune: mesh family to tune for (antarctica|greenland)",
     )
-    ap.add_argument("--budget", type=int, default=5, help="tune: measured-trial budget")
     ap.add_argument(
         "--gpu", default=None,
         help="tune/profile: modeled architecture "
@@ -669,8 +657,6 @@ def main(argv=None) -> int:
             mesh=args.mesh,
             resolution_km=args.resolution_km if args.resolution_km is not None else 350.0,
             layers=args.layers if args.layers is not None else 4,
-            budget=args.budget,
-            seed=args.seed,
             gpu=args.gpu,
             cache_path=args.cache,
             force=args.force,

@@ -5,19 +5,64 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-__all__ = ["VelocityConfig", "AntarcticaConfig", "PRECONDITIONERS", "PRECOND_COST_ORDER"]
+__all__ = [
+    "VelocityConfig",
+    "AntarcticaConfig",
+    "Preconditioner",
+    "PRECONDITIONER_TABLE",
+    "PRECONDITIONERS",
+    "PRECOND_COST_ORDER",
+]
 
-#: every preconditioner factory the velocity solver can build
-PRECONDITIONERS = ("mdsc", "vline", "mdsc-amg", "jacobi", "none")
 
-#: measured solve-time order, slowest first -- the serve degradation
-#: ladder steps right through it ("cheaper rung") when the service is
-#: under pressure.  "jacobi" and "none" are deliberately excluded: they
-#: cost far *more* wall clock in extra GMRES iterations than they save
-#: in set-up (200 km / 10 layers: mdsc 0.67 s, vline 0.57 s, jacobi
-#: 23 s with 3 of 8 linear solves unconverged), which defeats load
-#: shedding
-PRECOND_COST_ORDER = ("mdsc-amg", "mdsc", "vline")
+@dataclass(frozen=True)
+class Preconditioner:
+    """One row of :data:`PRECONDITIONER_TABLE`."""
+
+    name: str
+    #: no matrix-free construction: set-up needs an assembled CSR Jacobian
+    needs_csr: bool = False
+    #: a rung of the serve degradation ladder (walked in table order)
+    serve_rung: bool = False
+    #: worth a measured autotuner trial (:mod:`repro.tune`)
+    tune_trial: bool = False
+
+
+#: every preconditioner the velocity solver can build: the one
+#: statement of which names exist and what each is good for, the
+#: serve rungs in measured solve-time order, slowest first.
+#: Validation, the serve ladder, the tuner's trial list, the
+#: ``OperatorModeError`` text and the example's ``--precond`` choices
+#: are derived from it.
+#:
+#: The flags rest on measured eight-step solves, GMRES iterations at
+#: 600 km / 3, 400 km / 4 and 200 km / 10 layers: mdsc 59 / 58 / 60,
+#: vline 86 / 86 / 88, mdsc-amg 85 / 87 / 93, jacobi 486 / 976 / 6127
+#: (wall at 200 km / 10: mdsc 0.65 s, vline 0.51 s, jacobi 28-32 s).
+#: "jacobi" and "none" cost far more in iterations than they save in
+#: set-up, so neither sheds load nor earns a tuning trial (one Jacobi
+#: solve was 91 % of a search's wall at 12-130x the default's bytes);
+#: "mdsc-amg" iterates like vline and is the slowest rung, so it is
+#: one to step off but not a candidate to measure.
+#:
+#: The resilience fallback (configured -> jacobi -> none, in
+#: ``StokesVelocityProblem._preconditioner``) is deliberately not read
+#: from this table: it answers "set-up failed, what can still be
+#: built", not "which is cheaper".
+PRECONDITIONER_TABLE = (
+    Preconditioner("mdsc-amg", needs_csr=True, serve_rung=True),
+    Preconditioner("mdsc", serve_rung=True, tune_trial=True),
+    Preconditioner("vline", serve_rung=True, tune_trial=True),
+    Preconditioner("jacobi"),
+    Preconditioner("none"),
+)
+
+#: name membership (what ``VelocityConfig``, ``solve(preconditioner=)``
+#: and serve requests validate against)
+PRECONDITIONERS = tuple(p.name for p in PRECONDITIONER_TABLE)
+
+#: the serve degradation ladder, slowest rung first
+PRECOND_COST_ORDER = tuple(p.name for p in PRECONDITIONER_TABLE if p.serve_rung)
 
 
 def _default_operator_mode() -> str:
@@ -63,12 +108,12 @@ class VelocityConfig:
     #: diagnostics -- bit-for-bit identical to the serial solve.
     nparts: int = 1
     #: "off" (use this config verbatim) or "auto" (consult the persisted
-    #: autotuner cache for this mesh + GPU and, on a miss, run a bounded
-    #: online search seeded by the gpusim byte model -- see
-    #: :mod:`repro.tune`).  The tuned axes are ``kernel_impl``,
-    #: ``preconditioner`` and ``operator_mode``; everything else
-    #: (tolerances, GMRES budget, Newton budget, ``nparts``) is
-    #: preserved from this config.
+    #: autotuner cache for this mesh + GPU and, on a miss, run one
+    #: search: kernel axes by the gpusim byte model, solver axes by
+    #: measured trials -- see :mod:`repro.tune`).  The tuned axes are
+    #: ``kernel_impl``, ``preconditioner`` and ``operator_mode``;
+    #: everything else (tolerances, GMRES budget, Newton budget,
+    #: ``nparts``) is preserved from this config.
     tuned: str = "off"
 
     def cheaper_preconditioner(self) -> str | None:
@@ -95,7 +140,9 @@ class VelocityConfig:
         if self.kernel_impl not in ("baseline", "optimized"):
             raise ValueError(f"unknown kernel impl {self.kernel_impl!r}")
         if self.preconditioner not in PRECONDITIONERS:
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
+            raise ValueError(
+                f"unknown preconditioner {self.preconditioner!r}; have {PRECONDITIONERS}"
+            )
         if self.workset_size <= 0 or self.newton_steps <= 0:
             raise ValueError("workset size and Newton steps must be positive")
         if self.nparts < 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.app.config import PRECONDITIONERS, VelocityConfig
+from repro.app.config import PRECONDITIONER_TABLE, PRECONDITIONERS, VelocityConfig
 from repro.core.lowering import pack_geom, qp_seed_operand
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.discretization import compute_basis_data, compute_face_basis_data
@@ -490,10 +490,11 @@ class StokesVelocityProblem:
         if not isinstance(A, CsrMatrix):
             # the multilevel AMG hierarchy needs Galerkin CSR products
             # and is assembled-only by design
+            matfree = ", ".join(repr(p.name) for p in PRECONDITIONER_TABLE if not p.needs_csr)
             raise OperatorModeError(
                 f"preconditioner {kind!r} requires an assembled CSR Jacobian, but this "
                 "solve runs with operator_mode='matrix-free'; choose a preconditioner "
-                "with a matrix-free construction ('mdsc', 'vline', 'jacobi', 'none') or "
+                f"with a matrix-free construction ({matfree}) or "
                 "set operator_mode='assembled'"
             )
         return build_mdsc_amg(A, **extrusion)

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.fields import StokesFields
 from repro.core.variants import KernelVariant, get_variant
-from repro.kokkos.parallel import DEFAULT_SPACE, parallel_for
+from repro.kokkos.parallel import DEFAULT_EXEC_SPACE, parallel_for
 from repro.kokkos.policy import RangePolicy
 from repro.kokkos.space import ExecutionSpace
 
@@ -34,7 +34,7 @@ def run_kernel(
         raise ValueError("jacobian variant requires Fad-typed fields")
     if variant.mode == "residual" and fields.scalar.is_fad:
         raise ValueError("residual variant requires double-typed fields")
-    space = space or DEFAULT_SPACE
+    space = space or DEFAULT_EXEC_SPACE
     functor = variant.make_functor(fields, space)
     parallel_for(variant.display_name, RangePolicy(0, fields.num_cells), functor, space=space)
 

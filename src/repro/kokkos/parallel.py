@@ -6,15 +6,11 @@ or rocprof output.
 
 Every dispatch emits paired begin/end events to the profiling hook
 registry (:mod:`repro.observability.hooks`), mirroring the Kokkos Tools
-``kokkosp_begin/end_parallel_for`` ABI.  With the registry inactive a
-launch pays a single attribute read.  The legacy :data:`KERNEL_LOG`
-list is kept as a thin shim implemented as a hook subscriber; detach it
-with :func:`disable_kernel_log` for a fully silent dispatch path.
+``kokkosp_begin/end_parallel_for`` ABI.  With the registry inactive
+(no tool subscribed: the default) a launch pays a single attribute read.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +25,14 @@ __all__ = [
     "parallel_reduce",
     "deep_copy",
     "fence",
-    "DEFAULT_SPACE",
+    "DEFAULT_EXEC_SPACE",
     "Sum",
     "Max",
     "Min",
-    "KERNEL_LOG",
-    "disable_kernel_log",
-    "enable_kernel_log",
 ]
 
 #: where a launch without an explicit ``space`` runs
-DEFAULT_SPACE = HostVector()
+DEFAULT_EXEC_SPACE = HostVector()
 _REGISTRY = hooks.registry()
 _FAULT_PLANE = fault_plane()
 
@@ -70,41 +63,6 @@ def _poke_launch(name: str, extent: int) -> None:
             "recovery", "launch_retry", "kernel.launch",
             name=name, attempts=attempt,
         )
-
-
-@dataclass
-class _KernelLaunch:
-    name: str
-    extent: int
-    space: str
-
-
-#: Chronological log of kernel launches (profiling aid, cleared by tests).
-#: Populated by the :class:`_KernelLogShim` hook subscriber below; the
-#: hook registry is the primary channel, this list the back-compat view.
-KERNEL_LOG: list[_KernelLaunch] = []
-
-
-class _KernelLogShim(hooks.ToolSubscriber):
-    """Mirrors every kernel dispatch into :data:`KERNEL_LOG` (legacy API)."""
-
-    def begin_parallel_for(self, name, extent, space, kid):
-        KERNEL_LOG.append(_KernelLaunch(name, extent, space))
-
-    begin_parallel_reduce = begin_parallel_for
-
-
-_KERNEL_LOG_SHIM = _REGISTRY.subscribe(_KernelLogShim())
-
-
-def disable_kernel_log() -> None:
-    """Detach the KERNEL_LOG shim (leaves other subscribers untouched)."""
-    _REGISTRY.unsubscribe(_KERNEL_LOG_SHIM)
-
-
-def enable_kernel_log() -> None:
-    """Re-attach the KERNEL_LOG shim subscriber."""
-    _REGISTRY.subscribe(_KERNEL_LOG_SHIM)
 
 
 class Sum:
@@ -140,7 +98,7 @@ def _coerce_policy(policy) -> RangePolicy:
 def parallel_for(name: str, policy, functor, space: ExecutionSpace | None = None) -> None:
     """Execute ``functor`` over ``policy`` on ``space`` (default vectorized host)."""
     policy = _coerce_policy(policy)
-    space = space or DEFAULT_SPACE
+    space = space or DEFAULT_EXEC_SPACE
     if _FAULT_PLANE.active:
         _poke_launch(name, policy.extent)
     reg = _REGISTRY
@@ -167,7 +125,7 @@ def parallel_reduce(
     the policy carries one); contributions are written into ``acc``.
     """
     policy = _coerce_policy(policy)
-    space = space or DEFAULT_SPACE
+    space = space or DEFAULT_EXEC_SPACE
     if _FAULT_PLANE.active:
         _poke_launch(name, policy.extent)
     reg = _REGISTRY

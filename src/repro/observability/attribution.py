@@ -66,6 +66,25 @@ def span_bytes(span) -> float:
         return 0.0
 
 
+def _roofline_model(spec):
+    # the paper's Fig. 3 roof has one definition; deferred import
+    # (repro.perf -> gpusim -> observability cycle, see export.py)
+    from repro.perf.roofline import RooflineModel
+
+    return RooflineModel(spec)
+
+
+def _coordinates(roof, b: float, fl: float, t: float) -> tuple[float, float, float]:
+    """``(ai, roof_frac, bw_frac)`` of ``b`` bytes and ``fl`` flops in ``t`` s."""
+    bw_frac = (b / t) / roof.spec.hbm_bytes_per_s
+    if fl <= 0.0:
+        # pure-streaming span: the roof at AI -> 0 is the bandwidth
+        # ceiling, so %-of-roof degenerates to the bandwidth fraction
+        return 0.0, bw_frac, bw_frac
+    ai = fl / b
+    return ai, (fl / t / 1.0e9) / float(roof.attainable_gflops(ai)), bw_frac
+
+
 def annotate_roofline(spans, spec) -> int:
     """Attach roofline coordinates to every priced span, in place.
 
@@ -75,8 +94,7 @@ def annotate_roofline(spans, spec) -> int:
     with zero duration and no modeled time cannot imply a bandwidth and
     are skipped too.
     """
-    peak_bw = float(spec.hbm_bytes_per_s)
-    peak_flops = float(spec.fp64_flops)
+    roof = _roofline_model(spec)
     n = 0
     for s in spans:
         b = span_bytes(s)
@@ -90,16 +108,7 @@ def annotate_roofline(spans, spec) -> int:
         else:
             continue
         fl = max(0.0, float(s.args.get("flops", 0.0) or 0.0))
-        bw_frac = (b / t) / peak_bw
-        if fl > 0.0:
-            ai = fl / b
-            attainable = min(peak_flops, peak_bw * ai)
-            roof_frac = (fl / t) / attainable
-        else:
-            # pure-streaming span: the roof at AI -> 0 is the bandwidth
-            # ceiling, so %-of-roof degenerates to the bandwidth fraction
-            ai = 0.0
-            roof_frac = bw_frac
+        ai, roof_frac, bw_frac = _coordinates(roof, b, fl, t)
         s.args[ROOFLINE_KEY] = {
             "bytes": b,
             "flops": fl,
@@ -135,21 +144,13 @@ def roofline_table(spans, spec, top: int = 20, title: str | None = None) -> str:
         a[2] += r["flops"]
         a[3] += float(t)
     rows = []
-    peak_bw = float(spec.hbm_bytes_per_s)
-    peak_flops = float(spec.fp64_flops)
+    roof = _roofline_model(spec)
     for name, (count, b, fl, t, basis) in sorted(agg.items(), key=lambda kv: -kv[1][1])[:top]:
-        ai = fl / b if b > 0 else 0.0
-        if t > 0:
-            bw_frac = (b / t) / peak_bw
-            if fl > 0:
-                roof = (fl / t) / min(peak_flops, peak_bw * ai)
-            else:
-                roof = bw_frac
-        else:
-            bw_frac = roof = 0.0
+        # annotated spans carry positive bytes and a positive time
+        ai, roof_frac, bw_frac = _coordinates(roof, b, fl, t)
         rows.append(
             [name, count, f"{b / 1e9:.3f}", f"{fl / 1e9:.3f}",
-             f"{ai:.3f}", f"{roof:.2%}", f"{bw_frac:.2%}", basis]
+             f"{ai:.3f}", f"{roof_frac:.2%}", f"{bw_frac:.2%}", basis]
         )
     if not rows:
         return "(no roofline-annotated spans)"

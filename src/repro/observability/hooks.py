@@ -28,10 +28,9 @@ kokkos-tools callback             :class:`ToolSubscriber` method
 
 Zero-overhead contract: dispatch sites guard every emission with the
 registry's ``active`` flag (a plain attribute, refreshed on subscribe /
-unsubscribe / enable / disable), so with no tool attached a kernel
-launch pays exactly one attribute read.  The back-compat ``KERNEL_LOG``
-shim in :mod:`repro.kokkos.parallel` is itself a subscriber and can be
-detached to reach the truly-silent state.
+unsubscribe / enable / disable), so with no tool attached -- the
+default state: importing the solver stack subscribes nothing -- a kernel
+launch pays exactly one attribute read.
 """
 
 from __future__ import annotations

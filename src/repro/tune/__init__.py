@@ -1,16 +1,19 @@
 """Online autotuner with persisted per-(mesh, GPU) configurations.
 
 The paper's Table II shows ~1.5x sitting in a LaunchBounds choice; the
-smoother and operator-mode axes added by PRs 1-6 hide comparable
-factors.  This package picks all of them automatically:
+preconditioner and operator-mode axes added since could hide comparable
+factors.  The two sets of axes do not interact, so this package decides
+them separately:
 
-* :mod:`repro.tune.space` -- the discrete candidate space;
-* :mod:`repro.tune.prior` -- the gpusim byte/occupancy model as the
-  search prior (kernel axes decided by the model, solver axes ranked
-  for measured trials);
-* :mod:`repro.tune.tuner` -- the trial loop over real solves, scored by
-  deterministic counters (GMRES iterations, metered solver bytes,
-  evaluator sweeps), with wall time advisory only;
+* :mod:`repro.tune.space` -- the two axis lists: launchable kernel
+  configurations, and the solver configurations worth a trial;
+* :mod:`repro.tune.prior` -- the gpusim byte/occupancy model of the
+  evaluator kernels, which decides the kernel axes and prices every
+  trial's sweeps;
+* :mod:`repro.tune.tuner` -- one measured trial per solver
+  configuration, all at the same kernel axes, scored by deterministic
+  counters (GMRES iterations, metered solver bytes, evaluator sweeps),
+  with wall time advisory only;
 * :mod:`repro.tune.cache` -- schema-versioned JSON persistence keyed by
   ``(mesh key, GPU spec)``, reused transparently by
   ``VelocityConfig(tuned="auto")`` and warmed by ``python -m repro
@@ -24,15 +27,9 @@ from repro.tune.cache import (
     cache_key,
     default_cache_path,
 )
-from repro.tune.prior import GpusimPrior, PriorScore, ProblemModel
-from repro.tune.space import DEFAULT_SPACE, TuneCandidate, TuneSpace, candidate_from_config
-from repro.tune.tuner import (
-    DEFAULT_TRIAL_BUDGET,
-    AutoTuner,
-    TrialResult,
-    TuneReport,
-    tuned_velocity_config,
-)
+from repro.tune.prior import GpusimPrior
+from repro.tune.space import TuneCandidate, kernel_axes, solver_axes
+from repro.tune.tuner import AutoTuner, TrialResult, TuneReport, tuned_velocity_config
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,13 +38,9 @@ __all__ = [
     "cache_key",
     "default_cache_path",
     "GpusimPrior",
-    "PriorScore",
-    "ProblemModel",
-    "DEFAULT_SPACE",
     "TuneCandidate",
-    "TuneSpace",
-    "candidate_from_config",
-    "DEFAULT_TRIAL_BUDGET",
+    "kernel_axes",
+    "solver_axes",
     "AutoTuner",
     "TrialResult",
     "TuneReport",

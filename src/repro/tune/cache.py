@@ -31,7 +31,11 @@ from repro.tune.space import TuneCandidate
 
 __all__ = ["SCHEMA_VERSION", "TuneRecord", "TuneCache", "default_cache_path", "cache_key"]
 
-SCHEMA_VERSION = 2
+#: 3: every trial priced at one kernel-axes choice.  Every v2 winner was
+#: chosen with the default trial priced at another LaunchBounds than its
+#: rivals (most name ``matrix-free`` for that reason alone), so v2
+#: entries take the stale path and are retuned.
+SCHEMA_VERSION = 3
 
 #: environment override for the cache location (tests point this at a
 #: tmp dir; CI keeps it out of the workspace)
@@ -61,9 +65,9 @@ class TuneRecord:
     gmres_iterations: int
     #: trials spent finding it
     trials: int
-    #: deterministic cost of the hand-picked default it was searched
-    #: against (the acceptance ratio ``cost_bytes / default_cost_bytes``
-    #: must be <= 1)
+    #: deterministic cost of the hand-picked default *solver* axes at
+    #: the same kernel axes as the winner (so ``cost_bytes /
+    #: default_cost_bytes`` <= 1 compares measured solves only)
     default_cost_bytes: float
 
     def to_dict(self) -> dict:

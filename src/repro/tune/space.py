@@ -1,15 +1,22 @@
-"""The autotuner's discrete configuration space.
+"""The autotuner's two independent axis lists.
 
-One :class:`TuneCandidate` is a full solver configuration along the four
-tuned axes: kernel implementation, ``Kokkos::LaunchBounds`` (Table II's
-knob, consumed by the GPU model), preconditioner and operator mode.
-The space is the cross product of :data:`DEFAULT_SPACE`, filtered down
-to candidates that are actually *launchable* on the target GPU spec (a
-LaunchBounds whose block exceeds ``max_threads_per_cu`` cannot run on
-real hardware and is rejected by the occupancy model too) and
-*constructible* as a :class:`repro.app.config.VelocityConfig` (e.g. the
-multilevel ``mdsc-amg`` hierarchy needs Galerkin CSR products, so it
-never pairs with ``operator_mode="matrix-free"``).
+One :class:`TuneCandidate` is a full configuration along the four tuned
+axes, but the search never forms their cross product, because the axes
+do not interact:
+
+* the **kernel axes** -- kernel implementation and
+  ``Kokkos::LaunchBounds`` (Table II's knob) -- only change the *modeled*
+  kernel cost: both implementations compute bitwise-identical physics,
+  so no in-Python solve can tell two of these points apart.
+  :func:`kernel_axes` lists the points *launchable* on the target GPU
+  spec (a LaunchBounds whose block exceeds ``max_threads_per_cu`` cannot
+  run on real hardware and is rejected by the occupancy model too);
+* the **solver axes** -- preconditioner and operator mode -- change the
+  Newton--Krylov trajectory and are measured.  :func:`solver_axes` lists
+  the hand-picked default and then the pairs
+  :data:`repro.app.config.PRECONDITIONER_TABLE` marks worth a trial that
+  are *constructible* (a CSR-only preconditioner never pairs with
+  ``operator_mode="matrix-free"``; SPMD solves always assemble).
 """
 
 from __future__ import annotations
@@ -17,47 +24,38 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.app.config import VelocityConfig
+from repro.app.config import PRECONDITIONER_TABLE, VelocityConfig
 from repro.core.launch import TABLE2_LAUNCH_CONFIGS, default_launch_bounds
 from repro.gpusim.specs import GPUSpec
 from repro.kokkos.policy import LaunchBounds
 
-__all__ = ["TuneCandidate", "TuneSpace", "DEFAULT_SPACE", "candidate_from_config"]
+__all__ = [
+    "TuneCandidate",
+    "KERNEL_MODES",
+    "effective_launch_bounds",
+    "kernel_axes",
+    "solver_axes",
+]
 
-#: preconditioners with no matrix-free construction (assembled-only)
-_ASSEMBLED_ONLY_PRECONDITIONERS = frozenset({"mdsc-amg"})
+#: the two kernels of one Newton step (a fused SFad Jacobian sweep plus
+#: a line-search residual sweep), each with its own backend default
+KERNEL_MODES = ("jacobian", "residual")
 
 
 @dataclass(frozen=True)
 class TuneCandidate:
-    """One point of the discrete search space."""
+    """One kernel-axes point paired with one solver-axes point."""
 
     kernel_impl: str
     launch_bounds: LaunchBounds
     preconditioner: str
     operator_mode: str
 
-    @property
-    def solver_axes(self) -> tuple:
-        """The axes that change the in-Python Newton--Krylov trajectory.
-
-        ``kernel_impl`` and ``launch_bounds`` only change the *modeled*
-        kernel cost (both implementations compute identical physics), so
-        two candidates sharing these axes share one measured trial.
-        """
-        return (self.preconditioner, self.operator_mode)
-
     def describe(self) -> str:
         return (
             f"{self.kernel_impl}/lb={self.launch_bounds}/"
             f"{self.preconditioner}/{self.operator_mode}"
         )
-
-    def effective_launch_bounds(self, mode: str) -> LaunchBounds:
-        """Resolve the backend default for the given kernel mode."""
-        if self.launch_bounds.explicit:
-            return self.launch_bounds
-        return default_launch_bounds(mode)
 
     def apply_to(self, config: VelocityConfig) -> VelocityConfig:
         """Overlay the tuned axes onto ``config`` (everything else --
@@ -97,56 +95,41 @@ class TuneCandidate:
         )
 
 
-@dataclass(frozen=True)
-class TuneSpace:
-    """Axis values the search enumerates (the cross product, filtered)."""
-
-    kernel_impls: tuple[str, ...] = ("optimized", "baseline")
-    launch_bounds: tuple[LaunchBounds, ...] = tuple(TABLE2_LAUNCH_CONFIGS)
-    preconditioners: tuple[str, ...] = ("mdsc", "vline", "jacobi")
-    operator_modes: tuple[str, ...] = ("assembled", "matrix-free")
-
-    def enumerate(self, spec: GPUSpec | None = None) -> list[TuneCandidate]:
-        """All launchable, constructible candidates, in a fixed order.
-
-        The order is the deterministic row-major sweep of the axis
-        tuples above -- the search's trial sequence is a pure function
-        of (space, prior, seed), never of dict/set iteration order.
-        """
-        out = []
-        for impl in self.kernel_impls:
-            for lb in self.launch_bounds:
-                for pc in self.preconditioners:
-                    for op in self.operator_modes:
-                        c = TuneCandidate(impl, lb, pc, op)
-                        if self._admissible(c, spec):
-                            out.append(c)
-        return out
-
-    def _admissible(self, c: TuneCandidate, spec: GPUSpec | None) -> bool:
-        if (
-            c.operator_mode == "matrix-free"
-            and c.preconditioner in _ASSEMBLED_ONLY_PRECONDITIONERS
-        ):
-            return False
-        if spec is not None:
-            for mode in ("jacobian", "residual"):
-                if c.effective_launch_bounds(mode).max_threads > spec.max_threads_per_cu:
-                    return False
-        return True
+def effective_launch_bounds(launch_bounds: LaunchBounds, mode: str) -> LaunchBounds:
+    """Resolve the backend default for the given kernel mode."""
+    return launch_bounds if launch_bounds.explicit else default_launch_bounds(mode)
 
 
-#: the default search space (Table II LaunchBounds x solver axes)
-DEFAULT_SPACE = TuneSpace()
+def kernel_axes(spec: GPUSpec) -> list[tuple[str, LaunchBounds]]:
+    """Launchable ``(kernel_impl, LaunchBounds)`` points, in a fixed order
+    (the order is the model argmin's last tie-break)."""
+    return [
+        (impl, lb)
+        for impl in ("optimized", "baseline")
+        for lb in TABLE2_LAUNCH_CONFIGS
+        if all(
+            effective_launch_bounds(lb, mode).max_threads <= spec.max_threads_per_cu
+            for mode in KERNEL_MODES
+        )
+    ]
 
 
-def candidate_from_config(
-    config: VelocityConfig, launch_bounds: LaunchBounds | None = None
-) -> TuneCandidate:
-    """The candidate a hand-picked :class:`VelocityConfig` corresponds to."""
-    return TuneCandidate(
-        kernel_impl=config.kernel_impl,
-        launch_bounds=launch_bounds if launch_bounds is not None else TABLE2_LAUNCH_CONFIGS[0],
-        preconditioner=config.preconditioner,
-        operator_mode=config.operator_mode,
+def solver_axes(config: VelocityConfig) -> list[tuple[str, str]]:
+    """The ``(preconditioner, operator_mode)`` pairs to measure for
+    ``config``: its own hand-picked pair first, then every constructible
+    pair the table marks worth a trial, in table order."""
+    # SPMD solves always assemble (the row-partitioned operator is the
+    # halo-exchange unit), so matrix-free is no axis on a distributed
+    # mesh -- the default, too, is listed as it will run
+    modes = ("assembled",) if config.nparts > 1 else ("assembled", "matrix-free")
+    default = (
+        config.preconditioner,
+        config.operator_mode if config.operator_mode in modes else "assembled",
     )
+    return [default] + [
+        (p.name, mode)
+        for p in PRECONDITIONER_TABLE
+        if p.tune_trial
+        for mode in modes
+        if not (p.needs_csr and mode == "matrix-free") and (p.name, mode) != default
+    ]

@@ -1,50 +1,46 @@
-"""The online autotuner: prior-seeded search with measured trials.
+"""The online autotuner: one model argmin, one measured argmin.
 
-The search closes the loop ROADMAP item 5 describes: the repo could
-already *measure* every variant/LaunchBounds/smoother tradeoff,
-but a human still picked the configuration.  ``AutoTuner.tune()`` picks
-it automatically, per (mesh key, GPU architecture):
+``AutoTuner.tune()`` picks the configuration per (mesh key, GPU
+architecture) as the two independent decisions it is:
 
-1. **Enumerate** the discrete space (:class:`repro.tune.space.TuneSpace`)
-   and drop candidates unlaunchable on the target spec.
-2. **Prior** (:class:`repro.tune.prior.GpusimPrior`): the gpusim
-   byte/occupancy model prices every candidate; the kernel axes
-   (``kernel_impl``, ``launch_bounds``) are decided *entirely* by the
-   model -- a Python process cannot measure GPU register pressure, and
-   both kernel implementations compute bitwise-identical physics -- and
-   the solver axes are ranked for measured trials.
-3. **Trials**: the top-ranked distinct solver-axis configurations (the
-   hand-picked default always included, one seeded exploration pick from
-   the remainder) each run one real solve.  The figures of merit are the
-   *deterministic* counters -- GMRES iterations, modeled
-   ``gmres.{matvec,stream}.bytes`` metered by the solver, evaluator
-   sweep counts priced by the kernel model -- with wall seconds recorded
-   as advisory only, so the winner is reproducible across machines.
-4. **Persist** the winner to the versioned JSON cache
+1. **Kernel axes** (``kernel_impl``, ``launch_bounds``) -- decided
+   entirely by the model, no trial:
+   :meth:`repro.tune.prior.GpusimPrior.best_kernel_axes` over the
+   launchable points of :func:`repro.tune.space.kernel_axes`.
+2. **Solver axes** (``preconditioner``, ``operator_mode``) -- one real
+   solve per pair of :func:`repro.tune.space.solver_axes`, the
+   hand-picked default first.  *Every* trial, the default included, is
+   priced at the kernel axes chosen in step 1, so trials differ in what
+   they measured and nothing else.  The figure of merit is the
+   *deterministic* cost -- evaluator sweep counts priced by the kernel
+   model plus the ``gmres.{matvec,stream}.bytes`` the solver metered --
+   with wall seconds recorded as advisory only, so the winner is
+   reproducible across machines; an exact tie stays with the default.
+3. **Persist** the winner to the versioned JSON cache
    (:class:`repro.tune.cache.TuneCache`); the next solve with
    ``tuned="auto"`` reuses it with zero trials.
 
-Every phase emits observability events: ``tune.search`` / ``tune.trial``
-spans, the ``tune.trials`` counter and ``tune.best_*`` gauges.
+There is no seed and no ranking: the trial order is the table's order,
+so two searches on one mesh run the same trials and pick the same
+winner.  Every phase emits observability events: ``tune.search`` /
+``tune.trial`` spans, the ``tune.trials`` counter and ``tune.best_*``
+gauges.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass, field
 
 from repro.app.config import VelocityConfig
 from repro.gpusim.specs import GPUSpec, default_tuning_spec
+from repro.kokkos.policy import DEFAULT_LAUNCH_BOUNDS
 from repro.observability import get_metrics, get_series, get_tracer
 from repro.tune.cache import TuneCache, TuneRecord, cache_key
-from repro.tune.prior import GpusimPrior, ProblemModel
-from repro.tune.space import DEFAULT_SPACE, TuneCandidate, TuneSpace, candidate_from_config
+from repro.tune.prior import GpusimPrior
+from repro.tune.space import TuneCandidate, solver_axes
 
 __all__ = ["TrialResult", "TuneReport", "AutoTuner", "tuned_velocity_config"]
-
-#: measured trials per search (including the hand-picked default)
-DEFAULT_TRIAL_BUDGET = 5
 
 #: a trial whose mean velocity strays beyond this relative distance from
 #: the default trial's is not solving the same physics (diverged or
@@ -79,10 +75,6 @@ class TrialResult:
         the solve (kernel sweeps + GMRES matvec/stream traffic)."""
         return self.kernel_bytes + self.solver_bytes
 
-    @property
-    def bytes_per_iteration(self) -> float:
-        return self.solver_bytes / max(1, self.gmres_iterations)
-
 
 @dataclass
 class TuneReport:
@@ -91,11 +83,12 @@ class TuneReport:
     mesh_key: str
     gpu: str
     record: TuneRecord
+    #: the default trial's evaluator sweeps priced at the hand-picked
+    #: kernel axes (the base config's ``kernel_impl``, backend-default
+    #: LaunchBounds): what the model's choice, ``trials[0].kernel_bytes``,
+    #: saves against -- reported apart from the solver-axes verdict
+    default_kernel_bytes: float
     trials: list[TrialResult] = field(default_factory=list)
-    #: candidate.describe() per trial, in execution order (the
-    #: determinism contract: same seed + same mesh => same sequence)
-    trial_sequence: list[str] = field(default_factory=list)
-    num_candidates: int = 0
 
 
 class AutoTuner:
@@ -103,7 +96,7 @@ class AutoTuner:
 
     ``problem_factory(velocity_config)`` must return an object with a
     ``solve()`` method yielding a :class:`repro.app.velocity_solver.
-    VelocitySolution` plus ``dofmap``/``mesh``/``plan`` attributes (a
+    VelocitySolution` plus a ``mesh`` attribute (a
     :class:`StokesVelocityProblem` over a prebuilt mesh is the intended
     factory -- mesh construction is paid once, not per trial).
     """
@@ -115,33 +108,22 @@ class AutoTuner:
         mesh_key: str,
         spec: GPUSpec | None = None,
         cache: TuneCache | None = None,
-        space: TuneSpace = DEFAULT_SPACE,
-        budget: int = DEFAULT_TRIAL_BUDGET,
-        seed: int = 0,
     ):
-        if budget < 1:
-            raise ValueError("trial budget must cover at least the default config")
         self.problem_factory = problem_factory
-        self.base_config = base_config
+        # tuned="off" on every config the search builds: a trial must
+        # never consult the cache (or re-enter the tuner) itself
+        self.base_config = dataclasses.replace(base_config, tuned="off")
         self.mesh_key = mesh_key
         self.spec = spec if spec is not None else default_tuning_spec()
         self.cache = cache if cache is not None else TuneCache()
-        self.space = space
-        self.budget = budget
-        self.seed = seed
 
     # ------------------------------------------------------------------
-    def _trial_config(self, candidate: TuneCandidate) -> VelocityConfig:
-        # tuned="off" on trial configs: a trial must never consult the
-        # cache (or re-enter the tuner) itself
-        return dataclasses.replace(candidate.apply_to(self.base_config), tuned="off")
-
     def _counter_delta(self, before: dict, after: dict, name: str) -> float:
         return float(after.get(name, 0.0)) - float(before.get(name, 0.0))
 
     def _run_trial(self, candidate: TuneCandidate, prior: GpusimPrior) -> TrialResult:
         metrics = get_metrics()
-        problem = self.problem_factory(self._trial_config(candidate))
+        problem = self.problem_factory(candidate.apply_to(self.base_config))
         before = metrics.snapshot()["counters"]
         with get_tracer().span(
             "tune.trial", candidate=candidate.describe(), mesh=self.mesh_key
@@ -152,17 +134,13 @@ class AutoTuner:
 
         mode = sol.diagnostics["operator_mode"]
         sweeps = sol.diagnostics["eval_sweeps"]
-        kernel_bytes = (
-            sweeps["jacobian"] * prior.kernel_profile(candidate, "jacobian").hbm_bytes
-            + sweeps["residual"] * prior.kernel_profile(candidate, "residual").hbm_bytes
-        )
         trial = TrialResult(
             candidate=candidate,
             gmres_iterations=int(sum(sol.newton.linear_iterations)),
             gmres_matvecs=int(self._counter_delta(before, after, "gmres.matvecs")),
             matvec_bytes=self._counter_delta(before, after, f"gmres.matvec.bytes.{mode}"),
             stream_bytes=self._counter_delta(before, after, f"gmres.stream.bytes.{mode}"),
-            kernel_bytes=float(kernel_bytes),
+            kernel_bytes=prior.sweep_bytes(candidate.kernel_impl, candidate.launch_bounds, sweeps),
             eval_sweeps=dict(sweeps),
             newton_converged=bool(sol.newton.converged),
             mean_velocity=float(sol.mean_velocity),
@@ -177,89 +155,23 @@ class AutoTuner:
         return trial
 
     # ------------------------------------------------------------------
-    def _candidates(self) -> list[TuneCandidate]:
-        cands = self.space.enumerate(self.spec)
-        if self.base_config.nparts > 1:
-            # SPMD solves always assemble (the row-partitioned operator
-            # is the halo-exchange unit), so the matrix-free half of the
-            # space is dead weight on a distributed mesh
-            cands = [c for c in cands if c.operator_mode == "assembled"]
-        return cands
-
-    def _best_kernel_axes(
-        self, candidates: list[TuneCandidate], prior: GpusimPrior
-    ) -> tuple[str, object]:
-        """Model-decided kernel axes: fewest modeled HBM bytes per sweep
-        pair, modeled time as the tiebreak, enumeration order after."""
-        seen = []
-        keys = set()
-        for c in candidates:
-            k = (c.kernel_impl, str(c.launch_bounds))
-            if k not in keys:
-                keys.add(k)
-                seen.append(c)
-        best = min(
-            range(len(seen)),
-            key=lambda i: (
-                prior.kernel_profile(seen[i], "jacobian").hbm_bytes
-                + prior.kernel_profile(seen[i], "residual").hbm_bytes,
-                prior.kernel_profile(seen[i], "jacobian").time_s
-                + prior.kernel_profile(seen[i], "residual").time_s,
-                i,
-            ),
-        )
-        return seen[best].kernel_impl, seen[best].launch_bounds
-
-    def _trial_queue(
-        self, candidates: list[TuneCandidate], prior: GpusimPrior, kernel_axes: tuple
-    ) -> list[TuneCandidate]:
-        """Distinct solver-axis configurations to measure, in order:
-        the hand-picked default first, then the prior ranking, with the
-        last slot a seeded exploration pick from the unranked tail."""
-        impl, lb = kernel_axes
-        default = candidate_from_config(self.base_config)
-        queue = [default]
-        seen = {default.solver_axes}
-        ranked = []
-        for score in prior.rank(candidates):
-            c = score.candidate
-            if c.solver_axes in seen:
-                continue
-            seen.add(c.solver_axes)
-            ranked.append(TuneCandidate(impl, lb, *c.solver_axes))
-        n_prior = max(0, self.budget - 1)
-        explore = 1 if self.budget >= 3 and len(ranked) > n_prior else 0
-        queue.extend(ranked[: n_prior - explore])
-        if explore:
-            rng = random.Random(self.seed)
-            queue.append(rng.choice(ranked[n_prior - explore :]))
-        return queue
-
-    # ------------------------------------------------------------------
     def tune(self) -> TuneReport:
         """Run the search, persist the winner, and report every trial."""
         metrics = get_metrics()
-        with get_tracer().span(
-            "tune.search", mesh=self.mesh_key, gpu=self.spec.name, budget=self.budget
-        ):
-            candidates = self._candidates()
-            # probe problem doubles as the default trial's problem model
-            probe = self.problem_factory(self._trial_config(candidate_from_config(self.base_config)))
-            model = ProblemModel(
-                num_dofs=probe.dofmap.num_dofs,
-                num_cells=probe.mesh.num_elems,
-                nnz=probe.plan.nnz,
-                dofs_per_elem=probe.dofmap.dofs_per_elem,
-                newton_steps=self.base_config.newton_steps,
-            )
-            prior = GpusimPrior(self.spec, model)
-            kernel_axes = self._best_kernel_axes(candidates, prior)
-            queue = self._trial_queue(candidates, prior, kernel_axes)
-
-            trials: list[TrialResult] = []
-            for cand in queue:
-                trials.append(self._run_trial(cand, prior))
+        base = self.base_config
+        with get_tracer().span("tune.search", mesh=self.mesh_key, gpu=self.spec.name):
+            # the kernel model needs the mesh's cell count and nothing else
+            probe = self.problem_factory(base)
+            prior = GpusimPrior(self.spec, probe.mesh.num_elems)
+            kernel = prior.best_kernel_axes()
+            trials = [
+                self._run_trial(TuneCandidate(*kernel, *axes), prior)
+                for axes in solver_axes(base)
+            ]
             default_trial = trials[0]
+            default_kernel_bytes = prior.sweep_bytes(
+                base.kernel_impl, DEFAULT_LAUNCH_BOUNDS, default_trial.eval_sweeps
+            )
             for t in trials[1:]:
                 # a trial that solved different physics cannot win on bytes
                 rel = abs(t.mean_velocity - default_trial.mean_velocity) / max(
@@ -289,15 +201,17 @@ class AutoTuner:
             metrics.gauge("tune.cost_ratio").set(
                 winner.cost_bytes / max(1.0e-30, default_trial.cost_bytes)
             )
+            metrics.gauge("tune.kernel_bytes_ratio").set(
+                default_trial.kernel_bytes / max(1.0e-30, default_kernel_bytes)
+            )
             metrics.counter("tune.cache.stores").inc()
 
         return TuneReport(
             mesh_key=self.mesh_key,
             gpu=self.spec.name,
             record=record,
+            default_kernel_bytes=default_kernel_bytes,
             trials=trials,
-            trial_sequence=[t.candidate.describe() for t in trials],
-            num_candidates=len(candidates),
         )
 
 
@@ -308,14 +222,12 @@ def tuned_velocity_config(
     problem_factory,
     spec: GPUSpec | None = None,
     cache: TuneCache | None = None,
-    budget: int = DEFAULT_TRIAL_BUDGET,
-    seed: int = 0,
 ) -> VelocityConfig:
     """The transparent ``tuned="auto"`` entry point.
 
-    Cache hit: apply the persisted winner (zero trials).  Miss: run a
-    bounded online search on this mesh, persist, apply.  Any other
-    ``tuned`` value returns ``config`` unchanged.
+    Cache hit: apply the persisted winner (zero trials).  Miss: run one
+    search on this mesh, persist, apply.  Any other ``tuned`` value
+    returns ``config`` unchanged.
     """
     if config.tuned != "auto":
         return config
@@ -323,13 +235,5 @@ def tuned_velocity_config(
     cache = cache if cache is not None else TuneCache()
     rec = cache.get(cache_key(mesh_key, spec.name))
     if rec is None:
-        rec = AutoTuner(
-            problem_factory,
-            config,
-            mesh_key,
-            spec=spec,
-            cache=cache,
-            budget=budget,
-            seed=seed,
-        ).tune().record
+        rec = AutoTuner(problem_factory, config, mesh_key, spec=spec, cache=cache).tune().record
     return rec.candidate.apply_to(config)

@@ -12,7 +12,9 @@ import dataclasses
 
 import pytest
 
-from repro.app.config import AntarcticaConfig, VelocityConfig
+from repro.app.antarctica import AntarcticaTest
+from repro.app.config import PRECONDITIONER_TABLE, AntarcticaConfig, VelocityConfig
+from repro.serve.requests import SolveScenario
 
 
 class TestEnvDefaultsAfterImport:
@@ -52,3 +54,36 @@ class TestTunedAxis:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="tuned"):
             VelocityConfig(tuned="always")
+
+
+class TestPreconditionerTable:
+    """Every consumer of a preconditioner name reads ``PRECONDITIONER_TABLE``
+    (the third, the ``OperatorModeError`` text, is held to it in
+    ``test_matfree.py::test_unsupported_preconditioner_fails_fast``)."""
+
+    def test_names_validate_for_exactly_the_table(self):
+        names = [p.name for p in PRECONDITIONER_TABLE]
+        assert sorted(names) == ["jacobi", "mdsc", "mdsc-amg", "none", "vline"]
+        for name in names:
+            assert VelocityConfig(preconditioner=name).preconditioner == name
+            assert SolveScenario("s", preconditioner=name).preconditioner == name
+        # all three validators reject anything else, naming the valid set
+        problem = AntarcticaTest.build(AntarcticaConfig(resolution_km=400.0, num_layers=3)).problem
+        for reject in (
+            lambda: VelocityConfig(preconditioner="bogus"),
+            lambda: SolveScenario("s", preconditioner="bogus"),
+            lambda: problem.solve(preconditioner="bogus"),
+        ):
+            with pytest.raises(ValueError, match="bogus.*" + ".*".join(names)):
+                reject()
+
+    def test_cheaper_preconditioner_walks_the_rungs_in_order(self):
+        rungs = [p.name for p in PRECONDITIONER_TABLE if p.serve_rung]
+        assert rungs == ["mdsc-amg", "mdsc", "vline"]
+        walked = rungs[:1]
+        while (nxt := VelocityConfig(preconditioner=walked[-1]).cheaper_preconditioner()):
+            walked.append(nxt)
+        assert walked == rungs
+        for p in PRECONDITIONER_TABLE:
+            if not p.serve_rung:  # off the ladder: nothing cheaper to step to
+                assert VelocityConfig(preconditioner=p.name).cheaper_preconditioner() is None

@@ -20,7 +20,8 @@ from repro.kokkos import (
     parallel_reduce,
     deep_copy,
 )
-from repro.kokkos.parallel import Sum, Max, Min, KERNEL_LOG
+from repro.kokkos.parallel import Sum, Max, Min
+from repro.observability.hooks import ToolSubscriber, registry
 
 
 class TestView:
@@ -155,14 +156,21 @@ class TestParallel:
         assert parallel_reduce("m", RangePolicy(0, 4), functor, Min) == -1.0
 
     def test_kernel_log_records(self):
-        KERNEL_LOG.clear()
+        log = []
+
+        class KernelLog(ToolSubscriber):
+            def begin_parallel_for(self, name, extent, space, kid):
+                log.append((name, extent))
 
         def functor(i):
             pass
 
-        parallel_for("logged_kernel", RangePolicy(0, 4), functor, space=HostSerial())
-        assert KERNEL_LOG[-1].name == "logged_kernel"
-        assert KERNEL_LOG[-1].extent == 4
+        sub = registry().subscribe(KernelLog())
+        try:
+            parallel_for("logged_kernel", RangePolicy(0, 4), functor, space=HostSerial())
+        finally:
+            registry().unsubscribe(sub)
+        assert log == [("logged_kernel", 4)]
 
     def test_int_policy_coercion(self):
         count = []

@@ -9,12 +9,14 @@ for opaque operators (with a NaN-poisoned matrix-free operator under a
 for preconditioners that need an assembled matrix.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
+from repro.app.config import PRECONDITIONER_TABLE
 from repro.app.velocity_solver import StokesVelocityProblem
 from repro.fem.matfree import MatrixFreeJacobian, OperatorModeError
 from repro.fem.sparse import CsrMatrix
@@ -469,6 +471,11 @@ class TestOperatorModeRouting:
         msg = str(exc.value)
         assert "mdsc-amg" in msg
         assert "operator_mode" in msg
+        # the alternatives it offers are read off the table: exactly the
+        # entries not flagged CSR-only
+        offered = re.findall(r"'([\w-]+)'", msg[msg.index("(") : msg.index(")")])
+        assert offered == [p.name for p in PRECONDITIONER_TABLE if not p.needs_csr]
+        assert offered == ["mdsc", "vline", "jacobi", "none"]
 
     @pytest.mark.parametrize("precond", ["jacobi", "vline", "none"])
     def test_supported_preconditioners_solve(self, precond):

@@ -10,10 +10,7 @@ import pytest
 
 from repro import observability as obs
 from repro.kokkos.parallel import (
-    KERNEL_LOG,
     deep_copy,
-    disable_kernel_log,
-    enable_kernel_log,
     fence,
     parallel_for,
     parallel_reduce,
@@ -158,18 +155,26 @@ class TestHookRegistry:
         assert "begin_for" in kinds[1:-1]
 
     def test_kernel_log_shim_round_trip(self):
-        KERNEL_LOG.clear()
-        parallel_for("logged", 3, lambda i: None)
-        assert [k.name for k in KERNEL_LOG] == ["logged"]
-        disable_kernel_log()
+        # a kernel log is a subscriber a tool attaches, not module state:
+        # it sees launches exactly while it is subscribed
+        log = []
+
+        class KernelLog(ToolSubscriber):
+            def begin_parallel_for(self, name, extent, space, kid):
+                log.append(name)
+
+        reg = obs.registry()
+        sub = reg.subscribe(KernelLog())
         try:
+            parallel_for("logged", 3, lambda i: None)
+            reg.unsubscribe(sub)
             parallel_for("silent", 3, lambda i: None)
-            assert [k.name for k in KERNEL_LOG] == ["logged"]
+            assert log == ["logged"]
+            reg.subscribe(sub)
+            parallel_for("logged-again", 3, lambda i: None)
         finally:
-            enable_kernel_log()
-        parallel_for("logged-again", 3, lambda i: None)
-        assert [k.name for k in KERNEL_LOG] == ["logged", "logged-again"]
-        KERNEL_LOG.clear()
+            reg.unsubscribe(sub)
+        assert log == ["logged", "logged-again"]
 
 
 # ----------------------------------------------------------------------

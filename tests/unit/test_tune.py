@@ -1,4 +1,4 @@
-"""Unit tests for the autotuner: space, prior, cache, trial queue.
+"""Unit tests for the autotuner: axis lists, kernel model, cache, trial order.
 
 The measured-trial loop over real solves lives in
 ``tests/integration/test_tuned_solve.py``; everything here runs without
@@ -9,27 +9,33 @@ import dataclasses
 import json
 from types import SimpleNamespace
 
-from repro.app.config import VelocityConfig
+from repro.app.config import PRECONDITIONER_TABLE, VelocityConfig
 from repro.core.launch import TABLE2_LAUNCH_CONFIGS
-from repro.gpusim.specs import MI250X_GCD, default_tuning_spec
+from repro.gpusim.specs import A100, MI250X_GCD
 from repro.kokkos.policy import LaunchBounds
 from repro.observability import get_metrics
 from repro.tune import (
-    DEFAULT_SPACE,
     SCHEMA_VERSION,
     AutoTuner,
     GpusimPrior,
-    ProblemModel,
     TuneCache,
     TuneCandidate,
     TuneRecord,
     TrialResult,
     cache_key,
-    candidate_from_config,
+    kernel_axes,
+    solver_axes,
 )
+from repro.tune.space import KERNEL_MODES, effective_launch_bounds
 
-#: small synthetic mesh stats, enough for the byte model to price
-MODEL = ProblemModel(num_dofs=600, num_cells=240, nnz=14_000, dofs_per_elem=24)
+#: small synthetic mesh, enough for the kernel model to price
+NUM_CELLS = 240
+
+#: the trial-flagged solver configurations, in table order
+TABLE_ORDER = [
+    ("mdsc", "assembled"), ("mdsc", "matrix-free"),
+    ("vline", "assembled"), ("vline", "matrix-free"),
+]
 
 
 def _candidate(**overrides) -> TuneCandidate:
@@ -43,41 +49,53 @@ def _candidate(**overrides) -> TuneCandidate:
     return TuneCandidate(**base)
 
 
+def _fake_search(base: VelocityConfig, tmp_path, cost=lambda cand: 1.0e8):
+    """One search whose trials are canned counters (no problem, no solve)."""
+    tuner = AutoTuner(
+        problem_factory=lambda cfg: SimpleNamespace(mesh=SimpleNamespace(num_elems=NUM_CELLS)),
+        base_config=base,
+        mesh_key="unit",
+        spec=MI250X_GCD,
+        cache=TuneCache(tmp_path / "c.json"),
+    )
+    tuner._run_trial = lambda cand, prior: TrialResult(
+        candidate=cand, gmres_iterations=60, gmres_matvecs=68, matvec_bytes=cost(cand),
+        stream_bytes=1.0e8, kernel_bytes=1.0e9, eval_sweeps={"jacobian": 8, "residual": 8},
+        newton_converged=True, mean_velocity=12.6, wall_seconds=0.1,
+    )
+    return tuner.tune()
+
+
 class TestSpace:
     def test_enumeration_is_deterministic(self):
-        spec = default_tuning_spec()
-        first = DEFAULT_SPACE.enumerate(spec)
-        second = DEFAULT_SPACE.enumerate(spec)
-        assert first == second
-        # 10 launchable (kernel_impl, LaunchBounds) pairs x 3
-        # preconditioners x 2 operator modes
-        assert len(DEFAULT_SPACE.enumerate(MI250X_GCD)) == 60
-        assert len({c.solver_axes for c in first}) == 6
+        # two independent lists, never their product: 10 launchable
+        # (kernel_impl, LaunchBounds) points on either GPU, and the
+        # table's trial-flagged preconditioners in both operator modes
+        for spec in (MI250X_GCD, A100):
+            assert kernel_axes(spec) == kernel_axes(spec)
+            assert len(kernel_axes(spec)) == 10
+        assert solver_axes(VelocityConfig(operator_mode="assembled")) == TABLE_ORDER
 
-    def test_mdsc_amg_never_pairs_with_matrix_free(self):
-        space = dataclasses.replace(
-            DEFAULT_SPACE, preconditioners=("mdsc", "mdsc-amg")
-        )
-        cands = space.enumerate(MI250X_GCD)
-        assert any(c.preconditioner == "mdsc-amg" for c in cands)
-        assert not any(
-            c.preconditioner == "mdsc-amg" and c.operator_mode == "matrix-free"
-            for c in cands
-        )
+    def test_mdsc_amg_never_pairs_with_matrix_free(self, monkeypatch):
+        # constructibility is read off the table's needs_csr flag: flag
+        # every entry worth a trial and mdsc-amg still only assembles
+        table = tuple(dataclasses.replace(p, tune_trial=True) for p in PRECONDITIONER_TABLE)
+        monkeypatch.setattr("repro.tune.space.PRECONDITIONER_TABLE", table)
+        pairs = solver_axes(VelocityConfig())
+        assert ("mdsc-amg", "assembled") in pairs
+        assert ("mdsc-amg", "matrix-free") not in pairs
+        assert ("jacobi", "matrix-free") in pairs
 
     def test_unlaunchable_bounds_filtered_by_spec(self):
         low = dataclasses.replace(MI250X_GCD, max_threads_per_cu=512)
-        cands = DEFAULT_SPACE.enumerate(low)
-        assert cands, "some configs must survive even on a small CU"
-        for c in cands:
-            for mode in ("jacobian", "residual"):
-                assert c.effective_launch_bounds(mode).max_threads <= 512
+        axes = kernel_axes(low)
+        assert axes, "some configs must survive even on a small CU"
+        for _, lb in axes:
+            for mode in KERNEL_MODES:
+                assert effective_launch_bounds(lb, mode).max_threads <= 512
         # the 1024-thread Table II column and the implicit residual
         # default (1024) are both gone
-        assert not any(
-            c.launch_bounds.max_threads > 512 and c.launch_bounds.explicit
-            for c in cands
-        )
+        assert all(lb.explicit and lb.max_threads <= 512 for _, lb in axes)
 
     def test_candidate_dict_round_trip(self):
         c = _candidate(launch_bounds=TABLE2_LAUNCH_CONFIGS[0])  # implicit default
@@ -92,33 +110,31 @@ class TestSpace:
         assert out.nparts == 2
         assert out.tuned == "auto"
 
-    def test_candidate_from_config_round_trips(self):
+    def test_candidate_from_config_round_trips(self, tmp_path):
         # the default trial measures exactly what the untuned solve runs
         for mode in ("assembled", "matrix-free"):
             cfg = VelocityConfig(operator_mode=mode, preconditioner="vline")
-            assert candidate_from_config(cfg).apply_to(cfg) == cfg
+            assert _fake_search(cfg, tmp_path).trials[0].candidate.apply_to(cfg) == cfg
 
 
 class TestPrior:
-    def test_rank_is_deterministic_and_complete(self):
-        prior = GpusimPrior(MI250X_GCD, MODEL)
-        cands = DEFAULT_SPACE.enumerate(MI250X_GCD)[:40]
-        a = [s.candidate for s in prior.rank(cands)]
-        b = [s.candidate for s in GpusimPrior(MI250X_GCD, MODEL).rank(cands)]
-        assert a == b
-        assert sorted(map(id, a)) == sorted(map(id, cands))
-
-    def test_stronger_preconditioner_ranks_cheaper(self):
-        prior = GpusimPrior(MI250X_GCD, MODEL)
-        mdsc = prior.score(_candidate(preconditioner="mdsc"))
-        jacobi = prior.score(_candidate(preconditioner="jacobi"))
-        assert mdsc.solver_bytes_per_step < jacobi.solver_bytes_per_step
-        assert mdsc.est_iterations_per_step < jacobi.est_iterations_per_step
-
     def test_kernel_profiles_memoized(self):
-        prior = GpusimPrior(MI250X_GCD, MODEL)
-        c = _candidate()
-        assert prior.kernel_profile(c, "jacobian") is prior.kernel_profile(c, "jacobian")
+        prior = GpusimPrior(MI250X_GCD, NUM_CELLS)
+        lb = LaunchBounds(128, 2)
+        assert prior.kernel_profile("optimized", lb, "jacobian") is prior.kernel_profile(
+            "optimized", lb, "jacobian"
+        )
+
+    def test_best_kernel_axes_is_the_byte_argmin(self):
+        # Table II automated: the model's pick moves no more bytes per
+        # sweep pair than any launchable point, and at the paper's cell
+        # counts it reproduces the paper's two winners on the MI250X
+        prior = GpusimPrior(MI250X_GCD, NUM_CELLS)
+        best = prior.sweep_bytes(*prior.best_kernel_axes(), {"jacobian": 1, "residual": 1})
+        for axes in kernel_axes(MI250X_GCD):
+            assert best <= prior.sweep_bytes(*axes, {"jacobian": 1, "residual": 1})
+        for cells, lb in ((2720, LaunchBounds(128, 2)), (272, LaunchBounds(256, 2))):
+            assert GpusimPrior(MI250X_GCD, cells).best_kernel_axes() == ("optimized", lb)
 
 
 class TestCache:
@@ -127,7 +143,7 @@ class TestCache:
             candidate=_candidate(),
             cost_bytes=1.5e9,
             gmres_iterations=420,
-            trials=5,
+            trials=4,
             default_cost_bytes=2.0e9,
         )
 
@@ -212,64 +228,38 @@ class TestCache:
 
 
 class TestTrialQueue:
-    """Queue construction is pure given (space, prior, seed) -- no solves."""
+    """The trial list is the table's order with the default first -- no
+    seed, no ranking, no solves needed to see it."""
 
-    def _tuner(self, seed: int, tmp_path, budget: int = 5) -> AutoTuner:
-        return AutoTuner(
-            problem_factory=None,  # queue construction never builds a problem
-            base_config=VelocityConfig(),
-            mesh_key="unit",
-            spec=MI250X_GCD,
-            cache=TuneCache(tmp_path / f"c{seed}.json"),
-            budget=budget,
-            seed=seed,
-        )
-
-    def _queue(self, seed: int, tmp_path, budget: int = 5):
-        tuner = self._tuner(seed, tmp_path, budget)
-        prior = GpusimPrior(MI250X_GCD, MODEL)
-        cands = tuner._candidates()
-        axes = tuner._best_kernel_axes(cands, prior)
-        return tuner._trial_queue(cands, prior, axes), cands
-
-    def test_same_seed_same_queue(self, tmp_path):
-        q1, _ = self._queue(7, tmp_path)
-        q2, _ = self._queue(7, tmp_path)
-        assert [c.describe() for c in q1] == [c.describe() for c in q2]
+    @staticmethod
+    def _axes(report):
+        return [(t.candidate.preconditioner, t.candidate.operator_mode) for t in report.trials]
 
     def test_default_config_always_first(self, tmp_path):
-        queue, _ = self._queue(0, tmp_path)
-        assert queue[0] == candidate_from_config(VelocityConfig())
-        assert len(queue) == 5
-        # distinct solver axes: no wasted trial measures the same
-        # Newton--Krylov trajectory twice
-        axes = [c.solver_axes for c in queue]
-        assert len(set(axes)) == len(axes)
-        # a budget past the six measurable configurations stops at six
-        queue, _ = self._queue(0, tmp_path, budget=8)
-        assert len({c.solver_axes for c in queue}) == len(queue) == 6
+        for default in (("vline", "matrix-free"), ("mdsc", "assembled"), ("jacobi", "assembled")):
+            base = VelocityConfig(preconditioner=default[0], operator_mode=default[1])
+            axes = self._axes(_fake_search(base, tmp_path))
+            assert axes[0] == default
+            # then the table's order; no configuration measured twice
+            assert axes[1:] == [a for a in TABLE_ORDER if a != default]
 
     def test_exact_tie_keeps_the_earlier_trial(self, tmp_path):
         # regression: ties were broken by describe() string order, so an
         # equal-cost "jacobi" displaced the hand-picked "mdsc" default
-        tuner = self._tuner(0, tmp_path, budget=3)
-        shape = SimpleNamespace(num_dofs=600, num_elems=240, nnz=14_000, dofs_per_elem=24)
-        tuner.problem_factory = lambda cfg: SimpleNamespace(dofmap=shape, mesh=shape, plan=shape)
-        tuner._run_trial = lambda cand, prior: TrialResult(
-            candidate=cand, gmres_iterations=60, gmres_matvecs=68, matvec_bytes=1.0e8,
-            stream_bytes=1.0e8, kernel_bytes=1.0e9, eval_sweeps={}, newton_converged=True,
-            mean_velocity=12.6, wall_seconds=0.1,
-        )
-        report = tuner.tune()
-        assert len(report.trials) == 3
+        report = _fake_search(VelocityConfig(preconditioner="vline"), tmp_path)
+        assert len(report.trials) == 4
         assert report.record.candidate == report.trials[0].candidate
+        # and a strictly cheaper trial does displace it
+        report = _fake_search(
+            VelocityConfig(preconditioner="vline"), tmp_path,
+            cost=lambda cand: 0.5e8 if cand.preconditioner == "mdsc" else 1.0e8,
+        )
+        assert report.record.candidate.preconditioner == "mdsc"
+        assert report.record.default_cost_bytes == report.trials[0].cost_bytes
 
     def test_spmd_base_config_drops_matrix_free(self, tmp_path):
-        tuner = AutoTuner(
-            problem_factory=None,
-            base_config=VelocityConfig(nparts=4),
-            mesh_key="unit-spmd",
-            spec=MI250X_GCD,
-            cache=TuneCache(tmp_path / "spmd.json"),
-        )
-        assert all(c.operator_mode == "assembled" for c in tuner._candidates())
+        # the default, too, is measured as it will run: SPMD always assembles
+        base = VelocityConfig(nparts=4, operator_mode="matrix-free")
+        assert self._axes(_fake_search(base, tmp_path)) == [
+            ("mdsc", "assembled"), ("vline", "assembled")
+        ]
