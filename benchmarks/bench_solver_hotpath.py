@@ -30,6 +30,9 @@ A third section repeats both modes with the production ``mdsc``
 preconditioner, so the gate also sees what users run: GMRES iterations,
 matvecs and the modeled V-cycle bytes per solve.  A line smoother
 pushed back past its stability limit shows here as iteration growth.
+It also counts the symbolic halves of the MDSC set-up a build + solve
+constructs (one ``ColumnCollapseMap`` per problem, gated) and times the
+numeric set-up on the converged Jacobian (median of 7, advisory).
 
 The one artifact is the normalized perf-trajectory ``BENCH_solver.json``
 at the repo root, which ``tools/check_bench.py`` diffs against the
@@ -43,12 +46,16 @@ minute)::
 from __future__ import annotations
 
 import json
+import statistics
+import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 from repro import observability as obs
 from repro.app.antarctica import AntarcticaTest
 from repro.app.config import AntarcticaConfig, VelocityConfig
+from repro.fem.sparse import ColumnCollapseMap
 from repro.observability.attribution import span_bytes
 from repro.perf.report import format_table
 
@@ -115,11 +122,25 @@ def run_operator_modes(
                 config.velocity, operator_mode=mode, preconditioner=preconditioner
             ),
         )
-        test = AntarcticaTest.build(cfg)
-        obs.get_metrics().reset()
-        with obs.tracing() as tracer:
-            with tracer.span("bench.solve", variant=mode) as sp:
-                sol = test.run()
+        maps_built = []
+        init = ColumnCollapseMap.__init__
+
+        def counting_init(self, *args, **kwargs):
+            maps_built.append(1)
+            init(self, *args, **kwargs)
+
+        with mock.patch.object(ColumnCollapseMap, "__init__", counting_init):
+            test = AntarcticaTest.build(cfg)
+            obs.get_metrics().reset()
+            with obs.tracing() as tracer:
+                with tracer.span("bench.solve", variant=mode) as sp:
+                    sol = test.run()
+        J = test.problem.jacobian(sol.u)
+        setup_walls = []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            test.problem._build_preconditioner(J)
+            setup_walls.append(time.perf_counter() - t0)
         d = sol.diagnostics
         counters = d["observability"]["metrics"]["counters"]
         gmres_iters = sum(sol.newton.linear_iterations)
@@ -138,6 +159,8 @@ def run_operator_modes(
                 span_bytes(s) for s in tracer.spans if s.name == "mdsc.vcycle"
             ),
             "mean_velocity": sol.mean_velocity,
+            "symbolic_builds": len(maps_built),
+            "setup_seconds": statistics.median(setup_walls),
         }
     return out
 
@@ -176,6 +199,12 @@ def _check_mode_report(modes: dict) -> None:
         a["mean_velocity"]
     )
     assert a["matvec_bytes"] > 0.0 and m["matvec_bytes"] > 0.0
+
+
+def _check_mdsc_report(mdsc_modes: dict) -> None:
+    # the set-up's symbolic half is built once per problem, whatever the
+    # number of Newton steps
+    assert all(m["symbolic_builds"] == 1 for m in mdsc_modes.values())
 
 
 #: schema of the normalized CI perf-trajectory artifact; bump when the
@@ -224,11 +253,14 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
             "gmres_iterations": p["gmres_iterations"],
             "gmres_matvecs": p["gmres_matvecs"],
             "vcycle_bytes": p["vcycle_bytes"],
+            "symbolic_builds": p["symbolic_builds"],
         }
     advisory = {
         "solve_seconds": report["solve_seconds"],
         "assembled_solve_seconds": modes["assembled"]["solve_seconds"],
         "matrix_free_solve_seconds": modes["matrix-free"]["solve_seconds"],
+        "mdsc_assembled_setup_seconds": mdsc_modes["assembled"]["setup_seconds"],
+        "mdsc_matrix_free_setup_seconds": mdsc_modes["matrix-free"]["setup_seconds"],
     }
     return {
         "bench": "solver_hotpath",
@@ -320,6 +352,7 @@ def test_solver_hotpath_report(print_once, benchmark):
         print_once(key, table)
     _check_hotpath_report(report)
     _check_mode_report(modes)
+    _check_mdsc_report(mdsc_modes)
     _write_solver_trajectory(report, modes, mdsc_modes)
 
     # the benchmarked operation: one end-to-end solve
@@ -335,6 +368,7 @@ def main() -> int:
         print(table)
     _check_hotpath_report(report)
     _check_mode_report(modes)
+    _check_mdsc_report(mdsc_modes)
     print(f"artifact: {_write_solver_trajectory(report, modes, mdsc_modes)}")
     return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fem.dofmap import DofMap
-from repro.fem.sparse import CsrMatrix
+from repro.fem.sparse import ColumnCollapseMap, CsrMatrix, column_aggregates
 
 __all__ = [
     "build_sparsity",
@@ -158,6 +158,21 @@ class AssemblyPlan:
         )
         self.num_operator_wraps += 1
         return op
+
+    def collapse_map(self, levels: int, ndof: int, element_values: bool) -> ColumnCollapseMap:
+        """Symbolic MDSC set-up for the operators this plan produces:
+        :meth:`assemble_matrix`'s (also gathered from their SPMD row
+        partition) or, with ``element_values``, :meth:`matrix_free_operator`'s,
+        each entry routed through ``scatter`` so the coarse pattern comes
+        from the ``nnz`` the plan already sorted.  Topology only, like the
+        plan: one per problem serves every Newton step of every solve."""
+        n, blk = self.num_dofs, levels * ndof
+        rows = np.repeat(np.arange(n, dtype=np.min_scalar_type(-n)), np.diff(self.indptr))
+        return ColumnCollapseMap(
+            n, rows, self.indices, blk, *column_aggregates(n, blk, ndof),
+            entry_slot=self.scatter if element_values else None,
+            bc_dofs=self.bc_dofs if element_values else None,
+        )
 
     def assemble_vector(self, local_res: np.ndarray) -> np.ndarray:
         """Scatter-add per-element residual blocks into a global dof vector."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fem.sparse import CsrMatrix
+from repro.fem.sparse import ColumnCollapseMap, CsrMatrix
 
 __all__ = ["MatrixFreeJacobian", "OperatorModeError"]
 
@@ -88,17 +88,16 @@ class MatrixFreeJacobian:
         self.shape = (self.n, self.n)
         self.diag_scale = float(diag_scale)
         self.bc_dofs = None
-        self._is_bc = None
         if bc_dofs is not None:
             bc_dofs = np.asarray(bc_dofs, dtype=np.int64)
             if bc_dofs.size and (bc_dofs.min() < 0 or bc_dofs.max() >= self.n):
                 raise ValueError("Dirichlet dof out of range")
             self.bc_dofs = bc_dofs
-            self._is_bc = np.zeros(self.n, dtype=bool)
-            self._is_bc[bc_dofs] = True
+            is_bc = np.zeros(self.n, dtype=bool)
+            is_bc[bc_dofs] = True
             #: element rows that are cleared Dirichlet rows, gathered once
             #: (every matvec masks with it)
-            self._elem_row_is_bc = self._is_bc[elem_dofs]
+            self._elem_row_is_bc = is_bc[elem_dofs]
         #: matvecs applied so far (instrumentation for tests/benches)
         self.num_matvecs = 0
 
@@ -142,70 +141,33 @@ class MatrixFreeJacobian:
     # ------------------------------------------------------------------
     # what MDSC needs without a CRS matrix
     # ------------------------------------------------------------------
+    def collapse_map(self, block_size=None, agg=None, num_coarse=0) -> ColumnCollapseMap:
+        """This connectivity's own symbolic MDSC set-up (uncached; a
+        solve shares ``AssemblyPlan.collapse_map``'s instead)."""
+        ed = self.elem_dofs
+        k = ed.shape[1]
+        rows, cols = np.repeat(ed, k, axis=1).ravel(), np.tile(ed, (1, k)).ravel()
+        return ColumnCollapseMap(
+            self.n, rows, cols, block_size, agg, num_coarse, bc_dofs=self.bc_dofs
+        )
+
     def column_blocks(self, block_size: int) -> np.ndarray:
         """Dense on-diagonal column blocks ``(nb, blk, blk)``.
 
         With column-major dof numbering, block ``p`` covers the dof
-        range ``[p*blk, (p+1)*blk)`` (one vertical column); the entries
-        are gathered straight from the element blocks by masking
-        same-column (row, col) pairs -- the matrix-free analogue of
-        :meth:`CsrMatrix.column_blocks`, consumed by
-        :class:`~repro.solvers.smoothers.VerticalLineSmoother`.
+        range ``[p*blk, (p+1)*blk)`` (one vertical column); same-column
+        element entries are summed in element order, Dirichlet rows
+        replaced -- the matrix-free analogue of
+        :meth:`CsrMatrix.column_blocks`.
         """
-        blk = int(block_size)
-        if self.n % blk != 0:
-            raise ValueError(f"operator size {self.n} not divisible by column block {blk}")
-        nb = self.n // blk
-        ed = self.elem_dofs
-        nc, k = ed.shape
-        rows = np.repeat(ed, k, axis=1)  # (nc, k*k) row dof of each entry
-        cols = np.tile(ed, (1, k))  # (nc, k*k) col dof
-        vals = self.local_jac.reshape(nc, k * k)
-        rb, cb = rows // blk, cols // blk
-        on = rb == cb
-        if self.bc_dofs is not None:
-            on = on & ~self._is_bc[rows]
-        flat = (rb * blk + rows % blk) * blk + cols % blk
-        blocks = np.bincount(
-            flat[on].ravel(), weights=vals[on].ravel(), minlength=nb * blk * blk
-        ).reshape(nb, blk, blk)
-        if self.bc_dofs is not None:
-            bc = self.bc_dofs
-            blocks[bc // blk, bc % blk, bc % blk] = self.diag_scale
-        return blocks
+        return self.collapse_map(block_size).column_blocks(self)
 
     def collapse(self, agg: np.ndarray, num_coarse: int) -> CsrMatrix:
         """Galerkin collapse ``P^T J P`` for a piecewise-constant
-        aggregation map, assembled directly from the element blocks.
-
-        Used by the matrix-free column-collapse MDSC: the coarse
-        membrane operator is tiny (one dof per column and component),
-        so assembling *it* is cheap -- only the fine-level matrix is
-        never formed.  Bitwise association differs from the CSR
-        Galerkin product, but the result agrees to rounding.
-        """
-        agg = np.asarray(agg, dtype=np.int64)
-        if agg.shape != (self.n,):
-            raise ValueError("aggregate map must cover every fine dof")
-        ed = self.elem_dofs
-        nc, k = ed.shape
-        rows = np.repeat(ed, k, axis=1).ravel()
-        cols = np.tile(ed, (1, k)).ravel()
-        vals = self.local_jac.ravel()
-        if self.bc_dofs is not None:
-            keep_vals = np.where(self._is_bc[rows], 0.0, vals)
-        else:
-            keep_vals = vals
-        cr, cc = agg[rows], agg[cols]
-        if self.bc_dofs is not None:
-            # each Dirichlet row contributes its diag_scale diagonal
-            bc = self.bc_dofs
-            cr = np.concatenate([cr, agg[bc]])
-            cc = np.concatenate([cc, agg[bc]])
-            keep_vals = np.concatenate(
-                [keep_vals, np.full(len(bc), self.diag_scale)]
-            )
-        return CsrMatrix.from_coo(cr, cc, keep_vals, (num_coarse, num_coarse))
+        aggregation map, summed directly from the element blocks (the
+        fine-level matrix is never formed; association differs from the
+        CSR Galerkin product, the result agrees to rounding)."""
+        return CsrMatrix.from_scipy(self.collapse_map(None, agg, num_coarse).collapse(self))
 
     # ------------------------------------------------------------------
     @property

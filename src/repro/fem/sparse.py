@@ -9,13 +9,135 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CsrMatrix"]
+__all__ = ["CsrMatrix", "ColumnCollapseMap", "column_aggregates"]
 
 
 try:  # fast SpMV backend; the numpy path below is the fallback
     import scipy.sparse as _sp
 except ImportError:  # pragma: no cover - scipy is part of the toolchain
     _sp = None
+
+
+def _frozen(a: np.ndarray, bound: int | None = None) -> np.ndarray:
+    """``a`` read-only; an index array in the narrowest signed dtype holding ``bound``."""
+    if bound is not None:
+        a = np.asarray(a).astype(np.min_scalar_type(-int(bound) - 1), copy=False)
+    a.flags.writeable = False
+    return a
+
+
+def column_aggregates(n: int, block_size: int, ndof: int) -> tuple[np.ndarray, int]:
+    """Full vertical collapse: every column block keeps one dof per component."""
+    dof = np.arange(n)
+    return dof // block_size * ndof + dof % ndof, n // block_size * ndof
+
+
+class ColumnCollapseMap:
+    """Symbolic half of the vertical-line / column-collapse MDSC set-up.
+
+    What that set-up derives from *where* an operator's values sit, built
+    once per sparsity structure; :meth:`column_blocks` and
+    :meth:`collapse` are the numeric half, each one ``np.bincount`` over
+    the raw value array (summed in value order):
+
+    * ``block_src``/``block_dst`` -- the values inside the on-diagonal
+      blocks of ``block_size`` (one in ``levels`` of them) and their flat
+      ``(block, i, j)`` positions;
+    * ``coarse_dst`` -- value -> ``data`` position of ``P^T A P`` for the
+      piecewise-constant ``agg`` (also the restriction / prolongation
+      index), on a fixed CSC pattern that holds every diagonal
+      (``coarse_diag``: where the factorization's shift goes);
+    * ``power_start`` -- the seeded unit vector the line smoother's
+      ``lambda_max`` estimate starts from.
+
+    A value is a CSR ``data`` slot at ``(rows, cols)`` or, with
+    ``entry_slot`` (an ``AssemblyPlan.scatter``), an element-block entry
+    routed through its slot.  ``bc_dofs`` goes with element values only
+    (assembled ``data`` carries the row replacement already): values in
+    Dirichlet rows are dropped -- mapped one past the end -- and the
+    diagonals there take the operator's ``diag_scale``.  Read-only.
+    """
+
+    def __init__(
+        self, n, rows, cols, block_size=None, agg=None, num_coarse=0, entry_slot=None, bc_dofs=None
+    ):
+        self.n = n = int(n)
+        self.num_values = len(rows) if entry_slot is None else len(entry_slot)
+        # index arithmetic in the narrowest dtype holding every product below
+        wide = np.min_scalar_type(-max(n * (block_size or 1), (num_coarse + 1) * num_coarse) - 1)
+        rows, cols = (np.asarray(a).astype(wide, copy=False) for a in (rows, cols))
+        bc = np.array([] if bc_dofs is None else bc_dofs, dtype=np.int64)
+        self.bc_dofs = _frozen(bc, n)
+        dropped = np.isin(rows, bc) if bc.size else None
+
+        def routed(dst, size):
+            if dropped is not None:
+                dst[dropped] = size
+            return _frozen(dst if entry_slot is None else dst[entry_slot], size)
+
+        v = np.random.default_rng(0).standard_normal(n)
+        self.power_start = _frozen(v / np.linalg.norm(v))
+        if block_size is not None:
+            blk = self.block_size = int(block_size)
+            if self.n % blk != 0:
+                raise ValueError(f"matrix size {self.n} not divisible by column block {blk}")
+            size = self.n * blk
+            on = rows // blk == cols // blk
+            dst = routed(np.where(on, rows * blk + cols % blk, size), size)
+            self.block_src = _frozen(np.flatnonzero(dst < size), self.num_values)
+            self.block_dst = _frozen(dst[self.block_src], size)
+            self.bc_block = _frozen(bc * blk + bc % blk, size)
+        if agg is not None:
+            nc = self.num_coarse = int(num_coarse)
+            if np.shape(agg) != (self.n,):
+                raise ValueError("aggregate map must cover every fine dof")
+            self.agg = _frozen(np.array(agg), nc)
+            agg = self.agg.astype(wide)
+            # column-major keys: their sorted unique set IS the CSC pattern
+            diag = np.arange(nc, dtype=wide)
+            keys = np.concatenate([agg[cols] * wide.type(nc) + agg[rows], diag * (nc + 1)])
+            pattern = np.unique(keys)
+            pos, nnz = np.searchsorted(pattern, keys), len(pattern)
+            self.coarse_indices = _frozen(pattern % nc, nc)
+            self.coarse_indptr = _frozen(np.searchsorted(pattern, np.arange(nc + 1) * nc), nnz)
+            self.coarse_diag = _frozen(pos[len(rows) :], nnz)
+            self.coarse_dst = routed(pos[: len(rows)], nnz)
+            self.bc_coarse = _frozen(self.coarse_diag[agg[bc]], nnz)
+
+    def _values(self, A) -> tuple[np.ndarray, float]:
+        """``A``'s raw value array and Dirichlet diagonal -- ``ValueError``
+        unless ``A`` sits on the structure the maps index (blindly) into."""
+        jac = getattr(A, "local_jac", None)
+        values = A.data if jac is None else jac.reshape(-1)
+        bc = getattr(A, "bc_dofs", None)
+        if (
+            A.shape[0] != self.n
+            or values.size != self.num_values
+            or not np.array_equal(() if bc is None else bc, self.bc_dofs)
+        ):
+            raise ValueError(
+                f"{A!r} does not have the structure this ColumnCollapseMap was built on "
+                f"({self.n} dofs, {self.num_values} values, {len(self.bc_dofs)} Dirichlet rows)"
+            )
+        return values, getattr(A, "diag_scale", 0.0)
+
+    def column_blocks(self, A) -> np.ndarray:
+        """Dense on-diagonal blocks ``(n // blk, blk, blk)`` of ``A``."""
+        values, diag_scale = self._values(A)
+        size = self.n * self.block_size
+        flat = np.bincount(self.block_dst, weights=values[self.block_src], minlength=size)
+        flat[self.bc_block] = diag_scale
+        return flat.reshape(-1, self.block_size, self.block_size)
+
+    def collapse(self, A):
+        """``P^T A P`` as a scipy CSC matrix (fresh ``data``, stored pattern)."""
+        import scipy.sparse as sp
+
+        values, diag_scale = self._values(A)
+        nnz, nc = len(self.coarse_indices), self.num_coarse
+        data = np.bincount(self.coarse_dst, weights=values, minlength=nnz + 1)[:nnz]
+        data += diag_scale * np.bincount(self.bc_coarse, minlength=nnz)
+        return sp.csc_matrix((data, self.coarse_indices, self.coarse_indptr), shape=(nc, nc))
 
 
 class CsrMatrix:
@@ -113,9 +235,7 @@ class CsrMatrix:
         """x = A^T @ y."""
         y = np.asarray(y, dtype=np.float64)
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        x = np.zeros(self.shape[1])
-        np.add.at(x, self.indices, self.data * y[rows])
-        return x
+        return np.bincount(self.indices, weights=self.data * y[rows], minlength=self.shape[1])
 
     def diagonal(self) -> np.ndarray:
         n = min(self.shape)
@@ -129,6 +249,11 @@ class CsrMatrix:
         """Whether every stored value is finite (Newton's per-step health check)."""
         return bool(np.all(np.isfinite(self.data)))
 
+    def collapse_map(self, block_size=None, agg=None, num_coarse=0) -> ColumnCollapseMap:
+        """This structure's own symbolic MDSC set-up (uncached)."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return ColumnCollapseMap(self.shape[0], rows, self.indices, block_size, agg, num_coarse)
+
     def column_blocks(self, block_size: int) -> np.ndarray:
         """Dense on-diagonal blocks ``(n // blk, blk, blk)``.
 
@@ -136,16 +261,7 @@ class CsrMatrix:
         ``[p*blk, (p+1)*blk)`` -- one vertical column's coupling, which
         the vertical-line smoother inverts.
         """
-        blk = int(block_size)
-        n = self.shape[0]
-        if n % blk != 0:
-            raise ValueError(f"matrix size {n} not divisible by column block {blk}")
-        blocks = np.zeros((n // blk, blk, blk))
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        cols = self.indices
-        on = rows // blk == cols // blk
-        blocks[rows[on] // blk, rows[on] % blk, cols[on] % blk] = self.data[on]
-        return blocks
+        return self.collapse_map(block_size).column_blocks(self)
 
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(column indices, values) of row ``i`` (views, do not mutate ids)."""
@@ -166,9 +282,7 @@ class CsrMatrix:
         if self.nnz == 0:
             return 0.0
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        sums = np.zeros(self.shape[0])
-        np.add.at(sums, rows, np.abs(self.data))
-        return float(sums.max())
+        return float(np.bincount(rows, weights=np.abs(self.data), minlength=self.shape[0]).max())
 
     def norm_fro(self) -> float:
         return float(np.sqrt(np.sum(self.data**2)))

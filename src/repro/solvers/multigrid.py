@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fem.matfree import OperatorModeError
-from repro.fem.sparse import CsrMatrix
+from repro.fem.sparse import CsrMatrix, column_aggregates
 from repro.observability import get_tracer
 from repro.solvers.smoothers import JacobiSmoother, VerticalLineSmoother
 
@@ -132,34 +132,52 @@ class ColumnCollapseMdsc:
     :func:`build_mdsc_amg`, for one sparse factorization of the
     membrane problem per set-up.  The line smoother's damping is
     derived from the operator (:class:`VerticalLineSmoother`).
+
+    The set-up is split the way ``AssemblyPlan`` splits assembly: where
+    the column blocks and the membrane operator's entries sit in the
+    operator's values, the coarse pattern and the collapse index are a
+    function of the mesh (``symbolic``, the problem's
+    :class:`~repro.fem.sparse.ColumnCollapseMap`), and a set-up is the
+    numeric half only -- two ``bincount``s, the batched inverse, the
+    damping estimate, ``splu`` on the stored pattern.  Without
+    ``symbolic`` the operator's own map is built first: the same path,
+    uncached.  ``CsrMatrix`` and ``MatrixFreeJacobian`` both serve, and
+    the prolongator is never formed.
     """
 
-    def __init__(
-        self,
-        A: CsrMatrix,
-        num_columns: int,
-        levels: int,
-        ndof: int = 2,
-        smoother_iters: int = 2,
-        coarse_damping: float = 1.0,
+    # The frozen benchmark wraps ``__init__`` and ``apply`` through the
+    # ``__dict__`` of BOTH class names, so each name defines its own and
+    # neither calls the other's (one set-up or V-cycle = one wrapped
+    # call); the bodies, and the constructor's signature, are
+    # ``_setup``/``_vcycle``.  The second name goes in the
+    # benchmark-archetype PR of ROADMAP item 3(a).
+    def __init__(self, *args, **kwargs):
+        self._setup(*args, **kwargs)
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """Pre-smooth, coarse-correct on the collapsed membrane, post-smooth."""
+        return self._vcycle(r)
+
+    def _setup(
+        self, A, num_columns, levels, ndof=2, smoother_iters=2, coarse_damping=1.0, symbolic=None
     ):
-        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        n = A.shape[0]
-        if n != num_columns * levels * ndof:
-            raise ValueError("matrix size inconsistent with columns x levels x ndof")
-        self.A = A
-        self.smoother = VerticalLineSmoother(A, levels * ndof, iters=smoother_iters)
-        col = np.arange(n) // (levels * ndof)
-        comp = np.arange(n) % ndof
-        agg = col * ndof + comp
-        nc = num_columns * ndof
-        self.P = CsrMatrix.from_coo(np.arange(n), agg, np.ones(n), (n, nc))
-        Ps = self.P.to_scipy()
-        Ac = (Ps.T @ A.to_scipy() @ Ps).tocsc()
+        n, blk = A.shape[0], levels * ndof
+        if n != num_columns * blk:
+            raise ValueError("operator size inconsistent with columns x levels x ndof")
+        if getattr(A, "collapse_map", None) is None:
+            raise OperatorModeError(
+                f"{type(self).__name__} needs an operator exposing collapse_map() "
+                f"(CsrMatrix or MatrixFreeJacobian); got {type(A).__name__}"
+            )
+        if symbolic is None:
+            symbolic = A.collapse_map(blk, *column_aggregates(n, blk, ndof))
+        self.A, self.symbolic = A, symbolic
+        self.smoother = VerticalLineSmoother(A, blk, iters=smoother_iters, symbolic=symbolic)
+        Ac = symbolic.collapse(A)
         # tiny shift guards numerically singular collapsed blocks
-        Ac = Ac + sp.identity(nc, format="csc") * (1.0e-12 * abs(Ac).max())
+        Ac.data[symbolic.coarse_diag] += 1.0e-12 * np.abs(Ac.data).max()
         self._coarse = spla.splu(Ac)
         self.coarse_damping = coarse_damping
 
@@ -168,22 +186,21 @@ class ColumnCollapseMdsc:
         """Modeled HBM traffic of one V-cycle (roofline attribution).
 
         Each smoother sweep streams the fine operator once (its
-        residual matvec) plus three vector passes for the block solve
-        and update -- except the first pre-smoothing sweep, which starts
-        from zero and needs no operator product; the coarse correction
-        adds one fine residual matvec and the restriction/prolongation
-        vector streams (the tiny collapsed factor solve is counted as
-        coarse-vector traffic).
+        residual product, priced per operator mode by
+        ``operator_traffic``) plus three vector passes for the block
+        solve and update -- except the first pre-smoothing sweep, which
+        starts from zero and needs no operator product; the coarse
+        correction adds one fine residual product and the
+        restriction/prolongation vector streams (the tiny collapsed
+        factor solve is counted as coarse-vector traffic).
         """
-        from repro.gpusim.solver_bytes import spmv_bytes, vector_stream_bytes
+        from repro.gpusim.solver_bytes import operator_traffic, vector_stream_bytes
 
-        n, nnz = self.A.shape[0], self.A.nnz
+        n, op_b = self.A.shape[0], operator_traffic(self.A)[1]
         sweeps = 2 * self.smoother.iters  # pre + post relaxation
-        smoother_b = (sweeps - 1) * spmv_bytes(n, nnz) + sweeps * 3 * vector_stream_bytes(n)
+        smoother_b = (sweeps - 1) * op_b + sweeps * 3 * vector_stream_bytes(n)
         coarse_b = (
-            spmv_bytes(n, nnz)
-            + 4 * vector_stream_bytes(n)
-            + 4 * vector_stream_bytes(self.P.shape[1])
+            op_b + 4 * vector_stream_bytes(n) + 4 * vector_stream_bytes(self.symbolic.num_coarse)
         )
         return smoother_b + coarse_b
 
@@ -194,118 +211,29 @@ class ColumnCollapseMdsc:
         factorization are not modeled)."""
         return self.smoother.bytes_per_setup
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """Pre-smooth, coarse-correct on the collapsed membrane, post-smooth."""
+    def _vcycle(self, r: np.ndarray) -> np.ndarray:
         tr = get_tracer()
         with tr.span("mdsc.vcycle", kind="column-collapse") as sp:
             if tr.recording:
                 sp.args["bytes"] = self.bytes_per_apply
             x = self.smoother.apply(r)  # zero guess: no operator product in sweep 1
             rr = r - self.A.matvec(x)
-            xc = self._coarse.solve(self.P.rmatvec(rr))
-            x = x + self.coarse_damping * self.P.matvec(xc)
+            sym = self.symbolic  # restriction / prolongation through the index
+            xc = self._coarse.solve(np.bincount(sym.agg, weights=rr, minlength=sym.num_coarse))
+            x = x + self.coarse_damping * xc[sym.agg]
             return self.smoother.smooth(self.A, r, x)
 
-    def describe(self) -> list[tuple[str, int, int]]:
-        return [("vertical-line", self.A.shape[0], self.A.nnz), ("collapsed", self.P.shape[1], -1)]
 
+class MatrixFreeColumnCollapseMdsc(ColumnCollapseMdsc):
+    """The name a matrix-free operator's MDSC is constructed (and traced)
+    under; set-up and V-cycle are :class:`ColumnCollapseMdsc`'s."""
 
-class MatrixFreeColumnCollapseMdsc:
-    """Column-collapse MDSC without an assembled fine-level matrix.
-
-    The same two-level structure as :class:`ColumnCollapseMdsc` --
-    vertical-line pre/post relaxation plus a collapsed-membrane coarse
-    correction -- driven entirely by a matrix-free operator:
-
-    * the line smoother takes its column blocks from the operator's
-      element blocks (``MatrixFreeJacobian.column_blocks``);
-    * restriction/prolongation are the piecewise-constant column
-      collapse applied as a ``bincount`` / gather (the explicit
-      prolongator matrix is never formed);
-    * only the *coarse* membrane operator (one dof per column and
-      component -- a tiny 2-D problem) is assembled, directly from the
-      element blocks via ``MatrixFreeJacobian.collapse``, and factored
-      once per Newton step.
-
-    Iteration counts match the assembled preconditioner to rounding:
-    the coarse operators agree up to floating-point association of the
-    Galerkin triple product.
-    """
-
-    def __init__(
-        self,
-        op,
-        num_columns: int,
-        levels: int,
-        ndof: int = 2,
-        smoother_iters: int = 2,
-        coarse_damping: float = 1.0,
-    ):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        n = op.shape[0]
-        if n != num_columns * levels * ndof:
-            raise ValueError("operator size inconsistent with columns x levels x ndof")
-        collapse = getattr(op, "collapse", None)
-        if collapse is None:
-            raise OperatorModeError(
-                "MatrixFreeColumnCollapseMdsc needs an operator exposing "
-                f"collapse() (e.g. MatrixFreeJacobian); got {type(op).__name__}"
-            )
-        self.A = op
-        self.smoother = VerticalLineSmoother(op, levels * ndof, iters=smoother_iters)
-        col = np.arange(n) // (levels * ndof)
-        comp = np.arange(n) % ndof
-        self.agg = col * ndof + comp
-        self.ncoarse = num_columns * ndof
-        Ac = collapse(self.agg, self.ncoarse).to_scipy().tocsc()
-        # tiny shift guards numerically singular collapsed blocks (same
-        # regularization as the assembled ColumnCollapseMdsc)
-        Ac = Ac + sp.identity(self.ncoarse, format="csc") * (1.0e-12 * abs(Ac).max())
-        self._coarse = spla.splu(Ac)
-        self.coarse_damping = coarse_damping
-
-    @property
-    def bytes_per_apply(self) -> float:
-        """Modeled HBM traffic of one V-cycle (roofline attribution).
-
-        Same accounting as the assembled :class:`ColumnCollapseMdsc`
-        with the operator streams priced at the element-block apply
-        cost (``bytes_per_matvec``); restriction/prolongation are the
-        ``bincount``/gather vector passes.
-        """
-        from repro.gpusim.solver_bytes import vector_stream_bytes
-
-        n = self.A.shape[0]
-        op_b = float(self.A.bytes_per_matvec)
-        sweeps = 2 * self.smoother.iters  # pre + post relaxation
-        smoother_b = (sweeps - 1) * op_b + sweeps * 3 * vector_stream_bytes(n)
-        coarse_b = op_b + 4 * vector_stream_bytes(n) + 4 * vector_stream_bytes(self.ncoarse)
-        return smoother_b + coarse_b
-
-    @property
-    def bytes_per_setup(self) -> float:
-        """Modeled HBM traffic of the set-up's operator work: the line
-        smoother's damping estimate (the block inversion and the coarse
-        factorization are not modeled)."""
-        return self.smoother.bytes_per_setup
+    def __init__(self, *args, **kwargs):
+        self._setup(*args, **kwargs)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Pre-smooth, coarse-correct on the collapsed membrane, post-smooth."""
-        tr = get_tracer()
-        with tr.span("mdsc.vcycle", kind="column-collapse-matrix-free") as sp:
-            if tr.recording:
-                sp.args["bytes"] = self.bytes_per_apply
-            x = self.smoother.apply(r)  # zero guess: no operator product in sweep 1
-            rr = r - self.A.matvec(x)
-            rc = np.bincount(self.agg, weights=rr, minlength=self.ncoarse)
-            xc = self._coarse.solve(rc)
-            x = x + self.coarse_damping * xc[self.agg]
-            return self.smoother.smooth(self.A, r, x)
-
-    def describe(self) -> list[tuple[str, int, int]]:
-        return [("vertical-line/matrix-free", self.A.shape[0], -1), ("collapsed", self.ncoarse, -1)]
+        return self._vcycle(r)
 
 
 @dataclass
@@ -402,6 +330,7 @@ def build_mdsc_amg(
     coarse_size: int = 400,
     theta: float = 0.02,
     jacobi_omega: float = 0.7,
+    symbolic=None,
 ) -> SemicoarseningMultigrid:
     """Build the MDSC-AMG hierarchy for an extruded-mesh operator.
 
@@ -410,11 +339,12 @@ def build_mdsc_amg(
     until single-layer, then horizontal aggregation coarsens to
     ``coarse_size``.  Prolongators are piecewise constant and every
     multi-layer level gets a line smoother with its own derived damping
-    (the Galerkin operators have their own ``lambda_max``).
+    (the Galerkin operators have their own ``lambda_max``).  ``symbolic``
+    is the fine level's block map (see :class:`ColumnCollapseMdsc`).
     """
     with get_tracer().span("mdsc.build_hierarchy", n=A.shape[0], levels=levels):
         mg_levels: list[MgLevel] = [
-            MgLevel(A, None, VerticalLineSmoother(A, levels * ndof), "vertical")
+            MgLevel(A, None, VerticalLineSmoother(A, levels * ndof, symbolic=symbolic), "vertical")
         ]
         cur_A, cur_levels = A, levels
         # vertical semicoarsening phase

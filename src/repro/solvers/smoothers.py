@@ -86,8 +86,8 @@ class VerticalLineSmoother:
     occupy the contiguous range ``[p*blk, (p+1)*blk)`` with ``blk =
     levels * ndof_per_node``; each diagonal block is a narrow banded
     matrix (the vertical tridiagonal coupling) that we invert once and
-    apply batched.  The blocks come from the operator's own
-    ``column_blocks`` -- the CSR diagonal blocks or, matrix-free, the
+    apply batched.  The blocks come through the operator's
+    ``collapse_map`` -- from the CSR diagonal blocks or, matrix-free, the
     element blocks -- so one smoother serves both operator modes.
 
     The damping follows the operator: block Jacobi contracts only while
@@ -104,12 +104,13 @@ class VerticalLineSmoother:
     block-diagonal system exactly).
     """
 
-    def __init__(self, A, block_size: int, omega: float | None = None, iters: int = 1):
-        column_blocks = getattr(A, "column_blocks", None)
-        if column_blocks is None:
+    def __init__(
+        self, A, block_size: int, omega: float | None = None, iters: int = 1, symbolic=None
+    ):
+        if getattr(A, "collapse_map", None) is None:
             raise OperatorModeError(
-                "VerticalLineSmoother needs an operator exposing column_blocks() "
-                f"(CsrMatrix or MatrixFreeJacobian); got {type(A).__name__}"
+                "VerticalLineSmoother needs an operator exposing collapse_map() / "
+                f"column_blocks() (CsrMatrix or MatrixFreeJacobian); got {type(A).__name__}"
             )
         n = A.shape[0]
         if n % block_size != 0:
@@ -118,7 +119,9 @@ class VerticalLineSmoother:
         self.blk = int(block_size)
         self.nblocks = n // self.blk
         self.iters = iters
-        self.inv_blocks = _invert_column_blocks(column_blocks(self.blk))
+        #: ``ColumnCollapseMap``: the caller's, shared across set-ups, or ``A``'s own
+        self.symbolic = symbolic if symbolic is not None else A.collapse_map(self.blk)
+        self.inv_blocks = _invert_column_blocks(self.symbolic.column_blocks(A))
         #: the power-iteration estimate (``None`` under an explicit omega)
         self.lambda_max = None
         if omega is None:
@@ -129,8 +132,7 @@ class VerticalLineSmoother:
     def _estimate_lambda_max(self) -> float:
         """Growth factor ``|B^-1 A v|`` of the normalized iterate after
         ``_POWER_STEPS`` steps."""
-        v = np.random.default_rng(0).standard_normal(self.A.shape[0])
-        lam = np.linalg.norm(v)
+        v, lam = self.symbolic.power_start, 1.0
         for _ in range(_POWER_STEPS):
             v = self._block_solve(self.A.matvec(v / lam))
             lam = np.linalg.norm(v)

@@ -893,6 +893,16 @@ def _out_of_bound(name: str, got: float, bound: float) -> Divergence:
     )
 
 
+def _converged_jacobian(mode: str, nparts: int = 1):
+    """The 600 km / 3-layer problem and its Jacobian at the converged state."""
+    from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
+
+    velocity = VelocityConfig(operator_mode=mode, nparts=nparts)
+    cfg = AntarcticaConfig(resolution_km=600.0, num_layers=3, velocity=velocity)
+    problem = AntarcticaTest.build(cfg).problem
+    return problem, problem.jacobian(problem.solve().u)
+
+
 def smoother_contraction_divergences(omega: float | None = None):
     """Is the vertical-line smoother inside its stability limit?
 
@@ -906,16 +916,11 @@ def smoother_contraction_divergences(omega: float | None = None):
     """
     import scipy.sparse.linalg as spla
 
-    from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
     from repro.solvers.smoothers import VerticalLineSmoother
 
     divs, detail = [], []
     for mode in ("assembled", "matrix-free"):
-        cfg = AntarcticaConfig(
-            resolution_km=600.0, num_layers=3, velocity=VelocityConfig(operator_mode=mode)
-        )
-        problem = AntarcticaTest.build(cfg).problem
-        J = problem.jacobian(problem.solve().u)
+        problem, J = _converged_jacobian(mode)
         sm = VerticalLineSmoother(J, problem.mesh.levels * 2, omega=omega)
         n = J.shape[0]
         BinvA = spla.LinearOperator(
@@ -947,6 +952,49 @@ _register(
     "matvec",
     "the line smoother's derived damping sits inside the stability limit 2 / lambda_max(B^-1 A)",
 )(smoother_contraction_divergences)
+
+
+@_register(
+    "mdsc-symbolic-vs-direct",
+    "matvec",
+    "MDSC numeric refresh through the problem's symbolic map equals an independent construction",
+)
+def _oracle_mdsc_symbolic():
+    """CSR, matrix-free and gathered SPMD operators: blocks bitwise the
+    dense diagonal blocks, ``P^T A P`` against the dense triple product,
+    one V-cycle bitwise the direct constructor's (which builds its own map)."""
+    from repro.solvers.multigrid import ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc
+
+    divs = []
+    for mode, nparts in (("assembled", 1), ("matrix-free", 1), ("assembled", 2)):
+        problem, J = _converged_jacobian(mode, nparts)
+        A = J.gather_global() if nparts > 1 else J
+        levels, n, blk = problem.mesh.levels, A.shape[0], 2 * problem.mesh.levels
+        shared = problem.plan.collapse_map(levels, 2, problem.matrix_free)
+        # element order == CSR slot order, so the plan's fill is the dense reference
+        fill = problem.plan.assemble_matrix(A.local_jac, A.diag_scale) if problem.matrix_free else A
+        dense = fill.toarray()
+        ref_blocks = np.stack([dense[i : i + blk, i : i + blk] for i in range(0, n, blk)])
+        P = np.zeros((n, n // levels))
+        P[np.arange(n), np.arange(n) // blk * 2 + np.arange(n) % 2] = 1.0
+        ref_coarse = P.T @ dense @ P
+        cls = MatrixFreeColumnCollapseMdsc if problem.matrix_free else ColumnCollapseMdsc
+        kw = dict(num_columns=n // blk, levels=levels)
+        r = np.random.default_rng(31).standard_normal(n)
+        checks = (
+            ("column blocks", shared.column_blocks(A), ref_blocks, 0.0),
+            ("collapsed operator", shared.collapse(A).toarray(), ref_coarse, 1.0e-12),
+            ("V-cycle", cls(A, symbolic=shared, **kw).apply(r), cls(A, **kw).apply(r), 0.0),
+        )
+        for name, got, want, rtol in checks:
+            name, atol = f"{mode}/nparts={nparts}: {name}", rtol * np.max(np.abs(want))
+            d = first_divergence(name, got, want, rtol=rtol, atol=atol)
+            if d:
+                divs.append(d)
+    return divs, (
+        f"{n} dofs: {n // blk} blocks of {blk}x{blk} bitwise, {n // levels} coarse dofs "
+        "@ rtol 1e-12, V-cycle bitwise, for CSR / element / gathered operators"
+    )
 
 
 def matfree_perturbed_divergences(rel: float = 1.0e-4):

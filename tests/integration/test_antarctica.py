@@ -173,6 +173,50 @@ class TestPreconditionerOptions:
         assert newton.linear_iterations == [7, 7, 7, 7, 7, 7, 8, 8]
         assert sol.diagnostics["eval_sweeps"] == {"residual": 13, "jacobian": 8}
 
+    @pytest.mark.parametrize(
+        "velocity",
+        [dict(operator_mode="assembled"), dict(operator_mode="matrix-free"), dict(nparts=2)],
+        ids=["assembled", "matrix-free", "nparts2"],
+    )
+    def test_mdsc_symbolic_half_is_built_once(self, velocity, monkeypatch):
+        """One ``ColumnCollapseMap`` per problem, built by the first
+        set-up; every later set-up of the solve is numeric only -- it
+        sorts nothing and assembles nothing from COO triplets."""
+        from repro.fem.sparse import ColumnCollapseMap, CsrMatrix
+
+        calls = {"maps": 0, "sorts": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ColumnCollapseMap, "__init__", counting(ColumnCollapseMap.__init__, "maps"))
+        monkeypatch.setattr(np, "lexsort", counting(np.lexsort, "sorts"))
+        monkeypatch.setattr(np, "unique", counting(np.unique, "sorts"))
+        from_coo = CsrMatrix.__dict__["from_coo"].__func__
+        monkeypatch.setattr(CsrMatrix, "from_coo", classmethod(counting(from_coo, "sorts")))
+
+        cfg = AntarcticaConfig(
+            resolution_km=400.0, num_layers=4, velocity=VelocityConfig(**velocity)
+        )
+        test = AntarcticaTest.build(cfg)
+        assert calls["maps"] == 0  # built on the first set-up that needs it
+        build, sorts_per_setup = test.problem._build_preconditioner, []
+
+        def setup(A, kind=None):
+            before = calls["sorts"]
+            M = build(A, kind=kind)
+            sorts_per_setup.append(calls["sorts"] - before)
+            return M
+
+        monkeypatch.setattr(test.problem, "_build_preconditioner", setup)
+        test.run()
+        assert calls["maps"] == 1
+        assert sorts_per_setup[0] >= 1 and sorts_per_setup[1:] == [0] * 7
+
     @pytest.mark.parametrize("precond", ["vline", "mdsc-amg"])
     def test_other_line_smoothed_rungs_converge_every_solve(self, precond):
         """Line relaxation alone and the pairwise hierarchy converge

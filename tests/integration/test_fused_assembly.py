@@ -75,7 +75,9 @@ class TestGeometryOperands:
         h0, bed = stale.mesh.thickness2d.copy(), stale.mesh.bed2d.copy()
         u = _state(stale, 5)
         stale.refresh_geometry(0.9 * h0, bed + 0.9 * h0)
-        f1, _ = stale.residual_and_jacobian(u)
+        f1, A1 = stale.residual_and_jacobian(u)
+        stale._build_preconditioner(A1)
+        symbolic = stale.mdsc_symbolic
         for p in (stale, fresh):
             p.refresh_geometry(0.8 * h0, bed + 0.8 * h0)
         (fa, Aa), (fb, Ab) = (p.residual_and_jacobian(u) for p in (stale, fresh))
@@ -83,6 +85,13 @@ class TestGeometryOperands:
         assert np.array_equal(fa, fb)
         store = "local_jac" if operator_mode == "matrix-free" else "data"
         assert np.array_equal(getattr(Aa, store), getattr(Ab, store))
+        # the MDSC set-up's symbolic half is topology: kept by identity,
+        # and the numeric refresh on it is a fresh problem's set-up
+        Ma, Mb = stale._build_preconditioner(Aa), fresh._build_preconditioner(Ab)
+        assert stale.mdsc_symbolic is symbolic and fresh.mdsc_symbolic is not symbolic
+        assert np.array_equal(Ma.smoother.inv_blocks, Mb.smoother.inv_blocks)
+        assert Ma.smoother.omega == Mb.smoother.omega
+        assert np.array_equal(Ma.apply(f1), Mb.apply(f1))
 
     def test_a_write_through_a_workset_slice_raises(self):
         """The sliced arrays belong to a problem ``ArtifactCache`` hands to

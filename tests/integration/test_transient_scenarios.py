@@ -128,16 +128,40 @@ class TestArtifactReuse:
         prob = engine.problem
         dofmap, plan = prob.dofmap, prob.plan
         fp_basis, elem_col = prob._fp_basis, prob._elem_col
+        prob._build_preconditioner(prob.jacobian(np.zeros(dofmap.num_dofs)))
+        symbolic, bc_scale = prob.mdsc_symbolic, prob.bc_diag_scale
+        assert symbolic is not None
         h = engine.initial_thickness() * 0.95
         nodal_h = engine.evolver.node_thickness(h)
         nodal_s = engine.geometry.surface_for_thickness(engine._x2, engine._y2, nodal_h)
         basis_before = prob.basis
+        sweeps_before = dict(prob.field_manager.num_sweeps)
         prob.refresh_geometry(nodal_h, nodal_s)
         assert prob.dofmap is dofmap
         assert prob.plan is plan
+        assert prob.mdsc_symbolic is symbolic
         assert prob._fp_basis is fp_basis
         assert prob._elem_col is elem_col
         assert prob.basis is not basis_before  # 3D basis WAS recomputed
+        # the Dirichlet row scale only conditions: probed at build, kept
+        assert prob.field_manager.num_sweeps == sweeps_before
+        assert prob.bc_diag_scale == bc_scale
+
+    def test_a_run_builds_the_mdsc_symbolic_half_once(self, monkeypatch):
+        """Six coupled steps, a set-up per Newton step, one map."""
+        from repro.fem.sparse import ColumnCollapseMap
+
+        built = []
+        init = ColumnCollapseMap.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ColumnCollapseMap, "__init__", counting_init)
+        result = TransientEngine(get_scenario("antarctica-closed").with_steps(6)).run()
+        assert sum(result.newton_iterations) > 6
+        assert len(built) == 1
 
     def test_a_run_owns_its_cache_entry(self, cache, scenario):
         """refresh_geometry rewrites the shared problem in place, so the

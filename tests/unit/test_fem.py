@@ -250,6 +250,22 @@ class TestCsr:
         assert m.norm_inf() == 7.0
         assert np.isclose(m.norm_fro(), np.sqrt(29.0))
 
+    def test_rmatvec_and_norm_inf_bitwise_the_sequential_scatter(self):
+        """``bincount`` accumulates in the order ``np.add.at`` did: same bits,
+        on a rectangular matrix with empty rows and columns."""
+        rng = np.random.default_rng(3)
+        rows, cols = rng.integers(0, 37, 300), rng.integers(0, 23, 300)
+        keep = (rows % 5 != 0) & (cols % 7 != 0)
+        m = CsrMatrix.from_coo(rows[keep], cols[keep], rng.normal(size=keep.sum()) * 1e3, (37, 23))
+        y = rng.normal(size=37)
+        row_of = np.repeat(np.arange(37), np.diff(m.indptr))
+        x, sums = np.zeros(23), np.zeros(37)
+        np.add.at(x, m.indices, m.data * y[row_of])
+        np.add.at(sums, row_of, np.abs(m.data))
+        assert np.any(x == 0.0) and np.any(sums == 0.0)
+        assert np.array_equal(m.rmatvec(y), x)
+        assert m.norm_inf() == float(sums.max())
+
     def test_identity(self):
         m = CsrMatrix.identity(5)
         x = np.arange(5.0)

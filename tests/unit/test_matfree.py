@@ -269,8 +269,9 @@ class TestMatrixFreeSmoothers:
         assert B.num_matvecs - before == 4
         x0 = mf.smoother.smooth(B, r, np.zeros_like(r))
         rr = r - B.matvec(x0)
-        xc = mf._coarse.solve(np.bincount(mf.agg, weights=rr, minlength=mf.ncoarse))
-        assert np.array_equal(x, mf.smoother.smooth(B, r, x0 + mf.coarse_damping * xc[mf.agg]))
+        agg = mf.symbolic.agg
+        xc = mf._coarse.solve(np.bincount(agg, weights=rr, minlength=nco))
+        assert np.array_equal(x, mf.smoother.smooth(B, r, x0 + mf.coarse_damping * xc[agg]))
 
         vec, cvec = vector_stream_bytes(n), vector_stream_bytes(nco)
         assert mf.bytes_per_apply == 4 * B.bytes_per_matvec + 16 * vec + 4 * cvec
@@ -282,8 +283,101 @@ class TestMatrixFreeSmoothers:
         assert asm.bytes_per_setup == 10 * (spmv_bytes(n, A.nnz) + 3 * vec)
 
     def test_mdsc_requires_collapse(self):
-        with pytest.raises(OperatorModeError, match="collapse"):
-            MatrixFreeColumnCollapseMdsc(CsrMatrix.identity(8), num_columns=2, levels=2)
+        for cls in (ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc):
+            with pytest.raises(OperatorModeError, match="collapse"):
+                cls(_CountingOperator(np.eye(8)), num_columns=2, levels=2)
+
+
+class TestSymbolicSetup:
+    """The MDSC set-up's symbolic half (``ColumnCollapseMap``) as the
+    problem keeps it: one per plan, shared by every numeric refresh."""
+
+    @pytest.fixture(scope="class")
+    def maps(self, problem_pair):
+        pa, pm = problem_pair
+        levels = pa.mesh.levels
+        return pa.plan.collapse_map(levels, 2, False), pm.plan.collapse_map(levels, 2, True)
+
+    def test_refuses_a_foreign_operator(self, problem_pair, jacobian_pair, maps):
+        """The maps index blindly into the value array: an operator of
+        another structure is refused before any gather."""
+        pa, _ = problem_pair
+        A, B, _ = jacobian_pair
+        csr_map, elem_map = maps
+        n = A.shape[0]
+        other_bc = MatrixFreeJacobian(B.elem_dofs, B.local_jac, n, B.bc_dofs[1:], B.diag_scale)
+        fewer_cells = MatrixFreeJacobian(B.elem_dofs[1:], B.local_jac[1:], n, B.bc_dofs, B.diag_scale)
+        foreign = [
+            (csr_map, B), (csr_map, CsrMatrix.identity(n)), (csr_map, CsrMatrix.identity(n + csr_map.block_size)),
+            (elem_map, A), (elem_map, other_bc), (elem_map, fewer_cells),
+        ]
+        for sym, op in foreign:
+            for numeric in (sym.column_blocks, sym.collapse):
+                with pytest.raises(ValueError, match="structure"):
+                    numeric(op)
+            with pytest.raises(ValueError, match="structure"):
+                VerticalLineSmoother(op, pa.mesh.levels * 2, symbolic=sym)
+        assert np.array_equal(csr_map.column_blocks(A), A.column_blocks(csr_map.block_size))
+
+    def test_stored_maps_are_read_only_and_narrow(self, maps):
+        for sym in maps:
+            arrays = {k: v for k, v in vars(sym).items() if isinstance(v, np.ndarray)}
+            assert {"block_dst", "coarse_dst", "coarse_diag", "agg", "power_start"} <= set(arrays)
+            for name, a in arrays.items():
+                assert not a.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+                assert a.dtype == np.float64 if name == "power_start" else a.dtype.itemsize <= 4, name
+
+    def test_narrow_index_arithmetic_does_not_wrap(self):
+        """3 500 dofs fit int16, their flat block positions do not: the
+        Dirichlet diagonals of a long 1-D chain land where the assembled
+        row replacement puts them."""
+        from repro.fem.assembly import apply_dirichlet
+
+        n, blk = 3500, 10
+        rng = np.random.default_rng(41)
+        ed = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        jac = rng.normal(size=(n - 1, 2, 2))
+        bc = np.array([0, n - 1])
+        op = MatrixFreeJacobian(ed, jac, n, bc, 3.0)
+        assert op.collapse_map(blk).bc_dofs.dtype == np.int16
+        rows, cols = np.repeat(ed, 2, axis=1).ravel(), np.tile(ed, (1, 2)).ravel()
+        A, _ = apply_dirichlet(CsrMatrix.from_coo(rows, cols, jac.ravel(), (n, n)), np.zeros(n), bc, 0.0, 3.0)
+        assert np.allclose(op.column_blocks(blk), A.column_blocks(blk), rtol=1e-14, atol=1e-14)
+        assert op.column_blocks(blk)[-1, -1, -1] == 3.0
+
+    def test_coarse_pattern_holds_every_diagonal(self, maps):
+        for sym in maps:
+            nc, ptr = sym.num_coarse, sym.coarse_indptr
+            assert np.array_equal(sym.coarse_indices[sym.coarse_diag], np.arange(nc))
+            assert np.all((ptr[:-1] <= sym.coarse_diag) & (sym.coarse_diag < ptr[1:]))
+
+    def test_frozen_tracer_contract(self, problem_pair, jacobian_pair, maps, monkeypatch):
+        """``benchmarks/e2e/trace.py`` wraps ``__init__`` and ``apply``
+        through the ``__dict__`` of both class names: each name defines
+        its own, and one matrix-free set-up or V-cycle fires exactly one
+        wrapped call (a delegation into the other name's wrapped method
+        would double ``solvers.mdsc_setup``/``mdsc_applies``)."""
+        pa, _ = problem_pair
+        _, B, _ = jacobian_pair
+        fired = []
+        for cls in (ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc):
+            for attr in ("__init__", "apply"):
+                raw = cls.__dict__[attr]  # KeyError: the tracer could not bind it
+
+                def wrapper(*args, _raw=raw, _tag=(cls.__name__, attr), **kwargs):
+                    fired.append(_tag)
+                    return _raw(*args, **kwargs)
+
+                monkeypatch.setattr(cls, attr, wrapper)
+        mf = MatrixFreeColumnCollapseMdsc(
+            B, num_columns=pa.mesh.footprint.num_nodes, levels=pa.mesh.levels, symbolic=maps[1]
+        )
+        assert fired == [("MatrixFreeColumnCollapseMdsc", "__init__")]
+        mf.apply(np.ones(B.shape[0]))
+        assert fired[1:] == [("MatrixFreeColumnCollapseMdsc", "apply")]
+        assert mf.bytes_per_apply > 0.0  # what the tracer's ``_apply_bytes`` reads
 
 
 class _CountingOperator:

@@ -326,6 +326,28 @@ class TestOracles:
         ]
         assert all(d.lhs > 2.0 for d in divs)
 
+    def test_mdsc_symbolic_oracle_detects_a_component_swap(self, monkeypatch):
+        """A problem map whose aggregates send ``ux`` to the ``uy`` membrane
+        dof and back: the blocks are untouched, the collapsed operator of
+        every operator kind is not ``P^T A P``."""
+        from repro.fem import assembly
+        from repro.verify.oracles import ORACLES
+
+        oracle = [o for o in ORACLES if o.name == "mdsc-symbolic-vs-direct"][0]
+        assert oracle.suite == "matvec"
+        assert not oracle.fn()[0]
+        exact = assembly.column_aggregates
+
+        def swapped(n, block_size, ndof):
+            agg, nc = exact(n, block_size, ndof)
+            return agg ^ 1, nc
+
+        monkeypatch.setattr(assembly, "column_aggregates", swapped)
+        names = [d.name for d in oracle.fn()[0]]
+        for tag in ("assembled/nparts=1", "matrix-free/nparts=1", "assembled/nparts=2"):
+            assert f"{tag}: collapsed operator" in names
+            assert f"{tag}: column blocks" not in names
+
     def test_qp_seeded_oracle_detects_a_component_swap(self, monkeypatch):
         """The expansion through ``grad_bf`` with the two velocity components
         of ``dUgrad(k', d')/dU(m, k'')`` swapped: element blocks of both
