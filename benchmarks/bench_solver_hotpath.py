@@ -34,6 +34,13 @@ It also counts the symbolic halves of the MDSC set-up a build + solve
 constructs (one ``ColumnCollapseMap`` per problem, gated) and times the
 numeric set-up on the converged Jacobian (median of 7, advisory).
 
+Two fixed costs every small solve shares are recorded with the default
+solve: the symbolic ``AssemblyPlan`` build (``plan_build_s``, median of
+7, advisory) and the bytes of ``(rows, num_dofs)`` Krylov storage
+``gmres.py`` asks ``np.zeros`` for (``gmres_workspace_bytes_zeroed``,
+deterministic: the basis is allocated uninitialised, so 0; it was
+``(2 restart + 1) * 8 n`` per call).
+
 The one artifact is the normalized perf-trajectory ``BENCH_solver.json``
 at the repo root, which ``tools/check_bench.py`` diffs against the
 committed baseline in CI (deterministic counters are hard-gated, wall
@@ -47,14 +54,18 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 from repro import observability as obs
 from repro.app.antarctica import AntarcticaTest
 from repro.app.config import AntarcticaConfig, VelocityConfig
+from repro.fem.assembly import AssemblyPlan
 from repro.fem.sparse import ColumnCollapseMap
 from repro.observability.attribution import span_bytes
 from repro.perf.report import format_table
@@ -70,6 +81,23 @@ SMOKE_CONFIG = AntarcticaConfig(
 PHASES = ("evaluate", "scatter", "preconditioner", "gmres")
 
 
+class _ZeroCountingNumpy:
+    """``numpy`` as ``gmres.py`` sees it, counting the bytes of
+    ``(rows, num_dofs)`` arrays it asks ``np.zeros`` for."""
+
+    def __init__(self, num_dofs: int):
+        self.num_dofs, self.bytes_zeroed = num_dofs, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, *args, **kwargs):
+        out = np.zeros(shape, *args, **kwargs)
+        if out.ndim == 2 and out.shape[1] == self.num_dofs:
+            self.bytes_zeroed += out.nbytes
+        return out
+
+
 def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
     """Solve the configured Antarctica; report rates, phases and sweeps."""
     # warmup: first-touch BLAS/ufunc initialization otherwise lands in
@@ -79,11 +107,21 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
     ).run()
     test = AntarcticaTest.build(config)
     obs.get_metrics().reset()  # this solve's snapshot, not cumulative
-    with obs.tracing() as tracer:
+    counting_np = _ZeroCountingNumpy(test.problem.dofmap.num_dofs)
+    with obs.tracing() as tracer, mock.patch.object(
+        sys.modules["repro.solvers.gmres"], "np", counting_np
+    ):
         with tracer.span("bench.solve"):
             sol = test.run()
+    plan_walls = []
+    for _ in range(7):
+        t0 = time.perf_counter()
+        AssemblyPlan(test.problem.dofmap, test.problem.bc_dofs)
+        plan_walls.append(time.perf_counter() - t0)
     d = sol.diagnostics
     return {
+        "plan_build_s": statistics.median(plan_walls),
+        "gmres_workspace_bytes_zeroed": counting_np.bytes_zeroed,
         "solve_seconds": d["solve_seconds"],
         "newton_steps": sol.newton.iterations,
         "newton_steps_per_s": d["newton_steps_per_s"],
@@ -238,6 +276,7 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
         },
         "gmres": {},
         "mdsc": {},
+        "gmres_workspace_bytes_zeroed": report["gmres_workspace_bytes_zeroed"],
     }
     for mode in ("assembled", "matrix-free"):
         m = modes[mode]
@@ -257,6 +296,7 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
         }
     advisory = {
         "solve_seconds": report["solve_seconds"],
+        "plan_build_s": report["plan_build_s"],
         "assembled_solve_seconds": modes["assembled"]["solve_seconds"],
         "matrix_free_solve_seconds": modes["matrix-free"]["solve_seconds"],
         "mdsc_assembled_setup_seconds": mdsc_modes["assembled"]["setup_seconds"],
@@ -342,6 +382,7 @@ def _check_hotpath_report(report: dict) -> None:
     # phase instrumentation covers the bulk of the solve wall time
     phase_sum = sum(report["phase_seconds"].values())
     assert 0.0 < phase_sum <= report["solve_seconds"] * 1.05
+    assert report["gmres_workspace_bytes_zeroed"] == 0
 
 
 def test_solver_hotpath_report(print_once, benchmark):

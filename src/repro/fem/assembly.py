@@ -7,8 +7,8 @@ conditions symmetrically-enough for a nonsymmetric solve (row
 replacement with unit diagonal).
 
 :class:`AssemblyPlan` splits assembly into a symbolic phase (done once
-per problem: sort/dedup the COO pattern, build the CSR structure and the
-COO->CSR scatter permutation, precompute Dirichlet masks) and a numeric
+per problem: sort/dedup the node-pair pattern, build the CSR structure and
+the COO->CSR scatter permutation, precompute Dirichlet masks) and a numeric
 phase (done every Newton step: a pure scatter-add into a preallocated
 ``data`` array).  This mirrors how Albany/Tpetra reuse a fixed crs graph
 across nonlinear iterations instead of re-sorting the full ``nc * k^2``
@@ -68,24 +68,34 @@ class AssemblyPlan:
         self.num_dofs = n
         self.block_shape = (nc, k, k)
 
-        rows = np.repeat(ed, k, axis=1).ravel()
-        cols = np.tile(ed, (1, k)).ravel()
-        order = np.lexsort((cols, rows))
-        rs, cs = rows[order], cols[order]
-        new = np.empty(len(rs), dtype=bool)
-        new[0] = True
-        new[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-        csr_slot_of_sorted = np.cumsum(new) - 1
-        self.nnz = int(csr_slot_of_sorted[-1]) + 1
-        self.scatter = np.empty(len(rows), dtype=np.int64)
-        self.scatter[order] = csr_slot_of_sorted
+        # The dof pattern is the node pattern (x) a dense nd x nd block: sort
+        # the nc * nn^2 node pairs, then number dof slots arithmetically by (node
+        # row, component a, node column, component b), the dofs' (row, col) order.
+        el, nd, nodes = dofmap.elems, dofmap.ndof_per_node, dofmap.num_nodes
+        key = (el[:, :, None] * nodes + el[:, None, :]).ravel()
+        order = np.argsort(key)
+        ks = key[order]
+        new = np.ones(len(ks), dtype=bool)
+        new[1:] = ks[1:] != ks[:-1]
+        node_slot = np.empty(len(key), dtype=np.int64)
+        node_slot[order] = np.cumsum(new) - 1
+        node_rows, node_cols = np.divmod(ks[new], nodes)
+        count = np.bincount(node_rows, minlength=nodes)  # node pairs per node row
+        start, width = np.cumsum(count) - count, nd * count
+        self.nnz = len(node_rows) * nd * nd
 
-        unique_rows = rs[new]
-        self.indices = np.ascontiguousarray(cs[new])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, unique_rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        self.indptr = indptr
+        # dof slot of (node slot s, a, b) = first[s] + a * stride[s] + b, where
+        # first[s] = nd^2 start + nd (s - start) for s in the node row from start
+        a, b = np.arange(nd)[:, None], np.arange(nd)
+        stride = width[node_rows]
+        first = nd * ((nd - 1) * start[node_rows] + np.arange(len(node_rows)))
+        ns = node_slot.reshape(nc, -1, 1, el.shape[1], 1)
+        self.scatter = (first[ns] + a[:, None] * stride[ns] + b).ravel()
+        self.indices = np.empty(self.nnz, dtype=np.int64)
+        self.indices[first[:, None, None] + a * stride[:, None, None] + b] = (
+            nd * node_cols[:, None, None] + b
+        )
+        self.indptr = np.append(nd * nd * start[:, None] + b * width[:, None], self.nnz)
 
         self.bc_dofs = None
         self.bc_clear = None
@@ -96,7 +106,7 @@ class AssemblyPlan:
                 raise ValueError("Dirichlet dof out of range")
             is_bc = np.zeros(n, dtype=bool)
             is_bc[bc_dofs] = True
-            row_of_slot = np.repeat(np.arange(n), np.diff(indptr))
+            row_of_slot = np.repeat(np.arange(n), np.diff(self.indptr))
             self.bc_dofs = bc_dofs
             self.bc_clear = is_bc[row_of_slot]
             self.bc_diag = self.bc_clear & (self.indices == row_of_slot)

@@ -1,8 +1,10 @@
 """Supervised thread worker pool with checkpoint-resume on death.
 
 The solve is pure-Python/numpy compute, so workers are plain threads
-pulling :class:`Job` objects from a shared queue.  What makes the pool
-a *service* component is the failure model:
+pulling :class:`Job` objects from a shared queue -- and at most one of
+them computes at a time (:meth:`WorkerPool.lane`): the rest are hot
+stand-bys.  What makes the pool a *service* component is the failure
+model:
 
 * every accepted Newton step heartbeats through the solver's
   ``checkpoint_cb`` (:meth:`Job.beat`), leaving the latest
@@ -24,12 +26,13 @@ undisturbed one -- the property the chaos check asserts.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import queue
 import threading
 import time
 
-from repro.observability import get_metrics
+from repro.observability import get_metrics, get_tracer
 
 __all__ = ["Job", "KillSwitch", "Worker", "WorkerKilled", "WorkerPool"]
 
@@ -167,6 +170,9 @@ class WorkerPool:
         self.deaths = 0
         self.stalls = 0
         self._closed = False
+        #: the numerics lane: the thread inside "build or solve", if any
+        self._lane = threading.Condition()
+        self._lane_holder: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     def depth(self) -> int:
@@ -182,6 +188,33 @@ class WorkerPool:
             raise RuntimeError("pool is shut down")
         self._queue.put(job)
         get_metrics().gauge("serve.queue_depth").set(self.depth())
+
+    @contextlib.contextmanager
+    def lane(self, job: Job):
+        """Hold the pool's one numerics lane while ``job`` builds or solves.
+
+        Two threads inside numpy trade the GIL thousands of times per
+        solve and finish later than one after the other would, so one
+        worker computes and the rest wait here, on a lock.  A waiter is
+        not hung: ``last_beat`` is stamped on acquisition and
+        :meth:`reap` times out the holder only.  Any exit frees the lane
+        (:class:`WorkerKilled` too); :meth:`shutdown` wakes the waiters.
+        """
+        with get_tracer().span("serve.lane_wait", job=job.id) as wait:
+            with self._lane:
+                while self._lane_holder is not None and not self._closed:
+                    self._lane.wait()
+                if self._closed:
+                    raise RuntimeError("pool is shut down")
+                self._lane_holder = threading.current_thread()
+        get_metrics().histogram("serve.lane_wait_s").observe(wait.dur_s)
+        job.beat()
+        try:
+            yield
+        finally:
+            with self._lane:
+                self._lane_holder = None
+                self._lane.notify()
 
     # ------------------------------------------------------------------
     def _revive(self, worker: Worker, cause: str) -> Job | None:
@@ -204,7 +237,9 @@ class WorkerPool:
         dead thread is unambiguous.  A *hung* one (stale heartbeat) is
         presumed dead: its job is handed to a replacement and the old
         thread is marked abandoned -- if it ever finishes anyway, the
-        job's exactly-once guard discards the late result.
+        job's exactly-once guard discards the late result.  Only the
+        lane's holder can be hung, a waiter is not; the revived job waits
+        for the abandoned thread to leave it (as for its entry lock).
         """
         revived: list[Job] = []
         metrics = get_metrics()
@@ -225,6 +260,7 @@ class WorkerPool:
                 self.heartbeat_timeout_s is not None
                 and not w.abandoned
                 and w.current_job is not None
+                and w.thread is self._lane_holder
                 and self.clock() - w.current_job.last_beat > self.heartbeat_timeout_s
             ):
                 self.stalls += 1
@@ -257,6 +293,8 @@ class WorkerPool:
 
     def shutdown(self, join_timeout_s: float = 5.0) -> None:
         self._closed = True
+        with self._lane:
+            self._lane.notify_all()
         for _ in self.workers:
             self._queue.put(None)
         for w in self.workers:

@@ -16,10 +16,12 @@ numerics on worker threads):
    wait counts), propagates into Newton/GMRES as a cooperative
    :class:`~repro.resilience.Deadline`, and expires as a typed
    ``timeout`` response carrying the last checkpoint as a partial.
-5. **execution** -- a worker thread builds/reuses the scenario's
-   cached artifacts, solves under heartbeat + kill-switch, retries
-   transient failures with the recovery policy's jittered exponential
-   backoff, and trampolines the outcome back onto the loop.
+5. **execution** -- a worker thread takes the pool's one numerics lane
+   (lane wait spends the deadline as queue wait does), builds/reuses
+   the scenario's cached artifacts, solves under heartbeat +
+   kill-switch, retries transient failures with the recovery policy's
+   jittered exponential backoff (outside the lane), and trampolines the
+   outcome back onto the loop.
 6. **supervision** -- an async task polls the pool: dead or hung
    workers are respawned and their jobs resumed from the last
    heartbeated checkpoint (bitwise-exact continuation).
@@ -304,20 +306,24 @@ class SolveService:
                     "serve.execute", scenario=scenario.name, attempt=attempts,
                     resumes=job.resumes,
                 ):
-                    entry = self.cache.get(scenario)
-
                     def heartbeat(ckpt) -> None:
                         job.beat(ckpt)
                         self.kill_switch.check(scenario.digest, ckpt.step, job.resumes)
 
-                    with entry.lock:
-                        sol = entry.problem.solve(
-                            checkpoint_every=1,
-                            checkpoint_cb=heartbeat,
-                            resume_from=job.checkpoint,
-                            deadline=deadline,
-                            preconditioner=precond_override,
-                        )
+                    # the one place a worker enters numerics (a cache
+                    # miss builds); lock order lane -> entry.lock
+                    with self.pool.lane(job):
+                        if deadline is not None:  # lane wait spent the budget too
+                            deadline.check("serve.lane", checkpoint=job.checkpoint)
+                        entry = self.cache.get(scenario)
+                        with entry.lock:
+                            sol = entry.problem.solve(
+                                checkpoint_every=1,
+                                checkpoint_cb=heartbeat,
+                                resume_from=job.checkpoint,
+                                deadline=deadline,
+                                preconditioner=precond_override,
+                            )
                 return ("ok", sol, attempts, job.resumes)
             except SolveTimeout as exc:
                 # terminal: the budget is spent; retrying cannot help

@@ -76,6 +76,11 @@ class GmresResult:
         return _FLAG_REASONS.get(self.flag, self.flag)
 
 
+def _workspace(rows: int, n: int) -> np.ndarray:
+    """Uninitialised Krylov storage (tests hand back NaN here instead)."""
+    return np.empty((rows, n))
+
+
 def _as_operator(A):
     if callable(A):
         return A
@@ -191,9 +196,10 @@ def gmres(
         rnorm_cycle_start = rnorm
         nmv_cycle0, stream_cycle0, flops_cycle0 = nmv, stream_bytes, stream_flops
         with tr.span("gmres.cycle", cycle=cycle, krylov_dim=m) as cycle_span:
-            V = np.zeros((m + 1, n))
-            Z = np.zeros((m, n))  # preconditioned directions (flexible storage)
-            H = np.zeros((m + 1, m))
+            # V and Z rows are written before read; cycles run 8-9 of restart deep
+            V = _workspace(m + 1, n)
+            Z = _workspace(m, n)  # preconditioned directions (flexible storage)
+            H = np.zeros(shape=(m + 1, m))
             cs = np.zeros(m)
             sn = np.zeros(m)
             g = np.zeros(m + 1)

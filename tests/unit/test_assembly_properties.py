@@ -5,6 +5,11 @@ including degenerate elements that repeat a node) and checks that the
 cached symbolic plan, the one-shot COO path, and a dense scipy
 reference all agree -- and that repeated numeric fills on one plan are
 bitwise-stable.
+
+``TestNodeLevelSymbolicPhase`` holds the plan's five symbolic arrays to
+the dof-level lexsort it replaced.  That reference lives here, not in
+``src/``: the plan sorts ``nc * nn^2`` node pairs and expands slots by
+arithmetic, and must produce what sorting all ``nc * k^2`` dof pairs did.
 """
 
 import numpy as np
@@ -37,6 +42,53 @@ def dofmaps(draw):
         )
     )
     return DofMap(num_nodes=num_nodes, ndof_per_node=ndof, elems=np.array(elems))
+
+
+@st.composite
+def dofmaps_with_bcs(draw):
+    """A random dof map plus a (possibly empty) sorted set of Dirichlet dofs."""
+    dofmap = draw(dofmaps())
+    bc = draw(st.sets(st.integers(min_value=0, max_value=dofmap.num_dofs - 1)))
+    return dofmap, np.array(sorted(bc), dtype=np.int64)
+
+
+def _lexsort_reference(dofmap, bc_dofs):
+    """The dof-level symbolic phase as ``AssemblyPlan`` built it through
+    PR 20: lexsort every ``(row, col)`` dof pair, dedup, rank."""
+    ed = dofmap.elem_dofs()
+    k, n = ed.shape[1], dofmap.num_dofs
+    rows = np.repeat(ed, k, axis=1).ravel()
+    cols = np.tile(ed, (1, k)).ravel()
+    order = np.lexsort((cols, rows))
+    rs, cs = rows[order], cols[order]
+    new = np.ones(len(rs), dtype=bool)
+    new[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
+    scatter = np.empty(len(rows), dtype=np.int64)
+    scatter[order] = np.cumsum(new) - 1
+    indices = cs[new]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, rs[new] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    is_bc = np.zeros(n, dtype=bool)
+    is_bc[bc_dofs] = True
+    row_of_slot = np.repeat(np.arange(n), np.diff(indptr))
+    bc_clear = is_bc[row_of_slot]
+    return {
+        "indptr": indptr,
+        "indices": indices,
+        "scatter": scatter,
+        "bc_clear": bc_clear,
+        "bc_diag": bc_clear & (indices == row_of_slot),
+    }
+
+
+def _assert_plan_equals_reference(dofmap, bc_dofs):
+    plan = AssemblyPlan(dofmap, bc_dofs)
+    for name, expected in _lexsort_reference(dofmap, bc_dofs).items():
+        got = getattr(plan, name)
+        assert got.dtype == expected.dtype, name
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+    assert plan.nnz == len(plan.indices)
 
 
 def _local_blocks(dofmap, seed):
@@ -95,6 +147,62 @@ class TestPlanEqualsDirect:
         for r in range(dofmap.num_dofs):
             seg = plan.indices[plan.indptr[r] : plan.indptr[r + 1]]
             assert np.all(np.diff(seg) > 0)
+
+
+class TestNodeLevelSymbolicPhase:
+    @given(dofmaps_with_bcs())
+    @settings(max_examples=120, deadline=None)
+    def test_arbitrary_connectivity_matches_lexsort(self, case):
+        """ndof 1..3, any connectivity, repeated nodes inside an element."""
+        _assert_plan_equals_reference(*case)
+
+    @pytest.mark.parametrize(
+        "km,layers,footprint",
+        [(200.0, 10, "quad"), (600.0, 3, "quad"), (320.0, 5, "voronoi")],
+        ids=["hex8-200km-10", "hex8-600km-3", "wedge6-voronoi"],
+    )
+    def test_extruded_meshes_match_lexsort(self, km, layers, footprint):
+        from repro.app import AntarcticaConfig, AntarcticaTest
+
+        cfg = AntarcticaConfig(resolution_km=km, num_layers=layers, footprint=footprint)
+        problem = AntarcticaTest.build(cfg).problem
+        _assert_plan_equals_reference(problem.dofmap, problem.bc_dofs)
+
+    @pytest.mark.parametrize("ndof", [1, 2, 3])
+    def test_planar_quad_mesh_matches_lexsort(self, ndof):
+        """A non-extruded mesh: no vertical stencil for the plan to lean on."""
+        from repro.mesh.planar import quad_footprint
+
+        fp = quad_footprint(7, 5, 7.0, 5.0)
+        dofmap = DofMap(num_nodes=len(fp.coords), ndof_per_node=ndof, elems=fp.elems)
+        _assert_plan_equals_reference(dofmap, fp.boundary_nodes * ndof)
+
+    def test_sorts_node_pairs_once_and_never_lexsorts(self, monkeypatch):
+        """The regression guard in deterministic units: one sort of
+        ``nc * nn^2`` keys (4x fewer than the dof pairs at ``nd = 2``)."""
+        dofmap = DofMap(
+            num_nodes=30, ndof_per_node=2,
+            elems=np.random.default_rng(0).integers(0, 30, size=(11, 4)),
+        )
+        sorted_sizes = []
+        argsort, sort = np.argsort, np.sort
+
+        def counting(fn):
+            def wrapper(a, *args, **kwargs):
+                sorted_sizes.append(np.size(a))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        def no_lexsort(*_a, **_k):
+            raise AssertionError("AssemblyPlan.__init__ called np.lexsort")
+
+        monkeypatch.setattr(np, "argsort", counting(argsort))
+        monkeypatch.setattr(np, "sort", counting(sort))
+        monkeypatch.setattr(np, "unique", counting(np.unique))
+        monkeypatch.setattr(np, "lexsort", no_lexsort)
+        AssemblyPlan(dofmap, np.array([0, 1]))
+        assert sorted_sizes == [11 * 4 * 4]
 
 
 class TestPlanCacheReuse:

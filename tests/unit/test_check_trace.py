@@ -75,6 +75,23 @@ class TestRooflineRules:
         assert any("bw_frac" in e for e in check_trace(_write(tmp_path, ev)))
 
 
+class TestLaneWaitRule:
+    @staticmethod
+    def _serve(ts, dur, name, tid=3):
+        return {"name": name, "cat": "phase", "ph": "X", "ts": ts, "dur": dur,
+                "pid": 0, "tid": tid, "args": {}}
+
+    def test_lane_wait_inside_execute_passes(self, check_trace, tmp_path):
+        ev = _base_events() + [self._serve(10, 80, "serve.execute"),
+                               self._serve(11, 30, "serve.lane_wait")]
+        assert check_trace(_write(tmp_path, ev)) == []
+
+    def test_lane_wait_outside_execute_rejected(self, check_trace, tmp_path):
+        ev = _base_events() + [self._serve(10, 80, "serve.execute"),
+                               self._serve(11, 30, "serve.lane_wait", tid=4)]
+        assert any("serve.lane_wait" in e for e in check_trace(_write(tmp_path, ev)))
+
+
 class TestRankPidRule:
     def test_stitched_rank_on_matching_pid_passes(self, check_trace, tmp_path):
         ev = _base_events()

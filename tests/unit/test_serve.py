@@ -10,7 +10,9 @@ service depends on.
 """
 
 import asyncio
+import contextlib
 import json
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -18,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.observability import parse_exposition
+from repro.observability import get_metrics, parse_exposition, tracing
 from repro.resilience import SolveTimeout
 from repro.resilience.policies import RecoveryPolicy
 from repro.serve import (
@@ -44,25 +46,63 @@ class Behavior:
     """Scripted behaviour for one stub problem."""
 
     def __init__(self, fail_times: int = 0, block: threading.Event | None = None,
-                 steps: int = 3):
+                 steps: int = 3, entered: threading.Event | None = None):
         self.fail_remaining = fail_times
         self.block = block
         self.steps = steps
+        #: set when solve() is entered (before it waits on ``block``)
+        self.entered = entered
+
+
+class Numerics:
+    """Context manager the stub build and solve run inside: records how
+    many threads were in numerics at once.  Whoever enters lingers until
+    a second thread joins it (or a grace period passes), so an overlap
+    that *can* happen does."""
+
+    def __init__(self, grace_s: float = 0.05):
+        self.grace_s = grace_s
+        self.active = 0
+        self.peak = 0
+        self.entries = 0
+        self._lock = threading.Lock()
+        self._met = threading.Event()
+
+    def __enter__(self):
+        with self._lock:
+            self.active += 1
+            self.entries += 1
+            self.peak = max(self.peak, self.active)
+            if self.active > 1:
+                self._met.set()
+        self._met.wait(self.grace_s)
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self.active -= 1
 
 
 class FakeProblem:
-    def __init__(self, scenario: SolveScenario, behavior: Behavior | None):
+    def __init__(self, scenario: SolveScenario, behavior: Behavior | None,
+                 numerics=None):
         self.scenario = scenario
         self.behavior = behavior or Behavior()
+        self.numerics = numerics if numerics is not None else contextlib.nullcontext()
         self.calls: list[dict] = []
 
     def solve(self, checkpoint_every=None, checkpoint_cb=None, resume_from=None,
               deadline=None, preconditioner=None, **_kw):
+        with self.numerics:
+            return self._solve(checkpoint_cb, resume_from, deadline, preconditioner)
+
+    def _solve(self, checkpoint_cb, resume_from, deadline, preconditioner):
         b = self.behavior
         self.calls.append({
             "resume_from": resume_from,
             "preconditioner": preconditioner,
         })
+        if b.entered is not None:
+            b.entered.set()
         if b.block is not None:
             assert b.block.wait(timeout=10.0), "test forgot to release the block"
         if b.fail_remaining > 0:
@@ -82,12 +122,13 @@ class FakeProblem:
         )
 
 
-def make_cache(behaviors: dict | None = None):
+def make_cache(behaviors: dict | None = None, numerics=None):
     """ArtifactCache over stub problems; returns (cache, problems-by-name)."""
     problems: dict[str, FakeProblem] = {}
 
     def builder(scenario: SolveScenario):
-        problem = FakeProblem(scenario, (behaviors or {}).get(scenario.name))
+        with numerics if numerics is not None else contextlib.nullcontext():
+            problem = FakeProblem(scenario, (behaviors or {}).get(scenario.name), numerics)
         problems[scenario.name] = problem
         return SimpleNamespace(problem=problem)
 
@@ -241,6 +282,143 @@ class TestWorkerPool:
         pool.shutdown()
 
 
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _until(predicate, what: str) -> None:
+    limit = time.monotonic() + 5.0
+    while not predicate():
+        assert time.monotonic() < limit, f"timed out waiting for {what}"
+        time.sleep(0.002)
+
+
+class TestNumericsLane:
+    """One holder at a time; supervision and shutdown see through it."""
+
+    def _holder_and_waiter(self, pool):
+        """Job 1 holds the lane until ``gate``; job 2 queues up behind it."""
+        gate, holding = threading.Event(), threading.Event()
+        outcomes: dict[int, object] = {}
+
+        def hold(job):
+            with pool.lane(job):
+                holding.set()
+                assert gate.wait(timeout=10.0)
+            return "held"
+
+        def wait(job):
+            try:
+                with pool.lane(job):
+                    return "got the lane"
+            except RuntimeError as exc:
+                return str(exc)
+
+        def on_done(job, outcome):
+            outcomes[job.id] = outcome
+
+        holder = Job(hold, on_done, clock=pool.clock)
+        pool.submit(holder)
+        assert holding.wait(timeout=5.0)
+        waiter = Job(wait, on_done, clock=pool.clock)
+        pool.submit(waiter)
+        _until(lambda: pool.busy() == 2, "the waiter to be picked up")
+        return gate, holder, waiter, outcomes
+
+    def test_stall_rule_applies_to_the_holder_only(self):
+        clock = FakeClock()
+        pool = WorkerPool(workers=2, heartbeat_timeout_s=1.0, clock=clock)
+        gate, holder, waiter, outcomes = self._holder_and_waiter(pool)
+        # the waiter has not beaten for 5 s, the holder just did
+        clock.now = 5.0
+        holder.beat()
+        assert pool.reap() == []
+        assert pool.stalls == 0
+        # picked up counts as in flight: the ladder's signals keep their meaning
+        assert pool.busy() == 2 and pool.depth() == 0
+        # a holder that stops beating is still presumed hung
+        clock.now = 10.0
+        assert pool.reap() == [holder]
+        assert pool.stalls == 1
+        gate.set()
+        _until(lambda: len(outcomes) == 2, "both jobs to finish")
+        assert outcomes == {holder.id: "held", waiter.id: "got the lane"}
+        assert pool.stalls == 1
+        pool.shutdown()
+
+    def test_acquisition_stamps_the_heartbeat(self):
+        clock = FakeClock()
+        pool = WorkerPool(workers=1, clock=clock)
+        job = Job(lambda job: None, lambda job, outcome: None, clock=clock)
+        clock.now = 7.0
+        with pool.lane(job):
+            assert job.last_beat == 7.0
+        pool.shutdown()
+
+    def test_shutdown_wakes_a_waiter(self):
+        pool = WorkerPool(workers=2)
+        gate, holder, waiter, outcomes = self._holder_and_waiter(pool)
+        pool.shutdown(join_timeout_s=0.05)
+        # the holder is still inside; the waiter gave up with a typed error
+        _until(lambda: waiter.id in outcomes, "the waiter to give up")
+        assert outcomes == {waiter.id: "pool is shut down"}
+        gate.set()
+        _until(lambda: holder.id in outcomes, "the holder to finish")
+
+    def test_stress_many_workers_never_share_the_lane(self):
+        """More workers than cores, a 10 us switch interval: an unlocked
+        read-modify-write inside the lane loses no update."""
+        pool = WorkerPool(workers=6)
+        state = {"inside": 0, "peak": 0, "sum": 0}
+        done = []
+
+        def execute(job):
+            for _ in range(20):
+                with pool.lane(job):
+                    state["inside"] += 1
+                    state["peak"] = max(state["peak"], state["inside"])
+                    before = state["sum"]
+                    time.sleep(0)  # offer the GIL mid-update
+                    state["sum"] = before + 1
+                    state["inside"] -= 1
+            return job.id
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-5)
+        try:
+            for _ in range(12):
+                pool.submit(Job(execute, lambda job, outcome: done.append(outcome)))
+            _until(lambda: len(done) == 12, "the stress jobs to finish")
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert state == {"inside": 0, "peak": 1, "sum": 12 * 20}
+        assert all(not w.thread.is_alive() for w in pool.workers)
+
+    def test_worker_killed_in_the_lane_frees_it(self):
+        pool = WorkerPool(workers=2)
+        done = threading.Event()
+
+        def die(job):
+            with pool.lane(job):
+                raise WorkerKilled("bang")
+
+        def follow(job):
+            with pool.lane(job):
+                return "after the kill"
+
+        outcomes = []
+        pool.submit(Job(die, lambda job, outcome: None))
+        pool.submit(Job(follow, lambda job, outcome: (outcomes.append(outcome), done.set())))
+        assert done.wait(timeout=5.0)
+        assert outcomes == ["after the kill"]
+        pool.shutdown()
+
+
 # ----------------------------------------------------------------------
 # the service itself
 # ----------------------------------------------------------------------
@@ -249,8 +427,8 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_service(behaviors=None, **kw):
-    cache, problems = make_cache(behaviors)
+def make_service(behaviors=None, numerics=None, **kw):
+    cache, problems = make_cache(behaviors, numerics)
     kw.setdefault("policy", RecoveryPolicy(max_retries=1, backoff_s=0.0))
     service = SolveService(cache=cache, **kw)
     return service, problems
@@ -430,18 +608,92 @@ class TestSolveService:
         async def body():
             ks = KillSwitch()
             s = scenario("a")
+            other = scenario("b", num_layers=4)
+            async with make_service()[0] as undisturbed:
+                want = await undisturbed.submit(SolveRequest(s))
             ks.arm(s.digest, 1)
             service, problems = make_service(kill_switch=ks)
             async with service:
-                resp = await service.submit(SolveRequest(s))
+                # the worker dies holding the lane: the other worker's
+                # request must get it, and so must the revived job
+                resp, bystander = await asyncio.gather(
+                    service.submit(SolveRequest(s)),
+                    service.submit(SolveRequest(other)),
+                )
+            assert bystander.status == "ok" and bystander.resumes == 0
             assert resp.status == "ok"
             assert resp.resumes == 1
+            assert np.array_equal(resp.result.u, want.result.u)
             assert ks.fired == [(s.digest, 1)]
             assert service.pool.deaths == 1
             calls = problems["a"].calls
             assert len(calls) == 2
             assert calls[0]["resume_from"] is None
             assert calls[1]["resume_from"].step == 1
+        run(body())
+
+    def test_builds_and_solves_never_overlap(self):
+        async def body():
+            numerics = Numerics()
+            service, problems = make_service(numerics=numerics, workers=2)
+            a, b, c = (scenario(n, num_layers=k) for n, k in (("a", 3), ("b", 4), ("c", 5)))
+            async with service:
+                # two builds + two solves, then a build beside a solve on
+                # a built entry, then two solves on built entries
+                for pair in ((a, b), (a, c), (b, c)):
+                    resps = await asyncio.gather(
+                        *(service.submit(SolveRequest(s)) for s in pair)
+                    )
+                    assert [r.status for r in resps] == ["ok", "ok"]
+            assert numerics.entries == 3 + 6  # builds + solves all went through it
+            assert numerics.peak == 1
+        run(body())
+
+    def test_deadline_expiring_in_lane_wait_is_typed_timeout_without_partial(self):
+        async def body():
+            clock = FakeClock()
+            gate, entered = threading.Event(), threading.Event()
+            service, problems = make_service(
+                {"holder": Behavior(block=gate, entered=entered)}, clock=clock
+            )
+            async with service:
+                first = asyncio.create_task(
+                    service.submit(SolveRequest(scenario("holder")))
+                )
+                await asyncio.to_thread(entered.wait, 5.0)
+                late = asyncio.create_task(
+                    service.submit(SolveRequest(scenario("late", num_layers=4), deadline_s=10.0))
+                )
+                await asyncio.to_thread(
+                    _until, lambda: service.pool.busy() == 2, "the late job to be picked up"
+                )
+                clock.now = 20.0  # the budget runs out while waiting for the lane
+                gate.set()
+                held, resp = await asyncio.gather(first, late)
+            assert held.status == "ok"
+            assert resp.status == "timeout"
+            assert resp.partial is None
+            assert resp.attempts == 1
+            assert "serve.lane" in resp.reason
+            assert "late" not in problems  # no build was spent on it
+        run(body())
+
+    def test_lane_wait_span_sits_inside_execute(self):
+        async def body():
+            service, problems = make_service()
+            a, b = scenario("a"), scenario("b", num_layers=4)
+            with tracing() as tracer:
+                async with service:
+                    for _ in range(3):
+                        await asyncio.gather(
+                            service.submit(SolveRequest(a)), service.submit(SolveRequest(b))
+                        )
+            solves = sum(len(p.calls) for p in problems.values())
+            assert solves == 6
+            by_id = {s.id: s for s in tracer.spans}
+            waits = [s for s in tracer.spans if s.name == "serve.lane_wait"]
+            assert len(waits) == solves
+            assert all(by_id[s.parent].name == "serve.execute" for s in waits)
         run(body())
 
 
@@ -460,18 +712,62 @@ async def _http(port: int, raw: str) -> tuple[int, bytes]:
     return code, body
 
 
+async def _serving(service):
+    """Start the HTTP frontend on a free port; returns (task, port)."""
+    bound: list[int] = []
+    task = asyncio.create_task(serve_http(service, port=0, ready_cb=bound.append))
+    while not bound:
+        await asyncio.sleep(0.01)
+    return task, bound[0]
+
+
+async def _stop(task) -> None:
+    task.cancel()
+    with contextlib.suppress(asyncio.CancelledError):
+        await task
+
+
 class TestHttp:
+    def test_metrics_after_two_client_burst(self):
+        """Lane wait is exposed next to latency: one observation per
+        executed solve (a retry executes twice)."""
+        async def body():
+            get_metrics().reset()
+            service, problems = make_service({"flaky": Behavior(fail_times=1)})
+            async with service:
+                server_task, port = await _serving(service)
+
+                async def client(name: str, layers: int) -> None:
+                    for _ in range(3):
+                        doc = json.dumps({"name": name, "num_layers": layers})
+                        code, _ = await _http(
+                            port,
+                            "POST /solve HTTP/1.1\r\nHost: x\r\n"
+                            f"Content-Length: {len(doc)}\r\n\r\n{doc}",
+                        )
+                        assert code == 200
+
+                await asyncio.gather(client("steady", 3), client("flaky", 4))
+                code, payload = await _http(port, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert code == 200
+                await _stop(server_task)
+            families = parse_exposition(payload.decode())
+            executed = sum(len(p.calls) for p in problems.values())
+            assert executed == 7
+
+            def count(family: str) -> float:
+                samples = {n: v for n, _l, v, _t in families[family]["samples"]}
+                return samples[f"{family}_count"]
+
+            assert count("serve_lane_wait_s") == executed
+            assert count("serve_latency_s") == 6
+        run(body())
+
     def test_endpoints(self):
         async def body():
             service, _ = make_service()
-            bound: list[int] = []
             async with service:
-                server_task = asyncio.create_task(
-                    serve_http(service, port=0, ready_cb=bound.append)
-                )
-                while not bound:
-                    await asyncio.sleep(0.01)
-                port = bound[0]
+                server_task, port = await _serving(service)
 
                 code, payload = await _http(
                     port, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
@@ -518,9 +814,5 @@ class TestHttp:
                 )
                 assert code == 404
 
-                server_task.cancel()
-                try:
-                    await server_task
-                except asyncio.CancelledError:
-                    pass
+                await _stop(server_task)
         run(body())

@@ -1,5 +1,7 @@
 """Tests for GMRES, smoothers, MDSC-AMG multigrid, and damped Newton."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -165,6 +167,71 @@ class TestGmresBreakdown:
         res = gmres(A, A.matvec(xref), tol=1e-13, restart=3, maxiter=30)
         assert res.converged
         assert np.allclose(res.x, xref, atol=1e-10)
+
+
+class TestGmresWorkspace:
+    """The Krylov basis and the preconditioned directions are allocated
+    uninitialised: with the allocator handing back NaN, any row read
+    before it was written would poison the result."""
+
+    @staticmethod
+    def _poison(monkeypatch) -> list:
+        """Hand gmres NaN-filled workspaces from here on; returns the sizes handed out."""
+        handed_out = []
+
+        def poisoned(rows, n):
+            handed_out.append(rows * n)
+            return np.full((rows, n), np.nan)
+
+        monkeypatch.setattr(importlib.import_module("repro.solvers.gmres"), "_workspace", poisoned)
+        return handed_out
+
+    @staticmethod
+    def _same(a, b):
+        assert np.array_equal(a.x, b.x)
+        assert a.residual_norms == b.residual_norms
+        assert (a.flag, a.iterations, a.matvecs) == (b.flag, b.iterations, b.matvecs)
+
+    def test_lucky_breakdown_and_restart_clamp_read_no_unwritten_row(self, monkeypatch):
+        closing = CsrMatrix.from_coo(
+            np.arange(6), np.arange(6), [1.0, 1.0, 2.0, 2.0, 3.0, 3.0], (6, 6)
+        )
+        singular = CsrMatrix.from_coo(np.arange(3), np.arange(3), [1.0, 2.0, 0.0], (3, 3))
+        laplace = _laplace_1d(200)
+        cases = [
+            # the Krylov space closes at dimension 3 of restart=6
+            lambda: gmres(closing, np.ones(6), tol=1e-12, restart=6, maxiter=60),
+            # breakdown with the residual still large
+            lambda: gmres(singular, np.ones(3), tol=1e-12, restart=10, maxiter=200),
+            # the second cycle is clamped to 3 of restart=10 by the budget
+            lambda: gmres(laplace, np.ones(200), tol=1e-14, restart=10, maxiter=15),
+            # a warm start, preconditioned, several full restart cycles
+            lambda: gmres(laplace, np.ones(200), x0=np.full(200, 0.5), tol=1e-10,
+                          restart=7, maxiter=120, M=JacobiSmoother(laplace, iters=2)),
+        ]
+        expected = [case() for case in cases]
+        handed_out = self._poison(monkeypatch)
+        for case, want in zip(cases, expected):
+            self._same(case(), want)
+        assert handed_out  # the poisoned allocator is the one gmres uses
+
+    @pytest.mark.parametrize(
+        "velocity",
+        [dict(operator_mode="assembled"), dict(operator_mode="matrix-free"), dict(nparts=2)],
+        ids=["assembled", "matrix-free", "nparts2"],
+    )
+    def test_solve_reads_no_unwritten_row(self, velocity, monkeypatch):
+        from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
+
+        cfg = AntarcticaConfig(
+            resolution_km=400.0, num_layers=4, velocity=VelocityConfig(**velocity)
+        )
+        want = AntarcticaTest.build(cfg).run()
+        handed_out = self._poison(monkeypatch)
+        got = AntarcticaTest.build(cfg).run()
+        assert handed_out
+        assert np.array_equal(got.u, want.u)
+        assert got.newton.linear_iterations == want.newton.linear_iterations
 
 
 class TestSmoothers:

@@ -25,6 +25,10 @@ Attribution-era checks (PR 8):
 * stitched SPMD traces must map rank to Chrome pid: any X event whose
   ``args`` carry an integer ``rank`` must live on ``pid == rank``.
 
+Service traces: a ``serve.lane_wait`` span (a worker waiting for the
+pool's numerics lane) must lie inside a ``serve.execute`` span of the
+same thread -- lane wait is part of a request's execution, not idle time.
+
 Exits nonzero (with a reason on stderr) on any violation.
 """
 
@@ -116,6 +120,15 @@ def check_trace(path: str) -> list[str]:
         if len(errors) >= 20:
             errors.append("... (further errors suppressed)")
             break
+
+    executes = [e for e in complete if e.get("name") == "serve.execute"]
+    for e in complete:
+        if e.get("name") == "serve.lane_wait" and not any(
+            (x["pid"], x["tid"]) == (e["pid"], e["tid"])
+            and x["ts"] <= e["ts"] and e["ts"] + e["dur"] <= x["ts"] + x["dur"]
+            for x in executes
+        ):
+            errors.append(f"serve.lane_wait span at ts {e.get('ts')} is outside every serve.execute")
 
     names = {e.get("name") for e in complete}
     cats = {e.get("cat") for e in complete}
