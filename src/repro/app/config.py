@@ -20,39 +20,33 @@ class Preconditioner:
     """One row of :data:`PRECONDITIONER_TABLE`."""
 
     name: str
-    #: no matrix-free construction: set-up needs an assembled CSR Jacobian
-    needs_csr: bool = False
-    #: a rung of the serve degradation ladder (walked in table order)
-    serve_rung: bool = False
-    #: worth a measured autotuner trial (:mod:`repro.tune`)
-    tune_trial: bool = False
+    #: a production rung: on the serve degradation ladder (walked in
+    #: table order) and worth a measured autotuner trial (:mod:`repro.tune`)
+    production: bool = False
 
 
-#: every preconditioner the velocity solver can build: the one
-#: statement of which names exist and what each is good for, the
-#: serve rungs in measured solve-time order, slowest first.
-#: Validation, the serve ladder, the tuner's trial list, the
-#: ``OperatorModeError`` text and the example's ``--precond`` choices
-#: are derived from it.
+#: every preconditioner the velocity solver can build, each under
+#: either operator mode and at every ``nparts``: the one statement of
+#: which names exist and what each is good for, the production rungs
+#: in ladder order (fewest iterations first).  Validation, the serve
+#: ladder, the tuner's trial list and the example's ``--precond``
+#: choices are derived from it.
 #:
-#: The flags rest on measured eight-step solves, GMRES iterations at
+#: The flag rests on measured eight-step solves, GMRES iterations at
 #: 600 km / 3, 400 km / 4 and 200 km / 10 layers: mdsc 59 / 58 / 60,
-#: vline 86 / 86 / 88, mdsc-amg 85 / 87 / 93, jacobi 486 / 976 / 6127
-#: (wall at 200 km / 10: mdsc 0.65 s, vline 0.51 s, jacobi 28-32 s).
-#: "jacobi" and "none" cost far more in iterations than they save in
-#: set-up, so neither sheds load nor earns a tuning trial (one Jacobi
-#: solve was 91 % of a search's wall at 12-130x the default's bytes);
-#: "mdsc-amg" iterates like vline and is the slowest rung, so it is
-#: one to step off but not a candidate to measure.
+#: vline 86 / 86 / 88, jacobi 486 / 976 / 6127 (wall at 200 km / 10:
+#: mdsc 0.65 s, vline 0.51 s, jacobi 28-32 s).  "jacobi" and "none"
+#: cost far more in iterations than they save in set-up, so neither
+#: sheds load nor earns a tuning trial (one Jacobi solve was 91 % of a
+#: search's wall at 12-130x the default's bytes).
 #:
 #: The resilience fallback (configured -> jacobi -> none, in
 #: ``StokesVelocityProblem._preconditioner``) is deliberately not read
 #: from this table: it answers "set-up failed, what can still be
 #: built", not "which is cheaper".
 PRECONDITIONER_TABLE = (
-    Preconditioner("mdsc-amg", needs_csr=True, serve_rung=True),
-    Preconditioner("mdsc", serve_rung=True, tune_trial=True),
-    Preconditioner("vline", serve_rung=True, tune_trial=True),
+    Preconditioner("mdsc", production=True),
+    Preconditioner("vline", production=True),
     Preconditioner("jacobi"),
     Preconditioner("none"),
 )
@@ -61,8 +55,8 @@ PRECONDITIONER_TABLE = (
 #: and serve requests validate against)
 PRECONDITIONERS = tuple(p.name for p in PRECONDITIONER_TABLE)
 
-#: the serve degradation ladder, slowest rung first
-PRECOND_COST_ORDER = tuple(p.name for p in PRECONDITIONER_TABLE if p.serve_rung)
+#: the serve degradation ladder: the production rungs in table order
+PRECOND_COST_ORDER = tuple(p.name for p in PRECONDITIONER_TABLE if p.production)
 
 
 def _default_operator_mode() -> str:
@@ -90,8 +84,7 @@ class VelocityConfig:
     gmres_maxiter: int = 900
     #: "mdsc" (two-level column-collapse MDSC: vertical-line relaxation +
     #: collapsed membrane coarse solve -- the robust default), "vline"
-    #: (line relaxation only), "mdsc-amg" (multilevel pairwise
-    #: semicoarsening hierarchy), "jacobi", or "none"
+    #: (line relaxation only), "jacobi", or "none"
     preconditioner: str = "mdsc"
     #: inner linear operator of the Newton--Krylov solve: "assembled"
     #: (CSR fill per step, SpMV matvecs) or "matrix-free" (GMRES applies

@@ -8,8 +8,8 @@ Pipeline per nonlinear iteration, mirroring Albany:
    Jacobian (SFad-16) mode;
 3. scatter-add element blocks into the global vector / CSR matrix;
 4. impose lateral Dirichlet conditions;
-5. solve the Newton step with GMRES + MDSC-AMG (vertical semicoarsening
-   first, as the extruded column-major dof numbering demands).
+5. solve the Newton step with GMRES + two-level MDSC (vertical collapse
+   of every column, as the extruded column-major dof numbering allows).
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.app.config import PRECONDITIONER_TABLE, PRECONDITIONERS, VelocityConfig
+from repro.app.config import PRECONDITIONERS, VelocityConfig
 from repro.core.lowering import pack_geom, qp_seed_operand
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.discretization import compute_basis_data, compute_face_basis_data
 from repro.fem.distributed import DistributedMatrix, DistributedStokesAssembly
 from repro.fem.dofmap import DofMap
-from repro.fem.matfree import OperatorModeError
-from repro.fem.sparse import CsrMatrix
 from repro.mesh.extrude import ExtrudedMesh
 from repro.mesh.geometry import IceGeometry
 from repro.mesh.partition import TrafficMeter, halo_statistics, partition_footprint
@@ -38,11 +36,7 @@ from repro.resilience.policies import (
     ResilienceLog,
     choose_survivor,
 )
-from repro.solvers.multigrid import (
-    ColumnCollapseMdsc,
-    MatrixFreeColumnCollapseMdsc,
-    build_mdsc_amg,
-)
+from repro.solvers.multigrid import ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc
 from repro.solvers.newton import NewtonResult, newton_solve
 from repro.solvers.reductions import column_block_reducer
 from repro.solvers.smoothers import JacobiSmoother, VerticalLineSmoother
@@ -485,28 +479,15 @@ class StokesVelocityProblem:
         if self.mdsc_symbolic is None:
             self.mdsc_symbolic = self.plan.collapse_map(levels, 2, self.matrix_free)
         symbolic = self.mdsc_symbolic
-        columns = self.mesh.footprint.num_nodes
-        extrusion = dict(num_columns=columns, levels=levels, ndof=2, symbolic=symbolic)
         if kind == "vline":
             # the MDSC vertical-line relaxation alone, damping derived
             # from lambda_max like inside the V-cycle: with ice-sheet
             # aspect ratios the exact column solve carries most of it
             return VerticalLineSmoother(A, levels * 2, iters=2, symbolic=symbolic)
-        if kind == "mdsc":
-            # one body; the name is the frozen benchmark's span binding
-            mdsc = MatrixFreeColumnCollapseMdsc if self.matrix_free else ColumnCollapseMdsc
-            return mdsc(A, **extrusion)
-        if not isinstance(A, CsrMatrix):
-            # the multilevel AMG hierarchy needs Galerkin CSR products
-            # and is assembled-only by design
-            matfree = ", ".join(repr(p.name) for p in PRECONDITIONER_TABLE if not p.needs_csr)
-            raise OperatorModeError(
-                f"preconditioner {kind!r} requires an assembled CSR Jacobian, but this "
-                "solve runs with operator_mode='matrix-free'; choose a preconditioner "
-                f"with a matrix-free construction ({matfree}) or "
-                "set operator_mode='assembled'"
-            )
-        return build_mdsc_amg(A, **extrusion)
+        # "mdsc": one body; the name is the frozen benchmark's span binding
+        mdsc = MatrixFreeColumnCollapseMdsc if self.matrix_free else ColumnCollapseMdsc
+        columns = self.mesh.footprint.num_nodes
+        return mdsc(A, num_columns=columns, levels=levels, ndof=2, symbolic=symbolic)
 
     def solve(
         self,

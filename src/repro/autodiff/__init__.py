@@ -10,14 +10,13 @@ same algebra, vectorized over numpy arrays:
   ``SFad<N>`` analogue); the derivative count is a class attribute so the
   performance model can reason about data volumes (``SFad<16>`` moves
   17x the data of a plain double).
-* :class:`DFad` -- dynamically-sized variant.
 * :mod:`repro.autodiff.ops` -- math functions (sqrt, exp, ...) that
   dispatch on plain arrays and Fad values alike.
 * :mod:`repro.autodiff.seeding` -- helpers to seed independent variables
   and extract dense/local Jacobians.
 """
 
-from repro.autodiff.sfad import FadArray, SFad, DFad, is_fad, fad_value, fad_derivs
+from repro.autodiff.sfad import FadArray, SFad, is_fad, fad_value, fad_derivs
 from repro.autodiff.seeding import (
     seed_independent,
     seed_block,
@@ -29,7 +28,6 @@ from repro.autodiff import ops
 __all__ = [
     "FadArray",
     "SFad",
-    "DFad",
     "is_fad",
     "fad_value",
     "fad_derivs",

@@ -1,4 +1,4 @@
-"""Vectorized forward-mode AD scalar types (Sacado ``SFad``/``DFad`` analogues).
+"""Vectorized forward-mode AD scalar types (Sacado ``SFad`` analogue).
 
 A :class:`FadArray` holds a value array ``val`` of shape ``S`` and a
 derivative array ``dx`` of shape ``S + (n,)`` where ``n`` is the number of
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FadArray", "SFad", "DFad", "is_fad", "fad_value", "fad_derivs"]
+__all__ = ["FadArray", "SFad", "is_fad", "fad_value", "fad_derivs"]
 
 
 def _as_const(x):
@@ -245,12 +245,6 @@ def SFad(n: int) -> type:
         cls = type(f"SFad{n}", (FadArray,), {"NUM_DERIVS": n, "__slots__": ()})
         _SFAD_CACHE[n] = cls
     return cls
-
-
-class DFad(FadArray):
-    """Dynamically-sized Fad (Sacado ``DFad`` analogue)."""
-
-    __slots__ = ()
 
 
 def is_fad(x) -> bool:

@@ -231,12 +231,6 @@ class CsrMatrix:
     def __matmul__(self, x):
         return self.matvec(x)
 
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """x = A^T @ y."""
-        y = np.asarray(y, dtype=np.float64)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return np.bincount(self.indices, weights=self.data * y[rows], minlength=self.shape[1])
-
     def diagonal(self) -> np.ndarray:
         n = min(self.shape)
         d = np.zeros(n)

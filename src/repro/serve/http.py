@@ -68,14 +68,21 @@ async def _read_request(reader: asyncio.StreamReader):
             break
         name, _, value = header.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            length = int(value.strip() or 0)
+            length = int(value.strip() or 0)  # ValueError -> 400 in _handle
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
     body = await reader.readexactly(length) if length else b""
     return method, path, body
 
 
 async def _handle(service: SolveService, reader, writer) -> None:
     try:
-        method, path, body = await _read_request(reader)
+        try:
+            method, path, body = await _read_request(reader)
+        except ValueError as exc:  # malformed or negative Content-Length
+            writer.write(_json_response(400, {"error": str(exc)}))
+            await writer.drain()
+            return
         if method is None:
             return
         if method == "GET" and path == "/healthz":
@@ -96,6 +103,8 @@ async def _handle(service: SolveService, reader, writer) -> None:
         elif method == "POST" and path == "/solve":
             try:
                 doc = json.loads(body.decode() or "{}")
+                if not isinstance(doc, dict):
+                    raise ValueError("request body must be a JSON object")
                 scenario = SolveScenario(
                     name=str(doc.get("name", "http")),
                     resolution_km=float(doc.get("resolution_km", 600.0)),
@@ -103,6 +112,7 @@ async def _handle(service: SolveService, reader, writer) -> None:
                     preconditioner=str(doc.get("preconditioner", "mdsc")),
                     nparts=int(doc.get("nparts", 1)),
                     newton_steps=int(doc.get("newton_steps", 8)),
+                    family=str(doc.get("family", "antarctica")),
                 )
                 deadline_s = doc.get("deadline_s")
                 request = SolveRequest(

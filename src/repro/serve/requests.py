@@ -89,7 +89,7 @@ class SolveScenario:
             self,
             name=f"{self.name}~coarse",
             resolution_km=self.resolution_km * float(factor),
-            num_layers=max(3, self.num_layers // 2),
+            num_layers=min(self.num_layers, max(3, self.num_layers // 2)),
         )
 
 

@@ -8,15 +8,16 @@ meshes (Tuminaro et al. 2016).  This package implements that stack:
 * :mod:`~repro.solvers.gmres` -- restarted, right-preconditioned GMRES.
 * :mod:`~repro.solvers.smoothers` -- damped Jacobi, vertical-line (block)
   Jacobi for extruded columns.
-* :mod:`~repro.solvers.multigrid` -- vertical semicoarsening followed by
-  horizontal aggregation AMG, applied as a V-cycle preconditioner.
+* :mod:`~repro.solvers.multigrid` -- two-level MDSC: vertical collapse of
+  every column with line smoothing, the collapsed 2-D problem factored
+  directly, applied as a V-cycle preconditioner.
 * :mod:`~repro.solvers.newton` -- damped Newton with backtracking.
 """
 
 from repro.solvers.gmres import GmresResult, gmres
 from repro.solvers.reductions import BlockReducer, column_block_reducer
 from repro.solvers.smoothers import IdentityPreconditioner, JacobiSmoother, VerticalLineSmoother
-from repro.solvers.multigrid import MgLevel, SemicoarseningMultigrid, ColumnCollapseMdsc, build_mdsc_amg
+from repro.solvers.multigrid import ColumnCollapseMdsc
 from repro.solvers.newton import NewtonResult, newton_solve
 
 __all__ = [
@@ -27,10 +28,7 @@ __all__ = [
     "IdentityPreconditioner",
     "JacobiSmoother",
     "VerticalLineSmoother",
-    "MgLevel",
-    "SemicoarseningMultigrid",
     "ColumnCollapseMdsc",
-    "build_mdsc_amg",
     "NewtonResult",
     "newton_solve",
 ]

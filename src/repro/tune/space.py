@@ -14,9 +14,8 @@ do not interact:
 * the **solver axes** -- preconditioner and operator mode -- change the
   Newton--Krylov trajectory and are measured.  :func:`solver_axes` lists
   the hand-picked default and then the pairs
-  :data:`repro.app.config.PRECONDITIONER_TABLE` marks worth a trial that
-  are *constructible* (a CSR-only preconditioner never pairs with
-  ``operator_mode="matrix-free"``; SPMD solves always assemble).
+  :data:`repro.app.config.PRECONDITIONER_TABLE` marks worth a trial,
+  under both operator modes (SPMD solves always assemble).
 """
 
 from __future__ import annotations
@@ -116,8 +115,8 @@ def kernel_axes(spec: GPUSpec) -> list[tuple[str, LaunchBounds]]:
 
 def solver_axes(config: VelocityConfig) -> list[tuple[str, str]]:
     """The ``(preconditioner, operator_mode)`` pairs to measure for
-    ``config``: its own hand-picked pair first, then every constructible
-    pair the table marks worth a trial, in table order."""
+    ``config``: its own hand-picked pair first, then every pair the
+    table marks worth a trial, in table order."""
     # SPMD solves always assemble (the row-partitioned operator is the
     # halo-exchange unit), so matrix-free is no axis on a distributed
     # mesh -- the default, too, is listed as it will run
@@ -129,7 +128,7 @@ def solver_axes(config: VelocityConfig) -> list[tuple[str, str]]:
     return [default] + [
         (p.name, mode)
         for p in PRECONDITIONER_TABLE
-        if p.tune_trial
+        if p.production
         for mode in modes
-        if not (p.needs_csr and mode == "matrix-free") and (p.name, mode) != default
+        if (p.name, mode) != default
     ]

@@ -217,15 +217,14 @@ class TestPreconditionerOptions:
         assert calls["maps"] == 1
         assert sorts_per_setup[0] >= 1 and sorts_per_setup[1:] == [0] * 7
 
-    @pytest.mark.parametrize("precond", ["vline", "mdsc-amg"])
-    def test_other_line_smoothed_rungs_converge_every_solve(self, precond):
-        """Line relaxation alone and the pairwise hierarchy converge
-        every linear solve (no stagnation, so nothing to escalate); at
-        omega = 0.9 / 0.95 they took 213 and 464 iterations here."""
+    def test_other_line_smoothed_rungs_converge_every_solve(self):
+        """Line relaxation alone converges every linear solve (no
+        stagnation, so nothing to escalate); at omega = 0.9 it took 213
+        iterations here."""
         cfg = AntarcticaConfig(
             resolution_km=400.0,
             num_layers=4,
-            velocity=VelocityConfig(preconditioner=precond, operator_mode="assembled"),
+            velocity=VelocityConfig(preconditioner="vline"),
         )
         newton = AntarcticaTest.build(cfg).run().newton
         assert newton.linear_flags == ["converged"] * 8

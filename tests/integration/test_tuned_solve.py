@@ -118,7 +118,7 @@ class TestLikeWithLike:
 
 class TestTableMatchesMeasurement:
     def test_flags_match_measured_solves(self, antarctica_mesh):
-        """The evidence behind ``PRECONDITIONER_TABLE``'s flags: the
+        """The evidence behind ``PRECONDITIONER_TABLE``'s flag: the
         400 km / 4-layer solves run 58 / 86 / 976 GMRES iterations under
         mdsc / vline / jacobi."""
         geometry, mesh = antarctica_mesh
@@ -130,8 +130,8 @@ class TestTableMatchesMeasurement:
             per_step[pc] = sum(newton.linear_iterations) / newton.iterations
         assert per_step["mdsc"] <= per_step["vline"] < per_step["jacobi"]
         assert per_step["jacobi"] > 10 * per_step["mdsc"]
-        # which is what the flags say: the two cheap ones earn a trial
-        assert [p.name for p in PRECONDITIONER_TABLE if p.tune_trial] == ["mdsc", "vline"]
+        # which is what the flag says: the two cheap ones earn a trial
+        assert [p.name for p in PRECONDITIONER_TABLE if p.production] == ["mdsc", "vline"]
 
 
 class TestDeterminism:

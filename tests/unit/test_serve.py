@@ -159,6 +159,14 @@ class TestRequests:
         assert coarse.num_layers == 4
         assert coarse.digest != s.digest
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_coarsened_never_adds_layers(self, n):
+        """The stand-in is the cheaper problem: a 1- or 2-layer request
+        keeps its layers (the floor of 3 used to raise 2 to 3)."""
+        coarse = scenario("s", resolution_km=500.0, num_layers=n).coarsened()
+        assert coarse.num_layers <= n
+        assert coarse.resolution_km == 1000.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             scenario("bad", preconditioner="nonsense")
@@ -816,3 +824,45 @@ class TestHttp:
 
                 await _stop(server_task)
         run(body())
+
+    def _post(self, raws):
+        """(code, body) per raw request sent to one stub-backed frontend."""
+        async def body():
+            service, problems = make_service()
+            async with service:
+                server_task, port = await _serving(service)
+                out = [await _http(port, raw) for raw in raws]
+                await _stop(server_task)
+            return out, problems
+        return run(body())
+
+    @staticmethod
+    def _solve_request(doc: str) -> str:
+        return f"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {len(doc)}\r\n\r\n{doc}"
+
+    def test_family_reaches_the_scenario(self):
+        """``family`` is part of the problem identity: the scenario built
+        and the digest reported are Greenland's, and an unknown family is
+        the scenario's ``ValueError`` -> 400."""
+        (ok, bad), problems = self._post([
+            self._solve_request(json.dumps({"name": "g", "family": "greenland"})),
+            self._solve_request(json.dumps({"name": "m", "family": "mars"})),
+        ])
+        assert ok[0] == 200
+        assert problems["g"].scenario.family == "greenland"
+        assert json.loads(ok[1])["digest"] == scenario("g", family="greenland").digest
+        assert bad[0] == 400 and "mars" in json.loads(bad[1])["error"]
+        assert "m" not in problems
+
+    @pytest.mark.parametrize("doc", ["[]", "3", '"solve"', "null"])
+    def test_non_object_body_is_a_400(self, doc):
+        ((code, payload),), problems = self._post([self._solve_request(doc)])
+        assert code == 400 and "JSON object" in json.loads(payload)["error"]
+        assert not problems
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+    def test_bad_content_length_is_a_400(self, length):
+        raw = f"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n{{}}"
+        ((code, payload),), problems = self._post([raw])
+        assert code == 400 and "error" in json.loads(payload)
+        assert not problems

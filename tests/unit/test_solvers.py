@@ -1,4 +1,4 @@
-"""Tests for GMRES, smoothers, MDSC-AMG multigrid, and damped Newton."""
+"""Tests for GMRES, smoothers, the two-level MDSC V-cycle, and damped Newton."""
 
 import importlib
 
@@ -14,7 +14,7 @@ from repro.solvers import (
     JacobiSmoother,
     VerticalLineSmoother,
     IdentityPreconditioner,
-    build_mdsc_amg,
+    ColumnCollapseMdsc,
     newton_solve,
 )
 
@@ -312,22 +312,26 @@ class TestSmoothers:
 
 
 class TestMultigrid:
+    """The two-level column-collapse MDSC on the synthetic extruded operator."""
+
     def test_hierarchy_structure(self):
-        levels = 8
-        A = _extruded_operator(ncols=32, levels=levels, aniso=200.0)
-        mg = build_mdsc_amg(A, num_columns=32, levels=levels, coarse_size=50)
-        desc = mg.describe()
-        kinds = [k for k, _, _ in desc]
-        assert kinds[0] == "vertical"
-        assert kinds[-1] == "coarse"
-        sizes = [n for _, n, _ in desc]
-        assert all(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1))
+        levels, ncols = 8, 32
+        A = _extruded_operator(ncols=ncols, levels=levels, aniso=200.0)
+        mg = ColumnCollapseMdsc(A, num_columns=ncols, levels=levels)
+        # two levels: line relaxation over whole columns on the fine
+        # operator, one coarse dof per (column, component) below it
+        assert mg.smoother.blk == levels * 2
+        assert mg.symbolic.num_coarse == ncols * 2 < A.shape[0]
+        dof = np.arange(A.shape[0])
+        assert np.array_equal(mg.symbolic.agg, dof // (levels * 2) * 2 + dof % 2)
+        with pytest.raises(ValueError, match="columns x levels x ndof"):
+            ColumnCollapseMdsc(A, num_columns=ncols + 1, levels=levels)
 
     def test_vcycle_preconditions_gmres(self):
         levels = 8
         A = _extruded_operator(ncols=24, levels=levels, aniso=500.0)
         b = np.ones(A.shape[0])
-        mg = build_mdsc_amg(A, num_columns=24, levels=levels, coarse_size=40)
+        mg = ColumnCollapseMdsc(A, num_columns=24, levels=levels)
         plain = gmres(A, b, tol=1e-8, restart=60, maxiter=600)
         pre = gmres(A, b, tol=1e-8, restart=60, maxiter=600, M=mg)
         assert pre.converged
@@ -335,101 +339,12 @@ class TestMultigrid:
 
     def test_vcycle_is_linear_operator(self):
         A = _extruded_operator(ncols=8, levels=4)
-        mg = build_mdsc_amg(A, num_columns=8, levels=4, coarse_size=20)
+        mg = ColumnCollapseMdsc(A, num_columns=8, levels=4)
         rng = np.random.default_rng(5)
         r1, r2 = rng.normal(size=A.shape[0]), rng.normal(size=A.shape[0])
         lhs = mg.apply(2.0 * r1 - 3.0 * r2)
         rhs = 2.0 * mg.apply(r1) - 3.0 * mg.apply(r2)
         assert np.allclose(lhs, rhs, atol=1e-9)
-
-    def test_empty_hierarchy_rejected(self):
-        from repro.solvers.multigrid import SemicoarseningMultigrid
-
-        with pytest.raises(ValueError):
-            SemicoarseningMultigrid([])
-
-
-class TestHorizontalAggregates:
-    """Straggler handling: no spurious singleton aggregates."""
-
-    @staticmethod
-    def _aggregate_sizes(A, ndof=1, theta=0.02):
-        from repro.solvers.multigrid import horizontal_aggregates
-
-        dof_agg, coarse = horizontal_aggregates(A, ndof=ndof, theta=theta)
-        agg_of_node = dof_agg.reshape(-1, ndof)[:, 0] // ndof
-        return np.bincount(agg_of_node, minlength=coarse // ndof), coarse
-
-    @staticmethod
-    def _path_graph(n):
-        rows, cols, vals = [], [], []
-        for i in range(n):
-            rows.append(i), cols.append(i), vals.append(2.0)
-            for j in (i - 1, i + 1):
-                if 0 <= j < n:
-                    rows.append(i), cols.append(j), vals.append(-1.0)
-        return CsrMatrix.from_coo(rows, cols, vals, (n, n))
-
-    @staticmethod
-    def _grid_laplacian(nx, ny):
-        n = nx * ny
-        rows, cols, vals = [], [], []
-        for j in range(ny):
-            for i in range(nx):
-                v = j * nx + i
-                deg = 0
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < nx and 0 <= jj < ny:
-                        rows.append(v), cols.append(jj * nx + ii), vals.append(-1.0)
-                        deg += 1
-                rows.append(v), cols.append(v), vals.append(float(deg) + 0.5)
-        return CsrMatrix.from_coo(rows, cols, vals, (n, n))
-
-    def test_path_stragglers_join_neighbors(self):
-        """On a path graph the greedy sweep leaves end-of-path stragglers;
-        they must join a neighboring aggregate, not seed singletons."""
-        sizes, coarse = self._aggregate_sizes(self._path_graph(5))
-        assert coarse == 2  # {0,1,4-straggler? no: {0,1}, {2,3}+4}
-        assert sizes.min() >= 2
-        assert sizes.sum() == 5
-
-    def test_grid_has_no_singletons(self):
-        """Regression: the old first pass aggregated every node (stragglers
-        always seeded new aggregates), so boundary nodes became singletons
-        that inflated the coarse operator."""
-        sizes, _ = self._aggregate_sizes(self._grid_laplacian(7, 7))
-        assert sizes.sum() == 49
-        assert sizes.min() >= 2  # connected graph: no singletons at all
-
-    def test_aggregate_size_distribution_reasonable(self):
-        sizes, coarse = self._aggregate_sizes(self._grid_laplacian(10, 10))
-        assert sizes.sum() == 100
-        # greedy star aggregation on a 5-point stencil: aggregates between
-        # 2 (merged straggler pairs) and 9 (star + absorbed stragglers)
-        assert 2 <= sizes.min() and sizes.max() <= 9
-        # coarsening actually coarsens: at least 2x reduction (no
-        # singletons means every aggregate halves its nodes or better)
-        assert coarse <= 100 // 2
-
-    def test_isolated_nodes_still_covered(self):
-        """A node with no strong connections seeds its own aggregate."""
-        rows = [0, 1, 1, 2, 2]
-        cols = [0, 1, 2, 1, 2]
-        vals = [1.0, 2.0, -1.0, -1.0, 2.0]  # node 0 disconnected
-        A = CsrMatrix.from_coo(rows, cols, vals, (3, 3))
-        sizes, coarse = self._aggregate_sizes(A)
-        assert sizes.sum() == 3
-        assert coarse == 2  # {0} isolated, {1,2}
-
-    def test_ndof_blocks_move_together(self):
-        from repro.solvers.multigrid import horizontal_aggregates
-
-        A = _extruded_operator(ncols=6, levels=1, ndof=2, aniso=1.0)
-        dof_agg, coarse = horizontal_aggregates(A, ndof=2)
-        pairs = dof_agg.reshape(-1, 2)
-        assert np.all(pairs[:, 1] == pairs[:, 0] + 1)
-        assert coarse % 2 == 0
 
 
 class TestNewton:

@@ -9,7 +9,7 @@ import dataclasses
 import json
 from types import SimpleNamespace
 
-from repro.app.config import PRECONDITIONER_TABLE, VelocityConfig
+from repro.app.config import VelocityConfig
 from repro.core.launch import TABLE2_LAUNCH_CONFIGS
 from repro.gpusim.specs import A100, MI250X_GCD
 from repro.kokkos.policy import LaunchBounds
@@ -75,16 +75,6 @@ class TestSpace:
             assert kernel_axes(spec) == kernel_axes(spec)
             assert len(kernel_axes(spec)) == 10
         assert solver_axes(VelocityConfig(operator_mode="assembled")) == TABLE_ORDER
-
-    def test_mdsc_amg_never_pairs_with_matrix_free(self, monkeypatch):
-        # constructibility is read off the table's needs_csr flag: flag
-        # every entry worth a trial and mdsc-amg still only assembles
-        table = tuple(dataclasses.replace(p, tune_trial=True) for p in PRECONDITIONER_TABLE)
-        monkeypatch.setattr("repro.tune.space.PRECONDITIONER_TABLE", table)
-        pairs = solver_axes(VelocityConfig())
-        assert ("mdsc-amg", "assembled") in pairs
-        assert ("mdsc-amg", "matrix-free") not in pairs
-        assert ("jacobi", "matrix-free") in pairs
 
     def test_unlaunchable_bounds_filtered_by_spec(self):
         low = dataclasses.replace(MI250X_GCD, max_threads_per_cu=512)
