@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.gpusim import GPUSimulator, MI250X_GCD
-from repro.perf import theoretical_minimum, format_table, write_csv
+from repro.perf import theoretical_minimum, format_table, paper, write_csv
 
 L2_SIZES_MB = [2, 4, 8, 16, 40, 80]
 
@@ -24,9 +24,8 @@ def test_ablation_l2_capacity(problem, print_once, results_dir, benchmark):
     for mb in L2_SIZES_MB:
         spec = dataclasses.replace(MI250X_GCD, name=f"MI250X-L2-{mb}MB", l2_bytes=mb * 1024 * 1024)
         p = GPUSimulator(spec).run("baseline-jacobian", problem)
-        e_dm = th.total_bytes / p.hbm_bytes
         traffic.append(p.hbm_bytes)
-        rows.append([f"{mb} MB", p.gbytes_moved, f"{e_dm:.0%}", p.time_s])
+        rows.append([f"{mb} MB", p.gbytes_moved, f"{paper.efficiencies(p).e_DM:.0%}", p.time_s])
     headers = ["L2 size", "GB moved (baseline Jacobian)", "e_DM", "time [s]"]
     print_once(
         "ablation-l2",

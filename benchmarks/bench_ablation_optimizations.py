@@ -8,9 +8,8 @@ to attribute the speedup per optimization on each GPU.
 
 import pytest
 
+from repro.perf import paper
 from repro.perf.report import format_table, write_csv
-
-from conftest import AMD_TUNED
 
 
 @pytest.mark.parametrize("mode", ["jacobian", "residual"])
@@ -18,10 +17,9 @@ def test_ablation_optimizations(mode, sim_a100, sim_mi250x, problem, print_once,
     rows = []
     times = {}
     for gpu, sim in (("A100", sim_a100), ("MI250X-GCD", sim_mi250x)):
-        tuned = AMD_TUNED if gpu == "MI250X-GCD" else None
         b = sim.run(f"baseline-{mode}", problem)
         f = sim.run(f"fused-{mode}", problem)
-        o = sim.run(f"optimized-{mode}", problem, launch_bounds=tuned)
+        o = paper.run_as_paper(sim.spec, f"optimized-{mode}")
         times[gpu] = (b, f, o)
         rows += [
             [gpu, "baseline", b.time_s, b.gbytes_moved, "1.00x"],

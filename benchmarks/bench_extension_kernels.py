@@ -7,13 +7,8 @@ Residual of the paper plus the ViscosityFO kernel that precedes them in
 the evaluation chain -- and reports e_time/e_DM/Phi per kernel.
 """
 
-import pytest
-
-from repro.gpusim import A100, MI250X_GCD, GPUSimulator, ANTARCTICA_16KM
-from repro.gpusim.specs import ALL_GPUS
-from repro.perf import theoretical_minimum, performance_portability, format_table, write_csv
-
-from conftest import AMD_TUNED
+from repro.gpusim import ANTARCTICA_16KM
+from repro.perf import format_table, paper, write_csv
 
 KERNELS = [
     ("optimized-jacobian", "jacobian"),
@@ -22,24 +17,15 @@ KERNELS = [
 ]
 
 
-def test_portability_of_several_kernels(print_once, results_dir, benchmark, sim_a100, sim_mi250x):
+def test_portability_of_several_kernels(print_once, results_dir, benchmark, sim_a100):
     rows = []
     phis = {}
     for key, label in KERNELS:
-        th = theoretical_minimum(key, ANTARCTICA_16KM.num_cells)
-        effs_t, effs_d = [], []
-        for gpu, sim in (("A100", sim_a100), ("MI250X-GCD", sim_mi250x)):
-            lb = AMD_TUNED if (gpu == "MI250X-GCD" and key.startswith("optimized")) else None
-            p = sim.run(key, ANTARCTICA_16KM, launch_bounds=lb)
-            peak = ALL_GPUS[gpu].hbm_bytes_per_s
-            effs_t.append(min(1.0, th.min_time_s(peak) / p.time_s))
-            effs_d.append(min(1.0, th.total_bytes / p.hbm_bytes))
-        phi_t = performance_portability(effs_t)
-        phi_d = performance_portability(effs_d)
-        phis[label] = (phi_t, phi_d)
+        effs, phi = paper.portability([paper.run_as_paper(spec, key) for spec in paper.PAPER_GPUS])
+        phis[label] = phi
         rows.append(
-            [label, f"{effs_t[0]:.0%}/{effs_t[1]:.0%}", f"{phi_t:.0%}",
-             f"{effs_d[0]:.0%}/{effs_d[1]:.0%}", f"{phi_d:.0%}"]
+            [label, f"{effs[0].e_time:.0%}/{effs[1].e_time:.0%}", f"{phi.e_time:.0%}",
+             f"{effs[0].e_DM:.0%}/{effs[1].e_DM:.0%}", f"{phi.e_DM:.0%}"]
         )
     headers = ["kernel", "e_time A100/MI", "Phi(time)", "e_DM A100/MI", "Phi(DM)"]
     print_once(
@@ -49,10 +35,10 @@ def test_portability_of_several_kernels(print_once, results_dir, benchmark, sim_
     write_csv(results_dir / "extension_kernels_portability.csv", headers, rows)
 
     # the streaming viscosity kernel should sit on the application wall
-    assert phis["viscosity"][1] > 0.99
+    assert phis["viscosity"].e_DM > 0.99
     # every optimized kernel reaches >= 80% data-movement portability
-    for label, (pt, pd) in phis.items():
-        assert pd > 0.80, label
+    for label, phi in phis.items():
+        assert phi.e_DM > 0.80, label
 
     benchmark(sim_a100.run, "viscosity-residual", ANTARCTICA_16KM)
 

@@ -49,7 +49,9 @@ def test_fig1_snapshot(solved, print_once, results_dir, benchmark):
     write_csv(
         results_dir / "fig1_surface_speed.csv",
         ["x_m", "y_m", "speed_m_per_yr"],
-        [[x, y, s] for (x, y), s in zip(xy, speed)],
+        # 6 significant digits: what the solve reproduces across BLAS
+        # builds (its regression gate is 1e-5), so CI can diff the file
+        [[x, y, float(f"{s:.6g}")] for (x, y), s in zip(xy, speed)],
     )
     print_once(
         "fig1",

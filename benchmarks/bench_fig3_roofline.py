@@ -11,56 +11,24 @@ the optimized Jacobian approaches the bandwidth ceiling on the A100
 import pytest
 
 from repro.gpusim.specs import ALL_GPUS
-from repro.perf import RooflineModel, format_table, ascii_scatter, write_csv
+from repro.perf import RooflineModel, format_table, paper, write_csv
 
 
-def _points(paper_profiles, gpu):
-    out = {}
-    for (impl, mode, g), p in paper_profiles.items():
-        if g == gpu:
-            out[f"{impl}-{mode}"] = RooflineModel.point_from_profile(p, f"{impl}-{mode}")
-    return out
-
-
-@pytest.mark.parametrize("gpu", ["A100", "MI250X-GCD"])
+@pytest.mark.parametrize("gpu", paper.GPU_NAMES)
 def test_fig3_roofline(gpu, paper_profiles, print_once, results_dir, benchmark):
     spec = ALL_GPUS[gpu]
     model = RooflineModel(spec)
-    pts = _points(paper_profiles, gpu)
-
-    rows = []
-    for name, pt in sorted(pts.items()):
-        rows.append(
-            [
-                name,
-                pt.arithmetic_intensity,
-                pt.gflops,
-                f"{model.fraction_of_roofline(pt):.0%}",
-                f"{model.bandwidth_fraction(pt):.0%}",
-            ]
-        )
-    headers = ["kernel", "AI [flop/byte]", "GFLOP/s", "frac roofline", "frac peak BW"]
+    pts = paper.roofline_points(paper_profiles, gpu)
+    table = paper.fig3_points(paper_profiles, spec)
 
     ai, gf = model.ceiling_series()
     write_csv(results_dir / f"fig3_roofline_{gpu}.csv", ["ai", "gflops_ceiling"], list(map(list, zip(ai, gf))))
-    write_csv(results_dir / f"fig3_points_{gpu}.csv", headers, rows)
-
-    markers = {"baseline-jacobian": "J", "optimized-jacobian": "j", "baseline-residual": "R", "optimized-residual": "r"}
-    plot = ascii_scatter(
-        [(p.arithmetic_intensity, p.gflops, markers[n]) for n, p in pts.items()],
-        lines=[
-            (ai[0], float(gf[0]), model.ridge_point, spec.fp64_flops / 1e9, "/"),
-            (model.ridge_point, spec.fp64_flops / 1e9, ai[-1], spec.fp64_flops / 1e9, "-"),
-        ],
-        xlabel="arithmetic intensity [flop/byte]",
-        ylabel="GFLOP/s",
-    )
+    write_csv(results_dir / f"fig3_points_{gpu}.csv", table.headers, table.rows)
     print_once(
         f"fig3-{gpu}",
-        f"Figure 3 (reproduced) -- Roofline on {gpu}\n"
-        + format_table(headers, rows)
-        + "\n(J/j = Jacobian baseline/optimized, R/r = Residual)\n"
-        + plot,
+        format_table(table.headers, table.rows, title=table.title)
+        + "\n"
+        + paper.fig3_plot(paper_profiles, spec),
     )
 
     # shape criteria
@@ -78,8 +46,8 @@ def test_fig3_roofline(gpu, paper_profiles, print_once, results_dir, benchmark):
 
 def test_fig3_cross_gpu_bandwidth_story(paper_profiles, benchmark):
     """A100 optimized kernels run closer to peak BW than MI250X's (Sec. VI)."""
-    a = benchmark(_points, paper_profiles, "A100")
-    m = _points(paper_profiles, "MI250X-GCD")
+    a = benchmark(paper.roofline_points, paper_profiles, "A100")
+    m = paper.roofline_points(paper_profiles, "MI250X-GCD")
     ma, mm = RooflineModel(ALL_GPUS["A100"]), RooflineModel(ALL_GPUS["MI250X-GCD"])
     for mode in ("jacobian", "residual"):
         fa = ma.bandwidth_fraction(a[f"optimized-{mode}"])

@@ -11,19 +11,20 @@ import numpy as np
 import pytest
 
 from repro.gpusim.specs import A100
-from repro.perf import TimeOrientedModel, theoretical_minimum, format_table, ascii_scatter, write_csv
+from repro.perf import TimeOrientedModel, theoretical_minimum, format_table, ascii_scatter, paper, write_csv
 
 
 def test_fig4_illustration(paper_profiles, problem, print_once, results_dir, benchmark):
     th = theoretical_minimum("optimized-jacobian", problem.num_cells)
     m = TimeOrientedModel(kernel="jacobian", theoretical=th, peak_bandwidth=A100.hbm_bytes_per_s)
-    observed = m.add_profile(paper_profiles[("baseline", "jacobian", "A100")], label="Observed")
+    profile = paper_profiles[("baseline", "jacobian", "A100")]
+    observed = m.add_profile(profile, label="Observed")
     wall_b, wall_t = m.achievable_point
 
     rows = [
-        ["Observed", observed.gbytes, observed.time_ms],
+        ["Observed", profile.gbytes_moved, profile.time_ms],
         ["Achievable", wall_b / 1e9, wall_t * 1e3],
-        ["Architectural bound @ observed bytes", observed.gbytes, float(m.architectural_bound_time(observed.bytes_moved)) * 1e3],
+        ["Architectural bound @ observed bytes", profile.gbytes_moved, float(m.architectural_bound_time(observed.bytes_moved)) * 1e3],
         ["Application wall [GB]", wall_b / 1e9, "-"],
     ]
     headers = ["item", "GBytes", "time [ms]"]
@@ -53,8 +54,9 @@ def test_fig4_illustration(paper_profiles, problem, print_once, results_dir, ben
     # the achievable corner is the intersection of the two bounds
     assert wall_t == pytest.approx(wall_b / A100.hbm_bytes_per_s)
     # efficiencies are the coordinate ratios to the bounds
-    assert m.efficiency_data_movement(observed) == pytest.approx(wall_b / observed.bytes_moved)
-    assert m.efficiency_time(observed) == pytest.approx(wall_t / observed.time_s)
+    eff = paper.efficiencies(profile)
+    assert eff.e_DM == pytest.approx(wall_b / observed.bytes_moved)
+    assert eff.e_time == pytest.approx(wall_t / observed.time_s)
 
     benchmark(m.series)
 

@@ -10,68 +10,32 @@ corner; the Jacobian wall sits ~17x to the right of the Residual wall.
 
 import pytest
 
-from repro.gpusim.specs import A100
-from repro.perf import TimeOrientedModel, theoretical_minimum, format_table, ascii_scatter, write_csv
+from repro.perf import format_table, paper, theoretical_minimum, write_csv
 
 
-def _model(paper_profiles, problem, mode):
-    th = theoretical_minimum(f"optimized-{mode}", problem.num_cells)
-    m = TimeOrientedModel(kernel=mode, theoretical=th, peak_bandwidth=A100.hbm_bytes_per_s)
-    for impl in ("baseline", "optimized"):
-        for gpu in ("A100", "MI250X-GCD"):
-            m.add_profile(paper_profiles[(impl, mode, gpu)], label=f"{impl}@{gpu}")
-    return m
-
-
-@pytest.mark.parametrize("mode", ["jacobian", "residual"])
-def test_fig5_time_model(mode, paper_profiles, problem, print_once, results_dir, benchmark):
-    m = _model(paper_profiles, problem, mode)
+@pytest.mark.parametrize("mode", paper.MODES)
+def test_fig5_time_model(mode, paper_profiles, print_once, results_dir, benchmark):
+    m = paper.fig5_model(paper_profiles, mode)
     m.validate()  # no observed point may beat either bound
 
-    wall_b, wall_t = m.achievable_point
-    rows = [["achievable (bound)", wall_b / 1e9, wall_t * 1e3, "-", "-"]]
-    for p in m.points:
-        rows.append(
-            [
-                p.label,
-                p.gbytes,
-                p.time_ms,
-                f"{m.efficiency_time(p):.0%}",
-                f"{m.efficiency_data_movement(p):.0%}",
-            ]
-        )
-    headers = ["point", "GBytes moved", "time/invocation [ms]", "e_time", "e_DM"]
-    write_csv(results_dir / f"fig5_time_model_{mode}.csv", headers, rows)
-
-    marks = {"baseline@A100": "B", "optimized@A100": "O", "baseline@MI250X-GCD": "b", "optimized@MI250X-GCD": "o"}
-    xs, ts, wall = m.series()
-    plot = ascii_scatter(
-        [(p.bytes_moved, p.time_s, marks[p.label]) for p in m.points]
-        + [(wall_b, wall_t, "*")],
-        lines=[
-            (xs[0], float(ts[0]), xs[-1], float(ts[-1]), "/"),  # architectural bound
-            (wall, float(ts[0]) * 0.5, wall, float(ts[-1]) * 2.0, "|"),  # application wall
-        ],
-        xlabel="HBM bytes moved",
-        ylabel="time per invocation [s]",
-    )
+    table = paper.fig5_points(paper_profiles, mode)
+    write_csv(results_dir / f"fig5_time_model_{mode}.csv", table.headers, table.rows)
     print_once(
         f"fig5-{mode}",
-        f"Figure 5 (reproduced) -- time-oriented model, {mode} kernel\n"
-        + format_table(headers, rows)
-        + "\n(B/O = A100 baseline/optimized, b/o = MI250X, * = achievable corner)\n"
-        + plot,
+        format_table(table.headers, table.rows, title=table.title)
+        + "\n"
+        + paper.fig5_plot(paper_profiles, mode),
     )
 
     # optimization moves toward the achievable corner on both GPUs
-    for gpu in ("A100", "MI250X-GCD"):
-        b = next(p for p in m.points if p.label == f"baseline@{gpu}")
-        o = next(p for p in m.points if p.label == f"optimized@{gpu}")
+    for gpu in paper.GPU_NAMES:
+        b = paper_profiles[("baseline", mode, gpu)]
+        o = paper_profiles[("optimized", mode, gpu)]
         assert o.time_s < b.time_s
-        assert o.bytes_moved <= b.bytes_moved * (1 + 1e-12)
-        assert m.efficiency_data_movement(o) >= m.efficiency_data_movement(b)
+        assert o.hbm_bytes <= b.hbm_bytes * (1 + 1e-12)
+        assert paper.efficiencies(o).e_DM >= paper.efficiencies(b).e_DM
 
-    benchmark(_model, paper_profiles, problem, mode)
+    benchmark(paper.fig5_model, paper_profiles, mode)
 
 
 def test_fig5_jacobian_wall_17x_residual(problem, benchmark):
@@ -81,11 +45,9 @@ def test_fig5_jacobian_wall_17x_residual(problem, benchmark):
     assert tj.total_bytes / tr.total_bytes == pytest.approx(17.0)
 
 
-def test_fig5_optimized_near_wall(paper_profiles, problem, benchmark):
+def test_fig5_optimized_near_wall(paper_profiles, benchmark):
     """Optimized implementations sit close to the application bound."""
-    benchmark(_model, paper_profiles, problem, "residual")
-    for mode in ("jacobian", "residual"):
-        m = _model(paper_profiles, problem, mode)
-        for p in m.points:
-            if "optimized" in p.label:
-                assert m.efficiency_data_movement(p) > 0.8, p.label
+    benchmark(paper.fig5_points, paper_profiles, "residual")
+    for mode in paper.MODES:
+        for gpu in paper.GPU_NAMES:
+            assert paper.efficiencies(paper_profiles[("optimized", mode, gpu)]).e_DM > 0.8, (mode, gpu)

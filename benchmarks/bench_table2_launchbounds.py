@@ -8,133 +8,44 @@ be (128,2)/(256,2) with speedups near 1.54x (Jacobian) / 1.17x
 (Residual).
 """
 
-import pytest
-
-from repro.core.launch import TABLE2_LAUNCH_CONFIGS, default_launch_bounds
+from repro.perf import paper
 from repro.perf.report import format_table, write_csv
-
-PAPER_VGPRS = {
-    "jacobian": {
-        "default": (128, 0),
-        "128,2": (128, 128),
-        "128,4": (128, 0),
-        "256,2": (128, 128),
-        "1024,2": (128, 0),
-    },
-    "residual": {
-        "default": (84, 4),
-        "128,2": (128, 0),
-        "128,4": (84, 4),
-        "256,2": (128, 0),
-        "1024,2": (84, 4),
-    },
-}
-
-PAPER_BEST_SPEEDUP = {"jacobian": 1.54, "residual": 1.17}
-
-
-def _sweep(sim, mode, problem):
-    rows = []
-    profiles = {}
-    skipped = []
-    for lb in TABLE2_LAUNCH_CONFIGS:
-        eff = lb if lb.explicit else default_launch_bounds(mode)
-        if eff.max_threads > sim.spec.max_threads_per_cu:
-            # unlaunchable on real hardware (the simulator now rejects
-            # it too); flag instead of reporting a fictitious timing
-            skipped.append(str(lb))
-            continue
-        p = sim.run(f"optimized-{mode}", problem, launch_bounds=eff)
-        profiles[str(lb)] = p
-    if "default" not in profiles:
-        # the default config itself was unlaunchable on this spec: there
-        # is no baseline to normalize speedups against, so say which
-        # machine model is at fault instead of KeyError-ing below
-        pytest.skip(
-            f"default launch bounds for {mode!r} "
-            f"({default_launch_bounds(mode).max_threads} threads) are "
-            f"unlaunchable on {sim.spec.name} "
-            f"(max_threads_per_cu={sim.spec.max_threads_per_cu}); "
-            f"skipped configs: {skipped}"
-        )
-    base_t = profiles["default"].time_s
-    for lb in TABLE2_LAUNCH_CONFIGS:
-        key = str(lb)
-        if key in skipped:
-            rows.append([mode.capitalize(), key, "unlaunchable", "-", "-", "skipped"])
-            continue
-        p = profiles[key]
-        rows.append(
-            [
-                mode.capitalize(),
-                key,
-                p.time_s,
-                p.arch_vgprs,
-                p.accum_vgprs,
-                f"{base_t / p.time_s:.2f}x",
-            ]
-        )
-    return rows, profiles
 
 
 def test_table2_report(sim_mi250x, problem, print_once, results_dir, benchmark):
-    all_rows = []
-    for mode in ("jacobian", "residual"):
-        rows, profiles = _sweep(sim_mi250x, mode, problem)
-        all_rows += rows
+    for mode in paper.MODES:
+        profiles = paper.launchbounds_sweep(mode)
 
         # exact VGPR reproduction of the paper's table
-        for key, (arch, accum) in PAPER_VGPRS[mode].items():
-            p = profiles[key]
-            assert (p.arch_vgprs, p.accum_vgprs) == (arch, accum), f"{mode} {key}"
+        for (key, p), vgprs in zip(profiles.items(), paper.PAPER_VGPRS[mode]):
+            assert (p.arch_vgprs, p.accum_vgprs) == vgprs, f"{mode} {key}"
 
         # best configs and speedup magnitude
         base_t = profiles["default"].time_s
-        best = PAPER_BEST_SPEEDUP[mode]
+        best = paper.PAPER_BEST_SPEEDUP[mode]
         for key in ("128,2", "256,2"):
             sp = base_t / profiles[key].time_s
             assert abs(sp - best) / best < 0.25, f"{mode} {key}: {sp:.2f} vs paper {best}"
         # (1024,2) is no better than the default (paper: 0.93-0.98x)
         assert profiles["1024,2"].time_s >= base_t * 0.99
 
-    headers = ["Kernel", "<MaxThreads,MinBlocks>", "time [s]", "Arch. VGPRs", "Accum. VGPRs", "speedup"]
+    table = paper.table2()
     print_once(
         "table2",
-        format_table(headers, all_rows, title="Table II (reproduced): LaunchBounds on MI250X GCD")
-        + "\n(paper best: 128,2 / 256,2 with 1.54x Jacobian, 1.17x Residual; VGPRs match exactly)",
+        format_table(table.headers, table.rows, title=table.title)
+        + "\n(paper best: 128,2 / 256,2 with {jacobian}x Jacobian, {residual}x Residual; "
+        "VGPRs match exactly)".format(**paper.PAPER_BEST_SPEEDUP),
     )
-    write_csv(results_dir / "table2_launchbounds.csv", headers, all_rows)
+    write_csv(results_dir / "table2_launchbounds.csv", table.headers, table.rows)
 
     benchmark(sim_mi250x.run, "optimized-jacobian", problem)
-
-
-def test_sweep_names_spec_when_default_unlaunchable():
-    """A spec too small for the *default* bounds skips with a reason.
-
-    Regression test: ``_sweep`` used to index ``profiles["default"]``
-    unconditionally after the skip loop, so a machine model whose
-    ``max_threads_per_cu`` cannot launch the default config (1024
-    threads for the residual) died with a bare ``KeyError`` instead of
-    reporting which spec was unlaunchable.
-    """
-    from dataclasses import replace
-
-    from repro.gpusim.simulator import GPUSimulator, ProblemSize
-    from repro.gpusim.specs import MI250X_GCD
-
-    spec = replace(MI250X_GCD, name="MI250X-LOWTPB", max_threads_per_cu=512)
-    sim = GPUSimulator(spec)
-    with pytest.raises(pytest.skip.Exception) as excinfo:
-        _sweep(sim, "residual", ProblemSize(num_cells=4096))
-    msg = str(excinfo.value)
-    assert "MI250X-LOWTPB" in msg and "unlaunchable" in msg
 
 
 def test_table2_agprs_only_with_generous_budget(sim_mi250x, problem, benchmark):
     """The accumulation VGPRs appear exactly when <=2 waves/SIMD are targeted."""
     from repro.kokkos.policy import LaunchBounds
 
-    p_good = benchmark(sim_mi250x.run, "optimized-jacobian", problem, launch_bounds=LaunchBounds(128, 2))
+    p_good = benchmark(sim_mi250x.run, "optimized-jacobian", problem, launch_bounds=paper.AMD_TUNED)
     p_tight = sim_mi250x.run("optimized-jacobian", problem, launch_bounds=LaunchBounds(128, 4))
     assert p_good.accum_vgprs == 128 and p_good.scratch_bytes_per_thread == 0
     assert p_tight.accum_vgprs == 0 and p_tight.scratch_bytes_per_thread > 0

@@ -13,57 +13,27 @@ Residual      3.7e-3    1.7e-3     8.3e-3      2.4e-3
 ============  ========  =========  ==========  ==========
 """
 
-import pytest
-
+from repro.perf import paper
 from repro.perf.report import format_table, write_csv
-
-from conftest import AMD_TUNED
-
-PAPER_SPEEDUPS = {
-    ("jacobian", "A100"): 3.3,
-    ("jacobian", "MI250X-GCD"): 2.7,
-    ("residual", "A100"): 2.2,
-    ("residual", "MI250X-GCD"): 3.5,
-}
-
-
-def _table(paper_profiles):
-    rows = []
-    speedups = {}
-    for mode in ("jacobian", "residual"):
-        row = [mode.capitalize()]
-        for gpu in ("A100", "MI250X-GCD"):
-            b = paper_profiles[("baseline", mode, gpu)]
-            o = paper_profiles[("optimized", mode, gpu)]
-            speedups[(mode, gpu)] = b.time_s / o.time_s
-            row += [b.time_s, o.time_s, f"{b.time_s / o.time_s:.2f}x"]
-        rows.append(row)
-    return rows, speedups
 
 
 def test_table3_report(paper_profiles, print_once, results_dir, benchmark, sim_a100, problem):
-    rows, speedups = _table(paper_profiles)
-    headers = [
-        "Kernel",
-        "Base A100 [s]",
-        "Opt A100 [s]",
-        "Speedup A100",
-        "Base MI250X [s]",
-        "Opt MI250X [s]",
-        "Speedup MI250X",
-    ]
+    table = paper.table3(paper_profiles)
     print_once(
         "table3",
-        format_table(headers, rows, title="Table III (reproduced): time per call and speedup")
-        + "\n(paper speedups: Jacobian 3.3x/2.7x, Residual 2.2x/3.5x)",
+        format_table(table.headers, table.rows, title=table.title)
+        + "\n(paper speedups: Jacobian {}x/{}x, Residual {}x/{}x)".format(
+            *paper.PAPER_SPEEDUPS.values()
+        ),
     )
-    write_csv(results_dir / "table3_speedups.csv", headers, rows)
+    write_csv(results_dir / "table3_speedups.csv", table.headers, table.rows)
 
     # shape criteria: optimized wins everywhere by ~2-4x
-    for key, paper in PAPER_SPEEDUPS.items():
+    speedups = paper.speedups(paper_profiles)
+    for key, quoted in paper.PAPER_SPEEDUPS.items():
         ours = speedups[key]
         assert 1.8 <= ours <= 4.5, f"{key}: speedup {ours:.2f} outside the paper's band"
-        assert abs(ours - paper) / paper < 0.45, f"{key}: {ours:.2f} vs paper {paper}"
+        assert abs(ours - quoted) / quoted < 0.45, f"{key}: {ours:.2f} vs paper {quoted}"
 
     # the benchmarked operation: one full simulator profile of the most
     # expensive kernel (trace -> registers -> cache model -> timing)
@@ -74,8 +44,8 @@ def test_table3_jacobian_dominates(paper_profiles, benchmark):
     """The Jacobian is the most time-consuming kernel on both GPUs."""
     def ratios():
         out = []
-        for gpu in ("A100", "MI250X-GCD"):
-            for impl in ("baseline", "optimized"):
+        for gpu in paper.GPU_NAMES:
+            for impl in paper.IMPLS:
                 j = paper_profiles[(impl, "jacobian", gpu)]
                 r = paper_profiles[(impl, "residual", gpu)]
                 out.append(j.time_s / r.time_s)

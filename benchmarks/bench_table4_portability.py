@@ -21,78 +21,43 @@ the Residual on both GPUs, and Phi improves by >= 20 points for every
 (efficiency, kernel) row -- the paper's headline "20% to 50% increment".
 """
 
-import pytest
+from repro.perf import paper, performance_portability
+from repro.perf.report import format_table, write_csv
 
-from repro.gpusim.specs import ALL_GPUS
-from repro.perf import (
-    performance_portability,
-    theoretical_minimum,
-    format_table,
-    write_csv,
-)
+A100, MI250X, PHI = 0, 1, 2  # columns of paper.table4_values
 
 
-def _efficiencies(paper_profiles, problem):
-    th = {m: theoretical_minimum(f"optimized-{m}", problem.num_cells) for m in ("jacobian", "residual")}
-    rows = {}
-    for (impl, mode, gpu), p in paper_profiles.items():
-        peak = ALL_GPUS[gpu].hbm_bytes_per_s
-        e_time = min(1.0, th[mode].min_time_s(peak) / p.time_s)
-        e_dm = min(1.0, th[mode].total_bytes / p.hbm_bytes)
-        rows[(impl, "e_time", mode, gpu)] = e_time
-        rows[(impl, "e_DM", mode, gpu)] = e_dm
-    return rows
+def test_table4_report(paper_profiles, print_once, results_dir, benchmark):
+    table = paper.table4(paper_profiles)
+    print_once("table4", format_table(table.headers, table.rows, title=table.title))
+    write_csv(results_dir / "table4_portability.csv", table.headers, table.rows)
 
-
-def test_table4_report(paper_profiles, problem, print_once, results_dir, benchmark):
-    eff = _efficiencies(paper_profiles, problem)
-
-    table_rows = []
-    phi = {}
-    for impl in ("baseline", "optimized"):
-        for metric in ("e_time", "e_DM"):
-            for mode in ("jacobian", "residual"):
-                ea = eff[(impl, metric, mode, "A100")]
-                em = eff[(impl, metric, mode, "MI250X-GCD")]
-                p = performance_portability([ea, em])
-                phi[(impl, metric, mode)] = p
-                table_rows.append(
-                    [impl.capitalize(), metric, mode.capitalize(), f"{ea:.0%}", f"{em:.0%}", f"{p:.0%}"]
-                )
-
-    headers = ["Impl", "Efficiency", "Kernel", "A100", "1 GCD MI250X", "Phi"]
-    print_once(
-        "table4",
-        format_table(headers, table_rows, title="Table IV (reproduced): efficiencies and Phi"),
-    )
-    write_csv(results_dir / "table4_portability.csv", headers, table_rows)
+    val = paper.table4_values(paper_profiles)
 
     # every optimized efficiency beats its baseline counterpart everywhere
     for metric in ("e_time", "e_DM"):
-        for mode in ("jacobian", "residual"):
-            for gpu in ("A100", "MI250X-GCD"):
-                b = eff[("baseline", metric, mode, gpu)]
-                o = eff[("optimized", metric, mode, gpu)]
+        for mode in paper.MODES:
+            for gpu in (A100, MI250X):
+                b = val[("baseline", metric, mode)][gpu]
+                o = val[("optimized", metric, mode)][gpu]
                 assert o >= b, (metric, mode, gpu)
 
     # optimized residual e_DM ~ 100% on both platforms (paper: 100%)
-    assert eff[("optimized", "e_DM", "residual", "A100")] > 0.97
-    assert eff[("optimized", "e_DM", "residual", "MI250X-GCD")] > 0.97
+    assert min(val[("optimized", "e_DM", "residual")][:PHI]) > 0.97
     # optimized jacobian e_DM >= 80% (paper: 84% / 81%)
-    assert eff[("optimized", "e_DM", "jacobian", "A100")] > 0.80
-    assert eff[("optimized", "e_DM", "jacobian", "MI250X-GCD")] > 0.80
+    assert min(val[("optimized", "e_DM", "jacobian")][:PHI]) > 0.80
 
     # Phi improves by >= 20 points for e_time rows and >= 15 for e_DM
-    for mode in ("jacobian", "residual"):
-        assert phi[("optimized", "e_time", mode)] - phi[("baseline", "e_time", mode)] >= 0.20, mode
-        assert phi[("optimized", "e_DM", mode)] >= phi[("baseline", "e_DM", mode)]
-    assert phi[("optimized", "e_DM", "jacobian")] - phi[("baseline", "e_DM", "jacobian")] >= 0.15
+    for mode in paper.MODES:
+        assert val[("optimized", "e_time", mode)][PHI] - val[("baseline", "e_time", mode)][PHI] >= 0.20, mode
+        assert val[("optimized", "e_DM", mode)][PHI] >= val[("baseline", "e_DM", mode)][PHI]
+    assert val[("optimized", "e_DM", "jacobian")][PHI] - val[("baseline", "e_DM", "jacobian")][PHI] >= 0.15
 
     # A100 achieves higher e_time than the MI250X GCD after optimization
-    for mode in ("jacobian", "residual"):
-        assert eff[("optimized", "e_time", mode, "A100")] > eff[("optimized", "e_time", mode, "MI250X-GCD")]
+    for mode in paper.MODES:
+        assert val[("optimized", "e_time", mode)][A100] > val[("optimized", "e_time", mode)][MI250X]
 
-    benchmark(_efficiencies, paper_profiles, problem)
+    benchmark(paper.table4_values, paper_profiles)
 
 
 def test_phi_zero_when_unsupported(benchmark):

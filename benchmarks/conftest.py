@@ -14,12 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro.gpusim import A100, MI250X_GCD, GPUSimulator, ANTARCTICA_16KM
-from repro.kokkos.policy import LaunchBounds
+from repro.perf import paper
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: the tuned MI250X LaunchBounds the paper's Table III optimized numbers use
-AMD_TUNED = LaunchBounds(128, 2)
 
 _printed: set[str] = set()
 
@@ -58,23 +55,7 @@ def print_once():
     return _print
 
 
-def run_paper_profiles(sim_a100, sim_mi250x, problem):
-    """The eight (kernel, GPU) profiles behind Tables III/IV and Figs 3/5.
-
-    Optimized kernels on the MI250X use the tuned LaunchBounds, matching
-    how the paper quotes its optimized AMD numbers.
-    """
-    out = {}
-    for mode in ("jacobian", "residual"):
-        out[("baseline", mode, "A100")] = sim_a100.run(f"baseline-{mode}", problem)
-        out[("optimized", mode, "A100")] = sim_a100.run(f"optimized-{mode}", problem)
-        out[("baseline", mode, "MI250X-GCD")] = sim_mi250x.run(f"baseline-{mode}", problem)
-        out[("optimized", mode, "MI250X-GCD")] = sim_mi250x.run(
-            f"optimized-{mode}", problem, launch_bounds=AMD_TUNED
-        )
-    return out
-
-
 @pytest.fixture(scope="session")
-def paper_profiles(sim_a100, sim_mi250x, problem):
-    return run_paper_profiles(sim_a100, sim_mi250x, problem)
+def paper_profiles():
+    """The eight (kernel, GPU) profiles behind Tables III/IV and Figs 3/5."""
+    return paper.paper_profiles()

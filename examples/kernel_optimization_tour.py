@@ -12,18 +12,8 @@ Walks through the whole Section V/VI story on the simulated GPUs:
 Run:  python examples/kernel_optimization_tour.py
 """
 
-from repro.core.launch import default_launch_bounds
-from repro.gpusim import A100, MI250X_GCD, GPUSimulator, ANTARCTICA_16KM, record_kernel_trace
-from repro.kokkos.policy import LaunchBounds
-from repro.perf import (
-    RooflineModel,
-    TimeOrientedModel,
-    theoretical_minimum,
-    performance_portability,
-    format_table,
-)
-
-AMD_TUNED = LaunchBounds(128, 2)
+from repro.gpusim import record_kernel_trace
+from repro.perf import RooflineModel, format_table, paper
 
 
 def trace_story() -> None:
@@ -40,12 +30,11 @@ def trace_story() -> None:
 
 def speedup_story(profiles) -> None:
     print("=== 2. time per invocation (Table III analogue) ===")
-    rows = []
-    for mode in ("jacobian", "residual"):
-        for gpu in ("A100", "MI250X-GCD"):
-            b = profiles[("baseline", mode, gpu)]
-            o = profiles[("optimized", mode, gpu)]
-            rows.append([mode, gpu, b.time_s, o.time_s, f"{b.time_s / o.time_s:.2f}x"])
+    rows = [
+        [mode, gpu, profiles[("baseline", mode, gpu)].time_s,
+         profiles[("optimized", mode, gpu)].time_s, f"{speedup:.2f}x"]
+        for (mode, gpu), speedup in paper.speedups(profiles).items()
+    ]
     print(format_table(["kernel", "GPU", "baseline [s]", "optimized [s]", "speedup"], rows))
     print()
 
@@ -53,9 +42,9 @@ def speedup_story(profiles) -> None:
 def roofline_story(profiles) -> None:
     print("=== 3. roofline placement (Fig. 3 analogue) ===")
     rows = []
-    for gpu, spec in (("A100", A100), ("MI250X-GCD", MI250X_GCD)):
-        model = RooflineModel(spec)
-        for impl in ("baseline", "optimized"):
+    for spec in paper.PAPER_GPUS:
+        gpu, model = spec.name, RooflineModel(spec)
+        for impl in paper.IMPLS:
             p = profiles[(impl, "jacobian", gpu)]
             pt = RooflineModel.point_from_profile(p)
             rows.append(
@@ -69,19 +58,13 @@ def roofline_story(profiles) -> None:
 def portability_story(profiles) -> None:
     print("=== 4. time-oriented model and Phi (Figs. 4-5, Table IV analogue) ===")
     rows = []
-    for mode in ("jacobian", "residual"):
-        th = theoretical_minimum(f"optimized-{mode}", ANTARCTICA_16KM.num_cells)
-        m = TimeOrientedModel(kernel=mode, theoretical=th, peak_bandwidth=A100.hbm_bytes_per_s)
-        for impl in ("baseline", "optimized"):
-            effs_t, effs_d = [], []
-            for gpu in ("A100", "MI250X-GCD"):
-                pt = m.add_profile(profiles[(impl, mode, gpu)])
-                effs_t.append(min(1.0, m.efficiency_time(pt)))
-                effs_d.append(min(1.0, m.efficiency_data_movement(pt)))
+    for mode in paper.MODES:
+        for impl in paper.IMPLS:
+            effs, phi = paper.portability([profiles[(impl, mode, gpu)] for gpu in paper.GPU_NAMES])
             rows.append(
                 [mode, impl,
-                 f"{effs_t[0]:.0%}/{effs_t[1]:.0%}", f"{performance_portability(effs_t):.0%}",
-                 f"{effs_d[0]:.0%}/{effs_d[1]:.0%}", f"{performance_portability(effs_d):.0%}"]
+                 f"{effs[0].e_time:.0%}/{effs[1].e_time:.0%}", f"{phi.e_time:.0%}",
+                 f"{effs[0].e_DM:.0%}/{effs[1].e_DM:.0%}", f"{phi.e_DM:.0%}"]
             )
     print(format_table(
         ["kernel", "impl", "e_time A100/MI", "Phi(time)", "e_DM A100/MI", "Phi(DM)"], rows
@@ -90,13 +73,7 @@ def portability_story(profiles) -> None:
 
 
 def main() -> None:
-    profiles = {}
-    for gpu, spec in (("A100", A100), ("MI250X-GCD", MI250X_GCD)):
-        sim = GPUSimulator(spec)
-        for mode in ("jacobian", "residual"):
-            profiles[("baseline", mode, gpu)] = sim.run(f"baseline-{mode}", ANTARCTICA_16KM)
-            lb = AMD_TUNED if gpu == "MI250X-GCD" else default_launch_bounds(mode)
-            profiles[("optimized", mode, gpu)] = sim.run(f"optimized-{mode}", ANTARCTICA_16KM, launch_bounds=lb)
+    profiles = paper.paper_profiles()
 
     trace_story()
     speedup_story(profiles)

@@ -9,22 +9,21 @@ Run:  python examples/launchbounds_tuning.py
 """
 
 from repro.core.launch import TABLE2_LAUNCH_CONFIGS, default_launch_bounds
-from repro.gpusim import GPUSimulator, MI250X_GCD, ANTARCTICA_16KM
+from repro.gpusim import MI250X_GCD
 from repro.gpusim.registers import cdna2_vgpr_budget
+from repro.perf.paper import MODES, launchbounds_sweep
 from repro.perf.report import format_table
 
 
 def main() -> None:
-    sim = GPUSimulator(MI250X_GCD)
-    for mode in ("jacobian", "residual"):
+    for mode in MODES:
         rows = []
-        base_time = None
+        sweep = launchbounds_sweep(mode)
+        base_time = sweep["default"].time_s
         for lb in TABLE2_LAUNCH_CONFIGS:
             eff = lb if lb.explicit else default_launch_bounds(mode)
             budget, waves = cdna2_vgpr_budget(MI250X_GCD, eff)
-            p = sim.run(f"optimized-{mode}", ANTARCTICA_16KM, launch_bounds=eff)
-            if base_time is None:
-                base_time = p.time_s
+            p = sweep[str(lb)]
             rows.append(
                 [
                     str(lb),

@@ -17,7 +17,7 @@ from repro.gpusim import (
     NsightComputeReport,
     RocprofReport,
 )
-from repro.kokkos.policy import LaunchBounds
+from repro.perf.paper import run_as_paper
 
 
 def main() -> None:
@@ -34,9 +34,8 @@ def main() -> None:
     print("--- input_file.txt ---")
     print(RocprofReport.input_file())
     print("----------------------")
-    sim = GPUSimulator(MI250X_GCD)
-    for key, lb in (("baseline-jacobian", None), ("optimized-jacobian", LaunchBounds(128, 2))):
-        p = sim.run(key, ANTARCTICA_16KM, launch_bounds=lb)
+    for key in ("baseline-jacobian", "optimized-jacobian"):
+        p = run_as_paper(MI250X_GCD, key)
         rep = RocprofReport.from_profile(p)
         print()
         print(rep.render())

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.app import AntarcticaConfig, AntarcticaTest
-from repro.gpusim import A100, MI250X_GCD, GPUSimulator, ANTARCTICA_16KM
+from repro.perf.paper import PAPER_GPUS, run_as_paper
 
 
 def main() -> None:
@@ -29,15 +29,10 @@ def main() -> None:
 
     # 2. the performance model: the paper's kernels at 256K cells --------
     print("\nGPU kernel profiles at the paper's problem size (~256K cells):")
-    from repro.kokkos.policy import LaunchBounds
-
-    for spec in (A100, MI250X_GCD):
-        sim = GPUSimulator(spec)
-        # optimized kernels on AMD use the paper's tuned LaunchBounds
-        tuned = LaunchBounds(128, 2) if spec.vendor == "amd" else None
+    for spec in PAPER_GPUS:
         for key in ("baseline-jacobian", "optimized-jacobian"):
-            lb = tuned if key.startswith("optimized") else None
-            p = sim.run(key, ANTARCTICA_16KM, launch_bounds=lb)
+            # optimized kernels on AMD use the paper's tuned LaunchBounds
+            p = run_as_paper(spec, key)
             print(
                 f"  {spec.name:11s} {key:20s} time/call = {p.time_s:.3e} s, "
                 f"{p.gbytes_moved:6.1f} GB moved, AI = {p.arithmetic_intensity:.2f}"

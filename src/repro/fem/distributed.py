@@ -59,10 +59,10 @@ import numpy as np
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.sparse import CsrMatrix
 from repro.gpusim.solver_bytes import spmv_bytes, spmv_flops
-from repro.mesh.partition import HaloExchange, Partition, TrafficMeter
+from repro.mesh.partition import Partition, TrafficMeter
 from repro.observability import get_tracer
-from repro.resilience.detectors import payload_checksum, verify_payload
-from repro.resilience.injectors import HaloCorruptionError, fault_plane
+from repro.resilience.detectors import receive_verified
+from repro.resilience.injectors import fault_plane
 
 __all__ = ["DistributedStokesAssembly", "DistributedMatrix"]
 
@@ -111,7 +111,6 @@ class DistributedStokesAssembly:
         self.ndof = ndof
         self.num_dofs = plan.num_dofs
         self.meter = meter if meter is not None else TrafficMeter(partition.nparts)
-        self.halo = HaloExchange(partition, self.meter)
 
         nparts = self.nparts
         nz = nlayers
@@ -438,48 +437,16 @@ class DistributedMatrix:
         return y
 
     def _refresh_ghosts_checked(self, part: int, x, xl, plane) -> None:
-        """Armed-plane SpMV ghost refresh with checksum verification.
-
-        Each neighbor's ghost-column payload routes through the fault
-        plane and is verified against the owner's CRC32; a mismatch
-        re-fetches (and re-meters) the message up to the policy's retry
-        budget, then raises :class:`HaloCorruptionError`.  On success the
-        verified values land in ``xl`` -- corrupted ghosts never reach
-        the rank-local SpMV.
-        """
+        """Armed-plane SpMV ghost refresh: only ghost columns verified by
+        :func:`~repro.resilience.detectors.receive_verified` land in ``xl``."""
         a = self.assembly
-        policy, log = plane.policy, plane.log
         for q, idx in a._spmv_ghost_idx[part].items():
-            clean = np.ascontiguousarray(xl[idx])
-            expected = payload_checksum(clean)
-            payload = plane.perturb(
-                "halo.payload", clean, rank=part, src=int(q), channel="spmv"
+            xl[idx] = receive_verified(
+                plane,
+                lambda: np.ascontiguousarray(x[a._colmap[part][idx]]),
+                a.meter,
+                what="SpMV ghost payload", rank=part, src=int(q), channel="spmv",
             )
-            attempt = 0
-            while not verify_payload(payload, expected):
-                attempt += 1
-                log.record(
-                    "detection", "halo_checksum_mismatch", "halo.payload",
-                    rank=part, src=int(q), channel="spmv", attempt=attempt,
-                )
-                if attempt > policy.max_retries:
-                    raise HaloCorruptionError(
-                        f"SpMV ghost payload from rank {q} to rank {part} "
-                        f"failed checksum verification {attempt} times"
-                    )
-                a.meter.record("vector_gather", int(q), part, len(idx) * _FP64)
-                a.meter.count_event("gather_retry")
-                payload = plane.perturb(
-                    "halo.payload",
-                    np.ascontiguousarray(x[a._colmap[part][idx]]),
-                    rank=part, src=int(q), channel="spmv", retry=attempt,
-                )
-            if attempt > 0:
-                log.record(
-                    "recovery", "halo_refetch", "halo.payload",
-                    rank=part, src=int(q), channel="spmv", attempts=attempt,
-                )
-            xl[idx] = payload
 
     def __matmul__(self, x):
         return self.matvec(x)

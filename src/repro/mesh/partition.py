@@ -22,15 +22,14 @@ pieces added here:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.mesh.planar import Footprint2D
 from repro.observability import get_metrics, get_tracer
-from repro.resilience.detectors import payload_checksum, verify_payload
-from repro.resilience.injectors import HaloCorruptionError, fault_plane
+from repro.resilience.detectors import receive_verified
+from repro.resilience.injectors import fault_plane
 
 __all__ = [
     "Partition",
@@ -251,56 +250,19 @@ class HaloExchange:
             return local
 
     def _refresh_ghosts_checked(self, part, global_field, local, plane) -> None:
-        """Armed-plane ghost refresh with per-message checksum verification.
-
-        Each neighbor payload routes through the fault plane (where the
-        schedule may flip bits, drop or duplicate it), then the receiver
-        verifies the sender's CRC32 and re-fetches on mismatch -- the
-        in-process analogue of re-posting a corrupted MPI receive.  A
-        payload that never verifies within the retry budget raises
-        :class:`HaloCorruptionError`.
-        """
+        """Armed-plane ghost refresh: every neighbor's payload arrives through
+        :func:`~repro.resilience.detectors.receive_verified`."""
         if not np.issubdtype(np.asarray(global_field).dtype, np.floating):
             return  # index/int gathers are not a corruption target
-        policy, log = plane.policy, plane.log
         for q, nodes in self._recv[part].items():
             if len(nodes) == 0:
                 continue
-            clean = np.ascontiguousarray(global_field[nodes], dtype=np.float64)
-            expected = payload_checksum(clean)
-            payload = plane.perturb("halo.payload", clean, rank=part, src=int(q))
-            attempt = 0
-            while not verify_payload(payload, expected):
-                attempt += 1
-                log.record(
-                    "detection", "halo_checksum_mismatch", "halo.payload",
-                    rank=part, src=int(q), attempt=attempt,
-                )
-                if attempt > policy.max_retries:
-                    raise HaloCorruptionError(
-                        f"halo payload from rank {q} to rank {part} failed "
-                        f"checksum verification {attempt} times"
-                    )
-                delay = policy.backoff(attempt)
-                if delay > 0.0:
-                    time.sleep(delay)
-                # re-fetch: the retransmitted message is metered again
-                width = int(np.prod(clean.shape[1:], dtype=np.int64)) or 1
-                self.meter.record(
-                    "vector_gather", int(q), part, len(nodes) * width * clean.dtype.itemsize
-                )
-                self.meter.count_event("gather_retry")
-                payload = plane.perturb(
-                    "halo.payload",
-                    np.ascontiguousarray(global_field[nodes], dtype=np.float64),
-                    rank=part, src=int(q), retry=attempt,
-                )
-            if attempt > 0:
-                log.record(
-                    "recovery", "halo_refetch", "halo.payload",
-                    rank=part, src=int(q), attempts=attempt,
-                )
-            local[np.searchsorted(self._local[part], nodes)] = payload
+            local[np.searchsorted(self._local[part], nodes)] = receive_verified(
+                plane,
+                lambda: np.ascontiguousarray(global_field[nodes], dtype=np.float64),
+                self.meter,
+                what="halo payload", rank=part, src=int(q),
+            )
 
     def scatter_add(self, contributions: list[np.ndarray]) -> np.ndarray:
         """Sum per-part local contributions into a global nodal array.

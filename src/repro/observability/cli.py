@@ -1,0 +1,155 @@
+"""``python -m repro profile`` and ``python -m repro perfdiff``.
+
+``profile`` runs the coarse Antarctica solve under the span tracer and
+writes a Chrome trace (open it at https://ui.perfetto.dev) plus per-span,
+roofline-attribution (against ``--gpu``) and metrics summaries; with
+``--nparts N > 1`` the per-rank streams are stitched into one
+clock-aligned multi-process trace and a halo-wait vs compute table is
+printed.  ``perfdiff BASELINE CURRENT`` ranks the spans of two perf
+documents by their contribution to a regression.
+"""
+
+from __future__ import annotations
+
+import json
+
+from repro.observability import perfdiff
+
+__all__ = ["register", "profile"]
+
+
+def profile(args) -> int:
+    from repro import observability as obs
+    from repro.app import AntarcticaConfig, AntarcticaTest
+    from repro.app.config import VelocityConfig
+    from repro.gpusim.specs import ALL_GPUS, default_tuning_spec
+
+    resolution_km, layers, nparts = args.resolution_km, args.layers, args.nparts
+    spec = ALL_GPUS[args.gpu] if args.gpu else default_tuning_spec()
+    cfg = AntarcticaConfig(
+        resolution_km=resolution_km,
+        num_layers=layers,
+        velocity=VelocityConfig(nparts=nparts),
+    )
+    obs.get_metrics().reset()
+    obs.get_series().reset()
+    tr = obs.get_tracer()
+    if args.plant_slow:
+        # negative control for the perfdiff pipeline: slow one span by a
+        # known amount and check the diff ranks it first
+        name, _, secs = args.plant_slow.partition(":")
+        tr.plant_slowdown(name, float(secs or 0.0))
+    try:
+        with obs.tracing() as tracer:
+            with tracer.span("antarctica.build", resolution_km=resolution_km, layers=layers):
+                test = AntarcticaTest.build(cfg)
+            sol = test.run()
+    finally:
+        tr.clear_slowdowns()
+    spans = tracer.spans
+    obs.annotate_roofline(spans, spec)
+    mismatches = obs.reconcile_rocprof_bytes(spans)
+    series = obs.get_series()
+    snapshot = obs.get_metrics().snapshot()
+
+    counter_pid = 0
+    process_labels = None
+    export_spans = spans
+    stitched = None
+    if nparts > 1:
+        # per-rank streams -> one clock-aligned trace: rank p on Chrome
+        # pid p, driver timeline (Newton/GMRES) on pid nparts
+        streams, driver = obs.split_rank_streams(spans, nparts)
+        obs.align_clocks(streams)
+        stitched = obs.stitch_spans(streams, driver, nparts)
+        export_spans = stitched
+        process_labels = obs.stitch_process_labels(nparts)
+        counter_pid = obs.DRIVER_PID(nparts)
+    path = obs.write_chrome_trace(
+        args.out,
+        export_spans,
+        metrics=snapshot,
+        process_labels=process_labels,
+        series=series,
+        counter_pid=counter_pid,
+    )
+    if args.jsonl:
+        obs.write_jsonl(args.jsonl, export_spans)
+        print(f"span log:     {args.jsonl} ({len(export_spans)} spans)")
+    if args.series_jsonl:
+        obs.write_series_jsonl(args.series_jsonl, series)
+        npts = sum(len(s.points) for s in series.all())
+        print(f"series log:   {args.series_jsonl} ({npts} points)")
+    if args.openmetrics:
+        obs.write_openmetrics(args.openmetrics, snapshot, series)
+        print(f"openmetrics:  {args.openmetrics}")
+    if args.snapshot:
+        doc = {
+            "kind": obs.perfdiff.SNAPSHOT_KIND,
+            "schema_version": obs.perfdiff.SNAPSHOT_SCHEMA,
+            "label": f"profile res={resolution_km:g}km nz={layers} nparts={nparts}",
+            "spans": {
+                name: {k: a[k] for k in ("count", "total_s", "self_s", "cat")}
+                for name, a in tracer.aggregate().items()
+            },
+            "counters": dict(snapshot.get("counters", {})),
+        }
+        with open(args.snapshot, "w") as f:
+            json.dump(doc, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"perf snapshot: {args.snapshot} ({len(doc['spans'])} span aggregates)")
+    print(f"chrome trace: {path} ({len(export_spans)} spans) -- open at https://ui.perfetto.dev")
+    print(f"mean |u| = {sol.mean_velocity:.6f} m/yr over {sol.diagnostics['num_cells']} cells")
+    if mismatches:
+        print(f"WARNING: {len(mismatches)} span(s) fail rocprof byte reconciliation:")
+        for m in mismatches:
+            print(f"  {m}")
+    print()
+    print(obs.summary_table(spans, wall_s=sol.diagnostics["solve_seconds"]))
+    print()
+    print(obs.roofline_table(spans, spec))
+    if stitched is not None:
+        records = obs.halo_compute_split(stitched)
+        if records:
+            print()
+            print(obs.critical_path_table(records))
+    print()
+    print(obs.ascii_flame(spans))
+    print()
+    print(obs.metrics_table(snapshot))
+    return 0
+
+
+def register(sub) -> None:
+    p = sub.add_parser(
+        "profile", help="traced coarse solve -> Chrome trace JSON", description=__doc__
+    )
+    p.add_argument("--out", default="trace.json", help="Chrome trace output path")
+    p.add_argument("--jsonl", default=None, help="also write a JSON-lines span log")
+    p.add_argument(
+        "--snapshot", default=None, help="write a perfdiff-ready span/counter aggregate JSON"
+    )
+    p.add_argument(
+        "--openmetrics", default=None,
+        help="write metrics + convergence series as OpenMetrics text",
+    )
+    p.add_argument(
+        "--series-jsonl", default=None,
+        help="write convergence time-series points as JSON lines",
+    )
+    p.add_argument(
+        "--plant-slow", default=None, metavar="NAME:SECONDS",
+        help="plant a deliberate slowdown on one span name (perfdiff negative control)",
+    )
+    p.add_argument("--resolution-km", type=float, default=300.0, help="footprint resolution [km]")
+    p.add_argument("--layers", type=int, default=5, help="extruded layer count")
+    p.add_argument("--nparts", type=int, default=1, help="SPMD rank count")
+    p.add_argument(
+        "--gpu", default=None,
+        help="modeled architecture (A100|MI250X-GCD; default REPRO_TUNE_GPU or MI250X-GCD)",
+    )
+    p.set_defaults(run=profile)
+
+    p = sub.add_parser("perfdiff", help="diff two perf documents, rank span regressions")
+    perfdiff.add_arguments(p)
+    p.set_defaults(run=perfdiff.run)

@@ -38,6 +38,8 @@ __all__ = [
     "load_perf_document",
     "diff_documents",
     "format_diff",
+    "add_arguments",
+    "run",
     "main",
     "SNAPSHOT_KIND",
     "SNAPSHOT_SCHEMA",
@@ -270,11 +272,8 @@ def format_diff(report: dict, top: int = 15) -> str:
     return "\n\n".join(parts)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro perfdiff",
-        description="Diff two perf documents and rank spans by regression contribution.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``perfdiff`` arguments (shared with ``python -m repro perfdiff``)."""
     parser.add_argument("baseline", help="baseline snapshot/trace/bench JSON")
     parser.add_argument("current", help="current snapshot/trace/bench JSON")
     parser.add_argument("--top", type=int, default=15, help="rows per table (default 15)")
@@ -283,8 +282,9 @@ def main(argv=None) -> int:
         help="ignore span deltas below this many seconds",
     )
     parser.add_argument("--json", dest="json_out", default=None, help="also write the report as JSON")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
     try:
         base = load_perf_document(args.baseline)
         cur = load_perf_document(args.current)
@@ -298,6 +298,15 @@ def main(argv=None) -> int:
             json.dump(report, f, indent=2)
         print(f"\nwrote {args.json_out}")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro perfdiff",
+        description="Diff two perf documents and rank spans by regression contribution.",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,9 @@
   time-oriented performance portability plane (Figs. 4-5).
 * :mod:`~repro.perf.portability` -- e_time / e_DM efficiencies and the
   Pennycook harmonic-mean metric Phi (Table IV, Eq. 4).
+* :mod:`~repro.perf.paper` -- the paper's experiment, defined once: the
+  eight profiles, their one ``e_time``/``e_DM``/Phi reading, the values the
+  paper quotes, and the rows of Tables II-IV and Figs. 3/5.
 * :mod:`~repro.perf.report` -- table renderers, CSV emitters, and ASCII
   plots used by the benchmark harness.
 """
@@ -18,8 +21,6 @@ from repro.perf.portability import (
     performance_portability,
     efficiency_time,
     efficiency_data_movement,
-    PortabilityEntry,
-    portability_table,
 )
 from repro.perf.report import format_table, ascii_scatter, write_csv
 from repro.perf.metrics import architectural_efficiency, application_efficiency, ai_fraction
@@ -34,8 +35,6 @@ __all__ = [
     "performance_portability",
     "efficiency_time",
     "efficiency_data_movement",
-    "PortabilityEntry",
-    "portability_table",
     "format_table",
     "ascii_scatter",
     "write_csv",

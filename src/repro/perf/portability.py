@@ -9,14 +9,10 @@ to the application bound (e_DM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "performance_portability",
     "efficiency_time",
     "efficiency_data_movement",
-    "PortabilityEntry",
-    "portability_table",
 ]
 
 
@@ -51,35 +47,3 @@ def efficiency_data_movement(theoretical_min_bytes: float, observed_bytes: float
     if theoretical_min_bytes <= 0 or observed_bytes <= 0:
         raise ValueError("byte counts must be positive")
     return theoretical_min_bytes / observed_bytes
-
-
-@dataclass(frozen=True)
-class PortabilityEntry:
-    """One row of the paper's Table IV."""
-
-    implementation: str  # "Baseline" | "Optimized"
-    efficiency: str  # "e_time" | "e_DM"
-    kernel: str  # "Jacobian" | "Residual"
-    per_platform: dict  # gpu name -> efficiency
-    phi: float
-
-
-def portability_table(rows: list[dict]) -> list[PortabilityEntry]:
-    """Build Table-IV entries from raw efficiency dictionaries.
-
-    Each input row: ``{"implementation", "efficiency", "kernel",
-    "per_platform": {gpu: e}}``; Phi is computed over the platforms.
-    """
-    out = []
-    for r in rows:
-        effs = list(r["per_platform"].values())
-        out.append(
-            PortabilityEntry(
-                implementation=r["implementation"],
-                efficiency=r["efficiency"],
-                kernel=r["kernel"],
-                per_platform=dict(r["per_platform"]),
-                phi=performance_portability(effs),
-            )
-        )
-    return out

@@ -9,8 +9,8 @@ invocation) plane.  Two bounds frame every point:
   theoretical minimum data movement (no implementation can move less).
 
 The "achievable" corner is their intersection: minimum bytes at peak
-bandwidth.  Efficiencies measured against these bounds feed the
-portability metric (:mod:`repro.perf.portability`).
+bandwidth.  Geometry only: a point's ``e_time``/``e_DM`` are
+:func:`repro.perf.paper.efficiencies` (its own GPU's peak, not this diagonal).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpusim.specs import GPUSpec
 from repro.perf.theoretical import TheoreticalMovement
 
 __all__ = ["TimeOrientedPoint", "TimeOrientedModel"]
@@ -37,14 +36,6 @@ class TimeOrientedPoint:
     def __post_init__(self):
         if self.bytes_moved <= 0 or self.time_s <= 0:
             raise ValueError("observed point must have positive coordinates")
-
-    @property
-    def gbytes(self) -> float:
-        return self.bytes_moved / 1.0e9
-
-    @property
-    def time_ms(self) -> float:
-        return self.time_s * 1.0e3
 
 
 @dataclass
@@ -82,16 +73,6 @@ class TimeOrientedModel:
         """(bytes, time) of the theoretical optimum corner."""
         b = self.theoretical.total_bytes
         return b, b / self.peak_bandwidth
-
-    # -- per-point diagnostics -------------------------------------------
-    def efficiency_time(self, p: TimeOrientedPoint) -> float:
-        """theoretical minimum time / observed time (paper's e_time)."""
-        _, t_min = self.achievable_point
-        return t_min / p.time_s
-
-    def efficiency_data_movement(self, p: TimeOrientedPoint) -> float:
-        """theoretical minimum bytes / observed bytes (paper's e_DM)."""
-        return self.application_wall_bytes / p.bytes_moved
 
     def validate(self) -> None:
         """All observed points must respect both bounds (model sanity)."""

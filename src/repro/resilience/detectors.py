@@ -20,13 +20,17 @@ where MALI/E3SM runs catch their failures:
 
 from __future__ import annotations
 
+import time
 import zlib
 
 import numpy as np
 
+from repro.resilience.injectors import HaloCorruptionError
+
 __all__ = [
     "payload_checksum",
     "verify_payload",
+    "receive_verified",
     "check_finite",
     "nonfinite_count",
     "classify_gmres",
@@ -42,6 +46,47 @@ def payload_checksum(payload: np.ndarray) -> int:
 def verify_payload(payload: np.ndarray, checksum: int) -> bool:
     """Receiver-side checksum verification of a (possibly corrupted) payload."""
     return payload_checksum(payload) == int(checksum)
+
+
+def receive_verified(plane, fetch, meter, *, what: str, rank: int, src: int, **labels):
+    """One halo message through the armed fault plane, checksum-verified.
+
+    ``fetch()`` produces the sender's payload; the plane may corrupt it in
+    flight.  On a CRC32 mismatch: log the detection, back off per the plane's
+    policy, re-fetch and re-meter -- re-posting a corrupted MPI receive -- and
+    past the retry budget raise :class:`HaloCorruptionError`.  Only a verified
+    payload is returned, so corrupted ghosts never reach the caller.
+    """
+    policy, log = plane.policy, plane.log
+    clean = fetch()
+    expected = payload_checksum(clean)
+    payload = plane.perturb("halo.payload", clean, rank=rank, src=src, **labels)
+    attempt = 0
+    while not verify_payload(payload, expected):
+        attempt += 1
+        log.record(
+            "detection", "halo_checksum_mismatch", "halo.payload",
+            rank=rank, src=src, **labels, attempt=attempt,
+        )
+        if attempt > policy.max_retries:
+            raise HaloCorruptionError(
+                f"{what} from rank {src} to rank {rank} failed "
+                f"checksum verification {attempt} times"
+            )
+        delay = policy.backoff(attempt)
+        if delay > 0.0:
+            time.sleep(delay)
+        meter.record("vector_gather", src, rank, clean.nbytes)
+        meter.count_event("gather_retry")
+        payload = plane.perturb(
+            "halo.payload", fetch(), rank=rank, src=src, **labels, retry=attempt
+        )
+    if attempt > 0:
+        log.record(
+            "recovery", "halo_refetch", "halo.payload",
+            rank=rank, src=src, **labels, attempts=attempt,
+        )
+    return payload
 
 
 def nonfinite_count(arr: np.ndarray) -> int:

@@ -19,25 +19,18 @@ from __future__ import annotations
 
 import asyncio
 
-__all__ = ["serve"]
+__all__ = ["register", "serve"]
 
 
-def serve(
-    check: bool = False,
-    seed: int = 2024,
-    disarm_breaker: bool = False,
-    openmetrics_out: str | None = None,
-    workers: int = 2,
-    host: str = "127.0.0.1",
-    port: int = 8077,
-) -> int:
+def serve(args) -> int:
     from repro.serve.chaos import run_chaos_check
 
-    if check:
+    workers, host, port = args.workers, args.host, args.port
+    if args.check:
         return run_chaos_check(
-            seed=seed,
-            disarm_breaker=disarm_breaker,
-            openmetrics_out=openmetrics_out,
+            seed=args.seed,
+            disarm_breaker=args.disarm_breaker,
+            openmetrics_out=args.openmetrics,
             workers=workers,
         )
 
@@ -45,7 +38,7 @@ def serve(
     from repro.serve.service import SolveService
 
     async def main() -> int:
-        service = SolveService(workers=workers, breaker_enabled=not disarm_breaker)
+        service = SolveService(workers=workers, breaker_enabled=not args.disarm_breaker)
         async with service:
             print(f"solve service on http://{host}:{port} "
                   f"({workers} workers; endpoints: /healthz /metrics /solve)")
@@ -56,3 +49,20 @@ def serve(
         return asyncio.run(main())
     except KeyboardInterrupt:
         return 0
+
+
+def register(sub) -> None:
+    p = sub.add_parser("serve", help="resilient async solve service (HTTP)", description=__doc__)
+    p.add_argument("--check", action="store_true", help="run the chaos acceptance gate (exit 0/1)")
+    p.add_argument("--seed", type=int, default=2024, help="chaos-scenario RNG seed")
+    p.add_argument(
+        "--disarm-breaker", action="store_true",
+        help="disable the circuit breaker (--check negative control)",
+    )
+    p.add_argument(
+        "--openmetrics", default=None, help="--check: write the run's metrics as OpenMetrics text"
+    )
+    p.add_argument("--workers", type=int, default=2, help="worker thread count")
+    p.add_argument("--host", default="127.0.0.1", help="HTTP bind host")
+    p.add_argument("--port", type=int, default=8077, help="HTTP bind port")
+    p.set_defaults(run=serve)

@@ -128,9 +128,8 @@ class SolveService:
         while self._running:
             revived = self.pool.reap()
             for job in revived:
-                get_series().record(
-                    "serve.worker_revival", job.resumes, job_id=str(job.id)
-                )
+                # no job_id label: that grew one never-evicted series per revival
+                get_series().record("serve.worker_revival", job.resumes)
             await asyncio.sleep(self.supervise_interval_s)
 
     # ------------------------------------------------------------------

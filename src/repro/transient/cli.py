@@ -20,8 +20,6 @@ CI runs it as a negative control to prove gate (1) actually fires.
 
 from __future__ import annotations
 
-import argparse
-import sys
 import tempfile
 from pathlib import Path
 
@@ -30,7 +28,7 @@ import numpy as np
 from repro.transient.engine import TransientEngine, TransientKilled
 from repro.transient.scenarios import SCENARIOS, get_scenario
 
-__all__ = ["main", "run_check"]
+__all__ = ["register", "run", "run_check"]
 
 #: the --check gates (documented here, asserted below)
 CHECK_SCENARIO = "antarctica-closed"
@@ -114,9 +112,10 @@ def _write_volume_csv(path: Path, result) -> None:
     print(f"wrote volume time-series to {path}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro transient",
+def register(sub) -> None:
+    parser = sub.add_parser(
+        "transient",
+        help="coupled thickness/velocity run of a named scenario",
         description="Run a named transient ice-sheet scenario.",
     )
     parser.add_argument(
@@ -143,8 +142,10 @@ def main(argv: list[str] | None = None) -> int:
         "--volume-csv", type=str, default=None, help="write the volume time-series as CSV"
     )
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress per-step output")
-    args = parser.parse_args(argv)
+    parser.set_defaults(run=run)
 
+
+def run(args) -> int:
     if args.list:
         for name in sorted(SCENARIOS):
             sc = SCENARIOS[name]
@@ -180,7 +181,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.volume_csv:
         _write_volume_csv(Path(args.volume_csv), result)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

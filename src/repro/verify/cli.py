@@ -20,7 +20,7 @@ prints FAIL rows but exits 0, like ``python -m repro chaos``.
 
 from __future__ import annotations
 
-__all__ = ["verify"]
+__all__ = ["register", "verify"]
 
 
 def _racy_report(seed: int = 0):
@@ -104,3 +104,18 @@ def verify(suite: str = "all", check: bool = False, fixture: str = "none", seed:
         print(f"FAILED: {', '.join(failures)}")
     print("verify:", "PASS" if ok else "FAIL")
     return 0 if (ok or not check) else 1
+
+
+def register(sub) -> None:
+    p = sub.add_parser(
+        "verify", help="race checks + differential oracle table", description=__doc__
+    )
+    p.add_argument(
+        "--suite", default="all", help="oracle suite (all|kernels|jacobian|spmd|bytes|matvec)"
+    )
+    p.add_argument(
+        "--fixture", default="none",
+        help="treat a planted defect as production (none|racy|perturbed)",
+    )
+    p.add_argument("--check", action="store_true", help="exit nonzero on failure (the CI gate)")
+    p.set_defaults(run=lambda a: verify(suite=a.suite, check=a.check, fixture=a.fixture))

@@ -94,17 +94,13 @@ class TestGreenlandGolden:
 
 class TestTable3Golden:
     def test_speedups_match(self):
-        from repro.gpusim import A100, MI250X_GCD, GPUSimulator
-        from repro.kokkos.policy import LaunchBounds
+        from repro.perf.paper import paper_profiles
 
         golden = _load("table3")
-        amd_tuned = LaunchBounds(128, 2)
-        specs = {s.name: s for s in (A100, MI250X_GCD)}
+        profiles = paper_profiles()
         for i, (gpu, mode) in enumerate(zip(golden["gpu"], golden["mode"])):
-            sim = GPUSimulator(specs[str(gpu)])
-            b = sim.run(f"baseline-{mode}")
-            lb = amd_tuned if specs[str(gpu)].vendor == "amd" else None
-            o = sim.run(f"optimized-{mode}", launch_bounds=lb)
+            b = profiles[("baseline", str(mode), str(gpu))]
+            o = profiles[("optimized", str(mode), str(gpu))]
             np.testing.assert_allclose(
                 b.time_s, golden["baseline_time_s"][i], rtol=MODEL_RTOL, err_msg=f"{gpu} {mode}"
             )

@@ -1,0 +1,71 @@
+"""The ``python -m repro`` command tree: every documented invocation parses,
+and a flag belongs to exactly the sub-commands that read it."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _documented_invocations(path: Path) -> list[list[str]]:
+    """argv of every ``python -m repro ...`` in a README / workflow file."""
+    lines = path.read_text().splitlines()
+    found = []
+    for i, line in enumerate(lines):
+        _, sep, rest = line.partition("python -m repro ")
+        if not sep:
+            continue
+        # shell (`\\`) and folded-YAML continuations: following flag lines
+        rest = rest.rstrip("\\")
+        for cont in lines[i + 1 :]:
+            if not cont.strip().startswith("--"):
+                break
+            rest += " " + cont.strip().rstrip("\\")
+        # stop at whatever ends the command in prose, shell or YAML
+        argv = shlex.split(re.split(r"[`|#&\";]", rest)[0])
+        if not argv[0].startswith("<"):  # `python -m repro <command>` is a placeholder
+            found.append(argv)
+    return found
+
+
+@pytest.mark.parametrize("doc", ["README.md", ".github/workflows/ci.yml"])
+def test_every_documented_invocation_parses(doc):
+    invocations = _documented_invocations(REPO_ROOT / doc)
+    assert len(invocations) >= 15, "extraction found suspiciously few commands"
+    parser = build_parser()
+    for argv in invocations:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{doc}: `python -m repro {' '.join(argv)}` no longer parses")
+        assert callable(args.run)
+
+
+def test_ci_gates_keep_their_flags():
+    """Spot-check that extraction sees multi-line commands whole."""
+    ci = _documented_invocations(REPO_ROOT / ".github/workflows/ci.yml")
+    assert ["serve", "--check", "--openmetrics", "/tmp/serve.om"] in ci
+    assert [
+        "profile", "--out", "/tmp/trace.json", "--snapshot", "/tmp/perf_snapshot.json",
+        "--openmetrics", "/tmp/metrics.om", "--series-jsonl", "/tmp/series.jsonl",
+    ] in ci
+
+
+def test_transient_is_an_ordinary_subcommand(capsys):
+    assert main(["transient", "--list"]) == 0
+    assert "antarctica-retreat" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["tune", "--check"], ["table3", "--nparts", "2"], ["perfdiff", "only-one.json"], []]
+)
+def test_a_flag_of_another_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

@@ -10,11 +10,10 @@ from repro.perf import (
     theoretical_minimum,
     RooflinePoint,
     RooflineModel,
-    TimeOrientedModel,
     performance_portability,
     efficiency_time,
     efficiency_data_movement,
-    portability_table,
+    paper,
     format_table,
     ascii_scatter,
     write_csv,
@@ -106,17 +105,7 @@ class TestRoofline:
 
 class TestTimeModel:
     def _model(self, mode="jacobian"):
-        from repro.kokkos.policy import LaunchBounds
-
-        th = theoretical_minimum(f"optimized-{mode}", 256_000)
-        m = TimeOrientedModel(kernel=mode, theoretical=th, peak_bandwidth=A100.hbm_bytes_per_s)
-        for spec in (A100, MI250X_GCD):
-            sim = GPUSimulator(spec)
-            # the paper's optimized MI250X numbers use the tuned bounds
-            tuned = LaunchBounds(128, 2) if spec.vendor == "amd" else None
-            m.add_profile(sim.run(f"baseline-{mode}"))
-            m.add_profile(sim.run(f"optimized-{mode}", launch_bounds=tuned))
-        return m
+        return paper.fig5_model(paper.paper_profiles(), mode)
 
     def test_points_respect_bounds(self):
         m = self._model()
@@ -130,20 +119,18 @@ class TestTimeModel:
 
     def test_optimized_closer_to_wall(self):
         """Fig. 5: optimization moves points toward the application bound."""
-        m = self._model()
-        base = [p for p in m.points if "baseline" in p.label]
-        opt = [p for p in m.points if "optimized" in p.label]
-        for bp, op in zip(base, opt):
-            assert op.bytes_moved < bp.bytes_moved
-            assert op.time_s < bp.time_s
-            assert m.efficiency_data_movement(op) > m.efficiency_data_movement(bp)
-            assert m.efficiency_time(op) > m.efficiency_time(bp)
+        profiles = paper.paper_profiles()
+        for mode in paper.MODES:
+            for gpu in paper.GPU_NAMES:
+                bp, op = (profiles[(impl, mode, gpu)] for impl in paper.IMPLS)
+                assert op.hbm_bytes <= bp.hbm_bytes
+                assert op.time_s < bp.time_s
+                assert paper.efficiencies(op).e_DM >= paper.efficiencies(bp).e_DM
+                assert paper.efficiencies(op).e_time > paper.efficiencies(bp).e_time
 
     def test_efficiencies_in_unit_interval(self):
-        m = self._model("residual")
-        for p in m.points:
-            assert 0.0 < m.efficiency_time(p) <= 1.0 + 1e-9
-            assert 0.0 < m.efficiency_data_movement(p) <= 1.0 + 1e-9
+        for p in paper.paper_profiles().values():
+            assert all(0.0 < e <= 1.0 for e in paper.efficiencies(p))
 
     def test_series_brackets_points(self):
         m = self._model()
@@ -190,18 +177,6 @@ class TestPortability:
             efficiency_time(0.0, 1.0)
         with pytest.raises(ValueError):
             efficiency_data_movement(1.0, 0.0)
-
-    def test_portability_table(self):
-        rows = [
-            {
-                "implementation": "Baseline",
-                "efficiency": "e_time",
-                "kernel": "Jacobian",
-                "per_platform": {"A100": 0.39, "MI250X-GCD": 0.38},
-            }
-        ]
-        out = portability_table(rows)
-        assert out[0].phi == pytest.approx(2 / (1 / 0.39 + 1 / 0.38))
 
 
 class TestReport:

@@ -487,6 +487,56 @@ class TestHaloSite:
             with pytest.raises(res.HaloCorruptionError):
                 halo.gather(1, field)
 
+    def _spmv(self):
+        """A 2-rank row-partitioned Jacobian and a vector to apply it to."""
+        from repro.app.config import VelocityConfig
+        from repro.app.velocity_solver import StokesVelocityProblem
+        from repro.fem.distributed import DistributedStokesAssembly
+        from repro.mesh.extrude import extrude_footprint
+        from repro.mesh.geometry import IceGeometry
+
+        geo = IceGeometry(
+            lx=3.0e5, ly=2.0e5, center=(1.5e5, 1.0e5), radius=2.0e6, h_max=2000.0,
+            bed_amplitude=0.0, min_thickness=10.0, secondary_dome=False,
+        )
+        fp = quad_footprint(4, 3, geo.lx, geo.ly)
+        mesh = extrude_footprint(fp, geo, 2)
+        plan = StokesVelocityProblem(mesh, geo, VelocityConfig()).plan
+        spmd = DistributedStokesAssembly(plan, partition_footprint(fp, 2), mesh.levels, mesh.nlayers)
+        rng = np.random.default_rng(3)
+        nc, k = plan.elem_dofs.shape
+        local_j = rng.normal(size=(nc, k, k))
+        A = spmd.assemble_jacobian([local_j[spmd.owned_elems(p)] for p in range(2)])
+        return A, rng.normal(size=plan.num_dofs)
+
+    @pytest.mark.parametrize("path", ["gather", "spmv"])
+    def test_refetch_backs_off(self, path, monkeypatch):
+        """Both ghost refreshes -- the nodal gather and the SpMV ghost
+        columns -- wait ``policy.backoff`` before re-posting a receive."""
+        from types import SimpleNamespace
+
+        from repro.resilience import detectors
+
+        if path == "gather":
+            halo = self._halo()
+            field = np.linspace(0.0, 1.0, halo.partition.footprint.num_nodes)
+            receive = lambda: halo.gather(1, field)  # noqa: E731
+        else:
+            A, x = self._spmv()
+            receive = lambda: A.matvec(x)  # noqa: E731
+        clean = receive()
+        slept = []
+        monkeypatch.setattr(detectors, "time", SimpleNamespace(sleep=slept.append))
+        policy = res.RecoveryPolicy(backoff_s=0.25)
+        # corrupt the first message and its first retransmission
+        sched = res.FaultSchedule([res.BitFlip("halo.payload", at=(0, 1))])
+        with res.fault_injection(sched, policy=policy):
+            got = receive()
+        assert np.array_equal(got, clean)
+        assert slept == [0.25, 0.5]
+        assert policy.log.count("detection", "halo_checksum_mismatch") == 2
+        assert policy.log.count("recovery", "halo_refetch") == 1
+
     def test_gather_unaffected_when_disarmed(self):
         halo = self._halo()
         field = np.linspace(0.0, 1.0, halo.partition.footprint.num_nodes)

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.observability import get_metrics, parse_exposition, tracing
+from repro.observability import get_metrics, get_series, parse_exposition, tracing
 from repro.resilience import SolveTimeout
 from repro.resilience.policies import RecoveryPolicy
 from repro.serve import (
@@ -638,6 +638,27 @@ class TestSolveService:
             assert len(calls) == 2
             assert calls[0]["resume_from"] is None
             assert calls[1]["resume_from"].step == 1
+        run(body())
+
+    def test_revivals_share_one_series(self):
+        """``serve.worker_revival`` carries no per-job label: a long-running
+        service must not grow a series (and a /metrics sample) per revival."""
+        async def body():
+            ks = KillSwitch()
+            service, _ = make_service(kill_switch=ks)
+            before = get_series().get("serve.worker_revival")
+            offered = before.count if before else 0
+            families = []
+            async with service:
+                for s in (scenario("a"), scenario("b", num_layers=4)):
+                    ks.arm(s.digest, 1)
+                    resp = await service.submit(SolveRequest(s))
+                    assert resp.status == "ok" and resp.resumes == 1
+                    families.append(
+                        [x.labels for x in get_series().all() if x.name == "serve.worker_revival"]
+                    )
+            assert families == [[{}], [{}]]
+            assert get_series().get("serve.worker_revival").count == offered + 2
         run(body())
 
     def test_builds_and_solves_never_overlap(self):

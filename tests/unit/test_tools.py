@@ -60,6 +60,17 @@ class TestSearchParams:
         # hitting the bad-point penalty
         assert err < search_params.BAD_POINT_PENALTY
 
+    def test_targets_are_the_values_paper_py_quotes(self):
+        from repro.perf import paper
+
+        t = search_params.TARGETS
+        assert len(t) == 16  # 4 speedups, 2 Table II ratios, 5 Table IV rows x 2 GPUs
+        assert t["M_residual_speedup"] == (paper.PAPER_SPEEDUPS[("residual", "MI250X-GCD")], 3.0)
+        assert t["t2_jacobian"] == (paper.PAPER_BEST_SPEEDUP["jacobian"], 2.0)
+        a100, mi = paper.PAPER_EFFICIENCIES[("optimized", "e_time", "residual")]
+        assert (t["A_residual_et_o"], t["M_residual_et_o"]) == ((a100, 1.0), (mi, 1.0))
+        assert "A_residual_edm_o" not in t  # a Table IV row the search does not fit
+
     def test_score_penalizes_degenerate_ratios(self):
         """A zero/negative/non-finite metric is penalized, not a ValueError."""
         clean = {k: t for k, (t, _w) in search_params.TARGETS.items()}

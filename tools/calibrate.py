@@ -5,76 +5,44 @@ Used during development to fix the machine-model constants in
 reproducible and inspectable.
 """
 
-import numpy as np
-
-from repro.gpusim import GPUSimulator, A100, MI250X_GCD, ANTARCTICA_16KM
-from repro.kokkos.policy import LaunchBounds
-from repro.core.launch import TABLE2_LAUNCH_CONFIGS, default_launch_bounds
-from repro.perf.theoretical import theoretical_minimum
-
-AMD_TUNED = LaunchBounds(128, 2)
+from repro.perf import paper
 
 
 def table3():
     print("=== Table III analogue (time per call, speedup) ===")
-    for spec in (A100, MI250X_GCD):
-        sim = GPUSimulator(spec)
-        for mode in ("jacobian", "residual"):
-            b = sim.run(f"baseline-{mode}")
-            if spec.vendor == "amd":
-                o = sim.run(f"optimized-{mode}", launch_bounds=AMD_TUNED)
-            else:
-                o = sim.run(f"optimized-{mode}")
+    profiles = paper.paper_profiles()
+    ours = paper.speedups(profiles)
+    for gpu in paper.GPU_NAMES:
+        for mode in paper.MODES:
+            b, o = (profiles[(impl, mode, gpu)] for impl in paper.IMPLS)
             print(
-                f"{spec.name:10s} {mode:8s} base={b.time_s:.2e} opt={o.time_s:.2e} "
-                f"speedup={b.time_s/o.time_s:4.2f}x   (paper: "
-                f"{'3.3/2.7' if mode=='jacobian' else '2.2/3.5'})"
+                f"{gpu:10s} {mode:8s} base={b.time_s:.2e} opt={o.time_s:.2e} "
+                f"speedup={ours[(mode, gpu)]:4.2f}x   (paper: {paper.PAPER_SPEEDUPS[(mode, gpu)]})"
             )
 
 
 def table4():
     print("\n=== Table IV analogue (e_time / e_DM) ===")
-    rows = {}
-    for spec in (A100, MI250X_GCD):
-        sim = GPUSimulator(spec)
-        for mode in ("jacobian", "residual"):
-            th = theoretical_minimum(f"optimized-{mode}", ANTARCTICA_16KM.num_cells)
-            tmin = th.min_time_s(spec.hbm_bytes_per_s)
-            for impl in ("baseline", "optimized"):
-                lb = AMD_TUNED if (spec.vendor == "amd" and impl == "optimized") else None
-                p = sim.run(f"{impl}-{mode}", launch_bounds=lb)
-                rows[(impl, mode, spec.name)] = (tmin / p.time_s, th.total_bytes / p.hbm_bytes)
-    paper = {
-        ("baseline", "jacobian"): ((0.39, 0.38), (0.53, 0.42)),
-        ("baseline", "residual"): ((0.62, 0.42), (0.65, 0.41)),
-        ("optimized", "jacobian"): ((0.79, 0.53), (0.84, 0.81)),
-        ("optimized", "residual"): ((0.88, 0.60), (1.00, 1.00)),
-    }
-    for (impl, mode), ((pt_a, pt_m), (pd_a, pd_m)) in paper.items():
-        et_a, ed_a = rows[(impl, mode, "A100")]
-        et_m, ed_m = rows[(impl, mode, "MI250X-GCD")]
-        print(
-            f"{impl:9s} {mode:8s}  e_time A100 {et_a:5.1%} (paper {pt_a:.0%})  MI {et_m:5.1%} ({pt_m:.0%})"
-            f"   e_DM A100 {ed_a:5.1%} ({pd_a:.0%})  MI {ed_m:5.1%} ({pd_m:.0%})"
+    ours = paper.table4_values(paper.paper_profiles())
+    for (impl, metric, mode), quoted in paper.PAPER_EFFICIENCIES.items():
+        cells = "  ".join(
+            f"{gpu} {v:5.1%} (paper {q:.0%})"
+            for gpu, v, q in zip(paper.GPU_NAMES, ours[(impl, metric, mode)], quoted)
         )
+        print(f"{impl:9s} {metric:6s} {mode:8s}  {cells}")
 
 
 def table2():
     print("\n=== Table II analogue (MI250X LaunchBounds sweep) ===")
-    sim = GPUSimulator(MI250X_GCD)
-    paper_jac = [8.3e-2, 5.4e-2, 8.3e-2, 5.4e-2, 8.5e-2]
-    paper_res = [2.8e-3, 2.4e-3, 2.6e-3, 2.4e-3, 3.0e-3]
-    for mode, paper_t in (("jacobian", paper_jac), ("residual", paper_res)):
-        base = None
-        for lb, pt in zip(TABLE2_LAUNCH_CONFIGS, paper_t):
-            eff_lb = lb if lb.explicit else default_launch_bounds(mode)
-            p = sim.run(f"optimized-{mode}", launch_bounds=eff_lb)
-            if base is None:
-                base = p.time_s
+    for mode in paper.MODES:
+        sweep = paper.launchbounds_sweep(mode)
+        quoted = paper.PAPER_TABLE2_TIMES[mode]
+        base = sweep["default"].time_s
+        for (key, p), pt in zip(sweep.items(), quoted):
             print(
-                f"{mode:8s} {str(lb):8s} t={p.time_s:.2e} speedup={base/p.time_s:4.2f}x "
+                f"{mode:8s} {key:8s} t={p.time_s:.2e} speedup={base/p.time_s:4.2f}x "
                 f"vgpr={p.arch_vgprs}/{p.accum_vgprs}  (paper t={pt:.1e}, "
-                f"speedup={paper_t[0]/pt:4.2f}x)"
+                f"speedup={quoted[0]/pt:4.2f}x)"
             )
 
 

@@ -68,26 +68,15 @@ def greenland_golden() -> dict:
 
 def table3_golden() -> dict:
     """Table III analogue: baseline/optimized times and speedups per GPU."""
-    from repro.gpusim import A100, MI250X_GCD, GPUSimulator
-    from repro.kokkos.policy import LaunchBounds
+    from repro.perf import paper
 
-    amd_tuned = LaunchBounds(128, 2)
-    gpus, modes, base_t, opt_t = [], [], [], []
-    for spec in (A100, MI250X_GCD):
-        sim = GPUSimulator(spec)
-        for mode in ("jacobian", "residual"):
-            b = sim.run(f"baseline-{mode}")
-            lb = amd_tuned if spec.vendor == "amd" else None
-            o = sim.run(f"optimized-{mode}", launch_bounds=lb)
-            gpus.append(spec.name)
-            modes.append(mode)
-            base_t.append(b.time_s)
-            opt_t.append(o.time_s)
-    base = np.asarray(base_t)
-    opt = np.asarray(opt_t)
+    profiles = paper.paper_profiles()
+    cells = [(gpu, mode) for gpu in paper.GPU_NAMES for mode in paper.MODES]
+    base = np.array([profiles[("baseline", mode, gpu)].time_s for gpu, mode in cells])
+    opt = np.array([profiles[("optimized", mode, gpu)].time_s for gpu, mode in cells])
     return {
-        "gpu": np.array(gpus),
-        "mode": np.array(modes),
+        "gpu": np.array([gpu for gpu, _ in cells]),
+        "mode": np.array([mode for _, mode in cells]),
         "baseline_time_s": base,
         "optimized_time_s": opt,
         "speedup": base / opt,

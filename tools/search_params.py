@@ -8,68 +8,56 @@ import dataclasses
 import itertools
 import math
 
-import numpy as np
-
-from repro.gpusim import GPUSimulator
 from repro.gpusim.specs import A100, MI250X_GCD
-from repro.kokkos.policy import LaunchBounds
-from repro.core.launch import default_launch_bounds
-from repro.perf.theoretical import theoretical_minimum
-
-AMD_TUNED = LaunchBounds(128, 2)
-NC = 256_000
+from repro.perf import paper
 
 #: squared-log-error charged per target when a candidate spec produces a
 #: ratio log() can't score (zero, negative, or non-finite) -- far worse
 #: than any plausible real point, so the sweep skips it instead of dying
 BAD_POINT_PENALTY = 100.0
 
+_TAGS = dict(zip(paper.GPU_NAMES, "AM"))
+_SUFFIX = {"e_time": "et", "e_DM": "edm"}
+
+
+def _efficiency_key(impl, metric, mode, gpu):
+    return f"{_TAGS[gpu]}_{mode}_{_SUFFIX[metric]}_{impl[0]}"
+
 
 def evaluate(a100, mi):
     """Return (error, metrics dict)."""
-    out = {}
-    sims = {"A": GPUSimulator(a100), "M": GPUSimulator(mi)}
-    th = {m: theoretical_minimum(f"optimized-{m}", NC) for m in ("jacobian", "residual")}
-
-    for tag, sim, spec in (("A", sims["A"], a100), ("M", sims["M"], mi)):
-        for mode in ("jacobian", "residual"):
-            b = sim.run(f"baseline-{mode}")
-            lb = AMD_TUNED if tag == "M" else None
-            o = sim.run(f"optimized-{mode}", launch_bounds=lb)
-            out[f"{tag}_{mode}_speedup"] = b.time_s / o.time_s
-            out[f"{tag}_{mode}_edm_b"] = th[mode].total_bytes / b.hbm_bytes
-            out[f"{tag}_{mode}_edm_o"] = th[mode].total_bytes / o.hbm_bytes
-            out[f"{tag}_{mode}_et_b"] = th[mode].min_time_s(spec.hbm_bytes_per_s) / b.time_s
-            out[f"{tag}_{mode}_et_o"] = th[mode].min_time_s(spec.hbm_bytes_per_s) / o.time_s
+    profiles = paper.paper_profiles((a100, mi))
+    out = {f"{_TAGS[gpu]}_{mode}_speedup": s for (mode, gpu), s in paper.speedups(profiles).items()}
+    for (impl, metric, mode), values in paper.table4_values(profiles).items():
+        for gpu, v in zip(paper.GPU_NAMES, values):
+            out[_efficiency_key(impl, metric, mode, gpu)] = v
 
     # Table II ratios on MI
-    simm = sims["M"]
-    for mode, target in (("jacobian", 1.54), ("residual", 1.17)):
-        dflt = simm.run(f"optimized-{mode}", launch_bounds=default_launch_bounds(mode))
-        tuned = simm.run(f"optimized-{mode}", launch_bounds=AMD_TUNED)
-        out[f"t2_{mode}"] = dflt.time_s / tuned.time_s
+    for mode in paper.MODES:
+        sweep = paper.launchbounds_sweep(mode, mi)
+        out[f"t2_{mode}"] = sweep["default"].time_s / sweep[str(paper.AMD_TUNED)].time_s
 
     return score(out), out
 
 
+#: weight of each Table IV row the search fits (rows not named are not targets)
+EFFICIENCY_WEIGHTS = {
+    ("baseline", "e_DM", "jacobian"): 1.0,
+    ("baseline", "e_DM", "residual"): 0.5,
+    ("optimized", "e_DM", "jacobian"): 1.0,
+    ("optimized", "e_time", "jacobian"): 1.0,
+    ("optimized", "e_time", "residual"): 1.0,
+}
+
 #: (paper value, weight) per metric key produced by :func:`evaluate`
 TARGETS = {
-    "A_jacobian_speedup": (3.3, 3.0),
-    "A_residual_speedup": (2.2, 3.0),
-    "M_jacobian_speedup": (2.7, 3.0),
-    "M_residual_speedup": (3.5, 3.0),
-    "t2_jacobian": (1.54, 2.0),
-    "t2_residual": (1.17, 2.0),
-    "A_jacobian_edm_b": (0.53, 1.0),
-    "M_jacobian_edm_b": (0.42, 1.0),
-    "A_residual_edm_b": (0.65, 0.5),
-    "M_residual_edm_b": (0.41, 0.5),
-    "A_jacobian_edm_o": (0.84, 1.0),
-    "M_jacobian_edm_o": (0.81, 1.0),
-    "A_jacobian_et_o": (0.79, 1.0),
-    "M_jacobian_et_o": (0.53, 1.0),
-    "A_residual_et_o": (0.88, 1.0),
-    "M_residual_et_o": (0.60, 1.0),
+    **{f"{_TAGS[gpu]}_{mode}_speedup": (s, 3.0) for (mode, gpu), s in paper.PAPER_SPEEDUPS.items()},
+    **{f"t2_{mode}": (s, 2.0) for mode, s in paper.PAPER_BEST_SPEEDUP.items()},
+    **{
+        _efficiency_key(*row, gpu): (quoted, weight)
+        for row, weight in EFFICIENCY_WEIGHTS.items()
+        for gpu, quoted in zip(paper.GPU_NAMES, paper.PAPER_EFFICIENCIES[row])
+    },
 }
 
 
