@@ -34,6 +34,12 @@ It also counts the symbolic halves of the MDSC set-up a build + solve
 constructs (one ``ColumnCollapseMap`` per problem, gated) and times the
 numeric set-up on the converged Jacobian (median of 7, advisory).
 
+A fourth section runs the library ``antarctica-retreat`` scenario (12
+coupled steps at the same 400 km / 4-layer size) and counts its Newton
+steps and GMRES iterations: the transient solves stop on a target and
+are the inexact ones (Eisenstat-Walker forcing), so a rule change that
+buys iterations with steps, or gives both back, moves a gated leaf.
+
 Two fixed costs every small solve shares are recorded with the default
 solve: the symbolic ``AssemblyPlan`` build (``plan_build_s``, median of
 7, advisory) and the bytes of ``(rows, num_dofs)`` Krylov storage
@@ -69,6 +75,7 @@ from repro.fem.assembly import AssemblyPlan
 from repro.fem.sparse import ColumnCollapseMap
 from repro.observability.attribution import span_bytes
 from repro.perf.report import format_table
+from repro.transient import TransientEngine, get_scenario
 
 #: small enough that every solve finishes in seconds, large enough that
 #: the assembly/solve phases dominate interpreter overhead
@@ -203,6 +210,19 @@ def run_operator_modes(
     return out
 
 
+def run_transient_retreat() -> dict:
+    """Newton steps and GMRES iterations of the library retreat run,
+    cold step included; exact counts (``check_bench.py --rtol 0``)."""
+    engine = TransientEngine(get_scenario("antarctica-retreat"))
+    obs.get_metrics().reset()
+    result = engine.run()
+    counters = obs.get_metrics().snapshot()["counters"]
+    return {
+        "retreat_newton_steps": sum(result.newton_iterations),
+        "retreat_gmres_iterations": counters["gmres.iterations"],
+    }
+
+
 MODE_HEADERS = [
     "Mode",
     "Solve [s]",
@@ -255,7 +275,7 @@ def _check_mdsc_report(mdsc_modes: dict) -> None:
 BENCH_SOLVER_SCHEMA = 5
 
 
-def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
+def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict, transient: dict) -> dict:
     """The normalized ``BENCH_solver.json`` payload.
 
     Two signal classes, with the gate contract encoded in the layout
@@ -276,6 +296,7 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
         },
         "gmres": {},
         "mdsc": {},
+        "transient": transient,
         "gmres_workspace_bytes_zeroed": report["gmres_workspace_bytes_zeroed"],
     }
     for mode in ("assembled", "matrix-free"):
@@ -317,11 +338,12 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict) -> dict:
 
 
 def _write_solver_trajectory(
-    report: dict, modes: dict, mdsc_modes: dict, out: Path | None = None
+    report: dict, modes: dict, mdsc_modes: dict, transient: dict, out: Path | None = None
 ) -> Path:
     """``BENCH_solver.json`` at the repo root: the perf-gate trajectory."""
     path = out if out is not None else Path(__file__).parents[1] / "BENCH_solver.json"
-    path.write_text(json.dumps(solver_trajectory(report, modes, mdsc_modes), indent=2) + "\n")
+    doc = solver_trajectory(report, modes, mdsc_modes, transient)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
 
 
@@ -389,12 +411,13 @@ def test_solver_hotpath_report(print_once, benchmark):
     report = run_hotpath()
     modes = run_operator_modes()
     mdsc_modes = run_operator_modes(preconditioner="mdsc")
+    transient = run_transient_retreat()
     for key, table in _report_tables(report, modes, mdsc_modes):
         print_once(key, table)
     _check_hotpath_report(report)
     _check_mode_report(modes)
     _check_mdsc_report(mdsc_modes)
-    _write_solver_trajectory(report, modes, mdsc_modes)
+    _write_solver_trajectory(report, modes, mdsc_modes, transient)
 
     # the benchmarked operation: one end-to-end solve
     test = AntarcticaTest.build(SMOKE_CONFIG)
@@ -405,12 +428,17 @@ def main() -> int:
     report = run_hotpath()
     modes = run_operator_modes()
     mdsc_modes = run_operator_modes(preconditioner="mdsc")
+    transient = run_transient_retreat()
     for _, table in _report_tables(report, modes, mdsc_modes):
         print(table)
+    print(
+        f"transient retreat: {transient['retreat_newton_steps']} Newton steps, "
+        f"{transient['retreat_gmres_iterations']} GMRES iterations"
+    )
     _check_hotpath_report(report)
     _check_mode_report(modes)
     _check_mdsc_report(mdsc_modes)
-    print(f"artifact: {_write_solver_trajectory(report, modes, mdsc_modes)}")
+    print(f"artifact: {_write_solver_trajectory(report, modes, mdsc_modes, transient)}")
     return 0
 
 

@@ -60,7 +60,10 @@ def main() -> None:
             f"({'converged' if lin.converged else 'NOT converged'})"
         )
     )
-    print(f"solve time: {time.time() - t0:.1f} s")
+    print(
+        f"solve time: {time.time() - t0:.1f} s "
+        f"({sol.newton.iterations} Newton steps, stopped on {sol.newton.stop_reason})"
+    )
     d = sol.diagnostics
     phases = d["phase_seconds"]
     print(

@@ -11,14 +11,15 @@ meshes (Tuminaro et al. 2016).  This package implements that stack:
 * :mod:`~repro.solvers.multigrid` -- two-level MDSC: vertical collapse of
   every column with line smoothing, the collapsed 2-D problem factored
   directly, applied as a V-cycle preconditioner.
-* :mod:`~repro.solvers.newton` -- damped Newton with backtracking.
+* :mod:`~repro.solvers.newton` -- damped Newton with backtracking;
+  inexact (Eisenstat-Walker forcing) for solves that stop on a target.
 """
 
 from repro.solvers.gmres import GmresResult, gmres
 from repro.solvers.reductions import BlockReducer, column_block_reducer
 from repro.solvers.smoothers import IdentityPreconditioner, JacobiSmoother, VerticalLineSmoother
 from repro.solvers.multigrid import ColumnCollapseMdsc
-from repro.solvers.newton import NewtonResult, newton_solve
+from repro.solvers.newton import NewtonResult, forcing_term, newton_solve
 
 __all__ = [
     "GmresResult",
@@ -30,5 +31,6 @@ __all__ = [
     "VerticalLineSmoother",
     "ColumnCollapseMdsc",
     "NewtonResult",
+    "forcing_term",
     "newton_solve",
 ]

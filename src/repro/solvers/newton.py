@@ -37,10 +37,62 @@ from repro.resilience.detectors import nonfinite_count
 from repro.solvers.gmres import gmres
 from repro.verify.sanitizer import sanitizer
 
-__all__ = ["NewtonResult", "newton_solve"]
+__all__ = ["NewtonResult", "forcing_term", "newton_solve"]
 
 # disarmed fast path: one attribute read per instrumented site
 _SAN = sanitizer()
+
+#: Eisenstat-Walker choice 2, ``eta_k = gamma (||F_k|| / ||F_{k-1}||)^2``:
+#: ``_ETA_MAX`` is the first step's term and the ceiling (1e-1 costs the
+#: shelf-collapse scenario ten more Newton steps, 1e-3 takes a third more
+#: GMRES iterations; DESIGN.md section 7, PR 24, has the table)
+_ETA_MAX = 1.0e-2
+_EW_GAMMA = 0.9
+#: the previous term keeps the next from collapsing while
+#: ``gamma eta_{k-1}^2`` is above this
+_EW_SAFEGUARD = 0.1
+
+#: roundoff-floor stop: ``||F|| <= _FLOOR_RTOL ||F_0||`` and the last two
+#: accepted steps each gained less than ``_FLOOR_GAIN``
+_FLOOR_RTOL = 1.0e-10
+_FLOOR_GAIN = 0.1
+
+
+def forcing_term(residual_norms, tol: float, linear_tol: float) -> float:
+    """Relative GMRES tolerance for the Newton step after ``residual_norms``.
+
+    A pure function of the accepted residual history ``[||F_0||, ...,
+    ||F_k||]`` -- the previous terms the safeguard needs are replayed
+    from it -- so a solve resumed from a :class:`NewtonCheckpoint`
+    (which carries that history) asks GMRES for bitwise what the
+    uninterrupted solve asked.  The term stays inside ``[linear_tol,
+    _ETA_MAX]`` and is never tighter than reaching ``tol`` needs:
+    ``eta_k ||F_k||`` is the linear residual the step leaves, and half
+    of ``tol`` is as small as that has to be.
+    """
+    ceiling = max(_ETA_MAX, linear_tol)
+    eta = ceiling
+    for k in range(1, len(residual_norms)):
+        held = _EW_GAMMA * eta**2
+        eta = _EW_GAMMA * (residual_norms[k] / residual_norms[k - 1]) ** 2
+        if held > _EW_SAFEGUARD:
+            eta = max(eta, held)
+        eta = min(max(eta, 0.5 * tol / residual_norms[k], linear_tol), ceiling)
+    return eta
+
+
+def _at_roundoff_floor(residual_norms) -> bool:
+    """Ten orders below ``||F_0||`` and two accepted steps in a row each
+    gained under 10 %: the line search is accepting ``damping_min``
+    steps on rounding noise, and further sweeps buy nothing."""
+    n = residual_norms
+    keep = 1.0 - _FLOOR_GAIN
+    return (
+        len(n) > 2
+        and n[-1] <= _FLOOR_RTOL * n[0]
+        and n[-1] > keep * n[-2]
+        and n[-2] > keep * n[-3]
+    )
 
 
 @dataclass
@@ -48,6 +100,10 @@ class NewtonResult:
     x: np.ndarray
     converged: bool
     iterations: int
+    #: why the loop ended: ``tolerance`` (``||F|| <= tol``),
+    #: ``roundoff_floor`` (converged as far as the arithmetic allows,
+    #: see :func:`_at_roundoff_floor`) or ``max_steps``
+    stop_reason: str = "max_steps"
     residual_norms: list[float] = field(default_factory=list)
     step_lengths: list[float] = field(default_factory=list)
     linear_iterations: list[int] = field(default_factory=list)
@@ -128,6 +184,7 @@ def newton_solve(
     checkpoint_cb=None,
     resume_from: NewtonCheckpoint | None = None,
     deadline=None,
+    inexact: bool = False,
 ) -> NewtonResult:
     """Solve ``F(x) = 0`` by damped Newton.
 
@@ -180,6 +237,11 @@ def newton_solve(
         continues bitwise-identically).  A budget that expires before
         the first step completes raises with ``checkpoint=None`` --
         an immediate typed timeout, never partial garbage.
+    inexact:
+        Solve each step's linear system to :func:`forcing_term` instead
+        of ``linear_tol``.  For solves that stop on a reachable ``tol``:
+        a fixed-step-count run gains nothing from a cheaper step it
+        takes anyway, and its trajectory is pinned by goldens.
     """
     if residual_jacobian_fn is None:
         if jacobian_fn is None:
@@ -279,7 +341,7 @@ def newton_solve(
         res.residual_norms.append(fnorm)
         series.record("newton.residual", fnorm)
     if fnorm <= tol:
-        res.converged = True
+        res.converged, res.stop_reason = True, "tolerance"
         return res
 
     for step in range(start_step, max_steps):
@@ -304,13 +366,14 @@ def newton_solve(
                 # preconditioner (the usual culprit)
                 restart_eff, maxiter_eff = gmres_restart, gmres_maxiter
                 escalations = 0
+                eta = forcing_term(res.residual_norms, tol, linear_tol) if inexact else linear_tol
                 while True:
                     try:
                         with tr.span("gmres.solve", step=step) as sp:
                             lin = gmres(
                                 J,
                                 -f,
-                                tol=linear_tol,
+                                tol=eta,
                                 restart=restart_eff,
                                 maxiter=maxiter_eff,
                                 M=M,
@@ -454,9 +517,11 @@ def newton_solve(
         if callback is not None:
             callback(step, x, fnorm, lin)
         if fnorm <= tol:
-            res.converged = True
+            res.converged, res.stop_reason = True, "tolerance"
+            break
+        if _at_roundoff_floor(res.residual_norms):
+            res.converged, res.stop_reason = True, "roundoff_floor"
             break
 
     res.x = x
-    res.converged = bool(res.converged or fnorm <= tol)
     return res

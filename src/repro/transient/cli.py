@@ -9,7 +9,9 @@ the engine exists to provide --
    zero net mass balance (interior upwind fluxes telescope exactly, so
    anything more is a bug);
 2. **warm-start payoff**: the warm-started steps average strictly fewer
-   Newton iterations than the cold first step;
+   Newton iterations than the cold first step, and at most four GMRES
+   iterations per Newton step (3.0 under the forcing rule; 8.0 when
+   every step is solved to ``linear_tol``);
 3. **bitwise resume**: a run killed mid-trajectory and resumed from its
    checkpoint ends in exactly (``np.array_equal``) the state of the
    uninterrupted run -- thickness, velocity and particles.
@@ -34,6 +36,7 @@ __all__ = ["register", "run", "run_check"]
 CHECK_SCENARIO = "antarctica-closed"
 CHECK_MIN_STEPS = 20
 CHECK_DRIFT_TOL = 1.0e-12
+CHECK_GMRES_PER_NEWTON = 4.0
 CHECK_KILL_AT = 9  # kill after the 10th step (0-based index 9): mid-run
 
 
@@ -43,6 +46,7 @@ def _print_step(step: int, info: dict) -> None:
         f"dt = {info['dt']:6.1f}  vol = {info['volume']:.6e} m^3  "
         f"newton = {info['newton_iterations']}"
         f"{' (warm)' if info['warm_started'] else ' (cold)'}  "
+        f"gmres = {info['gmres_iterations']}  "
         f"particles = {info['active_particles']}"
     )
 
@@ -53,7 +57,12 @@ def run_check(plant_leak: float = 0.0, verbose: bool = True) -> int:
     if scenario.num_steps < CHECK_MIN_STEPS:
         scenario = scenario.with_steps(CHECK_MIN_STEPS)
     engine = TransientEngine(scenario)
-    cb = _print_step if verbose else None
+    gmres_its = []
+
+    def cb(step, info):
+        gmres_its.append(info["gmres_iterations"])
+        if verbose:
+            _print_step(step, info)
 
     print(f"transient check: scenario {scenario.name!r}, {scenario.num_steps} steps")
     result = engine.run(plant_leak=plant_leak, callback=cb)
@@ -72,6 +81,15 @@ def run_check(plant_leak: float = 0.0, verbose: bool = True) -> int:
     print(f"  [{'ok' if ok else 'FAIL'}] warm-start: cold {cold} its, warm mean {warm:.2f}")
     if not ok:
         failures.append("warm-start iteration reduction")
+
+    per_newton = sum(gmres_its[1:]) / sum(result.newton_iterations[1:])
+    ok = per_newton <= CHECK_GMRES_PER_NEWTON
+    print(
+        f"  [{'ok' if ok else 'FAIL'}] inexact Newton: {per_newton:.2f} GMRES iterations "
+        f"per warm Newton step (at most {CHECK_GMRES_PER_NEWTON:g})"
+    )
+    if not ok:
+        failures.append("GMRES iterations per Newton step")
 
     # kill/resume drill on a fresh engine sharing the same cached
     # problem; plant_leak passes through so the negative control still

@@ -11,8 +11,9 @@ incompatible trajectories.
 Tolerance rationale -- the trajectories are deterministic for a fixed
 operator mode, but tier-1 also runs under ``REPRO_OPERATOR_MODE=
 matrix-free`` (a different operator application, different roundoff).
-Measured assembled-vs-matrix-free drift over the 6-step goldens:
-thickness <= 2e-16 relative, volumes bitwise, particle positions
+Measured assembled-vs-matrix-free drift over the 6-step goldens (under
+the forcing rule of ``repro.solvers.newton.forcing_term`` as before it):
+thickness <= 4e-16 relative, volumes bitwise, particle positions
 <= 5e-10 m absolute, iteration counts identical.  Tolerances sit 3-6
 orders above those measurements, far below any physically meaningful
 change:

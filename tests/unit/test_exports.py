@@ -5,7 +5,10 @@ import *`` trips over; this walks the package so tier-1 catches them.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +26,11 @@ def test_all_names_resolve(name):
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names nothing for {missing}"
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
+
+
+def test_the_solver_stack_imports_without_scipy_spatial():
+    """Only ``footprint="voronoi"`` builds triangulate; every other
+    process (a serve worker, the steady CLI) should not pay the import."""
+    code = "import sys, repro.app.antarctica; sys.exit('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

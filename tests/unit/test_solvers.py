@@ -15,8 +15,11 @@ from repro.solvers import (
     VerticalLineSmoother,
     IdentityPreconditioner,
     ColumnCollapseMdsc,
+    forcing_term,
     newton_solve,
 )
+
+newton_module = importlib.import_module("repro.solvers.newton")
 
 
 def _laplace_1d(n):
@@ -460,6 +463,145 @@ class TestNewton:
             lambda x: A.matvec(x) - b, lambda x: A, np.zeros(6), max_steps=3, preconditioner_fn=precond
         )
         assert res.converged and len(calls) >= 1
+
+
+def _cubic():
+    """``x^3 = 8`` componentwise: six to eight Newton steps from far out."""
+
+    def F(x):
+        return x**3 - 8.0
+
+    def J(x):
+        return CsrMatrix.from_coo(np.arange(3), np.arange(3), 3.0 * x * x, (3, 3))
+
+    return F, J, np.array([9.0, 30.0, 100.0])
+
+
+_positive_norms = st.lists(
+    st.floats(min_value=1.0e-3, max_value=1.0e15), min_size=1, max_size=12
+)
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """Every tolerance ``newton_solve`` hands to ``gmres``, in order."""
+    tols = []
+
+    def spy(A, b, tol, **kwargs):
+        tols.append(tol)
+        return gmres(A, b, tol=tol, **kwargs)
+
+    monkeypatch.setattr(newton_module, "gmres", spy)
+    return tols
+
+
+class TestForcingTerm:
+    ETA_MAX = newton_module._ETA_MAX
+
+    @given(
+        norms=_positive_norms,
+        tol=st.floats(min_value=0.0, max_value=1.0e12),
+        linear_tol=st.sampled_from([1.0e-10, 1.0e-6, 1.0e-3, 0.5]),
+    )
+    def test_stays_inside_its_band(self, norms, tol, linear_tol):
+        eta = forcing_term(norms, tol, linear_tol)
+        assert linear_tol <= eta <= max(self.ETA_MAX, linear_tol)
+
+    def test_first_step_is_the_ceiling(self):
+        assert forcing_term([3.0e13], 1.0e7, 1.0e-6) == self.ETA_MAX
+
+    @given(
+        norms=_positive_norms,
+        lo=st.floats(min_value=1.0e-6, max_value=2.0),
+        hi=st.floats(min_value=1.0e-6, max_value=2.0),
+    )
+    def test_nondecreasing_in_the_residual_ratio(self, norms, lo, hi):
+        """With the target out of reach (``tol = 0``) a step that reduced
+        ``||F||`` less is followed by a looser linear solve, never a
+        tighter one."""
+        lo, hi = sorted((lo, hi))
+        slow = forcing_term(norms + [hi * norms[-1]], 0.0, 1.0e-6)
+        fast = forcing_term(norms + [lo * norms[-1]], 0.0, 1.0e-6)
+        assert fast <= slow
+
+    def test_fast_steps_tighten_to_linear_tol_and_no_further(self):
+        assert forcing_term([1.0e13, 1.0e11], 0.0, 1.0e-6) == pytest.approx(0.9e-4)
+        assert forcing_term([1.0e13, 1.0e9], 0.0, 1.0e-6) == 1.0e-6
+
+    def test_never_tighter_than_the_target_needs(self):
+        # two orders gained asks for 0.9e-4, but the target is one more
+        # order away: a linear residual of half of it is enough
+        norms, tol = [1.0e13, 1.0e11], 1.0e8
+        assert forcing_term(norms, tol, 1.0e-6) == 0.5 * tol / norms[-1]
+
+    def test_safeguard_holds_the_term_after_a_loose_step(self, monkeypatch):
+        """Inert below a ceiling of 1/3 (``0.9 eta^2 <= 0.1``): raise the
+        ceiling to the textbook 0.9 to see it."""
+        monkeypatch.setattr(newton_module, "_ETA_MAX", 0.9)
+        assert forcing_term([1.0, 1.0e-3], 0.0, 1.0e-6) == pytest.approx(0.9**3)
+        assert forcing_term([1.0, 1.0e-3, 1.0e-6], 0.0, 1.0e-6) == pytest.approx(0.9 * 0.9**6)
+        # 0.9 * 0.478^2 = 0.21 still holds; 0.9 * 0.21^2 = 0.04 does not
+        assert forcing_term([1.0, 1.0e-3, 1.0e-6, 1.0e-9], 0.0, 1.0e-6) == pytest.approx(
+            0.9 * (0.9 * 0.9**6) ** 2
+        )
+        assert forcing_term([1.0, 1.0e-3, 1.0e-6, 1.0e-9, 1.0e-12], 0.0, 1.0e-6) == 1.0e-6
+
+    def test_replaying_a_checkpoint_reproduces_the_live_terms(self, asked):
+        """The rule needs no checkpoint field: the residual history a
+        :class:`NewtonCheckpoint` already carries determines it."""
+        F, J, x0 = _cubic()
+        live, checkpoints = asked, []
+        tol = 1.0e-9 * float(np.linalg.norm(F(x0)))
+        out = newton_solve(
+            F, J, x0, max_steps=30, tol=tol, inexact=True,
+            checkpoint_every=1, checkpoint_cb=checkpoints.append,
+        )
+        assert out.converged and out.stop_reason == "tolerance"
+        assert live[0] == self.ETA_MAX and min(live) < self.ETA_MAX
+        assert len(live) == out.iterations >= 4
+        for ckpt, next_term in zip(checkpoints, live[1:]):
+            assert forcing_term(ckpt.residual_norms, tol, 1.0e-6) == next_term
+
+    def test_exact_solve_asks_for_linear_tol_every_step(self, asked):
+        F, J, x0 = _cubic()
+        newton_solve(F, J, x0, max_steps=30, tol=1.0e-3, linear_tol=1.0e-7)
+        assert len(asked) >= 4 and set(asked) == {1.0e-7}
+
+
+class TestRoundoffFloor:
+    @staticmethod
+    def _floored(floor):
+        """A residual whose second component no step can move: the
+        rounding noise of a 1e13-scale sum, made deterministic."""
+
+        def F(x):
+            return np.array([1.0e13 * (x[0] - 1.0), floor])
+
+        def J(x):
+            return CsrMatrix.from_coo([0, 1], [0, 1], [1.0e13, 1.0], (2, 2))
+
+        return F, J, np.array([0.0, 0.0])
+
+    def test_stops_converged_on_the_floor(self):
+        F, J, x0 = self._floored(0.25)
+        out = newton_solve(F, J, x0, max_steps=25, tol=1.0e-8)
+        # one step to the floor, two that gain nothing, stop
+        assert out.converged and out.stop_reason == "roundoff_floor"
+        assert out.iterations == 3
+        assert out.step_lengths[1:] == [1.0 / 64.0, 1.0 / 64.0]
+        assert out.final_residual == 0.25
+
+    def test_a_stall_above_the_floor_is_not_convergence(self):
+        F, J, x0 = self._floored(1.0e5)  # 1e-8 of ||F_0||
+        out = newton_solve(F, J, x0, max_steps=6, tol=1.0e-8)
+        assert not out.converged and out.stop_reason == "max_steps"
+        assert out.iterations == 6
+
+    def test_passing_the_line_while_still_gaining_is_not_the_floor(self):
+        F, J, x0 = _cubic()
+        f0 = float(np.linalg.norm(F(x0)))
+        out = newton_solve(F, J, x0, max_steps=30, tol=1.0e-13 * f0)
+        assert out.converged and out.stop_reason == "tolerance"
 
 
 class TestFailureInjection:
