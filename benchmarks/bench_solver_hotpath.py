@@ -45,7 +45,9 @@ solve: the symbolic ``AssemblyPlan`` build (``plan_build_s``, median of
 7, advisory) and the bytes of ``(rows, num_dofs)`` Krylov storage
 ``gmres.py`` asks ``np.zeros`` for (``gmres_workspace_bytes_zeroed``,
 deterministic: the basis is allocated uninitialised, so 0; it was
-``(2 restart + 1) * 8 n`` per call).
+``(2 restart + 1) * 8 n`` per call).  So is one evaluator-DAG sweep per
+mode at the converged velocity (``sweep_ms``, median of 7, advisory):
+the layer the closed-form strain-rate and stress tangents cut.
 
 The one artifact is the normalized perf-trajectory ``BENCH_solver.json``
 at the repo root, which ``tools/check_bench.py`` diffs against the
@@ -125,9 +127,16 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
         t0 = time.perf_counter()
         AssemblyPlan(test.problem.dofmap, test.problem.bc_dofs)
         plan_walls.append(time.perf_counter() - t0)
+    sweep_walls = {"jacobian": [], "residual": []}
+    for _ in range(7):
+        for mode, walls in sweep_walls.items():
+            t0 = time.perf_counter()
+            test.problem._sweep_blocks(sol.u, mode)
+            walls.append(time.perf_counter() - t0)
     d = sol.diagnostics
     return {
         "plan_build_s": statistics.median(plan_walls),
+        "sweep_ms": {mode: 1e3 * statistics.median(w) for mode, w in sweep_walls.items()},
         "gmres_workspace_bytes_zeroed": counting_np.bytes_zeroed,
         "solve_seconds": d["solve_seconds"],
         "newton_steps": sol.newton.iterations,
@@ -318,6 +327,7 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict, transient: di
     advisory = {
         "solve_seconds": report["solve_seconds"],
         "plan_build_s": report["plan_build_s"],
+        "sweep_ms": report["sweep_ms"],
         "assembled_solve_seconds": modes["assembled"]["solve_seconds"],
         "matrix_free_solve_seconds": modes["matrix-free"]["solve_seconds"],
         "mdsc_assembled_setup_seconds": mdsc_modes["assembled"]["setup_seconds"],
@@ -435,6 +445,9 @@ def main() -> int:
         f"transient retreat: {transient['retreat_newton_steps']} Newton steps, "
         f"{transient['retreat_gmres_iterations']} GMRES iterations"
     )
+    sweeps = report["sweep_ms"]
+    print(f"sweep (median of 7): jacobian {sweeps['jacobian']:.2f} ms, "
+          f"residual {sweeps['residual']:.2f} ms")
     _check_hotpath_report(report)
     _check_mode_report(modes)
     _check_mdsc_report(mdsc_modes)

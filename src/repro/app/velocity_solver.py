@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.app.config import PRECONDITIONERS, VelocityConfig
+from repro.constants import RHO_G_KPA
 from repro.core.lowering import pack_geom, qp_seed_operand
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.discretization import compute_basis_data, compute_face_basis_data
@@ -28,8 +29,8 @@ from repro.mesh.extrude import ExtrudedMesh
 from repro.mesh.geometry import IceGeometry
 from repro.mesh.partition import TrafficMeter, halo_statistics, partition_footprint
 from repro.observability import get_metrics, get_series, get_tracer
-from repro.physics.evaluators import Workset, build_stokes_field_manager
-from repro.physics.viscosity import flow_factor_arrhenius
+from repro.physics.evaluators import Workset, basal_jacobian_block, build_stokes_field_manager
+from repro.physics.viscosity import flow_factor_arrhenius, glen_prefactor
 from repro.resilience.injectors import RankFailure, fault_plane
 from repro.resilience.policies import (
     PreconditionerLadder,
@@ -91,31 +92,27 @@ class StokesVelocityProblem:
         self._face_type = "quad4" if fp.elem_type == "quad4" else "tri3"
 
         # coords-dependent numeric setup (3-D basis, surface gradients,
-        # basal face geometry) -- recomputed by refresh_geometry()
+        # basal face geometry and friction) -- recomputed by
+        # refresh_geometry(); the first run also samples the friction
+        self.basal_beta_qp = None
         self._geometry_numeric_setup()
 
-        # Glen flow factor from the temperature field at layer midheights.
-        # Temperature is a function of (x, y, zeta) only, and a vertical
-        # re-extrusion changes neither qp xy positions nor sigma levels,
-        # so this survives geometry refreshes untouched.
+        # Glen's law prefactor 1/2 A^(-1/n) from the temperature field at
+        # layer midheights, checked and raised once here instead of per
+        # sweep.  Temperature is a function of (x, y, zeta) only, and a
+        # vertical re-extrusion changes neither qp xy positions nor sigma
+        # levels, so this survives geometry refreshes untouched.
         zeta_mid = 0.5 * (mesh.sigma[:-1] + mesh.sigma[1:])  # (nz,)
         lay = mesh.elem_layer(np.arange(mesh.num_elems))
         qp_xy = self.basis.qp_coords[:, :, :2]
         temp = self.geometry.temperature(
             qp_xy[..., 0], qp_xy[..., 1], zeta_mid[lay][:, None]
         )
-        self.flow_factor_qp = flow_factor_arrhenius(temp)  # (ne3, nq3)
-        self.flow_factor_qp.flags.writeable = False
+        self.glen_prefactor_qp = glen_prefactor(flow_factor_arrhenius(temp))  # (ne3, nq3)
+        self.glen_prefactor_qp.flags.writeable = False
 
-        # basal friction is sampled at face-qp xy positions -- also
-        # invariant under vertical-only coordinate updates
-        basal_elems = mesh.basal_elems()
-        fq = self.face_basis.qp_coords
-        self.basal_beta_qp = np.asarray(
-            self.geometry.basal_friction(fq[..., 0], fq[..., 1]), dtype=np.float64
-        )  # (nbasal, nqf)
-        self.basal_beta_qp.flags.writeable = False
         # row of each cell in the basal-face arrays, -1 off the bed
+        basal_elems = mesh.basal_elems()
         self._basal_row = np.full(mesh.num_elems, -1, dtype=np.int64)
         self._basal_row[basal_elems] = np.arange(len(basal_elems))
 
@@ -191,13 +188,16 @@ class StokesVelocityProblem:
         """The coords-dependent slice of :meth:`_precompute`.
 
         3-D basis data (jacobians, weighted gradients, qp positions) with
-        the host lowering's two operands packed from it, the surface
-        gradient replicated to the 3-D quadrature rule, and the basal
-        face geometry.  Everything here is a pure function of
-        ``mesh.coords``/``mesh.surface2d``; :meth:`refresh_geometry`
-        re-runs exactly this block after a vertical re-extrusion -- the
-        one place a sweep's geometry-only inputs are (re)built.  Every
-        sweep of every request on the problem shares them: read-only.
+        the host lowering's two operands packed from it, the driving
+        stress ``rho g grad(s)`` on the 3-D quadrature rule, and the
+        basal face geometry with the friction term's Jacobian block.
+        Everything here is a pure function of ``mesh.coords``/
+        ``mesh.surface2d`` (and the friction sampled at face-qp xy
+        positions, which a vertical re-extrusion does not move: sampled
+        by the first run, kept after); :meth:`refresh_geometry` re-runs
+        exactly this block after a vertical re-extrusion -- the one place
+        a sweep's u-independent inputs are (re)built.  Every sweep of
+        every request on the problem shares them: read-only.
         """
         mesh = self.mesh
         fp = mesh.footprint
@@ -220,13 +220,21 @@ class StokesVelocityProblem:
         nq3 = self.basis.num_qps
         q2_of_q3 = np.arange(nq3) // order
         # per 3-D cell: its column's surface gradient at the matching qp
-        self.grad_s_qp = grad_s_2d[self._elem_col][:, q2_of_q3, :]  # (ne3, nq3, 2)
-        self.grad_s_qp.flags.writeable = False
+        self.force_qp = RHO_G_KPA * grad_s_2d[self._elem_col][:, q2_of_q3, :]  # (ne3, nq3, 2)
+        self.force_qp.flags.writeable = False
 
         # basal faces: bottom quad/tri of each layer-0 element
-        self.face_basis = compute_face_basis_data(
+        face = self.face_basis = compute_face_basis_data(
             mesh.coords, self._basal_face_nodes, self._face_type, order
         )
+        if self.basal_beta_qp is None:
+            fq = face.qp_coords
+            self.basal_beta_qp = np.asarray(
+                self.geometry.basal_friction(fq[..., 0], fq[..., 1]), dtype=np.float64
+            )  # (nbasal, nqf)
+            self.basal_beta_qp.flags.writeable = False
+        self.basal_block = basal_jacobian_block(self.basal_beta_qp, face.w_bf, face.bf)
+        self.basal_block.flags.writeable = False
 
     def refresh_geometry(self, thickness2d: np.ndarray, surface2d: np.ndarray) -> None:
         """Re-extrude the mesh for an evolved geometry, keeping symbolic state.
@@ -299,12 +307,15 @@ class StokesVelocityProblem:
                 w_bf=packed[..., 3],
                 w_grad_bf=packed[..., :3],
                 grad_bf=self.basis.grad_bf[idx],
-                flow_factor_qp=self.flow_factor_qp[idx],
-                grad_s_qp=self.grad_s_qp[idx],
+                glen_prefactor_qp=self.glen_prefactor_qp[idx],
+                force_qp=self.force_qp[idx],
                 basal_cells=basal_cells_local,
                 basal_w_bf=self.face_basis.w_bf[basal_rows] if len(basal_rows) else None,
                 basal_beta_qp=self.basal_beta_qp[basal_rows] if len(basal_rows) else None,
                 basal_bf=self.face_basis.bf if len(basal_rows) else None,
+                basal_block=(
+                    self.basal_block[basal_rows] if mode == "jacobian" and len(basal_rows) else None
+                ),
                 w_packed=packed,
                 grad_bf_qp=self._grad_bf_qp[idx] if mode == "jacobian" else None,
             )

@@ -7,6 +7,8 @@ derivatives through for the Jacobian.
 
 from repro.physics.viscosity import (
     effective_strain_rate_squared,
+    effective_strain_rate_squared_tangent,
+    glen_prefactor,
     glen_viscosity,
     flow_factor_arrhenius,
 )
@@ -27,6 +29,8 @@ from repro.physics.evaluators import (
 
 __all__ = [
     "effective_strain_rate_squared",
+    "effective_strain_rate_squared_tangent",
+    "glen_prefactor",
     "glen_viscosity",
     "flow_factor_arrhenius",
     "ThicknessEvolver",

@@ -15,10 +15,14 @@ requires/provides field names and runs them per workset.
 The Jacobian evaluation applies the chain rule in two stages.  Everything
 between the interpolation and the kernel is a function of the six
 components of ``Ugrad`` alone, so ``DOFVecGradInterpolation`` seeds there
-(``SFad(6)``, independents its own ``(k, d)`` components), viscosity and
-stresses run on that type, and ``dUgrad/dU`` -- the constant ``grad_bf``
--- is applied once, by :func:`repro.core.lowering.expand_qp_seed`.
-``Residual`` is the only ``SFad(2 * nodes)`` field of a sweep.
+(``SFad(6)``, independents its own ``(k, d)`` components: the
+:data:`~repro.core.lowering.QP_SEED` identity), and ``dUgrad/dU`` -- the
+constant ``grad_bf`` -- is applied once, by
+:func:`repro.core.lowering.expand_qp_seed`.  What depends on ``Ugrad``
+through fixed polynomials -- the strain-rate invariant, the stresses --
+is differentiated in closed form on that seed; Glen's law runs on
+``SFad(6)``.  ``Residual`` is the only ``SFad(2 * nodes)`` field of a
+sweep.
 """
 
 from __future__ import annotations
@@ -27,15 +31,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from repro.autodiff.sfad import SFad, is_fad
-from repro.constants import RHO_G_KPA
+from repro.autodiff.sfad import SFad, fad_value, is_fad
 from repro.core.fields import StokesFields
 from repro.core.jacobian import local_jacobian_blocks, local_residual_blocks, run_kernel
-from repro.core.lowering import expand_qp_seed, qp_seed_operand
+from repro.core.lowering import QP_SEED, expand_qp_seed, qp_seed_operand
 from repro.core.variants import get_variant
 from repro.kokkos.view import DOUBLE, View, fad_spec
 from repro.observability import get_tracer
-from repro.physics.viscosity import effective_strain_rate_squared, glen_viscosity
+from repro.physics.viscosity import (
+    effective_strain_rate_squared,
+    effective_strain_rate_squared_tangent,
+    glen_viscosity,
+)
 
 __all__ = [
     "Workset",
@@ -48,6 +55,7 @@ __all__ = [
     "StokesFOResidEvaluator",
     "BasalFrictionResidEvaluator",
     "ScatterResidual",
+    "basal_jacobian_block",
     "build_stokes_field_manager",
 ]
 
@@ -59,7 +67,9 @@ class Workset:
     Basal arrays are ``None`` for worksets with no basal faces.  The
     evaluators populate :attr:`fields` and finally the ``out_*`` blocks.
     ``w_packed``/``grad_bf_qp`` are the host lowering's geometry-only
-    operands, sliced from what the problem packs once per geometry.
+    operands, sliced from what the problem packs once per geometry;
+    ``force_qp`` and ``basal_block`` are the u-independent terms, built
+    there too, and ``glen_prefactor_qp`` once per problem.
     """
 
     mode: str  # "residual" | "jacobian"
@@ -67,11 +77,12 @@ class Workset:
     w_bf: np.ndarray  # (nc, nn, nq)
     w_grad_bf: np.ndarray  # (nc, nn, nq, 3)
     grad_bf: np.ndarray  # (nc, nn, nq, 3)
-    flow_factor_qp: np.ndarray  # (nc, nq)
-    grad_s_qp: np.ndarray  # (nc, nq, 2)
+    glen_prefactor_qp: np.ndarray  # (nc, nq) 1/2 A^(-1/n)
+    force_qp: np.ndarray  # (nc, nq, 2) rho g grad(s)
     basal_w_bf: np.ndarray | None = None  # (nb, nnf, nqf)
     basal_beta_qp: np.ndarray | None = None  # (nb, nqf)
     basal_bf: np.ndarray | None = None  # (nqf, nnf) reference face shapes
+    basal_block: np.ndarray | None = None  # (nb, nnf, nnf), Jacobian mode
     basal_cells: np.ndarray | None = None  # workset-local cell ids of basal cells
     w_packed: np.ndarray | None = None  # (nc, nn, nq, 4); None: packed per launch
     grad_bf_qp: np.ndarray | None = None  # (nc, nq, 3, nn), Jacobian mode; None: laid out here
@@ -211,12 +222,6 @@ def _interp_value(U: np.ndarray, bf: np.ndarray) -> np.ndarray:
     return np.einsum("cnk,qn->cqk", U, bf)
 
 
-#: the qp seed ``dUgrad(k, d) / dUgrad(k', d')``, ``f = 3 k' + d'``: every
-#: Jacobian-mode ``Ugrad`` broadcasts this one read-only block
-_QP_SEED = np.eye(6).reshape(2, 3, 6)
-_QP_SEED.flags.writeable = False
-
-
 class DOFVecGradInterpolation(Evaluator):
     """Velocity gradients at quadrature points; in Jacobian mode ``SFad(6)``
     seeded as their own independents (the sweep's one seeding site)."""
@@ -228,12 +233,17 @@ class DOFVecGradInterpolation(Evaluator):
     def evaluate(self, ws: Workset) -> None:
         g = _interp_grad_values(ws.fields["U"], ws.grad_bf)
         if ws.is_jacobian:
-            g = SFad(6)(g, np.broadcast_to(_QP_SEED, g.shape + (6,)))
+            g = SFad(6)(g, np.broadcast_to(QP_SEED, g.shape + (6,)))
         ws.fields["Ugrad"] = g
 
 
 class ViscosityFOEvaluator(Evaluator):
-    """Glen's-law effective viscosity at quadrature points."""
+    """Glen's-law effective viscosity at quadrature points.
+
+    The strain-rate invariant is evaluated on values, as in residual
+    mode, and differentiated in closed form against ``Ugrad``'s tangent;
+    Glen's law takes it from there on ``SFad(6)``.
+    """
 
     name = "ViscosityFO"
     requires = ("Ugrad",)
@@ -241,25 +251,29 @@ class ViscosityFOEvaluator(Evaluator):
 
     def evaluate(self, ws: Workset) -> None:
         g = ws.fields["Ugrad"]
+        v = fad_value(g)
         eps_sq = effective_strain_rate_squared(
-            g[:, :, 0, 0], g[:, :, 0, 1], g[:, :, 0, 2],
-            g[:, :, 1, 0], g[:, :, 1, 1], g[:, :, 1, 2],
+            v[:, :, 0, 0], v[:, :, 0, 1], v[:, :, 0, 2],
+            v[:, :, 1, 0], v[:, :, 1, 1], v[:, :, 1, 2],
         )
-        ws.fields["mu"] = glen_viscosity(eps_sq, flow_factor=ws.flow_factor_qp)
+        if is_fad(g):
+            eps_sq = type(g)(eps_sq, effective_strain_rate_squared_tangent(v, g.dx))
+        ws.fields["mu"] = glen_viscosity(eps_sq, prefactor=ws.glen_prefactor_qp)
 
 
 class BodyForceEvaluator(Evaluator):
     """Gravitational driving stress ``rho g grad(s)`` at quadrature points.
 
     The force does not depend on the velocity: a plain array in both
-    modes (no block of zero derivatives in the Jacobian evaluation).
+    modes (no block of zero derivatives in the Jacobian evaluation),
+    built with the geometry (``Workset.force_qp``) and published here.
     """
 
     name = "StokesFOBodyForce"
     provides = ("force",)
 
     def evaluate(self, ws: Workset) -> None:
-        ws.fields["force"] = RHO_G_KPA * np.ascontiguousarray(ws.grad_s_qp, dtype=np.float64)
+        ws.fields["force"] = ws.force_qp
 
 
 def _nodal_fad(x, seed: np.ndarray):
@@ -313,13 +327,21 @@ class StokesFOResidEvaluator(Evaluator):
         ws.fields["Residual"] = sf.Residual.data
 
 
+def basal_jacobian_block(beta_qp: np.ndarray, w_bf: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """``sum_q beta(b, q) w(b, n, q) phi(q, m)``, ``(nb, nnf, nnf)``: the
+    friction term's Jacobian block per velocity component.  It does not
+    depend on the velocity; the problem builds it with the face geometry."""
+    return np.einsum("bq,bnq,qm->bnm", beta_qp, w_bf, bf)
+
+
 class BasalFrictionResidEvaluator(Evaluator):
     """Add the basal sliding term ``beta * u * phi`` on bottom faces.
 
     Only cells listed in ``ws.basal_cells`` receive contributions, on
     their first ``nnf`` local nodes (the bottom face of the extruded
     element).  Linear sliding law: well-posed and Newton-friendly; its
-    Jacobian block is ``delta(k, k') * sum_q beta w(n, q) phi(q, m)``.
+    Jacobian block is ``delta(k, k') * sum_q beta w(n, q) phi(q, m)``
+    (:func:`basal_jacobian_block`, ``Workset.basal_block``).
     """
 
     name = "StokesFOBasalResid"
@@ -333,6 +355,8 @@ class BasalFrictionResidEvaluator(Evaluator):
             return
         if ws.basal_w_bf is None or ws.basal_beta_qp is None or ws.basal_bf is None:
             raise ValueError("basal workset is missing face basis data")
+        if ws.basal_block is None and is_fad(res):
+            raise ValueError("Jacobian-mode basal workset is missing its friction block")
         bc = np.asarray(ws.basal_cells, dtype=np.int64)
         nnf = ws.basal_w_bf.shape[1]
 
@@ -340,10 +364,9 @@ class BasalFrictionResidEvaluator(Evaluator):
         vv = np.einsum("bq,bqk,bnq->bnk", ws.basal_beta_qp, u_qp, ws.basal_w_bf)
         if is_fad(res):
             res.val[bc, :nnf, :] += vv
-            block = np.einsum("bq,bnq,qm->bnm", ws.basal_beta_qp, ws.basal_w_bf, ws.basal_bf)
             dx = res.dx.reshape(ws.num_cells, ws.num_nodes, 2, ws.num_nodes, 2)
             for k in range(2):
-                dx[bc, :nnf, k, :nnf, k] += block
+                dx[bc, :nnf, k, :nnf, k] += ws.basal_block
         else:
             res[bc, :nnf, :] += vv
         ws.fields["ResidualWithFriction"] = res

@@ -11,7 +11,9 @@ and the viscosity
 
 (Glen's flow law; Cuffey & Paterson 2010).  All functions dispatch on
 plain arrays and Fad values so the same code serves Residual and
-Jacobian evaluations.
+Jacobian evaluations; :func:`effective_strain_rate_squared_tangent` is
+the invariant's derivative in closed form, which the Jacobian sweep uses
+instead of running the polynomial on ``SFad``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ import numpy as np
 
 from repro.autodiff import ops
 from repro.constants import GLEN_A_DEFAULT, GLEN_N, STRAIN_RATE_REG
+from repro.core.lowering import qp_tangent
 
-__all__ = ["effective_strain_rate_squared", "glen_viscosity", "flow_factor_arrhenius"]
+__all__ = [
+    "effective_strain_rate_squared",
+    "effective_strain_rate_squared_tangent",
+    "glen_prefactor",
+    "glen_viscosity",
+    "flow_factor_arrhenius",
+]
 
 
 def effective_strain_rate_squared(ux, uy, uz, vx, vy, vz):
@@ -37,18 +46,61 @@ def effective_strain_rate_squared(ux, uy, uz, vx, vy, vz):
     )
 
 
-def glen_viscosity(eps_sq, flow_factor=GLEN_A_DEFAULT, n: float = GLEN_N, reg: float = STRAIN_RATE_REG):
-    """Effective viscosity ``mu`` [kPa yr] from ``eps_sq`` [yr^-2].
+def effective_strain_rate_squared_tangent(g, dg):
+    """Tangent of :func:`effective_strain_rate_squared` along ``dg``.
+
+    ``g`` holds the gradient values ``(..., 2, 3)`` (rows ``u``, ``v``;
+    columns ``x, y, z``) and ``dg`` their tangent ``(..., 2, 3, F)``.  The
+    gradient, in ``Ugrad(k, d)`` order ``f = 3 k + d``, is
+
+    ``(2 u_x + v_y, (u_y + v_x)/2, u_z/2, (u_y + v_x)/2, 2 v_y + u_x, v_z/2)``
+
+    -- on the qp seed (:func:`repro.core.lowering.qp_tangent`) that *is* the
+    tangent, bitwise what ``SFad`` arithmetic on the invariant returns;
+    a dense ``dg`` is contracted against it.
+    """
+    ux, uy, uz = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2]
+    vx, vy, vz = g[..., 1, 0], g[..., 1, 1], g[..., 1, 2]
+    half_shear = 0.5 * (uy + vx)
+    grad = np.stack(
+        (2.0 * ux + vy, half_shear, 0.5 * uz, half_shear, 2.0 * vy + ux, 0.5 * vz), axis=-1
+    )
+    tangent = qp_tangent(dg)
+    if tangent is None:
+        return grad
+    return np.matmul(grad[..., None, :], tangent)[..., 0, :]
+
+
+def glen_prefactor(flow_factor=GLEN_A_DEFAULT, n: float = GLEN_N):
+    """``1/2 A^(-1/n)``: the strain-rate-independent factor of Glen's law.
 
     ``flow_factor`` may be a scalar or per-point array of Glen's ``A`` in
-    kPa^-n yr^-1.  The regularization keeps ``mu`` finite (and the
-    Jacobian well-defined) at zero strain rate.
+    kPa^-n yr^-1; it must be positive.
     """
     if np.any(np.asarray(flow_factor) <= 0.0):
         raise ValueError("Glen flow factor must be positive")
-    exponent = (1.0 - n) / (2.0 * n)
-    a_term = np.asarray(flow_factor, dtype=np.float64) ** (-1.0 / n)
-    return 0.5 * a_term * ops.power(eps_sq + reg, exponent)
+    return 0.5 * np.asarray(flow_factor, dtype=np.float64) ** (-1.0 / n)
+
+
+def glen_viscosity(
+    eps_sq,
+    flow_factor=GLEN_A_DEFAULT,
+    n: float = GLEN_N,
+    reg: float = STRAIN_RATE_REG,
+    *,
+    prefactor=None,
+):
+    """Effective viscosity ``mu`` [kPa yr] from ``eps_sq`` [yr^-2].
+
+    ``flow_factor`` is Glen's ``A`` (see :func:`glen_prefactor`); a caller
+    that evaluates the law repeatedly on fixed ``A`` passes ``prefactor``,
+    ``glen_prefactor(A, n)`` built once, instead.  The regularization
+    keeps ``mu`` finite (and the Jacobian well-defined) at zero strain
+    rate.
+    """
+    if prefactor is None:
+        prefactor = glen_prefactor(flow_factor, n)
+    return prefactor * ops.power(eps_sq + reg, (1.0 - n) / (2.0 * n))
 
 
 def flow_factor_arrhenius(temperature_k) -> np.ndarray:

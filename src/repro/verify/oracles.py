@@ -164,16 +164,24 @@ for _impl in ("optimized", "fused"):
             return _compare_stokes(impl, mode)
 
 
-def _qp_seeded_pair(nn: int, nq: int, num_cells: int, seed: int):
+def _qp_seeded_pair(nn: int, nq: int, num_cells: int, seed: int, viscosity: bool = False):
     """One Jacobian launch as the evaluator feeds it to the lowering (``Ugrad``/
     ``muLandIce`` ``SFad(6)`` with dense random ``dx``, a ``seed`` operand, a plain
-    ``force``) and to the listing (``dUgrad/dU`` applied, every view ``SFad(2 nn)``)."""
+    ``force``) and to the listing (``dUgrad/dU`` applied, every view ``SFad(2 nn)``).
+    With ``viscosity``, ``muLandIce`` is Glen's law of that ``Ugrad`` instead: its
+    strain-rate tangent in closed form on the lowering's side, the invariant's
+    polynomial run on ``SFad`` on the listing's."""
     from dataclasses import replace
 
     from repro.autodiff.sfad import SFad
     from repro.core.lowering import qp_seed_operand
     from repro.kokkos.view import DOUBLE, View, fad_spec
     from repro.physics.evaluators import _nodal_fad
+    from repro.physics.viscosity import (
+        effective_strain_rate_squared,
+        effective_strain_rate_squared_tangent,
+        glen_viscosity,
+    )
     from repro.verify.fixtures import stokes_fields_factory
 
     base = stokes_fields_factory(num_cells, "jacobian", seed, nn, nq)()
@@ -183,15 +191,22 @@ def _qp_seeded_pair(nn: int, nq: int, num_cells: int, seed: int):
         name: SFad(6)(view.values(), rng.normal(size=view.shape + (6,)) * 0.01)
         for name, view in (("Ugrad", base.Ugrad), ("muLandIce", base.muLandIce))
     }
+    late_qp, ref_qp = qp, qp
+    if viscosity:
+        g = qp["Ugrad"]
+        eps_sq = effective_strain_rate_squared(*(g[:, :, k, d] for k in range(2) for d in range(3)))
+        closed = type(g)(eps_sq.val, effective_strain_rate_squared_tangent(g.val, g.dx))
+        late_qp = {"Ugrad": g, "muLandIce": glen_viscosity(closed)}
+        ref_qp = {"Ugrad": g, "muLandIce": glen_viscosity(eps_sq)}
 
-    def form(scalar, frc_scalar, lift, **operands):
-        views = {name: View(name, x.shape, scalar, data=lift(x)) for name, x in qp.items()}
+    def form(inputs, scalar, frc_scalar, lift, **operands):
+        views = {name: View(name, x.shape, scalar, data=lift(x)) for name, x in inputs.items()}
         views["force"] = View("force", base.force.shape, frc_scalar, data=base.force.values())
         views["Residual"] = View("Residual", base.Residual.shape, base.scalar)
         return replace(base, **views, **operands)
 
-    late = form(fad_spec(6), DOUBLE, lambda x: x, seed=seed_op)
-    return late, form(base.scalar, base.scalar, lambda x: _nodal_fad(x, seed_op))
+    late = form(late_qp, fad_spec(6), DOUBLE, lambda x: x, seed=seed_op)
+    return late, form(ref_qp, base.scalar, base.scalar, lambda x: _nodal_fad(x, seed_op))
 
 
 @_register(
@@ -205,7 +220,9 @@ def _oracle_host_lowering():
     131 cells: the vectorized launch crosses a chunk boundary and ends
     on a ragged chunk.  Hexahedra and the Voronoi mesh's prisms; the
     Jacobian launch dense (random ``dx`` on ``Ugrad``, ``mu`` *and*
-    ``force``) and in the qp-seeded form the production sweep feeds.
+    ``force``), in the qp-seeded form the production sweep feeds, and
+    in that form with ``mu`` from Glen's law (the viscosity's closed-form
+    strain-rate tangent against ``SFad`` arithmetic on it; 16 cells).
     """
     from repro.core.jacobian import run_kernel
     from repro.kokkos.space import HostSerial
@@ -222,13 +239,14 @@ def _oracle_host_lowering():
             run_kernel(f"optimized-{mode}", ref, space=HostSerial())
             run_kernel(f"optimized-{mode}", alt)
             divs += _residual_divergences(f"{elem}/optimized-{mode}", ref, alt)
-        alt, ref = _qp_seeded_pair(nn, nq, num_cells=131, seed=13)
-        run_kernel("optimized-jacobian", ref, space=HostSerial())
-        run_kernel("optimized-jacobian", alt)
-        divs += _residual_divergences(f"{elem}/optimized-jacobian (qp-seeded)", ref, alt)
+        for form, viscosity, cells in (("qp-seeded", False, 131), ("qp-seeded, Glen mu", True, 16)):
+            alt, ref = _qp_seeded_pair(nn, nq, num_cells=cells, seed=13, viscosity=viscosity)
+            run_kernel("optimized-jacobian", ref, space=HostSerial())
+            run_kernel("optimized-jacobian", alt)
+            divs += _residual_divergences(f"{elem}/optimized-jacobian ({form})", ref, alt)
     return divs, (
-        f"{len(shapes)} element shapes x residual/jacobian/qp-seeded jacobian, "
-        f"131 cells @ rtol {_KERNEL_RTOL:g}"
+        f"{len(shapes)} element shapes x residual/jacobian/qp-seeded jacobian, 131 cells, "
+        f"and qp-seeded with Glen mu, 16 cells @ rtol {_KERNEL_RTOL:g}"
     )
 
 
@@ -512,7 +530,6 @@ def _u_seeded_blocks(ws):
     from dataclasses import replace
 
     from repro.autodiff.seeding import seed_block
-    from repro.constants import RHO_G_KPA
     from repro.core.jacobian import local_jacobian_blocks, local_residual_blocks, run_kernel
     from repro.kokkos.view import View, fad_spec
     from repro.physics.evaluators import _interp_grad_values
@@ -525,8 +542,8 @@ def _u_seeded_blocks(ws):
         _interp_grad_values(U.val, ws.grad_bf), np.einsum("cnkf,cnqd->cqkdf", U.dx, ws.grad_bf)
     )
     eps_sq = effective_strain_rate_squared(*(g[:, :, k, d] for k in range(2) for d in range(3)))
-    mu = glen_viscosity(eps_sq, ws.flow_factor_qp)
-    inputs = {"Ugrad": g, "muLandIce": mu, "force": RHO_G_KPA * ws.grad_s_qp}
+    mu = glen_viscosity(eps_sq, prefactor=ws.glen_prefactor_qp)
+    inputs = {"Ugrad": g, "muLandIce": mu, "force": ws.force_qp}
     sf = replace(
         ws.fields["__stokes_fields__"],
         seed=None,

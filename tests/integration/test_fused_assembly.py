@@ -99,14 +99,14 @@ class TestGeometryOperands:
         must fail loudly, not corrupt the next sweep."""
         p = _problem().problem
         _, _, ws = next(p._worksets(_state(p, 6), "jacobian"))
-        shared = ("w_bf", "w_grad_bf", "grad_bf", "flow_factor_qp", "grad_s_qp",
+        shared = ("w_bf", "w_grad_bf", "grad_bf", "glen_prefactor_qp", "force_qp",
                   "w_packed", "grad_bf_qp", "basal_bf")
         for name in shared:
             a = getattr(ws, name)
             assert not a.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
-        for a in (p.basal_beta_qp, p.face_basis.w_bf, p.basis.w_bf, p.basis.w_grad_bf):
+        for a in (p.basal_beta_qp, p.basal_block, p.face_basis.w_bf, p.basis.w_bf, p.basis.w_grad_bf):
             assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             ws.fields["Ugrad"].dx[...] = 0.0

@@ -23,9 +23,15 @@ from repro.physics import (
     build_stokes_field_manager,
 )
 from repro.autodiff.sfad import is_fad
+from repro.core import lowering
 from repro.core.lowering import expand_qp_seed
-from repro.physics import evaluators
-from repro.physics.evaluators import _interp_grad_values, _interp_value, _nodal_fad
+from repro.physics.evaluators import (
+    _interp_grad_values,
+    _interp_value,
+    _nodal_fad,
+    basal_jacobian_block,
+)
+from repro.physics.viscosity import glen_prefactor
 
 
 class TestViscosity:
@@ -127,7 +133,7 @@ class TestInterp:
         with pytest.raises(ValueError):
             g[0] = 0.0
         with pytest.raises(ValueError):
-            evaluators._QP_SEED[0, 0, 0] = 2.0
+            lowering.QP_SEED[0, 0, 0] = 2.0
         scaled = 2.0 * g
         scaled.dx[0, 0, 0, 0, 0] = 5.0  # a derived array is its own storage
         assert np.array_equal(g.dx[0, 0].reshape(6, 6), np.eye(6))
@@ -148,8 +154,8 @@ def _make_workset(mode="residual", nc=5, nn=8, nq=8, seed=0, with_basal=False):
         w_bf=rng.uniform(0.5, 1.0, size=(nc, nn, nq)),
         w_grad_bf=rng.normal(size=(nc, nn, nq, 3)) * 1e-3,
         grad_bf=rng.normal(size=(nc, nn, nq, 3)) * 1e-3,
-        flow_factor_qp=np.full((nc, nq), GLEN_A_DEFAULT),
-        grad_s_qp=rng.normal(size=(nc, nq, 2)) * 1e-3,
+        glen_prefactor_qp=np.full((nc, nq), glen_prefactor(GLEN_A_DEFAULT)),
+        force_qp=RHO_G_KPA * rng.normal(size=(nc, nq, 2)) * 1e-3,
     )
     if with_basal:
         nnf, nqf = 4, 4
@@ -158,6 +164,7 @@ def _make_workset(mode="residual", nc=5, nn=8, nq=8, seed=0, with_basal=False):
         ws.basal_w_bf = rng.uniform(0.5, 1.0, size=(nb, nnf, nqf))
         ws.basal_beta_qp = rng.uniform(1.0, 10.0, size=(nb, nqf))
         ws.basal_bf = rng.uniform(0.0, 1.0, size=(nqf, nnf))
+        ws.basal_block = basal_jacobian_block(ws.basal_beta_qp, ws.basal_w_bf, ws.basal_bf)
     return ws
 
 
@@ -236,10 +243,10 @@ class TestFieldManager:
     def test_force_scales_with_surface_gradient(self):
         fm = build_stokes_field_manager("optimized")
         ws = _make_workset("residual", seed=11)
-        ws.grad_s_qp = np.zeros_like(ws.grad_s_qp)
+        ws.force_qp = np.zeros_like(ws.force_qp)
         r0 = fm.evaluate(ws).out_residual
         ws2 = _make_workset("residual", seed=11)
-        ws2.grad_s_qp = np.ones_like(ws2.grad_s_qp) * 1e-3
+        ws2.force_qp = np.ones_like(ws2.force_qp) * RHO_G_KPA * 1e-3
         r1 = fm.evaluate(ws2).out_residual
         assert not np.allclose(r0, r1)
 

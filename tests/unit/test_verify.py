@@ -274,8 +274,8 @@ class TestOracles:
         assert "host-lowering-vs-listing" in by_name
 
     def test_host_lowering_oracle_detects_a_wrong_lowering(self, monkeypatch):
-        """A lowering one part in 1e9 off in one cell of the second chunk
-        is a divergence from the listing."""
+        """A lowering one part in 1e9 off in its last cell (in the second
+        chunk of the 131-cell launches) is a divergence from the listing."""
         from dataclasses import replace
 
         from repro.core.lowering import StokesFOResidHostLowering
@@ -285,15 +285,15 @@ class TestOracles:
         class OffByALittle(StokesFOResidHostLowering):
             def __call__(self, cell):
                 super().__call__(cell)
-                self.Residual.values()[130] *= 1.0 + 1.0e-9
+                self.Residual.values()[-1] *= 1.0 + 1.0e-9
 
         oracle = [o for o in ORACLES if o.name == "host-lowering-vs-listing"][0]
         assert not oracle.fn()[0]
         for key in ("optimized-residual", "optimized-jacobian"):
             monkeypatch.setitem(VARIANTS, key, replace(VARIANTS[key], host_lowering=OffByALittle))
         divs, _ = oracle.fn()
-        # values of both element shapes x (residual, jacobian, qp-seeded jacobian)
-        assert len(divs) == 6
+        # values of both element shapes x (residual, jacobian, both qp-seeded forms)
+        assert len(divs) == 8
 
     def test_matvec_bytes_oracle_detects_a_miscounted_matvec(self, monkeypatch):
         """GMRES billing one word per matvec more than the operator model
@@ -367,6 +367,53 @@ class TestOracles:
             *(f"J@v vs central FD (direction {k})" for k in range(4)),
             "wedge6/jacobian blocks @ cell 0",
         ]
+
+    def test_closed_form_oracles_detect_a_flipped_strain_rate_coefficient(self, monkeypatch):
+        """``d(e_e^2)/dv_z`` with its coefficient flipped (1/2 -> -1/2): the
+        qp-seeded sweep's element blocks and ``J @ v`` diverge, and so does
+        the lowering fed Glen's ``mu`` against the listing fed ``SFad``'s."""
+        from repro.physics import evaluators, viscosity
+        from repro.verify.oracles import ORACLES, qp_seeded_divergences
+
+        exact = viscosity.effective_strain_rate_squared_tangent
+
+        def flipped(g, dg):
+            g = g.copy()
+            g[..., 1, 2] *= -1.0  # v_z enters the gradient only as v_z / 2
+            return exact(g, dg)
+
+        for module in (viscosity, evaluators):
+            monkeypatch.setattr(module, "effective_strain_rate_squared_tangent", flipped)
+        names = [d.name for d in qp_seeded_divergences()[0]]
+        assert "hex8/jacobian blocks @ cell 0" in names
+        assert "wedge6/jacobian blocks @ cell 0" in names
+        assert any(name.startswith("J@v vs central FD") for name in names)
+        oracle = [o for o in ORACLES if o.name == "host-lowering-vs-listing"][0]
+        assert [d.name for d in oracle.fn()[0]] == [
+            f"{elem}/optimized-jacobian (qp-seeded, Glen mu)/Residual.dx"
+            for elem in ("hex8", "wedge6")
+        ]
+
+    def test_closed_form_oracles_detect_a_flipped_stress_coefficient(self, monkeypatch):
+        """One entry of the stress tangent's ``L`` flipped (``dstrs02/du_z``,
+        1 -> -1): every Jacobian form of the lowering diverges from the
+        listing, and the qp-seeded sweep's ``J @ v`` from central
+        differences of ``F``.  The U-seeded reference runs the lowering's
+        dense form, so its element blocks share any ``L``; the listing
+        checks every entry at 1e-12, the differences only the entries that
+        carry ``J`` (the vertical ones: a horizontal entry moves ``J @ v``
+        by ~1e-5 at 400 km)."""
+        from repro.core import lowering
+        from repro.verify.oracles import ORACLES, qp_seeded_divergences
+
+        L = lowering._STRESS_L.copy()
+        L[4, 2] = -1.0
+        monkeypatch.setattr(lowering, "_STRESS_L", L)
+        names = [d.name for d in qp_seeded_divergences()[0]]
+        assert names == [f"J@v vs central FD (direction {k})" for k in range(4)]
+        oracle = [o for o in ORACLES if o.name == "host-lowering-vs-listing"][0]
+        names = [d.name for d in oracle.fn()[0]]
+        assert len(names) == 6 and all(name.endswith("/Residual.dx") for name in names)
 
     def test_perturbed_divergences_nonempty(self):
         from repro.verify.oracles import perturbed_divergences
