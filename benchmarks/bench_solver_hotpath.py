@@ -47,7 +47,10 @@ solve: the symbolic ``AssemblyPlan`` build (``plan_build_s``, median of
 deterministic: the basis is allocated uninitialised, so 0; it was
 ``(2 restart + 1) * 8 n`` per call).  So is one evaluator-DAG sweep per
 mode at the converged velocity (``sweep_ms``, median of 7, advisory):
-the layer the closed-form strain-rate and stress tangents cut.
+the layer the closed-form strain-rate and stress tangents cut.  And so
+is the geometry a transient step rebuilds (``geometry_ms``, median of 7,
+advisory): ``basis`` is one ``compute_basis_data`` of the 3-D mesh,
+``refresh`` one whole ``refresh_geometry``.
 
 The one artifact is the normalized perf-trajectory ``BENCH_solver.json``
 at the repo root, which ``tools/check_bench.py`` diffs against the
@@ -74,6 +77,7 @@ from repro import observability as obs
 from repro.app.antarctica import AntarcticaTest
 from repro.app.config import AntarcticaConfig, VelocityConfig
 from repro.fem.assembly import AssemblyPlan
+from repro.fem.discretization import compute_basis_data
 from repro.fem.sparse import ColumnCollapseMap
 from repro.observability.attribution import span_bytes
 from repro.perf.report import format_table
@@ -133,10 +137,22 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
             t0 = time.perf_counter()
             test.problem._sweep_blocks(sol.u, mode)
             walls.append(time.perf_counter() - t0)
+    # re-extruding to the mesh's own thickness and surface rebuilds the
+    # same coordinates, so the problem is bitwise what it was
+    mesh, order = test.mesh, test.problem.config.quadrature_order
+    geometry_walls = {"basis": [], "refresh": []}
+    for _ in range(7):
+        t0 = time.perf_counter()
+        compute_basis_data(mesh.coords, mesh.elems, mesh.elem_type, order)
+        t1 = time.perf_counter()
+        test.problem.refresh_geometry(mesh.thickness2d, mesh.surface2d)
+        geometry_walls["basis"].append(t1 - t0)
+        geometry_walls["refresh"].append(time.perf_counter() - t1)
     d = sol.diagnostics
     return {
         "plan_build_s": statistics.median(plan_walls),
         "sweep_ms": {mode: 1e3 * statistics.median(w) for mode, w in sweep_walls.items()},
+        "geometry_ms": {k: 1e3 * statistics.median(w) for k, w in geometry_walls.items()},
         "gmres_workspace_bytes_zeroed": counting_np.bytes_zeroed,
         "solve_seconds": d["solve_seconds"],
         "newton_steps": sol.newton.iterations,
@@ -328,6 +344,7 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict, transient: di
         "solve_seconds": report["solve_seconds"],
         "plan_build_s": report["plan_build_s"],
         "sweep_ms": report["sweep_ms"],
+        "geometry_ms": report["geometry_ms"],
         "assembled_solve_seconds": modes["assembled"]["solve_seconds"],
         "matrix_free_solve_seconds": modes["matrix-free"]["solve_seconds"],
         "mdsc_assembled_setup_seconds": mdsc_modes["assembled"]["setup_seconds"],
@@ -445,9 +462,11 @@ def main() -> int:
         f"transient retreat: {transient['retreat_newton_steps']} Newton steps, "
         f"{transient['retreat_gmres_iterations']} GMRES iterations"
     )
-    sweeps = report["sweep_ms"]
+    sweeps, geometry = report["sweep_ms"], report["geometry_ms"]
     print(f"sweep (median of 7): jacobian {sweeps['jacobian']:.2f} ms, "
           f"residual {sweeps['residual']:.2f} ms")
+    print(f"geometry (median of 7): basis {geometry['basis']:.2f} ms, "
+          f"refresh {geometry['refresh']:.2f} ms")
     _check_hotpath_report(report)
     _check_mode_report(modes)
     _check_mdsc_report(mdsc_modes)

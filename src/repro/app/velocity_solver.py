@@ -215,8 +215,10 @@ class StokesVelocityProblem:
         # surface gradient at footprint quadrature points, replicated to
         # the 3-D rule: hex qp q maps to footprint qp q // order (tensor
         # ordering has the vertical coordinate fastest)
-        s_elem = mesh.surface2d[fp.elems]  # (ne2, k)
-        grad_s_2d = np.einsum("cn,cnqd->cqd", s_elem, self._fp_basis.grad_bf)
+        fp_grad = self._fp_basis.grad_bf  # (ne2, k, nq2, 2)
+        ne2, k = fp_grad.shape[:2]
+        s_elem = mesh.surface2d[fp.elems][:, None, :]  # (ne2, 1, k)
+        grad_s_2d = (s_elem @ fp_grad.reshape(ne2, k, -1)).reshape(ne2, -1, 2)
         nq3 = self.basis.num_qps
         q2_of_q3 = np.arange(nq3) // order
         # per 3-D cell: its column's surface gradient at the matching qp

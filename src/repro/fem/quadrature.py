@@ -6,6 +6,8 @@ The paper's hexahedral elements use the 2x2x2 tensor Gauss rule
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["gauss_legendre_1d", "triangle_rule", "quadrature_rule"]
@@ -56,23 +58,27 @@ def _tensor3(p1, w1):
     return P, W
 
 
+@lru_cache(maxsize=None)
 def quadrature_rule(elem_type: str, order: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points and weights for a reference element.
 
     ``order`` is the number of 1-D Gauss points per tensor direction (and
     the polynomial degree for triangle factors).  The default ``order=2``
-    gives the 8-point hex rule of the paper.
+    gives the 8-point hex rule of the paper.  Built once per ``(elem_type,
+    order)``; the arrays are shared and read-only.
     """
     if elem_type == "quad4":
-        return _tensor2(*gauss_legendre_1d(order))
-    if elem_type == "hex8":
-        return _tensor3(*gauss_legendre_1d(order))
-    if elem_type == "tri3":
-        return triangle_rule(order)
-    if elem_type == "wedge6":
+        P, W = _tensor2(*gauss_legendre_1d(order))
+    elif elem_type == "hex8":
+        P, W = _tensor3(*gauss_legendre_1d(order))
+    elif elem_type == "tri3":
+        P, W = (a.copy() for a in triangle_rule(order))
+    elif elem_type == "wedge6":
         tp, tw = triangle_rule(order)
         lp, lw = gauss_legendre_1d(order)
         P = np.array([(a, b, c) for (a, b) in tp for c in lp])
         W = np.array([wt * wl for wt in tw for wl in lw])
-        return P, W
-    raise ValueError(f"unknown element type {elem_type!r}")
+    else:
+        raise ValueError(f"unknown element type {elem_type!r}")
+    P.flags.writeable = W.flags.writeable = False
+    return P, W

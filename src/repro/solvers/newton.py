@@ -53,9 +53,8 @@ _EW_GAMMA = 0.9
 _EW_SAFEGUARD = 0.1
 
 #: roundoff-floor stop: ``||F|| <= _FLOOR_RTOL ||F_0||`` and the last two
-#: accepted steps each gained less than ``_FLOOR_GAIN``
+#: accepted steps both needed backtracking
 _FLOOR_RTOL = 1.0e-10
-_FLOOR_GAIN = 0.1
 
 
 def forcing_term(residual_norms, tol: float, linear_tol: float) -> float:
@@ -81,17 +80,19 @@ def forcing_term(residual_norms, tol: float, linear_tol: float) -> float:
     return eta
 
 
-def _at_roundoff_floor(residual_norms) -> bool:
-    """Ten orders below ``||F_0||`` and two accepted steps in a row each
-    gained under 10 %: the line search is accepting ``damping_min``
-    steps on rounding noise, and further sweeps buy nothing."""
-    n = residual_norms
-    keep = 1.0 - _FLOOR_GAIN
+def _at_roundoff_floor(residual_norms, step_lengths) -> bool:
+    """Ten orders below ``||F_0||`` and two accepted steps in a row needed
+    backtracking (``alpha < 1``): down there a full Newton step that does
+    not reduce ``||F||`` is one rounding noise has defeated, and further
+    sweeps buy nothing.  How much the damped steps happened to gain is
+    rounding luck and plays no part.  A pure function of the
+    checkpointed history, so a resumed solve stops where the
+    uninterrupted one does."""
     return (
-        len(n) > 2
-        and n[-1] <= _FLOOR_RTOL * n[0]
-        and n[-1] > keep * n[-2]
-        and n[-2] > keep * n[-3]
+        len(step_lengths) >= 2
+        and residual_norms[-1] <= _FLOOR_RTOL * residual_norms[0]
+        and step_lengths[-1] < 1.0
+        and step_lengths[-2] < 1.0
     )
 
 
@@ -519,7 +520,7 @@ def newton_solve(
         if fnorm <= tol:
             res.converged, res.stop_reason = True, "tolerance"
             break
-        if _at_roundoff_floor(res.residual_norms):
+        if _at_roundoff_floor(res.residual_norms, res.step_lengths):
             res.converged, res.stop_reason = True, "roundoff_floor"
             break
 

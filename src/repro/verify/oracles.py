@@ -39,6 +39,7 @@ __all__ = [
     "ORACLES",
     "run_oracles",
     "suite_names",
+    "basis_divergences",
     "perturbed_divergences",
     "qp_seeded_divergences",
     "smoother_contraction_divergences",
@@ -611,6 +612,121 @@ _register(
     "jacobian",
     "the qp-seeded Jacobian sweep equals the U-seeded SFad(2 nn) chain and central differences",
 )(qp_seeded_divergences)
+
+
+_BASIS_RTOL = 1.0e-12
+#: the planted defect: the 3x3 cofactor that carries the slope of the
+#: layers (``dz/dxi``, ``dz/deta``) into ``dN/dx``, sign flipped
+_PLANTED_COFACTOR = (0, 2)
+
+
+def _lapack_basis(coords, cells, elem_type: str, face: bool = False) -> dict:
+    """The einsum + ``np.linalg`` basis the closed-form cofactors replaced:
+    the reference side of :func:`basis_divergences`, nowhere in production."""
+    from repro.fem import quadrature_rule, reference_element
+
+    ref = reference_element(elem_type)
+    qp, w = quadrature_rule(elem_type, 2)
+    bf, gref, x = ref.shape(qp), ref.grad(qp), coords[cells]
+    jac = np.einsum("qnr,cnd->cqdr", gref, x)
+    out = {"qp_coords": np.einsum("qn,cnd->cqd", bf, x)}
+    if face:
+        out["det_j"] = np.linalg.norm(np.cross(jac[..., 0], jac[..., 1]), axis=-1)
+    else:
+        out["det_j"] = np.linalg.det(jac)
+        out["grad_bf"] = np.einsum("qnr,cqrd->cnqd", gref, np.linalg.inv(jac))
+        out["w_grad_bf"] = out["grad_bf"] * (out["det_j"] * w)[:, None, :, None]
+    out["w_bf"] = bf.T * (out["det_j"] * w)[:, None, :]
+    return out
+
+
+def _basis_meshes():
+    """``(label, ExtrudedMesh)``: the benchmark's Antarctica 200 km / 10, the
+    golden Greenland grid (both hex8) and a Voronoi-dual prism mesh (wedge6)."""
+    from repro.app import AntarcticaConfig, AntarcticaTest
+    from repro.mesh import greenland_geometry
+    from repro.mesh.extrude import extrude_footprint
+    from repro.mesh.planar import masked_quad_footprint
+
+    def antarctica(km, layers, footprint="quad"):
+        cfg = AntarcticaConfig(resolution_km=km, num_layers=layers, footprint=footprint)
+        return AntarcticaTest.build(cfg).mesh
+
+    geo = greenland_geometry()
+    fp = masked_quad_footprint(9, 15, geo.lx, geo.ly, geo.mask)
+    return [
+        ("antarctica-200km-10", antarctica(200.0, 10)),
+        ("greenland", extrude_footprint(fp, geo, 5)),
+        ("wedge6", antarctica(400.0, 3, "voronoi")),
+    ]
+
+
+def basis_divergences(flip: tuple[int, int] | None = None, meshes=None):
+    """Production basis data against :func:`_lapack_basis` at 1e-12.
+
+    On every mesh: the 3-D basis, the footprint basis and the basal face
+    measure, every field scaled per physical direction (a gradient along
+    ``z`` is 1e3 times one along ``x``).  ``flip=(d, r)`` plants a sign
+    error in the 3x3 cofactor ``(d, r)`` of the production formula, the
+    negative control that must diverge.
+    """
+    from unittest import mock
+
+    from repro.fem import compute_basis_data, compute_face_basis_data, discretization
+
+    exact = discretization._cofactors
+
+    def flipped(jac):
+        cof, det = exact(jac)
+        if flip is not None and len(jac) == 3:
+            cof[flip[0]][flip[1]] = -cof[flip[0]][flip[1]]
+        return cof, det
+
+    divs, cells = [], 0
+    with mock.patch.object(discretization, "_cofactors", flipped):
+        for label, mesh in meshes or _basis_meshes():
+            fp = mesh.footprint
+            faces = mesh.basal_face_nodes()
+            face_type = "quad4" if fp.elem_type == "quad4" else "tri3"
+            cases = (
+                (mesh.elem_type, compute_basis_data(mesh.coords, mesh.elems, mesh.elem_type),
+                 _lapack_basis(mesh.coords, mesh.elems, mesh.elem_type)),
+                (fp.elem_type, compute_basis_data(fp.coords, fp.elems, fp.elem_type),
+                 _lapack_basis(fp.coords, fp.elems, fp.elem_type)),
+                (f"{face_type} faces", compute_face_basis_data(mesh.coords, faces, face_type),
+                 _lapack_basis(mesh.coords, faces, face_type, face=True)),
+            )
+            for kind, got, ref in cases:
+                for name, want in ref.items():
+                    vector = name in ("grad_bf", "w_grad_bf", "qp_coords")
+                    axes = tuple(range(want.ndim - vector))
+                    atol = _BASIS_RTOL * np.max(np.abs(want), axis=axes)
+                    d = first_divergence(
+                        f"{label}/{kind}/{name}", getattr(got, name), want,
+                        rtol=_BASIS_RTOL, atol=atol,
+                    )
+                    if d:
+                        divs.append(d)
+            cells += mesh.num_elems
+    return divs, cells
+
+
+@_register(
+    "basis-vs-reference",
+    "jacobian",
+    "closed-form cofactor basis data equal the einsum + LAPACK formula; a flipped cofactor diverges",
+)
+def _oracle_basis():
+    meshes = _basis_meshes()
+    divs, cells = basis_divergences(meshes=meshes)
+    planted, _ = basis_divergences(flip=_PLANTED_COFACTOR, meshes=meshes)
+    if not planted:
+        divs.append(_out_of_bound("planted flipped cofactor: divergences", 0.0, 1.0))
+    return divs, (
+        f"{len(meshes)} meshes, {cells} cells: 3-D, footprint and face basis @ rtol "
+        f"{_BASIS_RTOL:g} per direction; flipped cofactor {_PLANTED_COFACTOR} caught by "
+        f"{len(planted)} comparisons"
+    )
 
 
 @_register(

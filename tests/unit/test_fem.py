@@ -22,6 +22,7 @@ from repro.fem import (
     apply_dirichlet,
     AssemblyPlan,
 )
+from repro.fem.discretization import _reference_tables
 
 
 class TestReferenceElements:
@@ -167,6 +168,24 @@ class TestBasisData:
         with pytest.raises(ValueError):
             compute_basis_data(bad, elems, "hex8")
 
+    @pytest.mark.parametrize("poison", ["fold", np.nan, np.inf])
+    def test_bad_element_is_named(self, poison):
+        """The (1, 1, 1) corner belongs to the last of the eight cubes only.
+        A NaN or infinite coordinate is not a positive finite determinant:
+        it raises too, instead of leaving NaN gradients behind."""
+        coords, elems = _unit_cube_mesh(2)
+        corner = elems[7, 6]
+        bad = coords.copy()
+        bad[corner] = coords[elems[7, 0]] - 0.5 if poison == "fold" else poison
+        with pytest.raises(ValueError, match="element 7:"):
+            compute_basis_data(bad, elems, "hex8")
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_face_rejected(self, poison):
+        coords = np.array([[0, 0, 0], [1, 0, 0], [0, 1, poison]], dtype=float)
+        with pytest.raises(ValueError, match="face 0"):
+            compute_face_basis_data(coords, np.array([[0, 1, 2]]), "tri3")
+
     def test_face_basis_area(self):
         # unit square face floating in 3D, at an angle
         coords = np.array(
@@ -177,11 +196,119 @@ class TestBasisData:
         exact = np.sqrt(1 + 0.25)  # stretched in x-z
         assert np.isclose(bd.cell_volumes().sum(), exact, rtol=1e-6)
 
+    def test_tilted_triangle_face_area(self):
+        # half |t_s x t_t| with t_s = (1, 0, 0.5), t_t = (0, 1, 0.25)
+        coords = np.array([[0, 0, 0], [1, 0, 0.5], [0, 1, 0.25]], dtype=float)
+        bd = compute_face_basis_data(coords, np.array([[0, 1, 2]]), "tri3")
+        exact = 0.5 * np.sqrt(0.5**2 + 0.25**2 + 1.0)
+        assert np.isclose(bd.cell_volumes().sum(), exact, rtol=1e-14)
+        assert np.allclose(bd.qp_coords.mean(axis=1), coords.mean(axis=0), rtol=1e-14)
+
+    @pytest.mark.parametrize("face", [False, True])
+    def test_every_array_is_read_only(self, face):
+        """Worksets slice these without copying: the arrays of a call and
+        the per-(elem_type, order) tables they come from are all frozen."""
+        coords, elems = _unit_cube_mesh(1)
+        if face:
+            bd = compute_face_basis_data(coords, elems[:, :4], "quad4")
+        else:
+            bd = compute_basis_data(coords, elems, "hex8")
+        arrays = [a for a in vars(bd).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 7
+        arrays += list(_reference_tables("quad4" if face else "hex8", 2))
+        arrays += list(quadrature_rule("hex8", 2))
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_reference_tables_are_built_once(self):
+        assert _reference_tables("wedge6", 2) is _reference_tables("wedge6", 2)
+        assert quadrature_rule("tri3", 2) is quadrature_rule("tri3", 2)
+
     def test_qp_coords_inside_bounds(self):
         coords, elems = _unit_cube_mesh(2)
         bd = compute_basis_data(coords, elems, "hex8")
         assert bd.qp_coords.min() >= 0.0
         assert bd.qp_coords.max() <= 1.0
+
+
+def _lapack_basis(coords, elems, elem_type, order=2):
+    """The einsum + ``np.linalg`` formula the closed-form cofactors replaced."""
+    ref = reference_element(elem_type)
+    qp, w = quadrature_rule(elem_type, order)
+    bf, gref, x = ref.shape(qp), ref.grad(qp), coords[elems]
+    jac = np.einsum("qnr,cnd->cqdr", gref, x)
+    det_j = np.linalg.det(jac)
+    grad_bf = np.einsum("qnr,cqrd->cnqd", gref, np.linalg.inv(jac))
+    wdet = det_j * w
+    return {
+        "det_j": det_j,
+        "grad_bf": grad_bf,
+        "w_bf": bf.T[None] * wdet[:, None, :],
+        "w_grad_bf": grad_bf * wdet[:, None, :, None],
+        "qp_coords": np.einsum("qn,cnd->cqd", bf, x),
+    }
+
+
+def _jittered_elements(elem_type, seed, num_cells=5):
+    """Independent elements: the reference nodes moved by up to 0.15, then
+    mapped by ``diag(s) (I + 0.3 N)`` (scales 1e-1 to 1e3, orientation
+    kept) and shifted by up to two element sizes."""
+    ref = reference_element(elem_type)
+    rng = np.random.default_rng(seed)
+    d, nn = ref.dim, ref.num_nodes
+    xi = ref.nodes + rng.uniform(-0.15, 0.15, (num_cells, nn, d))
+    a = np.eye(d) + 0.3 * rng.normal(size=(num_cells, d, d))
+    a[np.linalg.det(a) < 0.0, 0] *= -1.0
+    a *= 10.0 ** rng.uniform(-1.0, 3.0, (num_cells, d, 1))
+    shift = rng.uniform(-2.0, 2.0, (num_cells, 1, d)) * np.abs(a).sum(axis=2)[:, None, :]
+    x = np.einsum("cde,cne->cnd", a, xi) + shift
+    return x.reshape(-1, d), np.arange(num_cells * nn).reshape(num_cells, nn)
+
+
+class TestClosedFormBasis:
+    """The GEMM + cofactor basis against the LAPACK formula it replaced,
+    and the identities any basis must satisfy."""
+
+    @given(st.sampled_from(["hex8", "wedge6", "quad4", "tri3"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_matches_the_lapack_formula(self, elem_type, seed):
+        coords, elems = _jittered_elements(elem_type, seed)
+        bd = compute_basis_data(coords, elems, elem_type)
+        for name, want in _lapack_basis(coords, elems, elem_type).items():
+            # every cell, and every physical direction, has its own scale
+            vector = name in ("grad_bf", "w_grad_bf", "qp_coords")
+            axes = tuple(range(1, want.ndim - vector))
+            scale = np.max(np.abs(want), axis=axes, keepdims=True)
+            assert np.allclose(getattr(bd, name), want, rtol=1e-12, atol=1e-12 * scale), name
+
+    @pytest.mark.parametrize("elem_type", ["hex8", "wedge6", "quad4", "tri3"])
+    def test_gradients_sum_to_zero_and_reproduce_linear_fields(self, elem_type):
+        coords, elems = _jittered_elements(elem_type, seed=5)
+        bd = compute_basis_data(coords, elems, elem_type)
+        scale = np.max(np.abs(bd.grad_bf), axis=(1, 2, 3))[:, None, None]
+        assert np.all(np.abs(bd.grad_bf.sum(axis=1)) <= 1e-13 * scale)
+        slope = np.arange(1.0, bd.dim + 1.0)
+        field = (coords @ slope)[elems]
+        grad = np.einsum("cn,cnqd->cqd", field, bd.grad_bf)
+        assert np.allclose(grad, slope, rtol=1e-10)
+
+    @pytest.mark.parametrize("elem_type", ["hex8", "wedge6", "quad4", "tri3"])
+    def test_volumes_are_those_of_the_mapped_reference(self, elem_type):
+        """Undistorted affine images: the volume is |det A| times the
+        reference volume."""
+        ref = reference_element(elem_type)
+        a = np.diag(np.arange(2.0, 2.0 + ref.dim)) + 0.1
+        coords = ref.nodes @ a.T + 7.0
+        bd = compute_basis_data(coords, np.arange(ref.num_nodes)[None], elem_type)
+        ref_volume = quadrature_rule(elem_type, 2)[1].sum()
+        assert np.isclose(bd.cell_volumes()[0], np.linalg.det(a) * ref_volume, rtol=1e-14)
+
+    def test_coordinates_of_the_wrong_dimension_are_refused(self):
+        coords, elems = _unit_cube_mesh(1)
+        with pytest.raises(ValueError, match="2-D coordinates"):
+            compute_basis_data(coords, elems[:, :4], "quad4")
 
 
 class TestDofMap:

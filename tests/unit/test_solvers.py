@@ -597,6 +597,44 @@ class TestRoundoffFloor:
         assert not out.converged and out.stop_reason == "max_steps"
         assert out.iterations == 6
 
+    #: ``(residual_norms, step_lengths)`` of the 25-step cold 400 km / 4
+    #: solve (``tests/integration/test_inexact_newton.py``), recorded with
+    #: the LAPACK basis and with the closed-form one.  They agree to 4
+    #: digits through step 8 and reach the floor at step 9; the two damped
+    #: steps after it gained 9.5 % and 9.9 % in the first and -1.7 % and
+    #: 6.5 % in the second -- rounding luck that a rule on the gain (the
+    #: one before, with a 10 % bar) reads as signal.
+    HEAD_NORMS = [2.793e13, 2.427e13, 2.311e13, 2.251e13, 1.781e13, 4.744e12, 3.783e11, 2.602e9, 1.287e5]
+    HEAD_STEPS = [0.25, 0.25, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    #: steps 9-11: ``||F||`` after each, and the step lengths of 10 and 11
+    RECORDED = {
+        "lapack": ([0.3139, 0.2841, 0.2559], [0.5, 0.25]),
+        "cofactor": ([0.263, 0.2675, 0.2503], [1.0 / 64.0, 0.125]),
+    }
+
+    @pytest.mark.parametrize("history", sorted(RECORDED))
+    def test_recorded_histories_stop_at_step_eleven(self, history):
+        tail_norms, tail_steps = self.RECORDED[history]
+        norms, steps = self.HEAD_NORMS + tail_norms, self.HEAD_STEPS + tail_steps
+        assert len(steps) == 11 and len(norms) == 12
+        stops = [
+            k
+            for k in range(1, len(steps) + 1)
+            if newton_module._at_roundoff_floor(norms[: k + 1], steps[:k])
+        ]
+        assert stops == [11]
+
+    def test_the_floor_rule_reads_steps_not_gains(self):
+        """Below the line, two backtracked steps stop the solve whatever
+        they gained; a full step in between, or one step above the line,
+        does not."""
+        floor = newton_module._at_roundoff_floor
+        below = [1.0e13, 1.0e12, 0.3, 0.1, 0.01]
+        assert floor(below, [1.0, 1.0, 0.5, 0.5])
+        assert not floor(below, [1.0, 0.5, 1.0, 0.5])
+        assert not floor(below[:2], [0.5])
+        assert not floor([1.0e13, 1.0e12, 1.0e4, 9.0e3], [1.0, 0.5, 0.5])
+
     def test_passing_the_line_while_still_gaining_is_not_the_floor(self):
         F, J, x0 = _cubic()
         f0 = float(np.linalg.norm(F(x0)))

@@ -415,6 +415,30 @@ class TestOracles:
         names = [d.name for d in oracle.fn()[0]]
         assert len(names) == 6 and all(name.endswith("/Residual.dx") for name in names)
 
+    def test_basis_oracle_detects_a_flipped_cofactor(self, monkeypatch):
+        """The cofactor that carries the layers' slope into ``dN/dx``, sign
+        flipped, moves the 3-D gradients of all three meshes.  The one that
+        couples ``dx/dzeta`` is zero on an extruded mesh, so flipping it
+        moves nothing; planted as the control, the oracle reports that its
+        control went undetected."""
+        from repro.verify import oracles
+
+        oracle = [o for o in oracles.ORACLES if o.name == "basis-vs-reference"][0]
+        assert oracle.suite == "jacobian"
+        meshes = oracles._basis_meshes()
+        assert oracles.basis_divergences(meshes=meshes) == ([], 3510)
+        names = [d.name for d in oracles.basis_divergences(flip=(0, 2), meshes=meshes)[0]]
+        assert names == [
+            f"{mesh}/{elem}/{field}"
+            for mesh, elem in (
+                ("antarctica-200km-10", "hex8"), ("greenland", "hex8"), ("wedge6", "wedge6")
+            )
+            for field in ("grad_bf", "w_grad_bf")
+        ]
+        assert oracles.basis_divergences(flip=(2, 0), meshes=meshes)[0] == []
+        monkeypatch.setattr(oracles, "_PLANTED_COFACTOR", (2, 0))
+        assert [d.name for d in oracle.fn()[0]] == ["planted flipped cofactor: divergences"]
+
     def test_perturbed_divergences_nonempty(self):
         from repro.verify.oracles import perturbed_divergences
 
