@@ -4,7 +4,8 @@ MALI advances the ice sheet by alternating a diagnostic FO Stokes solve
 with a prognostic thickness update.  This example runs that loop through
 :class:`repro.transient.TransientEngine` -- the engine re-extrudes only
 the vertical coordinate each step (every topology-derived artifact is
-reused), warm-starts each Newton solve from the previous velocity, caps
+reused), warm-starts each Newton solve from the last two velocities
+(a damped extrapolation over the step), caps
 the step at the CFL bound, and advects a Lagrangian particle ensemble
 through the evolving velocity field.
 

@@ -4,14 +4,16 @@ The transient analogue of :class:`~repro.resilience.checkpoint.
 NewtonCheckpoint`, one level up the stack: where a Newton checkpoint
 freezes the iterate of one velocity solve, a transient checkpoint
 freezes everything the coupled loop needs to continue bit-for-bit --
-the cell thickness (the prognostic FV state), the last velocity (the
-next step's warm start), the derived Newton absolute tolerance (fixed
-at the cold start and never recomputed, so a resumed run solves to the
-same tolerance), the particle ensemble, and the recorded histories.
+the cell thickness (the prognostic FV state), the last two velocities
+(the next step's warm start extrapolates from both), the derived Newton
+absolute tolerance (fixed at the cold start and never recomputed, so a
+resumed run solves to the same tolerance), the particle ensemble, and
+the recorded histories.
 
 Same on-disk contract too: a :mod:`repro.store` record, so a truncated
 or bit-flipped file -- in the state *or* the histories -- refuses to
-resume instead of silently forking the trajectory.
+resume instead of silently forking the trajectory, and a file written
+before a field existed refuses to load, naming the field.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ class TransientCheckpoint:
     tol_abs: float = record_field(np.float64)  # Newton abs tol, fixed at the cold start
     thickness: np.ndarray = record_field(np.float64)  # (num_footprint_elems,) [m]
     u: np.ndarray = record_field(np.float64)  # (num_dofs,) last velocity (next warm start)
+    # (num_dofs,) the velocity one step before ``u``; (0,) after the cold step
+    u_before: np.ndarray = record_field(np.float64)
     particles_xy: np.ndarray = record_field(np.float64)  # (np, 2)
     particles_zeta: np.ndarray = record_field(np.float64)  # (np,)
     particles_active: np.ndarray = record_field(bool)  # (np,)

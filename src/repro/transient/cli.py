@@ -14,7 +14,12 @@ the engine exists to provide --
    every step is solved to ``linear_tol``);
 3. **bitwise resume**: a run killed mid-trajectory and resumed from its
    checkpoint ends in exactly (``np.array_equal``) the state of the
-   uninterrupted run -- thickness, velocity and particles.
+   uninterrupted run -- thickness, velocity and particles;
+4. **velocity predictor**: on the retreat scenario, where the ice thins
+   fast enough for the extrapolated warm start to pay (the closed-budget
+   run's counts do not move with it), 25 warm steps average at most 3.0
+   Newton steps (2.64; 3.56 when every step starts from the last
+   velocity as it is).
 
 ``--plant-leak`` arms the evolver's deliberate conservation violation;
 CI runs it as a negative control to prove gate (1) actually fires.
@@ -22,6 +27,7 @@ CI runs it as a negative control to prove gate (1) actually fires.
 
 from __future__ import annotations
 
+import argparse
 import tempfile
 from pathlib import Path
 
@@ -38,6 +44,9 @@ CHECK_MIN_STEPS = 20
 CHECK_DRIFT_TOL = 1.0e-12
 CHECK_GMRES_PER_NEWTON = 4.0
 CHECK_KILL_AT = 9  # kill after the 10th step (0-based index 9): mid-run
+CHECK_PREDICTOR_SCENARIO = "antarctica-retreat"
+CHECK_PREDICTOR_WARM_STEPS = 25
+CHECK_WARM_NEWTON_MEAN = 3.0
 
 
 def _print_step(step: int, info: dict) -> None:
@@ -116,6 +125,17 @@ def run_check(plant_leak: float = 0.0, verbose: bool = True) -> int:
     if not ok:
         failures.append("bitwise kill/resume")
 
+    retreat = get_scenario(CHECK_PREDICTOR_SCENARIO).with_steps(1 + CHECK_PREDICTOR_WARM_STEPS)
+    warm = TransientEngine(retreat).run().warm_mean_iterations
+    ok = warm <= CHECK_WARM_NEWTON_MEAN
+    print(
+        f"  [{'ok' if ok else 'FAIL'}] velocity predictor: {retreat.name} warm mean {warm:.2f} "
+        f"Newton steps over {CHECK_PREDICTOR_WARM_STEPS} steps (at most "
+        f"{CHECK_WARM_NEWTON_MEAN:g})"
+    )
+    if not ok:
+        failures.append("warm Newton steps with the velocity predictor")
+
     if failures:
         print(f"transient check FAILED: {', '.join(failures)}")
         return 1
@@ -128,6 +148,13 @@ def _write_volume_csv(path: Path, result) -> None:
     lines += [f"{t!r},{v!r}" for t, v in zip(result.times, result.volumes)]
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote volume time-series to {path}")
+
+
+def _step_count(text: str) -> int:
+    steps = int(text)
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {steps}")
+    return steps
 
 
 def register(sub) -> None:
@@ -144,7 +171,7 @@ def register(sub) -> None:
     )
     parser.add_argument("--list", action="store_true", help="list library scenarios")
     parser.add_argument("--check", action="store_true", help="run the acceptance gate")
-    parser.add_argument("--steps", type=int, default=None, help="override step count")
+    parser.add_argument("--steps", type=_step_count, default=None, help="override step count")
     parser.add_argument(
         "--plant-leak",
         type=float,

@@ -41,6 +41,7 @@ __all__ = [
     "suite_names",
     "basis_divergences",
     "perturbed_divergences",
+    "predictor_resume_divergences",
     "qp_seeded_divergences",
     "smoother_contraction_divergences",
 ]
@@ -763,8 +764,8 @@ def _oracle_sanitizer_clean():
 
 
 #: what forcing may cost and must save on the 12-step 400 km / 4 retreat
-#: run (measured: thickness 1.7e-9 of scale, volumes 1.2e-10, Newton
-#: steps 41 vs 39, GMRES iterations 121 vs 299)
+#: run (measured: thickness 1.3e-9 of scale, volumes 2.6e-11, Newton
+#: steps 33 vs 32, GMRES iterations 102 vs 250)
 _INEXACT_THICKNESS_RTOL = 1.0e-7
 _INEXACT_VOLUME_RTOL = 1.0e-9
 _INEXACT_EXTRA_NEWTON_STEPS = 3
@@ -819,6 +820,77 @@ def _oracle_inexact_newton():
         f"{len(forced.dts)} steps: thickness @ {_INEXACT_THICKNESS_RTOL:g} of scale, volumes @ "
         f"{_INEXACT_VOLUME_RTOL:g}; Newton steps {forced_newton} vs {exact_newton}, "
         f"GMRES iterations {forced_gmres} vs {exact_gmres}"
+    )
+
+
+#: the predictor extrapolates from the steps before the kill (index 2 is
+#: the first step it fires on) and from the checkpoint's two velocities
+#: after it
+_PREDICTOR_KILL_AT = 2
+
+
+def _predictor_drill():
+    """``(engine, uninterrupted run, checkpoint loaded from the kill's .npz)``."""
+    import tempfile
+
+    from repro.transient import (
+        TransientCheckpoint,
+        TransientEngine,
+        TransientKilled,
+        get_scenario,
+    )
+
+    engine = TransientEngine(get_scenario("antarctica-retreat"))
+    full = engine.run()
+    with tempfile.TemporaryDirectory() as td:
+        try:
+            engine.run(kill_at_step=_PREDICTOR_KILL_AT, checkpoint_dir=td)
+        except TransientKilled as kill:
+            return engine, full, TransientCheckpoint.load(kill.path)
+    raise AssertionError("scripted kill did not fire")
+
+
+def predictor_resume_divergences(drop_u_before: bool = False, drill=None):
+    """The retreat run killed after step 3 and resumed from its ``.npz``
+    against the uninterrupted run, bitwise.  ``drop_u_before`` resumes
+    from the checkpoint with ``u_before`` emptied, the negative control
+    that must diverge."""
+    import dataclasses
+
+    engine, full, ckpt = drill or _predictor_drill()
+    if drop_u_before:
+        ckpt = dataclasses.replace(ckpt, u_before=np.empty(0))
+    resumed = engine.run(resume_from=ckpt)
+    divs = []
+    for name, got, want in (
+        ("thickness", resumed.thickness, full.thickness),
+        ("u", resumed.u, full.u),
+        ("particles_xy", resumed.particles.xy, full.particles.xy),
+        ("particles_zeta", resumed.particles.zeta, full.particles.zeta),
+        ("particles_active", resumed.particles.active, full.particles.active),
+        ("newton_iterations", resumed.newton_iterations, full.newton_iterations),
+    ):
+        d = first_divergence(name, got, want)
+        if d:
+            divs.append(d)
+    return divs
+
+
+@_register(
+    "transient-predictor-resume",
+    "jacobian",
+    "a retreat run killed while the velocity predictor fires resumes bitwise; dropping u_before diverges",
+)
+def _oracle_predictor_resume():
+    drill = _predictor_drill()
+    divs = predictor_resume_divergences(drill=drill)
+    planted = predictor_resume_divergences(drop_u_before=True, drill=drill)
+    if not planted:
+        divs.append(_out_of_bound("planted resume without u_before: divergences", 0.0, 1.0))
+    return divs, (
+        f"antarctica-retreat, {len(drill[1].dts)} steps, killed after step "
+        f"{_PREDICTOR_KILL_AT + 1}: thickness, u, particles and Newton counts bitwise; "
+        f"resume without u_before caught by {len(planted)} comparisons"
     )
 
 

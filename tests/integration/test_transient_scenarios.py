@@ -5,6 +5,7 @@ test (the same amortization the engine itself relies on), so the mesh
 and AssemblyPlan are built once for the whole module.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -12,10 +13,12 @@ import pytest
 
 from repro.store import ArtifactCache
 from repro.transient import (
+    TransientCheckpoint,
     TransientEngine,
     TransientKilled,
     get_scenario,
 )
+from repro.transient.engine import PREDICTOR_THETA
 
 #: the closed-budget library scenario, truncated for test cost
 STEPS = 5
@@ -106,6 +109,22 @@ class TestKillResume:
         assert resumed.dts == baseline.dts
         assert resumed.newton_iterations == baseline.newton_iterations
 
+    def test_a_fresh_run_of_no_steps_is_refused(self, cache, scenario):
+        """It used to reach ``float(tol_abs)`` before the cold step set it."""
+        engine = TransientEngine(scenario, cache=cache)
+        with pytest.raises(ValueError, match="num_steps must be at least 1 on a fresh run, got 0"):
+            engine.run(num_steps=0)
+
+    def test_a_resume_with_nothing_left_returns_the_checkpointed_state(self, cache, scenario):
+        engine = TransientEngine(scenario, cache=cache)
+        done = engine.run(num_steps=2)
+        for steps in (0, 2):
+            back = engine.run(num_steps=steps, resume_from=done.final_checkpoint())
+            assert back.dts == done.dts and back.tol_abs == done.tol_abs
+            assert np.array_equal(back.thickness, done.thickness)
+            assert np.array_equal(back.u, done.u)
+            assert np.array_equal(back.u_before, done.u_before)
+
     def test_resume_refuses_foreign_scenario(self, tmp_path, cache, scenario):
         engine = TransientEngine(scenario, cache=cache)
         with pytest.raises(TransientKilled) as exc:
@@ -113,6 +132,83 @@ class TestKillResume:
         other = TransientEngine(scenario.with_steps(STEPS + 1), cache=cache)
         with pytest.raises(ValueError, match="fork"):
             other.run(resume_from=exc.value.path)
+
+
+class TestVelocityPredictor:
+    """Warm steps start from ``warm_start_guess`` of the last two
+    velocities, and a checkpoint carries both."""
+
+    @staticmethod
+    def _run(engine, monkeypatch, **kwargs):
+        """``(result, initial guess per solve, velocity per solve)``."""
+        guesses, velocities = [], []
+        solve = engine.problem.solve
+
+        def recording_solve(**kw):
+            guesses.append(kw["u0"])
+            sol = solve(**kw)
+            velocities.append(sol.u)
+            return sol
+
+        monkeypatch.setattr(engine.problem, "solve", recording_solve)
+        return engine.run(**kwargs), guesses, velocities
+
+    def test_warm_steps_extrapolate_from_the_second_on(self, cache, monkeypatch):
+        engine = TransientEngine(get_scenario("antarctica-retreat").with_steps(4), cache=cache)
+        result, guesses, us = self._run(engine, monkeypatch)
+        assert guesses[0] is None
+        assert guesses[1] is us[0]  # one velocity behind: no prediction
+        for s in (2, 3):
+            ratio = result.dts[s - 1] / result.dts[s - 2]
+            want = us[s - 1] + PREDICTOR_THETA * ratio * (us[s - 1] - us[s - 2])
+            assert np.array_equal(guesses[s], want)
+        assert result.u is us[3] and result.u_before is us[2]
+
+    def test_no_warm_start_means_no_guess(self, cache, monkeypatch):
+        cold = dataclasses.replace(get_scenario("antarctica-retreat").with_steps(3), warm_start=False)
+        result, guesses, _ = self._run(TransientEngine(cold, cache=cache), monkeypatch)
+        assert guesses == [None, None, None]
+        assert result.warm_started == [False, False, False]
+
+    def test_the_cold_step_checkpoint_holds_no_u_before(self, cache):
+        engine = TransientEngine(get_scenario("antarctica-retreat").with_steps(6), cache=cache)
+        one = engine.run(num_steps=1).final_checkpoint()
+        two = engine.run(num_steps=2).final_checkpoint()
+        assert one.u_before.shape == (0,)
+        assert np.array_equal(two.u_before, one.u)
+
+    def test_kill_while_predicting_then_resume_is_bitwise(self, tmp_path, cache):
+        """Killed after step 3 of 6: the predictor fires on both sides."""
+        engine = TransientEngine(get_scenario("antarctica-retreat").with_steps(6), cache=cache)
+        full = engine.run()
+        with pytest.raises(TransientKilled) as exc:
+            engine.run(kill_at_step=2, checkpoint_dir=tmp_path)
+        ckpt = TransientCheckpoint.load(exc.value.path)
+        assert ckpt.step == 3 and ckpt.u_before.shape == full.u.shape
+        # the same checkpoint twice: nothing of the first resume stays behind
+        for _ in range(2):
+            resumed = engine.run(resume_from=exc.value.path)
+            assert np.array_equal(resumed.thickness, full.thickness)
+            assert np.array_equal(resumed.u, full.u)
+            assert np.array_equal(resumed.particles.xy, full.particles.xy)
+            assert np.array_equal(resumed.particles.zeta, full.particles.zeta)
+            assert np.array_equal(resumed.particles.active, full.particles.active)
+            assert resumed.newton_iterations == full.newton_iterations
+
+    def test_a_resume_without_u_before_forks_the_run(self):
+        """The planted control of ``transient-predictor-resume``."""
+        from repro.verify.oracles import predictor_resume_divergences
+
+        assert predictor_resume_divergences(drop_u_before=True)
+
+    def test_the_check_fails_when_the_predictor_stops_firing(self, monkeypatch, capsys):
+        from repro.transient import cli, engine
+
+        monkeypatch.setattr(engine, "PREDICTOR_THETA", 0.0)
+        assert cli.run_check(verbose=False) == 1
+        out = capsys.readouterr().out
+        assert "antarctica-retreat warm mean 3.56" in out
+        assert "FAILED: warm Newton steps with the velocity predictor" in out
 
 
 class TestArtifactReuse:

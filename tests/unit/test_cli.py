@@ -61,6 +61,14 @@ def test_transient_is_an_ordinary_subcommand(capsys):
     assert "antarctica-retreat" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_transient_refuses_a_run_of_no_steps(steps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transient", "--steps", steps])
+    assert exc.value.code == 2
+    assert f"argument --steps: must be at least 1, got {int(steps)}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["tune", "--check"], ["table3", "--nparts", "2"], ["perfdiff", "only-one.json"], []]
 )

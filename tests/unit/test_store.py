@@ -42,6 +42,7 @@ def _transient() -> TransientCheckpoint:
         tol_abs=2.4e7,
         thickness=rng.uniform(0.0, 3000.0, 40),
         u=rng.normal(size=200),
+        u_before=rng.normal(size=200),
         particles_xy=rng.uniform(0.0, 1.0e6, (16, 2)),
         particles_zeta=rng.uniform(0.0, 1.0, 16),
         particles_active=rng.uniform(size=16) > 0.2,
@@ -53,8 +54,10 @@ def _transient() -> TransientCheckpoint:
     )
 
 
-#: name -> (factory, bytes the parent commit wrote for the same object)
-RECORDS = {"newton": (_newton, 2162), "transient": (_transient, 6044)}
+#: name -> (factory, bytes the schema writes for the object): a change
+#: of the on-disk format shows here.  The transient record grew by one
+#: 200-dof velocity with ``u_before`` (6044 bytes before)
+RECORDS = {"newton": (_newton, 2162), "transient": (_transient, 7892)}
 EVERY_FIELD = [
     pytest.param(make, f.name, id=f"{name}-{f.name}")
     for name, (make, _) in RECORDS.items()
@@ -111,6 +114,15 @@ class TestRecord:
         path.write_bytes(data[: int(len(data) * keep)])
         with pytest.raises(ValueError, match="integrity"):
             type(make()).load(path)
+
+    def test_a_file_without_a_field_is_refused_by_its_name(self, tmp_path):
+        """A transient checkpoint written before ``u_before`` existed."""
+        path = _transient().save(tmp_path / "ckpt.npz")
+        with np.load(path) as z:
+            arrs = {k: z[k] for k in z.files if k != "u_before"}
+        np.savez(path, **arrs)
+        with pytest.raises(ValueError, match="integrity.*u_before"):
+            TransientCheckpoint.load(path)
 
     def test_missing_file_is_not_an_integrity_failure(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -22,6 +22,7 @@ from repro.transient import (
     TransientScenario,
     get_scenario,
 )
+from repro.transient.engine import PREDICTOR_THETA, warm_start_guess
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,7 @@ class TestTransientCheckpoint:
             tol_abs=2.4e7,
             thickness=rng.uniform(0.0, 3000.0, 40),
             u=rng.normal(size=200),
+            u_before=rng.normal(size=200),
             particles_xy=rng.uniform(0.0, 1.0e6, (16, 2)),
             particles_zeta=rng.uniform(0.0, 1.0, 16),
             particles_active=rng.uniform(size=16) > 0.2,
@@ -115,11 +117,43 @@ class TestTransientCheckpoint:
         assert back.step == 7 and back.t_years == 350.0 and back.tol_abs == 2.4e7
         assert np.array_equal(back.thickness, ckpt.thickness)
         assert np.array_equal(back.u, ckpt.u)
+        assert np.array_equal(back.u_before, ckpt.u_before)
         assert np.array_equal(back.particles_xy, ckpt.particles_xy)
         assert np.array_equal(back.particles_active, ckpt.particles_active)
         assert back.scenario_digest == "abc123"
         assert back.volumes == ckpt.volumes and back.dts == ckpt.dts
         assert back.digest == ckpt.digest
+
+    def test_an_empty_u_before_roundtrips(self, tmp_path):
+        """What a checkpoint taken after the cold step holds."""
+        ckpt = dataclasses.replace(self._ckpt(), u_before=np.empty(0))
+        back = TransientCheckpoint.load(ckpt.save(tmp_path / "cold"))
+        assert back.u_before.shape == (0,) and back.u_before.dtype == np.float64
+        assert back.digest == ckpt.digest
+
+
+class TestVelocityPredictor:
+    """The warm start's rule, on plain arrays."""
+
+    def test_the_first_warm_step_starts_from_the_last_velocity(self):
+        u_prev = np.array([1.0, -2.0, 3.0])
+        assert warm_start_guess(u_prev, np.empty(0), [50.0]) is u_prev
+
+    def test_equal_steps_move_half_the_last_change(self):
+        u_prev, u_before = np.array([10.0, -4.0]), np.array([6.0, -2.0])
+        guess = warm_start_guess(u_prev, u_before, [50.0, 50.0])
+        assert np.array_equal(guess, [12.0, -5.0])
+        assert PREDICTOR_THETA == 0.5
+
+    def test_the_change_scales_with_the_dt_ratio(self):
+        """Half the step size ahead, half the extrapolation; the guess
+        reads only the last two accepted steps."""
+        u_prev, u_before = np.array([10.0, -4.0]), np.array([6.0, -2.0])
+        half = warm_start_guess(u_prev, u_before, [99.0, 40.0, 20.0])
+        double = warm_start_guess(u_prev, u_before, [20.0, 40.0])
+        assert np.array_equal(half, [11.0, -4.5])
+        assert np.array_equal(double, [14.0, -6.0])
+        assert np.array_equal(u_prev, [10.0, -4.0]) and np.array_equal(u_before, [6.0, -2.0])
 
 
 class TestScenarios:
