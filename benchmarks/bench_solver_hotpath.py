@@ -50,7 +50,12 @@ mode at the converged velocity (``sweep_ms``, median of 7, advisory):
 the layer the closed-form strain-rate and stress tangents cut.  And so
 is the geometry a transient step rebuilds (``geometry_ms``, median of 7,
 advisory): ``basis`` is one ``compute_basis_data`` of the 3-D mesh,
-``refresh`` one whole ``refresh_geometry``.
+``refresh`` one whole ``refresh_geometry``.  And so is what the in-process
+SPMD emulation adds to the same mesh at ``nparts=4`` (``spmd``, median of
+7, advisory): ``build_ms`` is the ``AntarcticaTest.build`` difference,
+``sweep_overhead_ms`` the difference of one ``residual_and_jacobian``
+(rank sweeps plus the distributed scatter against one sweep and the
+serial fill).
 
 The one artifact is the normalized perf-trajectory ``BENCH_solver.json``
 at the repo root, which ``tools/check_bench.py`` diffs against the
@@ -153,6 +158,7 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
         "plan_build_s": statistics.median(plan_walls),
         "sweep_ms": {mode: 1e3 * statistics.median(w) for mode, w in sweep_walls.items()},
         "geometry_ms": {k: 1e3 * statistics.median(w) for k, w in geometry_walls.items()},
+        "spmd_ms": run_spmd_overhead(config, sol.u),
         "gmres_workspace_bytes_zeroed": counting_np.bytes_zeroed,
         "solve_seconds": d["solve_seconds"],
         "newton_steps": sol.newton.iterations,
@@ -171,6 +177,27 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
             }
             for name, agg in tracer.aggregate().items()
         },
+    }
+
+
+def run_spmd_overhead(config: AntarcticaConfig, u: np.ndarray, nparts: int = 4) -> dict:
+    """What ``nparts`` simulated ranks add to a build and to one fused
+    residual + Jacobian evaluation: medians of 7, serial and SPMD
+    alternating so drift hits both sides alike."""
+    spmd_cfg = replace(config, velocity=replace(config.velocity, nparts=nparts))
+    walls = {"build": ([], []), "sweep": ([], [])}
+    for _ in range(7):
+        for side, cfg in enumerate((config, spmd_cfg)):
+            t0 = time.perf_counter()
+            problem = AntarcticaTest.build(cfg).problem
+            t1 = time.perf_counter()
+            problem.residual_and_jacobian(u)
+            walls["build"][side].append(t1 - t0)
+            walls["sweep"][side].append(time.perf_counter() - t1)
+    med = {k: [statistics.median(w) for w in sides] for k, sides in walls.items()}
+    return {
+        "build_ms": 1e3 * (med["build"][1] - med["build"][0]),
+        "sweep_overhead_ms": 1e3 * (med["sweep"][1] - med["sweep"][0]),
     }
 
 
@@ -345,6 +372,7 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict, transient: di
         "plan_build_s": report["plan_build_s"],
         "sweep_ms": report["sweep_ms"],
         "geometry_ms": report["geometry_ms"],
+        "spmd": report["spmd_ms"],
         "assembled_solve_seconds": modes["assembled"]["solve_seconds"],
         "matrix_free_solve_seconds": modes["matrix-free"]["solve_seconds"],
         "mdsc_assembled_setup_seconds": mdsc_modes["assembled"]["setup_seconds"],
@@ -467,6 +495,9 @@ def main() -> int:
           f"residual {sweeps['residual']:.2f} ms")
     print(f"geometry (median of 7): basis {geometry['basis']:.2f} ms, "
           f"refresh {geometry['refresh']:.2f} ms")
+    spmd = report["spmd_ms"]
+    print(f"spmd nparts=4 minus serial (median of 7): build {spmd['build_ms']:.2f} ms, "
+          f"sweep + scatter {spmd['sweep_overhead_ms']:.2f} ms")
     _check_hotpath_report(report)
     _check_mode_report(modes)
     _check_mdsc_report(mdsc_modes)

@@ -14,7 +14,7 @@ Pipeline per nonlinear iteration, mirroring Albany:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.constants import RHO_G_KPA
 from repro.core.lowering import pack_geom, qp_seed_operand
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.discretization import compute_basis_data, compute_face_basis_data
-from repro.fem.distributed import DistributedMatrix, DistributedStokesAssembly
+from repro.fem.distributed import DistributedMatrix, DistributedStokesAssembly, owner_order
 from repro.fem.dofmap import DofMap
 from repro.mesh.extrude import ExtrudedMesh
 from repro.mesh.geometry import IceGeometry
@@ -83,11 +83,25 @@ class StokesVelocityProblem:
 
         self.dofmap = DofMap(mesh.num_nodes, 2, mesh.elems)
 
+        # SPMD path: real RCB partition of the footprint, rank-restricted
+        # assembly and row-partitioned operators with metered halo
+        # traffic.  The solve stays bit-for-bit identical to serial
+        # because both share the column-blocked reducer below and the
+        # distributed assembly preserves the serial summation orders.
+        self.partition = partition_footprint(fp, cfg.nparts) if cfg.nparts > 1 else None
+        # cell storage order of every per-cell operand and block array:
+        # the global order, or the SPMD owner order, in which each rank's
+        # cells are one run of ``_spans`` (its operands are views)
+        if self.partition is None:
+            self._cells, self._spans = np.arange(mesh.num_elems), [slice(0, mesh.num_elems)]
+        else:
+            self._cells, self._spans = owner_order(self.partition, mesh.nlayers)
+
         # footprint basis + column maps are pure topology/xy data: the
         # transient geometry refresh moves only column endpoints (z), so
         # these are computed once and reused across every refresh
         self._fp_basis = compute_basis_data(fp.coords, fp.elems, fp.elem_type, order)
-        self._elem_col = mesh.elem_column(np.arange(mesh.num_elems))
+        self._elem_col = mesh.elem_column(self._cells)
         self._basal_face_nodes = mesh.basal_face_nodes()
         self._face_type = "quad4" if fp.elem_type == "quad4" else "tri3"
 
@@ -103,7 +117,7 @@ class StokesVelocityProblem:
         # vertical re-extrusion changes neither qp xy positions nor sigma
         # levels, so this survives geometry refreshes untouched.
         zeta_mid = 0.5 * (mesh.sigma[:-1] + mesh.sigma[1:])  # (nz,)
-        lay = mesh.elem_layer(np.arange(mesh.num_elems))
+        lay = mesh.elem_layer(self._cells)
         qp_xy = self.basis.qp_coords[:, :, :2]
         temp = self.geometry.temperature(
             qp_xy[..., 0], qp_xy[..., 1], zeta_mid[lay][:, None]
@@ -113,8 +127,9 @@ class StokesVelocityProblem:
 
         # row of each cell in the basal-face arrays, -1 off the bed
         basal_elems = mesh.basal_elems()
-        self._basal_row = np.full(mesh.num_elems, -1, dtype=np.int64)
-        self._basal_row[basal_elems] = np.arange(len(basal_elems))
+        basal_row = np.full(mesh.num_elems, -1, dtype=np.int64)
+        basal_row[basal_elems] = np.arange(len(basal_elems))
+        self._basal_row = basal_row[self._cells]
 
         # Dirichlet: zero velocity on the lateral (margin) boundary
         lat = mesh.lateral_nodes()
@@ -137,20 +152,14 @@ class StokesVelocityProblem:
         # the halo-exchange unit -- so the axis binds to serial solves.
         self.matrix_free = cfg.operator_mode == "matrix-free" and cfg.nparts == 1
 
-        # SPMD path: real RCB partition of the footprint, rank-restricted
-        # assembly and row-partitioned operators with metered halo
-        # traffic.  The solve stays bit-for-bit identical to serial
-        # because both share the column-blocked reducer below and the
-        # distributed assembly preserves the serial summation orders.
-        self.partition = None
-        self.meter = None
-        self.spmd = None
-        if cfg.nparts > 1:
-            self.partition = partition_footprint(fp, cfg.nparts)
+        self.meter = self.spmd = None
+        if self.partition is not None:
             self.meter = TrafficMeter(cfg.nparts)
             self.spmd = DistributedStokesAssembly(
                 self.plan, self.partition, mesh.levels, mesh.nlayers, meter=self.meter
             )
+        self._cell_dofs = self.plan.elem_dofs if self.spmd is None else self.plan.elem_dofs[self._cells]
+
         # deterministic reductions, one block per footprint column: used
         # by serial AND distributed solves (E3SM-style BFB reproducibility
         # across decompositions)
@@ -197,13 +206,19 @@ class StokesVelocityProblem:
         by the first run, kept after); :meth:`refresh_geometry` re-runs
         exactly this block after a vertical re-extrusion -- the one place
         a sweep's u-independent inputs are (re)built.  Every sweep of
-        every request on the problem shares them: read-only.
+        every request on the problem shares them: read-only.  An SPMD
+        problem keeps them in owner order: the basis GEMM runs in global
+        order and its exact results are permuted once, here.
         """
         mesh = self.mesh
         fp = mesh.footprint
         order = self.config.quadrature_order
 
-        basis = self.basis = compute_basis_data(mesh.coords, mesh.elems, mesh.elem_type, order)
+        basis = compute_basis_data(mesh.coords, mesh.elems, mesh.elem_type, order)
+        if self.partition is not None:
+            cell_arrays = ("w_bf", "grad_bf", "w_grad_bf", "det_j", "qp_coords")
+            basis = replace(basis, **{f: getattr(basis, f)[self._cells] for f in cell_arrays})
+        self.basis = basis
         # one copy of the weighted basis, packed as the kernel's GEMM
         # operand; ``w_grad_bf``/``w_bf`` are views of it
         self._w_packed = pack_geom(basis.w_grad_bf, basis.w_bf)
@@ -272,40 +287,44 @@ class StokesVelocityProblem:
         return col_avg[mesh.footprint.elems].mean(axis=1)
 
     def _probe_diag_scale(self) -> float:
-        u0 = np.zeros(self.dofmap.num_dofs)
-        for _, _, ws in self._worksets(u0, "jacobian"):
-            diag = np.abs(np.einsum("cii->ci", ws.out_jacobian))
-            val = float(np.mean(diag[diag > 0.0])) if np.any(diag > 0.0) else 1.0
-            return val
-        return 1.0
+        # the global order's first workset, one scale for every decomposition:
+        # ranks keep their cells ascending, so it is a prefix of each run
+        first = min(self.config.workset_size, self.mesh.num_elems)
+        u0, diag = np.zeros(self.dofmap.num_dofs), np.empty((first, self.dofmap.dofs_per_elem))
+        for span in self._spans:
+            head = slice(span.start, span.start + int(np.searchsorted(self._cells[span], first)))
+            for a, b, ws in self._worksets(u0, "jacobian", head):
+                diag[self._cells[a:b]] = np.abs(np.einsum("cii->ci", ws.out_jacobian))
+        return float(np.mean(diag[diag > 0.0])) if np.any(diag > 0.0) else 1.0
 
     # ------------------------------------------------------------------
-    def _worksets(self, u: np.ndarray, mode: str, cells: np.ndarray | None = None):
+    def _worksets(self, u: np.ndarray, mode: str, cells: slice | None = None):
         """Yield evaluated worksets covering ``cells`` (default: all).
 
-        Yields ``(a, b, ws)`` where ``a:b`` are positions into the
-        ``cells`` array (equal to global cell ids for the default full
-        sweep).  The SPMD path passes each rank's owned-cell list; the
-        evaluator DAG is strictly per-element, so restricted sweeps
-        reproduce the corresponding serial blocks bitwise.
+        ``cells`` is a run of the problem's cell storage order -- the
+        global order, or the SPMD owner order in which each rank's cells
+        are one run -- so every operand a workset reads is a view.
+        Yields ``(a, b, ws)`` with ``a:b`` the workset's storage
+        positions (global cell ids in a serial problem).  The evaluator
+        DAG is strictly per-element, so a rank's sweep reproduces the
+        corresponding serial blocks bitwise.
         """
         mesh = self.mesh
-        cfg = self.config
-        u_local = self.dofmap.gather(u).reshape(mesh.num_elems, mesh.nodes_per_elem, 2)
-        if cells is not None:
-            cells = np.asarray(cells, dtype=np.int64)
-        total = mesh.num_elems if cells is None else len(cells)
-        for a in range(0, total, cfg.workset_size):
-            b = min(a + cfg.workset_size, total)
-            # contiguous slices for the full sweep (views, no copies)
-            idx = slice(a, b) if cells is None else cells[a:b]
+        size = self.config.workset_size
+        if np.shape(u) != (self.dofmap.num_dofs,):
+            raise ValueError(f"solution must have {self.dofmap.num_dofs} dofs")
+        if cells is None:
+            cells = slice(0, mesh.num_elems)
+        for a in range(cells.start, cells.stop, size):
+            b = min(a + size, cells.stop)
+            idx = slice(a, b)
             rows = self._basal_row[idx]
             basal_cells_local = np.flatnonzero(rows >= 0)
             basal_rows = rows[basal_cells_local]
             packed = self._w_packed[idx]
             ws = Workset(
                 mode=mode,
-                solution_local=u_local[idx],
+                solution_local=u[self._cell_dofs[idx]].reshape(b - a, mesh.nodes_per_elem, 2),
                 w_bf=packed[..., 3],
                 w_grad_bf=packed[..., :3],
                 grad_bf=self.basis.grad_bf[idx],
@@ -339,30 +358,29 @@ class StokesVelocityProblem:
                 log.record("recovery", "serial_fallback", "spmd.rank", rank=p)
         get_metrics().counter("resilience.dead_ranks").inc()
 
-    def _sweep_blocks(self, u: np.ndarray, mode: str) -> list[tuple]:
-        """Evaluator sweeps feeding the scatter: one ``(residual, jacobian)``
-        block pair per rank, ``None`` for the half ``mode`` does not ask for.
+    def _sweep_blocks(self, u: np.ndarray, mode: str) -> tuple:
+        """Evaluator sweeps feeding the scatter: ``(residual, jacobian)`` block
+        arrays in cell storage order, ``None`` for a half ``mode`` skips.
 
-        A serial solve is the one-block case (``cells=None``: every cell,
-        contiguous slices).  The evaluator DAG is strictly per-element,
-        so a block depends only on its cell list -- whichever rank
-        executes the sweep produces it bitwise.  That is what graceful
-        degradation rests on: a rank killed by the fault plane is marked
-        dead for the rest of the solve and its owned cells are swept by
-        the lowest-numbered survivor (serial fallback when none remain),
-        and since the scatter order is fixed by the assembly routes the
-        degraded result is bitwise equal to the healthy one.
+        A serial solve sweeps all cells at once; an SPMD solve sweeps
+        each rank's run of the owner order into its rows of the same
+        arrays.  The evaluator DAG is strictly per-element, so a block
+        depends only on its cells -- whichever rank executes the sweep
+        produces it bitwise.  That is what graceful degradation rests
+        on: a rank killed by the fault plane is marked dead for the rest
+        of the solve and its owned cells are swept by the lowest-numbered
+        survivor (serial fallback when none remain), and since the
+        scatter order is fixed by the assembly routes the degraded result
+        is bitwise equal to the healthy one.
         """
         dag_mode, want_r, want_j = _SWEEPS[mode]
-        k = self.dofmap.dofs_per_elem
-        if self.spmd is None:
-            cell_sets = [None]
-        else:
+        nc, k = self._cell_dofs.shape
+        loc_r = np.empty((nc, k)) if want_r else None
+        loc_j = np.empty((nc, k, k)) if want_j else None
+        if self.spmd is not None:
             self.spmd.record_ghost_refresh()
-            cell_sets = [self.spmd.owned_elems(p) for p in range(self.config.nparts)]
         plane = fault_plane()
-        blocks = []
-        for p, cells in enumerate(cell_sets):
+        for p, span in enumerate(self._spans):
             if plane.active and self.spmd is not None and p not in self._dead_ranks:
                 try:
                     plane.poke("spmd.rank", rank=p, mode=mode)
@@ -372,23 +390,17 @@ class StokesVelocityProblem:
             if p in self._dead_ranks:
                 survivor = choose_survivor(self._dead_ranks, self.config.nparts)
                 executor = survivor if survivor is not None else p
-            n = self.mesh.num_elems if cells is None else len(cells)
-            loc_r = np.empty((n, k)) if want_r else None
-            loc_j = np.empty((n, k, k)) if want_j else None
-            for a, b, ws in self._worksets(u, dag_mode, cells=cells):
+            for a, b, ws in self._worksets(u, dag_mode, span):
                 if want_r:
                     loc_r[a:b] = ws.out_residual
                 if want_j:
                     loc_j[a:b] = ws.out_jacobian
             if plane.active:
-                # the ``sweep.output`` fault site: the residual block
-                # when the sweep produced one, else the Jacobian block
-                if want_r:
-                    loc_r = plane.perturb("sweep.output", loc_r, rank=executor, mode=mode)
-                else:
-                    loc_j = plane.perturb("sweep.output", loc_j, rank=executor, mode=mode)
-            blocks.append((loc_r, loc_j))
-        return blocks
+                # the ``sweep.output`` fault site: the executor's residual
+                # block when the sweep produced one, else its Jacobian block
+                out = loc_r if want_r else loc_j
+                out[span] = plane.perturb("sweep.output", out[span], rank=executor, mode=mode)
+        return loc_r, loc_j
 
     def _evaluate(self, u: np.ndarray, mode: str):
         """Evaluate -> perturb -> scatter: the one body behind
@@ -404,27 +416,25 @@ class StokesVelocityProblem:
         tr = get_tracer()
         tags = {"mode": mode, "nparts": self.config.nparts}
         with tr.span("stokes.evaluate", **tags) as sp:
-            blocks = self._sweep_blocks(u, mode)
+            loc_r, loc_j = self._sweep_blocks(u, mode)
         self.phase_seconds["evaluate"] += sp.dur_s
         self.eval_counts[dag_mode] += 1
         f = A = None
         with tr.span("stokes.scatter", operator=self.config.operator_mode, **tags) as sp:
             if want_r:
-                loc_r = [r for r, _ in blocks]
                 if self.spmd is not None:
                     f = self.spmd.assemble_residual(loc_r)
                 else:
-                    f = self.plan.assemble_vector(loc_r[0])
+                    f = self.plan.assemble_vector(loc_r)
                 # Dirichlet rows are replaced by (scaled) u - 0
                 f[self.bc_dofs] = self.bc_diag_scale * u[self.bc_dofs]
             if want_j:
-                loc_j = [j for _, j in blocks]
                 if self.spmd is not None:
                     A = self.spmd.assemble_jacobian(loc_j, diag_scale=self.bc_diag_scale)
                 elif self.matrix_free:
-                    A = self.plan.matrix_free_operator(loc_j[0], diag_scale=self.bc_diag_scale)
+                    A = self.plan.matrix_free_operator(loc_j, diag_scale=self.bc_diag_scale)
                 else:
-                    A = self.plan.assemble_matrix(loc_j[0], diag_scale=self.bc_diag_scale)
+                    A = self.plan.assemble_matrix(loc_j, diag_scale=self.bc_diag_scale)
         self.phase_seconds["scatter"] += sp.dur_s
         return f, A
 

@@ -22,6 +22,9 @@ Ownership rules (matching the extruded column-major numbering):
 * matrix *rows* follow dof ownership (row-partitioned operators);
   columns are whatever a rank's rows reference (owned + ghost).
 
+Cells are laid out in *owner order* (each rank's cells, ascending, one
+run): an SPMD problem keeps its cell operands and block arrays in it.
+
 Bit-for-bit reproducibility.  E3SM-class climate codes require the
 distributed solve to be *bitwise* identical to the serial one (and
 across rank counts).  Floating-point addition is not associative, so
@@ -30,9 +33,10 @@ this cannot be left to chance; three invariants make it hold here:
 1. **Owner-ordered scatter.**  The serial ``AssemblyPlan`` sums
    element contributions per dof (and per CSR slot) in ascending
    global-entry order via ``np.bincount``.  Each owner here consumes
-   the same entries in the same ascending order -- interleaving
-   neighbors' streams by global entry index -- so every per-dof and
-   per-slot sequential sum is bitwise equal to the serial one.
+   the same entries in the same ascending order -- one precomputed
+   gather out of the owner-ordered block array, whichever rank wrote
+   them -- so every per-dof and per-slot sequential sum is bitwise
+   equal to the serial one.
 2. **Owner-rows SpMV.**  Each rank's local CSR keeps its rows' entries
    in the serial (ascending-column) order; the local column map is the
    sorted unique column set, so restriction preserves within-row order
@@ -47,7 +51,9 @@ Traffic accounting is *protocol-level*: the meter records the bytes a
 real halo protocol would move (one summed value per ghost dof on the
 residual export, one value per ghost CSR slot on the Jacobian export,
 ghost dof values on each refresh, one scalar per rank per allreduce),
-not the internal entry streams this in-process simulation routes.
+not the internal entry streams this in-process simulation routes --
+as one precomputed :class:`~repro.mesh.partition.ExchangePlan` per
+exchange class.
 """
 
 from __future__ import annotations
@@ -59,14 +65,51 @@ import numpy as np
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.sparse import CsrMatrix
 from repro.gpusim.solver_bytes import spmv_bytes, spmv_flops
-from repro.mesh.partition import Partition, TrafficMeter
+from repro.mesh.partition import ExchangePlan, Partition, TrafficMeter
 from repro.observability import get_tracer
 from repro.resilience.detectors import receive_verified
 from repro.resilience.injectors import fault_plane
 
-__all__ = ["DistributedStokesAssembly", "DistributedMatrix"]
+__all__ = ["DistributedStokesAssembly", "DistributedMatrix", "owner_order"]
 
 _FP64 = 8  # bytes per exchanged value
+
+
+def _group(owner: np.ndarray, nparts: int) -> tuple[np.ndarray, np.ndarray]:
+    """One stable sort by owner: ``order[start[p]:start[p + 1]]`` are the
+    ids rank ``p`` owns, ascending."""
+    order = np.argsort(owner, kind="stable")
+    start = np.zeros(nparts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=nparts), out=start[1:])
+    return order, start
+
+
+def owner_order(partition: Partition, nlayers: int) -> tuple[np.ndarray, list[slice]]:
+    """``(cell_order, cell_spans)``: the extruded cells in owner order, rank
+    ``p``'s cells ascending at ``cell_order[cell_spans[p]]``."""
+    order, start = _group(np.repeat(partition.elem_part, nlayers), partition.nparts)
+    return order, [slice(int(a), int(b)) for a, b in zip(start[:-1], start[1:])]
+
+
+def _rank_local(order: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Each id's position inside its owner's group of :func:`_group`."""
+    local = np.empty(len(order), dtype=np.int64)
+    local[order] = np.arange(len(order)) - np.repeat(start[:-1], np.diff(start))
+    return local
+
+
+def _messages(counts: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(src, dst, bytes)`` per nonzero ``counts[dst, src]``, by dst then src."""
+    return [(int(q), int(p), int(counts[p, q]) * _FP64) for p, q in np.argwhere(counts)]
+
+
+def _message_spans(tr, name: str, plan: ExchangePlan, dst: int) -> None:
+    """The traced view of ``dst``'s messages: one ``halo.send`` /
+    ``halo.recv`` span each (the meter records the plan's totals)."""
+    for src, nbytes in plan.inbox[dst]:
+        peer = {"rank": dst, "src": src} if name == "halo.recv" else {"rank": src, "dst": dst}
+        with tr.span(name, cat="halo", bytes=nbytes, **peer):
+            pass
 
 
 class DistributedStokesAssembly:
@@ -76,15 +119,21 @@ class DistributedStokesAssembly:
     footprint :class:`Partition`; precomputes, per rank:
 
     * the owned 3-D element list (all layers of owned footprint
-      elements) and owned dof list (whole vertical columns);
-    * entry-exchange routes: for every residual entry ``(elem, i)`` and
-      Jacobian entry ``(elem, i, j)`` whose row dof it owns, the source
-      rank and the position in that rank's local block array, kept in
-      ascending global-entry order (the BFB invariant);
+      elements, one contiguous run of :attr:`cell_order`) and owned dof
+      list (whole vertical columns);
+    * entry-exchange routes: for every residual entry ``(elem, i)`` whose
+      row dof it owns, the local row and the entry's position in the
+      owner-ordered block array, kept in ascending global-entry order
+      (the BFB invariant); a Jacobian entry ``(elem, i, j)`` follows its
+      row entry, ``j`` fastest, to its local CSR slot;
     * the restricted CSR structure (owned rows x referenced columns)
       with its slot map into the serial CSR, plus per-rank Dirichlet
       masks;
     * protocol-level byte counts for every exchange class.
+
+    Stable sorts by owner (cells, dofs, the ``nc * k`` row entries) and
+    one ``np.unique`` per export class over the ghost entries build it;
+    CSR slots and Jacobian entries expand from their rows.
     """
 
     def __init__(
@@ -112,9 +161,7 @@ class DistributedStokesAssembly:
         self.num_dofs = plan.num_dofs
         self.meter = meter if meter is not None else TrafficMeter(partition.nparts)
 
-        nparts = self.nparts
-        nz = nlayers
-        k2 = k * k
+        nparts, n, nnz = self.nparts, plan.num_dofs, plan.nnz
 
         # ownership: elements by footprint-element owner, dofs by
         # footprint-node owner (a column's levels x ndof dofs are
@@ -122,120 +169,103 @@ class DistributedStokesAssembly:
         # untouched by any element have no owner; park them on rank 0
         # (their rows are structurally empty).
         node_owner = np.where(partition.node_part < nparts, partition.node_part, 0)
-        elem_owner = np.repeat(partition.elem_part, nz)  # (nc,) 3-D element owner
+        elem_owner = np.repeat(partition.elem_part, nlayers)  # (nc,) 3-D element owner
         dof_owner = np.repeat(node_owner, levels * ndof)  # (num_dofs,)
         self.dof_owner = dof_owner
 
-        # per-rank owned sets + global -> local renumbering
-        elem_local_pos = np.empty(nc, dtype=np.int64)
-        dof_local_row = np.empty(plan.num_dofs, dtype=np.int64)
-        self._owned_elems: list[np.ndarray] = []
-        self._owned_dofs: list[np.ndarray] = []
-        for p in range(nparts):
-            e2d = partition.owned_elems(p)
-            e3d = (e2d[:, None] * nz + np.arange(nz)[None, :]).ravel()  # ascending
-            elem_local_pos[e3d] = np.arange(len(e3d))
-            self._owned_elems.append(e3d)
-            dofs = np.flatnonzero(dof_owner == p)  # ascending
-            dof_local_row[dofs] = np.arange(len(dofs))
-            self._owned_dofs.append(dofs)
+        self.cell_order, self.cell_spans = owner_order(partition, nlayers)
+        cell_pos = _rank_local(self.cell_order, np.array([0, nc]))  # inverse of cell_order
+        dof_order, dof_start = _group(dof_owner, nparts)
+        self._owned_dofs = [dof_order[a:b] for a, b in zip(dof_start[:-1], dof_start[1:])]
+        dof_local_row = _rank_local(dof_order, dof_start)
 
-        # ---- residual exchange: entries (elem, i) routed to row owners
-        # in ascending global-entry order ``ent = elem * k + i``
+        # ---- residual routes: the row entries ``ent = elem * k + i``
+        # grouped by row owner, ascending within each owner; an entry
+        # sits at ``cell_pos[elem] * k + i`` of the owner-ordered blocks
         ent_dof = plan.elem_dofs.ravel()
-        ent_src = np.repeat(elem_owner, k)
         ent_owner = dof_owner[ent_dof]
-        self._res_rows: list[np.ndarray] = []  # local row per stream entry
-        self._res_groups: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
-        self._res_export: list[dict[int, int]] = []  # owner p <- src q bytes
-        for p in range(nparts):
-            ent_p = np.flatnonzero(ent_owner == p)  # ascending ent order
-            self._res_rows.append(dof_local_row[ent_dof[ent_p]])
-            src = ent_src[ent_p]
-            srcpos = elem_local_pos[ent_p // k] * k + ent_p % k
-            groups, export = {}, {}
-            for q in np.unique(src):
-                sel = np.flatnonzero(src == q)
-                groups[int(q)] = (sel, srcpos[sel])
-                if q != p:
-                    # protocol: q pre-sums its contributions and ships one
-                    # value per distinct ghost dof it shares with p
-                    export[int(q)] = int(len(np.unique(ent_dof[ent_p[sel]]))) * _FP64
-            self._res_groups.append(groups)
-            self._res_export.append(export)
+        ent_order, ent_start = _group(ent_owner, nparts)
+        ent_pos = (cell_pos[:, None] * k + np.arange(k)).ravel()[ent_order]
+        ent_row = dof_local_row[ent_dof[ent_order]]
 
-        # ---- restricted CSR structure: owned rows x referenced columns
-        slot_rows = np.repeat(np.arange(plan.num_dofs), np.diff(plan.indptr))
-        slot_owner = dof_owner[slot_rows]
-        slot_local = np.empty(plan.nnz, dtype=np.int64)
+        # ---- restricted CSR structure: owned rows x referenced columns.
+        # A row's slots are one run of the serial CSR, so a rank's slots
+        # (ascending) expand from its rows' runs
+        row_nnz = np.diff(plan.indptr)
+        run = row_nnz[dof_order]
+        run_end = np.cumsum(run)
+        gslots = np.repeat(plan.indptr[dof_order] - (run_end - run), run) + np.arange(nnz)
+        slot_start = np.concatenate(([0], run_end))[dof_start]
+        slot_local = _rank_local(gslots, slot_start)
+
+        # ---- Jacobian routes: entry ``(elem, i, j)`` follows row entry
+        # ``(elem, i)``, so its stream is the row entries' k-wide rows
+        jac_slot = slot_local[plan.scatter.reshape(nc * k, k)[ent_order]]
+
+        self._res_pos: list[np.ndarray] = []  # block-array position per stream row entry
+        self._res_rows: list[np.ndarray] = []  # local row per stream row entry
+        self._jac_slots: list[np.ndarray] = []  # local slot per stream entry
         self._gslots: list[np.ndarray] = []  # serial slots of p's rows, ascending
         self._indptr: list[np.ndarray] = []
         self._indices: list[np.ndarray] = []
         self._colmap: list[np.ndarray] = []
         self._bc_clear: list[np.ndarray | None] = []
         self._bc_diag: list[np.ndarray | None] = []
-        self._spmv_ghost: list[dict[int, int]] = []  # ghost columns by owner
         #: local column positions of each neighbor's ghost columns -- the
         #: receive buffer layout of the SpMV ghost refresh, used by the
         #: checksum-verified path when the fault plane is armed
         self._spmv_ghost_idx: list[dict[int, np.ndarray]] = []
+        spmv_counts = np.zeros((nparts, nparts), dtype=np.int64)
         for p in range(nparts):
-            gslots = np.flatnonzero(slot_owner == p)
-            slot_local[gslots] = np.arange(len(gslots))
-            lrows = dof_local_row[slot_rows[gslots]]
-            gcols = plan.indices[gslots]
-            colmap = np.unique(gcols)  # ascending: preserves within-row order
-            indptr = np.zeros(len(self._owned_dofs[p]) + 1, dtype=np.int64)
-            np.add.at(indptr, lrows + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._gslots.append(gslots)
-            self._indptr.append(indptr)
-            self._indices.append(np.searchsorted(colmap, gcols))
+            ents = slice(ent_start[p], ent_start[p + 1])
+            self._res_pos.append(ent_pos[ents])
+            self._res_rows.append(ent_row[ents])
+            self._jac_slots.append(jac_slot[ents].ravel())
+            slots = gslots[slot_start[p]:slot_start[p + 1]]
+            gcols = plan.indices[slots]
+            used = np.zeros(n, dtype=bool)
+            used[gcols] = True
+            colmap = np.flatnonzero(used)  # ascending: preserves within-row order
+            self._gslots.append(slots)
+            self._indptr.append(np.concatenate(([0], np.cumsum(row_nnz[self._owned_dofs[p]]))))
+            self._indices.append((np.cumsum(used) - 1)[gcols])
             self._colmap.append(colmap)
-            self._bc_clear.append(None if plan.bc_clear is None else plan.bc_clear[gslots])
-            self._bc_diag.append(None if plan.bc_diag is None else plan.bc_diag[gslots])
-            ghost_cols = colmap[dof_owner[colmap] != p]
-            owners, counts = np.unique(dof_owner[ghost_cols], return_counts=True)
-            self._spmv_ghost.append({int(q): int(c) for q, c in zip(owners, counts)})
+            self._bc_clear.append(None if plan.bc_clear is None else plan.bc_clear[slots])
+            self._bc_diag.append(None if plan.bc_diag is None else plan.bc_diag[slots])
+            col_owner = dof_owner[colmap]
+            spmv_counts[p] = np.bincount(col_owner[col_owner != p], minlength=nparts)
             self._spmv_ghost_idx.append(
-                {int(q): np.flatnonzero(dof_owner[colmap] == q) for q in owners}
+                {int(q): np.flatnonzero(col_owner == q) for q in np.flatnonzero(spmv_counts[p])}
             )
 
-        # ---- Jacobian exchange: entries (elem, i, j) routed to row
-        # owners in ascending order ``jent = (elem * k + i) * k + j``
-        jent_owner = dof_owner[np.repeat(plan.elem_dofs, k, axis=1).ravel()]
-        jent_src = np.repeat(elem_owner, k2)
-        self._jac_slots: list[np.ndarray] = []  # local slot per stream entry
-        self._jac_groups: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
-        self._jac_export: list[dict[int, int]] = []
-        for p in range(nparts):
-            jent_p = np.flatnonzero(jent_owner == p)
-            self._jac_slots.append(slot_local[plan.scatter[jent_p]])
-            src = jent_src[jent_p]
-            srcpos = elem_local_pos[jent_p // k2] * k2 + jent_p % k2
-            groups, export = {}, {}
-            for q in np.unique(src):
-                sel = np.flatnonzero(src == q)
-                groups[int(q)] = (sel, srcpos[sel])
-                if q != p:
-                    # protocol: one value per distinct ghost CSR slot
-                    export[int(q)] = int(len(np.unique(plan.scatter[jent_p[sel]]))) * _FP64
-            self._jac_groups.append(groups)
-            self._jac_export.append(export)
-
-        # ---- ghost-refresh routes: dofs each rank's elements read but
-        # does not own, grouped by owner (the Import before a sweep)
-        self._gather_ghost: list[dict[int, int]] = []
-        for p in range(nparts):
-            local_dofs = np.unique(plan.elem_dofs[self._owned_elems[p]])
-            ghosts = local_dofs[dof_owner[local_dofs] != p]
-            owners, counts = np.unique(dof_owner[ghosts], return_counts=True)
-            self._gather_ghost.append({int(q): int(c) for q, c in zip(owners, counts)})
+        # ---- exchange plans.  Ghost entries are those a rank's cells
+        # contribute to another rank's rows; one np.unique per class
+        # counts the distinct values each (owner, source) pair ships
+        ent_src = np.repeat(elem_owner, k)
+        ghost = np.flatnonzero(ent_src != ent_owner)
+        pair = ent_owner[ghost] * nparts + ent_src[ghost]  # owner x source
+        # residual: the source pre-sums, one value per distinct ghost dof;
+        # Jacobian: one value per distinct ghost CSR slot
+        res_keys = np.unique(pair * n + ent_dof[ghost]) // n
+        jac_keys = np.unique(pair[:, None] * nnz + plan.scatter.reshape(nc * k, k)[ghost]) // nnz
+        res_counts, jac_counts = (
+            np.bincount(keys, minlength=nparts * nparts).reshape(nparts, nparts)
+            for keys in (res_keys, jac_keys)
+        )
+        self._res_plan = ExchangePlan("vector_scatter", nparts, _messages(res_counts))
+        self._jac_plan = ExchangePlan("matrix_export", nparts, _messages(jac_counts))
+        # the ghost refresh (Import before a sweep) is the residual
+        # export's mirror: the dofs q's cells read from owner p
+        self._refresh_plan = ExchangePlan("vector_gather", nparts, _messages(res_counts.T))
+        self._spmv_plan = ExchangePlan("vector_gather", nparts, _messages(spmv_counts))
+        self._gather_plan = ExchangePlan(
+            "matrix_gather", nparts, [(p, 0, len(self._gslots[p]) * _FP64) for p in range(1, nparts)]
+        )
 
     # -- per-rank views ------------------------------------------------
     def owned_elems(self, part: int) -> np.ndarray:
         """Global 3-D element ids rank ``part`` evaluates (ascending)."""
-        return self._owned_elems[part]
+        return self.cell_order[self.cell_spans[part]]
 
     def owned_dofs(self, part: int) -> np.ndarray:
         """Global dof ids (matrix rows) owned by ``part`` (ascending)."""
@@ -247,7 +277,7 @@ class DistributedStokesAssembly:
 
     def imbalance(self) -> float:
         """max/mean owned 3-D elements (slowest rank sets the step time)."""
-        counts = np.array([len(e) for e in self._owned_elems], dtype=np.float64)
+        counts = np.array([s.stop - s.start for s in self.cell_spans], dtype=np.float64)
         return float(counts.max() / max(1.0, counts.mean()))
 
     # -- exchanges -----------------------------------------------------
@@ -255,45 +285,34 @@ class DistributedStokesAssembly:
         """Meter one ghost-dof refresh (Import) before an evaluation sweep."""
         tr = get_tracer()
         with tr.span("halo.ghost_refresh", cat="halo", nparts=self.nparts):
-            for p in range(self.nparts):
-                for q, count in self._gather_ghost[p].items():
-                    nbytes = count * _FP64
-                    if tr.recording:
-                        with tr.span(
-                            "halo.recv", cat="halo", rank=p, src=int(q), bytes=nbytes
-                        ):
-                            self.meter.record("vector_gather", q, p, nbytes)
-                    else:
-                        self.meter.record("vector_gather", q, p, nbytes)
+            if tr.recording:
+                for p in range(self.nparts):
+                    _message_spans(tr, "halo.recv", self._refresh_plan, p)
+            self.meter.record_plan(self._refresh_plan)
             self.meter.count_event("gather")
 
-    def _stream(self, groups, length, rank_blocks) -> np.ndarray:
-        """Assemble one owner's entry stream from the sources' blocks."""
-        stream = np.empty(length)
-        for q, (sel, srcpos) in groups.items():
-            stream[sel] = rank_blocks[q].ravel()[srcpos]
-        return stream
+    def _owner_blocks(self, blocks: np.ndarray, shape: tuple) -> np.ndarray:
+        if getattr(blocks, "shape", None) != shape:
+            raise ValueError(f"owner-ordered blocks must be one {shape} array")
+        return blocks.reshape(-1, shape[1])
 
-    def assemble_residual(self, rank_blocks: list[np.ndarray]) -> np.ndarray:
-        """Additive residual scatter: rank blocks -> global dof vector.
+    def assemble_residual(self, blocks: np.ndarray) -> np.ndarray:
+        """Additive residual scatter: owner-ordered blocks -> global dof vector.
 
-        ``rank_blocks[p]`` has shape ``(len(owned_elems(p)), k)``.  Every
-        owner sums its rows' entries in serial entry order, so the result
-        is bitwise equal to ``plan.assemble_vector`` on the unpartitioned
-        block array.  Ghost exports are metered per neighbor.
+        ``blocks`` is ``(num_cells, k)`` in owner order (rank ``p``'s
+        rows at ``cell_spans[p]``).  Every owner sums its rows' entries
+        in serial entry order, so the result is bitwise equal to
+        ``plan.assemble_vector`` on the global-order block array.
+        Ghost exports are metered per neighbor.
         """
+        flat = self._owner_blocks(blocks, self.plan.elem_dofs.shape).ravel()
         tr = get_tracer()
         f = np.zeros(self.num_dofs)
         with tr.span("spmd.assemble_residual", cat="halo", nparts=self.nparts):
+            self.meter.record_plan(self._res_plan)
             for p in range(self.nparts):
-                for q, nbytes in self._res_export[p].items():
-                    if tr.recording:
-                        with tr.span(
-                            "halo.send", cat="halo", rank=int(q), dst=p, bytes=nbytes
-                        ):
-                            self.meter.record("vector_scatter", q, p, nbytes)
-                    else:
-                        self.meter.record("vector_scatter", q, p, nbytes)
+                if tr.recording:
+                    _message_spans(tr, "halo.send", self._res_plan, p)
                 # rank-local scatter work: the compute side of the
                 # halo/compute critical-path split
                 with (
@@ -301,42 +320,40 @@ class DistributedStokesAssembly:
                     if tr.recording
                     else nullcontext()
                 ):
-                    stream = self._stream(self._res_groups[p], len(self._res_rows[p]), rank_blocks)
                     f[self._owned_dofs[p]] = np.bincount(
-                        self._res_rows[p], weights=stream, minlength=len(self._owned_dofs[p])
+                        self._res_rows[p],
+                        weights=flat[self._res_pos[p]],
+                        minlength=len(self._owned_dofs[p]),
                     )
             self.meter.count_event("residual_exchange")
         return f
 
     def assemble_jacobian(
-        self, rank_blocks: list[np.ndarray], diag_scale: float | None = None
+        self, blocks: np.ndarray, diag_scale: float | None = None
     ) -> "DistributedMatrix":
-        """Row-partitioned Jacobian from per-rank ``(ne_p, k, k)`` blocks.
+        """Row-partitioned Jacobian from owner-ordered ``(num_cells, k, k)`` blocks.
 
         Each owner's CSR data is bitwise equal to the serial plan's data
         restricted to its rows (same per-slot summation order, same
         Dirichlet masking).  Ghost-row exports are metered per neighbor.
         """
+        rows = self._owner_blocks(blocks, self.plan.block_shape)
         tr = get_tracer()
         data_parts = []
         with tr.span("spmd.assemble_jacobian", cat="halo", nparts=self.nparts):
+            self.meter.record_plan(self._jac_plan)
             for p in range(self.nparts):
-                for q, nbytes in self._jac_export[p].items():
-                    if tr.recording:
-                        with tr.span(
-                            "halo.send", cat="halo", rank=int(q), dst=p, bytes=nbytes
-                        ):
-                            self.meter.record("matrix_export", q, p, nbytes)
-                    else:
-                        self.meter.record("matrix_export", q, p, nbytes)
+                if tr.recording:
+                    _message_spans(tr, "halo.send", self._jac_plan, p)
                 with (
                     tr.span("rank.assemble", cat="compute", rank=p, phase="jacobian")
                     if tr.recording
                     else nullcontext()
                 ):
-                    stream = self._stream(self._jac_groups[p], len(self._jac_slots[p]), rank_blocks)
                     data = np.bincount(
-                        self._jac_slots[p], weights=stream, minlength=len(self._gslots[p])
+                        self._jac_slots[p],
+                        weights=rows[self._res_pos[p]].ravel(),
+                        minlength=len(self._gslots[p]),
                     )
                     if diag_scale is not None:
                         if self._bc_clear[p] is None:
@@ -404,21 +421,15 @@ class DistributedMatrix:
         a = self.assembly
         y = np.zeros(self.shape[0])
         tr = get_tracer()
+        plane = fault_plane()
         # the SpMV is GMRES's inner loop: keep the untraced path free of
         # span bookkeeping beyond the single enclosing handle
         with tr.span("spmd.spmv", cat="halo", nparts=a.nparts):
+            a.meter.record_plan(a._spmv_plan)
             for p in range(a.nparts):
-                for q, count in a._spmv_ghost[p].items():
-                    nbytes = count * _FP64
-                    if tr.recording:
-                        with tr.span(
-                            "halo.recv", cat="halo", rank=p, src=int(q), bytes=nbytes
-                        ):
-                            a.meter.record("vector_gather", q, p, nbytes)
-                    else:
-                        a.meter.record("vector_gather", q, p, nbytes)
+                if tr.recording:
+                    _message_spans(tr, "halo.recv", a._spmv_plan, p)
                 xl = x[a._colmap[p]]
-                plane = fault_plane()
                 if plane.active:
                     self._refresh_ghosts_checked(p, x, xl, plane)
                 if tr.recording:
@@ -464,8 +475,7 @@ class DistributedMatrix:
             data = np.empty(a.plan.nnz)
             for p in range(a.nparts):
                 data[a._gslots[p]] = self.data_parts[p]
-                if p != 0:
-                    a.meter.record("matrix_gather", p, 0, len(a._gslots[p]) * _FP64)
+            a.meter.record_plan(a._gather_plan)
             a.meter.count_event("matrix_gather")
             self._global = CsrMatrix(
                 (a.num_dofs, a.num_dofs), a.plan.indptr, a.plan.indices, data

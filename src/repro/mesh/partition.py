@@ -35,6 +35,7 @@ __all__ = [
     "Partition",
     "partition_footprint",
     "HaloExchange",
+    "ExchangePlan",
     "TrafficMeter",
     "HaloStatistics",
     "halo_statistics",
@@ -114,6 +115,26 @@ def partition_footprint(footprint: Footprint2D, nparts: int) -> Partition:
     return Partition(footprint, nparts, elem_part, node_part)
 
 
+class ExchangePlan:
+    """One repeating exchange -- ``(src, dst, nbytes)`` messages, by dst
+    then src -- with its totals precomputed for :meth:`TrafficMeter.record_plan`."""
+
+    def __init__(self, channel: str, nparts: int, messages):
+        self.channel = channel
+        self.inbox = [[] for _ in range(nparts)]  # per dst: (src, nbytes)
+        self.sent = np.zeros(nparts, dtype=np.int64)
+        self.received = np.zeros(nparts, dtype=np.int64)
+        pairs = []
+        for src, dst, nbytes in messages:
+            self.inbox[dst].append((src, nbytes))
+            self.sent[src] += nbytes
+            self.received[dst] += nbytes
+            pairs.append((f"halo.sent.r{src}.to.r{dst}", nbytes))
+        self.total = int(self.sent.sum())
+        #: (metrics counter, bytes) as one :meth:`TrafficMeter.record` per message adds them
+        self.counters = [(f"halo.bytes.{channel}", self.total), *pairs] if pairs else []
+
+
 class TrafficMeter:
     """Per-rank, per-channel byte counters for the in-process exchanges.
 
@@ -145,6 +166,17 @@ class TrafficMeter:
         metrics.counter(f"halo.bytes.{channel}").inc(nbytes)
         if src is not None and dst is not None:
             metrics.counter(f"halo.sent.r{src}.to.r{dst}").inc(nbytes)
+
+    def record_plan(self, plan: ExchangePlan) -> None:
+        """Meter a whole exchange in a few adds, to the values one
+        :meth:`record` per message reaches."""
+        if plan.counters:
+            self.sent += plan.sent
+            self.received += plan.received
+            self.channel_bytes[plan.channel] = self.channel_bytes.get(plan.channel, 0) + plan.total
+            metrics = get_metrics()
+            for name, nbytes in plan.counters:
+                metrics.counter(name).inc(nbytes)
 
     def count_event(self, name: str, n: int = 1) -> None:
         self.events[name] = self.events.get(name, 0) + n

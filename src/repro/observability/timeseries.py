@@ -149,17 +149,18 @@ class SeriesRegistry:
 
         One entry per (name, labels): observation count, first/last
         value -- enough to assert convergence shape without embedding
-        whole histories in every solve's diagnostics.
+        whole histories in every solve's diagnostics.  O(series): every
+        ``solve()`` embeds it, and reads only the two end points.
         """
         out = {}
         for s in self.all():
             label = ",".join(f"{k}={v}" for k, v in sorted(s.labels.items()))
             key = f"{s.name}{{{label}}}" if label else s.name
-            vals = s.values()
+            points = s.points  # one list: decimation swaps it whole
             out[key] = {
                 "count": s.count,
-                "first": vals[0] if vals else 0.0,
-                "last": vals[-1] if vals else 0.0,
+                "first": points[0][2] if points else 0.0,
+                "last": points[-1][2] if points else 0.0,
             }
         return out
 

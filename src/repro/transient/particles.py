@@ -38,6 +38,10 @@ class ParticleSet:
         self.zeta = np.array(zeta, dtype=np.float64).reshape(-1)
         if self.zeta.shape[0] != self.xy.shape[0]:
             raise ValueError("zeta must have one entry per particle")
+        for name, a in (("xy", self.xy), ("zeta", self.zeta[:, None])):  # NaN passes every test
+            bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+            if len(bad):
+                raise ValueError(f"particle {bad[0]} has a non-finite {name}: {a[bad[0]]}")
         if np.any((self.zeta < 0.0) | (self.zeta > 1.0)):
             raise ValueError("zeta must lie in [0, 1]")
         self.active = (
@@ -114,7 +118,7 @@ class ParticleSet:
         frac = pos - lo  # (np,)
 
         coords = self.footprint.coords  # (nn2, 2)
-        d2 = np.sum((coords[None, :, :] - xy[:, None, :]) ** 2, axis=2)  # (np, nn2)
+        d2 = self._dist2(xy)  # (np, nn2)
         k = min(4, coords.shape[0])
         near = np.argpartition(d2, k - 1, axis=1)[:, :k]  # (np, k)
         nd2 = np.take_along_axis(d2, near, axis=1)
@@ -126,11 +130,14 @@ class ParticleSet:
         v_node = v_lo + frac[:, None, None] * (v_hi - v_lo)
         return np.sum(w[:, :, None] * v_node, axis=1)  # (np, 2)
 
+    def _dist2(self, xy: np.ndarray) -> np.ndarray:
+        """``(np, nn2)`` squared distances to the footprint nodes, ``dx*dx + dy*dy``."""
+        dx, dy = (c[None, :] - x[:, None] for c, x in zip(self.footprint.coords.T, xy.T))
+        return dx * dx + dy * dy
+
     def _off_mesh(self, xy: np.ndarray) -> np.ndarray:
         """True where a position is beyond the deactivation radius."""
-        coords = self.footprint.coords
-        d2 = np.sum((coords[None, :, :] - np.atleast_2d(xy)[:, None, :]) ** 2, axis=2)
-        return d2.min(axis=1) > self._deactivate_radius**2
+        return self._dist2(np.atleast_2d(xy)).min(axis=1) > self._deactivate_radius**2
 
     def advect(self, nodal3: np.ndarray, dt_years: float) -> None:
         """Midpoint-RK2 advection of all active particles by ``dt``.

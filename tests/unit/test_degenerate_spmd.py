@@ -72,16 +72,16 @@ def _assert_assembly_matches_serial(problem, partition):
     """Distributed residual/Jacobian/SpMV over ``partition`` == serial, bitwise."""
     plan, mesh = problem.plan, problem.mesh
     spmd = DistributedStokesAssembly(plan, partition, mesh.levels, mesh.nlayers)
-    nparts = partition.nparts
     rng = np.random.default_rng(7)
     nc, k = plan.elem_dofs.shape
     local_r = rng.normal(size=(nc, k))
     local_j = rng.normal(size=(nc, k, k))
 
-    f = spmd.assemble_residual([local_r[spmd.owned_elems(p)] for p in range(nparts)])
+    # rank sweeps write one block array in owner order
+    f = spmd.assemble_residual(local_r[spmd.cell_order])
     assert np.array_equal(f, plan.assemble_vector(local_r))
 
-    A = spmd.assemble_jacobian([local_j[spmd.owned_elems(p)] for p in range(nparts)])
+    A = spmd.assemble_jacobian(local_j[spmd.cell_order])
     x = rng.normal(size=plan.num_dofs)
     assert np.array_equal(A.matvec(x), plan.assemble_matrix(local_j).matvec(x))
     # regression: without ``nnz`` GMRES priced every SPMD matvec "opaque", 0 bytes
@@ -160,8 +160,8 @@ class TestZeroNeighborPartition:
         spmd = _assert_assembly_matches_serial(_problem(fp), part)
         # sanity: the decomposition really is communication-free
         for p in range(part.nparts):
-            assert spmd._gather_ghost[p] == {}
-            assert spmd._spmv_ghost[p] == {}
+            assert spmd._refresh_plan.inbox[p] == []
+            assert spmd._spmv_plan.inbox[p] == []
 
 
 class TestEmptyOwnedRowsPart:

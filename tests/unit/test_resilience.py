@@ -506,7 +506,7 @@ class TestHaloSite:
         rng = np.random.default_rng(3)
         nc, k = plan.elem_dofs.shape
         local_j = rng.normal(size=(nc, k, k))
-        A = spmd.assemble_jacobian([local_j[spmd.owned_elems(p)] for p in range(2)])
+        A = spmd.assemble_jacobian(local_j[spmd.cell_order])
         return A, rng.normal(size=plan.num_dofs)
 
     @pytest.mark.parametrize("path", ["gather", "spmv"])

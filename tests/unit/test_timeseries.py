@@ -86,6 +86,26 @@ class TestSeriesRegistry:
         reg.reset()
         assert reg.all() == [] and reg.summary() == {}
 
+    def test_summary_reads_end_points_only(self, monkeypatch):
+        """Every solve embeds ``summary()``: it must not copy each kept
+        point of every series (4,096 per series once the caps fill)."""
+        reg = SeriesRegistry()
+        n = TimeSeries.CAP * 2 + 5
+        for i in range(n):
+            reg.record("hot", float(i), mode="a")
+        reg.record("cold", 7.0)
+        hot = reg.get("hot", mode="a").values()
+        expected = {
+            "cold": {"count": 1, "first": 7.0, "last": 7.0},
+            "hot{mode=a}": {"count": n, "first": hot[0], "last": hot[-1]},
+        }
+
+        def no_copy(self):
+            raise AssertionError("summary() copied a whole series through values()")
+
+        monkeypatch.setattr(TimeSeries, "values", no_copy)
+        assert reg.summary() == expected
+
     def test_global_registry_is_shared(self):
         reg = get_series()
         assert get_series() is reg

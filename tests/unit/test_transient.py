@@ -87,6 +87,30 @@ class TestParticles:
         with pytest.raises(ValueError, match="zeta"):
             ParticleSet(footprint, np.zeros((1, 2)), np.array([1.5]))
 
+    @pytest.mark.parametrize(
+        "name,xy,zeta",
+        [
+            ("xy", [[3.0e5, 2.5e5], [np.nan, 1.0e5], [1.0, np.inf]], [0.5, 0.5, 0.5]),
+            ("xy", [[3.0e5, 2.5e5], [np.inf, 1.0e5], [1.0, 1.0]], [0.5, 0.5, 0.5]),
+            ("zeta", [[3.0e5, 2.5e5], [1.0e5, 1.0e5], [1.0, 1.0]], [0.5, np.nan, np.nan]),
+        ],
+    )
+    def test_non_finite_particle_is_refused_by_index(self, footprint, name, xy, zeta):
+        """A NaN passes ``zeta``'s range check and the off-mesh test alike,
+        so it would stay active forever: refused at construction (which a
+        checkpoint resume goes through too), naming the first one."""
+        with pytest.raises(ValueError, match=f"particle 1 has a non-finite {name}"):
+            ParticleSet(footprint, np.array(xy), np.array(zeta))
+
+    def test_node_distances_are_the_two_term_sum(self, footprint):
+        """``dx*dx + dy*dy`` is the same sum as reducing a ``(np, nn, 2)``
+        squared-difference array: positions and masks do not move."""
+        rng = np.random.default_rng(4)
+        p = ParticleSet.seed(footprint, np.full(footprint.num_elems, 500.0), 64, seed=2)
+        for xy in (p.xy, rng.normal(size=(64, 2)) * 4.0e5 + 3.0e5):
+            full = np.sum((footprint.coords[None, :, :] - xy[:, None, :]) ** 2, axis=2)
+            assert np.array_equal(p._dist2(xy), full)
+
 
 class TestTransientCheckpoint:
     # corruption / truncation / atomic-write cases: tests/unit/test_store.py
