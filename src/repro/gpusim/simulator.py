@@ -21,6 +21,7 @@ from repro.gpusim.trace import ThreadProgram, record_kernel_trace
 from repro.kokkos.policy import LaunchBounds
 from repro.observability import get_metrics, get_tracer
 from repro.resilience.injectors import KernelLaunchError, fault_plane
+from repro.resilience.policies import retry_with_backoff
 
 __all__ = ["ProblemSize", "ANTARCTICA_16KM", "KernelProfile", "GPUSimulator"]
 
@@ -113,7 +114,15 @@ class GPUSimulator:
 
         plane = fault_plane()
         if plane.active:
-            self._launch_checked(plane, variant.key)
+            # a flaky-GPU launch failure is re-launched within the
+            # policy's budget, like a retry after a transient driver error
+            retries = retry_with_backoff(
+                lambda: plane.poke("gpusim.launch", name=variant.key, gpu=self.spec.name),
+                plane.policy, plane.log, "gpusim.launch", "launch_failure", "launch_retry",
+                exceptions=(KernelLaunchError,), name=variant.key,
+            )
+            if retries:
+                get_metrics().counter("resilience.launch_retries").inc(retries)
 
         tr = get_tracer()
         with tr.span(
@@ -161,35 +170,6 @@ class GPUSimulator:
             occupancy=occ,
             peak_bandwidth=self.spec.hbm_bytes_per_s,
         )
-
-    def _launch_checked(self, plane, name: str) -> None:
-        """Armed-plane launch: retry injected launch failures.
-
-        A flaky-GPU launch failure (:class:`KernelLaunchError` from the
-        ``gpusim.launch`` site) is retried within the policy's budget --
-        the simulated analogue of re-launching after a transient driver
-        error -- then re-raised.
-        """
-        policy, log = plane.policy, plane.log
-        attempt = 0
-        while True:
-            try:
-                plane.poke("gpusim.launch", name=name, gpu=self.spec.name)
-                break
-            except KernelLaunchError as exc:
-                attempt += 1
-                log.record(
-                    "detection", "launch_failure", "gpusim.launch",
-                    name=name, attempt=attempt, error=str(exc),
-                )
-                if attempt > policy.max_retries:
-                    raise
-        if attempt > 0:
-            log.record(
-                "recovery", "launch_retry", "gpusim.launch",
-                name=name, attempts=attempt,
-            )
-            get_metrics().counter("resilience.launch_retries").inc(attempt)
 
     def run_all_variants(self, problem: ProblemSize = ANTARCTICA_16KM) -> dict[str, KernelProfile]:
         """Profile all four kernel variants with their default bounds."""

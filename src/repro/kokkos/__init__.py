@@ -3,30 +3,23 @@
 Albany achieves performance portability by writing each kernel once
 against Kokkos ``View`` / ``parallel_for`` abstractions and letting the
 execution space map it to hardware.  This package reproduces that
-single-source structure:
+single-source structure at the size the kernels use:
 
-* :class:`~repro.kokkos.view.View` -- layout-aware multidimensional array
-  over ``float64`` or ``SFad(n)`` scalars.
-* :mod:`~repro.kokkos.policy` -- ``RangePolicy``, ``MDRangePolicy``,
-  ``TeamPolicy``, ``LaunchBounds`` and work tags.
+* :class:`~repro.kokkos.view.View` -- named multidimensional array over
+  ``float64`` or ``SFad(n)`` scalars.
+* :mod:`~repro.kokkos.policy` -- ``RangePolicy`` and ``LaunchBounds``.
 * :mod:`~repro.kokkos.space` -- execution spaces: ``HostVector`` (numpy
-  vectorized), ``HostSerial`` (per-index loop, for correctness tests) and
-  ``SimGPU`` (drives the trace-based GPU performance simulator).
-* :mod:`~repro.kokkos.parallel` -- ``parallel_for`` / ``parallel_reduce``.
+  vectorized, the production path) and ``HostSerial`` (per-index loop,
+  for correctness tests).  GPUs are modeled by :mod:`repro.gpusim`.
+* :mod:`~repro.kokkos.parallel` -- ``parallel_for``.
 * :mod:`~repro.kokkos.instrument` -- recording views/scalars used to
   extract per-thread access traces and flop counts from kernel bodies.
 """
 
 from repro.kokkos.view import View, ScalarSpec, DOUBLE, fad_spec
-from repro.kokkos.policy import (
-    RangePolicy,
-    MDRangePolicy,
-    TeamPolicy,
-    LaunchBounds,
-    DEFAULT_LAUNCH_BOUNDS,
-)
+from repro.kokkos.policy import RangePolicy, LaunchBounds, DEFAULT_LAUNCH_BOUNDS
 from repro.kokkos.space import HostVector, HostSerial, ExecutionSpace
-from repro.kokkos.parallel import parallel_for, parallel_reduce, deep_copy, fence
+from repro.kokkos.parallel import parallel_for
 from repro.kokkos.instrument import TraceContext, TraceView, TraceScalar, Access
 
 __all__ = [
@@ -35,17 +28,12 @@ __all__ = [
     "DOUBLE",
     "fad_spec",
     "RangePolicy",
-    "MDRangePolicy",
-    "TeamPolicy",
     "LaunchBounds",
     "DEFAULT_LAUNCH_BOUNDS",
     "HostVector",
     "HostSerial",
     "ExecutionSpace",
     "parallel_for",
-    "parallel_reduce",
-    "deep_copy",
-    "fence",
     "TraceContext",
     "TraceView",
     "TraceScalar",

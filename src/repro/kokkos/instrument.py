@@ -146,14 +146,13 @@ class TraceScalar:
 class TraceView:
     """View stand-in that records accesses instead of touching data."""
 
-    __slots__ = ("ctx", "name", "shape", "scalar", "layout")
+    __slots__ = ("ctx", "name", "shape", "scalar")
 
     def __init__(self, ctx: TraceContext, view):
         self.ctx = ctx
         self.name = view.name
         self.shape = view.shape
         self.scalar = view.scalar
-        self.layout = view.layout
 
     def _inner(self, idx) -> int:
         if not isinstance(idx, tuple):

@@ -1,4 +1,4 @@
-"""Execution policies and launch-bounds hints (Kokkos analogues).
+"""The range policy and launch-bounds hints (Kokkos analogues).
 
 ``LaunchBounds`` mirrors ``Kokkos::LaunchBounds<MaxThreads, MinBlocks>``:
 it does not change numerics but is consumed by the GPU register-allocation
@@ -8,15 +8,9 @@ MI250X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = [
-    "LaunchBounds",
-    "DEFAULT_LAUNCH_BOUNDS",
-    "RangePolicy",
-    "MDRangePolicy",
-    "TeamPolicy",
-]
+__all__ = ["LaunchBounds", "DEFAULT_LAUNCH_BOUNDS", "RangePolicy"]
 
 
 @dataclass(frozen=True)
@@ -48,12 +42,10 @@ DEFAULT_LAUNCH_BOUNDS = LaunchBounds(max_threads=256, min_blocks=1, explicit=Fal
 
 @dataclass(frozen=True)
 class RangePolicy:
-    """1-D iteration range ``[begin, end)`` with an optional work tag."""
+    """1-D iteration range ``[begin, end)``."""
 
     begin: int
     end: int
-    tag: object | None = None
-    launch_bounds: LaunchBounds = DEFAULT_LAUNCH_BOUNDS
 
     def __post_init__(self):
         if self.end < self.begin:
@@ -65,50 +57,3 @@ class RangePolicy:
 
     def indices(self):
         return range(self.begin, self.end)
-
-
-@dataclass(frozen=True)
-class MDRangePolicy:
-    """Multidimensional iteration range (lower/upper corner per rank)."""
-
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-    tag: object | None = None
-    launch_bounds: LaunchBounds = DEFAULT_LAUNCH_BOUNDS
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise ValueError("MDRangePolicy rank mismatch")
-        if any(u < l for l, u in zip(self.lower, self.upper)):
-            raise ValueError("MDRangePolicy has an inverted extent")
-
-    @property
-    def extent(self) -> int:
-        n = 1
-        for l, u in zip(self.lower, self.upper):
-            n *= u - l
-        return n
-
-    def indices(self):
-        import itertools
-
-        ranges = [range(l, u) for l, u in zip(self.lower, self.upper)]
-        return itertools.product(*ranges)
-
-
-@dataclass(frozen=True)
-class TeamPolicy:
-    """League of teams (coarse analogue; team loop bodies get a handle)."""
-
-    league_size: int
-    team_size: int = 1
-    tag: object | None = None
-    launch_bounds: LaunchBounds = DEFAULT_LAUNCH_BOUNDS
-
-    def __post_init__(self):
-        if self.league_size < 0 or self.team_size <= 0:
-            raise ValueError("invalid TeamPolicy sizes")
-
-    @property
-    def extent(self) -> int:
-        return self.league_size

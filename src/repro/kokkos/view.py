@@ -1,11 +1,9 @@
-"""Layout-aware multidimensional arrays (Kokkos ``View`` analogue).
+"""Multidimensional arrays (Kokkos ``View`` analogue).
 
-A ``View`` carries a *logical* shape, a scalar specification (plain
-``float64`` or a forward-AD ``SFad(n)`` scalar) and a layout tag.  Numeric
-storage is a numpy array (or :class:`~repro.autodiff.sfad.FadArray`); the
-layout tag does not change numpy storage order -- it is consumed by the
-GPU performance model, which computes cache-line addresses exactly as
-Kokkos would lay the data out on a GPU:
+A ``View`` carries a name, a *logical* shape and a scalar specification
+(plain ``float64`` or a forward-AD ``SFad(n)`` scalar) over numpy storage
+(or a :class:`~repro.autodiff.sfad.FadArray`).  The GPU performance
+model lays the data out as Kokkos would on a GPU:
 
 * ``LayoutLeft`` (Kokkos' GPU default): the first extent is stride-1, so
   the ``cell`` index -- mapped to the GPU thread -- is coalesced.
@@ -22,10 +20,6 @@ import numpy as np
 from repro.autodiff.sfad import FadArray, SFad
 
 __all__ = ["ScalarSpec", "DOUBLE", "fad_spec", "View"]
-
-LAYOUT_LEFT = "LayoutLeft"
-LAYOUT_RIGHT = "LayoutRight"
-
 
 @dataclass(frozen=True)
 class ScalarSpec:
@@ -62,27 +56,23 @@ def fad_spec(n: int) -> ScalarSpec:
 
 
 class View:
-    """Named, layout-tagged array of ``float64`` or ``SFad(n)`` scalars."""
+    """Named array of ``float64`` or ``SFad(n)`` scalars."""
 
-    __slots__ = ("name", "shape", "scalar", "layout", "data")
+    __slots__ = ("name", "shape", "scalar", "data")
 
     def __init__(
         self,
         name: str,
         shape: tuple[int, ...],
         scalar: ScalarSpec = DOUBLE,
-        layout: str = LAYOUT_LEFT,
         data=None,
     ):
         shape = tuple(int(s) for s in shape)
         if any(s < 0 for s in shape):
             raise ValueError(f"negative extent in view shape {shape}")
-        if layout not in (LAYOUT_LEFT, LAYOUT_RIGHT):
-            raise ValueError(f"unknown layout {layout!r}")
         self.name = name
         self.shape = shape
         self.scalar = scalar
-        self.layout = layout
         if data is None:
             if scalar.is_fad:
                 cls = SFad(scalar.fad_dim)
@@ -113,76 +103,16 @@ class View:
         return data
 
     # ------------------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return len(self.shape)
-
-    @property
-    def extent(self) -> tuple[int, ...]:
-        return self.shape
-
-    def span_elements(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
-
-    def span_bytes(self) -> int:
-        return self.span_elements() * self.scalar.nbytes
-
-    def inner_extent(self) -> int:
-        """Product of all extents except the leading (cell/thread) one."""
-        n = 1
-        for s in self.shape[1:]:
-            n *= s
-        return n
-
-    def inner_flat_index(self, idx: tuple[int, ...]) -> int:
-        """Flatten the non-cell indices to a single inner offset.
-
-        Uses row-major flattening of the trailing extents; the performance
-        model treats each (inner offset, fad component) pair as one
-        coalesced component stream across threads.
-        """
-        if len(idx) != self.rank - 1:
-            raise ValueError(
-                f"view {self.name!r}: expected {self.rank - 1} inner indices, got {len(idx)}"
-            )
-        flat = 0
-        for i, (ix, ext) in enumerate(zip(idx, self.shape[1:])):
-            if not 0 <= ix < ext:
-                raise IndexError(f"view {self.name!r}: index {ix} out of extent {ext} (dim {i + 1})")
-            flat = flat * ext + ix
-        return flat
-
-    # ------------------------------------------------------------------
     def __getitem__(self, idx):
         return self.data[idx]
 
     def __setitem__(self, idx, value):
         self.data[idx] = value
 
-    def fill(self, value: float) -> None:
-        if isinstance(self.data, FadArray):
-            self.data.val[...] = value
-            self.data.dx[...] = 0.0
-        else:
-            self.data[...] = value
-
     def values(self) -> np.ndarray:
         """The value part of the storage (drops derivatives)."""
         return self.data.val if isinstance(self.data, FadArray) else self.data
 
     def __repr__(self):
-        return f"View({self.name!r}, shape={self.shape}, scalar={self.scalar.name}, layout={self.layout})"
+        return f"View({self.name!r}, shape={self.shape}, scalar={self.scalar.name})"
 
-
-def deep_copy_view(dst: View, src: View) -> None:
-    """Kokkos ``deep_copy`` between compatible views."""
-    if dst.shape != src.shape or dst.scalar != src.scalar:
-        raise ValueError("deep_copy requires matching shape and scalar type")
-    if isinstance(dst.data, FadArray):
-        dst.data.val[...] = src.data.val
-        dst.data.dx[...] = src.data.dx
-    else:
-        dst.data[...] = src.data

@@ -5,9 +5,8 @@ per invocation, bytes moved, phase breakdowns), built the way real
 Kokkos exposes it:
 
 * :mod:`~repro.observability.hooks` -- a Kokkos-Tools-style callback
-  registry every ``parallel_for`` / ``parallel_reduce`` / ``deep_copy``
-  / ``fence`` dispatch emits to, with zero overhead when no tool is
-  attached;
+  registry every ``parallel_for`` dispatch emits to, with zero overhead
+  when no tool is attached;
 * :mod:`~repro.observability.tracer` -- nested wall-time spans with
   rank/thread labels and key=value attributes, covering the non-Kokkos
   phases too (assembly scatter, preconditioner setup, GMRES iterations,
@@ -23,9 +22,8 @@ Kokkos exposes it:
 * :mod:`~repro.observability.attribution` -- roofline annotation of
   priced spans (AI, %-of-roof vs a GPU spec) plus rocprof-formula byte
   reconciliation;
-* :mod:`~repro.observability.stitch` -- SPMD per-rank stream stitching
-  (rank -> Chrome pid, clock alignment) and the halo-wait vs compute
-  critical-path split;
+* :mod:`~repro.observability.stitch` -- SPMD trace stitching (rank ->
+  Chrome pid) and the halo-wait vs compute critical-path split;
 * :mod:`~repro.observability.openmetrics` -- OpenMetrics text
   exposition of metrics + series, with a stdlib validating parser;
 * :mod:`~repro.observability.perfdiff` -- snapshot differ behind
@@ -63,17 +61,14 @@ from repro.observability.attribution import (
     roofline_table,
     span_bytes,
 )
-from repro.observability.hooks import HookRegistry, ToolSubscriber, region, registry
+from repro.observability.hooks import HookRegistry, ToolSubscriber, registry
 from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry, get_metrics
 from repro.observability.openmetrics import parse_exposition, render, write_openmetrics
 from repro.observability.perfdiff import diff_documents, format_diff, load_perf_document
 from repro.observability.stitch import (
     DRIVER_PID,
-    RankStream,
-    align_clocks,
     critical_path_table,
     halo_compute_split,
-    split_rank_streams,
     stitch_process_labels,
     stitch_spans,
 )
@@ -90,7 +85,6 @@ __all__ = [
     "HookRegistry",
     "ToolSubscriber",
     "registry",
-    "region",
     "Span",
     "SpanTracer",
     "TracerSubscriber",
@@ -116,9 +110,6 @@ __all__ = [
     "reconcile_rocprof_bytes",
     "span_bytes",
     "DRIVER_PID",
-    "RankStream",
-    "align_clocks",
-    "split_rank_streams",
     "stitch_spans",
     "stitch_process_labels",
     "halo_compute_split",

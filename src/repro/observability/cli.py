@@ -3,8 +3,8 @@
 ``profile`` runs the coarse Antarctica solve under the span tracer and
 writes a Chrome trace (open it at https://ui.perfetto.dev) plus per-span,
 roofline-attribution (against ``--gpu``) and metrics summaries; with
-``--nparts N > 1`` the per-rank streams are stitched into one
-clock-aligned multi-process trace and a halo-wait vs compute table is
+``--nparts N > 1`` the trace is stitched into one Chrome process per
+rank plus a driver process, and a halo-wait vs compute table is
 printed.  ``perfdiff BASELINE CURRENT`` ranks the spans of two perf
 documents by their contribution to a regression.
 """
@@ -57,11 +57,8 @@ def profile(args) -> int:
     export_spans = spans
     stitched = None
     if nparts > 1:
-        # per-rank streams -> one clock-aligned trace: rank p on Chrome
-        # pid p, driver timeline (Newton/GMRES) on pid nparts
-        streams, driver = obs.split_rank_streams(spans, nparts)
-        obs.align_clocks(streams)
-        stitched = obs.stitch_spans(streams, driver, nparts)
+        # rank p on Chrome pid p, driver timeline (Newton/GMRES) on pid nparts
+        stitched = obs.stitch_spans(spans, nparts)
         export_spans = stitched
         process_labels = obs.stitch_process_labels(nparts)
         counter_pid = obs.DRIVER_PID(nparts)

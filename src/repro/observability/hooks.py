@@ -1,11 +1,10 @@
 """Profiling hook registry modeled on the Kokkos Tools callback ABI.
 
 Real Kokkos exposes a C profiling interface (``kokkosp_*``) that tools
-dlopen into: paired begin/end callbacks around every ``parallel_for`` /
-``parallel_reduce`` dispatch, ``deep_copy`` and ``fence``, plus
-user-named ``push_region`` / ``pop_region`` markers.  Nsight, rocprof
-and the kokkos-tools connectors all attach through that single seam;
-this module is the same seam for the Python reproduction.
+dlopen into: paired begin/end callbacks around every dispatch.  Nsight,
+rocprof and the kokkos-tools connectors all attach through that single
+seam; this module is the same seam for the Python reproduction, for the
+one dispatch it has, ``parallel_for``.
 
 Mapping to the real ABI:
 
@@ -15,15 +14,6 @@ kokkos-tools callback             :class:`ToolSubscriber` method
 ``kokkosp_begin_parallel_for``    ``begin_parallel_for(name, extent,
                                   space) -> kernel id``
 ``kokkosp_end_parallel_for``      ``end_parallel_for(kid)``
-``kokkosp_begin_parallel_reduce``  ``begin_parallel_reduce(...)``
-``kokkosp_end_parallel_reduce``   ``end_parallel_reduce(kid)``
-``kokkosp_begin_deep_copy``       ``begin_deep_copy(dst_name, src_name,
-                                  nbytes)``
-``kokkosp_end_deep_copy``         ``end_deep_copy()``
-``kokkosp_begin_fence``           ``begin_fence(name) -> kernel id``
-``kokkosp_end_fence``             ``end_fence(kid)``
-``kokkosp_push_profile_region``   ``push_region(name)``
-``kokkosp_pop_profile_region``    ``pop_region()``
 ================================  =====================================
 
 Zero-overhead contract: dispatch sites guard every emission with the
@@ -37,46 +27,21 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-__all__ = ["ToolSubscriber", "HookRegistry", "registry", "region"]
+__all__ = ["ToolSubscriber", "HookRegistry", "registry"]
 
 
 class ToolSubscriber:
     """No-op base class for profiling tools (override what you need).
 
-    ``begin_*`` callbacks receive the kernel id the registry assigned to
-    the dispatch; the matching ``end_*`` receives the same id, so tools
-    can pair events even when dispatches nest (e.g. a kernel launched
-    from inside a traced region).
+    ``begin_parallel_for`` receives the kernel id the registry assigned
+    to the dispatch; the matching ``end_parallel_for`` receives the same
+    id, so tools can pair events even when dispatches nest.
     """
 
     def begin_parallel_for(self, name: str, extent: int, space: str, kid: int) -> None:
         pass
 
     def end_parallel_for(self, kid: int) -> None:
-        pass
-
-    def begin_parallel_reduce(self, name: str, extent: int, space: str, kid: int) -> None:
-        pass
-
-    def end_parallel_reduce(self, kid: int) -> None:
-        pass
-
-    def begin_deep_copy(self, dst_name: str, src_name: str, nbytes: int, kid: int) -> None:
-        pass
-
-    def end_deep_copy(self, kid: int) -> None:
-        pass
-
-    def begin_fence(self, name: str, kid: int) -> None:
-        pass
-
-    def end_fence(self, kid: int) -> None:
-        pass
-
-    def push_region(self, name: str) -> None:
-        pass
-
-    def pop_region(self) -> None:
         pass
 
 
@@ -133,13 +98,9 @@ class HookRegistry:
             self._refresh()
 
     # -- event fan-out --------------------------------------------------
-    def _new_id(self) -> int:
+    def begin_parallel_for(self, name: str, extent: int, space: str) -> int:
         kid = self._next_id
         self._next_id += 1
-        return kid
-
-    def begin_parallel_for(self, name: str, extent: int, space: str) -> int:
-        kid = self._new_id()
         for s in self._subscribers:
             s.begin_parallel_for(name, extent, space, kid)
         return kid
@@ -147,44 +108,6 @@ class HookRegistry:
     def end_parallel_for(self, kid: int) -> None:
         for s in self._subscribers:
             s.end_parallel_for(kid)
-
-    def begin_parallel_reduce(self, name: str, extent: int, space: str) -> int:
-        kid = self._new_id()
-        for s in self._subscribers:
-            s.begin_parallel_reduce(name, extent, space, kid)
-        return kid
-
-    def end_parallel_reduce(self, kid: int) -> None:
-        for s in self._subscribers:
-            s.end_parallel_reduce(kid)
-
-    def begin_deep_copy(self, dst_name: str, src_name: str, nbytes: int) -> int:
-        kid = self._new_id()
-        for s in self._subscribers:
-            s.begin_deep_copy(dst_name, src_name, nbytes, kid)
-        return kid
-
-    def end_deep_copy(self, kid: int) -> None:
-        for s in self._subscribers:
-            s.end_deep_copy(kid)
-
-    def begin_fence(self, name: str) -> int:
-        kid = self._new_id()
-        for s in self._subscribers:
-            s.begin_fence(name, kid)
-        return kid
-
-    def end_fence(self, kid: int) -> None:
-        for s in self._subscribers:
-            s.end_fence(kid)
-
-    def push_region(self, name: str) -> None:
-        for s in self._subscribers:
-            s.push_region(name)
-
-    def pop_region(self) -> None:
-        for s in self._subscribers:
-            s.pop_region()
 
 
 _REGISTRY = HookRegistry()
@@ -194,16 +117,3 @@ def registry() -> HookRegistry:
     """The process-wide hook registry every dispatch site emits to."""
     return _REGISTRY
 
-
-@contextmanager
-def region(name: str):
-    """User-named profiling region (``Kokkos::Profiling::pushRegion``)."""
-    reg = _REGISTRY
-    if reg.active:
-        reg.push_region(name)
-        try:
-            yield
-        finally:
-            reg.pop_region()
-    else:
-        yield

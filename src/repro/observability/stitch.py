@@ -1,40 +1,29 @@
-"""SPMD trace stitching: per-rank streams -> one clock-aligned trace.
+"""SPMD trace stitching: one rank lane per Chrome pid, critical path.
 
-A real distributed run produces one span stream per rank, each on its
-own monotonic clock with its own epoch.  Perfetto renders such streams
-meaningfully only after two transforms this module provides:
+The in-process SPMD solve records one span stream on one clock; its
+rank-local work carries a ``rank`` arg.  Perfetto shows each rank's work
+on its own track only after :func:`stitch_spans` moves every span
+carrying a ``rank`` arg to ``pid = rank``; rank-agnostic driver spans
+(Newton steps, GMRES cycles) land on a dedicated driver pid, so per-rank
+lanes show only that rank's work.
 
-* **clock alignment** (:func:`align_clocks`) -- estimate one offset per
-  stream from a synchronization span every rank records (the last
-  collective everyone leaves together, by default ``velocity.solve``)
-  and shift the stream so the sync point coincides, the standard
-  postmortem trick MPI trace stitchers (Vampir/Score-P) use when no
-  globally-synchronized clock exists;
-* **rank -> pid mapping** (:func:`stitch_spans`) -- every span carrying
-  a ``rank`` arg moves to ``pid = rank`` (its own Perfetto track);
-  rank-agnostic driver spans (Newton steps, GMRES cycles) stay on a
-  dedicated driver pid so per-rank lanes show only that rank's work.
-
-The in-process SPMD simulation shares one clock, so its offsets are
-zero -- but the same solve emits rank-tagged halo (``cat="halo"``) and
-compute (``cat="compute"``) spans, which is what the **critical-path
-pass** (:func:`halo_compute_split`) consumes: per Newton step and per
-rank it splits time into halo-exchange wait vs rank-local compute, and
-names the critical (slowest) rank -- the number that tells you whether
-a slow step is communication- or compute-bound.
+The same solve emits rank-tagged halo (``cat="halo"``) and compute
+(``cat="compute"``) spans, which is what the **critical-path pass**
+(:func:`halo_compute_split`) consumes: per Newton step and per rank it
+splits time into halo-exchange wait vs rank-local compute, and names the
+critical (slowest) rank -- the number that tells you whether a slow step
+is communication- or compute-bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from repro.observability.tracer import Span
 
 __all__ = [
-    "RankStream",
-    "align_clocks",
     "stitch_spans",
-    "split_rank_streams",
+    "stitch_process_labels",
     "halo_compute_split",
     "critical_path_table",
     "DRIVER_PID",
@@ -46,88 +35,25 @@ def DRIVER_PID(nparts: int) -> int:
     return int(nparts)
 
 
-@dataclass
-class RankStream:
-    """One rank's span stream with its (estimated or known) clock skew.
+def stitch_spans(spans, nparts: int) -> list[Span]:
+    """Relabel one in-process SPMD trace with one Chrome pid per rank.
 
-    ``offset_us`` is *added* to every span timestamp when stitching;
-    :func:`align_clocks` estimates it so all streams share the
-    reference stream's clock.
+    Spans carrying a ``rank`` arg in ``[0, nparts)`` move to ``pid =
+    rank``; everything else (the driver timeline: Newton steps, GMRES
+    cycles, assembly orchestration) lands on ``pid =
+    DRIVER_PID(nparts)``.  Negative timestamps are clamped to zero and
+    the result is sorted by start time so timestamps are monotone.  The
+    input spans are not mutated.
     """
-
-    rank: int
-    spans: list = field(default_factory=list)
-    offset_us: float = 0.0
-
-
-def _sync_end(stream: RankStream, sync_name: str) -> float | None:
-    """End timestamp of the stream's last sync-named span (local clock)."""
-    ends = [s.end_us for s in stream.spans if s.name == sync_name]
-    return max(ends) if ends else None
-
-
-def align_clocks(streams: list[RankStream], sync_name: str = "velocity.solve") -> list[RankStream]:
-    """Estimate per-stream offsets so sync spans end simultaneously.
-
-    The rank-0 (first) stream is the reference.  A stream without the
-    sync span keeps its current offset (nothing to align against).
-    Returns the same stream objects with ``offset_us`` updated.
-    """
-    if not streams:
-        return streams
-    ref = _sync_end(streams[0], sync_name)
-    if ref is None:
-        return streams
-    for st in streams:
-        end = _sync_end(st, sync_name)
-        if end is not None:
-            st.offset_us = ref - end
-    return streams
-
-
-def split_rank_streams(spans, nparts: int) -> tuple[list[RankStream], list]:
-    """Partition one in-process SPMD trace into per-rank streams.
-
-    Spans carrying a ``rank`` arg in ``[0, nparts)`` go to that rank's
-    stream; everything else (the driver timeline: Newton steps, GMRES
-    cycles, assembly orchestration) is returned separately.  Offsets
-    are zero -- one process, one clock.
-    """
-    streams = [RankStream(rank=p) for p in range(nparts)]
-    driver = []
+    dpid = DRIVER_PID(nparts)
+    out: list[Span] = []
     for s in spans:
         r = s.args.get("rank")
         if isinstance(r, (int, float)) and 0 <= int(r) < nparts:
-            streams[int(r)].spans.append(s)
+            r = int(r)
+            out.append(replace(s, pid=r, ts_us=max(0.0, s.ts_us), args=dict(s.args, rank=r)))
         else:
-            driver.append(s)
-    return streams, driver
-
-
-def stitch_spans(
-    streams: list[RankStream],
-    driver_spans=None,
-    nparts: int | None = None,
-) -> list[Span]:
-    """Merge aligned per-rank streams into one trace span list.
-
-    Every rank span is re-labeled ``pid = rank`` and shifted by its
-    stream's ``offset_us``; driver spans keep their timestamps and land
-    on ``pid = DRIVER_PID(nparts)``.  Negative post-shift timestamps
-    are clamped to zero (a stream that started before the reference
-    epoch has no meaningful earlier timeline), and the result is sorted
-    by start time so timestamps are monotone.
-    """
-    if nparts is None:
-        nparts = len(streams)
-    out: list[Span] = []
-    for st in streams:
-        for s in st.spans:
-            ts = max(0.0, s.ts_us + st.offset_us)
-            out.append(replace(s, pid=int(st.rank), ts_us=ts, args=dict(s.args, rank=int(st.rank))))
-    dpid = DRIVER_PID(nparts)
-    for s in driver_spans or []:
-        out.append(replace(s, pid=dpid, ts_us=max(0.0, s.ts_us)))
+            out.append(replace(s, pid=dpid, ts_us=max(0.0, s.ts_us)))
     out.sort(key=lambda s: (s.ts_us, s.pid, s.id))
     return out
 

@@ -268,58 +268,24 @@ class TracerSubscriber(ToolSubscriber):
 
     Kernel dispatches become ``cat="kernel"`` spans named after the
     kernel label (so profiles read exactly like Nsight/rocprof output on
-    real Kokkos), fences ``cat="fence"``, deep copies ``cat="copy"`` and
-    user regions ``cat="region"``.  Begin/end pairing uses the registry's
-    kernel ids.
+    real Kokkos).  Begin/end pairing uses the registry's kernel ids.
     """
 
     def __init__(self, tracer: SpanTracer):
         self.tracer = tracer
         self._open: dict[int, _SpanHandle] = {}
-        self._regions = threading.local()
 
-    def _begin(self, kid: int, name: str, cat: str, **args) -> None:
-        h = self.tracer.span(name, cat=cat, **args)
+    def begin_parallel_for(self, name, extent, space, kid):
+        h = self.tracer.span(
+            name, cat="kernel", extent=extent, space=space, dispatch="parallel_for"
+        )
         h.__enter__()
         self._open[kid] = h
 
-    def _end(self, kid: int) -> None:
+    def end_parallel_for(self, kid):
         h = self._open.pop(kid, None)
         if h is not None:
             h.__exit__(None, None, None)
-
-    def begin_parallel_for(self, name, extent, space, kid):
-        self._begin(kid, name, "kernel", extent=extent, space=space, dispatch="parallel_for")
-
-    end_parallel_for = _end
-
-    def begin_parallel_reduce(self, name, extent, space, kid):
-        self._begin(kid, name, "kernel", extent=extent, space=space, dispatch="parallel_reduce")
-
-    end_parallel_reduce = _end
-
-    def begin_deep_copy(self, dst_name, src_name, nbytes, kid):
-        self._begin(kid, f"deep_copy {src_name}->{dst_name}", "copy", bytes=nbytes)
-
-    end_deep_copy = _end
-
-    def begin_fence(self, name, kid):
-        self._begin(kid, name, "fence")
-
-    end_fence = _end
-
-    def push_region(self, name):
-        stack = getattr(self._regions, "stack", None)
-        if stack is None:
-            stack = self._regions.stack = []
-        h = self.tracer.span(name, cat="region")
-        h.__enter__()
-        stack.append(h)
-
-    def pop_region(self):
-        stack = getattr(self._regions, "stack", None)
-        if stack:
-            stack.pop().__exit__(None, None, None)
 
 
 _TRACER = SpanTracer()

@@ -204,27 +204,27 @@ class RecoveryPolicy:
 def retry_with_backoff(
     fn,
     policy: RecoveryPolicy,
+    log: ResilienceLog,
     site: str,
     kind: str,
+    recovery: str,
     exceptions: tuple[type[BaseException], ...] = (Exception,),
     **detail,
-):
-    """Run ``fn`` with the policy's retry/backoff budget.
+) -> int:
+    """Run ``fn`` with the policy's retry/backoff budget; return its retries.
 
-    Each failure is logged as a detection; each successful retry as a
-    recovery (with the attempt number and the backoff waited).  The last
-    exception propagates once the budget is spent.
+    Each failure is logged into ``log`` as a ``kind`` detection; a
+    success after failures as one ``recovery`` event (with the attempt
+    count and the backoff waited).  The last exception propagates once
+    the budget is spent.
     """
-    tr = get_tracer()
     attempt = 0
     while True:
         try:
-            result = fn()
+            fn()
         except exceptions as exc:
             attempt += 1
-            policy.log.record(
-                "detection", kind, site, attempt=attempt, error=str(exc), **detail
-            )
+            log.record("detection", kind, site, **detail, attempt=attempt, error=str(exc))
             if attempt > policy.max_retries:
                 raise
             delay = policy.backoff(attempt)
@@ -232,12 +232,12 @@ def retry_with_backoff(
                 time.sleep(delay)
             continue
         if attempt > 0:
-            with tr.span("resilience.recover", site=site, kind=kind, attempts=attempt):
-                policy.log.record(
-                    "recovery", f"{kind}_retry", site,
-                    attempts=attempt, backoff_s=policy.backoff(attempt), **detail,
+            with get_tracer().span("resilience.recover", site=site, kind=kind, attempts=attempt):
+                log.record(
+                    "recovery", recovery, site,
+                    **detail, attempts=attempt, backoff_s=policy.backoff(attempt),
                 )
-        return result
+        return attempt
 
 
 class PreconditionerLadder:

@@ -100,7 +100,6 @@ class RecordingView:
         self.name = view.name
         self.shape = view.shape
         self.scalar = view.scalar
-        self.layout = view.layout
 
     @property
     def data(self):

@@ -58,6 +58,23 @@ class TestTracedSolve:
         } <= names
         kernels = [s for s in tr.spans if s.cat == "kernel"]
         assert kernels, "parallel_for dispatches must appear as kernel spans"
+        # the hook seam, counted exactly: one StokesFOResid launch per
+        # workset of every evaluator sweep, each a parallel_for span
+        # under velocity.solve -- a dropped or doubled emission fails
+        by_id = {s.id: s for s in tr.spans}
+        (solve,) = [s for s in tr.spans if s.name == "velocity.solve"]
+
+        def under_solve(s):
+            while s.parent != -1:
+                s = by_id[s.parent]
+                if s is solve:
+                    return True
+            return False
+
+        per_sweep = -(-sol.diagnostics["num_cells"] // TINY.velocity.workset_size)
+        launches = sum(sol.diagnostics["eval_sweeps"].values()) * per_sweep
+        assert sum(map(under_solve, kernels)) == launches == len(kernels)
+        assert all(s.args["dispatch"] == "parallel_for" for s in kernels)
         steps = [s for s in tr.spans if s.name == "newton.step"]
         assert len(steps) == sol.newton.iterations
 

@@ -51,6 +51,25 @@ class TestBaseline:
         assert check_trace(_write(tmp_path, _base_events())) == []
 
 
+class TestCategoryRule:
+    @pytest.mark.parametrize(
+        "cat", ["phase", "kernel", "evaluator", "halo", "compute", "gpusim", "function"]
+    )
+    def test_emitted_category_passes(self, check_trace, tmp_path, cat):
+        ev = _base_events()
+        ev.append({"name": "x", "cat": cat, "ph": "X", "ts": 3, "dur": 1,
+                   "pid": 0, "tid": 0, "args": {}})
+        assert check_trace(_write(tmp_path, ev)) == []
+
+    @pytest.mark.parametrize("cat", ["copy", "fence", "region", "kernal", None])
+    def test_removed_or_misspelled_category_rejected(self, check_trace, tmp_path, cat):
+        ev = _base_events()
+        ev.append({"name": "x", "cat": cat, "ph": "X", "ts": 3, "dur": 1,
+                   "pid": 0, "tid": 0, "args": {}})
+        errors = check_trace(_write(tmp_path, ev))
+        assert any("unknown span category" in e for e in errors)
+
+
 class TestRooflineRules:
     def test_valid_annotation_passes(self, check_trace, tmp_path):
         ev = _base_events()

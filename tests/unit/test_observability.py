@@ -5,17 +5,11 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro import observability as obs
-from repro.kokkos.parallel import (
-    deep_copy,
-    fence,
-    parallel_for,
-    parallel_reduce,
-)
-from repro.kokkos.view import DOUBLE, View
+from repro.kokkos.parallel import parallel_for
+from repro.kokkos.policy import RangePolicy
 from repro.observability.hooks import HookRegistry, ToolSubscriber
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import SpanTracer, TracerSubscriber
@@ -32,30 +26,6 @@ class Recorder(ToolSubscriber):
 
     def end_parallel_for(self, kid):
         self.events.append(("end_for", kid))
-
-    def begin_parallel_reduce(self, name, extent, space, kid):
-        self.events.append(("begin_reduce", name, extent, space, kid))
-
-    def end_parallel_reduce(self, kid):
-        self.events.append(("end_reduce", kid))
-
-    def begin_deep_copy(self, dst_name, src_name, nbytes, kid):
-        self.events.append(("begin_copy", dst_name, src_name, nbytes, kid))
-
-    def end_deep_copy(self, kid):
-        self.events.append(("end_copy", kid))
-
-    def begin_fence(self, name, kid):
-        self.events.append(("begin_fence", name, kid))
-
-    def end_fence(self, kid):
-        self.events.append(("end_fence", kid))
-
-    def push_region(self, name):
-        self.events.append(("push", name))
-
-    def pop_region(self):
-        self.events.append(("pop",))
 
 
 @pytest.fixture
@@ -109,50 +79,17 @@ class TestHookRegistry:
         reg = HookRegistry()
         reg.subscribe(Recorder())
         k0 = reg.begin_parallel_for("a", 1, "host")
-        k1 = reg.begin_parallel_reduce("b", 1, "host")
-        k2 = reg.begin_fence("f")
+        k1 = reg.begin_parallel_for("b", 1, "host")
+        k2 = reg.begin_parallel_for("c", 1, "host")
         assert k0 < k1 < k2
 
     def test_parallel_for_emits_paired_events(self, recorder):
-        parallel_for("test-kernel", 4, lambda i: None)
+        parallel_for("test-kernel", RangePolicy(0, 4), lambda i: None)
         begins = [e for e in recorder.events if e[0] == "begin_for"]
         ends = [e for e in recorder.events if e[0] == "end_for"]
         assert len(begins) == len(ends) == 1
         assert begins[0][1] == "test-kernel" and begins[0][2] == 4
         assert begins[0][4] == ends[0][1]  # same kernel id
-
-    def test_parallel_reduce_emits_paired_events(self, recorder):
-        def functor(i, acc):
-            acc[i] = 1.0
-
-        total = parallel_reduce("test-reduce", 8, functor)
-        assert total == 8.0
-        kinds = [e[0] for e in recorder.events]
-        assert "begin_reduce" in kinds and "end_reduce" in kinds
-
-    def test_deep_copy_emits_bytes(self, recorder):
-        src = View("src", (5,), DOUBLE)
-        dst = View("dst", (5,), DOUBLE)
-        src.data[:] = np.arange(5.0)
-        deep_copy(dst, src)
-        begins = [e for e in recorder.events if e[0] == "begin_copy"]
-        assert begins == [("begin_copy", "dst", "src", 40, begins[0][4])]
-        assert np.array_equal(dst.data, src.data)
-
-    def test_fence_emits_paired_begin_end(self, recorder):
-        # satellite: fence() goes through the hook registry like a real
-        # kokkosp_begin/end_fence pair, with a matching kernel id
-        fence("sync-point")
-        assert recorder.events[0][:2] == ("begin_fence", "sync-point")
-        kid = recorder.events[0][2]
-        assert recorder.events[1] == ("end_fence", kid)
-
-    def test_region_context(self, recorder):
-        with obs.region("setup"):
-            parallel_for("inner", 2, lambda i: None)
-        kinds = [e[0] for e in recorder.events]
-        assert kinds[0] == "push" and kinds[-1] == "pop"
-        assert "begin_for" in kinds[1:-1]
 
     def test_kernel_log_shim_round_trip(self):
         # a kernel log is a subscriber a tool attaches, not module state:
@@ -166,12 +103,12 @@ class TestHookRegistry:
         reg = obs.registry()
         sub = reg.subscribe(KernelLog())
         try:
-            parallel_for("logged", 3, lambda i: None)
+            parallel_for("logged", RangePolicy(0, 3), lambda i: None)
             reg.unsubscribe(sub)
-            parallel_for("silent", 3, lambda i: None)
+            parallel_for("silent", RangePolicy(0, 3), lambda i: None)
             assert log == ["logged"]
             reg.subscribe(sub)
-            parallel_for("logged-again", 3, lambda i: None)
+            parallel_for("logged-again", RangePolicy(0, 3), lambda i: None)
         finally:
             reg.unsubscribe(sub)
         assert log == ["logged", "logged-again"]
@@ -313,22 +250,13 @@ class TestTracerSubscriber:
     def test_kernel_dispatch_becomes_span(self):
         with obs.tracing() as tr:
             with tr.span("phase"):
-                parallel_for("my-kernel", 4, lambda i: None)
+                parallel_for("my-kernel", RangePolicy(0, 4), lambda i: None)
         kernels = [s for s in tr.spans if s.cat == "kernel"]
         assert [s.name for s in kernels] == ["my-kernel"]
         phase = next(s for s in tr.spans if s.name == "phase")
         assert kernels[0].parent == phase.id
         assert kernels[0].args["extent"] == 4
         assert kernels[0].args["dispatch"] == "parallel_for"
-
-    def test_fence_and_copy_categories(self):
-        src = View("src", (3,), DOUBLE)
-        dst = View("dst", (3,), DOUBLE)
-        with obs.tracing() as tr:
-            fence("f")
-            deep_copy(dst, src)
-        cats = {s.cat for s in tr.spans}
-        assert "fence" in cats and "copy" in cats
 
     def test_session_detaches_subscriber(self):
         before = len(obs.registry().subscribers)

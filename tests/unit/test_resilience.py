@@ -211,9 +211,14 @@ class TestPolicies:
                 raise RuntimeError("transient")
             return "ok"
 
-        assert res.retry_with_backoff(flaky, policy, "gpusim.launch", "launch_failure") == "ok"
-        assert policy.log.count("detection") == 2
-        assert policy.log.count("recovery", "launch_failure_retry") == 1
+        log = res.ResilienceLog()
+        retries = res.retry_with_backoff(
+            flaky, policy, log, "gpusim.launch", "launch_failure", "launch_retry"
+        )
+        assert retries == 2 and calls["n"] == 3
+        assert log.count("detection", "launch_failure") == 2
+        assert log.count("recovery", "launch_retry") == 1
+        assert policy.log.count("detection") == 0  # recorded into the log passed
 
     def test_retry_with_backoff_exhausts_budget(self):
         policy = res.RecoveryPolicy(max_retries=2)
@@ -222,8 +227,9 @@ class TestPolicies:
             raise RuntimeError("persistent")
 
         with pytest.raises(RuntimeError, match="persistent"):
-            res.retry_with_backoff(always_fails, policy, "site", "kind")
+            res.retry_with_backoff(always_fails, policy, policy.log, "site", "kind", "kind_retry")
         assert policy.log.count("detection") == 3  # initial + 2 retries
+        assert policy.log.count("recovery") == 0
 
     def test_preconditioner_ladder_falls_through(self):
         log = res.ResilienceLog()
@@ -550,7 +556,7 @@ class TestHaloSite:
 
 class TestLaunchSites:
     def test_kokkos_launch_retry(self):
-        from repro.kokkos import parallel_for
+        from repro.kokkos import RangePolicy, parallel_for
 
         out = np.zeros(4)
 
@@ -560,19 +566,19 @@ class TestLaunchSites:
         policy = res.RecoveryPolicy()
         sched = res.FaultSchedule([res.LaunchFail("kernel.launch", at=(0,))])
         with res.fault_injection(sched, policy=policy):
-            parallel_for("resilience.test", 4, functor)
+            parallel_for("resilience.test", RangePolicy(0, 4), functor)
         assert np.array_equal(out, np.ones(4))  # retried launch ran exactly once
         assert policy.log.count("detection", "launch_failure") == 1
         assert policy.log.count("recovery", "launch_retry") == 1
 
     def test_kokkos_launch_failure_exhausts_budget(self):
-        from repro.kokkos import parallel_for
+        from repro.kokkos import RangePolicy, parallel_for
 
         policy = res.RecoveryPolicy(max_retries=1)
         sched = res.FaultSchedule([res.LaunchFail("kernel.launch", at=(0, 1, 2, 3))])
         with res.fault_injection(sched, policy=policy):
             with pytest.raises(res.KernelLaunchError):
-                parallel_for("resilience.test", 4, lambda i: None)
+                parallel_for("resilience.test", RangePolicy(0, 4), lambda i: None)
 
     def test_gpusim_launch_retry(self):
         from repro.gpusim import A100, GPUSimulator, ProblemSize

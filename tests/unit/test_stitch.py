@@ -1,4 +1,4 @@
-"""SPMD trace stitching: clock alignment, rank->pid, critical path."""
+"""SPMD trace stitching: rank->pid, critical path."""
 
 from __future__ import annotations
 
@@ -6,11 +6,8 @@ import pytest
 
 from repro.observability.stitch import (
     DRIVER_PID,
-    RankStream,
-    align_clocks,
     critical_path_table,
     halo_compute_split,
-    split_rank_streams,
     stitch_process_labels,
     stitch_spans,
 )
@@ -24,31 +21,6 @@ def _span(id, name, ts_us, dur_us, *, cat="phase", pid=0, parent=-1, **args):
     )
 
 
-class TestAlignClocks:
-    def test_offsets_align_sync_span_ends(self):
-        # rank clocks with different epochs: the solve ends at local
-        # 1000us on rank 0 but 4000us on rank 1 (clock born earlier)
-        s0 = RankStream(0, [_span(0, "velocity.solve", 0.0, 1000.0)])
-        s1 = RankStream(1, [_span(1, "velocity.solve", 3000.0, 1000.0)])
-        align_clocks([s0, s1])
-        assert s0.offset_us == 0.0
-        assert s1.offset_us == -3000.0
-        # post-shift, both sync spans end at the same instant
-        assert s0.spans[0].end_us + s0.offset_us == s1.spans[0].end_us + s1.offset_us
-
-    def test_stream_without_sync_span_untouched(self):
-        s0 = RankStream(0, [_span(0, "velocity.solve", 0.0, 10.0)])
-        s1 = RankStream(1, [_span(1, "other", 5.0, 1.0)], offset_us=7.0)
-        align_clocks([s0, s1])
-        assert s1.offset_us == 7.0
-
-    def test_custom_sync_name(self):
-        s0 = RankStream(0, [_span(0, "barrier", 10.0, 5.0)])
-        s1 = RankStream(1, [_span(1, "barrier", 110.0, 5.0)])
-        align_clocks([s0, s1], sync_name="barrier")
-        assert s1.offset_us == -100.0
-
-
 class TestSplitAndStitch:
     def test_split_partitions_by_rank_arg(self):
         spans = [
@@ -57,35 +29,35 @@ class TestSplitAndStitch:
             _span(2, "halo.recv", 3.0, 1.0, cat="halo", rank=1),
             _span(3, "rank.spmv", 4.0, 2.0, cat="compute", rank=7),  # out of range
         ]
-        streams, driver = split_rank_streams(spans, nparts=2)
-        assert [s.name for s in streams[0].spans] == ["rank.spmv"]
-        assert [s.name for s in streams[1].spans] == ["halo.recv"]
-        assert {s.name for s in driver} == {"newton.step", "rank.spmv"}
+        out = stitch_spans(spans, nparts=2)
+        assert [(s.id, s.pid) for s in out] == [(0, 2), (1, 0), (2, 1), (3, 2)]
 
     def test_stitch_maps_rank_to_pid_and_driver(self):
         spans = [
             _span(0, "newton.step", 0.0, 100.0),
             _span(1, "rank.spmv", 1.0, 2.0, cat="compute", rank=1),
         ]
-        streams, driver = split_rank_streams(spans, nparts=4)
-        out = stitch_spans(streams, driver, nparts=4)
+        out = stitch_spans(spans, nparts=4)
         by_name = {s.name: s for s in out}
         assert by_name["rank.spmv"].pid == 1
         assert by_name["rank.spmv"].args["rank"] == 1
         assert by_name["newton.step"].pid == DRIVER_PID(4) == 4
 
-    def test_stitch_applies_offsets_clamps_and_sorts(self):
-        st0 = RankStream(0, [_span(0, "a", 50.0, 1.0, rank=0)], offset_us=0.0)
-        st1 = RankStream(1, [_span(1, "b", 10.0, 1.0, rank=1)], offset_us=-40.0)
-        out = stitch_spans([st0, st1])
+    def test_stitch_clamps_and_sorts(self):
+        spans = [
+            _span(0, "a", 50.0, 1.0, rank=0),
+            _span(1, "b", -30.0, 1.0, rank=1),
+            _span(2, "c", 20.0, 1.0),
+        ]
+        out = stitch_spans(spans, nparts=2)
         # -30us clamps to 0, and the result is sorted by start time
-        assert [s.name for s in out] == ["b", "a"]
+        assert [s.name for s in out] == ["b", "c", "a"]
         assert out[0].ts_us == 0.0
         assert all(out[i].ts_us <= out[i + 1].ts_us for i in range(len(out) - 1))
 
     def test_originals_not_mutated(self):
         orig = _span(0, "rank.spmv", 5.0, 1.0, cat="compute", rank=2)
-        stitch_spans([RankStream(2, [orig], offset_us=100.0)], [], nparts=4)
+        stitch_spans([orig], nparts=4)
         assert orig.ts_us == 5.0 and orig.pid == 0
 
     def test_process_labels(self):
@@ -133,7 +105,7 @@ class TestHaloComputeSplit:
 class TestStitchedSolveTrace:
     def test_four_rank_profile_stitches_all_ranks(self):
         # acceptance: stitched --nparts 4 trace contains spans from all
-        # four ranks plus the driver, with monotone clock-aligned stamps
+        # four ranks plus the driver, with monotone stamps
         from dataclasses import replace as dreplace
 
         from repro import observability as obs
@@ -147,9 +119,7 @@ class TestStitchedSolveTrace:
         test = AntarcticaTest.build(cfg)
         with obs.tracing() as tr:
             test.problem.solve()
-        streams, driver = split_rank_streams(tr.spans, 4)
-        align_clocks(streams)
-        stitched = stitch_spans(streams, driver, nparts=4)
+        stitched = stitch_spans(tr.spans, nparts=4)
         pids = {s.pid for s in stitched}
         assert pids == {0, 1, 2, 3, DRIVER_PID(4)}
         assert all(

@@ -6,6 +6,7 @@ import json
 
 from repro import observability as obs
 from repro.kokkos.parallel import parallel_for
+from repro.kokkos.policy import RangePolicy
 from repro.observability.tracer import SpanTracer
 
 
@@ -15,7 +16,7 @@ def _sample_tracer() -> SpanTracer:
         with tr.span("solve", steps=2):
             for step in range(2):
                 with tr.span("step", step=step):
-                    parallel_for("kern", 4, lambda i: None)
+                    parallel_for("kern", RangePolicy(0, 4), lambda i: None)
     return tr
 
 

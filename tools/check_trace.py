@@ -25,6 +25,10 @@ Attribution-era checks (PR 8):
 * stitched SPMD traces must map rank to Chrome pid: any X event whose
   ``args`` carry an integer ``rank`` must live on ``pid == rank``.
 
+Every span's ``cat`` must be one the tracer emits (``SPAN_CATEGORIES``):
+a misspelled category, or one left over from a removed hook
+(``copy``, ``fence``, ``region``), fails.
+
 Service traces: a ``serve.lane_wait`` span (a worker waiting for the
 pool's numerics lane) must lie inside a ``serve.execute`` span of the
 same thread -- lane wait is part of a request's execution, not idle time.
@@ -40,6 +44,10 @@ import sys
 
 # metadata ("ph": "M") events legitimately omit ts/dur
 REQUIRED_FIELDS = ("name", "ph", "pid", "tid")
+
+#: span categories the tracer can emit: solver phases, hook-registry
+#: kernels, evaluators, SPMD halo/compute, gpusim runs, instrumented calls
+SPAN_CATEGORIES = ("phase", "kernel", "evaluator", "halo", "compute", "gpusim", "function")
 
 ROOFLINE_NUMERIC_FIELDS = ("bytes", "flops", "ai", "roof_frac", "bw_frac")
 ROOFLINE_BASES = ("modeled", "wall")
@@ -105,6 +113,10 @@ def check_trace(path: str) -> list[str]:
                 errors.append(f"event {i} ({e.get('name')}): bad ts {ts!r}")
             if not isinstance(dur, (int, float)) or dur < 0:
                 errors.append(f"event {i} ({e.get('name')}): bad dur {dur!r}")
+            if e.get("cat") not in SPAN_CATEGORIES:
+                errors.append(
+                    f"event {i} ({e.get('name')}): unknown span category {e.get('cat')!r}"
+                )
             args = e.get("args")
             if isinstance(args, dict):
                 rank = args.get("rank")
