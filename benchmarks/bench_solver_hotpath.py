@@ -81,6 +81,7 @@ import numpy as np
 from repro import observability as obs
 from repro.app.antarctica import AntarcticaTest
 from repro.app.config import AntarcticaConfig, VelocityConfig
+from repro.app.velocity_solver import QUADRATURE_ORDER
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.discretization import compute_basis_data
 from repro.fem.sparse import ColumnCollapseMap
@@ -144,7 +145,7 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
             walls.append(time.perf_counter() - t0)
     # re-extruding to the mesh's own thickness and surface rebuilds the
     # same coordinates, so the problem is bitwise what it was
-    mesh, order = test.mesh, test.problem.config.quadrature_order
+    mesh, order = test.mesh, QUADRATURE_ORDER
     geometry_walls = {"basis": [], "refresh": []}
     for _ in range(7):
         t0 = time.perf_counter()

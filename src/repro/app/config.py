@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -75,13 +76,7 @@ class VelocityConfig:
     """Numerical settings of the FO Stokes velocity solve."""
 
     kernel_impl: str = "optimized"  # "baseline" | "optimized"
-    quadrature_order: int = 2  # 2 -> the paper's 8-point hex rule
-    workset_size: int = 2048  # cells per workset (Albany-style chunking)
     newton_steps: int = 8  # the paper's test runs 8 nonlinear steps
-    newton_tol: float = 1.0e-8
-    linear_tol: float = 1.0e-6  # the paper's linear tolerance
-    gmres_restart: int = 300
-    gmres_maxiter: int = 900
     #: "mdsc" (two-level column-collapse MDSC: vertical-line relaxation +
     #: collapsed membrane coarse solve -- the robust default), "vline"
     #: (line relaxation only), "jacobi", or "none"
@@ -105,8 +100,7 @@ class VelocityConfig:
     #: search: kernel axes by the gpusim byte model, solver axes by
     #: measured trials -- see :mod:`repro.tune`).  The tuned axes are
     #: ``kernel_impl``, ``preconditioner`` and ``operator_mode``;
-    #: everything else (tolerances, GMRES budget, Newton budget,
-    #: ``nparts``) is preserved from this config.
+    #: ``newton_steps`` and ``nparts`` are preserved from this config.
     tuned: str = "off"
 
     def cheaper_preconditioner(self) -> str | None:
@@ -136,8 +130,8 @@ class VelocityConfig:
             raise ValueError(
                 f"unknown preconditioner {self.preconditioner!r}; have {PRECONDITIONERS}"
             )
-        if self.workset_size <= 0 or self.newton_steps <= 0:
-            raise ValueError("workset size and Newton steps must be positive")
+        if self.newton_steps <= 0:
+            raise ValueError("Newton steps must be positive")
         if self.nparts < 1:
             raise ValueError("nparts must be at least 1")
         if self.operator_mode not in ("assembled", "matrix-free"):
@@ -177,10 +171,10 @@ class AntarcticaConfig:
     #: "voronoi" (MPAS-style Voronoi dual triangulation -> prisms,
     #: MALI's production meshing path)
     footprint: str = "quad"
-    #: mean-solution regression tolerance (paper: 1e-5)
-    check_rtol: float = 1.0e-5
 
     def __post_init__(self):
+        if not math.isfinite(self.resolution_km):
+            raise ValueError(f"resolution_km must be finite, got {self.resolution_km!r}")
         if self.resolution_km <= 0 or self.num_layers <= 0:
             raise ValueError("resolution and layer count must be positive")
         if self.footprint not in ("quad", "voronoi"):

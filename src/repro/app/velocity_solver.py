@@ -38,11 +38,16 @@ from repro.resilience.policies import (
     choose_survivor,
 )
 from repro.solvers.multigrid import ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc
-from repro.solvers.newton import NewtonResult, newton_solve
+from repro.solvers.newton import NEWTON_TOL, NewtonResult, newton_solve
 from repro.solvers.reductions import column_block_reducer
 from repro.solvers.smoothers import JacobiSmoother, VerticalLineSmoother
 
 __all__ = ["StokesVelocityProblem", "VelocitySolution"]
+
+#: Gauss points per direction: 2 is the paper's 8-point hex rule
+QUADRATURE_ORDER = 2
+#: cells per evaluator workset (Albany-style chunking)
+WORKSET_SIZE = 2048
 
 #: evaluation mode -> (evaluator-DAG mode, residual blocks?, Jacobian blocks?);
 #: the mode name is also the label the fault plane and the spans see
@@ -79,7 +84,7 @@ class StokesVelocityProblem:
         cfg = self.config
         mesh = self.mesh
         fp = mesh.footprint
-        order = cfg.quadrature_order
+        order = QUADRATURE_ORDER
 
         self.dofmap = DofMap(mesh.num_nodes, 2, mesh.elems)
 
@@ -212,7 +217,7 @@ class StokesVelocityProblem:
         """
         mesh = self.mesh
         fp = mesh.footprint
-        order = self.config.quadrature_order
+        order = QUADRATURE_ORDER
 
         basis = compute_basis_data(mesh.coords, mesh.elems, mesh.elem_type, order)
         if self.partition is not None:
@@ -289,7 +294,7 @@ class StokesVelocityProblem:
     def _probe_diag_scale(self) -> float:
         # the global order's first workset, one scale for every decomposition:
         # ranks keep their cells ascending, so it is a prefix of each run
-        first = min(self.config.workset_size, self.mesh.num_elems)
+        first = min(WORKSET_SIZE, self.mesh.num_elems)
         u0, diag = np.zeros(self.dofmap.num_dofs), np.empty((first, self.dofmap.dofs_per_elem))
         for span in self._spans:
             head = slice(span.start, span.start + int(np.searchsorted(self._cells[span], first)))
@@ -310,7 +315,7 @@ class StokesVelocityProblem:
         corresponding serial blocks bitwise.
         """
         mesh = self.mesh
-        size = self.config.workset_size
+        size = WORKSET_SIZE
         if np.shape(u) != (self.dofmap.num_dofs,):
             raise ValueError(f"solution must have {self.dofmap.num_dofs} dofs")
         if cells is None:
@@ -517,7 +522,6 @@ class StokesVelocityProblem:
         u0: np.ndarray | None = None,
         callback=None,
         resilience=None,
-        checkpoint_every: int | None = None,
         checkpoint_cb=None,
         resume_from=None,
         deadline=None,
@@ -542,11 +546,11 @@ class StokesVelocityProblem:
         (``repro.resilience.fault_injection``) and no policy is given,
         the plane's policy is used automatically so chaos runs recover
         by default.  The event record lands in
-        ``diagnostics["resilience"]``.  ``checkpoint_every`` /
-        ``checkpoint_cb`` / ``resume_from`` pass through to
-        :func:`newton_solve` for checkpoint/restart of the Newton state
-        (``checkpoint_cb`` is how a serve worker pool heartbeats and
-        snapshots in-flight jobs).
+        ``diagnostics["resilience"]``.  Newton snapshots every accepted
+        step (``sol.newton.checkpoint``); ``checkpoint_cb`` receives each
+        snapshot and ``resume_from`` restarts from one (``checkpoint_cb``
+        is how a serve worker pool heartbeats and snapshots in-flight
+        jobs).
 
         Service knobs: ``deadline`` (a :class:`repro.resilience.
         Deadline`) makes the solve cooperatively abandon work past its
@@ -557,18 +561,19 @@ class StokesVelocityProblem:
 
         Warm starting: ``u0`` seeds Newton with a prior velocity (the
         transient engine passes the previous step's solution), and
-        ``newton_tol`` overrides ``config.newton_tol`` for this solve
-        only -- the engine derives one absolute tolerance from the cold
-        start's initial residual so warm-started steps terminate as soon
-        as they re-enter the converged basin instead of burning the full
-        Newton budget.  Passing ``newton_tol`` also makes the solve an
+        ``newton_tol`` overrides the default ``||F||`` target (1e-8) for
+        this solve only -- the engine derives one absolute tolerance from
+        the cold start's initial residual so warm-started steps terminate
+        as soon as they re-enter the converged basin instead of burning
+        the full Newton budget.  Passing ``newton_tol`` also makes the solve an
         inexact Newton: each step's GMRES tolerance follows
         :func:`repro.solvers.newton.forcing_term` instead of sitting at
-        ``config.linear_tol``, since steps that only have to reach a
-        target need not each be solved to 1e-6.  Without it every step
-        is solved to ``config.linear_tol``, as the paper's test is.
+        the 1e-6 linear tolerance, since steps that only have to reach a
+        target need not each be solved to it.  Without it every step is
+        solved to 1e-6, as the paper's test is.
         """
         cfg = self.config
+        tol = NEWTON_TOL if newton_tol is None else float(newton_tol)
         if u0 is None:
             u0 = np.zeros(self.dofmap.num_dofs)
         if preconditioner is not None and preconditioner not in PRECONDITIONERS:
@@ -604,16 +609,12 @@ class StokesVelocityProblem:
                 None,
                 u0,
                 max_steps=cfg.newton_steps,
-                tol=cfg.newton_tol if newton_tol is None else float(newton_tol),
-                linear_tol=cfg.linear_tol,
-                gmres_restart=cfg.gmres_restart,
-                gmres_maxiter=cfg.gmres_maxiter,
+                tol=tol,
                 preconditioner_fn=self._preconditioner,
                 callback=callback,
                 residual_jacobian_fn=self.residual_and_jacobian,
                 reducer=self.reducer,
                 resilience=resilience,
-                checkpoint_every=checkpoint_every,
                 checkpoint_cb=checkpoint_cb,
                 resume_from=resume_from,
                 deadline=deadline,
@@ -644,9 +645,8 @@ class StokesVelocityProblem:
             # the preconditioner actually used this solve (a serve
             # degradation override wins over the configured factory)
             "preconditioner": preconditioner or cfg.preconditioner,
-            "newton_tol": cfg.newton_tol if newton_tol is None else float(newton_tol),
+            "newton_tol": tol,
             "warm_started": newton.warm_started,
-            "gmres_restart": cfg.gmres_restart,
             "solve_seconds": solve_seconds,
             "newton_steps_per_s": newton.iterations / solve_seconds if solve_seconds > 0 else 0.0,
             "phase_seconds": phase_seconds,

@@ -13,7 +13,7 @@ package gives the reproduction the same three capabilities:
 * :mod:`~repro.resilience.detectors` -- payload checksums, per-step
   non-finite guards, GMRES outcome classification;
 * :mod:`~repro.resilience.policies` -- the recovery ladder
-  (:class:`RecoveryPolicy`): retry with backoff, sweep re-evaluation,
+  (:class:`RecoveryPolicy`): retry, sweep re-evaluation,
   Newton step rejection with damping backoff, GMRES restart escalation,
   preconditioner fallback, SPMD work redistribution -- all reporting
   into a :class:`ResilienceLog` and ``resilience.*`` metrics;
@@ -38,7 +38,6 @@ from repro.resilience.checkpoint import NewtonCheckpoint
 from repro.resilience.deadline import Deadline, SolveTimeout
 from repro.resilience.detectors import (
     GMRES_FLAGS,
-    check_finite,
     classify_gmres,
     nonfinite_count,
     payload_checksum,
@@ -76,7 +75,6 @@ __all__ = [
     "Deadline",
     "SolveTimeout",
     "GMRES_FLAGS",
-    "check_finite",
     "classify_gmres",
     "nonfinite_count",
     "payload_checksum",

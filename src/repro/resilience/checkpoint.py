@@ -2,10 +2,9 @@
 
 E3SM-class workflows survive node loss by restarting the timestep from
 the last written restart file; the velocity solve gets the same shape
-at Newton granularity.  ``newton_solve(checkpoint_every=k)`` snapshots
-the accepted iterate (plus the residual/step histories needed for
-seamless diagnostics) every ``k`` steps; ``newton_solve(resume_from=
-ckpt)`` re-enters the loop at the checkpointed step with bit-identical
+at Newton granularity.  ``newton_solve`` snapshots the accepted iterate
+(plus the residual/step histories needed for seamless diagnostics)
+after every step; ``newton_solve(resume_from=ckpt)`` re-enters the loop at the checkpointed step with bit-identical
 state, so a killed solve continues instead of recomputing.
 
 On disk it is a :mod:`repro.store` record: one ``.npz`` of the fields

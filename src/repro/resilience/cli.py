@@ -1,8 +1,8 @@
 """``python -m repro chaos``: the coarse Antarctica SPMD solve, fault-free
 and then under a named fault schedule with recovery enabled; prints every
 injection / detection / recovery event.  ``--check`` (the CI gate) exits
-nonzero unless every scheduled fault fired and the recovered solution is
-within ``10 x newton_tol`` (relative) of the fault-free one.
+nonzero unless every scheduled fault fired, at least one recovery ran and
+the recovered solution is bitwise equal to the fault-free one.
 """
 
 from __future__ import annotations
@@ -58,13 +58,14 @@ def chaos(args) -> int:
         ),
     ))
 
-    uref = max(1.0, float(np.max(np.abs(clean.u))))
-    rel_err = float(np.max(np.abs(sol.u - clean.u))) / uref
-    tol = 10.0 * cfg.velocity.newton_tol
+    bitwise = np.array_equal(sol.u, clean.u)
     print(f"dead ranks: {r['dead_ranks'] or 'none'}")
     print(f"mean |u|: chaos {sol.mean_velocity:.6f} / clean {clean.mean_velocity:.6f} m/yr")
-    print(f"recovered-vs-clean solution error: {rel_err:.3e} (bar: {tol:.1e})")
-    ok = not undelivered and rel_err <= tol and r["recoveries"] > 0
+    print(
+        "recovered-vs-clean solution: "
+        + ("bitwise equal" if bitwise else f"max |diff| {np.max(np.abs(sol.u - clean.u)):.3e}")
+    )
+    ok = not undelivered and bitwise and r["recoveries"] > 0
     if undelivered:
         print(f"UNDELIVERED injections: {undelivered}")
     print("chaos check:", "PASS" if ok else "FAIL")

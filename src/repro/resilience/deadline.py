@@ -100,10 +100,6 @@ class Deadline:
         self._clock = clock
         self._t0 = clock()
 
-    @classmethod
-    def after(cls, budget_s: float, clock=time.monotonic) -> "Deadline":
-        return cls(budget_s, clock=clock)
-
     def elapsed(self) -> float:
         return self._clock() - self._t0
 

@@ -9,9 +9,10 @@ where MALI/E3SM runs catch their failures:
   CRC32 over the raw bytes, so bit flips, drops and duplicates are all
   caught before corrupted ghosts reach the SpMV;
 * **non-finite guards** at the assembly/Newton boundary
-  (:func:`check_finite`) -- a NaN residual from a poisoned sweep (or a
-  genuine viscosity blowup on thin ice) is reported with the step and
-  phase it appeared in instead of propagating silently into norms;
+  (:func:`nonfinite_count`, read by ``newton_solve``) -- a NaN residual
+  from a poisoned sweep (or a genuine viscosity blowup on thin ice) is
+  reported with the step and phase it appeared in instead of
+  propagating silently into norms;
 * **linear-solve classification** (:func:`classify_gmres`) -- GMRES
   outcomes become an explicit flag (``converged`` / ``maxiter`` /
   ``stagnated`` / ``breakdown``) so callers stop inferring health from
@@ -20,7 +21,6 @@ where MALI/E3SM runs catch their failures:
 
 from __future__ import annotations
 
-import time
 import zlib
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "payload_checksum",
     "verify_payload",
     "receive_verified",
-    "check_finite",
     "nonfinite_count",
     "classify_gmres",
     "GMRES_FLAGS",
@@ -52,9 +51,9 @@ def receive_verified(plane, fetch, meter, *, what: str, rank: int, src: int, **l
     """One halo message through the armed fault plane, checksum-verified.
 
     ``fetch()`` produces the sender's payload; the plane may corrupt it in
-    flight.  On a CRC32 mismatch: log the detection, back off per the plane's
-    policy, re-fetch and re-meter -- re-posting a corrupted MPI receive -- and
-    past the retry budget raise :class:`HaloCorruptionError`.  Only a verified
+    flight.  On a CRC32 mismatch: log the detection, re-fetch and re-meter --
+    re-posting a corrupted MPI receive -- and past the plane policy's retry
+    budget raise :class:`HaloCorruptionError`.  Only a verified
     payload is returned, so corrupted ghosts never reach the caller.
     """
     policy, log = plane.policy, plane.log
@@ -73,9 +72,6 @@ def receive_verified(plane, fetch, meter, *, what: str, rank: int, src: int, **l
                 f"{what} from rank {src} to rank {rank} failed "
                 f"checksum verification {attempt} times"
             )
-        delay = policy.backoff(attempt)
-        if delay > 0.0:
-            time.sleep(delay)
         meter.record("vector_gather", src, rank, clean.nbytes)
         meter.count_event("gather_retry")
         payload = plane.perturb(
@@ -92,24 +88,6 @@ def receive_verified(plane, fetch, meter, *, what: str, rank: int, src: int, **l
 def nonfinite_count(arr: np.ndarray) -> int:
     """Number of NaN/Inf entries in an array (0 = healthy)."""
     return int(arr.size - np.count_nonzero(np.isfinite(arr)))
-
-
-def check_finite(arr: np.ndarray, *, step: int | None = None, phase: str = "") -> None:
-    """Raise ``FloatingPointError`` naming the step and phase if ``arr``
-    holds any NaN/Inf.
-
-    This is the no-recovery-policy behavior: a mid-iteration NaN (e.g.
-    from a line-search trial) must fail loudly with its location, never
-    propagate silently into norms and GMRES.
-    """
-    if np.all(np.isfinite(arr)):
-        return
-    where = f"Newton step {step}" if step is not None else "solve"
-    raise FloatingPointError(
-        f"non-finite residual at {where} (phase {phase or 'unknown'!r}): "
-        f"{nonfinite_count(np.asarray(arr))} bad entries; attach a "
-        "repro.resilience.RecoveryPolicy to recover instead of aborting"
-    )
 
 
 GMRES_FLAGS = ("converged", "maxiter", "stagnated", "breakdown")

@@ -3,9 +3,9 @@
 The ladder, from cheapest to most disruptive -- each rung mirrors what
 an E3SM-class workflow does instead of aborting:
 
-1. **retry with backoff** -- corrupted halo exchange payloads are
-   re-fetched (the transport analogue of an MPI re-post); transient
-   kernel-launch failures are re-launched;
+1. **retry** -- corrupted halo exchange payloads are re-fetched (the
+   transport analogue of an MPI re-post); transient kernel-launch
+   failures are re-launched;
 2. **re-evaluation** -- a non-finite residual/Jacobian sweep is rerun
    (transient corruption clears; a persistent NaN means real physics
    trouble and escalates);
@@ -23,15 +23,15 @@ an E3SM-class workflow does instead of aborting:
    decomposition-independent ``BlockReducer`` keeps the trajectory
    identical to the healthy run.
 
-Every detection and recovery lands in a :class:`ResilienceLog`, which
-mirrors each event into ``resilience.*`` metrics so chaos-run
-statistics ride the normal observability snapshot.
+Rung 1's budget is :attr:`RecoveryPolicy.max_retries`; rungs 2-4 budget
+themselves with constants in :mod:`repro.solvers.newton`.  Every
+detection and recovery lands in a :class:`ResilienceLog`, which mirrors
+each event into ``resilience.*`` metrics so chaos-run statistics ride
+the normal observability snapshot.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -143,62 +143,16 @@ class ResilienceLog:
 
 @dataclass
 class RecoveryPolicy:
-    """Budgets and knobs of the recovery ladder (see module docstring).
+    """The retry budget and event log of the recovery ladder.
 
     Attach one to ``newton_solve(resilience=...)`` /
     ``StokesVelocityProblem.solve(resilience=...)`` to recover from
-    detected faults instead of raising.  All budgets are per event, not
-    per solve, except ``max_step_rejections`` (per Newton step).
+    detected faults instead of raising (see module docstring).
     """
 
     #: re-fetch/re-launch attempts for a corrupted exchange or failed launch
     max_retries: int = 3
-    #: base sleep between retries; doubled per attempt (0 keeps tests fast
-    #: while still exercising and logging the backoff arithmetic)
-    backoff_s: float = 0.0
-    #: jitter fraction in [0, 1): each backoff delay is scaled by a
-    #: deterministic factor in ``[1 - j, 1 + j)`` seeded by
-    #: ``(jitter_seed, attempt)``.  Pure exponential backoff (the 0.0
-    #: default) synchronizes N workers that failed together -- they all
-    #: sleep the same delay and retry in one thundering herd against the
-    #: same rung; distinct per-worker ``jitter_seed`` values de-phase
-    #: the herd while each worker's sequence stays reproducible.
-    backoff_jitter: float = 0.0
-    #: seed of the deterministic jitter stream (a service assigns each
-    #: worker/request its own so retry storms decorrelate)
-    jitter_seed: int = 0
-    #: full re-evaluations of a non-finite residual/Jacobian sweep
-    max_reevaluations: int = 2
-    #: rejected attempts per Newton step before giving up
-    max_step_rejections: int = 3
-    #: damping-cap multiplier applied on each step rejection
-    step_damping_backoff: float = 0.5
-    #: restart/maxiter growth factor per GMRES escalation
-    gmres_restart_growth: int = 2
-    #: stagnating linear-solve retries with a grown Krylov space
-    max_gmres_escalations: int = 2
-    #: snapshot Newton state every N accepted steps (0 disables)
-    checkpoint_every: int = 1
     log: ResilienceLog = field(default_factory=ResilienceLog)
-
-    def backoff(self, attempt: int) -> float:
-        """Exponential backoff delay before retry ``attempt`` (1-based).
-
-        With ``backoff_jitter > 0`` the delay is scaled by a factor in
-        ``[1 - jitter, 1 + jitter)`` drawn from a *stateless* seeded
-        stream: the factor is a pure function of ``(jitter_seed,
-        attempt)``, so repeated calls for the same attempt return the
-        same delay (``retry_with_backoff`` logs the delay it waited by
-        re-evaluating it) and the whole sequence is reproducible per
-        seed.
-        """
-        delay = self.backoff_s * (2.0 ** max(0, attempt - 1))
-        if self.backoff_jitter > 0.0 and delay > 0.0:
-            # stateless per-attempt draw: no shared RNG object to race
-            # on or to advance differently between runs
-            u = random.Random(int(self.jitter_seed) * 1_000_003 + int(attempt)).random()
-            delay *= 1.0 + self.backoff_jitter * (2.0 * u - 1.0)
-        return delay
 
 
 def retry_with_backoff(
@@ -211,12 +165,12 @@ def retry_with_backoff(
     exceptions: tuple[type[BaseException], ...] = (Exception,),
     **detail,
 ) -> int:
-    """Run ``fn`` with the policy's retry/backoff budget; return its retries.
+    """Run ``fn`` with the policy's retry budget; return its retries.
 
-    Each failure is logged into ``log`` as a ``kind`` detection; a
-    success after failures as one ``recovery`` event (with the attempt
-    count and the backoff waited).  The last exception propagates once
-    the budget is spent.
+    Each failure is logged into ``log`` as a ``kind`` detection and
+    retried at once; a success after failures as one ``recovery`` event
+    (with the attempt count).  The last exception propagates once the
+    budget is spent.
     """
     attempt = 0
     while True:
@@ -227,16 +181,10 @@ def retry_with_backoff(
             log.record("detection", kind, site, **detail, attempt=attempt, error=str(exc))
             if attempt > policy.max_retries:
                 raise
-            delay = policy.backoff(attempt)
-            if delay > 0.0:
-                time.sleep(delay)
             continue
         if attempt > 0:
             with get_tracer().span("resilience.recover", site=site, kind=kind, attempts=attempt):
-                log.record(
-                    "recovery", recovery, site,
-                    **detail, attempts=attempt, backoff_s=policy.backoff(attempt),
-                )
+                log.record("recovery", recovery, site, **detail, attempts=attempt)
         return attempt
 
 

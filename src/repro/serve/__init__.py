@@ -10,8 +10,8 @@ in the service shape that workload implies:
   ``failed`` or ``shed`` -- never an untyped hang);
 * :mod:`~repro.serve.service` -- the asyncio :class:`SolveService`:
   bounded queue, admission control, per-request deadlines propagating
-  into Newton/GMRES, request dedup, retry with the resilience ladder's
-  jittered backoff, and a graceful-degradation ladder (cheaper
+  into Newton/GMRES, request dedup, retry under the recovery policy's
+  budget, and a graceful-degradation ladder (cheaper
   preconditioner -> coarser mesh -> cached result -> shed);
 * :mod:`~repro.serve.breaker` -- deterministic per-scenario circuit
   breaker (closed/open/half-open, outcome-driven);

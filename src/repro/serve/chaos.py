@@ -95,9 +95,7 @@ def run_chaos_check(
     service = SolveService(
         workers=workers,
         queue_size=8,
-        policy=RecoveryPolicy(
-            max_retries=1, backoff_s=0.0, backoff_jitter=0.5, jitter_seed=seed
-        ),
+        policy=RecoveryPolicy(max_retries=1),
         failure_threshold=3,
         probe_after=2,
         kill_switch=kill,

@@ -164,8 +164,6 @@ class WorkerPool:
         self._queue: queue.Queue = queue.Queue()
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.clock = clock
-        #: the size reap() maintains (resize() moves it)
-        self.target = workers
         self.workers: list[Worker] = [Worker(self) for _ in range(workers)]
         self.deaths = 0
         self.stalls = 0
@@ -245,10 +243,6 @@ class WorkerPool:
         metrics = get_metrics()
         for w in list(self.workers):
             if not w.thread.is_alive():
-                if w.current_job is None and len(self.workers) > self.target:
-                    # retired cleanly by resize(): prune, don't respawn
-                    self.workers.remove(w)
-                    continue
                 self.deaths += 1
                 metrics.counter("serve.worker.deaths").inc()
                 job = self._revive(w, "death")
@@ -271,25 +265,6 @@ class WorkerPool:
                     revived.append(job)
                 self.workers[self.workers.index(w)] = Worker(self)
         return revived
-
-    def resize(self, workers: int) -> None:
-        """Grow or shrink the pool to ``workers`` threads.
-
-        Shrinking enqueues retirement sentinels; whichever idle threads
-        take them exit cleanly, and the next :meth:`reap` prunes their
-        entries (a busy worker finishes its job first, so in-flight
-        work is never lost to a resize).
-        """
-        if workers < 1:
-            raise ValueError("at least one worker required")
-        grow = workers - self.target
-        self.target = workers
-        if grow > 0:
-            for _ in range(grow):
-                self.workers.append(Worker(self))
-        else:
-            for _ in range(-grow):
-                self._queue.put(None)
 
     def shutdown(self, join_timeout_s: float = 5.0) -> None:
         self._closed = True

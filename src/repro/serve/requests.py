@@ -15,6 +15,7 @@ on (retry/resume counts, dedup, degradation rung).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.app.config import PRECONDITIONERS, AntarcticaConfig, VelocityConfig
@@ -51,6 +52,8 @@ class SolveScenario:
             raise ValueError(
                 f"unknown preconditioner {self.preconditioner!r}; have {PRECONDITIONERS}"
             )
+        if not math.isfinite(self.resolution_km):
+            raise ValueError(f"resolution_km must be finite, got {self.resolution_km!r}")
         if self.resolution_km <= 0 or self.num_layers <= 0 or self.newton_steps <= 0:
             raise ValueError("resolution, layers and newton_steps must be positive")
         if self.nparts < 1:
@@ -103,6 +106,10 @@ class SolveRequest:
     #: a request the service cannot schedule in time times out instead
     #: of running long after its caller gave up.
     deadline_s: float | None = None
+
+    def __post_init__(self):
+        if self.deadline_s is not None and not math.isfinite(self.deadline_s):
+            raise ValueError(f"deadline_s must be finite, got {self.deadline_s!r}")
 
 
 @dataclass

@@ -19,9 +19,8 @@ numerics on worker threads):
 5. **execution** -- a worker thread takes the pool's one numerics lane
    (lane wait spends the deadline as queue wait does), builds/reuses
    the scenario's cached artifacts, solves under heartbeat +
-   kill-switch, retries transient failures with the recovery policy's
-   jittered exponential backoff (outside the lane), and trampolines the
-   outcome back onto the loop.
+   kill-switch, retries transient failures up to the recovery policy's
+   ``max_retries``, and trampolines the outcome back onto the loop.
 6. **supervision** -- an async task polls the pool: dead or hung
    workers are respawned and their jobs resumed from the last
    heartbeated checkpoint (bitwise-exact continuation).
@@ -46,6 +45,9 @@ from repro.serve.requests import SolveRequest, SolveResponse, SolveScenario
 
 __all__ = ["SolveService"]
 
+#: seconds between the supervisor's polls of the worker pool
+SUPERVISE_INTERVAL_S = 0.005
+
 
 class SolveService:
     """Bounded-queue solve service with retries, breaking and degradation."""
@@ -61,7 +63,6 @@ class SolveService:
         degrade_precond_depth: int | None = None,
         degrade_mesh_depth: int | None = None,
         heartbeat_timeout_s: float | None = None,
-        supervise_interval_s: float = 0.005,
         kill_switch: KillSwitch | None = None,
         breaker_enabled: bool = True,
         clock=time.monotonic,
@@ -79,16 +80,13 @@ class SolveService:
             degrade_mesh_depth if degrade_mesh_depth is not None
             else max(2, (2 * queue_size) // 3)
         )
-        self.policy = policy if policy is not None else RecoveryPolicy(
-            max_retries=1, backoff_s=0.0, backoff_jitter=0.5
-        )
+        self.policy = policy if policy is not None else RecoveryPolicy(max_retries=1)
         self.cache = cache if cache is not None else ArtifactCache()
         self.failure_threshold = failure_threshold
         self.probe_after = probe_after
         self.breaker_enabled = breaker_enabled
         self.kill_switch = kill_switch if kill_switch is not None else KillSwitch()
         self.clock = clock
-        self.supervise_interval_s = supervise_interval_s
         self.pool = WorkerPool(
             workers=workers, heartbeat_timeout_s=heartbeat_timeout_s, clock=clock
         )
@@ -130,7 +128,7 @@ class SolveService:
             for job in revived:
                 # no job_id label: that grew one never-evicted series per revival
                 get_series().record("serve.worker_revival", job.resumes)
-            await asyncio.sleep(self.supervise_interval_s)
+            await asyncio.sleep(SUPERVISE_INTERVAL_S)
 
     # ------------------------------------------------------------------
     def breaker(self, digest: str) -> CircuitBreaker:
@@ -317,7 +315,6 @@ class SolveService:
                         entry = self.cache.get(scenario)
                         with entry.lock:
                             sol = entry.problem.solve(
-                                checkpoint_every=1,
                                 checkpoint_cb=heartbeat,
                                 resume_from=job.checkpoint,
                                 deadline=deadline,
@@ -336,6 +333,3 @@ class SolveService:
                 if attempts > self.policy.max_retries:
                     return ("failed", exc, attempts, job.resumes)
                 get_metrics().counter("serve.retries").inc()
-                delay = self.policy.backoff(attempts)
-                if delay > 0.0:
-                    time.sleep(delay)

@@ -18,10 +18,10 @@ with finiteness checks that (absent a policy) raise a
 ``FloatingPointError`` naming the step and phase.  With a
 :class:`repro.resilience.RecoveryPolicy` attached it instead climbs the
 recovery ladder: re-evaluate a poisoned sweep, drop the preconditioner
-and escalate the GMRES restart for a sick linear solve, reject the step
-and resume from the last good iterate with a halved damping cap, and
-snapshot the iterate every ``checkpoint_every`` accepted steps so a
-killed solve can resume via ``resume_from=``.
+and escalate the GMRES restart for a sick linear solve, and reject the
+step and resume from the last good iterate with a halved damping cap.
+Every accepted step is snapshotted, so a killed solve can resume via
+``resume_from=``.
 """
 
 from __future__ import annotations
@@ -55,6 +55,27 @@ _EW_SAFEGUARD = 0.1
 #: roundoff-floor stop: ``||F|| <= _FLOOR_RTOL ||F_0||`` and the last two
 #: accepted steps both needed backtracking
 _FLOOR_RTOL = 1.0e-10
+
+#: ``newton_solve``'s ``||F||`` target and per-step linear tolerance (the
+#: paper's 1e-6)
+NEWTON_TOL = 1.0e-8
+LINEAR_TOL = 1.0e-6
+
+#: smallest backtracking step, accepted even if it does not decrease
+#: ``||F||`` (keeps the fixed-step-count workflow robust)
+_DAMPING_MIN = 1.0 / 64.0
+
+#: recovery-ladder budgets of a solve with a ``RecoveryPolicy``:
+#: full re-evaluations of a non-finite sweep
+_MAX_REEVALUATIONS = 2
+#: rejected attempts per Newton step before giving up
+_MAX_STEP_REJECTIONS = 3
+#: damping-cap multiplier applied on each step rejection
+_STEP_DAMPING_BACKOFF = 0.5
+#: restart/maxiter growth factor per GMRES escalation
+_GMRES_RESTART_GROWTH = 2
+#: stagnating linear-solve retries with a grown Krylov space
+_MAX_GMRES_ESCALATIONS = 2
 
 
 def forcing_term(residual_norms, tol: float, linear_tol: float) -> float:
@@ -121,8 +142,8 @@ class NewtonResult:
     #: from observability spans (newton.evaluate / newton.precond_setup /
     #: gmres.solve), so the numbers agree with a recorded trace exactly.
     phase_seconds: dict = field(default_factory=dict)
-    #: most recent state snapshot (``checkpoint_every`` accepted steps);
-    #: feed it back via ``newton_solve(resume_from=...)`` to restart
+    #: snapshot after the last accepted step; feed it back via
+    #: ``newton_solve(resume_from=...)`` to restart
     checkpoint: NewtonCheckpoint | None = None
     #: the solve started from a nonzero ``x0`` (a warm start).  Transient
     #: stepping feeds each solve the previous step's velocity; this flag
@@ -171,17 +192,15 @@ def newton_solve(
     jacobian_fn,
     x0: np.ndarray,
     max_steps: int = 8,
-    tol: float = 1.0e-8,
-    linear_tol: float = 1.0e-6,
-    gmres_restart: int = 50,
-    gmres_maxiter: int = 400,
+    tol: float = NEWTON_TOL,
+    linear_tol: float = LINEAR_TOL,
+    gmres_restart: int = 300,
+    gmres_maxiter: int = 900,
     preconditioner_fn=None,
-    damping_min: float = 1.0 / 64.0,
     callback=None,
     residual_jacobian_fn=None,
     reducer=None,
     resilience=None,
-    checkpoint_every: int | None = None,
     checkpoint_cb=None,
     resume_from: NewtonCheckpoint | None = None,
     deadline=None,
@@ -205,9 +224,6 @@ def newton_solve(
     max_steps:
         Maximum (and, when ``tol`` is not reached, exact) Newton steps --
         the paper's test uses eight.
-    damping_min:
-        Smallest backtracking step before accepting a non-decreasing
-        update (keeps the fixed-step-count workflow robust).
     reducer:
         Optional object with ``dot(x, y)`` and ``norm(x)`` (e.g.
         :class:`repro.solvers.reductions.BlockReducer`) used for every
@@ -220,11 +236,9 @@ def newton_solve(
         ``FloatingPointError`` naming the step and phase; with it the
         solver recovers (re-evaluation, step rejection with damping
         backoff, GMRES restart escalation) and logs every event.
-    checkpoint_every:
-        Snapshot the accepted iterate every N steps into
-        ``NewtonResult.checkpoint`` (and ``checkpoint_cb`` when given).
-        Defaults to the policy's ``checkpoint_every`` (0 = off without a
-        policy).
+    checkpoint_cb:
+        Called with the :class:`NewtonCheckpoint` of every accepted step
+        (the latest one is also ``NewtonResult.checkpoint``).
     resume_from:
         A :class:`NewtonCheckpoint` to restart from: the loop re-enters
         at the checkpointed step with the saved iterate and histories.
@@ -259,8 +273,6 @@ def newton_solve(
     metrics = get_metrics()
     policy = resilience
     log = policy.log if policy is not None else None
-    if checkpoint_every is None:
-        checkpoint_every = policy.checkpoint_every if policy is not None else 0
 
     x = np.array(x0, dtype=np.float64)
     res = NewtonResult(x, False, 0)
@@ -305,7 +317,7 @@ def newton_solve(
                     )
                 return f_new, J_new
             attempts += 1
-            if policy is None or attempts > policy.max_reevaluations:
+            if policy is None or attempts > _MAX_REEVALUATIONS:
                 if not f_ok and what != "step":
                     raise FloatingPointError(
                         "non-finite residual at the initial guess; check inputs "
@@ -403,7 +415,7 @@ def newton_solve(
                         if problem == "nonfinite_direction":
                             _raise_nonfinite(step, "gmres", dx)
                         break  # stagnation without a policy: proceed damped
-                    if escalations >= policy.max_gmres_escalations:
+                    if escalations >= _MAX_GMRES_ESCALATIONS:
                         if problem == "nonfinite_direction":
                             _raise_nonfinite(step, "gmres", dx)
                         break
@@ -413,8 +425,8 @@ def newton_solve(
                         final_residual=lin.final_residual,
                     )
                     escalations += 1
-                    restart_eff *= policy.gmres_restart_growth
-                    maxiter_eff *= policy.gmres_restart_growth
+                    restart_eff *= _GMRES_RESTART_GROWTH
+                    maxiter_eff *= _GMRES_RESTART_GROWTH
                     if problem == "nonfinite_direction":
                         M = None
                     with tr.span(
@@ -449,7 +461,7 @@ def newton_solve(
                                 )
                             if (
                                 fnorm_trial < (1.0 - 1.0e-4 * alpha) * fnorm
-                                or alpha <= damping_min
+                                or alpha <= _DAMPING_MIN
                             ):
                                 if nonfinite_trials and policy is not None:
                                     log.record(
@@ -461,7 +473,7 @@ def newton_solve(
                         else:
                             # a non-finite trial is never acceptable --
                             # without this guard a NaN reaching
-                            # ``damping_min`` would be silently accepted
+                            # ``_DAMPING_MIN`` would be silently accepted
                             if policy is None:
                                 _raise_nonfinite(step, "line_search", f_trial)
                             nonfinite_trials += 1
@@ -469,7 +481,7 @@ def newton_solve(
                                 "detection", "nonfinite_line_search",
                                 "newton.line_search", step=step, alpha=alpha,
                             )
-                            if alpha <= damping_min:
+                            if alpha <= _DAMPING_MIN:
                                 rejected = True
                                 break
                         alpha *= 0.5
@@ -480,9 +492,9 @@ def newton_solve(
                 # reject the step: resume from the last good iterate with
                 # a halved damping cap (x was never overwritten)
                 rejections += 1
-                if rejections > policy.max_step_rejections:
+                if rejections > _MAX_STEP_REJECTIONS:
                     _raise_nonfinite(step, "step_rejection")
-                alpha_cap *= policy.step_damping_backoff
+                alpha_cap *= _STEP_DAMPING_BACKOFF
                 with tr.span(
                     "resilience.recover", site="newton.step",
                     step=step, rejection=rejections,
@@ -503,18 +515,17 @@ def newton_solve(
             metrics.histogram("gmres.iterations_per_solve").observe(lin.iterations)
             res.iterations = step + 1
             metrics.counter("newton.steps").inc()
-            if checkpoint_every and (step + 1) % checkpoint_every == 0:
-                res.checkpoint = NewtonCheckpoint(
-                    step=step + 1,
-                    x=x.copy(),
-                    residual_norms=list(res.residual_norms),
-                    step_lengths=list(res.step_lengths),
-                    linear_iterations=list(res.linear_iterations),
-                    linear_flags=list(res.linear_flags),
-                )
-                metrics.counter("newton.checkpoints").inc()
-                if checkpoint_cb is not None:
-                    checkpoint_cb(res.checkpoint)
+            res.checkpoint = NewtonCheckpoint(
+                step=step + 1,
+                x=x.copy(),
+                residual_norms=list(res.residual_norms),
+                step_lengths=list(res.step_lengths),
+                linear_iterations=list(res.linear_iterations),
+                linear_flags=list(res.linear_flags),
+            )
+            metrics.counter("newton.checkpoints").inc()
+            if checkpoint_cb is not None:
+                checkpoint_cb(res.checkpoint)
         if callback is not None:
             callback(step, x, fnorm, lin)
         if fnorm <= tol:

@@ -58,8 +58,7 @@ class TuneCandidate:
 
     def apply_to(self, config: VelocityConfig) -> VelocityConfig:
         """Overlay the tuned axes onto ``config`` (everything else --
-        tolerances, GMRES and Newton budgets, ``nparts``, ``tuned`` --
-        survives)."""
+        ``newton_steps``, ``nparts``, ``tuned`` -- survives)."""
         return dataclasses.replace(
             config,
             kernel_impl=self.kernel_impl,

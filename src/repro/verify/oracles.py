@@ -795,7 +795,7 @@ def _oracle_inexact_newton():
         return result, sum(result.newton_iterations), iterations.value - before
 
     forced, forced_newton, forced_gmres = run()
-    with mock.patch.object(newton, "_ETA_MAX", engine.problem.config.linear_tol):
+    with mock.patch.object(newton, "_ETA_MAX", newton.LINEAR_TOL):
         exact, exact_newton, exact_gmres = run()
 
     divs = []

@@ -3,7 +3,7 @@
 ``solve(newton_tol=...)`` -- today the transient engine's call -- follows
 :func:`repro.solvers.newton.forcing_term`; a solve with a step budget
 only (the paper's eight steps, every serve request, the tuner's trials)
-asks GMRES for ``config.linear_tol`` on every step, as it always did.
+asks GMRES for the 1e-6 ``LINEAR_TOL`` on every step, as it always did.
 The bitwise contracts (resume == uninterrupted, chaos == fault-free,
 SPMD == serial) have to hold under the rule too, and every warm solve of the scenario library
 has to end on its target with every linear solve converged.
@@ -58,7 +58,7 @@ class TestWhichSolvesAreInexact:
     def test_a_step_budget_solve_asks_for_linear_tol(self, asked, operator_mode, nparts):
         problem = _problem(operator_mode, nparts)
         sol = problem.solve()
-        assert asked == [problem.config.linear_tol] * 8
+        assert asked == [newton_module.LINEAR_TOL] * 8
         # the paper's eight steps, all taken: no stop fired
         assert sol.newton.iterations == 8
         assert sol.newton.stop_reason == "max_steps"
@@ -70,7 +70,7 @@ class TestWhichSolvesAreInexact:
         norms = sol.newton.residual_norms
         assert sol.newton.converged and sol.newton.stop_reason == "tolerance"
         assert asked == [
-            forcing_term(norms[: k + 1], tol, problem.config.linear_tol)
+            forcing_term(norms[: k + 1], tol, newton_module.LINEAR_TOL)
             for k in range(sol.newton.iterations)
         ]
         assert asked[0] == newton_module._ETA_MAX and min(asked) < asked[0]
@@ -80,7 +80,7 @@ class TestWhichSolvesAreInexact:
         problem = _problem(newton_steps=12)
         tol = _target(problem)
         forced = problem.solve(newton_tol=tol).newton
-        monkeypatch.setattr(newton_module, "_ETA_MAX", problem.config.linear_tol)
+        monkeypatch.setattr(newton_module, "_ETA_MAX", newton_module.LINEAR_TOL)
         exact = problem.solve(newton_tol=tol).newton
         assert forced.converged and exact.converged
         assert forced.iterations <= exact.iterations + 1
@@ -92,9 +92,7 @@ class TestBitwiseContractsUnderForcing:
         problem = _problem(newton_steps=12)
         tol = _target(problem)
         checkpoints = []
-        full = problem.solve(
-            newton_tol=tol, checkpoint_every=1, checkpoint_cb=checkpoints.append
-        )
+        full = problem.solve(newton_tol=tol, checkpoint_cb=checkpoints.append)
         assert full.newton.iterations >= 6
         # the process died after the third checkpoint was written
         resumed = problem.solve(newton_tol=tol, resume_from=checkpoints[2])

@@ -26,6 +26,7 @@ import pytest
 from repro import observability as obs
 from repro.app.antarctica import AntarcticaTest
 from repro.app.config import AntarcticaConfig, VelocityConfig
+from repro.app.velocity_solver import WORKSET_SIZE
 from repro.observability import hooks
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -71,7 +72,7 @@ class TestTracedSolve:
                     return True
             return False
 
-        per_sweep = -(-sol.diagnostics["num_cells"] // TINY.velocity.workset_size)
+        per_sweep = -(-sol.diagnostics["num_cells"] // WORKSET_SIZE)
         launches = sum(sol.diagnostics["eval_sweeps"].values()) * per_sweep
         assert sum(map(under_solve, kernels)) == launches == len(kernels)
         assert all(s.args["dispatch"] == "parallel_for" for s in kernels)

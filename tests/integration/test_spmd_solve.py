@@ -138,6 +138,26 @@ class TestSpmdSolveMatchesSerial:
         assert "spmd" not in sol_s.diagnostics
 
 
+class TestCheckpointResume:
+    """Every accepted Newton step of a plain ``solve()`` is snapshotted,
+    and a solve resumed from one finishes bitwise where the
+    uninterrupted solve did."""
+
+    @pytest.mark.parametrize("nparts", [1, 2])
+    def test_resume_from_step_two_is_bitwise(self, nparts):
+        problem = _antarctica(nparts)
+        captured = []
+        full = problem.solve(checkpoint_cb=captured.append)
+        assert full.newton.checkpoint.step == full.newton.iterations
+        assert [c.step for c in captured] == list(range(1, full.newton.iterations + 1))
+        resumed = problem.solve(resume_from=captured[1])
+        assert captured[1].step == 2
+        assert np.array_equal(resumed.u, full.u)
+        assert resumed.newton.residual_norms == full.newton.residual_norms
+        assert resumed.newton.linear_iterations == full.newton.linear_iterations
+        assert resumed.newton.step_lengths == full.newton.step_lengths
+
+
 class TestSpmdGreenland:
     """The SPMD path is not specialized to the Antarctica footprint."""
 

@@ -49,7 +49,7 @@ class TestTunedAxis:
 
     def test_auto_accepted_and_replace_preserves_it(self):
         cfg = VelocityConfig(tuned="auto")
-        assert dataclasses.replace(cfg, gmres_restart=77).tuned == "auto"
+        assert dataclasses.replace(cfg, newton_steps=5).tuned == "auto"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="tuned"):

@@ -101,9 +101,6 @@ class TestDeadline:
         assert "newton.step 3" in str(exc)
         assert isinstance(exc, RuntimeError)
 
-    def test_after_classmethod(self):
-        assert Deadline.after(1.5, clock=FakeClock()).budget_s == 1.5
-
 
 class TestGmresDeadline:
     def test_mid_cycle_expiry_is_typed(self):
@@ -165,7 +162,7 @@ class TestNewtonDeadline:
 
         with pytest.raises(SolveTimeout) as exc_info:
             newton_solve(
-                F, J, x0, max_steps=20, tol=1e-14, checkpoint_every=1,
+                F, J, x0, max_steps=20, tol=1e-14,
                 deadline=Deadline(1.0, clock=clock),
                 callback=expire_after_second_step,
             )
@@ -176,7 +173,7 @@ class TestNewtonDeadline:
 
     def test_resume_after_timeout_is_bitwise_identical(self):
         F, J, x0 = _cubic_system()
-        reference = newton_solve(F, J, x0, max_steps=20, tol=1e-12, checkpoint_every=1)
+        reference = newton_solve(F, J, x0, max_steps=20, tol=1e-12)
 
         clock = FakeClock()
 
@@ -186,12 +183,12 @@ class TestNewtonDeadline:
 
         with pytest.raises(SolveTimeout) as exc_info:
             newton_solve(
-                F, J, x0, max_steps=20, tol=1e-12, checkpoint_every=1,
+                F, J, x0, max_steps=20, tol=1e-12,
                 deadline=Deadline(1.0, clock=clock),
                 callback=expire_after_second_step,
             )
         resumed = newton_solve(
-            F, J, x0, max_steps=20, tol=1e-12, checkpoint_every=1,
+            F, J, x0, max_steps=20, tol=1e-12,
             resume_from=exc_info.value.checkpoint,
         )
         assert resumed.converged == reference.converged

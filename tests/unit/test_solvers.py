@@ -554,7 +554,7 @@ class TestForcingTerm:
         tol = 1.0e-9 * float(np.linalg.norm(F(x0)))
         out = newton_solve(
             F, J, x0, max_steps=30, tol=tol, inexact=True,
-            checkpoint_every=1, checkpoint_cb=checkpoints.append,
+            checkpoint_cb=checkpoints.append,
         )
         assert out.converged and out.stop_reason == "tolerance"
         assert live[0] == self.ETA_MAX and min(live) < self.ETA_MAX
