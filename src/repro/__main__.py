@@ -13,7 +13,6 @@ import argparse
 from repro.observability import cli as observability_cli
 from repro.perf import paper
 from repro.perf.report import format_table
-from repro.resilience import cli as resilience_cli
 from repro.serve import cli as serve_cli
 from repro.transient import cli as transient_cli
 from repro.tune import cli as tune_cli
@@ -71,10 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
     sub.add_parser("solve", help="the Antarctica velocity solve (coarse)").set_defaults(run=solve)
     observability_cli.register(sub)  # profile perfdiff
-    resilience_cli.register(sub)  # chaos
     verify_cli.register(sub)
     tune_cli.register(sub)
-    serve_cli.register(sub)
+    serve_cli.register(sub)  # serve chaos
     transient_cli.register(sub)
     sub.add_parser("all", help="every artifact, then the solve").set_defaults(run=everything)
     return ap

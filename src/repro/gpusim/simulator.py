@@ -21,7 +21,7 @@ from repro.gpusim.trace import ThreadProgram, record_kernel_trace
 from repro.kokkos.policy import LaunchBounds
 from repro.observability import get_metrics, get_tracer
 from repro.resilience.injectors import KernelLaunchError, fault_plane
-from repro.resilience.policies import retry_with_backoff
+from repro.resilience.policies import call_with_retries
 
 __all__ = ["ProblemSize", "ANTARCTICA_16KM", "KernelProfile", "GPUSimulator"]
 
@@ -116,7 +116,7 @@ class GPUSimulator:
         if plane.active:
             # a flaky-GPU launch failure is re-launched within the
             # policy's budget, like a retry after a transient driver error
-            retries = retry_with_backoff(
+            retries = call_with_retries(
                 lambda: plane.poke("gpusim.launch", name=variant.key, gpu=self.spec.name),
                 plane.policy, plane.log, "gpusim.launch", "launch_failure", "launch_retry",
                 exceptions=(KernelLaunchError,), name=variant.key,

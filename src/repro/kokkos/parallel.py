@@ -16,7 +16,7 @@ from repro.kokkos.policy import RangePolicy
 from repro.kokkos.space import ExecutionSpace, HostVector
 from repro.observability import hooks
 from repro.resilience.injectors import KernelLaunchError, fault_plane
-from repro.resilience.policies import retry_with_backoff
+from repro.resilience.policies import call_with_retries
 
 __all__ = ["parallel_for", "DEFAULT_EXEC_SPACE"]
 
@@ -35,7 +35,7 @@ def parallel_for(
     if plane.active:
         # an injected ``kernel.launch`` failure is re-submitted within the
         # policy's retry budget, like a backend after a transient error
-        retry_with_backoff(
+        call_with_retries(
             lambda: plane.poke("kernel.launch", name=name, extent=policy.extent),
             plane.policy, plane.log, "kernel.launch", "launch_failure", "launch_retry",
             exceptions=(KernelLaunchError,), name=name,

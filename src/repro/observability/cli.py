@@ -11,6 +11,7 @@ documents by their contribution to a regression.
 
 from __future__ import annotations
 
+import gc
 import json
 
 from repro.observability import perfdiff
@@ -39,6 +40,11 @@ def profile(args) -> int:
         # known amount and check the diff ranks it first
         name, _, secs = args.plant_slow.partition(":")
         tr.plant_slowdown(name, float(secs or 0.0))
+    # no cyclic-GC pass inside the traced run (timeit's rule): a pass over
+    # the whole process heap lands in whichever span is open, and perfdiff
+    # would rank that span as the regression
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         with obs.tracing() as tracer:
             with tracer.span("antarctica.build", resolution_km=resolution_km, layers=layers):
@@ -46,6 +52,8 @@ def profile(args) -> int:
             sol = test.run()
     finally:
         tr.clear_slowdowns()
+        if gc_enabled:
+            gc.enable()
     spans = tracer.spans
     obs.annotate_roofline(spans, spec)
     mismatches = obs.reconcile_rocprof_bytes(spans)

@@ -44,7 +44,6 @@ from repro.resilience.detectors import (
     verify_payload,
 )
 from repro.resilience.injectors import (
-    SCHEDULES,
     BitFlip,
     DropMessage,
     DuplicateMessage,
@@ -66,8 +65,8 @@ from repro.resilience.policies import (
     PreconditionerLadder,
     RecoveryPolicy,
     ResilienceLog,
+    call_with_retries,
     choose_survivor,
-    retry_with_backoff,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "nonfinite_count",
     "payload_checksum",
     "verify_payload",
-    "SCHEDULES",
     "BitFlip",
     "DropMessage",
     "DuplicateMessage",
@@ -100,5 +98,5 @@ __all__ = [
     "RecoveryPolicy",
     "ResilienceLog",
     "choose_survivor",
-    "retry_with_backoff",
+    "call_with_retries",
 ]

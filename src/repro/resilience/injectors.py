@@ -311,9 +311,6 @@ def reference_schedule(seed: int = 2024, nparts: int = 4) -> FaultSchedule:
     )
 
 
-SCHEDULES = {"reference": reference_schedule}
-
-
 class FaultPlane:
     """Process-wide injection point the instrumented sites consult.
 

@@ -32,7 +32,6 @@ the normal observability snapshot.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.observability import get_metrics, get_series, get_tracer
@@ -40,7 +39,7 @@ from repro.observability import get_metrics, get_series, get_tracer
 __all__ = [
     "ResilienceLog",
     "RecoveryPolicy",
-    "retry_with_backoff",
+    "call_with_retries",
     "PreconditionerLadder",
     "choose_survivor",
 ]
@@ -53,39 +52,18 @@ class ResilienceLog:
     registry (``resilience.<category>`` and ``resilience.<category>.
     <kind>`` counters), so ``diagnostics["observability"]`` and
     ``diagnostics["resilience"]`` stay consistent with each other.
-
-    ``max_events`` bounds the retained event list as a ring buffer: a
-    long-running solve *service* records events indefinitely, and an
-    unbounded list is a slow memory leak.  When bounded, the oldest
-    events are evicted; the per-(category, kind) counts -- and the
-    mirrored metrics counters -- stay exact regardless, and
-    :meth:`summary` carries an ``events_dropped`` truncation marker so
-    a reader can tell a complete history from a windowed one.
     """
 
     CATEGORIES = ("injection", "detection", "recovery")
 
-    def __init__(self, max_events: int | None = None):
-        if max_events is not None and max_events <= 0:
-            raise ValueError("max_events must be positive (or None for unbounded)")
-        self.max_events = max_events
-        self.events: deque[dict] = deque(maxlen=max_events)
-        #: events evicted from the ring buffer (0 when unbounded)
-        self.dropped = 0
-        #: exact counts, immune to ring-buffer eviction
-        self._counts: dict[tuple[str, str], int] = {}
-        self._total = 0
+    def __init__(self):
+        self.events: list[dict] = []
 
     def record(self, category: str, kind: str, site: str, **detail) -> dict:
         if category not in self.CATEGORIES:
             raise ValueError(f"unknown event category {category!r}")
         event = {"category": category, "kind": kind, "site": site, **detail}
-        if self.max_events is not None and len(self.events) == self.max_events:
-            self.dropped += 1
         self.events.append(event)
-        self._total += 1
-        key = (category, kind)
-        self._counts[key] = self._counts.get(key, 0) + 1
         metrics = get_metrics()
         metrics.counter(f"resilience.{category}").inc()
         metrics.counter(f"resilience.{category}.{kind}").inc()
@@ -93,51 +71,38 @@ class ResilienceLog:
         # the convergence plots show *when* the ladder fired, not just
         # how often (the value is the running event count)
         get_series().record(
-            "resilience.event", self._total, category=category, kind=kind
+            "resilience.event", len(self.events), category=category, kind=kind
         )
         return event
 
     def extend(self, events) -> None:
         """Merge already-recorded events from another log.
 
-        Keeps the exact counts consistent with the event window but does
-        NOT re-mirror into the metrics registry -- the source log already
-        did that when each event was first recorded (re-counting would
-        double every ``resilience.*`` counter).
+        Does NOT re-mirror into the metrics registry -- the source log
+        already did that when each event was first recorded (re-counting
+        would double every ``resilience.*`` counter).
         """
-        for event in events:
-            if self.max_events is not None and len(self.events) == self.max_events:
-                self.dropped += 1
-            self.events.append(event)
-            self._total += 1
-            key = (event["category"], event["kind"])
-            self._counts[key] = self._counts.get(key, 0) + 1
+        self.events.extend(events)
 
     def count(self, category: str, kind: str | None = None) -> int:
-        """Exact event count (unaffected by ring-buffer truncation)."""
         return sum(
-            n
-            for (c, k), n in self._counts.items()
-            if c == category and (kind is None or k == kind)
+            1
+            for e in self.events
+            if e["category"] == category and (kind is None or e["kind"] == kind)
         )
 
     def summary(self) -> dict:
-        """JSON-able chaos-run statistics: totals, per-kind counts, events.
-
-        Counts are exact; ``events`` is the retained window (the full
-        history when unbounded).  ``events_dropped > 0`` marks a
-        truncated window.
-        """
+        """JSON-able chaos-run statistics: totals, per-kind counts, events."""
         by_kind: dict[str, dict[str, int]] = {c: {} for c in self.CATEGORIES}
-        for (c, k), n in sorted(self._counts.items()):
-            by_kind[c][k] = n
+        for e in self.events:
+            kinds = by_kind[e["category"]]
+            kinds[e["kind"]] = kinds.get(e["kind"], 0) + 1
         return {
             "injections": self.count("injection"),
             "detections": self.count("detection"),
             "recoveries": self.count("recovery"),
-            "by_kind": by_kind,
+            "by_kind": {c: dict(sorted(k.items())) for c, k in by_kind.items()},
             "events": list(self.events),
-            "events_dropped": self.dropped,
         }
 
 
@@ -155,7 +120,7 @@ class RecoveryPolicy:
     log: ResilienceLog = field(default_factory=ResilienceLog)
 
 
-def retry_with_backoff(
+def call_with_retries(
     fn,
     policy: RecoveryPolicy,
     log: ResilienceLog,

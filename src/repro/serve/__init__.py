@@ -22,7 +22,7 @@ in the service shape that workload implies:
   checkpoint heartbeats; dead or hung workers are respawned and their
   jobs resumed bitwise-exactly from the last Newton checkpoint;
 * :mod:`~repro.serve.chaos` -- the deterministic chaos acceptance run
-  behind ``python -m repro serve --check``;
+  behind ``python -m repro chaos``;
 * :mod:`~repro.serve.http` -- a stdlib-only HTTP frontend
   (``/solve``, ``/healthz``, ``/metrics`` in OpenMetrics text).
 
@@ -37,7 +37,8 @@ Quick start::
             resp = await svc.submit(req)
             print(resp.status, resp.result.mean_velocity)
 
-or from the command line: ``python -m repro serve --check``.
+or from the command line: ``python -m repro serve`` (HTTP) and
+``python -m repro chaos --check`` (the chaos gate).
 """
 
 from __future__ import annotations

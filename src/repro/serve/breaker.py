@@ -6,10 +6,10 @@ off with the classic three-state machine, driven entirely by request
 outcomes (no wall-clock cooldown -- a deterministic request-count
 schedule, so chaos runs replay identically):
 
-* **closed** -- requests flow; ``failure_threshold`` *consecutive*
+* **closed** -- requests flow; ``FAILURE_THRESHOLD`` *consecutive*
   failures trip it open (a single success resets the streak);
 * **open** -- requests are shed with ``breaker_open``; after
-  ``probe_after`` sheds the next request is admitted as the half-open
+  ``PROBE_AFTER`` sheds the next request is admitted as the half-open
   probe;
 * **half-open** -- exactly one probe runs (concurrent requests keep
   shedding); success closes the breaker, failure reopens it and the
@@ -28,16 +28,17 @@ __all__ = ["CircuitBreaker"]
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 _STATE_CODE = {CLOSED: 0, OPEN: 1, HALF_OPEN: 2}
 
+#: consecutive failures that trip a closed breaker open
+FAILURE_THRESHOLD = 3
+#: sheds an open breaker counts before it admits the half-open probe
+PROBE_AFTER = 2
+
 
 class CircuitBreaker:
     """Outcome-driven breaker for one scenario digest."""
 
-    def __init__(self, scenario: str, failure_threshold: int = 3, probe_after: int = 2):
-        if failure_threshold < 1 or probe_after < 1:
-            raise ValueError("failure_threshold and probe_after must be >= 1")
+    def __init__(self, scenario: str):
         self.scenario = scenario
-        self.failure_threshold = failure_threshold
-        self.probe_after = probe_after
         self.state = CLOSED
         self.consecutive_failures = 0
         #: sheds since the breaker last opened (drives the probe schedule)
@@ -68,10 +69,10 @@ class CircuitBreaker:
             return True
         # OPEN: shed until the probe schedule arms the half-open state;
         # the arming request is itself still shed -- the NEXT request
-        # becomes the probe (K failures, then probe_after sheds, then
+        # becomes the probe (K failures, then PROBE_AFTER sheds, then
         # one probe: the exact script the chaos harness asserts)
         self.rejections += 1
-        if self.rejections >= self.probe_after:
+        if self.rejections >= PROBE_AFTER:
             self._move(HALF_OPEN, after_rejections=self.rejections)
         return False
 
@@ -90,7 +91,7 @@ class CircuitBreaker:
             self.rejections = 0
             self._move(OPEN, probe="failure", reason=reason)
             return
-        if self.state == CLOSED and self.consecutive_failures >= self.failure_threshold:
+        if self.state == CLOSED and self.consecutive_failures >= FAILURE_THRESHOLD:
             self.rejections = 0
             self._move(OPEN, consecutive_failures=self.consecutive_failures, reason=reason)
 

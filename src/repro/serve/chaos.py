@@ -1,7 +1,7 @@
-"""The serve chaos check: ``python -m repro serve --check``.
+"""The chaos check: ``python -m repro chaos``.
 
 One deterministic scenario exercising every resilience mechanism the
-service claims, with a hard acceptance bar:
+solver and the service claim, with a hard acceptance bar:
 
 * **wave A (dedup)** -- three concurrent identical requests: exactly
   one solve runs, two join it;
@@ -9,9 +9,12 @@ service claims, with a hard acceptance bar:
   each worker killed mid-solve by the :class:`KillSwitch` (steps 1 and
   2); the supervisor revives both jobs from their heartbeated
   checkpoints;
-* **wave C (fault injection)** -- an SPMD (2-rank) request solved with
-  the fault plane armed: a corrupted halo payload and a NaN-poisoned
-  evaluator sweep, both recovered by the PR-4 ladder;
+* **wave C (fault injection)** -- the coarse Antarctica SPMD request
+  (350 km, 4 layers, 4 ranks, 8 Newton steps) solved under
+  :func:`~repro.resilience.reference_schedule`: a bit-flipped, a dropped
+  and a duplicated halo message, a NaN-poisoned evaluator sweep and a
+  killed rank.  Every injector must fire, the dead rank must be
+  reported and recovery must run; the event table is printed;
 * **wave D (deadline storm + breaker)** -- three zero-budget requests
   time out immediately (typed, no partial garbage), opening the
   scenario's breaker; two more requests are shed ``breaker_open``; the
@@ -24,6 +27,9 @@ to an independent fault-free solve of the same scenario; the breaker
 walks exactly closed -> open -> half-open -> closed.  ``disarm_breaker``
 is the CI negative control: with the breaker disabled the storm wave
 cannot produce its sheds/transitions and the check must exit nonzero.
+
+``python -m repro chaos`` prints the run and exits 0; ``--check`` (the
+CI gate) exits 1 unless every assertion holds.
 
 Determinism notes: the fault plane is process-global, so wave C runs
 with no other request in flight; worker kills are keyed by (scenario
@@ -40,13 +46,16 @@ import numpy as np
 
 from repro import observability as obs
 from repro.perf import format_table
-from repro.resilience.injectors import BitFlip, FaultSchedule, NaNPoison, fault_injection
+from repro.resilience.injectors import fault_injection, reference_schedule
 from repro.resilience.policies import RecoveryPolicy
 from repro.serve.pool import KillSwitch
 from repro.serve.requests import SolveRequest, SolveScenario
 from repro.serve.service import SolveService
 
 __all__ = ["run_chaos_check"]
+
+#: worker threads of the service under test
+WORKERS = 2
 
 
 def _reference_solutions(scenarios):
@@ -64,27 +73,25 @@ def run_chaos_check(
     seed: int = 2024,
     disarm_breaker: bool = False,
     openmetrics_out: str | None = None,
-    workers: int = 2,
     verbose: bool = True,
 ) -> int:
-    """Run the deterministic serve chaos scenario; 0 = all assertions hold."""
+    """Run the deterministic chaos scenario; 0 = all assertions hold."""
 
     say = print if verbose else (lambda *a, **k: None)
 
     # tiny-but-real scenarios: distinct digests so kills and breakers
-    # key independently; delta is SPMD so halo fault sites exist
+    # key independently; delta is the 4-rank coarse Antarctica solve the
+    # reference schedule's occurrences are placed on
     alpha = SolveScenario("alpha", resolution_km=600.0, num_layers=3, newton_steps=6)
     bravo = SolveScenario("bravo", resolution_km=640.0, num_layers=3, newton_steps=6)
     charlie = SolveScenario("charlie", resolution_km=560.0, num_layers=3, newton_steps=6)
-    delta = SolveScenario(
-        "delta", resolution_km=600.0, num_layers=3, nparts=2, newton_steps=6
-    )
+    delta = SolveScenario("delta", resolution_km=350.0, num_layers=4, nparts=4)
     scenarios = [alpha, bravo, charlie, delta]
 
     obs.get_metrics().reset()
     obs.get_series().reset()
 
-    say("serve chaos: computing fault-free references "
+    say("chaos: computing fault-free references "
         f"({len(scenarios)} scenarios)...")
     refs = _reference_solutions(scenarios)
 
@@ -93,23 +100,13 @@ def run_chaos_check(
     kill.arm(charlie.digest, step=2)
 
     service = SolveService(
-        workers=workers,
-        queue_size=8,
+        workers=WORKERS,
         policy=RecoveryPolicy(max_retries=1),
-        failure_threshold=3,
-        probe_after=2,
         kill_switch=kill,
         breaker_enabled=not disarm_breaker,
     )
 
-    sched = FaultSchedule(
-        [
-            BitFlip("halo.payload", at=(10,)),
-            NaNPoison("sweep.output", at=(3,), fraction=0.01),
-        ],
-        seed=seed,
-        name="serve-chaos",
-    )
+    sched = reference_schedule(seed=seed, nparts=delta.nparts)
 
     async def drive():
         out = {}
@@ -123,7 +120,7 @@ def run_chaos_check(
                 service.submit(SolveRequest(bravo)),
                 service.submit(SolveRequest(charlie)),
             )
-            say("wave C: SPMD request under armed fault plane...")
+            say("wave C: SPMD request under the reference fault schedule...")
             with fault_injection(sched, policy=RecoveryPolicy()) as plane:
                 out["C"] = await service.submit(SolveRequest(delta))
                 out["undelivered"] = [i.describe() for i in plane.schedule.pending()]
@@ -173,11 +170,13 @@ def run_chaos_check(
     c = out["C"]
     rsum = (c.result.diagnostics.get("resilience") if c.result is not None else None)
     check("C: faulted SPMD request ok", c.status == "ok", c.status)
-    check("C: every scheduled fault delivered", not out["undelivered"],
-          str(out["undelivered"]))
+    check(f"C: all {len(sched.injectors)} scheduled injectors delivered",
+          not out["undelivered"], str(out["undelivered"]))
     check("C: faults detected and recovered",
           rsum is not None and rsum["detections"] > 0 and rsum["recoveries"] > 0,
           str(None if rsum is None else (rsum["detections"], rsum["recoveries"])))
+    check("C: dead rank reported", rsum is not None and bool(rsum["dead_ranks"]),
+          str(None if rsum is None else rsum["dead_ranks"]))
     check("C: recovered result bitwise equal to fault-free", bitwise(c, delta))
 
     d = out["D"]
@@ -190,8 +189,8 @@ def run_chaos_check(
     check("D: breaker sheds exactly two requests",
           all(r.status == "shed" and r.reason == "breaker_open" for r in sheds),
           ",".join(f"{r.status}/{r.reason}" for r in sheds))
-    br = service.breakers[alpha.digest]
-    walk = [(t["from"], t["to"]) for t in br.transitions]
+    br = service.breakers.get(alpha.digest)
+    walk = [] if br is None else [(t["from"], t["to"]) for t in br.transitions]
     check("D: breaker walks closed->open->half_open->closed",
           walk == [("closed", "open"), ("open", "half_open"), ("half_open", "closed")],
           str(walk))
@@ -211,6 +210,21 @@ def run_chaos_check(
         say(f"openmetrics: {openmetrics_out}")
 
     if verbose:
+        if rsum is not None:
+            print(format_table(
+                ["category", "kind", "site", "detail"],
+                [
+                    [e["category"], e["kind"], e["site"],
+                     ", ".join(f"{k}={v}" for k, v in e.items()
+                               if k not in ("category", "kind", "site"))]
+                    for e in rsum["events"]
+                ],
+                title=(
+                    f"chaos events: {rsum['injections']} injected / "
+                    f"{rsum['detections']} detected / {rsum['recoveries']} recovered"
+                ),
+            ))
+            print(f"dead ranks: {rsum['dead_ranks'] or 'none'}")
         rows = [
             [r.request.scenario.name, r.status, r.reason or "-",
              "yes" if r.deduped else "", r.attempts, r.resumes,
@@ -219,17 +233,17 @@ def run_chaos_check(
         ]
         print(format_table(
             ["scenario", "status", "reason", "dedup", "attempts", "resumes", "lat [s]"],
-            rows, title="serve chaos responses",
+            rows, title="chaos responses",
         ))
         print(format_table(
             ["assertion", "result", "detail"],
             [[n, "PASS" if ok else "FAIL", detail] for n, ok, detail in checks],
-            title="serve chaos assertions",
+            title="chaos assertions",
         ))
 
     failures = [n for n, ok, _ in checks if not ok]
     if failures:
-        say(f"serve chaos check: FAIL ({len(failures)} assertion(s))")
+        say(f"chaos check: FAIL ({len(failures)} assertion(s))")
         return 1
-    say("serve chaos check: PASS")
+    say("chaos check: PASS")
     return 0

@@ -58,10 +58,6 @@ class SolveService:
         queue_size: int = 8,
         policy: RecoveryPolicy | None = None,
         cache: ArtifactCache | None = None,
-        failure_threshold: int = 3,
-        probe_after: int = 2,
-        degrade_precond_depth: int | None = None,
-        degrade_mesh_depth: int | None = None,
         heartbeat_timeout_s: float | None = None,
         kill_switch: KillSwitch | None = None,
         breaker_enabled: bool = True,
@@ -70,26 +66,20 @@ class SolveService:
         if queue_size < 1:
             raise ValueError("queue_size must be positive")
         self.queue_size = queue_size
-        #: depth thresholds of the degradation ladder; defaults carve the
+        #: depth thresholds of the degradation ladder: they carve the
         #: bounded queue into thirds (pressure rises -> rungs get cheaper)
-        self.degrade_precond_depth = (
-            degrade_precond_depth if degrade_precond_depth is not None
-            else max(1, queue_size // 3)
-        )
-        self.degrade_mesh_depth = (
-            degrade_mesh_depth if degrade_mesh_depth is not None
-            else max(2, (2 * queue_size) // 3)
-        )
+        self.degrade_precond_depth = max(1, queue_size // 3)
+        self.degrade_mesh_depth = max(2, (2 * queue_size) // 3)
         self.policy = policy if policy is not None else RecoveryPolicy(max_retries=1)
         self.cache = cache if cache is not None else ArtifactCache()
-        self.failure_threshold = failure_threshold
-        self.probe_after = probe_after
         self.breaker_enabled = breaker_enabled
         self.kill_switch = kill_switch if kill_switch is not None else KillSwitch()
         self.clock = clock
         self.pool = WorkerPool(
             workers=workers, heartbeat_timeout_s=heartbeat_timeout_s, clock=clock
         )
+        #: digest -> breaker, created at the digest's first failure; a
+        #: digest without one is closed
         self.breakers: dict[str, CircuitBreaker] = {}
         #: digest -> future of the in-flight solve (the dedup join point)
         self._inflight: dict[str, asyncio.Future] = {}
@@ -131,17 +121,6 @@ class SolveService:
             await asyncio.sleep(SUPERVISE_INTERVAL_S)
 
     # ------------------------------------------------------------------
-    def breaker(self, digest: str) -> CircuitBreaker:
-        br = self.breakers.get(digest)
-        if br is None:
-            br = CircuitBreaker(
-                digest,
-                failure_threshold=self.failure_threshold,
-                probe_after=self.probe_after,
-            )
-            self.breakers[digest] = br
-        return br
-
     def _finish(self, response: SolveResponse, t0: float) -> SolveResponse:
         response.latency_s = self.clock() - t0
         get_metrics().histogram("serve.latency_s").observe(response.latency_s)
@@ -177,8 +156,8 @@ class SolveService:
             return self._finish(joined, t0)
 
         # 2. circuit breaker (per scenario digest)
-        br = self.breaker(digest)
-        if self.breaker_enabled and not br.allow():
+        br = self.breakers.get(digest)
+        if self.breaker_enabled and br is not None and not br.allow():
             metrics.counter("serve.shed.breaker_open").inc()
             return self._finish(
                 SolveResponse(request=request, status="shed", reason="breaker_open"),
@@ -254,9 +233,13 @@ class SolveService:
 
         # 6. typed response + breaker accounting (loop thread, race-free)
         kind, payload, attempts, resumes = outcome
+        br = self.breakers.get(digest)
+        if kind != "ok" and br is None:
+            br = self.breakers[digest] = CircuitBreaker(digest)
         if kind == "ok":
             self.cache.remember_good(solved, payload)
-            br.record_success()
+            if br is not None:
+                br.record_success()
             status = "degraded" if rung else "ok"
             resp = SolveResponse(
                 request=request, status=status, reason=rung, result=payload,

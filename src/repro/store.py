@@ -149,6 +149,10 @@ class CacheEntry:
         return self.test.problem
 
 
+#: built scenarios an :class:`ArtifactCache` keeps before evicting its coldest
+MAX_ENTRIES = 32
+
+
 class ArtifactCache:
     """Digest-keyed cache of built scenarios (thread-safe).
 
@@ -161,16 +165,13 @@ class ArtifactCache:
     hooks, the refreshed geometry), so one caller at a time per entry.
     """
 
-    def __init__(self, builder=None, max_entries: int = 32):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
+    def __init__(self, builder=None):
         # injectable builder so unit tests swap in a stub problem
         if builder is None:
             from repro.app.antarctica import AntarcticaTest
 
             builder = lambda scenario: AntarcticaTest.build(scenario.to_config())  # noqa: E731
         self._builder = builder
-        self.max_entries = max_entries
         self._entries: dict[str, CacheEntry] = {}
         self._lock = threading.Lock()
 
@@ -195,7 +196,7 @@ class ArtifactCache:
             # scenario twice wastes minutes, and an entry in the dict is
             # then always fully built
             metrics.counter("serve.cache.miss").inc()
-            if len(self._entries) >= self.max_entries:
+            if len(self._entries) >= MAX_ENTRIES:
                 # evict the coldest entry (fewest hits, oldest on ties:
                 # dict preserves insertion order)
                 coldest = min(self._entries, key=lambda d: self._entries[d].hits)

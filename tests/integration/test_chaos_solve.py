@@ -12,7 +12,7 @@ the fault-free one, far inside the ``10 * tol`` bar.
 
 The second half is the zero-overhead contract: with no schedule armed,
 every instrumented site pays one attribute read and never enters any
-resilience code (the CI ``chaos-solve`` job tracks the companion <5%
+resilience code (the CI ``perf-gate`` job tracks the companion <5%
 timing bar on the solver hot-path benchmark).
 """
 
@@ -97,7 +97,7 @@ class TestNoInjectorOverhead:
         # acceptance: with no injectors registered the hot path pays one
         # attribute read per site.  Wall-clock comparison of a run
         # against itself only measures machine jitter (the CI
-        # ``chaos-solve`` job tracks the timing bar on the hot-path
+        # ``perf-gate`` job tracks the timing bar on the hot-path
         # benchmark), so this test proves the stronger structural fact:
         # a disarmed solve executes *zero* resilience machinery.  Every
         # guarded entry point is replaced with a tripwire; the full SPMD

@@ -49,7 +49,7 @@ def test_every_documented_invocation_parses(doc):
 def test_ci_gates_keep_their_flags():
     """Spot-check that extraction sees multi-line commands whole."""
     ci = _documented_invocations(REPO_ROOT / ".github/workflows/ci.yml")
-    assert ["serve", "--check", "--openmetrics", "/tmp/serve.om"] in ci
+    assert ["chaos", "--check", "--openmetrics", "/tmp/serve.om"] in ci
     assert [
         "profile", "--out", "/tmp/trace.json", "--snapshot", "/tmp/perf_snapshot.json",
         "--openmetrics", "/tmp/metrics.om", "--series-jsonl", "/tmp/series.jsonl",

@@ -15,6 +15,7 @@ from repro import resilience as res
 from repro.fem.sparse import CsrMatrix
 from repro.mesh.partition import HaloExchange, partition_footprint
 from repro.mesh.planar import quad_footprint
+from repro.observability import get_metrics
 from repro.solvers.gmres import gmres
 from repro.solvers import newton as newton_module
 from repro.solvers.newton import newton_solve
@@ -193,7 +194,7 @@ class TestPolicies:
         with pytest.raises(ValueError):
             log.record("bogus", "x", "y")
 
-    def test_retry_with_backoff_recovers(self):
+    def test_call_with_retries_recovers(self):
         policy = res.RecoveryPolicy(max_retries=3)
         calls = {"n": 0}
 
@@ -204,7 +205,7 @@ class TestPolicies:
             return "ok"
 
         log = res.ResilienceLog()
-        retries = res.retry_with_backoff(
+        retries = res.call_with_retries(
             flaky, policy, log, "gpusim.launch", "launch_failure", "launch_retry"
         )
         assert retries == 2 and calls["n"] == 3
@@ -212,16 +213,29 @@ class TestPolicies:
         assert log.count("recovery", "launch_retry") == 1
         assert policy.log.count("detection") == 0  # recorded into the log passed
 
-    def test_retry_with_backoff_exhausts_budget(self):
+    def test_call_with_retries_exhausts_budget(self):
         policy = res.RecoveryPolicy(max_retries=2)
 
         def always_fails():
             raise RuntimeError("persistent")
 
         with pytest.raises(RuntimeError, match="persistent"):
-            res.retry_with_backoff(always_fails, policy, policy.log, "site", "kind", "kind_retry")
+            res.call_with_retries(always_fails, policy, policy.log, "site", "kind", "kind_retry")
         assert policy.log.count("detection") == 3  # initial + 2 retries
         assert policy.log.count("recovery") == 0
+
+    def test_log_extend_merges_without_double_counting(self):
+        src = res.ResilienceLog()
+        src.record("injection", "bitflip", "halo.payload")
+        src.record("detection", "halo_checksum_mismatch", "halo.payload")
+        dst = res.ResilienceLog()
+        dst.record("recovery", "halo_refetch", "halo.payload")
+        before = get_metrics().snapshot()["counters"]["resilience.injection"]
+        dst.extend(src.events)
+        assert (dst.count("injection"), dst.count("detection"), dst.count("recovery")) == (1, 1, 1)
+        assert [e["category"] for e in dst.events] == ["recovery", "injection", "detection"]
+        # the source log mirrored its events already; the merge adds none
+        assert get_metrics().snapshot()["counters"]["resilience.injection"] == before
 
     def test_preconditioner_ladder_falls_through(self):
         log = res.ResilienceLog()
@@ -575,47 +589,3 @@ class TestLaunchSites:
             profile = sim.run("optimized-residual", ProblemSize(num_cells=1000))
         assert profile.time_s > 0.0
         assert policy.log.count("recovery", "launch_retry") == 1
-
-
-# ---------------------------------------------------------------------------
-# bounded event log (a service-facing knob)
-# ---------------------------------------------------------------------------
-
-
-class TestBoundedResilienceLog:
-    def test_unbounded_by_default(self):
-        log = res.ResilienceLog()
-        for i in range(100):
-            log.record("detection", "kind", "site", i=i)
-        assert len(log.events) == 100
-        assert log.dropped == 0
-
-    def test_ring_buffer_drops_oldest_but_counts_stay_exact(self):
-        log = res.ResilienceLog(max_events=5)
-        for i in range(12):
-            log.record("detection", "kind", "site", i=i)
-        log.record("recovery", "mend", "site")
-        assert len(log.events) == 5
-        assert log.dropped == 8
-        # the window holds the NEWEST events
-        assert [e.get("i") for e in log.events] == [8, 9, 10, 11, None]
-        # counters are exact despite truncation
-        assert log.count("detection") == 12
-        assert log.count("recovery") == 1
-        s = log.summary()
-        assert s["detections"] == 12
-        assert s["events_dropped"] == 8
-
-    def test_extend_merges_without_double_counting(self):
-        src = res.ResilienceLog()
-        src.record("injection", "bitflip", "halo.payload")
-        src.record("detection", "halo_checksum_mismatch", "halo.payload")
-        dst = res.ResilienceLog(max_events=1)
-        dst.record("recovery", "halo_refetch", "halo.payload")
-        dst.extend(src.events)
-        assert dst.count("injection") == 1
-        assert dst.count("detection") == 1
-        assert dst.count("recovery") == 1
-        assert len(dst.events) == 1  # ring kept the newest only
-        assert dst.dropped == 2
-        assert dst.summary()["events_dropped"] == 2

@@ -35,6 +35,7 @@ from repro.serve import (
     WorkerKilled,
     WorkerPool,
 )
+from repro.serve import breaker
 from repro.serve.http import serve_http
 
 
@@ -186,9 +187,19 @@ class TestRequests:
 # circuit breaker state machine
 # ----------------------------------------------------------------------
 
+@pytest.fixture
+def breaker_settings(monkeypatch):
+    """Set the breaker's trip threshold and probe schedule for one test."""
+    def settle(failure_threshold: int, probe_after: int = breaker.PROBE_AFTER) -> None:
+        monkeypatch.setattr(breaker, "FAILURE_THRESHOLD", failure_threshold)
+        monkeypatch.setattr(breaker, "PROBE_AFTER", probe_after)
+    return settle
+
+
 class TestCircuitBreaker:
-    def test_success_resets_failure_streak(self):
-        br = CircuitBreaker("s", failure_threshold=3)
+    def test_success_resets_failure_streak(self, breaker_settings):
+        breaker_settings(failure_threshold=3)
+        br = CircuitBreaker("s")
         br.record_failure()
         br.record_failure()
         br.record_success()
@@ -197,16 +208,18 @@ class TestCircuitBreaker:
         assert br.state == "closed"
         assert br.allow()
 
-    def test_trips_open_at_threshold(self):
-        br = CircuitBreaker("s", failure_threshold=2)
+    def test_trips_open_at_threshold(self, breaker_settings):
+        breaker_settings(failure_threshold=2)
+        br = CircuitBreaker("s")
         br.record_failure()
         assert br.state == "closed"
         br.record_failure()
         assert br.state == "open"
         assert not br.allow()
 
-    def test_probe_schedule_arming_request_is_still_shed(self):
-        br = CircuitBreaker("s", failure_threshold=1, probe_after=2)
+    def test_probe_schedule_arming_request_is_still_shed(self, breaker_settings):
+        breaker_settings(failure_threshold=1, probe_after=2)
+        br = CircuitBreaker("s")
         br.record_failure()
         assert br.state == "open"
         assert not br.allow()          # shed 1
@@ -218,8 +231,9 @@ class TestCircuitBreaker:
         assert br.state == "closed"
         assert br.allow()
 
-    def test_probe_failure_reopens_and_resets_shed_count(self):
-        br = CircuitBreaker("s", failure_threshold=1, probe_after=2)
+    def test_probe_failure_reopens_and_resets_shed_count(self, breaker_settings):
+        breaker_settings(failure_threshold=1, probe_after=2)
+        br = CircuitBreaker("s")
         br.record_failure()
         br.allow(); br.allow()         # arm
         assert br.allow()              # probe
@@ -230,8 +244,9 @@ class TestCircuitBreaker:
         assert not br.allow()
         assert br.state == "half_open"
 
-    def test_transition_record(self):
-        br = CircuitBreaker("s", failure_threshold=1, probe_after=1)
+    def test_transition_record(self, breaker_settings):
+        breaker_settings(failure_threshold=1, probe_after=1)
+        br = CircuitBreaker("s")
         br.record_failure()
         br.allow()                     # arms half-open (shed)
         br.allow()                     # probe
@@ -514,13 +529,13 @@ class TestSolveService:
             assert "same numbers" not in problems
         run(body())
 
-    def test_breaker_sheds_after_failures_then_probe_recovers(self):
+    def test_breaker_sheds_after_failures_then_probe_recovers(self, breaker_settings):
+        breaker_settings(failure_threshold=2, probe_after=1)
+
         async def body():
             service, problems = make_service(
                 {"a": Behavior(fail_times=2)},
                 policy=RecoveryPolicy(max_retries=0),
-                failure_threshold=2,
-                probe_after=1,
             )
             async with service:
                 req = SolveRequest(scenario("a"))
@@ -538,11 +553,22 @@ class TestSolveService:
                             ("half_open", "closed")]
         run(body())
 
+    def test_successful_requests_leave_no_breaker(self):
+        async def body():
+            service, _ = make_service()
+            async with service:
+                for k in range(5):
+                    req = SolveRequest(scenario(f"s{k}", num_layers=3 + k))
+                    assert (await service.submit(req)).status == "ok"
+            # a breaker is made at a digest's first failure, so a service
+            # seeing only successes keeps none
+            assert service.breakers == {}
+        run(body())
+
     def test_degradation_rung_cheaper_preconditioner(self):
         async def body():
-            service, problems = make_service(
-                degrade_precond_depth=0, degrade_mesh_depth=100
-            )
+            service, problems = make_service()
+            service.degrade_precond_depth, service.degrade_mesh_depth = 0, 100
             async with service:
                 resp = await service.submit(SolveRequest(scenario("a")))
                 last = await service.submit(
@@ -561,7 +587,8 @@ class TestSolveService:
 
     def test_degradation_rung_coarser_mesh(self):
         async def body():
-            service, problems = make_service(degrade_mesh_depth=0)
+            service, problems = make_service()
+            service.degrade_mesh_depth = 0
             async with service:
                 resp = await service.submit(
                     SolveRequest(scenario("a", resolution_km=500.0))

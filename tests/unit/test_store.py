@@ -234,9 +234,9 @@ class TestArtifactCache:
         assert cache.peek(scenario("other", num_layers=7)) is None
         assert len(built) == 1  # peek never builds
 
-    def test_evicts_coldest(self):
+    def test_evicts_coldest(self, monkeypatch):
+        monkeypatch.setattr(store, "MAX_ENTRIES", 2)
         cache, _ = make_cache()
-        cache.max_entries = 2
         a, b, c = scenario("a"), scenario("b", num_layers=4), scenario("c", num_layers=5)
         cache.get(a)
         cache.get(b)
