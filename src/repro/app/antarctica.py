@@ -59,19 +59,7 @@ class AntarcticaTest:
             ny = max(4, int(round(geometry.ly / res_m)))
             footprint = masked_quad_footprint(nx, ny, geometry.lx, geometry.ly, geometry.mask)
         mesh = extrude_footprint(footprint, geometry, config.num_layers)
-        vcfg = config.velocity
-        if vcfg.tuned == "auto":
-            # transparent autotuning: reuse the persisted winner for this
-            # (mesh key, GPU) pair, or run a bounded online search on the
-            # mesh we just built (the winner is cached for the next run)
-            from repro.tune import tuned_velocity_config
-
-            vcfg = tuned_velocity_config(
-                mesh_key=config.key,
-                config=vcfg,
-                problem_factory=lambda c: StokesVelocityProblem(mesh, geometry, c),
-            )
-        problem = StokesVelocityProblem(mesh, geometry, vcfg)
+        problem = StokesVelocityProblem(mesh, geometry, config.velocity)
         return cls(config=config, geometry=geometry, mesh=mesh, problem=problem)
 
     # ------------------------------------------------------------------

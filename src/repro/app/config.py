@@ -95,13 +95,6 @@ class VelocityConfig:
     #: partitioned dot products, and measured halo traffic in the
     #: diagnostics -- bit-for-bit identical to the serial solve.
     nparts: int = 1
-    #: "off" (use this config verbatim) or "auto" (consult the persisted
-    #: autotuner cache for this mesh + GPU and, on a miss, run one
-    #: search: kernel axes by the gpusim byte model, solver axes by
-    #: measured trials -- see :mod:`repro.tune`).  The tuned axes are
-    #: ``kernel_impl``, ``preconditioner`` and ``operator_mode``;
-    #: ``newton_steps`` and ``nparts`` are preserved from this config.
-    tuned: str = "off"
 
     def cheaper_preconditioner(self) -> str | None:
         """Next cheaper rung on :data:`PRECOND_COST_ORDER`, or ``None``.
@@ -138,8 +131,6 @@ class VelocityConfig:
             raise ValueError(
                 f"unknown operator_mode {self.operator_mode!r}; have: assembled, matrix-free"
             )
-        if self.tuned not in ("off", "auto"):
-            raise ValueError(f"unknown tuned mode {self.tuned!r}; have: off, auto")
 
 
 @dataclass(frozen=True)

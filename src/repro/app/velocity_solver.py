@@ -639,9 +639,6 @@ class StokesVelocityProblem:
             "num_dofs": self.dofmap.num_dofs,
             "num_cells": self.mesh.num_elems,
             "operator_mode": "matrix-free" if self.matrix_free else "assembled",
-            # autotuner provenance: "off" is a hand-picked config; "auto"
-            # means the axes above came from the tune cache / online search
-            "tuned": cfg.tuned,
             # the preconditioner actually used this solve (a serve
             # degradation override wins over the configured factory)
             "preconditioner": preconditioner or cfg.preconditioner,

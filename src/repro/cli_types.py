@@ -1,0 +1,23 @@
+"""``argparse`` types shared by the sub-commands: a size the parser
+refuses exits 2 with the flag's name, before any config is built."""
+
+from __future__ import annotations
+
+import argparse
+import math
+
+__all__ = ["positive_int", "positive_float"]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value

@@ -10,10 +10,9 @@ kernel).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-__all__ = ["GPUSpec", "A100", "MI250X_GCD", "ALL_GPUS", "default_tuning_spec"]
+__all__ = ["GPUSpec", "A100", "MI250X_GCD", "ALL_GPUS"]
 
 
 @dataclass(frozen=True)
@@ -130,19 +129,3 @@ MI250X_GCD = GPUSpec(
 
 ALL_GPUS: dict[str, GPUSpec] = {"A100": A100, "MI250X-GCD": MI250X_GCD}
 
-
-def default_tuning_spec() -> GPUSpec:
-    """The architecture the autotuner targets when none is given.
-
-    There is no physical GPU in this environment, so "the machine we are
-    tuning for" is a modeling choice: ``REPRO_TUNE_GPU`` selects any
-    :data:`ALL_GPUS` entry, defaulting to the MI250X GCD (the paper's
-    Table II tuning study targets exactly that part).
-    """
-    name = os.environ.get("REPRO_TUNE_GPU", "MI250X-GCD")
-    try:
-        return ALL_GPUS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown REPRO_TUNE_GPU {name!r}; available: {sorted(ALL_GPUS)}"
-        ) from None

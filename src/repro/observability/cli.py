@@ -14,6 +14,8 @@ from __future__ import annotations
 import gc
 import json
 
+from repro.cli_types import positive_float, positive_int
+from repro.gpusim.specs import ALL_GPUS, MI250X_GCD
 from repro.observability import perfdiff
 
 __all__ = ["register", "profile"]
@@ -23,10 +25,9 @@ def profile(args) -> int:
     from repro import observability as obs
     from repro.app import AntarcticaConfig, AntarcticaTest
     from repro.app.config import VelocityConfig
-    from repro.gpusim.specs import ALL_GPUS, default_tuning_spec
 
     resolution_km, layers, nparts = args.resolution_km, args.layers, args.nparts
-    spec = ALL_GPUS[args.gpu] if args.gpu else default_tuning_spec()
+    spec = ALL_GPUS[args.gpu]
     cfg = AntarcticaConfig(
         resolution_km=resolution_km,
         num_layers=layers,
@@ -146,12 +147,13 @@ def register(sub) -> None:
         "--plant-slow", default=None, metavar="NAME:SECONDS",
         help="plant a deliberate slowdown on one span name (perfdiff negative control)",
     )
-    p.add_argument("--resolution-km", type=float, default=300.0, help="footprint resolution [km]")
-    p.add_argument("--layers", type=int, default=5, help="extruded layer count")
-    p.add_argument("--nparts", type=int, default=1, help="SPMD rank count")
     p.add_argument(
-        "--gpu", default=None,
-        help="modeled architecture (A100|MI250X-GCD; default REPRO_TUNE_GPU or MI250X-GCD)",
+        "--resolution-km", type=positive_float, default=300.0, help="footprint resolution [km]"
+    )
+    p.add_argument("--layers", type=positive_int, default=5, help="extruded layer count")
+    p.add_argument("--nparts", type=positive_int, default=1, help="SPMD rank count")
+    p.add_argument(
+        "--gpu", default=MI250X_GCD.name, choices=sorted(ALL_GPUS), help="modeled architecture"
     )
     p.set_defaults(run=profile)
 

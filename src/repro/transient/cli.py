@@ -27,12 +27,12 @@ CI runs it as a negative control to prove gate (1) actually fires.
 
 from __future__ import annotations
 
-import argparse
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.cli_types import positive_int
 from repro.transient.engine import TransientEngine, TransientKilled
 from repro.transient.scenarios import SCENARIOS, get_scenario
 
@@ -150,13 +150,6 @@ def _write_volume_csv(path: Path, result) -> None:
     print(f"wrote volume time-series to {path}")
 
 
-def _step_count(text: str) -> int:
-    steps = int(text)
-    if steps < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {steps}")
-    return steps
-
-
 def register(sub) -> None:
     parser = sub.add_parser(
         "transient",
@@ -171,7 +164,7 @@ def register(sub) -> None:
     )
     parser.add_argument("--list", action="store_true", help="list library scenarios")
     parser.add_argument("--check", action="store_true", help="run the acceptance gate")
-    parser.add_argument("--steps", type=_step_count, default=None, help="override step count")
+    parser.add_argument("--steps", type=positive_int, default=None, help="override step count")
     parser.add_argument(
         "--plant-leak",
         type=float,

@@ -1,4 +1,4 @@
-"""Online autotuner with persisted per-(mesh, GPU) configurations.
+"""The autotuner as a report: per-(mesh, GPU) measurements, nothing written.
 
 The paper's Table II shows ~1.5x sitting in a LaunchBounds choice; the
 preconditioner and operator-mode axes added since could hide comparable
@@ -13,30 +13,18 @@ them separately:
 * :mod:`repro.tune.tuner` -- one measured trial per solver
   configuration, all at the same kernel axes, scored by deterministic
   counters (GMRES iterations, metered solver bytes, evaluator sweeps),
-  with wall time advisory only;
-* :mod:`repro.tune.cache` -- schema-versioned JSON persistence keyed by
-  ``(mesh key, GPU spec)``, reused transparently by
-  ``VelocityConfig(tuned="auto")`` and warmed by ``python -m repro
-  tune``.
+  with wall time advisory only.
+
+``python -m repro tune`` prints the trial table and the winner; no solve
+reads it back.  Should a mesh ever name something other than the
+hand-picked default, the default is what changes.
 """
 
-from repro.tune.cache import (
-    SCHEMA_VERSION,
-    TuneCache,
-    TuneRecord,
-    cache_key,
-    default_cache_path,
-)
 from repro.tune.prior import GpusimPrior
 from repro.tune.space import TuneCandidate, kernel_axes, solver_axes
-from repro.tune.tuner import AutoTuner, TrialResult, TuneReport, tuned_velocity_config
+from repro.tune.tuner import AutoTuner, TrialResult, TuneReport
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "TuneCache",
-    "TuneRecord",
-    "cache_key",
-    "default_cache_path",
     "GpusimPrior",
     "TuneCandidate",
     "kernel_axes",
@@ -44,5 +32,4 @@ __all__ = [
     "AutoTuner",
     "TrialResult",
     "TuneReport",
-    "tuned_velocity_config",
 ]

@@ -58,38 +58,12 @@ class TuneCandidate:
 
     def apply_to(self, config: VelocityConfig) -> VelocityConfig:
         """Overlay the tuned axes onto ``config`` (everything else --
-        ``newton_steps``, ``nparts``, ``tuned`` -- survives)."""
+        ``newton_steps``, ``nparts`` -- survives)."""
         return dataclasses.replace(
             config,
             kernel_impl=self.kernel_impl,
             preconditioner=self.preconditioner,
             operator_mode=self.operator_mode,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel_impl": self.kernel_impl,
-            "launch_bounds": {
-                "max_threads": self.launch_bounds.max_threads,
-                "min_blocks": self.launch_bounds.min_blocks,
-                "explicit": self.launch_bounds.explicit,
-            },
-            "preconditioner": self.preconditioner,
-            "operator_mode": self.operator_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TuneCandidate":
-        lb = d["launch_bounds"]
-        return cls(
-            kernel_impl=str(d["kernel_impl"]),
-            launch_bounds=LaunchBounds(
-                max_threads=int(lb["max_threads"]),
-                min_blocks=int(lb["min_blocks"]),
-                explicit=bool(lb["explicit"]),
-            ),
-            preconditioner=str(d["preconditioner"]),
-            operator_mode=str(d["operator_mode"]),
         )
 
 

@@ -16,10 +16,8 @@ architecture) as the two independent decisions it is:
    model plus the ``gmres.{matvec,stream}.bytes`` the solver metered --
    with wall seconds recorded as advisory only, so the winner is
    reproducible across machines; an exact tie stays with the default.
-3. **Persist** the winner to the versioned JSON cache
-   (:class:`repro.tune.cache.TuneCache`); the next solve with
-   ``tuned="auto"`` reuses it with zero trials.
 
+The search is a report: it writes nothing and configures no solve.
 There is no seed and no ranking: the trial order is the table's order,
 so two searches on one mesh run the same trials and pick the same
 winner.  Every phase emits observability events: ``tune.search`` /
@@ -29,18 +27,16 @@ gauges.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.app.config import VelocityConfig
-from repro.gpusim.specs import GPUSpec, default_tuning_spec
+from repro.gpusim.specs import MI250X_GCD, GPUSpec
 from repro.kokkos.policy import DEFAULT_LAUNCH_BOUNDS
 from repro.observability import get_metrics, get_series, get_tracer
-from repro.tune.cache import TuneCache, TuneRecord, cache_key
 from repro.tune.prior import GpusimPrior
 from repro.tune.space import TuneCandidate, solver_axes
 
-__all__ = ["TrialResult", "TuneReport", "AutoTuner", "tuned_velocity_config"]
+__all__ = ["TrialResult", "TuneReport", "AutoTuner"]
 
 #: a trial whose mean velocity strays beyond this relative distance from
 #: the default trial's is not solving the same physics (diverged or
@@ -82,7 +78,9 @@ class TuneReport:
 
     mesh_key: str
     gpu: str
-    record: TuneRecord
+    #: the cheapest valid trial (``trials[0]``, the hand-picked default,
+    #: on an exact tie)
+    winner: TrialResult
     #: the default trial's evaluator sweeps priced at the hand-picked
     #: kernel axes (the base config's ``kernel_impl``, backend-default
     #: LaunchBounds): what the model's choice, ``trials[0].kernel_bytes``,
@@ -106,16 +104,12 @@ class AutoTuner:
         problem_factory,
         base_config: VelocityConfig,
         mesh_key: str,
-        spec: GPUSpec | None = None,
-        cache: TuneCache | None = None,
+        spec: GPUSpec = MI250X_GCD,
     ):
         self.problem_factory = problem_factory
-        # tuned="off" on every config the search builds: a trial must
-        # never consult the cache (or re-enter the tuner) itself
-        self.base_config = dataclasses.replace(base_config, tuned="off")
+        self.base_config = base_config
         self.mesh_key = mesh_key
-        self.spec = spec if spec is not None else default_tuning_spec()
-        self.cache = cache if cache is not None else TuneCache()
+        self.spec = spec
 
     # ------------------------------------------------------------------
     def _counter_delta(self, before: dict, after: dict, name: str) -> float:
@@ -156,7 +150,7 @@ class AutoTuner:
 
     # ------------------------------------------------------------------
     def tune(self) -> TuneReport:
-        """Run the search, persist the winner, and report every trial."""
+        """Run the search and report every trial."""
         metrics = get_metrics()
         base = self.base_config
         with get_tracer().span("tune.search", mesh=self.mesh_key, gpu=self.spec.name):
@@ -185,16 +179,6 @@ class AutoTuner:
             # min() keeps the first of equal costs, i.e. trial order: an
             # exact tie never displaces the hand-picked default (trial 0)
             winner = min((t for t in trials if t.valid), key=lambda t: t.cost_bytes)
-            record = TuneRecord(
-                candidate=winner.candidate,
-                cost_bytes=winner.cost_bytes,
-                gmres_iterations=winner.gmres_iterations,
-                trials=len(trials),
-                default_cost_bytes=default_trial.cost_bytes,
-            )
-            self.cache.put(cache_key(self.mesh_key, self.spec.name), record)
-            self.cache.save()
-
             metrics.gauge("tune.best_cost_bytes").set(winner.cost_bytes)
             metrics.gauge("tune.best_gmres_iterations").set(winner.gmres_iterations)
             metrics.gauge("tune.default_cost_bytes").set(default_trial.cost_bytes)
@@ -204,36 +188,12 @@ class AutoTuner:
             metrics.gauge("tune.kernel_bytes_ratio").set(
                 default_trial.kernel_bytes / max(1.0e-30, default_kernel_bytes)
             )
-            metrics.counter("tune.cache.stores").inc()
 
         return TuneReport(
             mesh_key=self.mesh_key,
             gpu=self.spec.name,
-            record=record,
+            winner=winner,
             default_kernel_bytes=default_kernel_bytes,
             trials=trials,
         )
 
-
-# ----------------------------------------------------------------------
-def tuned_velocity_config(
-    mesh_key: str,
-    config: VelocityConfig,
-    problem_factory,
-    spec: GPUSpec | None = None,
-    cache: TuneCache | None = None,
-) -> VelocityConfig:
-    """The transparent ``tuned="auto"`` entry point.
-
-    Cache hit: apply the persisted winner (zero trials).  Miss: run one
-    search on this mesh, persist, apply.  Any other ``tuned`` value
-    returns ``config`` unchanged.
-    """
-    if config.tuned != "auto":
-        return config
-    spec = spec if spec is not None else default_tuning_spec()
-    cache = cache if cache is not None else TuneCache()
-    rec = cache.get(cache_key(mesh_key, spec.name))
-    if rec is None:
-        rec = AutoTuner(problem_factory, config, mesh_key, spec=spec, cache=cache).tune().record
-    return rec.candidate.apply_to(config)

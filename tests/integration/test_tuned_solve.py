@@ -9,16 +9,14 @@ The contract, measured on the coarse Antarctica *and* Greenland:
   trial that streamed the fewest solver bytes and nothing else;
 * no trial is a Jacobi solve (the table's flags, and the measured
   iteration counts that justify them);
-* a second solve of the same (mesh, GPU) pair reuses the persisted
-  winner with **zero** additional trials (asserted via the
-  ``tune.trials`` counter) and produces the identical configuration;
 * the search is deterministic by structure: no seed, no ranking -- two
-  searches on one mesh run the same trials and pick the same winner.
+  searches on one mesh run the same trials and pick the same winner;
+* ``python -m repro tune`` is a report: it prints the winner and writes
+  nothing.
 """
 
-import json
+import os
 
-import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -29,9 +27,7 @@ from repro.gpusim.specs import MI250X_GCD
 from repro.mesh import greenland_geometry
 from repro.mesh.extrude import extrude_footprint
 from repro.mesh.planar import masked_quad_footprint
-from repro.observability import get_metrics
-from repro.tune import SCHEMA_VERSION, AutoTuner, TuneCache, cache_key
-from repro.tune.cache import CACHE_ENV
+from repro.tune import AutoTuner
 
 COARSE = dict(resolution_km=400.0, num_layers=4)
 
@@ -49,13 +45,12 @@ def greenland_mesh():
     return geo, extrude_footprint(fp, geo, 4)
 
 
-def _tune(geometry, mesh, tmp_path, tag: str, base: VelocityConfig | None = None):
+def _tune(geometry, mesh, tag: str, base: VelocityConfig | None = None):
     tuner = AutoTuner(
         lambda c: StokesVelocityProblem(mesh, geometry, c),
         base if base is not None else VelocityConfig(),
         mesh_key=f"tuned-solve-{tag}",
         spec=MI250X_GCD,
-        cache=TuneCache(tmp_path / f"{tag}.json"),
     )
     return tuner.tune()
 
@@ -66,19 +61,17 @@ def _solver_axes(trial) -> tuple[str, str]:
 
 class TestTunedBeatsDefault:
     @pytest.mark.parametrize("sheet", ["antarctica", "greenland"])
-    def test_autotuned_cost_at_most_default(self, sheet, request, tmp_path):
+    def test_autotuned_cost_at_most_default(self, sheet, request):
         geometry, mesh = request.getfixturevalue(f"{sheet}_mesh")
-        report = _tune(geometry, mesh, tmp_path, sheet)
-        rec = report.record
+        report = _tune(geometry, mesh, sheet)
+        winner = report.winner
         # four trials, default measured first, winner never worse
         assert len(report.trials) == 4
         default = VelocityConfig()
         assert _solver_axes(report.trials[0]) == (default.preconditioner, default.operator_mode)
-        assert rec.cost_bytes <= rec.default_cost_bytes == report.trials[0].cost_bytes
-        assert rec.cost_bytes > 0.0
+        assert 0.0 < winner.cost_bytes <= report.trials[0].cost_bytes
         # the winning trial solved the same physics as the default
-        winner_trials = [t for t in report.trials if t.candidate == rec.candidate]
-        assert winner_trials and winner_trials[0].valid
+        assert winner in report.trials and winner.valid
 
 
 class TestLikeWithLike:
@@ -88,29 +81,25 @@ class TestLikeWithLike:
 
     @pytest.mark.parametrize("base_mode", ["assembled", "matrix-free"])
     def test_winner_is_fewest_solver_bytes_and_assembled(
-        self, base_mode, antarctica_mesh, tmp_path
+        self, base_mode, antarctica_mesh
     ):
         geometry, mesh = antarctica_mesh
-        report = _tune(
-            geometry, mesh, tmp_path, base_mode, base=VelocityConfig(operator_mode=base_mode)
-        )
+        report = _tune(geometry, mesh, base_mode, base=VelocityConfig(operator_mode=base_mode))
         # every trial, default included, at one kernel configuration ...
         kernel = {(t.candidate.kernel_impl, t.candidate.launch_bounds) for t in report.trials}
         assert len(kernel) == 1
         # ... so the verdict is the measured solver bytes and nothing else
         assert all(t.valid for t in report.trials)
         winner = min(report.trials, key=lambda t: t.solver_bytes)
-        assert report.record.candidate == winner.candidate
+        assert report.winner is winner
         assert _solver_axes(winner) == ("mdsc", "assembled")
         # the model's kernel-axis saving is reported on its own
         assert report.trials[0].kernel_bytes < report.default_kernel_bytes
 
     @pytest.mark.parametrize("nparts", [1, 2])
-    def test_no_trial_is_a_jacobi_solve(self, nparts, antarctica_mesh, tmp_path):
+    def test_no_trial_is_a_jacobi_solve(self, nparts, antarctica_mesh):
         geometry, mesh = antarctica_mesh
-        report = _tune(
-            geometry, mesh, tmp_path, f"np{nparts}", base=VelocityConfig(nparts=nparts)
-        )
+        report = _tune(geometry, mesh, f"np{nparts}", base=VelocityConfig(nparts=nparts))
         assert len(report.trials) == (4 if nparts == 1 else 2)
         for t in report.trials:
             assert t.gmres_iterations <= 2 * report.trials[0].gmres_iterations
@@ -135,127 +124,28 @@ class TestTableMatchesMeasurement:
 
 
 class TestDeterminism:
-    def test_two_searches_same_trials_and_winner(self, antarctica_mesh, tmp_path):
+    def test_two_searches_same_trials_and_winner(self, antarctica_mesh):
         geometry, mesh = antarctica_mesh
-        a = _tune(geometry, mesh, tmp_path, "det-a")
-        b = _tune(geometry, mesh, tmp_path, "det-b")
+        a = _tune(geometry, mesh, "det-a")
+        b = _tune(geometry, mesh, "det-b")
         assert [t.candidate for t in a.trials] == [t.candidate for t in b.trials]
-        assert a.record.candidate == b.record.candidate
-        assert a.record.cost_bytes == b.record.cost_bytes
+        assert a.winner.candidate == b.winner.candidate
+        assert a.winner.cost_bytes == b.winner.cost_bytes
         for name in ("gmres_iterations", "gmres_matvecs", "matvec_bytes", "stream_bytes",
                      "kernel_bytes", "eval_sweeps"):
             assert [getattr(t, name) for t in a.trials] == [getattr(t, name) for t in b.trials]
 
 
-class TestPersistedReuse:
-    def test_second_build_hits_cache_with_zero_trials(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache.json"))
-        monkeypatch.setenv("REPRO_TUNE_GPU", "MI250X-GCD")
-        cfg = AntarcticaConfig(
-            **COARSE, velocity=VelocityConfig(tuned="auto")
-        )
-        metrics = get_metrics()
-
-        before = metrics.value("tune.trials")
-        first = AntarcticaTest.build(cfg)
-        spent = metrics.value("tune.trials") - before
-        assert spent == 4, "a cold cache runs one trial per solver configuration"
-
-        before = metrics.value("tune.trials")
-        second = AntarcticaTest.build(cfg)
-        assert metrics.value("tune.trials") - before == 0, (
-            "a warm cache must resolve the config with zero trials"
-        )
-        # identical resolved configuration both times: the assembled
-        # default, whichever operator mode the environment default names
-        assert second.problem.config == first.problem.config
-        assert first.problem.config.tuned == "auto"
-        assert first.problem.config.preconditioner == "mdsc"
-        assert first.problem.config.operator_mode == "assembled"
-        # and the tuned solve is bitwise the hand-picked assembled one
-        ref = AntarcticaTest.build(
-            AntarcticaConfig(**COARSE, velocity=VelocityConfig(operator_mode="assembled"))
-        )
-        assert np.array_equal(first.run().u, ref.run().u)
-
-        # the record is keyed by (mesh key, GPU)
-        cache = TuneCache(tmp_path / "cache.json")
-        assert cache.get(cache_key(cfg.key, "MI250X-GCD")) is not None
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_stale_schema_cache_is_retuned(self, version, tmp_path, monkeypatch):
-        """A cache written by an older search is stale -- v1 carried the
-        orth/restart axes, every v2 winner was chosen with the default
-        priced at another LaunchBounds than its rivals and most name
-        ``matrix-free``: ignored on load, searched again, overwritten --
-        never a crash."""
-        path = tmp_path / "cache.json"
-        monkeypatch.setenv(CACHE_ENV, str(path))
-        monkeypatch.setenv("REPRO_TUNE_GPU", "MI250X-GCD")
-        cfg = AntarcticaConfig(**COARSE, velocity=VelocityConfig(tuned="auto"))
-        key = cache_key(cfg.key, "MI250X-GCD")
-        config = {
-            "kernel_impl": "optimized",
-            "launch_bounds": {"max_threads": 256, "min_blocks": 2, "explicit": True},
-            "preconditioner": "mdsc", "operator_mode": "matrix-free",
-        }
-        if version == 1:
-            config.update(preconditioner="jacobi", gmres_orth="fused", gmres_restart=100)
-        entry = {
-            "schema_version": version, "config": config, "cost_bytes": 1.0,
-            "gmres_iterations": 1, "trials": 5, "default_cost_bytes": 2.0,
-        }
-        path.write_text(json.dumps({"schema_version": version, "entries": {key: entry}}))
-
-        metrics = get_metrics()
-        stale, trials = metrics.value("tune.cache.stale"), metrics.value("tune.trials")
-        test = AntarcticaTest.build(cfg)
-        assert metrics.value("tune.cache.stale") == stale + 1
-        assert metrics.value("tune.trials") - trials == 4
-        assert test.problem.config.preconditioner == "mdsc"
-        assert test.problem.config.operator_mode == "assembled"
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == SCHEMA_VERSION
-        assert doc["entries"][key]["config"]["operator_mode"] == "assembled"
-        assert set(doc["entries"][key]["config"]) == {
-            "kernel_impl", "launch_bounds", "preconditioner", "operator_mode"
-        }
-
-    def test_cli_greenland_key_is_the_key_a_tuned_build_looks_up(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """``repro tune --mesh greenland`` and ``AntarcticaTest.build``
-        go through one builder, so the CLI warms the build's entry."""
-        path = tmp_path / "cache.json"
-        args = ["tune", "--mesh", "greenland", "--gpu", "MI250X-GCD", "--cache", str(path)]
-        assert main(args) == 0
-        assert "winner: " in capsys.readouterr().out
-        cfg = AntarcticaConfig(
-            family="greenland", resolution_km=350.0, num_layers=4,
-            velocity=VelocityConfig(tuned="auto"),
-        )
-        assert TuneCache(path).keys() == [cache_key(cfg.key, "MI250X-GCD")]
-
-        monkeypatch.setenv(CACHE_ENV, str(path))
-        monkeypatch.setenv("REPRO_TUNE_GPU", "MI250X-GCD")
-        metrics = get_metrics()
-        trials, hits = metrics.value("tune.trials"), metrics.value("tune.cache.hits")
-        AntarcticaTest.build(cfg)
-        assert metrics.value("tune.trials") == trials
-        assert metrics.value("tune.cache.hits") == hits + 1
-        # and the CLI itself now reports the hit instead of searching
-        assert main(args) == 0
-        assert "cache hit" in capsys.readouterr().out
-        assert metrics.value("tune.trials") == trials
-
-    def test_tuned_solve_matches_reference(self, tmp_path, monkeypatch):
-        """A tuned solve still passes the stored regression check."""
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache.json"))
-        monkeypatch.setenv("REPRO_TUNE_GPU", "MI250X-GCD")
-        test = AntarcticaTest.build(
-            AntarcticaConfig(**COARSE, velocity=VelocityConfig(tuned="auto"))
-        )
-        sol = test.run()
-        passed, ref = test.check(sol)
-        assert passed
-        assert sol.diagnostics["tuned"] == "auto"
+class TestReport:
+    @pytest.mark.parametrize(
+        "flags", [["--resolution-km", "400", "--layers", "4"], ["--mesh", "greenland"]]
+    )
+    def test_repro_tune_writes_nothing(self, flags, tmp_path, monkeypatch, capsys):
+        """The CLI prints the default as the winner and leaves no file --
+        in the working directory or under ``~/.cache``."""
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert main(["tune", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "winner: optimized/lb=256,2/mdsc/assembled\n" in out
+        assert os.listdir(tmp_path) == []

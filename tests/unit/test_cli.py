@@ -70,7 +70,29 @@ def test_transient_refuses_a_run_of_no_steps(steps, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["tune", "--check"], ["table3", "--nparts", "2"], ["perfdiff", "only-one.json"], []]
+    "command, flag, value",
+    [
+        ("profile", "--nparts", "0"),
+        ("profile", "--layers", "0"),
+        ("profile", "--resolution-km", "nan"),
+        ("profile", "--resolution-km", "-50"),
+        ("tune", "--layers", "0"),
+        ("tune", "--resolution-km", "inf"),
+    ],
+)
+def test_a_size_that_builds_no_mesh_exits_2(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tune", "--check"], ["table3", "--nparts", "2"], ["perfdiff", "only-one.json"], [],
+        ["tune", "--gpu", "H100"], ["profile", "--gpu", "H100"],
+    ],
 )
 def test_a_flag_of_another_subcommand_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

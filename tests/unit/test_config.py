@@ -8,8 +8,6 @@ first imported, so ``monkeypatch.setenv`` in tests -- and any other
 in-process environment change -- was silently ignored.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.app.antarctica import AntarcticaTest
@@ -41,19 +39,6 @@ class TestEnvDefaultsAfterImport:
         monkeypatch.setenv("REPRO_OPERATOR_MODE", "matrix-free")
         cfg = AntarcticaConfig(velocity=VelocityConfig(operator_mode="assembled"))
         assert cfg.velocity.operator_mode == "assembled"
-
-
-class TestTunedAxis:
-    def test_default_is_off(self):
-        assert VelocityConfig().tuned == "off"
-
-    def test_auto_accepted_and_replace_preserves_it(self):
-        cfg = VelocityConfig(tuned="auto")
-        assert dataclasses.replace(cfg, newton_steps=5).tuned == "auto"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="tuned"):
-            VelocityConfig(tuned="always")
 
 
 class TestPreconditionerTable:

@@ -1,4 +1,4 @@
-"""Unit tests for the autotuner: axis lists, kernel model, cache, trial order.
+"""Unit tests for the autotuner: axis lists, kernel model, trial order.
 
 The measured-trial loop over real solves lives in
 ``tests/integration/test_tuned_solve.py``; everything here runs without
@@ -6,23 +6,16 @@ a single Newton step.
 """
 
 import dataclasses
-import json
 from types import SimpleNamespace
 
 from repro.app.config import VelocityConfig
-from repro.core.launch import TABLE2_LAUNCH_CONFIGS
 from repro.gpusim.specs import A100, MI250X_GCD
 from repro.kokkos.policy import LaunchBounds
-from repro.observability import get_metrics
 from repro.tune import (
-    SCHEMA_VERSION,
     AutoTuner,
     GpusimPrior,
-    TuneCache,
     TuneCandidate,
-    TuneRecord,
     TrialResult,
-    cache_key,
     kernel_axes,
     solver_axes,
 )
@@ -49,14 +42,13 @@ def _candidate(**overrides) -> TuneCandidate:
     return TuneCandidate(**base)
 
 
-def _fake_search(base: VelocityConfig, tmp_path, cost=lambda cand: 1.0e8):
+def _fake_search(base: VelocityConfig, cost=lambda cand: 1.0e8):
     """One search whose trials are canned counters (no problem, no solve)."""
     tuner = AutoTuner(
         problem_factory=lambda cfg: SimpleNamespace(mesh=SimpleNamespace(num_elems=NUM_CELLS)),
         base_config=base,
         mesh_key="unit",
         spec=MI250X_GCD,
-        cache=TuneCache(tmp_path / "c.json"),
     )
     tuner._run_trial = lambda cand, prior: TrialResult(
         candidate=cand, gmres_iterations=60, gmres_matvecs=68, matvec_bytes=cost(cand),
@@ -87,23 +79,18 @@ class TestSpace:
         # default (1024) are both gone
         assert all(lb.explicit and lb.max_threads <= 512 for _, lb in axes)
 
-    def test_candidate_dict_round_trip(self):
-        c = _candidate(launch_bounds=TABLE2_LAUNCH_CONFIGS[0])  # implicit default
-        assert TuneCandidate.from_dict(json.loads(json.dumps(c.to_dict()))) == c
-
     def test_apply_to_preserves_untuned_fields(self):
-        cfg = VelocityConfig(newton_steps=5, nparts=2, tuned="auto")
+        cfg = VelocityConfig(newton_steps=5, nparts=2)
         out = _candidate(preconditioner="vline").apply_to(cfg)
         assert out.preconditioner == "vline"
         assert out.newton_steps == 5
         assert out.nparts == 2
-        assert out.tuned == "auto"
 
-    def test_candidate_from_config_round_trips(self, tmp_path):
+    def test_candidate_from_config_round_trips(self):
         # the default trial measures exactly what the untuned solve runs
         for mode in ("assembled", "matrix-free"):
             cfg = VelocityConfig(operator_mode=mode, preconditioner="vline")
-            assert _fake_search(cfg, tmp_path).trials[0].candidate.apply_to(cfg) == cfg
+            assert _fake_search(cfg).trials[0].candidate.apply_to(cfg) == cfg
 
 
 class TestPrior:
@@ -126,96 +113,6 @@ class TestPrior:
             assert GpusimPrior(MI250X_GCD, cells).best_kernel_axes() == ("optimized", lb)
 
 
-class TestCache:
-    def _record(self) -> TuneRecord:
-        return TuneRecord(
-            candidate=_candidate(),
-            cost_bytes=1.5e9,
-            gmres_iterations=420,
-            trials=4,
-            default_cost_bytes=2.0e9,
-        )
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "tuned.json"
-        cache = TuneCache(path)
-        key = cache_key("antarctica_res400km_nz4_optimized", "MI250X-GCD")
-        cache.put(key, self._record())
-        cache.save()
-
-        reloaded = TuneCache(path)
-        rec = reloaded.get(key)
-        assert rec == self._record()
-        assert get_metrics().value("tune.cache.hits") >= 1
-
-    def test_miss_counts(self, tmp_path):
-        cache = TuneCache(tmp_path / "tuned.json")
-        before = get_metrics().value("tune.cache.misses")
-        assert cache.get("nope|A100") is None
-        assert get_metrics().value("tune.cache.misses") == before + 1
-
-    def test_stale_schema_version_ignored(self, tmp_path):
-        path = tmp_path / "tuned.json"
-        cache = TuneCache(path)
-        key = cache_key("mesh", "MI250X-GCD")
-        cache.put(key, self._record())
-        cache.save()
-        doc = json.loads(path.read_text())
-        doc["schema_version"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(doc))
-
-        before = get_metrics().value("tune.cache.stale")
-        stale = TuneCache(path)
-        assert stale.get(key) is None
-        assert get_metrics().value("tune.cache.stale") > before
-
-    def test_stale_entry_version_ignored(self, tmp_path):
-        path = tmp_path / "tuned.json"
-        cache = TuneCache(path)
-        cache.put("old|GPU", self._record())
-        cache.put("new|GPU", self._record())
-        cache.save()
-        doc = json.loads(path.read_text())
-        doc["entries"]["old|GPU"]["schema_version"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(doc))
-
-        reloaded = TuneCache(path)
-        assert reloaded.get("old|GPU") is None
-        assert reloaded.get("new|GPU") is not None
-
-    def test_corrupt_cache_never_crashes(self, tmp_path):
-        path = tmp_path / "tuned.json"
-        for garbage in ("{not json", '["wrong", "shape"]', '{"entries": 7}'):
-            path.write_text(garbage)
-            before = get_metrics().value("tune.cache.invalid")
-            cache = TuneCache(path)  # must not raise
-            assert len(cache) == 0
-            assert get_metrics().value("tune.cache.invalid") == before + 1
-
-    def test_corrupt_entry_dropped_not_fatal(self, tmp_path):
-        path = tmp_path / "tuned.json"
-        cache = TuneCache(path)
-        cache.put("good|GPU", self._record())
-        cache.save()
-        doc = json.loads(path.read_text())
-        doc["entries"]["bad|GPU"] = {"schema_version": SCHEMA_VERSION, "config": {}}
-        path.write_text(json.dumps(doc))
-
-        before = get_metrics().value("tune.cache.invalid")
-        reloaded = TuneCache(path)
-        assert reloaded.get("good|GPU") is not None
-        assert reloaded.get("bad|GPU") is None
-        assert get_metrics().value("tune.cache.invalid") == before + 1
-
-    def test_save_is_atomic(self, tmp_path):
-        path = tmp_path / "tuned.json"
-        cache = TuneCache(path)
-        cache.put("k|GPU", self._record())
-        cache.save()
-        assert not path.with_name(path.name + ".tmp").exists()
-        assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION
-
-
 class TestTrialQueue:
     """The trial list is the table's order with the default first -- no
     seed, no ranking, no solves needed to see it."""
@@ -224,31 +121,31 @@ class TestTrialQueue:
     def _axes(report):
         return [(t.candidate.preconditioner, t.candidate.operator_mode) for t in report.trials]
 
-    def test_default_config_always_first(self, tmp_path):
+    def test_default_config_always_first(self):
         for default in (("vline", "matrix-free"), ("mdsc", "assembled"), ("jacobi", "assembled")):
             base = VelocityConfig(preconditioner=default[0], operator_mode=default[1])
-            axes = self._axes(_fake_search(base, tmp_path))
+            axes = self._axes(_fake_search(base))
             assert axes[0] == default
             # then the table's order; no configuration measured twice
             assert axes[1:] == [a for a in TABLE_ORDER if a != default]
 
-    def test_exact_tie_keeps_the_earlier_trial(self, tmp_path):
+    def test_exact_tie_keeps_the_earlier_trial(self):
         # regression: ties were broken by describe() string order, so an
         # equal-cost "jacobi" displaced the hand-picked "mdsc" default
-        report = _fake_search(VelocityConfig(preconditioner="vline"), tmp_path)
+        report = _fake_search(VelocityConfig(preconditioner="vline"))
         assert len(report.trials) == 4
-        assert report.record.candidate == report.trials[0].candidate
+        assert report.winner is report.trials[0]
         # and a strictly cheaper trial does displace it
         report = _fake_search(
-            VelocityConfig(preconditioner="vline"), tmp_path,
+            VelocityConfig(preconditioner="vline"),
             cost=lambda cand: 0.5e8 if cand.preconditioner == "mdsc" else 1.0e8,
         )
-        assert report.record.candidate.preconditioner == "mdsc"
-        assert report.record.default_cost_bytes == report.trials[0].cost_bytes
+        assert report.winner.candidate.preconditioner == "mdsc"
+        assert report.winner.cost_bytes < report.trials[0].cost_bytes
 
-    def test_spmd_base_config_drops_matrix_free(self, tmp_path):
+    def test_spmd_base_config_drops_matrix_free(self):
         # the default, too, is measured as it will run: SPMD always assembles
         base = VelocityConfig(nparts=4, operator_mode="matrix-free")
-        assert self._axes(_fake_search(base, tmp_path)) == [
+        assert self._axes(_fake_search(base)) == [
             ("mdsc", "assembled"), ("vline", "assembled")
         ]
