@@ -1,4 +1,4 @@
-"""``argparse`` types shared by the sub-commands: a size the parser
+"""``argparse`` types shared by the sub-commands: a value the parser
 refuses exits 2 with the flag's name, before any config is built."""
 
 from __future__ import annotations
@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import math
 
-__all__ = ["positive_int", "positive_float"]
+__all__ = ["positive_int", "positive_float", "span_delay"]
 
 
 def positive_int(text: str) -> int:
@@ -21,3 +21,11 @@ def positive_float(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
+
+
+def span_delay(text: str) -> tuple[str, float]:
+    """``NAME:SECONDS`` with a non-empty span name and a positive, finite delay."""
+    name, sep, seconds = text.rpartition(":")
+    if not (sep and name):
+        raise argparse.ArgumentTypeError(f"expected NAME:SECONDS, got {text!r}")
+    return name, positive_float(seconds)

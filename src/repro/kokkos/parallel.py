@@ -4,17 +4,18 @@ Kernels are launched with a named dispatch onto an execution space; the
 name shows up in profiles exactly like Kokkos kernel labels do in Nsight
 or rocprof output.
 
-Every dispatch emits paired begin/end events to the profiling hook
-registry (:mod:`repro.observability.hooks`), mirroring the Kokkos Tools
-``kokkosp_begin/end_parallel_for`` ABI.  With the registry inactive
-(no tool subscribed: the default) a launch pays a single attribute read.
+While the process-wide span tracer records (inside
+``observability.tracing()``), every dispatch is a ``cat="kernel"`` span
+on the same timeline as the solver phases, the way a Kokkos Tools
+connector pairs ``kokkosp_begin/end_parallel_for``.  Outside a session
+a launch pays a single attribute read.
 """
 
 from __future__ import annotations
 
 from repro.kokkos.policy import RangePolicy
 from repro.kokkos.space import ExecutionSpace, HostVector
-from repro.observability import hooks
+from repro.observability.tracer import get_tracer
 from repro.resilience.injectors import KernelLaunchError, fault_plane
 from repro.resilience.policies import call_with_retries
 
@@ -22,7 +23,7 @@ __all__ = ["parallel_for", "DEFAULT_EXEC_SPACE"]
 
 #: where a launch without an explicit ``space`` runs
 DEFAULT_EXEC_SPACE = HostVector()
-_REGISTRY = hooks.registry()
+_TRACER = get_tracer()
 _FAULT_PLANE = fault_plane()
 
 
@@ -40,12 +41,11 @@ def parallel_for(
             plane.policy, plane.log, "kernel.launch", "launch_failure", "launch_retry",
             exceptions=(KernelLaunchError,), name=name,
         )
-    reg = _REGISTRY
-    if reg.active:
-        kid = reg.begin_parallel_for(name, policy.extent, space.name)
-        try:
+    tracer = _TRACER
+    if tracer.recording:
+        with tracer.span(
+            name, cat="kernel", extent=policy.extent, space=space.name, dispatch="parallel_for"
+        ):
             space.run_range(policy, functor)
-        finally:
-            reg.end_parallel_for(kid)
     else:
         space.run_range(policy, functor)

@@ -1,21 +1,19 @@
-"""First-class observability: hooks, spans, metrics, trace export.
+"""First-class observability: spans, metrics, trace export.
 
 The measurement layer the paper's methodology presumes (per-kernel time
-per invocation, bytes moved, phase breakdowns), built the way real
-Kokkos exposes it:
+per invocation, bytes moved, phase breakdowns):
 
-* :mod:`~repro.observability.hooks` -- a Kokkos-Tools-style callback
-  registry every ``parallel_for`` dispatch emits to, with zero overhead
-  when no tool is attached;
 * :mod:`~repro.observability.tracer` -- nested wall-time spans with
-  rank/thread labels and key=value attributes, covering the non-Kokkos
-  phases too (assembly scatter, preconditioner setup, GMRES iterations,
-  halo exchange, gpusim runs);
+  thread labels and key=value attributes: every ``parallel_for``
+  dispatch inside :func:`tracing` is a ``cat="kernel"`` span, and the
+  non-Kokkos phases (assembly scatter, preconditioner setup, GMRES
+  iterations, halo exchange, gpusim runs) share its timeline;
 * :mod:`~repro.observability.metrics` -- counters / gauges / histograms
   with a single JSON-able ``snapshot()`` embedded in
   ``VelocitySolution.diagnostics["observability"]``;
 * :mod:`~repro.observability.export` -- Chrome trace-event JSON (open
-  in Perfetto), JSON-lines, and ASCII flame/summary tables;
+  in Perfetto; spans as X events, series as C events) and ASCII
+  flame/summary tables;
 * :mod:`~repro.observability.timeseries` -- timestamped convergence
   series (residual histories, recovery events, tuner trials) aligned
   with the span clock;
@@ -46,14 +44,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.observability import hooks
 from repro.observability.export import (
     ascii_flame,
     metrics_table,
     summary_table,
     to_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.observability.attribution import (
     annotate_roofline,
@@ -61,7 +57,6 @@ from repro.observability.attribution import (
     roofline_table,
     span_bytes,
 )
-from repro.observability.hooks import HookRegistry, ToolSubscriber, registry
 from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry, get_metrics
 from repro.observability.openmetrics import parse_exposition, render, write_openmetrics
 from repro.observability.perfdiff import diff_documents, format_diff, load_perf_document
@@ -72,22 +67,12 @@ from repro.observability.stitch import (
     stitch_process_labels,
     stitch_spans,
 )
-from repro.observability.timeseries import (
-    SeriesRegistry,
-    TimeSeries,
-    get_series,
-    write_series_jsonl,
-)
-from repro.observability.tracer import Span, SpanTracer, TracerSubscriber, get_tracer
+from repro.observability.timeseries import SeriesRegistry, TimeSeries, get_series
+from repro.observability.tracer import Span, SpanTracer, get_tracer
 
 __all__ = [
-    "hooks",
-    "HookRegistry",
-    "ToolSubscriber",
-    "registry",
     "Span",
     "SpanTracer",
-    "TracerSubscriber",
     "get_tracer",
     "Counter",
     "Gauge",
@@ -97,14 +82,12 @@ __all__ = [
     "tracing",
     "to_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
     "summary_table",
     "ascii_flame",
     "metrics_table",
     "TimeSeries",
     "SeriesRegistry",
     "get_series",
-    "write_series_jsonl",
     "annotate_roofline",
     "roofline_table",
     "reconcile_rocprof_bytes",
@@ -124,25 +107,18 @@ __all__ = [
 
 
 @contextmanager
-def tracing(tracer: SpanTracer | None = None, attach_hooks: bool = True, clear: bool = True):
-    """Profiling session: record spans (and kernel hook events) for a block.
+def tracing():
+    """Profiling session: record spans (kernel dispatches included) for a block.
 
-    Clears the tracer, turns recording on, and -- unless ``attach_hooks``
-    is False -- subscribes a :class:`TracerSubscriber` to the hook
-    registry so kernel dispatches land on the same timeline.  Yields the
-    tracer; after the block, ``tracer.spans`` holds the trace and
-    recording is off again.
+    Clears the process-wide tracer and turns recording on, which is what
+    makes each ``parallel_for`` a ``cat="kernel"`` span on the same
+    timeline.  Yields the tracer; after the block, ``tracer.spans``
+    holds the trace and recording is off again.
     """
-    t = tracer if tracer is not None else get_tracer()
-    if clear:
-        t.clear()
+    t = get_tracer()
+    t.clear()
     t.start()
-    sub = TracerSubscriber(t) if attach_hooks else None
-    if sub is not None:
-        registry().subscribe(sub)
     try:
         yield t
     finally:
         t.stop()
-        if sub is not None:
-            registry().unsubscribe(sub)

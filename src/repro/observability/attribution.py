@@ -122,8 +122,8 @@ def annotate_roofline(spans, spec) -> int:
     return n
 
 
-def roofline_table(spans, spec, top: int = 20, title: str | None = None) -> str:
-    """ASCII per-span-name roofline rollup (the attribution table).
+def roofline_table(spans, spec) -> str:
+    """ASCII per-span-name roofline rollup (the attribution table, top 20).
 
     Aggregates annotated spans by name: total bytes, total flops,
     aggregate AI, time-weighted %-of-roof, and the time basis.  Spans
@@ -145,7 +145,7 @@ def roofline_table(spans, spec, top: int = 20, title: str | None = None) -> str:
         a[3] += float(t)
     rows = []
     roof = _roofline_model(spec)
-    for name, (count, b, fl, t, basis) in sorted(agg.items(), key=lambda kv: -kv[1][1])[:top]:
+    for name, (count, b, fl, t, basis) in sorted(agg.items(), key=lambda kv: -kv[1][1])[:20]:
         # annotated spans carry positive bytes and a positive time
         ai, roof_frac, bw_frac = _coordinates(roof, b, fl, t)
         rows.append(
@@ -157,11 +157,11 @@ def roofline_table(spans, spec, top: int = 20, title: str | None = None) -> str:
     return format_table(
         ["span", "count", "GB moved", "Gflop", "AI [f/B]", "% of roof", "% peak BW", "basis"],
         rows,
-        title=title or f"Roofline attribution vs {spec.name}",
+        title=f"Roofline attribution vs {spec.name}",
     )
 
 
-def reconcile_rocprof_bytes(spans, rtol: float = 0.0) -> list[str]:
+def reconcile_rocprof_bytes(spans) -> list[str]:
     """Check gpusim span byte args against the rocprof request formula.
 
     The memtrace contract defines modeled bytes as 64 B per request, so
@@ -176,8 +176,7 @@ def reconcile_rocprof_bytes(spans, rtol: float = 0.0) -> list[str]:
         if rb is None:
             continue
         b = span_bytes(s)
-        tol = rtol * max(abs(b), abs(rb))
-        if abs(b - rb) > tol:
+        if b != rb:
             errors.append(
                 f"{s.name} (id {s.id}): bytes {b:g} != rocprof formula {rb:g}"
             )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 import json
 
-from repro.cli_types import positive_float, positive_int
+from repro.cli_types import positive_float, positive_int, span_delay
 from repro.gpusim.specs import ALL_GPUS, MI250X_GCD
 from repro.observability import perfdiff
 
@@ -39,8 +39,7 @@ def profile(args) -> int:
     if args.plant_slow:
         # negative control for the perfdiff pipeline: slow one span by a
         # known amount and check the diff ranks it first
-        name, _, secs = args.plant_slow.partition(":")
-        tr.plant_slowdown(name, float(secs or 0.0))
+        tr.plant_slowdown(*args.plant_slow)
     # no cyclic-GC pass inside the traced run (timeit's rule): a pass over
     # the whole process heap lands in whichever span is open, and perfdiff
     # would rank that span as the regression
@@ -79,13 +78,6 @@ def profile(args) -> int:
         series=series,
         counter_pid=counter_pid,
     )
-    if args.jsonl:
-        obs.write_jsonl(args.jsonl, export_spans)
-        print(f"span log:     {args.jsonl} ({len(export_spans)} spans)")
-    if args.series_jsonl:
-        obs.write_series_jsonl(args.series_jsonl, series)
-        npts = sum(len(s.points) for s in series.all())
-        print(f"series log:   {args.series_jsonl} ({npts} points)")
     if args.openmetrics:
         obs.write_openmetrics(args.openmetrics, snapshot, series)
         print(f"openmetrics:  {args.openmetrics}")
@@ -111,7 +103,7 @@ def profile(args) -> int:
         for m in mismatches:
             print(f"  {m}")
     print()
-    print(obs.summary_table(spans, wall_s=sol.diagnostics["solve_seconds"]))
+    print(obs.summary_table(spans))
     print()
     print(obs.roofline_table(spans, spec))
     if stitched is not None:
@@ -131,7 +123,6 @@ def register(sub) -> None:
         "profile", help="traced coarse solve -> Chrome trace JSON", description=__doc__
     )
     p.add_argument("--out", default="trace.json", help="Chrome trace output path")
-    p.add_argument("--jsonl", default=None, help="also write a JSON-lines span log")
     p.add_argument(
         "--snapshot", default=None, help="write a perfdiff-ready span/counter aggregate JSON"
     )
@@ -140,11 +131,7 @@ def register(sub) -> None:
         help="write metrics + convergence series as OpenMetrics text",
     )
     p.add_argument(
-        "--series-jsonl", default=None,
-        help="write convergence time-series points as JSON lines",
-    )
-    p.add_argument(
-        "--plant-slow", default=None, metavar="NAME:SECONDS",
+        "--plant-slow", type=span_delay, default=None, metavar="NAME:SECONDS",
         help="plant a deliberate slowdown on one span name (perfdiff negative control)",
     )
     p.add_argument(

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, JSON lines, ASCII summaries.
+"""Trace exporters: Chrome trace-event JSON and ASCII summaries.
 
 Chrome trace-event files load directly in Perfetto (https://ui.perfetto.
 dev) or ``chrome://tracing``: each span becomes a ``"ph": "X"``
@@ -20,7 +20,6 @@ from pathlib import Path
 __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
     "summary_table",
     "ascii_flame",
     "metrics_table",
@@ -128,36 +127,15 @@ def write_chrome_trace(
     return path
 
 
-def write_jsonl(path, spans) -> Path:
-    """One JSON object per span, in completion order (a streamable log)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        for s in spans:
-            f.write(
-                json.dumps(
-                    {
-                        "id": s.id,
-                        "name": s.name,
-                        "cat": s.cat,
-                        "ts_us": s.ts_us,
-                        "dur_us": s.dur_us,
-                        "pid": s.pid,
-                        "tid": s.tid,
-                        "parent": s.parent,
-                        "depth": s.depth,
-                        "args": s.args,
-                    }
-                )
-                + "\n"
-            )
-    return path
+def _root_seconds(spans) -> float:
+    """Wall time a share is taken of: the sum of the root spans."""
+    return sum(s.dur_s for s in spans if s.parent == -1)
 
 
-def summary_table(spans, wall_s: float | None = None, top: int = 30, title: str | None = None) -> str:
-    """Per-name rollup table: count, total, mean, share of wall time."""
+def summary_table(spans) -> str:
+    """Per-name rollup table (top 30): count, total, mean, share of the trace."""
     # deferred: repro.perf pulls in gpusim/core, which dispatch through
-    # repro.kokkos.parallel -- an import-time cycle with the hook registry
+    # repro.kokkos.parallel -- an import-time cycle with the tracer
     from repro.perf.report import format_table
 
     agg: dict[str, list] = {}
@@ -165,28 +143,26 @@ def summary_table(spans, wall_s: float | None = None, top: int = 30, title: str 
         a = agg.setdefault(s.name, [s.cat, 0, 0.0])
         a[1] += 1
         a[2] += s.dur_s
-    if wall_s is None:
-        roots = [s.dur_s for s in spans if s.parent == -1]
-        wall_s = sum(roots) if roots else sum(a[2] for a in agg.values())
+    wall_s = _root_seconds(spans)
     rows = []
-    for name, (cat, count, total) in sorted(agg.items(), key=lambda kv: -kv[1][2])[:top]:
+    for name, (cat, count, total) in sorted(agg.items(), key=lambda kv: -kv[1][2])[:30]:
         share = total / wall_s if wall_s > 0 else 0.0
         rows.append([name, cat, count, total, total / count, f"{share:.1%}"])
     return format_table(
         ["span", "cat", "count", "total [s]", "mean [s]", "share"],
         rows,
-        title=title or "Span summary (by total time)",
+        title="Span summary (by total time)",
     )
 
 
-def ascii_flame(spans, wall_s: float | None = None, min_share: float = 0.002, width: int = 40) -> str:
+def ascii_flame(spans) -> str:
     """Aggregated call-path flame rendering of a span list.
 
     Spans are merged by (path of names from the root), each line showing
     an indentation-coded path segment, its inclusive total, and a bar
     proportional to its share of the trace -- a text stand-in for the
-    Perfetto flame graph.  Paths below ``min_share`` of the wall time
-    are pruned.
+    Perfetto flame graph.  Shares are of the sum of the root spans, the
+    same rule as :func:`summary_table`; paths below 0.2 % are pruned.
     """
     by_id = {s.id: s for s in spans}
 
@@ -206,22 +182,21 @@ def ascii_flame(spans, wall_s: float | None = None, min_share: float = 0.002, wi
         a = totals.setdefault(path_of(s), [0, 0.0])
         a[0] += 1
         a[1] += s.dur_s
-    if wall_s is None:
-        wall_s = sum(t for p, (c, t) in totals.items() if len(p) == 1) or 1.0
+    wall_s = _root_seconds(spans)
 
     lines = ["flame (inclusive totals; bar = share of trace)"]
     for path in sorted(totals, key=lambda p: (p[:-1], -totals[p][1])):
         count, total = totals[path]
         share = total / wall_s if wall_s > 0 else 0.0
-        if share < min_share:
+        if share < 0.002:
             continue
-        bar = "#" * max(1, int(round(share * width)))
+        bar = "#" * max(1, int(round(share * 40)))
         indent = "  " * (len(path) - 1)
         lines.append(f"{total:10.4f}s {share:6.1%} x{count:<5d} {indent}{path[-1]} {bar}")
     return "\n".join(lines)
 
 
-def metrics_table(snapshot: dict, title: str | None = None) -> str:
+def metrics_table(snapshot: dict) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` as text tables."""
     from repro.perf.report import format_table  # deferred, see summary_table
 
@@ -232,7 +207,7 @@ def metrics_table(snapshot: dict, title: str | None = None) -> str:
             format_table(
                 ["counter", "value"],
                 [[k, v] for k, v in counters.items()],
-                title=title or "Metrics: counters",
+                title="Metrics: counters",
             )
         )
     gauges = snapshot.get("gauges", {})

@@ -182,22 +182,6 @@ class MetricsRegistry:
                 h = self._histograms.setdefault(name, Histogram())
         return h
 
-    def value(self, name: str, default: float = 0.0) -> float:
-        """Read a counter or gauge without creating it.
-
-        Assertion-friendly accessor (``registry.value("tune.trials")``):
-        a plain ``counter(name).value`` would instantiate the instrument
-        as a side effect, polluting snapshots with never-incremented
-        zeros just by being observed.
-        """
-        c = self._counters.get(name)
-        if c is not None:
-            return float(c.value)
-        g = self._gauges.get(name)
-        if g is not None:
-            return float(g.value)
-        return default
-
     def snapshot(self) -> dict:
         """JSON-able dump of every instrument (cumulative since reset)."""
         return {

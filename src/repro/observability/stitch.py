@@ -133,7 +133,7 @@ def halo_compute_split(spans) -> list[dict]:
     return records
 
 
-def critical_path_table(records: list[dict], title: str | None = None) -> str:
+def critical_path_table(records: list[dict]) -> str:
     """ASCII rendering of :func:`halo_compute_split` output."""
     from repro.perf.report import format_table  # deferred (import cycle, see export.py)
 
@@ -153,5 +153,5 @@ def critical_path_table(records: list[dict], title: str | None = None) -> str:
     return format_table(
         ["step", "wall [s]", "halo [s]", "compute [s]", "halo share", "critical rank"],
         rows,
-        title=title or "Critical path: halo wait vs compute per Newton step",
+        title="Critical path: halo wait vs compute per Newton step",
     )

@@ -14,8 +14,8 @@ Each point carries two clocks:
 * ``ts_us`` -- microseconds on the span tracer's monotonic clock (zero
   at the last ``tracer.clear()``), so points align exactly with spans
   and export as Chrome trace counter events (``"ph": "C"``);
-* ``t_unix`` -- Unix seconds, the timestamp OpenMetrics expositions and
-  JSONL sinks carry.
+* ``t_unix`` -- Unix seconds, the timestamp OpenMetrics expositions
+  carry.
 
 Cost model mirrors the metrics registry: appends are always-on (a dict
 lookup, a clock read, a list append) and memory is bounded -- each
@@ -28,13 +28,13 @@ read for overhead-sensitive A/B measurements.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
-__all__ = ["TimeSeries", "SeriesRegistry", "get_series", "write_series_jsonl"]
+from repro.observability.tracer import get_tracer
+
+__all__ = ["TimeSeries", "SeriesRegistry", "get_series"]
 
 
 def _label_key(labels: dict) -> tuple:
@@ -62,9 +62,6 @@ class TimeSeries:
     def append(self, value: float, ts_us: float | None = None, t_unix: float | None = None) -> None:
         """Record one observation (thread-safe, bounded memory)."""
         if ts_us is None:
-            # deferred import: tracer -> hooks only, no cycle back here
-            from repro.observability.tracer import get_tracer
-
             ts_us = get_tracer().now_us()
         if t_unix is None:
             t_unix = time.time()
@@ -77,10 +74,6 @@ class TimeSeries:
                 if len(self.points) >= self.CAP:
                     self.points = self.points[::2]
                     self._stride *= 2
-
-    @property
-    def last(self) -> float | None:
-        return self.points[-1][2] if self.points else None
 
     def values(self) -> list[float]:
         return [p[2] for p in self.points]
@@ -140,10 +133,6 @@ class SeriesRegistry:
         finally:
             self.active = prev
 
-    def snapshot(self) -> dict:
-        """Full JSON-able dump: every series with its kept points."""
-        return {"series": [s.to_dict() for s in self.all()]}
-
     def summary(self) -> dict:
         """Compact JSON-able rollup for ``diagnostics["observability"]``.
 
@@ -168,17 +157,6 @@ class SeriesRegistry:
         """Drop all series (call sites re-create them on next use)."""
         with self._lock:
             self._series = {}
-
-
-def write_series_jsonl(path, registry: "SeriesRegistry | None" = None) -> Path:
-    """One JSON object per series: the streamable convergence log."""
-    reg = registry if registry is not None else get_series()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        for s in reg.all():
-            f.write(json.dumps(s.to_dict()) + "\n")
-    return path
 
 
 _SERIES = SeriesRegistry()

@@ -1,12 +1,12 @@
 """Span tracer: nested wall-time intervals with attributes.
 
 The tracer is the timeline half of the observability layer.  Code wraps
-phases in ``tracer.span(name, **attrs)`` context managers (or the
-``@tracer.instrument`` decorator); kernel dispatches arrive through a
-:class:`TracerSubscriber` attached to the hook registry, so one trace
-interleaves solver phases (Newton steps, GMRES cycles, halo exchanges)
-with per-kernel ``parallel_for`` intervals exactly the way a Kokkos
-Tools connector interleaves regions with kernel callbacks.
+phases in ``tracer.span(name, **attrs)`` context managers, and
+``parallel_for`` opens a ``cat="kernel"`` span around each dispatch
+while the tracer records, so one trace interleaves solver phases
+(Newton steps, GMRES cycles, halo exchanges) with per-kernel intervals
+exactly the way a Kokkos Tools connector interleaves regions with
+kernel callbacks.
 
 Cost model: a span handle *always* measures its duration (two
 ``perf_counter_ns`` reads) so phase accounting stays correct, but spans
@@ -18,14 +18,11 @@ grows without bound.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.observability.hooks import ToolSubscriber
-
-__all__ = ["Span", "SpanTracer", "TracerSubscriber", "get_tracer"]
+__all__ = ["Span", "SpanTracer", "get_tracer"]
 
 
 @dataclass
@@ -34,7 +31,8 @@ class Span:
 
     ``ts_us`` / ``dur_us`` are microseconds on the tracer's monotonic
     clock (zero at the last :meth:`SpanTracer.clear`), the unit Chrome
-    trace events use.  ``pid`` is the rank label and ``tid`` a small
+    trace events use.  ``pid`` is 0 until :func:`~repro.observability.
+    stitch.stitch_spans` maps ranks to pids, and ``tid`` a small
     per-thread integer; ``parent`` is the id of the enclosing span on
     the same thread (-1 for roots) and ``depth`` its nesting level.
     """
@@ -112,8 +110,7 @@ class _SpanHandle:
 class SpanTracer:
     """Collects :class:`Span` intervals on a shared monotonic clock."""
 
-    def __init__(self, rank: int = 0):
-        self.rank = rank
+    def __init__(self):
         self.recording = False
         self.spans: list[Span] = []
         self._epoch_ns = time.perf_counter_ns()
@@ -152,7 +149,7 @@ class SpanTracer:
                 cat=handle.cat,
                 ts_us=ts_us,
                 dur_us=handle.dur_ns * 1.0e-3,
-                pid=self.rank,
+                pid=0,
                 tid=self._tid(),
                 depth=handle.depth,
                 parent=handle.parent,
@@ -164,24 +161,6 @@ class SpanTracer:
     def span(self, name: str, cat: str = "phase", **args) -> _SpanHandle:
         """Open a span; use as ``with tracer.span("newton.step", step=k):``."""
         return _SpanHandle(self, name, cat, args)
-
-    def instrument(self, fn=None, *, name: str | None = None, cat: str = "function"):
-        """Decorator wrapping every call of ``fn`` in a span."""
-        def deco(f):
-            label = name or f"{f.__module__.rsplit('.', 1)[-1]}.{f.__qualname__}"
-
-            @functools.wraps(f)
-            def wrapper(*a, **kw):
-                with self.span(label, cat=cat):
-                    return f(*a, **kw)
-
-            return wrapper
-
-        return deco(fn) if fn is not None else deco
-
-    def set_rank(self, rank: int) -> None:
-        """Label subsequent spans with an SPMD rank (Chrome trace pid)."""
-        self.rank = int(rank)
 
     def now_us(self) -> float:
         """Current time in microseconds on the trace clock.
@@ -261,31 +240,6 @@ class SpanTracer:
         for a in agg.values():
             a["mean_s"] = a["total_s"] / a["count"]
         return dict(sorted(agg.items(), key=lambda kv: -kv[1]["total_s"]))
-
-
-class TracerSubscriber(ToolSubscriber):
-    """Bridges hook-registry events into tracer spans.
-
-    Kernel dispatches become ``cat="kernel"`` spans named after the
-    kernel label (so profiles read exactly like Nsight/rocprof output on
-    real Kokkos).  Begin/end pairing uses the registry's kernel ids.
-    """
-
-    def __init__(self, tracer: SpanTracer):
-        self.tracer = tracer
-        self._open: dict[int, _SpanHandle] = {}
-
-    def begin_parallel_for(self, name, extent, space, kid):
-        h = self.tracer.span(
-            name, cat="kernel", extent=extent, space=space, dispatch="parallel_for"
-        )
-        h.__enter__()
-        self._open[kid] = h
-
-    def end_parallel_for(self, kid):
-        h = self._open.pop(kid, None)
-        if h is not None:
-            h.__exit__(None, None, None)
 
 
 _TRACER = SpanTracer()

@@ -23,7 +23,7 @@ process-wide :class:`FaultPlane`:
 * ``plane.poke(site, **ctx)`` gives failure-type injectors the chance to
   raise (:class:`RankFailure`, :class:`KernelLaunchError`).
 
-Zero-overhead contract (mirrors the observability hook registry): with
+Zero-overhead contract (mirrors the span tracer's ``recording`` flag): with
 no schedule armed ``plane.active`` is ``False`` and a site pays exactly
 one attribute read.  The solver hot path must stay within 5% of the
 uninstrumented build -- see ``tests/integration/test_chaos_solve.py``.

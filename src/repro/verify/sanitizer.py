@@ -19,8 +19,8 @@ that created them*:
   on the host, but flushed to zero by GPU denormal-flush modes, i.e. a
   latent host/device divergence.
 
-Zero-overhead contract (the same ``active`` fast-path idiom as the
-observability hook registry and the resilience fault plane): with the
+Zero-overhead contract (the same one-flag fast-path idiom as the span
+tracer's ``recording`` and the resilience fault plane): with the
 sanitizer disarmed every instrumented site pays exactly one attribute
 read.  Arm it with :func:`sanitizing`::
 

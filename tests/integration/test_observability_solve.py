@@ -9,8 +9,9 @@ Covers the acceptance criteria of the observability subsystem:
   spans;
 * ``phase_seconds`` / ``eval_sweeps`` are per-solve, not cumulative
   (two successive ``solve()`` calls report the same counts);
-* importing the solver stack subscribes no tool, so every production
-  launch takes the hook registry's inactive fast path.
+* outside ``tracing()`` a solve stores no span, so every production
+  launch takes the tracer's not-recording fast path, and its numbers
+  are bitwise those of a traced solve.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro import observability as obs
 from repro.app.antarctica import AntarcticaTest
 from repro.app.config import AntarcticaConfig, VelocityConfig
 from repro.app.velocity_solver import WORKSET_SIZE
-from repro.observability import hooks
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -59,7 +59,7 @@ class TestTracedSolve:
         } <= names
         kernels = [s for s in tr.spans if s.cat == "kernel"]
         assert kernels, "parallel_for dispatches must appear as kernel spans"
-        # the hook seam, counted exactly: one StokesFOResid launch per
+        # the kernel spans, counted exactly: one StokesFOResid launch per
         # workset of every evaluator sweep, each a parallel_for span
         # under velocity.solve -- a dropped or doubled emission fails
         by_id = {s.id: s for s in tr.spans}
@@ -136,12 +136,10 @@ class TestProfileCli:
         from repro.__main__ import main
 
         out = tmp_path / "trace.json"
-        jsonl = tmp_path / "spans.jsonl"
         rc = main(
             [
                 "profile",
                 "--out", str(out),
-                "--jsonl", str(jsonl),
                 "--resolution-km", "400",
                 "--layers", "4",
             ]
@@ -161,22 +159,29 @@ class TestProfileCli:
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"velocity.solve", "newton.step", "gmres.iteration"} <= names
         assert doc["otherData"]["metrics"]["counters"]["gmres.iterations"] > 0
-        assert len(jsonl.read_text().splitlines()) > 0
+        # every kept series point is a counter event: the trace is the series log
+        points = sum(len(ts.points) for ts in obs.get_series().all())
+        assert points > 0
+        assert sum(e["ph"] == "C" for e in doc["traceEvents"]) == points
+
+        # one share rule: summary and flame divide by the same root spans
+        summary = next(ln for ln in text.splitlines() if ln.split("|")[0].strip() == "velocity.solve")
+        flame = next(ln for ln in text.splitlines() if ln.split()[-2:-1] == ["velocity.solve"])
+        assert summary.split("|")[-1].strip() == flame.split()[1]
 
 
 class TestHookOverhead:
     def test_inactive_registry_overhead_under_5_percent(self):
-        # the overhead bound, structurally: importing the solver stack
-        # subscribes nothing, so the default state *is* the inactive
-        # registry -- every launch takes the one-attribute-read fast
-        # path -- and a solve with the registry forced off is bitwise
-        # the default solve
-        reg = hooks.registry()
-        assert not reg.subscribers
-        assert not reg.active
+        # the overhead bound, structurally: outside tracing() the tracer
+        # does not record, so every launch takes the one-attribute-read
+        # fast path and no span is stored, and an untraced solve is
+        # bitwise the traced one
+        tracer = obs.get_tracer()
+        tracer.clear()
+        assert not tracer.recording
         test = AntarcticaTest.build(TINY)
-        default = test.problem.solve()
-        with reg.disabled():
-            silent = test.problem.solve()
-        assert np.array_equal(silent.u, default.u)
-        assert silent.newton.linear_iterations == default.newton.linear_iterations
+        silent = test.problem.solve()
+        assert tracer.spans == []
+        traced, _ = _solve_traced(TINY)
+        assert np.array_equal(silent.u, traced.u)
+        assert silent.newton.linear_iterations == traced.newton.linear_iterations

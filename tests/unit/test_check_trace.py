@@ -53,7 +53,7 @@ class TestBaseline:
 
 class TestCategoryRule:
     @pytest.mark.parametrize(
-        "cat", ["phase", "kernel", "evaluator", "halo", "compute", "gpusim", "function"]
+        "cat", ["phase", "kernel", "evaluator", "halo", "compute", "gpusim"]
     )
     def test_emitted_category_passes(self, check_trace, tmp_path, cat):
         ev = _base_events()
@@ -61,7 +61,7 @@ class TestCategoryRule:
                    "pid": 0, "tid": 0, "args": {}})
         assert check_trace(_write(tmp_path, ev)) == []
 
-    @pytest.mark.parametrize("cat", ["copy", "fence", "region", "kernal", None])
+    @pytest.mark.parametrize("cat", ["copy", "fence", "region", "function", "kernal", None])
     def test_removed_or_misspelled_category_rejected(self, check_trace, tmp_path, cat):
         ev = _base_events()
         ev.append({"name": "x", "cat": cat, "ph": "X", "ts": 3, "dur": 1,

@@ -52,7 +52,7 @@ def test_ci_gates_keep_their_flags():
     assert ["chaos", "--check", "--openmetrics", "/tmp/serve.om"] in ci
     assert [
         "profile", "--out", "/tmp/trace.json", "--snapshot", "/tmp/perf_snapshot.json",
-        "--openmetrics", "/tmp/metrics.om", "--series-jsonl", "/tmp/series.jsonl",
+        "--openmetrics", "/tmp/metrics.om",
     ] in ci
 
 
@@ -85,6 +85,19 @@ def test_a_size_that_builds_no_mesh_exits_2(command, flag, value, capsys):
         main([command, flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["gmres.iteration:abc", "gmres.iteration", "gmres.iteration:0", "gmres.iteration:-1",
+     ":0.5", "gmres.iteration:nan"],
+)
+def test_a_planted_slowdown_that_plants_nothing_exits_2(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--plant-slow", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --plant-slow: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from repro.kokkos import (
     HostSerial,
     parallel_for,
 )
-from repro.observability.hooks import ToolSubscriber, registry
+from repro.observability import tracing
 
 
 class TestView:
@@ -83,21 +83,15 @@ class TestParallel:
         assert np.allclose(out_v.data, out_s.data)
 
     def test_kernel_log_records(self):
-        log = []
-
-        class KernelLog(ToolSubscriber):
-            def begin_parallel_for(self, name, extent, space, kid):
-                log.append((name, extent))
-
         def functor(i):
             pass
 
-        sub = registry().subscribe(KernelLog())
-        try:
+        with tracing() as tracer:
             parallel_for("logged_kernel", RangePolicy(0, 4), functor, space=HostSerial())
-        finally:
-            registry().unsubscribe(sub)
-        assert log == [("logged_kernel", 4)]
+        assert [(s.name, s.cat, s.args) for s in tracer.spans] == [
+            ("logged_kernel", "kernel",
+             {"extent": 4, "space": "HostSerial", "dispatch": "parallel_for"})
+        ]
 
     def test_empty_range_noop(self):
         def functor(i):

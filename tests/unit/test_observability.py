@@ -1,4 +1,4 @@
-"""Hook registry, span tracer and metrics registry unit tests."""
+"""Span tracer, kernel span and metrics registry unit tests."""
 
 from __future__ import annotations
 
@@ -10,108 +10,8 @@ import pytest
 from repro import observability as obs
 from repro.kokkos.parallel import parallel_for
 from repro.kokkos.policy import RangePolicy
-from repro.observability.hooks import HookRegistry, ToolSubscriber
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracer import SpanTracer, TracerSubscriber
-
-
-class Recorder(ToolSubscriber):
-    """Flat event log of every callback, for pairing assertions."""
-
-    def __init__(self):
-        self.events: list[tuple] = []
-
-    def begin_parallel_for(self, name, extent, space, kid):
-        self.events.append(("begin_for", name, extent, space, kid))
-
-    def end_parallel_for(self, kid):
-        self.events.append(("end_for", kid))
-
-
-@pytest.fixture
-def recorder():
-    """A Recorder attached to the global registry, detached afterwards."""
-    rec = Recorder()
-    obs.registry().subscribe(rec)
-    try:
-        yield rec
-    finally:
-        obs.registry().unsubscribe(rec)
-
-
-# ----------------------------------------------------------------------
-# hook registry
-# ----------------------------------------------------------------------
-class TestHookRegistry:
-    def test_inactive_without_subscribers(self):
-        reg = HookRegistry()
-        assert not reg.active
-        sub = reg.subscribe(ToolSubscriber())
-        assert reg.active
-        reg.unsubscribe(sub)
-        assert not reg.active
-
-    def test_disable_suppresses_active(self):
-        reg = HookRegistry()
-        reg.subscribe(ToolSubscriber())
-        reg.disable()
-        assert not reg.active
-        reg.enable()
-        assert reg.active
-
-    def test_disabled_context_restores(self):
-        reg = HookRegistry()
-        reg.subscribe(ToolSubscriber())
-        with reg.disabled():
-            assert not reg.active
-        assert reg.active
-
-    def test_fan_out_to_multiple_subscribers(self):
-        reg = HookRegistry()
-        a, b = Recorder(), Recorder()
-        reg.subscribe(a)
-        reg.subscribe(b)
-        kid = reg.begin_parallel_for("k", 10, "host")
-        reg.end_parallel_for(kid)
-        assert a.events == b.events == [("begin_for", "k", 10, "host", kid), ("end_for", kid)]
-
-    def test_kernel_ids_increment(self):
-        reg = HookRegistry()
-        reg.subscribe(Recorder())
-        k0 = reg.begin_parallel_for("a", 1, "host")
-        k1 = reg.begin_parallel_for("b", 1, "host")
-        k2 = reg.begin_parallel_for("c", 1, "host")
-        assert k0 < k1 < k2
-
-    def test_parallel_for_emits_paired_events(self, recorder):
-        parallel_for("test-kernel", RangePolicy(0, 4), lambda i: None)
-        begins = [e for e in recorder.events if e[0] == "begin_for"]
-        ends = [e for e in recorder.events if e[0] == "end_for"]
-        assert len(begins) == len(ends) == 1
-        assert begins[0][1] == "test-kernel" and begins[0][2] == 4
-        assert begins[0][4] == ends[0][1]  # same kernel id
-
-    def test_kernel_log_shim_round_trip(self):
-        # a kernel log is a subscriber a tool attaches, not module state:
-        # it sees launches exactly while it is subscribed
-        log = []
-
-        class KernelLog(ToolSubscriber):
-            def begin_parallel_for(self, name, extent, space, kid):
-                log.append(name)
-
-        reg = obs.registry()
-        sub = reg.subscribe(KernelLog())
-        try:
-            parallel_for("logged", RangePolicy(0, 3), lambda i: None)
-            reg.unsubscribe(sub)
-            parallel_for("silent", RangePolicy(0, 3), lambda i: None)
-            assert log == ["logged"]
-            reg.subscribe(sub)
-            parallel_for("logged-again", RangePolicy(0, 3), lambda i: None)
-        finally:
-            reg.unsubscribe(sub)
-        assert log == ["logged", "logged-again"]
+from repro.observability.tracer import SpanTracer
 
 
 # ----------------------------------------------------------------------
@@ -146,17 +46,6 @@ class TestSpanTracer:
             pass
         (s,) = tr.spans
         assert s.args == {"step": 3, "mode": "jacobian"} and s.cat == "phase"
-
-    def test_instrument_decorator(self):
-        tr = SpanTracer()
-
-        @tr.instrument(name="my.fn")
-        def f(x):
-            return x + 1
-
-        tr.start()
-        assert f(1) == 2
-        assert [s.name for s in tr.spans] == ["my.fn"]
 
     def test_clear_resets_clock_and_ids(self):
         tr = SpanTracer()
@@ -227,14 +116,6 @@ class TestSpanTracer:
         tr.clear_slowdowns()
         assert tr._planted == {}
 
-    def test_rank_labels_pid(self):
-        tr = SpanTracer()
-        tr.set_rank(7)
-        tr.start()
-        with tr.span("x"):
-            pass
-        assert tr.spans[0].pid == 7
-
     def test_stop_mid_span_keeps_stack_consistent(self):
         tr = SpanTracer()
         tr.start()
@@ -246,7 +127,7 @@ class TestSpanTracer:
         assert tr.spans[-1].parent == -1  # no leaked parent from "outer"
 
 
-class TestTracerSubscriber:
+class TestKernelSpans:
     def test_kernel_dispatch_becomes_span(self):
         with obs.tracing() as tr:
             with tr.span("phase"):
@@ -254,15 +135,10 @@ class TestTracerSubscriber:
         kernels = [s for s in tr.spans if s.cat == "kernel"]
         assert [s.name for s in kernels] == ["my-kernel"]
         phase = next(s for s in tr.spans if s.name == "phase")
-        assert kernels[0].parent == phase.id
-        assert kernels[0].args["extent"] == 4
-        assert kernels[0].args["dispatch"] == "parallel_for"
-
-    def test_session_detaches_subscriber(self):
-        before = len(obs.registry().subscribers)
-        with obs.tracing():
-            assert len(obs.registry().subscribers) == before + 1
-        assert len(obs.registry().subscribers) == before
+        # the enclosing open span on the same thread is the kernel's parent
+        assert kernels[0].parent == phase.id and kernels[0].tid == phase.tid
+        assert kernels[0].depth == phase.depth + 1
+        assert kernels[0].args == {"extent": 4, "space": "HostVector", "dispatch": "parallel_for"}
         assert not obs.get_tracer().recording
 
 

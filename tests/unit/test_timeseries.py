@@ -1,16 +1,11 @@
-"""Convergence time-series: registry, decimation, sinks, counter export."""
+"""Convergence time-series: registry, decimation, counter export."""
 
 from __future__ import annotations
 
 import json
 import threading
 
-from repro.observability.timeseries import (
-    SeriesRegistry,
-    TimeSeries,
-    get_series,
-    write_series_jsonl,
-)
+from repro.observability.timeseries import SeriesRegistry, TimeSeries, get_series
 
 
 class TestTimeSeries:
@@ -127,16 +122,3 @@ class TestSeriesRegistry:
             t.join()
         assert reg.get("hot").count == n * threads
         assert len(reg.get("hot").points) <= TimeSeries.CAP
-
-
-class TestJsonlSink:
-    def test_write_series_jsonl(self, tmp_path):
-        reg = SeriesRegistry()
-        reg.record("newton.residual", 4.0)
-        reg.record("gmres.residual", 2.0, mode="assembled")
-        path = write_series_jsonl(tmp_path / "series.jsonl", reg)
-        lines = [json.loads(ln) for ln in path.read_text().splitlines()]
-        assert {ln["name"] for ln in lines} == {"newton.residual", "gmres.residual"}
-        rec = next(ln for ln in lines if ln["name"] == "gmres.residual")
-        assert rec["labels"] == {"mode": "assembled"}
-        assert rec["points"][0][2] == 2.0

@@ -74,14 +74,6 @@ class TestChromeTraceExport:
         assert len(kerns) == 2
         assert all(e["name"] == "kern" and e["args"]["extent"] == 4 for e in kerns)
 
-    def test_jsonl_export(self, tmp_path):
-        tr = _sample_tracer()
-        path = obs.write_jsonl(tmp_path / "spans.jsonl", tr.spans)
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(tr.spans)
-        recs = [json.loads(ln) for ln in lines]
-        assert {r["name"] for r in recs} == {"solve", "step", "kern"}
-
 
 class TestCounterEventExport:
     def test_series_become_counter_events(self):

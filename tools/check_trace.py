@@ -12,7 +12,7 @@ Validates that the file is JSON, ``traceEvents`` is a non-empty list,
 every complete ("ph": "X") event carries the required fields with
 non-negative microsecond timestamps, and the trace actually contains
 the solve structure a profile run promises: ``newton.step`` phase spans
-and at least one kernel-category span from the hook registry.
+and at least one kernel-category span (one per ``parallel_for``).
 
 Attribution-era checks (PR 8):
 
@@ -26,8 +26,8 @@ Attribution-era checks (PR 8):
   ``args`` carry an integer ``rank`` must live on ``pid == rank``.
 
 Every span's ``cat`` must be one the tracer emits (``SPAN_CATEGORIES``):
-a misspelled category, or one left over from a removed hook
-(``copy``, ``fence``, ``region``), fails.
+a misspelled category, or one left over from a removed emitter
+(``copy``, ``fence``, ``region``, ``function``), fails.
 
 Service traces: a ``serve.lane_wait`` span (a worker waiting for the
 pool's numerics lane) must lie inside a ``serve.execute`` span of the
@@ -45,9 +45,9 @@ import sys
 # metadata ("ph": "M") events legitimately omit ts/dur
 REQUIRED_FIELDS = ("name", "ph", "pid", "tid")
 
-#: span categories the tracer can emit: solver phases, hook-registry
-#: kernels, evaluators, SPMD halo/compute, gpusim runs, instrumented calls
-SPAN_CATEGORIES = ("phase", "kernel", "evaluator", "halo", "compute", "gpusim", "function")
+#: span categories the tracer can emit: solver phases, ``parallel_for``
+#: kernels, evaluators, SPMD halo/compute, gpusim runs
+SPAN_CATEGORIES = ("phase", "kernel", "evaluator", "halo", "compute", "gpusim")
 
 ROOFLINE_NUMERIC_FIELDS = ("bytes", "flops", "ai", "roof_frac", "bw_frac")
 ROOFLINE_BASES = ("modeled", "wall")
