@@ -18,9 +18,10 @@ in the service shape that workload implies:
 * :mod:`~repro.serve.cache` -- the :mod:`repro.store` artifact cache
   under its serve-side name (build each mesh once; remember last-good
   results);
-* :mod:`~repro.serve.pool` -- supervised worker threads with
-  checkpoint heartbeats; dead or hung workers are respawned and their
-  jobs resumed bitwise-exactly from the last Newton checkpoint;
+* :mod:`~repro.serve.pool` -- worker threads with checkpoint
+  heartbeats; a dying worker hands its job back to resume
+  bitwise-exactly from the last Newton checkpoint and starts its
+  replacement;
 * :mod:`~repro.serve.chaos` -- the deterministic chaos acceptance run
   behind ``python -m repro chaos``;
 * :mod:`~repro.serve.http` -- a stdlib-only HTTP frontend

@@ -7,8 +7,8 @@ solver and the service claim, with a hard acceptance bar:
   one solve runs, two join it;
 * **wave B (worker kills)** -- two requests on distinct scenarios,
   each worker killed mid-solve by the :class:`KillSwitch` (steps 1 and
-  2); the supervisor revives both jobs from their heartbeated
-  checkpoints;
+  2); each dying worker hands its job back to resume from its
+  heartbeated checkpoint;
 * **wave C (fault injection)** -- the coarse Antarctica SPMD request
   (350 km, 4 layers, 4 ranks, 8 Newton steps) solved under
   :func:`~repro.resilience.reference_schedule`: a bit-flipped, a dropped
@@ -20,6 +20,10 @@ solver and the service claim, with a hard acceptance bar:
   scenario's breaker; two more requests are shed ``breaker_open``; the
   next is admitted as the half-open probe, succeeds, and closes the
   breaker.
+
+After the waves the service stops: no worker thread it started may
+outlive :meth:`SolveService.stop`, and the stop must return well
+inside the pool's join timeout.
 
 Acceptance: every admitted request completes or is shed with a typed
 reason; every *completed full-fidelity* result is **bitwise identical**
@@ -41,6 +45,8 @@ regardless of machine speed.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 
@@ -56,6 +62,8 @@ __all__ = ["run_chaos_check"]
 
 #: worker threads of the service under test
 WORKERS = 2
+#: wall budget of ``SolveService.stop()``, well inside the pool's 5 s join timeout
+STOP_BUDGET_S = 1.0
 
 
 def _reference_solutions(scenarios):
@@ -107,6 +115,8 @@ def run_chaos_check(
     )
 
     sched = reference_schedule(seed=seed, nparts=delta.nparts)
+    # threads of pools other than this service's (the caller's) are not judged
+    bystanders = set(threading.enumerate())
 
     async def drive():
         out = {}
@@ -132,6 +142,8 @@ def run_chaos_check(
                 storm.append(await service.submit(SolveRequest(alpha)))
             storm.append(await service.submit(SolveRequest(alpha)))
             out["D"] = storm
+            stop_t0 = time.monotonic()
+        out["stop_s"] = time.monotonic() - stop_t0
         return out
 
     out = asyncio.run(drive())
@@ -162,7 +174,7 @@ def run_chaos_check(
     check("B: each job resumed exactly once",
           all(r.resumes == 1 for r in b),
           f"resumes={[r.resumes for r in b]}")
-    check("B: two worker deaths reaped", service.pool.deaths == 2,
+    check("B: two dying workers handed their jobs back", service.pool.deaths == 2,
           f"deaths={service.pool.deaths}")
     check("B: resumed results bitwise equal to fault-free",
           bitwise(b[0], bravo) and bitwise(b[1], charlie))
@@ -196,6 +208,12 @@ def run_chaos_check(
           str(walk))
     check("D: half-open probe succeeds and is bitwise equal",
           probe.status == "ok" and bitwise(probe, alpha), probe.status)
+
+    alive = [t.name for t in threading.enumerate()
+             if t.name.startswith("solve-worker-") and t not in bystanders]
+    check("stop: no worker thread outlives the service, stop is prompt",
+          not alive and out["stop_s"] < STOP_BUDGET_S,
+          f"alive={alive} stop={out['stop_s']:.3f}s")
 
     all_resps = [*a, *b, c, *d]
     check("all responses typed",

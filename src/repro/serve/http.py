@@ -71,7 +71,12 @@ async def _read_request(reader: asyncio.StreamReader):
             length = int(value.strip() or 0)  # ValueError -> 400 in _handle
             if length < 0:
                 raise ValueError(f"negative Content-Length {length}")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:  # -> 400 in _handle
+        raise ValueError(
+            f"body ended after {len(exc.partial)} of {length} Content-Length bytes"
+        ) from None
     return method, path, body
 
 
@@ -79,7 +84,7 @@ async def _handle(service: SolveService, reader, writer) -> None:
     try:
         try:
             method, path, body = await _read_request(reader)
-        except ValueError as exc:  # malformed or negative Content-Length
+        except ValueError as exc:  # malformed Content-Length, or a short body
             writer.write(_json_response(400, {"error": str(exc)}))
             await writer.drain()
             return

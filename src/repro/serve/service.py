@@ -21,9 +21,11 @@ numerics on worker threads):
    the scenario's cached artifacts, solves under heartbeat +
    kill-switch, retries transient failures up to the recovery policy's
    ``max_retries``, and trampolines the outcome back onto the loop.
-6. **supervision** -- an async task polls the pool: dead or hung
-   workers are respawned and their jobs resumed from the last
-   heartbeated checkpoint (bitwise-exact continuation).
+6. **supervision** -- a worker that dies mid-job hands the job back
+   on its way out and starts its replacement; the job resumes from its
+   last heartbeated checkpoint (bitwise-exact continuation).  A hung
+   worker is not recoverable (CPython cannot stop a thread); the
+   deadline bounds it.
 
 Every decision increments a ``serve.*`` metric through the standard
 observability registry, so the OpenMetrics exposition and the chaos
@@ -35,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.observability import get_metrics, get_series, get_tracer
+from repro.observability import get_metrics, get_tracer
 from repro.resilience.deadline import Deadline, SolveTimeout
 from repro.resilience.policies import RecoveryPolicy
 from repro.serve.breaker import CircuitBreaker
@@ -44,9 +46,6 @@ from repro.serve.pool import Job, KillSwitch, WorkerKilled, WorkerPool
 from repro.serve.requests import SolveRequest, SolveResponse, SolveScenario
 
 __all__ = ["SolveService"]
-
-#: seconds between the supervisor's polls of the worker pool
-SUPERVISE_INTERVAL_S = 0.005
 
 
 class SolveService:
@@ -58,7 +57,6 @@ class SolveService:
         queue_size: int = 8,
         policy: RecoveryPolicy | None = None,
         cache: ArtifactCache | None = None,
-        heartbeat_timeout_s: float | None = None,
         kill_switch: KillSwitch | None = None,
         breaker_enabled: bool = True,
         clock=time.monotonic,
@@ -75,33 +73,19 @@ class SolveService:
         self.breaker_enabled = breaker_enabled
         self.kill_switch = kill_switch if kill_switch is not None else KillSwitch()
         self.clock = clock
-        self.pool = WorkerPool(
-            workers=workers, heartbeat_timeout_s=heartbeat_timeout_s, clock=clock
-        )
+        self.pool = WorkerPool(workers=workers)
         #: digest -> breaker, created at the digest's first failure; a
         #: digest without one is closed
         self.breakers: dict[str, CircuitBreaker] = {}
         #: digest -> future of the in-flight solve (the dedup join point)
         self._inflight: dict[str, asyncio.Future] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._supervisor: asyncio.Task | None = None
-        self._running = False
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._running = True
-        self._supervisor = self._loop.create_task(self._supervise())
 
     async def stop(self) -> None:
-        self._running = False
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-            try:
-                await self._supervisor
-            except asyncio.CancelledError:
-                pass
-            self._supervisor = None
         self.pool.shutdown()
 
     async def __aenter__(self) -> "SolveService":
@@ -110,15 +94,6 @@ class SolveService:
 
     async def __aexit__(self, *exc) -> None:
         await self.stop()
-
-    async def _supervise(self) -> None:
-        """Reap dead/hung workers and resume their jobs from checkpoints."""
-        while self._running:
-            revived = self.pool.reap()
-            for job in revived:
-                # no job_id label: that grew one never-evicted series per revival
-                get_series().record("serve.worker_revival", job.resumes)
-            await asyncio.sleep(SUPERVISE_INTERVAL_S)
 
     # ------------------------------------------------------------------
     def _finish(self, response: SolveResponse, t0: float) -> SolveResponse:
@@ -219,7 +194,7 @@ class SolveService:
         def on_done(job: Job, outcome) -> None:
             loop.call_soon_threadsafe(self._resolve, fut, outcome)
 
-        job = Job(execute, on_done, clock=self.clock)
+        job = Job(execute, on_done)
         self.pool.submit(job)
         try:
             outcome = await fut
@@ -273,8 +248,8 @@ class SolveService:
 
         Returns ``(kind, payload, attempts, resumes)`` -- never raises,
         except :class:`WorkerKilled` which deliberately escapes to kill
-        the thread (the supervisor revives the job from its last
-        heartbeated checkpoint, so ``job.resumes``/``job.checkpoint``
+        the thread (the dying worker requeues the job to resume from its
+        last heartbeated checkpoint, so ``job.resumes``/``job.checkpoint``
         carry across lives).
         """
         tr = get_tracer()
@@ -308,8 +283,8 @@ class SolveService:
                 # terminal: the budget is spent; retrying cannot help
                 return ("timeout", exc, attempts, job.resumes)
             except WorkerKilled:
-                # not a solve failure: the WORKER dies (thread exits);
-                # the supervisor revives this job from its checkpoint
+                # not a solve failure: the WORKER dies (thread exits)
+                # and requeues this job to resume from its checkpoint
                 raise
             except Exception as exc:  # noqa: BLE001 - typed into the response
                 get_metrics().counter("serve.solve_errors").inc()

@@ -273,7 +273,9 @@ class TestKillSwitch:
 
 
 class TestWorkerPool:
-    def test_reap_revives_dead_worker_and_resumes_job(self):
+    def test_dying_worker_hands_its_job_back(self):
+        """No service and no polling: the dying thread requeues its job
+        and starts its replacement on its way out."""
         pool = WorkerPool(workers=1)
         done = threading.Event()
         results = []
@@ -289,15 +291,12 @@ class TestWorkerPool:
             done.set()
 
         pool.submit(Job(execute, on_done))
-        limit = time.monotonic() + 5.0
-        while not done.is_set() and time.monotonic() < limit:
-            pool.reap()
-            time.sleep(0.002)
-        assert done.is_set()
-        assert results == [("resumed-from", 2)]
+        assert done.wait(timeout=5.0)
         assert pool.deaths == 1
         assert len(pool.workers) == 1
         pool.shutdown()
+        # joined: no second delivery can still be on its way
+        assert results == [("resumed-from", 2)]
 
 
 class FakeClock:
@@ -316,7 +315,7 @@ def _until(predicate, what: str) -> None:
 
 
 class TestNumericsLane:
-    """One holder at a time; supervision and shutdown see through it."""
+    """One holder at a time; deaths and shutdown see through it."""
 
     def _holder_and_waiter(self, pool):
         """Job 1 holds the lane until ``gate``; job 2 queues up behind it."""
@@ -339,47 +338,19 @@ class TestNumericsLane:
         def on_done(job, outcome):
             outcomes[job.id] = outcome
 
-        holder = Job(hold, on_done, clock=pool.clock)
+        holder = Job(hold, on_done)
         pool.submit(holder)
         assert holding.wait(timeout=5.0)
-        waiter = Job(wait, on_done, clock=pool.clock)
+        waiter = Job(wait, on_done)
         pool.submit(waiter)
         _until(lambda: pool.busy() == 2, "the waiter to be picked up")
         return gate, holder, waiter, outcomes
 
-    def test_stall_rule_applies_to_the_holder_only(self):
-        clock = FakeClock()
-        pool = WorkerPool(workers=2, heartbeat_timeout_s=1.0, clock=clock)
-        gate, holder, waiter, outcomes = self._holder_and_waiter(pool)
-        # the waiter has not beaten for 5 s, the holder just did
-        clock.now = 5.0
-        holder.beat()
-        assert pool.reap() == []
-        assert pool.stalls == 0
-        # picked up counts as in flight: the ladder's signals keep their meaning
-        assert pool.busy() == 2 and pool.depth() == 0
-        # a holder that stops beating is still presumed hung
-        clock.now = 10.0
-        assert pool.reap() == [holder]
-        assert pool.stalls == 1
-        gate.set()
-        _until(lambda: len(outcomes) == 2, "both jobs to finish")
-        assert outcomes == {holder.id: "held", waiter.id: "got the lane"}
-        assert pool.stalls == 1
-        pool.shutdown()
-
-    def test_acquisition_stamps_the_heartbeat(self):
-        clock = FakeClock()
-        pool = WorkerPool(workers=1, clock=clock)
-        job = Job(lambda job: None, lambda job, outcome: None, clock=clock)
-        clock.now = 7.0
-        with pool.lane(job):
-            assert job.last_beat == 7.0
-        pool.shutdown()
-
     def test_shutdown_wakes_a_waiter(self):
         pool = WorkerPool(workers=2)
         gate, holder, waiter, outcomes = self._holder_and_waiter(pool)
+        # picked up counts as in flight: the ladder's signals keep their meaning
+        assert pool.busy() == 2 and pool.depth() == 0
         pool.shutdown(join_timeout_s=0.05)
         # the holder is still inside; the waiter gave up with a typed error
         _until(lambda: waiter.id in outcomes, "the waiter to give up")
@@ -683,6 +654,26 @@ class TestSolveService:
             assert get_series().get("serve.worker_revival").count == offered + 2
         run(body())
 
+    def test_stop_leaves_no_worker_thread_after_kills(self):
+        """Two deaths replace two workers; ``stop()`` joins every thread
+        the service started, well inside the pool's 5 s join timeout."""
+        async def body():
+            ks = KillSwitch()
+            service, _ = make_service(kill_switch=ks)
+            async with service:
+                for s in (scenario("a"), scenario("b", num_layers=4)):
+                    ks.arm(s.digest, 1)
+                    assert (await service.submit(SolveRequest(s))).resumes == 1
+                t0 = time.monotonic()
+            return service, time.monotonic() - t0
+
+        bystanders = set(threading.enumerate())
+        service, stop_s = run(body())
+        assert service.pool.deaths == 2
+        assert stop_s < 1.0
+        assert [t for t in threading.enumerate()
+                if t.name.startswith("solve-worker-") and t not in bystanders] == []
+
     def test_builds_and_solves_never_overlap(self):
         async def body():
             numerics = Numerics()
@@ -756,6 +747,7 @@ async def _http(port: int, raw: str) -> tuple[int, bytes]:
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(raw.encode())
     await writer.drain()
+    writer.write_eof()  # the whole request is sent: a short body ends here
     data = await reader.read()
     writer.close()
     head, _, body = data.partition(b"\r\n\r\n")
@@ -916,4 +908,11 @@ class TestHttp:
         raw = f"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n{{}}"
         ((code, payload),), problems = self._post([raw])
         assert code == 400 and "error" in json.loads(payload)
+        assert not problems
+
+    def test_body_shorter_than_content_length_is_a_400(self):
+        raw = "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 50\r\n\r\n{\"name\": 1}"
+        ((code, payload),), problems = self._post([raw])
+        assert code == 400
+        assert json.loads(payload)["error"] == "body ended after 11 of 50 Content-Length bytes"
         assert not problems
