@@ -80,9 +80,6 @@ class StokesFields:
     def views(self) -> list[View]:
         return [self.Ugrad, self.muLandIce, self.force, self.wBF, self.wGradBF, self.Residual]
 
-    def input_views(self) -> list[View]:
-        return [self.Ugrad, self.muLandIce, self.force, self.wBF, self.wGradBF]
-
     def output_views(self) -> list[View]:
         return [self.Residual]
 

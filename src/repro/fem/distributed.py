@@ -271,10 +271,6 @@ class DistributedStokesAssembly:
         """Global dof ids (matrix rows) owned by ``part`` (ascending)."""
         return self._owned_dofs[part]
 
-    def column_map(self, part: int) -> np.ndarray:
-        """Global dofs backing rank ``part``'s local matrix columns."""
-        return self._colmap[part]
-
     def imbalance(self) -> float:
         """max/mean owned 3-D elements (slowest rank sets the step time)."""
         counts = np.array([s.stop - s.start for s in self.cell_spans], dtype=np.float64)

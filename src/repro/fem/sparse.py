@@ -257,11 +257,6 @@ class CsrMatrix:
         """
         return self.collapse_map(block_size).column_blocks(self)
 
-    def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(column indices, values) of row ``i`` (views, do not mutate ids)."""
-        a, b = self.indptr[i], self.indptr[i + 1]
-        return self.indices[a:b], self.data[a:b]
-
     def scale_rows(self, s: np.ndarray) -> "CsrMatrix":
         """Return diag(s) @ A."""
         s = np.asarray(s, dtype=np.float64)

@@ -52,15 +52,8 @@ class ThreadProgram:
     #: names of the kernel's output views (for the theoretical minimum)
     output_views: tuple = ("Residual",)
 
-    @property
-    def num_slot_accesses(self) -> int:
-        return len(self.slot_trace)
-
     def unique_slots(self) -> set[Slot]:
         return set(self.slot_trace)
-
-    def unique_read_slots(self) -> set[Slot]:
-        return {s for s, w in zip(self.slot_trace, self.writes) if not w}
 
     def unique_written_slots(self) -> set[Slot]:
         return {s for s, w in zip(self.slot_trace, self.writes) if w}

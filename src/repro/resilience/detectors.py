@@ -101,7 +101,6 @@ def classify_gmres(
     converged: bool,
     breakdown: bool,
     cycle_reductions: list[float],
-    stagnation_rtol: float = STAGNATION_RTOL,
 ) -> str:
     """Classify a finished GMRES run into one of :data:`GMRES_FLAGS`.
 
@@ -117,6 +116,6 @@ def classify_gmres(
         return "converged"
     if breakdown:
         return "breakdown"
-    if cycle_reductions and cycle_reductions[-1] >= stagnation_rtol:
+    if cycle_reductions and cycle_reductions[-1] >= STAGNATION_RTOL:
         return "stagnated"
     return "maxiter"

@@ -29,6 +29,9 @@ __all__ = ["SolveScenario", "SolveRequest", "SolveResponse", "STATUSES"]
 #: ``failed`` and ``shed`` carry a typed reason.
 STATUSES = ("ok", "degraded", "timeout", "failed", "shed")
 
+#: the coarse-mesh rung solves at this multiple of the requested resolution
+COARSEN_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class SolveScenario:
@@ -86,12 +89,12 @@ class SolveScenario:
             ),
         )
 
-    def coarsened(self, factor: float = 2.0) -> "SolveScenario":
+    def coarsened(self) -> "SolveScenario":
         """The degraded (coarser-mesh) stand-in scenario."""
         return replace(
             self,
             name=f"{self.name}~coarse",
-            resolution_km=self.resolution_km * float(factor),
+            resolution_km=self.resolution_km * COARSEN_FACTOR,
             num_layers=min(self.num_layers, max(3, self.num_layers // 2)),
         )
 

@@ -207,7 +207,6 @@ class TransientEngine:
         kill_at_step: int | None = None,
         plant_leak: float = 0.0,
         checkpoint_dir: str | Path | None = None,
-        checkpoint_every: int | None = None,
         callback=None,
     ) -> TransientResult:
         """Run (or resume) the coupled loop for ``num_steps`` steps.
@@ -225,7 +224,7 @@ class TransientEngine:
         total = sc.num_steps if num_steps is None else int(num_steps)
         if resume_from is None and total < 1:
             raise ValueError(f"num_steps must be at least 1 on a fresh run, got {total}")
-        every = sc.checkpoint_every if checkpoint_every is None else int(checkpoint_every)
+        every = sc.checkpoint_every
         ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         if ckpt_dir is not None:
             ckpt_dir.mkdir(parents=True, exist_ok=True)

@@ -89,14 +89,15 @@ class RacyNodalScatter:
             self.nodal[n] = self.nodal[n] + self.cellval[cell, j]
 
 
-def make_racy_fields(num_cells: int = 12, nodes_per_cell: int = 4, seed: int = 0) -> RacyFields:
-    """A chain mesh: cell ``c`` touches nodes ``c .. c + nodes_per_cell - 1``.
+def make_racy_fields(num_cells: int = 12, seed: int = 0) -> RacyFields:
+    """A chain mesh: cell ``c`` touches nodes ``c .. c + 3``.
 
-    Adjacent cells overlap on ``nodes_per_cell - 1`` nodes, so almost
+    Adjacent cells overlap on three of their four nodes, so almost
     every node has multiple writers.  Cell values are log-uniform over
     several decades so that summation order is visible bitwise.
     """
     rng = np.random.default_rng(seed)
+    nodes_per_cell = 4
     num_nodes = num_cells + nodes_per_cell - 1
     conn = np.arange(num_cells)[:, None] + np.arange(nodes_per_cell)[None, :]
     sign = rng.choice([-1.0, 1.0], size=(num_cells, nodes_per_cell))

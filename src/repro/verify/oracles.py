@@ -973,6 +973,7 @@ def _oracle_bytes():
 # ======================================================================
 
 _MATVEC_RTOL = 1.0e-12
+_MATVEC_PROBES = 4  # random directions v per J @ v comparison
 
 
 def _operator_pair(geometry: str = "antarctica"):
@@ -1006,7 +1007,7 @@ def _operator_pair(geometry: str = "antarctica"):
     return pa, pm
 
 
-def _matvec_divergences(pa, pm, num_probes: int = 4, seed: int = 7):
+def _matvec_divergences(pa, pm, seed: int = 7):
     """Matrix-free vs assembled ``J @ v`` at a seeded state, plus diagonals."""
     rng = np.random.default_rng(seed)
     u = rng.normal(size=pa.dofmap.num_dofs) * 10.0
@@ -1014,7 +1015,7 @@ def _matvec_divergences(pa, pm, num_probes: int = 4, seed: int = 7):
     A = pa.jacobian(u)
     B = pm.jacobian(u)
     divs = []
-    for p in range(num_probes):
+    for p in range(_MATVEC_PROBES):
         v = rng.normal(size=len(u))
         ya, ym = A.matvec(v), B.matvec(v)
         scale = max(1.0e-30, float(np.max(np.abs(ya))))

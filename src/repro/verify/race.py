@@ -195,7 +195,11 @@ def record_access_sets(make_functor, fields, extent: int) -> AccessRecorder:
     return recorder
 
 
-def find_races(recorder: AccessRecorder, max_findings: int = 64) -> list[RaceFinding]:
+#: findings past this many add nothing a report reader can use
+_MAX_FINDINGS = 64
+
+
+def find_races(recorder: AccessRecorder) -> list[RaceFinding]:
     """Conflicting slots: multi-writer, or written-here-read-elsewhere."""
     findings: list[RaceFinding] = []
     for (view, slot), writers in recorder.writes.items():
@@ -214,7 +218,7 @@ def find_races(recorder: AccessRecorder, max_findings: int = 64) -> list[RaceFin
                     tuple(distinct_writers[:3] + foreign_readers[:3]),
                 )
             )
-        if len(findings) >= max_findings:
+        if len(findings) >= _MAX_FINDINGS:
             break
     return findings
 
