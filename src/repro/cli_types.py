@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import math
 
-__all__ = ["positive_int", "positive_float", "span_delay"]
+__all__ = ["positive_int", "positive_float", "port", "span_delay"]
 
 
 def positive_int(text: str) -> int:
@@ -20,6 +20,14 @@ def positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def port(text: str) -> int:
+    """A TCP port, 0-65535 (0 lets the system pick one)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {value}")
     return value
 
 

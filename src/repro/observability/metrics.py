@@ -109,6 +109,29 @@ class Histogram:
                     self._samples = self._samples[::2]
                     self._stride *= 2
 
+    def state(self) -> tuple:
+        """Raw state for :meth:`merge` into a histogram of another process."""
+        with self._lock:
+            return (self.count, self.total, self.sq_total, self.min, self.max,
+                    self.last, list(self._samples))
+
+    def merge(self, state: tuple) -> None:
+        """Add the observations behind another histogram's :meth:`state`."""
+        count, total, sq_total, lo, hi, last, samples = state
+        if not count:
+            return
+        with self._lock:
+            self.count += count
+            self.total += total
+            self.sq_total += sq_total
+            self.min = min(self.min, lo)
+            self.max = max(self.max, hi)
+            self.last = last
+            self._samples.extend(samples)
+            while len(self._samples) >= self.RESERVOIR_CAP:
+                self._samples = self._samples[::2]
+                self._stride *= 2
+
     def quantile(self, q: float) -> float:
         """Quantile estimate from the kept reservoir (0 when empty)."""
         if not self._samples:
@@ -189,6 +212,27 @@ class MetricsRegistry:
             "gauges": {k: v.value for k, v in sorted(self._gauges.items())},
             "histograms": {k: v.summary() for k, v in sorted(self._histograms.items())},
         }
+
+    def export(self) -> dict:
+        """Raw instrument state, for :meth:`merge` in another process's registry."""
+        return {
+            "counters": {k: v.value for k, v in self._counters.items()},
+            "gauges": {k: v.value for k, v in self._gauges.items()},
+            "histograms": {k: v.state() for k, v in self._histograms.items()},
+        }
+
+    def merge(self, exported: dict) -> None:
+        """Fold another registry's :meth:`export` into this one.
+
+        Counters add, histograms pool their observations and gauges take
+        the other registry's value (last write wins, as within one).
+        """
+        for name, value in exported["counters"].items():
+            self.counter(name).inc(value)
+        for name, value in exported["gauges"].items():
+            self.gauge(name).set(value)
+        for name, state in exported["histograms"].items():
+            self.histogram(name).merge(state)
 
     def reset(self) -> None:
         """Drop all instruments (call sites re-create them on next use)."""

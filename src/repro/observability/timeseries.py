@@ -116,6 +116,19 @@ class SeriesRegistry:
         if self.active:
             self.series(name, **labels).append(value)
 
+    def export(self) -> list[tuple]:
+        """``(name, labels, count, points)`` per series, for :meth:`merge` elsewhere."""
+        return [(s.name, dict(s.labels), s.count, list(s.points)) for s in self.all()]
+
+    def merge(self, exported: list[tuple]) -> None:
+        """Append another registry's :meth:`export`, keeping its timestamps."""
+        for name, labels, count, points in exported:
+            s = self.series(name, **labels)
+            for ts_us, t_unix, value in points:
+                s.append(value, ts_us, t_unix)
+            with s._lock:
+                s.count += count - len(points)  # what the other side decimated
+
     def all(self) -> list[TimeSeries]:
         return [self._series[k] for k in sorted(self._series)]
 

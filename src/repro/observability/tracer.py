@@ -162,6 +162,16 @@ class SpanTracer:
         """Open a span; use as ``with tracer.span("newton.step", step=k):``."""
         return _SpanHandle(self, name, cat, args)
 
+    @property
+    def epoch_ns(self) -> int:
+        """``perf_counter_ns`` reading at the trace clock's zero.
+
+        ``perf_counter`` is the system-wide monotonic clock, so another
+        process that clears its tracer to this epoch stamps its spans
+        and series points on this tracer's timeline.
+        """
+        return self._epoch_ns
+
     def now_us(self) -> float:
         """Current time in microseconds on the trace clock.
 
@@ -196,13 +206,34 @@ class SpanTracer:
     def stop(self) -> None:
         self.recording = False
 
-    def clear(self) -> None:
-        """Drop recorded spans and restart the trace clock at zero."""
+    def clear(self, epoch_ns: int | None = None) -> None:
+        """Drop recorded spans and restart the trace clock at zero.
+
+        ``epoch_ns`` puts the zero at another tracer's :attr:`epoch_ns`
+        instead of now.
+        """
         self.spans = []
         self._next_id = 0
         self._tid_map = {}
         self._tls = threading.local()
-        self._epoch_ns = time.perf_counter_ns()
+        self._epoch_ns = time.perf_counter_ns() if epoch_ns is None else epoch_ns
+
+    def adopt(self, spans: list[Span]) -> None:
+        """Append spans another process recorded on this tracer's clock.
+
+        Their ids and parent links are shifted past every id this tracer
+        has handed out, so both sets stay unique in one trace.
+        """
+        if not spans:
+            return
+        with self._id_lock:
+            base = self._next_id
+            self._next_id += max(s.id for s in spans) + 1
+        for s in spans:
+            s.id += base
+            if s.parent >= 0:
+                s.parent += base
+        self.spans.extend(spans)
 
     def aggregate(self) -> dict[str, dict]:
         """Per-name rollup of the recorded spans.

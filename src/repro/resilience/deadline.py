@@ -127,5 +127,17 @@ class Deadline:
                 checkpoint=checkpoint,
             )
 
+    def __reduce__(self):
+        # another process receives the absolute expiry on the system-wide
+        # monotonic clock, whatever clock this deadline reads
+        return (_expiring_at, (self.budget_s, time.monotonic() + self.remaining()))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(budget_s={self.budget_s}, remaining={self.remaining():.3g})"
+
+
+def _expiring_at(budget_s: float, expiry: float) -> Deadline:
+    """A :func:`time.monotonic` deadline of ``budget_s`` that expires at ``expiry``."""
+    deadline = Deadline(budget_s)
+    deadline._t0 = expiry - deadline.budget_s
+    return deadline

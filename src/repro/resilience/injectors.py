@@ -57,6 +57,9 @@ __all__ = [
     "FaultPlane",
     "fault_plane",
     "fault_injection",
+    "export_armed",
+    "armed_copy",
+    "absorb_delivery",
 ]
 
 
@@ -70,6 +73,9 @@ class RankFailure(FaultError):
     def __init__(self, rank: int, message: str | None = None):
         super().__init__(message or f"rank {rank} failed")
         self.rank = int(rank)
+
+    def __reduce__(self):
+        return (type(self), (self.rank, str(self)))
 
 
 class KernelLaunchError(FaultError):
@@ -387,3 +393,66 @@ def fault_injection(schedule: FaultSchedule, policy=None, log=None):
         yield plane
     finally:
         plane.disarm()
+
+
+# ---------------------------------------------------------------------------
+# a solve in another process
+# ---------------------------------------------------------------------------
+
+
+def export_armed():
+    """The armed schedule, policy, log and generator, or None when disarmed.
+
+    What a solve in another process needs to run under this process's
+    fault plane: pickled together, so a policy whose log is the plane's
+    log still shares it on the other side.
+    """
+    p = _PLANE
+    return (p.schedule, p.policy, p.log, p._rng) if p.active else None
+
+
+@contextmanager
+def armed_copy(state):
+    """Run a block under an :func:`export_armed` state from another process.
+
+    Yields a dict that, after the block, holds the delivery to send back
+    to :func:`absorb_delivery`: each injector's ``(seen, fired)``, the
+    generator, and the events the block logged.  ``state=None`` arms
+    nothing and yields None.
+    """
+    if state is None:
+        yield None
+        return
+    schedule, policy, log, rng = state
+    logged, policy_logged = len(log.events), len(policy.log.events)
+    plane = _PLANE.arm(schedule, policy=policy, log=log)
+    plane._rng = rng
+    delivery: dict = {}
+    try:
+        yield delivery
+    finally:
+        delivery.update(
+            counts=[(inj.seen, inj.fired) for inj in schedule.injectors],
+            rng=plane._rng,
+            log=log.events[logged:],
+            policy_log=[] if policy.log is log else policy.log.events[policy_logged:],
+        )
+        plane.disarm()
+
+
+def absorb_delivery(delivery) -> None:
+    """Fold an :func:`armed_copy` delivery back into the armed fault plane.
+
+    The injectors' counts and the generator continue where the other
+    process left them; its events join the logs without re-counting
+    them in the metrics (the other process's metrics arrive on their own).
+    """
+    p = _PLANE
+    if delivery is None or not p.active:
+        return
+    for inj, (seen, fired) in zip(p.schedule.injectors, delivery["counts"]):
+        inj.seen, inj.fired = seen, fired
+    p._rng = delivery["rng"]
+    p.log.extend(delivery["log"])
+    if p.policy.log is not p.log:
+        p.policy.log.extend(delivery["policy_log"])

@@ -22,6 +22,10 @@ in the service shape that workload implies:
   heartbeats; a dying worker hands its job back to resume
   bitwise-exactly from the last Newton checkpoint and starts its
   replacement;
+* :mod:`~repro.serve.process` -- each worker's numerics process, forked
+  from a zygote the service forks at construction: it builds and
+  solves, the worker thread relays the job, the heartbeats and the
+  outcome, so N workers compute on N cores;
 * :mod:`~repro.serve.chaos` -- the deterministic chaos acceptance run
   behind ``python -m repro chaos``;
 * :mod:`~repro.serve.http` -- a stdlib-only HTTP frontend

@@ -7,8 +7,8 @@ solver and the service claim, with a hard acceptance bar:
   one solve runs, two join it;
 * **wave B (worker kills)** -- two requests on distinct scenarios,
   each worker killed mid-solve by the :class:`KillSwitch` (steps 1 and
-  2); each dying worker hands its job back to resume from its
-  heartbeated checkpoint;
+  2), which SIGKILLs its numerics process; each dying worker hands its
+  job back to resume from its heartbeated checkpoint on a new process;
 * **wave C (fault injection)** -- the coarse Antarctica SPMD request
   (350 km, 4 layers, 4 ranks, 8 Newton steps) solved under
   :func:`~repro.resilience.reference_schedule`: a bit-flipped, a dropped
@@ -21,9 +21,9 @@ solver and the service claim, with a hard acceptance bar:
   next is admitted as the half-open probe, succeeds, and closes the
   breaker.
 
-After the waves the service stops: no worker thread it started may
-outlive :meth:`SolveService.stop`, and the stop must return well
-inside the pool's join timeout.
+After the waves the service stops: no worker thread, numerics process
+or zygote it started may outlive :meth:`SolveService.stop`, and the
+stop must return well inside the pool's join timeout.
 
 Acceptance: every admitted request completes or is shed with a typed
 reason; every *completed full-fidelity* result is **bitwise identical**
@@ -35,11 +35,12 @@ cannot produce its sheds/transitions and the check must exit nonzero.
 ``python -m repro chaos`` prints the run and exits 0; ``--check`` (the
 CI gate) exits 1 unless every assertion holds.
 
-Determinism notes: the fault plane is process-global, so wave C runs
-with no other request in flight; worker kills are keyed by (scenario
-digest, step) and fire only on a job's first life; the deadline storm
-uses a zero budget, which expires at the first cooperative check
-regardless of machine speed.
+Determinism notes: the armed fault schedule is process-global (a
+numerics process runs under a copy and hands its delivery back), so
+wave C runs with no other request in flight; worker kills are keyed by
+(scenario digest, step) and fire only on a job's first life; the
+deadline storm uses a zero budget, which expires at the first
+cooperative check regardless of machine speed.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -60,10 +62,19 @@ from repro.serve.service import SolveService
 
 __all__ = ["run_chaos_check"]
 
-#: worker threads of the service under test
+#: workers (numerics processes) of the service under test
 WORKERS = 2
 #: wall budget of ``SolveService.stop()``, well inside the pool's 5 s join timeout
 STOP_BUDGET_S = 1.0
+
+
+def _running(pid: int) -> bool:
+    """``pid`` is a live process (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
 def _reference_solutions(scenarios):
@@ -131,9 +142,9 @@ def run_chaos_check(
                 service.submit(SolveRequest(charlie)),
             )
             say("wave C: SPMD request under the reference fault schedule...")
-            with fault_injection(sched, policy=RecoveryPolicy()) as plane:
+            with fault_injection(sched, policy=RecoveryPolicy()):
                 out["C"] = await service.submit(SolveRequest(delta))
-                out["undelivered"] = [i.describe() for i in plane.schedule.pending()]
+            out["undelivered"] = [i.describe() for i in sched.pending()]
             say("wave D: deadline storm -> breaker open -> probe...")
             storm = []
             for _ in range(3):
@@ -142,6 +153,7 @@ def run_chaos_check(
                 storm.append(await service.submit(SolveRequest(alpha)))
             storm.append(await service.submit(SolveRequest(alpha)))
             out["D"] = storm
+            out["pids"] = service.cache.pids()
             stop_t0 = time.monotonic()
         out["stop_s"] = time.monotonic() - stop_t0
         return out
@@ -211,9 +223,11 @@ def run_chaos_check(
 
     alive = [t.name for t in threading.enumerate()
              if t.name.startswith("solve-worker-") and t not in bystanders]
-    check("stop: no worker thread outlives the service, stop is prompt",
-          not alive and out["stop_s"] < STOP_BUDGET_S,
-          f"alive={alive} stop={out['stop_s']:.3f}s")
+    running = [pid for pid in out["pids"] if _running(pid)]
+    check("stop: no worker thread, numerics process or zygote outlives "
+          "the service, stop is prompt",
+          not alive and not running and out["stop_s"] < STOP_BUDGET_S,
+          f"alive={alive} running={running} stop={out['stop_s']:.3f}s")
 
     all_resps = [*a, *b, c, *d]
     check("all responses typed",

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.cli_types import port, positive_int
+
 __all__ = ["register", "serve", "chaos"]
 
 
@@ -56,9 +58,12 @@ def chaos(args) -> int:
 
 def register(sub) -> None:
     p = sub.add_parser("serve", help="resilient async solve service (HTTP)", description=__doc__)
-    p.add_argument("--workers", type=int, default=2, help="worker thread count")
+    p.add_argument(
+        "--workers", type=positive_int, default=2,
+        help="workers, each solving in its own forked numerics process",
+    )
     p.add_argument("--host", default="127.0.0.1", help="HTTP bind host")
-    p.add_argument("--port", type=int, default=8077, help="HTTP bind port")
+    p.add_argument("--port", type=port, default=8077, help="HTTP bind port")
     p.set_defaults(run=serve)
 
     p = sub.add_parser(

@@ -1,24 +1,24 @@
-"""Thread worker pool with checkpoint-resume on death.
+"""Worker pool with checkpoint-resume on death.
 
-The solve is pure-Python/numpy compute, so workers are plain threads
-pulling :class:`Job` objects from a shared queue -- and at most one of
-them computes at a time (:meth:`WorkerPool.lane`): the rest are hot
-stand-bys.  What makes the pool a *service* component is the failure
+Workers are plain threads pulling :class:`Job` objects from a shared
+queue; the service's jobs hand their numerics to the worker's own
+numerics process (:mod:`repro.serve.process`), so N workers compute on
+N cores.  What makes the pool a *service* component is the failure
 model:
 
 * every accepted Newton step heartbeats through the solver's
   ``checkpoint_cb`` (:meth:`Job.beat`), leaving the latest
   :class:`~repro.resilience.NewtonCheckpoint` on the job;
-* a worker can die mid-job (the chaos harness's :class:`KillSwitch`
-  raises :class:`WorkerKilled` inside the heartbeat, the thread
-  analogue of the fault plane's RankKill);
+* a worker can die mid-job: the chaos harness's :class:`KillSwitch`
+  raises :class:`WorkerKilled` inside the heartbeat (the pool analogue
+  of the injectors' RankKill) and the worker SIGKILLs its process, or
+  the process dies on its own and the worker reads EOF;
 * the dying worker hands its job back on its way out: the job is
   **requeued with ``resume_from`` set to its last checkpoint** and a
   replacement worker starts, so the pool keeps its size.
 
-A hung worker cannot be taken back -- CPython cannot stop a thread, and
-the hung one holds the lane -- so hangs are bounded by the request's
-cooperative :class:`~repro.resilience.Deadline` instead.
+Hangs are bounded by the request's cooperative
+:class:`~repro.resilience.Deadline`.
 
 Resume is exact: the fused Newton path re-evaluates the residual and
 Jacobian at the checkpointed iterate exactly as an uninterrupted step
@@ -28,22 +28,21 @@ undisturbed one -- the property the chaos check asserts.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import queue
 import threading
 
-from repro.observability import get_metrics, get_series, get_tracer
+from repro.observability import get_metrics, get_series
 
 __all__ = ["Job", "KillSwitch", "Worker", "WorkerKilled", "WorkerPool"]
 
 
 class WorkerKilled(RuntimeError):
-    """Raised inside a worker to simulate its abrupt death."""
+    """A worker dies: its kill switch fired, or its numerics process died."""
 
 
 class KillSwitch:
-    """Deterministic worker-kill schedule (the thread-pool RankKill).
+    """Deterministic worker-kill schedule (the pool's RankKill).
 
     Armed per ``(scenario digest, Newton step)``: the worker solving
     that scenario dies at that step's heartbeat -- but only on the
@@ -122,7 +121,7 @@ class Worker:
                 outcome = job.execute(job)
             except BaseException as exc:
                 # death: hand the job back and start the replacement on
-                # the way out; only a simulated death exits quietly
+                # the way out; only a WorkerKilled death exits quietly
                 self.pool._died(self)
                 if isinstance(exc, WorkerKilled):
                     return
@@ -150,9 +149,6 @@ class WorkerPool:
         self._lock = threading.Lock()
         self.workers: list[Worker] = [Worker(self) for _ in range(workers)]
         self.deaths = 0
-        #: the numerics lane: the thread inside "build or solve", if any
-        self._lane = threading.Condition()
-        self._lane_holder: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     def depth(self) -> int:
@@ -168,31 +164,6 @@ class WorkerPool:
             raise RuntimeError("pool is shut down")
         self._queue.put(job)
         get_metrics().gauge("serve.queue_depth").set(self.depth())
-
-    @contextlib.contextmanager
-    def lane(self, job: Job):
-        """Hold the pool's one numerics lane while ``job`` builds or solves.
-
-        Two threads inside numpy trade the GIL thousands of times per
-        solve and finish later than one after the other would, so one
-        worker computes and the rest wait here, on a lock.  Any exit
-        frees the lane (:class:`WorkerKilled` too); :meth:`shutdown`
-        wakes the waiters.
-        """
-        with get_tracer().span("serve.lane_wait", job=job.id) as wait:
-            with self._lane:
-                while self._lane_holder is not None and not self._closed:
-                    self._lane.wait()
-                if self._closed:
-                    raise RuntimeError("pool is shut down")
-                self._lane_holder = threading.current_thread()
-        get_metrics().histogram("serve.lane_wait_s").observe(wait.dur_s)
-        try:
-            yield
-        finally:
-            with self._lane:
-                self._lane_holder = None
-                self._lane.notify()
 
     # ------------------------------------------------------------------
     def _died(self, worker: Worker) -> None:
@@ -220,8 +191,6 @@ class WorkerPool:
         with self._lock:
             self._closed = True
             workers = list(self.workers)
-        with self._lane:
-            self._lane.notify_all()
         for _ in workers:
             self._queue.put(None)
         for w in workers:

@@ -1,7 +1,7 @@
 """The resilient asyncio solve service.
 
-Request lifecycle (all policy decisions on the event-loop thread, all
-numerics on worker threads):
+Request lifecycle (all policy decisions on the event-loop thread; each
+worker thread relays its requests to its own numerics process):
 
 1. **dedup** -- an identical scenario already in flight?  Join its
    future; one solve serves every concurrent duplicate.
@@ -16,16 +16,17 @@ numerics on worker threads):
    wait counts), propagates into Newton/GMRES as a cooperative
    :class:`~repro.resilience.Deadline`, and expires as a typed
    ``timeout`` response carrying the last checkpoint as a partial.
-5. **execution** -- a worker thread takes the pool's one numerics lane
-   (lane wait spends the deadline as queue wait does), builds/reuses
-   the scenario's cached artifacts, solves under heartbeat +
-   kill-switch, retries transient failures up to the recovery policy's
-   ``max_retries``, and trampolines the outcome back onto the loop.
-6. **supervision** -- a worker that dies mid-job hands the job back
-   on its way out and starts its replacement; the job resumes from its
-   last heartbeated checkpoint (bitwise-exact continuation).  A hung
-   worker is not recoverable (CPython cannot stop a thread); the
-   deadline bounds it.
+5. **execution** -- a worker thread re-checks the deadline (queue wait
+   spent it too), then its numerics process builds/reuses the
+   scenario's cached artifacts and solves under heartbeat + kill-switch
+   (:mod:`repro.serve.process`); the worker retries transient failures
+   up to the recovery policy's ``max_retries`` and trampolines the
+   outcome back onto the loop.
+6. **supervision** -- a worker whose process dies mid-job (killed on a
+   heartbeat, or on its own) hands the job back on its way out and
+   starts its replacement; the job resumes from its last heartbeated
+   checkpoint on a new process (bitwise-exact continuation).  A hung
+   solve is bounded by its deadline.
 
 Every decision increments a ``serve.*`` metric through the standard
 observability registry, so the OpenMetrics exposition and the chaos
@@ -43,13 +44,22 @@ from repro.resilience.policies import RecoveryPolicy
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ArtifactCache
 from repro.serve.pool import Job, KillSwitch, WorkerKilled, WorkerPool
+from repro.serve.process import ProcessCache
 from repro.serve.requests import SolveRequest, SolveResponse, SolveScenario
 
 __all__ = ["SolveService"]
 
 
 class SolveService:
-    """Bounded-queue solve service with retries, breaking and degradation."""
+    """Bounded-queue solve service with retries, breaking and degradation.
+
+    ``workers`` is the number of numerics processes: without a ``cache``
+    the service forks a zygote here, before the pool's threads start,
+    and each worker solves in a process forked from it
+    (:class:`~repro.serve.process.ProcessCache`).  A given ``cache``
+    (an :class:`ArtifactCache`, or a test's stub) is solved on in the
+    worker threads themselves.
+    """
 
     def __init__(
         self,
@@ -63,13 +73,17 @@ class SolveService:
     ):
         if queue_size < 1:
             raise ValueError("queue_size must be positive")
+        if workers < 1:  # before the fork below
+            raise ValueError("at least one worker required")
         self.queue_size = queue_size
         #: depth thresholds of the degradation ladder: they carve the
         #: bounded queue into thirds (pressure rises -> rungs get cheaper)
         self.degrade_precond_depth = max(1, queue_size // 3)
         self.degrade_mesh_depth = max(2, (2 * queue_size) // 3)
         self.policy = policy if policy is not None else RecoveryPolicy(max_retries=1)
-        self.cache = cache if cache is not None else ArtifactCache()
+        #: the numerics processes this service forked (and stops)
+        self._processes = ProcessCache() if cache is None else None
+        self.cache = cache if cache is not None else self._processes
         self.breaker_enabled = breaker_enabled
         self.kill_switch = kill_switch if kill_switch is not None else KillSwitch()
         self.clock = clock
@@ -87,6 +101,8 @@ class SolveService:
 
     async def stop(self) -> None:
         self.pool.shutdown()
+        if self._processes is not None:
+            self._processes.close()
 
     async def __aenter__(self) -> "SolveService":
         await self.start()
@@ -247,8 +263,9 @@ class SolveService:
         """Worker-thread body: artifacts, heartbeat, retries, typed outcome.
 
         Returns ``(kind, payload, attempts, resumes)`` -- never raises,
-        except :class:`WorkerKilled` which deliberately escapes to kill
-        the thread (the dying worker requeues the job to resume from its
+        except :class:`WorkerKilled` (the kill switch fired, or the
+        numerics process died) which deliberately escapes to kill the
+        thread (the dying worker requeues the job to resume from its
         last heartbeated checkpoint, so ``job.resumes``/``job.checkpoint``
         carry across lives).
         """
@@ -265,19 +282,17 @@ class SolveService:
                         job.beat(ckpt)
                         self.kill_switch.check(scenario.digest, ckpt.step, job.resumes)
 
-                    # the one place a worker enters numerics (a cache
-                    # miss builds); lock order lane -> entry.lock
-                    with self.pool.lane(job):
-                        if deadline is not None:  # lane wait spent the budget too
-                            deadline.check("serve.lane", checkpoint=job.checkpoint)
-                        entry = self.cache.get(scenario)
-                        with entry.lock:
-                            sol = entry.problem.solve(
-                                checkpoint_cb=heartbeat,
-                                resume_from=job.checkpoint,
-                                deadline=deadline,
-                                preconditioner=precond_override,
-                            )
+                    if deadline is not None:  # queue wait spent the budget too
+                        deadline.check("serve.queue", checkpoint=job.checkpoint)
+                    # the one place a worker enters numerics (a cache miss builds)
+                    entry = self.cache.get(scenario)
+                    with entry.lock:
+                        sol = entry.problem.solve(
+                            checkpoint_cb=heartbeat,
+                            resume_from=job.checkpoint,
+                            deadline=deadline,
+                            preconditioner=precond_override,
+                        )
                 return ("ok", sol, attempts, job.resumes)
             except SolveTimeout as exc:
                 # terminal: the budget is spent; retrying cannot help

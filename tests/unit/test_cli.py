@@ -88,6 +88,24 @@ def test_a_size_that_builds_no_mesh_exits_2(command, flag, value, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--workers", "0", "must be at least 1, got 0"),
+        ("--workers", "-3", "must be at least 1, got -3"),
+        ("--port", "70000", "must be 0-65535, got 70000"),
+        ("--port", "-1", "must be 0-65535, got -1"),
+    ],
+)
+def test_a_serve_setting_no_service_can_take_exits_2(flag, value, message, capsys):
+    """Refused by the parser, before a service forks or binds anything."""
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "value",
     ["gmres.iteration:abc", "gmres.iteration", "gmres.iteration:0", "gmres.iteration:-1",
      ":0.5", "gmres.iteration:nan"],

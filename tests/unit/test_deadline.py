@@ -11,6 +11,8 @@ The load-bearing properties:
   trajectory bitwise.
 """
 
+import pickle
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,6 +102,26 @@ class TestDeadline:
         assert "deadline" in str(exc)
         assert "newton.step 3" in str(exc)
         assert isinstance(exc, RuntimeError)
+
+    def test_crosses_a_process_boundary_as_its_absolute_expiry(self):
+        """A pickled deadline reads ``time.monotonic`` and keeps what was
+        left of the budget, whatever clock the original reads."""
+        clock = FakeClock()
+        d = Deadline(10.0, clock=clock)
+        clock.advance(4.0)
+        before = time.monotonic()
+        copy = pickle.loads(pickle.dumps(d))
+        assert copy.budget_s == 10.0
+        assert 6.0 - (time.monotonic() - before) <= copy.remaining() <= 6.0
+        clock.advance(100.0)  # the original's clock is not the copy's
+        assert not copy.expired
+
+    def test_timeout_keeps_its_payload_through_pickling(self):
+        ckpt = SimpleNamespace(step=2)
+        exc = pickle.loads(pickle.dumps(
+            SolveTimeout(budget_s=1.0, elapsed_s=1.5, phase="gmres", checkpoint=ckpt)
+        ))
+        assert (exc.budget_s, exc.elapsed_s, exc.phase, exc.checkpoint.step) == (1.0, 1.5, "gmres", 2)
 
 
 class TestGmresDeadline:

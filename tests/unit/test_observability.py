@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -214,6 +215,49 @@ class TestMetrics:
         assert h.quantile(0.95) == pytest.approx(0.95 * n, rel=0.1)
 
 
+    def test_merge_folds_another_registry_in(self):
+        """What a numerics process reports joins the registry it returns to."""
+        here, there = MetricsRegistry(), MetricsRegistry()
+        here.counter("c").inc(2)
+        here.histogram("h").observe(5.0)
+        there.counter("c").inc(3)
+        there.counter("only.there").inc()
+        there.gauge("g").set(0.5)
+        for v in (1.0, 9.0):
+            there.histogram("h").observe(v)
+        here.merge(there.export())
+        snap = here.snapshot()
+        assert snap["counters"] == {"c": 5, "only.there": 1}
+        assert snap["gauges"] == {"g": 0.5}
+        h = snap["histograms"]["h"]
+        assert (h["count"], h["sum"], h["min"], h["max"], h["last"]) == (3, 15.0, 1.0, 9.0, 9.0)
+        assert h["p50"] == 5.0
+
+    def test_series_merge_keeps_timestamps_and_counts(self):
+        here, there = obs.SeriesRegistry(), obs.SeriesRegistry()
+        there.series("r", solve="v").append(2.0, ts_us=7.0, t_unix=1.0)
+        there.series("r", solve="v").append(1.0, ts_us=9.0, t_unix=2.0)
+        here.merge(there.export())
+        merged = here.get("r", solve="v")
+        assert merged.points == [(7.0, 1.0, 2.0), (9.0, 2.0, 1.0)] and merged.count == 2
+
+    def test_adopted_spans_get_ids_past_this_tracers(self):
+        here, there = SpanTracer(), SpanTracer()
+        for tr in (here, there):
+            tr.start()
+            with tr.span("outer"):
+                with tr.span("inner"):
+                    pass
+            tr.stop()
+        here.adopt(there.spans)
+        assert sorted(s.id for s in here.spans) == [0, 1, 2, 3]
+        by_id = {s.id: s for s in here.spans}
+        assert [by_id[s.parent].name for s in here.spans if s.name == "inner"] == ["outer", "outer"]
+        with here.span("next") as nxt:
+            pass
+        assert nxt.id == -1  # not recording: no id handed out, none reused
+
+
 class TestMetricsThreadSafety:
     """Satellite: the concurrency contract of the metrics primitives."""
 
@@ -241,6 +285,23 @@ class TestMetricsThreadSafety:
         assert s["count"] == self.THREADS * self.N
         assert s["sum"] == pytest.approx(float(self.THREADS * self.N))
         assert s["min"] == s["max"] == 1.0
+
+    def test_merges_from_many_workers_are_not_lost(self):
+        """Every worker thread merges its process's report into one
+        registry: a 10 us switch interval loses no update."""
+        there = MetricsRegistry()
+        there.counter("c").inc(3)
+        there.histogram("h").observe(2.0)
+        report = there.export()
+        m = MetricsRegistry()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-5)
+        try:
+            self._hammer(lambda: [m.merge(report) for _ in range(500)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert m.counter("c").value == self.THREADS * 500 * 3
+        assert m.histogram("h").summary()["sum"] == 2.0 * self.THREADS * 500
 
     def test_registry_creation_races_yield_one_instance(self):
         m = MetricsRegistry()

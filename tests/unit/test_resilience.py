@@ -8,6 +8,8 @@ policy, re-evaluation / step rejection / GMRES escalation with one, and
 the instrumented launch sites in kokkos and gpusim.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,37 @@ class TestInjectors:
             assert armed is plane and plane.active
             assert plane.policy is not None and plane.log is not None
         assert not plane.active and plane.schedule is None
+
+    def test_an_armed_schedule_runs_elsewhere_and_hands_its_delivery_back(self):
+        """What a numerics process does with the service's armed schedule,
+        with pickling standing in for the process boundary."""
+        from repro.resilience import injectors
+
+        sched = res.FaultSchedule(
+            [res.DropMessage("halo.payload", at=(1,)),
+             res.NaNPoison("sweep.output", at=(0,), fraction=1e-9)],
+            seed=3,
+        )
+        with res.fault_injection(sched):
+            sent = pickle.dumps(injectors.export_armed())
+        with injectors.armed_copy(pickle.loads(sent)) as delivery:
+            plane = res.fault_plane()
+            for _ in range(2):
+                plane.perturb("halo.payload", np.ones(2))
+            plane.perturb("sweep.output", np.ones(2))
+            drawn = plane._rng.bit_generator.state
+        assert not plane.active
+        assert sched.pending()  # this side has not heard yet
+        with res.fault_injection(sched) as plane:
+            injectors.absorb_delivery(pickle.loads(pickle.dumps(delivery)))
+            assert not sched.pending() and sched.fired_count() == 2
+            assert [i.seen for i in sched.injectors] == [2, 1]
+            assert plane.log.count("injection") == 2
+            assert plane._rng.bit_generator.state == drawn
+
+    def test_rank_failure_keeps_its_rank_through_pickling(self):
+        exc = pickle.loads(pickle.dumps(res.RankFailure(3)))
+        assert exc.rank == 3 and str(exc) == "rank 3 failed"
 
     def test_perturb_identity_when_disarmed(self):
         plane = res.fault_plane()

@@ -12,7 +12,6 @@ service depends on.
 import asyncio
 import contextlib
 import json
-import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -20,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.observability import get_metrics, get_series, parse_exposition, tracing
+from repro.observability import get_metrics, get_series, parse_exposition
 from repro.resilience import SolveTimeout
 from repro.resilience.policies import RecoveryPolicy
 from repro.serve import (
@@ -55,48 +54,14 @@ class Behavior:
         self.entered = entered
 
 
-class Numerics:
-    """Context manager the stub build and solve run inside: records how
-    many threads were in numerics at once.  Whoever enters lingers until
-    a second thread joins it (or a grace period passes), so an overlap
-    that *can* happen does."""
-
-    def __init__(self, grace_s: float = 0.05):
-        self.grace_s = grace_s
-        self.active = 0
-        self.peak = 0
-        self.entries = 0
-        self._lock = threading.Lock()
-        self._met = threading.Event()
-
-    def __enter__(self):
-        with self._lock:
-            self.active += 1
-            self.entries += 1
-            self.peak = max(self.peak, self.active)
-            if self.active > 1:
-                self._met.set()
-        self._met.wait(self.grace_s)
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self.active -= 1
-
-
 class FakeProblem:
-    def __init__(self, scenario: SolveScenario, behavior: Behavior | None,
-                 numerics=None):
+    def __init__(self, scenario: SolveScenario, behavior: Behavior | None):
         self.scenario = scenario
         self.behavior = behavior or Behavior()
-        self.numerics = numerics if numerics is not None else contextlib.nullcontext()
         self.calls: list[dict] = []
 
     def solve(self, checkpoint_cb=None, resume_from=None, deadline=None,
               preconditioner=None, **_kw):
-        with self.numerics:
-            return self._solve(checkpoint_cb, resume_from, deadline, preconditioner)
-
-    def _solve(self, checkpoint_cb, resume_from, deadline, preconditioner):
         b = self.behavior
         self.calls.append({
             "resume_from": resume_from,
@@ -123,13 +88,12 @@ class FakeProblem:
         )
 
 
-def make_cache(behaviors: dict | None = None, numerics=None):
+def make_cache(behaviors: dict | None = None):
     """ArtifactCache over stub problems; returns (cache, problems-by-name)."""
     problems: dict[str, FakeProblem] = {}
 
     def builder(scenario: SolveScenario):
-        with numerics if numerics is not None else contextlib.nullcontext():
-            problem = FakeProblem(scenario, (behaviors or {}).get(scenario.name), numerics)
+        problem = FakeProblem(scenario, (behaviors or {}).get(scenario.name))
         problems[scenario.name] = problem
         return SimpleNamespace(problem=problem)
 
@@ -314,100 +278,6 @@ def _until(predicate, what: str) -> None:
         time.sleep(0.002)
 
 
-class TestNumericsLane:
-    """One holder at a time; deaths and shutdown see through it."""
-
-    def _holder_and_waiter(self, pool):
-        """Job 1 holds the lane until ``gate``; job 2 queues up behind it."""
-        gate, holding = threading.Event(), threading.Event()
-        outcomes: dict[int, object] = {}
-
-        def hold(job):
-            with pool.lane(job):
-                holding.set()
-                assert gate.wait(timeout=10.0)
-            return "held"
-
-        def wait(job):
-            try:
-                with pool.lane(job):
-                    return "got the lane"
-            except RuntimeError as exc:
-                return str(exc)
-
-        def on_done(job, outcome):
-            outcomes[job.id] = outcome
-
-        holder = Job(hold, on_done)
-        pool.submit(holder)
-        assert holding.wait(timeout=5.0)
-        waiter = Job(wait, on_done)
-        pool.submit(waiter)
-        _until(lambda: pool.busy() == 2, "the waiter to be picked up")
-        return gate, holder, waiter, outcomes
-
-    def test_shutdown_wakes_a_waiter(self):
-        pool = WorkerPool(workers=2)
-        gate, holder, waiter, outcomes = self._holder_and_waiter(pool)
-        # picked up counts as in flight: the ladder's signals keep their meaning
-        assert pool.busy() == 2 and pool.depth() == 0
-        pool.shutdown(join_timeout_s=0.05)
-        # the holder is still inside; the waiter gave up with a typed error
-        _until(lambda: waiter.id in outcomes, "the waiter to give up")
-        assert outcomes == {waiter.id: "pool is shut down"}
-        gate.set()
-        _until(lambda: holder.id in outcomes, "the holder to finish")
-
-    def test_stress_many_workers_never_share_the_lane(self):
-        """More workers than cores, a 10 us switch interval: an unlocked
-        read-modify-write inside the lane loses no update."""
-        pool = WorkerPool(workers=6)
-        state = {"inside": 0, "peak": 0, "sum": 0}
-        done = []
-
-        def execute(job):
-            for _ in range(20):
-                with pool.lane(job):
-                    state["inside"] += 1
-                    state["peak"] = max(state["peak"], state["inside"])
-                    before = state["sum"]
-                    time.sleep(0)  # offer the GIL mid-update
-                    state["sum"] = before + 1
-                    state["inside"] -= 1
-            return job.id
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1.0e-5)
-        try:
-            for _ in range(12):
-                pool.submit(Job(execute, lambda job, outcome: done.append(outcome)))
-            _until(lambda: len(done) == 12, "the stress jobs to finish")
-        finally:
-            sys.setswitchinterval(interval)
-            pool.shutdown()
-        assert state == {"inside": 0, "peak": 1, "sum": 12 * 20}
-        assert all(not w.thread.is_alive() for w in pool.workers)
-
-    def test_worker_killed_in_the_lane_frees_it(self):
-        pool = WorkerPool(workers=2)
-        done = threading.Event()
-
-        def die(job):
-            with pool.lane(job):
-                raise WorkerKilled("bang")
-
-        def follow(job):
-            with pool.lane(job):
-                return "after the kill"
-
-        outcomes = []
-        pool.submit(Job(die, lambda job, outcome: None))
-        pool.submit(Job(follow, lambda job, outcome: (outcomes.append(outcome), done.set())))
-        assert done.wait(timeout=5.0)
-        assert outcomes == ["after the kill"]
-        pool.shutdown()
-
-
 # ----------------------------------------------------------------------
 # the service itself
 # ----------------------------------------------------------------------
@@ -416,8 +286,8 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_service(behaviors=None, numerics=None, **kw):
-    cache, problems = make_cache(behaviors, numerics)
+def make_service(behaviors=None, **kw):
+    cache, problems = make_cache(behaviors)
     kw.setdefault("policy", RecoveryPolicy(max_retries=1))
     service = SolveService(cache=cache, **kw)
     return service, problems
@@ -615,8 +485,8 @@ class TestSolveService:
             ks.arm(s.digest, 1)
             service, problems = make_service(kill_switch=ks)
             async with service:
-                # the worker dies holding the lane: the other worker's
-                # request must get it, and so must the revived job
+                # the worker dies mid-solve: the other worker's request
+                # and the revived job are both served
                 resp, bystander = await asyncio.gather(
                     service.submit(SolveRequest(s)),
                     service.submit(SolveRequest(other)),
@@ -674,29 +544,12 @@ class TestSolveService:
         assert [t for t in threading.enumerate()
                 if t.name.startswith("solve-worker-") and t not in bystanders] == []
 
-    def test_builds_and_solves_never_overlap(self):
-        async def body():
-            numerics = Numerics()
-            service, problems = make_service(numerics=numerics, workers=2)
-            a, b, c = (scenario(n, num_layers=k) for n, k in (("a", 3), ("b", 4), ("c", 5)))
-            async with service:
-                # two builds + two solves, then a build beside a solve on
-                # a built entry, then two solves on built entries
-                for pair in ((a, b), (a, c), (b, c)):
-                    resps = await asyncio.gather(
-                        *(service.submit(SolveRequest(s)) for s in pair)
-                    )
-                    assert [r.status for r in resps] == ["ok", "ok"]
-            assert numerics.entries == 3 + 6  # builds + solves all went through it
-            assert numerics.peak == 1
-        run(body())
-
-    def test_deadline_expiring_in_lane_wait_is_typed_timeout_without_partial(self):
+    def test_deadline_spent_in_queue_is_typed_timeout_without_build(self):
         async def body():
             clock = FakeClock()
             gate, entered = threading.Event(), threading.Event()
             service, problems = make_service(
-                {"holder": Behavior(block=gate, entered=entered)}, clock=clock
+                {"holder": Behavior(block=gate, entered=entered)}, clock=clock, workers=1
             )
             async with service:
                 first = asyncio.create_task(
@@ -707,37 +560,18 @@ class TestSolveService:
                     service.submit(SolveRequest(scenario("late", num_layers=4), deadline_s=10.0))
                 )
                 await asyncio.to_thread(
-                    _until, lambda: service.pool.busy() == 2, "the late job to be picked up"
+                    _until, lambda: service.pool.depth() == 1, "the late job to queue"
                 )
-                clock.now = 20.0  # the budget runs out while waiting for the lane
+                clock.now = 20.0  # the budget runs out while the job waits in the queue
                 gate.set()
                 held, resp = await asyncio.gather(first, late)
             assert held.status == "ok"
             assert resp.status == "timeout"
             assert resp.partial is None
             assert resp.attempts == 1
-            assert "serve.lane" in resp.reason
+            assert "serve.queue" in resp.reason
             assert "late" not in problems  # no build was spent on it
         run(body())
-
-    def test_lane_wait_span_sits_inside_execute(self):
-        async def body():
-            service, problems = make_service()
-            a, b = scenario("a"), scenario("b", num_layers=4)
-            with tracing() as tracer:
-                async with service:
-                    for _ in range(3):
-                        await asyncio.gather(
-                            service.submit(SolveRequest(a)), service.submit(SolveRequest(b))
-                        )
-            solves = sum(len(p.calls) for p in problems.values())
-            assert solves == 6
-            by_id = {s.id: s for s in tracer.spans}
-            waits = [s for s in tracer.spans if s.name == "serve.lane_wait"]
-            assert len(waits) == solves
-            assert all(by_id[s.parent].name == "serve.execute" for s in waits)
-        run(body())
-
 
 # ----------------------------------------------------------------------
 # HTTP frontend
@@ -772,8 +606,8 @@ async def _stop(task) -> None:
 
 class TestHttp:
     def test_metrics_after_two_client_burst(self):
-        """Lane wait is exposed next to latency: one observation per
-        executed solve (a retry executes twice)."""
+        """The exposition counts what the burst did: six responses, seven
+        executed solves (a retry executes twice)."""
         async def body():
             get_metrics().reset()
             service, problems = make_service({"flaky": Behavior(fail_times=1)})
@@ -798,12 +632,12 @@ class TestHttp:
             executed = sum(len(p.calls) for p in problems.values())
             assert executed == 7
 
-            def count(family: str) -> float:
+            def sample(family: str, suffix: str) -> float:
                 samples = {n: v for n, _l, v, _t in families[family]["samples"]}
-                return samples[f"{family}_count"]
+                return samples[f"{family}{suffix}"]
 
-            assert count("serve_lane_wait_s") == executed
-            assert count("serve_latency_s") == 6
+            assert sample("serve_latency_s", "_count") == 6
+            assert sample("serve_retries", "_total") == executed - 6
         run(body())
 
     def test_endpoints(self):
