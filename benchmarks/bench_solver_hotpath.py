@@ -55,7 +55,11 @@ SPMD emulation adds to the same mesh at ``nparts=4`` (``spmd``, median of
 7, advisory): ``build_ms`` is the ``AntarcticaTest.build`` difference,
 ``sweep_overhead_ms`` the difference of one ``residual_and_jacobian``
 (rank sweeps plus the distributed scatter against one sweep and the
-serial fill).
+serial fill).  And so is the memory a solve holds (``memory``,
+``tracemalloc`` bytes per dof, deterministic and gated):
+``build_retained_bytes_per_dof`` is what ``AntarcticaTest.build`` keeps,
+``solve_peak_bytes_per_dof`` the traced peak of the default solve with
+that problem included.
 
 The one artifact is the normalized perf-trajectory ``BENCH_solver.json``
 at the repo root, which ``tools/check_bench.py`` diffs against the
@@ -72,6 +76,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -160,6 +165,7 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
         "sweep_ms": {mode: 1e3 * statistics.median(w) for mode, w in sweep_walls.items()},
         "geometry_ms": {k: 1e3 * statistics.median(w) for k, w in geometry_walls.items()},
         "spmd_ms": run_spmd_overhead(config, sol.u),
+        "memory": run_memory(config),
         "gmres_workspace_bytes_zeroed": counting_np.bytes_zeroed,
         "solve_seconds": d["solve_seconds"],
         "newton_steps": sol.newton.iterations,
@@ -178,6 +184,26 @@ def run_hotpath(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
             }
             for name, agg in tracer.aggregate().items()
         },
+    }
+
+
+def run_memory(config: AntarcticaConfig = SMOKE_CONFIG) -> dict:
+    """Traced bytes per dof (``tracemalloc``, deterministic): what a built
+    problem retains, and the peak of its default solve, problem included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        test = AntarcticaTest.build(config)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        test.run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    num_dofs = test.problem.dofmap.num_dofs
+    return {
+        "build_retained_bytes_per_dof": retained / num_dofs,
+        "solve_peak_bytes_per_dof": peak / num_dofs,
     }
 
 
@@ -351,6 +377,7 @@ def solver_trajectory(report: dict, modes: dict, mdsc_modes: dict, transient: di
         "mdsc": {},
         "transient": transient,
         "gmres_workspace_bytes_zeroed": report["gmres_workspace_bytes_zeroed"],
+        "memory": report["memory"],
     }
     for mode in ("assembled", "matrix-free"):
         m = modes[mode]
@@ -499,6 +526,9 @@ def main() -> int:
     spmd = report["spmd_ms"]
     print(f"spmd nparts=4 minus serial (median of 7): build {spmd['build_ms']:.2f} ms, "
           f"sweep + scatter {spmd['sweep_overhead_ms']:.2f} ms")
+    memory = report["memory"]
+    print(f"traced memory: build retains {memory['build_retained_bytes_per_dof']:.0f} B/dof, "
+          f"the solve peaks at {memory['solve_peak_bytes_per_dof']:.0f} B/dof")
     _check_hotpath_report(report)
     _check_mode_report(modes)
     _check_mdsc_report(mdsc_modes)

@@ -52,8 +52,8 @@ class StokesFields:
     scalar: ScalarSpec  # the Residual's
     mesh_scalar: ScalarSpec = DOUBLE
     #: geometry-only operands of the host lowering: ``[wGradBF | wBF]`` as
-    #: ``(nc, nn, nqp, 4)`` (``None``: packed per launch) and ``grad_bf`` as
-    #: ``(nc, nqp, 3, nn)``, present when the input derivatives are w.r.t.
+    #: ``(nc, nn, nqp, 4)`` (``None``: packed per launch) and ``grad_bf``
+    #: ``(nc, nn, nqp, 3)``, present when the input derivatives are w.r.t.
     #: ``Ugrad`` at the qp (``None``: they are the Residual's)
     geom: np.ndarray | None = None
     seed: np.ndarray | None = None

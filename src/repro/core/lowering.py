@@ -28,6 +28,9 @@ point -- independents ``Ugrad(k', d')``, ``f = 3 k' + d'``, the
 :data:`QP_SEED` identity -- and the second stage of the chain rule,
 ``dUgrad(c, q, k', d') / dU(c, m, k'') = delta(k', k'') * grad_bf(c, m, q,
 d')``, is applied once, on the GEMM operand (:func:`expand_qp_seed`).
+``fields.seed`` is the basis gradient itself; each pass lays its own
+cells out as the product wants them (:func:`qp_seed_operand`), so no
+second copy of the gradient outlives the pass.
 
 The value product is the same call in both modes, so a Jacobian-mode
 launch returns the residual-mode values bitwise; every product is per
@@ -52,11 +55,12 @@ __all__ = [
     "stresses",
 ]
 
-#: Cells per pass of a Jacobian launch.  The stress tangent and its
-#: expansion are ``(cells, qp, ..., F)`` doubles each; at 128 cells they
-#: stay in cache, while one pass over a whole 2 048-cell workset is slower
-#: (14.6 vs 13.3 ms per Jacobian sweep at 200 km / 10 layers) and more
-#: than doubles the sweep's traced allocation peak (33.9 vs 15.6 MB).  A
+#: Cells per pass of a Jacobian launch.  The stress tangent, its
+#: expansion and the pass's seed operand are ``(cells, qp, ..., F)``
+#: doubles each; at 128 cells they stay in cache, while one pass over a
+#: whole 2 048-cell workset is slower (14.6 vs 13.3 ms per Jacobian sweep
+#: at 200 km / 10 layers) and more than doubles the sweep's traced
+#: allocation peak (33.9 vs 15.6 MB).  A
 #: residual launch has no derivative temporaries and runs in one pass.  A
 #: measured constant of the host, not a tuning knob.
 _CHUNK_CELLS = 128
@@ -211,6 +215,7 @@ class StokesFOResidHostLowering:
         if self.seed is None:
             product(rows, dx, out=out.reshape(nc, nn, -1))
         else:
-            dx = expand_qp_seed(dx, self.seed[cell])  # (c, q, rows, k, k'', m)
+            seed = qp_seed_operand(self.seed[cell])
+            dx = expand_qp_seed(dx, seed)  # (c, q, rows, k, k'', m)
             jac = product(rows, dx).reshape(nc, nn, 2, 2, nn)
             out.reshape(nc, nn, 2, nn, 2)[...] = jac.swapaxes(-1, -2)

@@ -54,7 +54,8 @@ class AssemblyPlan:
       ``(nc, k, k)`` local-Jacobian array to its CSR ``data`` slot
       (duplicates map to the same slot and are summed);
     * ``indptr``/``indices`` -- the fixed CSR structure, shared by every
-      matrix the plan assembles;
+      matrix the plan assembles (and by each matrix's scipy SpMV handle):
+      int32 while ``nnz < 2**31``, int64 past that;
     * ``bc_clear``/``bc_diag`` -- masks over ``data`` marking Dirichlet
       rows to clear and their diagonal slots.
     """
@@ -71,31 +72,48 @@ class AssemblyPlan:
         # The dof pattern is the node pattern (x) a dense nd x nd block: sort
         # the nc * nn^2 node pairs, then number dof slots arithmetically by (node
         # row, component a, node column, component b), the dofs' (row, col) order.
+        # No temporary is larger than the nc * nn^2 node pairs (1 / nd^2 of the
+        # dof-level arrays): those are written one (a, b) component plane at a time.
         el, nd, nodes = dofmap.elems, dofmap.ndof_per_node, dofmap.num_nodes
         key = (el[:, :, None] * nodes + el[:, None, :]).ravel()
         order = np.argsort(key)
         ks = key[order]
+        del key
         new = np.ones(len(ks), dtype=bool)
         new[1:] = ks[1:] != ks[:-1]
-        node_slot = np.empty(len(key), dtype=np.int64)
+        node_slot = np.empty(len(order), dtype=np.int64)
         node_slot[order] = np.cumsum(new) - 1
+        del order
         node_rows, node_cols = np.divmod(ks[new], nodes)
+        del ks, new
         count = np.bincount(node_rows, minlength=nodes)  # node pairs per node row
         start, width = np.cumsum(count) - count, nd * count
-        self.nnz = len(node_rows) * nd * nd
+        self.nnz = nnz = len(node_rows) * nd * nd
+        # the CSR structure in int32 while it fits: scipy's SpMV handle then
+        # shares it instead of copying it down for every matrix
+        index = np.int32 if nnz < 2**31 else np.int64
 
         # dof slot of (node slot s, a, b) = first[s] + a * stride[s] + b, where
         # first[s] = nd^2 start + nd (s - start) for s in the node row from start
-        a, b = np.arange(nd)[:, None], np.arange(nd)
         stride = width[node_rows]
         first = nd * ((nd - 1) * start[node_rows] + np.arange(len(node_rows)))
-        ns = node_slot.reshape(nc, -1, 1, el.shape[1], 1)
-        self.scatter = (first[ns] + a[:, None] * stride[ns] + b).ravel()
-        self.indices = np.empty(self.nnz, dtype=np.int64)
-        self.indices[first[:, None, None] + a * stride[:, None, None] + b] = (
-            nd * node_cols[:, None, None] + b
-        )
-        self.indptr = np.append(nd * nd * start[:, None] + b * width[:, None], self.nnz)
+        nn = el.shape[1]
+        # per element node pair: the slot of component row a = 0, advanced
+        # by the row stride to each next a
+        row_first = first[node_slot].reshape(nc, nn, nn)
+        row_stride = stride[node_slot].reshape(nc, nn, nn)
+        del node_slot
+        scatter = np.empty((nc, nn, nd, nn, nd), dtype=np.int64)
+        self.indices = np.empty(nnz, dtype=index)
+        for a in range(nd):
+            for b in range(nd):
+                np.add(row_first, b, out=scatter[:, :, a, :, b])
+                self.indices[first + a * stride + b] = nd * node_cols + b
+            row_first += row_stride
+        del row_first, row_stride
+        self.scatter = scatter.reshape(-1)
+        rows_start = nd * nd * start[:, None] + np.arange(nd) * width[:, None]
+        self.indptr = np.append(rows_start, nnz).astype(index)
 
         self.bc_dofs = None
         self.bc_clear = None
@@ -106,10 +124,14 @@ class AssemblyPlan:
                 raise ValueError("Dirichlet dof out of range")
             is_bc = np.zeros(n, dtype=bool)
             is_bc[bc_dofs] = True
-            row_of_slot = np.repeat(np.arange(n), np.diff(self.indptr))
             self.bc_dofs = bc_dofs
-            self.bc_clear = is_bc[row_of_slot]
-            self.bc_diag = self.bc_clear & (self.indices == row_of_slot)
+            self.bc_clear = np.repeat(is_bc, np.diff(self.indptr))
+            # the diagonal of dof row (i, a) is slot (a, a) of node pair (i, i)
+            self.bc_diag = np.zeros(nnz, dtype=bool)
+            diag = np.flatnonzero(node_rows == node_cols)
+            for a in range(nd):
+                hit = diag[is_bc[nd * node_rows[diag] + a]]
+                self.bc_diag[first[hit] + a * stride[hit] + a] = True
 
         #: numeric fills performed so far (instrumentation for tests/benches)
         self.num_matrix_fills = 0

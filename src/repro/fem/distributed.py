@@ -227,8 +227,10 @@ class DistributedStokesAssembly:
             used[gcols] = True
             colmap = np.flatnonzero(used)  # ascending: preserves within-row order
             self._gslots.append(slots)
-            self._indptr.append(np.concatenate(([0], np.cumsum(row_nnz[self._owned_dofs[p]]))))
-            self._indices.append((np.cumsum(used) - 1)[gcols])
+            # in the plan's index dtype, which each rank's SpMV handle shares
+            rank_indptr = np.concatenate(([0], np.cumsum(row_nnz[self._owned_dofs[p]])))
+            self._indptr.append(rank_indptr.astype(plan.indices.dtype))
+            self._indices.append((np.cumsum(used) - 1)[gcols].astype(plan.indices.dtype))
             self._colmap.append(colmap)
             self._bc_clear.append(None if plan.bc_clear is None else plan.bc_clear[slots])
             self._bc_diag.append(None if plan.bc_diag is None else plan.bc_diag[slots])

@@ -140,15 +140,27 @@ class ColumnCollapseMap:
         return sp.csc_matrix((data, self.coarse_indices, self.coarse_indptr), shape=(nc, nc))
 
 
+def _index_array(a) -> np.ndarray:
+    """``a`` as a contiguous CSR index array: int32 kept, anything else int64."""
+    a = np.ascontiguousarray(a)
+    return a if a.dtype == np.int32 else a.astype(np.int64, copy=False)
+
+
 class CsrMatrix:
-    """Square-or-rectangular CSR matrix over float64."""
+    """Square-or-rectangular CSR matrix over float64.
+
+    ``indptr``/``indices`` are int32 or int64 as given (other integer
+    types widen to int64) and are never copied: an ``AssemblyPlan``'s
+    int32 structure is shared by every matrix it fills and by their
+    scipy SpMV handles.
+    """
 
     __slots__ = ("shape", "indptr", "indices", "data", "_spmv")
 
     def __init__(self, shape: tuple[int, int], indptr, indices, data):
         self.shape = (int(shape[0]), int(shape[1]))
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.indptr = _index_array(indptr)
+        self.indices = _index_array(indices)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self._spmv = None  # lazily-built scipy handle for the matvec hot path
         if len(self.indptr) != self.shape[0] + 1:

@@ -76,9 +76,22 @@ class GmresResult:
         return _FLAG_REASONS.get(self.flag, self.flag)
 
 
+#: Krylov rows a cycle allocates up front; Newton's cycles converge 8-9
+#: deep, so ``restart`` (300 there) rows would be almost all untouched
+_FIRST_ROWS = 16
+
+
 def _workspace(rows: int, n: int) -> np.ndarray:
     """Uninitialised Krylov storage (tests hand back NaN here instead)."""
     return np.empty((rows, n))
+
+
+def _grown(W: np.ndarray, limit: int) -> np.ndarray:
+    """``W`` with twice the rows (at most ``limit``), its rows carried over:
+    a cycle's storage grows with the depth it actually runs."""
+    out = _workspace(min(2 * len(W), limit), W.shape[1])
+    out[: len(W)] = W
+    return out
 
 
 def _as_operator(A):
@@ -196,9 +209,10 @@ def gmres(
         rnorm_cycle_start = rnorm
         nmv_cycle0, stream_cycle0, flops_cycle0 = nmv, stream_bytes, stream_flops
         with tr.span("gmres.cycle", cycle=cycle, krylov_dim=m) as cycle_span:
-            # V and Z rows are written before read; cycles run 8-9 of restart deep
-            V = _workspace(m + 1, n)
-            Z = _workspace(m, n)  # preconditioned directions (flexible storage)
+            # V and Z rows are written before read, and the storage grows
+            # only when the cycle runs deeper than it
+            V = _workspace(min(m + 1, _FIRST_ROWS), n)
+            Z = _workspace(min(m, _FIRST_ROWS), n)  # preconditioned directions (flexible storage)
             H = np.zeros(shape=(m + 1, m))
             cs = np.zeros(m)
             sn = np.zeros(m)
@@ -211,6 +225,8 @@ def gmres(
                 if deadline is not None:
                     deadline.check(f"gmres cycle {cycle} it {total_it}")
                 with tr.span("gmres.iteration", it=total_it):
+                    if k == len(Z):
+                        Z = _grown(Z, m)
                     Z[k] = precond(V[k])
                     w = matvec(Z[k])
                     nmv += 1
@@ -235,6 +251,8 @@ def gmres(
                     stream_bytes += _bytes.mgs_orth_bytes(n, k + 1)
                     stream_flops += _bytes.mgs_orth_flops(n, k + 1)
                     if H[k + 1, k] > 1.0e-14 * max(1.0, abs(H[k, k])):
+                        if k + 1 == len(V):
+                            V = _grown(V, m + 1)
                         V[k + 1] = w / H[k + 1, k]
                     else:
                         # lucky breakdown: the Krylov subspace is

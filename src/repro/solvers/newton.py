@@ -440,6 +440,11 @@ def newton_solve(
                             dropped_preconditioner=problem == "nonfinite_direction",
                         )
 
+                # consumed: the line search reads neither, and the next
+                # attempt or step sweeps and sets up afresh.  ``M`` holds
+                # ``J`` (``M.A``), so both go before the next sweep runs.
+                J = M = None
+
                 # backtracking on ||F||, capped by the rejection backoff
                 alpha = alpha_cap
                 rejected = False
@@ -486,7 +491,6 @@ def newton_solve(
                                 break
                         alpha *= 0.5
 
-                J = None  # consumed: the next attempt or step sweeps afresh
                 if not rejected:
                     break  # step attempt succeeded
                 # reject the step: resume from the last good iterate with

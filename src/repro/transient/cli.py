@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cli_types import positive_int
+from repro.cli_types import finite_float, non_negative_int, positive_int
 from repro.transient.engine import TransientEngine, TransientKilled
 from repro.transient.scenarios import SCENARIOS, get_scenario
 
@@ -167,11 +167,13 @@ def register(sub) -> None:
     parser.add_argument("--steps", type=positive_int, default=None, help="override step count")
     parser.add_argument(
         "--plant-leak",
-        type=float,
+        type=finite_float,
         default=0.0,
         help="arm the deliberate conservation leak (CI negative control)",
     )
-    parser.add_argument("--kill-at", type=int, default=None, help="kill after this step index")
+    parser.add_argument(
+        "--kill-at", type=non_negative_int, default=None, help="kill after this step index"
+    )
     parser.add_argument("--resume", type=str, default=None, help="resume from a checkpoint .npz")
     parser.add_argument(
         "--checkpoint-dir", type=str, default=None, help="write periodic checkpoints here"

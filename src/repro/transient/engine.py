@@ -117,9 +117,11 @@ class TransientResult:
         The conservation gate for closed-budget (zero-forcing) scenarios:
         interior-edge upwind fluxes telescope exactly, so any drift
         beyond roundoff accumulation is a bug (or the planted CI leak).
+        A non-finite volume anywhere gives a non-finite drift, which
+        fails every ``drift <= tol`` gate.
         """
-        v0 = self.volumes[0]
-        return float(max(abs(v - v0) for v in self.volumes) / abs(v0))
+        v = np.asarray(self.volumes, dtype=np.float64)
+        return float(np.max(np.abs(v - v[0])) / abs(v[0]))
 
     @property
     def cold_iterations(self) -> int:

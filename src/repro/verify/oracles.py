@@ -168,7 +168,7 @@ for _impl in ("optimized", "fused"):
 
 def _qp_seeded_pair(nn: int, nq: int, num_cells: int, seed: int, viscosity: bool = False):
     """One Jacobian launch as the evaluator feeds it to the lowering (``Ugrad``/
-    ``muLandIce`` ``SFad(6)`` with dense random ``dx``, a ``seed`` operand, a plain
+    ``muLandIce`` ``SFad(6)`` with dense random ``dx``, a ``grad_bf`` seed, a plain
     ``force``) and to the listing (``dUgrad/dU`` applied, every view ``SFad(2 nn)``).
     With ``viscosity``, ``muLandIce`` is Glen's law of that ``Ugrad`` instead: its
     strain-rate tangent in closed form on the lowering's side, the invariant's
@@ -188,7 +188,8 @@ def _qp_seeded_pair(nn: int, nq: int, num_cells: int, seed: int, viscosity: bool
 
     base = stokes_fields_factory(num_cells, "jacobian", seed, nn, nq)()
     rng = np.random.default_rng(seed + 1)
-    seed_op = qp_seed_operand(rng.normal(size=(num_cells, nn, nq, 3)) * 1e-3)
+    grad_bf = rng.normal(size=(num_cells, nn, nq, 3)) * 1e-3
+    seed_op = qp_seed_operand(grad_bf)
     qp = {
         name: SFad(6)(view.values(), rng.normal(size=view.shape + (6,)) * 0.01)
         for name, view in (("Ugrad", base.Ugrad), ("muLandIce", base.muLandIce))
@@ -207,7 +208,7 @@ def _qp_seeded_pair(nn: int, nq: int, num_cells: int, seed: int, viscosity: bool
         views["Residual"] = View("Residual", base.Residual.shape, base.scalar)
         return replace(base, **views, **operands)
 
-    late = form(late_qp, fad_spec(6), DOUBLE, lambda x: x, seed=seed_op)
+    late = form(late_qp, fad_spec(6), DOUBLE, lambda x: x, seed=grad_bf)
     return late, form(ref_qp, base.scalar, base.scalar, lambda x: _nodal_fad(x, seed_op))
 
 

@@ -99,8 +99,9 @@ class TestGeometryOperands:
         must fail loudly, not corrupt the next sweep."""
         p = _problem().problem
         _, _, ws = next(p._worksets(_state(p, 6), "jacobian"))
+        # ``grad_bf`` is also the lowering's qp-seed operand (laid out per pass)
         shared = ("w_bf", "w_grad_bf", "grad_bf", "glen_prefactor_qp", "force_qp",
-                  "w_packed", "grad_bf_qp", "basal_bf")
+                  "w_packed", "basal_bf")
         for name in shared:
             a = getattr(ws, name)
             assert not a.flags.writeable, name

@@ -70,6 +70,25 @@ def test_transient_refuses_a_run_of_no_steps(steps, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag, message",
+    [
+        (["--plant-leak", "nan"], "--plant-leak", "must be finite, got nan"),
+        (["--plant-leak", "inf"], "--plant-leak", "must be finite, got inf"),
+        (["--check", "--plant-leak=-inf"], "--plant-leak", "must be finite, got -inf"),
+        (["--kill-at", "-1"], "--kill-at", "must be at least 0, got -1"),
+    ],
+)
+def test_a_transient_leak_or_kill_that_means_nothing_exits_2(argv, flag, message, capsys):
+    """Refused by the parser: past it, a NaN leak ends in a ``ValueError``
+    traceback under ``--check`` and a negative kill step is ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["transient", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         ("profile", "--nparts", "0"),

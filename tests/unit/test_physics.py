@@ -24,7 +24,7 @@ from repro.physics import (
 )
 from repro.autodiff.sfad import is_fad
 from repro.core import lowering
-from repro.core.lowering import expand_qp_seed
+from repro.core.lowering import expand_qp_seed, qp_seed_operand
 from repro.physics.evaluators import (
     _interp_grad_values,
     _interp_value,
@@ -93,7 +93,7 @@ class TestInterp:
         nn, g = ws.num_nodes, ws.grad_bf
         GatherSolution().evaluate(ws)
         DOFVecGradInterpolation().evaluate(ws)
-        out = _nodal_fad(ws.fields["Ugrad"], ws.grad_bf_qp)
+        out = _nodal_fad(ws.fields["Ugrad"], qp_seed_operand(ws.grad_bf))
         assert type(out) is SFad(2 * nn)
         for c in range(2):
             for q in range(4):
@@ -115,9 +115,10 @@ class TestInterp:
         assert np.array_equal(got.val, _interp_grad_values(ws.fields["U"], ws.grad_bf))
         identity = np.eye(2 * nn).reshape(nn, 2, 2 * nn)
         ref = np.einsum("cnkf,cnqd->cqkdf", np.broadcast_to(identity, (7, nn, 2, 2 * nn)), ws.grad_bf)
-        assert np.array_equal(_nodal_fad(got, ws.grad_bf_qp).dx, ref)
+        seed = qp_seed_operand(ws.grad_bf)
+        assert np.array_equal(_nodal_fad(got, seed).dx, ref)
         # the late form the lowering uses is the same numbers, (k'', m)-major
-        late = expand_qp_seed(got.dx, ws.grad_bf_qp)
+        late = expand_qp_seed(got.dx, seed)
         assert np.array_equal(late.swapaxes(-1, -2).reshape(ref.shape), ref)
 
     def test_identity_mark_cannot_go_stale(self):

@@ -208,6 +208,8 @@ class TestGmresWorkspace:
             lambda: gmres(singular, np.ones(3), tol=1e-12, restart=10, maxiter=200),
             # the second cycle is clamped to 3 of restart=10 by the budget
             lambda: gmres(laplace, np.ones(200), tol=1e-14, restart=10, maxiter=15),
+            # cycles 40 deep: the storage grows past its first rows twice
+            lambda: gmres(laplace, np.ones(200), tol=1e-10, restart=40, maxiter=90),
             # a warm start, preconditioned, several full restart cycles
             lambda: gmres(laplace, np.ones(200), x0=np.full(200, 0.5), tol=1e-10,
                           restart=7, maxiter=120, M=JacobiSmoother(laplace, iters=2)),

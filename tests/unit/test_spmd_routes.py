@@ -230,15 +230,17 @@ def test_operands_are_owner_ordered_views():
         AntarcticaConfig(resolution_km=400.0, num_layers=4, velocity=VelocityConfig(nparts=4))
     ).problem
     order = spmd.spmd.cell_order
-    for name in ("_w_packed", "_grad_bf_qp", "glen_prefactor_qp", "force_qp", "_basal_row"):
+    for name in ("_w_packed", "glen_prefactor_qp", "force_qp", "_basal_row"):
         assert np.array_equal(getattr(spmd, name), getattr(serial, name)[order]), name
     assert np.array_equal(spmd.basis.grad_bf, serial.basis.grad_bf[order])
     assert spmd.bc_diag_scale == serial.bc_diag_scale
     u = np.random.default_rng(0).normal(size=serial.dofmap.num_dofs)
     span = spmd.spmd.cell_spans[2]
     _, _, ws = next(spmd._worksets(u, "jacobian", span))
+    # ``grad_bf`` is the one copy of the basis gradient: the lowering
+    # lays its qp-seed operand out per pass
     for a, owner in ((ws.w_packed, spmd._w_packed), (ws.grad_bf, spmd.basis.grad_bf),
-                     (ws.grad_bf_qp, spmd._grad_bf_qp), (ws.force_qp, spmd.force_qp)):
+                     (ws.force_qp, spmd.force_qp)):
         assert np.shares_memory(a, owner)
 
 

@@ -22,7 +22,7 @@ from repro.transient import (
     TransientScenario,
     get_scenario,
 )
-from repro.transient.engine import PREDICTOR_THETA, warm_start_guess
+from repro.transient.engine import PREDICTOR_THETA, TransientResult, warm_start_guess
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +178,34 @@ class TestVelocityPredictor:
         assert np.array_equal(half, [11.0, -4.5])
         assert np.array_equal(double, [14.0, -6.0])
         assert np.array_equal(u_prev, [10.0, -4.0]) and np.array_equal(u_before, [6.0, -2.0])
+
+
+class TestVolumeDrift:
+    @staticmethod
+    def _result(volumes):
+        empty = np.empty(0)
+        return TransientResult(
+            scenario=get_scenario("antarctica-closed"), thickness=empty, u=empty,
+            u_before=empty, particles=None, volumes=volumes, times=[], dts=[],
+            newton_iterations=[], warm_started=[], tol_abs=0.0,
+        )
+
+    def test_is_the_largest_relative_departure(self):
+        assert self._result([4.0, 5.0, 2.0, 4.0]).volume_drift == 0.5
+
+    @pytest.mark.parametrize(
+        "volumes",
+        [[1.0, np.nan], [1.0, np.nan, 1.0], [np.nan, 1.0], [1.0, np.inf], [1.0, 1.0, -np.inf]],
+    )
+    def test_a_non_finite_volume_fails_the_conservation_gate(self, volumes):
+        """A NaN after a finite volume must not drop out of the maximum
+        (Python's ``max`` drops it): the drift is non-finite and fails
+        ``drift <= tol``."""
+        from repro.transient.cli import CHECK_DRIFT_TOL
+
+        drift = self._result(volumes).volume_drift
+        assert not np.isfinite(drift)
+        assert not drift <= CHECK_DRIFT_TOL
 
 
 class TestScenarios:
