@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -13,7 +14,23 @@ __all__ = [
     "PRECONDITIONER_TABLE",
     "PRECONDITIONERS",
     "PRECOND_COST_ORDER",
+    "as_count",
 ]
+
+
+def as_count(name: str, value) -> int:
+    """``value`` as an ``int``, or ``ValueError`` unless it is a whole number.
+
+    ``3`` and ``3.0`` are the count 3; ``3.5``, ``True`` and ``"3"`` are
+    refused (``int()`` would truncate the first and take the others).
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -117,6 +134,8 @@ class VelocityConfig:
         return PRECOND_COST_ORDER[i + 1]
 
     def __post_init__(self):
+        for name in ("newton_steps", "nparts"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.kernel_impl not in ("baseline", "optimized"):
             raise ValueError(f"unknown kernel impl {self.kernel_impl!r}")
         if self.preconditioner not in PRECONDITIONERS:
@@ -164,6 +183,7 @@ class AntarcticaConfig:
     footprint: str = "quad"
 
     def __post_init__(self):
+        object.__setattr__(self, "num_layers", as_count("num_layers", self.num_layers))
         if not math.isfinite(self.resolution_km):
             raise ValueError(f"resolution_km must be finite, got {self.resolution_km!r}")
         if self.resolution_km <= 0 or self.num_layers <= 0:

@@ -372,8 +372,12 @@ class DistributedMatrix:
     column map) and places the row results -- no cross-rank sums -- so
     the product is bitwise equal to the serial SpMV.  ``gather_global``
     reconstructs the serial :class:`CsrMatrix` (for the replicated
-    preconditioner setup), metering the operator gather.
+    preconditioner setup), metering the operator gather.  Its operator
+    protocol prices one product as the serial SpMV over the plan's
+    structure would be priced.
     """
+
+    operator_mode = "assembled"
 
     def __init__(self, assembly: DistributedStokesAssembly, data_parts: list[np.ndarray]):
         self.assembly = assembly
@@ -391,6 +395,16 @@ class DistributedMatrix:
     def nnz(self) -> int:
         """Stored entries over all ranks' rows (equals the serial plan's nnz)."""
         return sum(len(d) for d in self.data_parts)
+
+    @property
+    def bytes_per_matvec(self) -> float:
+        """Modeled HBM traffic of one product (see gpusim.solver_bytes)."""
+        return spmv_bytes(self.shape[0], self.nnz, self.assembly.plan.indices.itemsize)
+
+    @property
+    def flops_per_matvec(self) -> float:
+        """Modeled float64 ops of one product (see gpusim.solver_bytes)."""
+        return spmv_flops(self.nnz)
 
     def isfinite(self) -> bool:
         """Whether every rank's stored values are finite."""
@@ -436,8 +450,7 @@ class DistributedMatrix:
                     lm = self.local_matrix(p)
                     with tr.span(
                         "rank.spmv", cat="compute", rank=p,
-                        bytes=spmv_bytes(lm.shape[0], lm.nnz),
-                        flops=spmv_flops(lm.nnz),
+                        bytes=lm.bytes_per_matvec, flops=lm.flops_per_matvec,
                     ):
                         y[a._owned_dofs[p]] = lm.matvec(xl)
                 else:

@@ -22,31 +22,25 @@ contribute ``diag_scale * x[bc]`` and nothing else.
 The operator also exposes what MDSC preconditioning needs without a
 matrix: ``diagonal()`` (point Jacobi), ``column_blocks()`` (the
 vertical-line blocks, extracted per-element instead of from CSR), and
-``collapse()`` (the vertically-collapsed membrane coarse operator).
+``collapse_map()`` (whose ``collapse`` sums the vertically-collapsed
+membrane coarse operator from the element blocks).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fem.sparse import ColumnCollapseMap, CsrMatrix
+from repro.fem.sparse import ColumnCollapseMap
+from repro.gpusim.solver_bytes import element_apply_bytes, element_apply_flops
 
-__all__ = ["MatrixFreeJacobian", "OperatorModeError"]
-
-
-class OperatorModeError(TypeError):
-    """A solver component received an operator it cannot consume.
-
-    Raised with an actionable message naming ``operator_mode`` instead
-    of the opaque ``AttributeError`` a CSR-only code path would hit on
-    a matrix-free operator.
-    """
+__all__ = ["MatrixFreeJacobian"]
 
 
 class MatrixFreeJacobian:
-    """Element-block operator with the protocol GMRES and the smoothers
-    consume (``shape``, ``matvec``, ``diagonal``, ``column_blocks``,
-    ``isfinite``).
+    """Element-block operator with the protocol GMRES, Newton and the
+    smoothers read (``operator_mode``, ``bytes_per_matvec``,
+    ``flops_per_matvec``, ``isfinite()``) next to ``shape``, ``matvec``,
+    ``diagonal`` and ``collapse_map``.
 
     Parameters
     ----------
@@ -98,8 +92,6 @@ class MatrixFreeJacobian:
             #: element rows that are cleared Dirichlet rows, gathered once
             #: (every matvec masks with it)
             self._elem_row_is_bc = is_bc[elem_dofs]
-        #: matvecs applied so far (instrumentation for tests/benches)
-        self.num_matvecs = 0
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -117,7 +109,6 @@ class MatrixFreeJacobian:
         y = np.bincount(self.elem_dofs.ravel(), weights=ye.ravel(), minlength=self.n)
         if self.bc_dofs is not None:
             y[self.bc_dofs] = self.diag_scale * x[self.bc_dofs]
-        self.num_matvecs += 1
         return y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -134,8 +125,7 @@ class MatrixFreeJacobian:
         return d
 
     def isfinite(self) -> bool:
-        """Finiteness of the stored element blocks (the step-boundary
-        health check :func:`repro.solvers.newton._jacobian_finite` uses)."""
+        """Finiteness of the stored element blocks (Newton's per-step health check)."""
         return bool(np.all(np.isfinite(self.local_jac)))
 
     # ------------------------------------------------------------------
@@ -162,33 +152,14 @@ class MatrixFreeJacobian:
         """
         return self.collapse_map(block_size).column_blocks(self)
 
-    def collapse(self, agg: np.ndarray, num_coarse: int) -> CsrMatrix:
-        """Galerkin collapse ``P^T J P`` for a piecewise-constant
-        aggregation map, summed directly from the element blocks (the
-        fine-level matrix is never formed; association differs from the
-        CSR Galerkin product, the result agrees to rounding)."""
-        return CsrMatrix.from_scipy(self.collapse_map(None, agg, num_coarse).collapse(self))
-
     # ------------------------------------------------------------------
     @property
     def bytes_per_matvec(self) -> float:
         """Modeled HBM traffic of one apply (see gpusim.solver_bytes)."""
-        from repro.gpusim.solver_bytes import element_apply_bytes
-
         nc, k = self.elem_dofs.shape
-        return element_apply_bytes(self.n, nc, k)
+        return element_apply_bytes(self.n, nc, k, self.elem_dofs.itemsize)
 
     @property
     def flops_per_matvec(self) -> float:
         """Modeled float64 ops of one apply (see gpusim.solver_bytes)."""
-        from repro.gpusim.solver_bytes import element_apply_flops
-
-        nc, k = self.elem_dofs.shape
-        return element_apply_flops(nc, k)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        nc, k = self.elem_dofs.shape
-        return (
-            f"MatrixFreeJacobian(n={self.n}, cells={nc}, k={k}, "
-            f"bc={0 if self.bc_dofs is None else len(self.bc_dofs)})"
-        )
+        return element_apply_flops(*self.elem_dofs.shape)

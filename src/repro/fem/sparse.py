@@ -1,21 +1,18 @@
 """A compressed-sparse-row matrix built for FE assembly.
 
-Self-contained CSR implementation (construction from COO triplets with
-duplicate summation, SpMV, diagonal extraction, row operations) with
-scipy interop used only at the coarse-solver level and in tests.
+CSR storage over the assembly plan's shared structure, construction
+from COO triplets with duplicate summation (the reference side), and
+scipy's compiled SpMV for the product.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+
+from repro.gpusim.solver_bytes import spmv_bytes, spmv_flops
 
 __all__ = ["CsrMatrix", "ColumnCollapseMap", "column_aggregates"]
-
-
-try:  # fast SpMV backend; the numpy path below is the fallback
-    import scipy.sparse as _sp
-except ImportError:  # pragma: no cover - scipy is part of the toolchain
-    _sp = None
 
 
 def _frozen(a: np.ndarray, bound: int | None = None) -> np.ndarray:
@@ -131,8 +128,6 @@ class ColumnCollapseMap:
 
     def collapse(self, A):
         """``P^T A P`` as a scipy CSC matrix (fresh ``data``, stored pattern)."""
-        import scipy.sparse as sp
-
         values, diag_scale = self._values(A)
         nnz, nc = len(self.coarse_indices), self.num_coarse
         data = np.bincount(self.coarse_dst, weights=values, minlength=nnz + 1)[:nnz]
@@ -153,9 +148,15 @@ class CsrMatrix:
     types widen to int64) and are never copied: an ``AssemblyPlan``'s
     int32 structure is shared by every matrix it fills and by their
     scipy SpMV handles.
+
+    The operator protocol GMRES, Newton and the smoothers read:
+    ``operator_mode``, ``bytes_per_matvec``, ``flops_per_matvec`` (priced
+    at the width of the stored indices) and ``isfinite()``.
     """
 
     __slots__ = ("shape", "indptr", "indices", "data", "_spmv")
+
+    operator_mode = "assembled"
 
     def __init__(self, shape: tuple[int, int], indptr, indices, data):
         self.shape = (int(shape[0]), int(shape[1]))
@@ -199,20 +200,20 @@ class CsrMatrix:
     def identity(cls, n: int) -> "CsrMatrix":
         return cls((n, n), np.arange(n + 1), np.arange(n), np.ones(n))
 
-    @classmethod
-    def from_scipy(cls, m) -> "CsrMatrix":
-        m = m.tocsr()
-        return cls(m.shape, m.indptr, m.indices, m.data)
-
-    def to_scipy(self):
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
     # ------------------------------------------------------------------
     @property
     def nnz(self) -> int:
         return len(self.data)
+
+    @property
+    def bytes_per_matvec(self) -> float:
+        """Modeled HBM traffic of one SpMV (see gpusim.solver_bytes)."""
+        return spmv_bytes(self.shape[0], self.nnz, self.indices.itemsize)
+
+    @property
+    def flops_per_matvec(self) -> float:
+        """Modeled float64 ops of one SpMV (see gpusim.solver_bytes)."""
+        return spmv_flops(self.nnz)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x.
@@ -220,25 +221,14 @@ class CsrMatrix:
         GMRES and the multigrid smoothers apply the same operator
         hundreds of times per Newton step, so the first call builds a
         scipy CSR handle over the (shared) buffers and every subsequent
-        call runs the compiled SpMV; without scipy a vectorized
-        segmented reduction is used.
+        call runs the compiled SpMV.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ValueError(f"matvec expects a vector of length {self.shape[1]}")
-        if _sp is not None:
-            if self._spmv is None:
-                self._spmv = _sp.csr_matrix(
-                    (self.data, self.indices, self.indptr), shape=self.shape
-                )
-            return self._spmv @ x
-        prod = self.data * x[self.indices]
-        y = np.zeros(self.shape[0])
-        nonempty = self.indptr[:-1] != self.indptr[1:]
-        if prod.size:
-            sums = np.add.reduceat(prod, self.indptr[:-1][nonempty])
-            y[nonempty] = sums
-        return y
+        if self._spmv is None:
+            self._spmv = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return self._spmv @ x
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -269,33 +259,11 @@ class CsrMatrix:
         """
         return self.collapse_map(block_size).column_blocks(self)
 
-    def scale_rows(self, s: np.ndarray) -> "CsrMatrix":
-        """Return diag(s) @ A."""
-        s = np.asarray(s, dtype=np.float64)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return CsrMatrix(self.shape, self.indptr.copy(), self.indices.copy(), self.data * s[rows])
-
-    def transpose(self) -> "CsrMatrix":
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return CsrMatrix.from_coo(self.indices, rows, self.data, (self.shape[1], self.shape[0]))
-
-    def norm_inf(self) -> float:
-        if self.nnz == 0:
-            return 0.0
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return float(np.bincount(rows, weights=np.abs(self.data), minlength=self.shape[0]).max())
-
-    def norm_fro(self) -> float:
-        return float(np.sqrt(np.sum(self.data**2)))
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         out[rows, self.indices] = self.data
         return out
-
-    def copy(self) -> "CsrMatrix":
-        return CsrMatrix(self.shape, self.indptr.copy(), self.indices.copy(), self.data.copy())
 
     def __repr__(self):
         return f"CsrMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -10,8 +10,9 @@ actually reached) rather than merely assert what each mode moves.
 Counting rules (the same first-touch convention as
 :mod:`repro.gpusim.memtrace` applies at cache-line granularity):
 
-* every float64 costs :data:`FLOAT_BYTES`, every index
-  :data:`INDEX_BYTES`;
+* every float64 costs :data:`FLOAT_BYTES`, every index the width of
+  the operator's own index arrays (``index_bytes``: 4 for the plan's
+  int32 CSR structure, 8 for the element connectivity);
 * an ``n``-vector streamed once through HBM is one *vector stream* of
   ``8 n`` bytes -- Krylov basis vectors are far larger than any cache
   level at production sizes, so each pass over the basis is a full
@@ -20,10 +21,11 @@ Counting rules (the same first-touch convention as
   are counted once per vector, not once per reference: repeated
   touches of the same dof within one kernel hit cache.
 
-All functions are dependency-free and deterministic; they are consumed
-by :func:`repro.solvers.gmres.gmres` (per-iteration accumulation into
-``gmres.*.bytes`` metrics) and by ``benchmarks/bench_solver_hotpath.py``
-(the ``BENCH_solver.json`` bytes/iteration table).
+All functions are dependency-free and deterministic.  Each operator
+prices itself with them (``bytes_per_matvec`` / ``flops_per_matvec`` on
+:class:`~repro.fem.sparse.CsrMatrix`, the distributed matrix and the
+matrix-free Jacobian), and :func:`repro.solvers.gmres.gmres` accumulates
+those, iteration by iteration, into the ``gmres.*.bytes`` metrics.
 
 The ``*_flops`` companions price the float64 operations of the same
 kernels, so roofline attribution (``observability/attribution.py``)
@@ -37,23 +39,18 @@ from __future__ import annotations
 
 __all__ = [
     "FLOAT_BYTES",
-    "INDEX_BYTES",
     "vector_stream_bytes",
     "spmv_bytes",
     "element_apply_bytes",
     "mgs_orth_bytes",
     "cycle_close_bytes",
-    "assembled_fill_bytes",
-    "operator_traffic",
     "spmv_flops",
     "element_apply_flops",
     "mgs_orth_flops",
     "cycle_close_flops",
-    "operator_flops",
 ]
 
 FLOAT_BYTES = 8
-INDEX_BYTES = 8
 
 
 def vector_stream_bytes(n: int) -> float:
@@ -61,13 +58,13 @@ def vector_stream_bytes(n: int) -> float:
     return float(FLOAT_BYTES * n)
 
 
-def spmv_bytes(n: int, nnz: int) -> float:
+def spmv_bytes(n: int, nnz: int, index_bytes: int) -> float:
     """CSR ``y = A x``: values + column indices + row pointer streamed
     once, ``x`` gathered (first touch), ``y`` written."""
-    return float(nnz * (FLOAT_BYTES + INDEX_BYTES) + (n + 1) * INDEX_BYTES + 2 * FLOAT_BYTES * n)
+    return float(nnz * (FLOAT_BYTES + index_bytes) + (n + 1) * index_bytes + 2 * FLOAT_BYTES * n)
 
 
-def element_apply_bytes(n: int, num_cells: int, k: int) -> float:
+def element_apply_bytes(n: int, num_cells: int, k: int, index_bytes: int) -> float:
     """Element-by-element ``y = A x`` from cached local Jacobian blocks.
 
     Per cell: the dense ``k x k`` block, the ``k`` connectivity indices,
@@ -75,7 +72,7 @@ def element_apply_bytes(n: int, num_cells: int, k: int) -> float:
     but the gather is indexed, so each cell's reads are counted); global
     side: the ``y`` accumulate (read-modify-write).
     """
-    per_cell = k * k * FLOAT_BYTES + k * INDEX_BYTES + k * FLOAT_BYTES
+    per_cell = k * k * FLOAT_BYTES + k * index_bytes + k * FLOAT_BYTES
     return float(num_cells * per_cell + 2 * FLOAT_BYTES * n)
 
 
@@ -93,14 +90,6 @@ def cycle_close_bytes(n: int, k_used: int) -> float:
     vector work (``r = b - A x`` minus the matvec itself, which is
     priced separately)."""
     return (k_used + 4) * vector_stream_bytes(n)
-
-
-def assembled_fill_bytes(n: int, nnz: int, num_cells: int, k: int) -> float:
-    """Per-Newton-step CSR numeric fill (assembled mode only): the
-    local blocks and their scatter permutation are streamed, the CSR
-    ``data`` array is accumulated.  Matrix-free mode skips this
-    entirely -- the local blocks *are* the operator."""
-    return float(num_cells * k * k * (FLOAT_BYTES + INDEX_BYTES) + 2 * FLOAT_BYTES * nnz)
 
 
 def spmv_flops(nnz: int) -> float:
@@ -124,35 +113,3 @@ def cycle_close_flops(n: int, k_used: int) -> float:
     """``x += Z[:k]^T y`` (2n per column) + residual vector update."""
     return float(2 * k_used * n + 2 * n)
 
-
-def operator_traffic(A) -> tuple[str, float]:
-    """(mode label, modeled bytes per matvec) for a solver operator.
-
-    Recognizes assembled CSR/distributed matrices (``nnz``), matrix-free
-    element operators (``bytes_per_matvec``), and falls back to zero for
-    opaque callables (no model -- their traffic is unknown).
-    """
-    bpm = getattr(A, "bytes_per_matvec", None)
-    if bpm is not None:
-        return getattr(A, "operator_mode", "matrix-free"), float(bpm)
-    shape = getattr(A, "shape", None)
-    nnz = getattr(A, "nnz", None)
-    if shape is not None and nnz is not None:
-        return "assembled", spmv_bytes(int(shape[0]), int(nnz))
-    return "opaque", 0.0
-
-
-def operator_flops(A) -> float:
-    """Modeled flops per matvec for a solver operator (0 when opaque).
-
-    The flop companion of :func:`operator_traffic`: matrix-free element
-    operators expose ``flops_per_matvec``, assembled matrices are priced
-    by :func:`spmv_flops`.
-    """
-    fpm = getattr(A, "flops_per_matvec", None)
-    if fpm is not None:
-        return float(fpm)
-    nnz = getattr(A, "nnz", None)
-    if nnz is not None:
-        return spmv_flops(int(nnz))
-    return 0.0

@@ -12,7 +12,6 @@ documents by their contribution to a regression.
 from __future__ import annotations
 
 import gc
-import json
 
 from repro.cli_types import positive_float, positive_int, span_delay
 from repro.gpusim.specs import ALL_GPUS, MI250X_GCD
@@ -81,21 +80,6 @@ def profile(args) -> int:
     if args.openmetrics:
         obs.write_openmetrics(args.openmetrics, snapshot, series)
         print(f"openmetrics:  {args.openmetrics}")
-    if args.snapshot:
-        doc = {
-            "kind": obs.perfdiff.SNAPSHOT_KIND,
-            "schema_version": obs.perfdiff.SNAPSHOT_SCHEMA,
-            "label": f"profile res={resolution_km:g}km nz={layers} nparts={nparts}",
-            "spans": {
-                name: {k: a[k] for k in ("count", "total_s", "self_s", "cat")}
-                for name, a in tracer.aggregate().items()
-            },
-            "counters": dict(snapshot.get("counters", {})),
-        }
-        with open(args.snapshot, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
-        print(f"perf snapshot: {args.snapshot} ({len(doc['spans'])} span aggregates)")
     print(f"chrome trace: {path} ({len(export_spans)} spans) -- open at https://ui.perfetto.dev")
     print(f"mean |u| = {sol.mean_velocity:.6f} m/yr over {sol.diagnostics['num_cells']} cells")
     if mismatches:
@@ -122,9 +106,8 @@ def register(sub) -> None:
     p = sub.add_parser(
         "profile", help="traced coarse solve -> Chrome trace JSON", description=__doc__
     )
-    p.add_argument("--out", default="trace.json", help="Chrome trace output path")
     p.add_argument(
-        "--snapshot", default=None, help="write a perfdiff-ready span/counter aggregate JSON"
+        "--out", default="trace.json", help="Chrome trace output path (what perfdiff reads)"
     )
     p.add_argument(
         "--openmetrics", default=None,

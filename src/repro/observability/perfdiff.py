@@ -1,4 +1,4 @@
-"""Regression diagnosis: diff two perf snapshots, rank span deltas.
+"""Regression diagnosis: diff two perf documents, rank span deltas.
 
 ``tools/check_bench.py`` answers *pass/fail*; this module answers
 *which span and by how much*.  ``python -m repro perfdiff
@@ -12,9 +12,6 @@ names the culprit phase instead of just a threshold.
 
 Accepted document formats (auto-detected):
 
-* **perf snapshots** -- ``{"kind": "perf_snapshot", "spans": {name:
-  {"count", "total_s", ...}}, "counters": {...}}``, written by
-  ``python -m repro profile --snapshot``;
 * **Chrome traces** -- ``{"traceEvents": [...]}`` from the profile CLI;
   ``"ph": "X"`` events aggregate by name, ``otherData.metrics``
   supplies counters;
@@ -41,12 +38,7 @@ __all__ = [
     "add_arguments",
     "run",
     "main",
-    "SNAPSHOT_KIND",
-    "SNAPSHOT_SCHEMA",
 ]
-
-SNAPSHOT_KIND = "perf_snapshot"
-SNAPSHOT_SCHEMA = 1
 
 #: below this absolute per-span delta (seconds) a row is noise, not signal
 DEFAULT_MIN_DELTA_S = 1e-4
@@ -119,11 +111,7 @@ def load_perf_document(path: str) -> dict:
     spans: dict[str, dict] = {}
     counters: dict[str, float] = {}
 
-    if isinstance(doc, dict) and doc.get("kind") == SNAPSHOT_KIND:
-        for name, rec in doc.get("spans", {}).items():
-            spans[name] = _span_rec(rec)
-        _flatten("", doc.get("counters", {}), counters)
-    elif isinstance(doc, dict) and "traceEvents" in doc:
+    if isinstance(doc, dict) and "traceEvents" in doc:
         spans = _trace_self_times(doc["traceEvents"])
         metrics = doc.get("otherData", {}).get("metrics", {})
         _flatten("", metrics.get("counters", {}), counters)
@@ -133,7 +121,7 @@ def load_perf_document(path: str) -> dict:
         _flatten("deterministic", doc.get("deterministic", {}), counters)
     else:
         raise ValueError(
-            f"{path}: not a perf snapshot, Chrome trace, or bench document"
+            f"{path}: not a Chrome trace or bench document"
         )
     return {"label": path, "spans": spans, "counters": counters}
 
@@ -274,8 +262,8 @@ def format_diff(report: dict, top: int = 15) -> str:
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """The ``perfdiff`` arguments (shared with ``python -m repro perfdiff``)."""
-    parser.add_argument("baseline", help="baseline snapshot/trace/bench JSON")
-    parser.add_argument("current", help="current snapshot/trace/bench JSON")
+    parser.add_argument("baseline", help="baseline Chrome trace or bench JSON")
+    parser.add_argument("current", help="current Chrome trace or bench JSON")
     parser.add_argument("--top", type=int, default=15, help="rows per table (default 15)")
     parser.add_argument(
         "--min-delta", type=float, default=DEFAULT_MIN_DELTA_S,

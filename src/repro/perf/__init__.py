@@ -23,7 +23,6 @@ from repro.perf.portability import (
     efficiency_data_movement,
 )
 from repro.perf.report import format_table, ascii_scatter, write_csv
-from repro.perf.metrics import architectural_efficiency, application_efficiency, ai_fraction
 
 __all__ = [
     "TheoreticalMovement",
@@ -38,7 +37,4 @@ __all__ = [
     "format_table",
     "ascii_scatter",
     "write_csv",
-    "architectural_efficiency",
-    "application_efficiency",
-    "ai_fraction",
 ]

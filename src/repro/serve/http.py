@@ -110,14 +110,16 @@ async def _handle(service: SolveService, reader, writer) -> None:
                 doc = json.loads(body.decode() or "{}")
                 if not isinstance(doc, dict):
                     raise ValueError("request body must be a JSON object")
+                # the JSON values as sent: the scenario refuses what is not
+                # its type (``int()`` would truncate a 3.7-layer request)
                 scenario = SolveScenario(
                     name=str(doc.get("name", "http")),
-                    resolution_km=float(doc.get("resolution_km", 600.0)),
-                    num_layers=int(doc.get("num_layers", 3)),
-                    preconditioner=str(doc.get("preconditioner", "mdsc")),
-                    nparts=int(doc.get("nparts", 1)),
-                    newton_steps=int(doc.get("newton_steps", 8)),
-                    family=str(doc.get("family", "antarctica")),
+                    resolution_km=doc.get("resolution_km", 600.0),
+                    num_layers=doc.get("num_layers", 3),
+                    preconditioner=doc.get("preconditioner", "mdsc"),
+                    nparts=doc.get("nparts", 1),
+                    newton_steps=doc.get("newton_steps", 8),
+                    family=doc.get("family", "antarctica"),
                 )
                 deadline_s = doc.get("deadline_s")
                 request = SolveRequest(

@@ -58,7 +58,7 @@ from multiprocessing.connection import Connection
 from repro.observability import get_metrics, get_series, get_tracer
 from repro.resilience.injectors import absorb_delivery, armed_copy, export_armed
 from repro.serve.pool import WorkerKilled
-from repro.store import MAX_ENTRIES, ArtifactCache
+from repro.store import ArtifactCache
 
 __all__ = ["NumericsProcess", "ProcessCache"]
 
@@ -147,9 +147,7 @@ class ProcessCache:
 
     ``get`` binds the calling thread to its own process, forked from the
     zygote on the thread's first request, so a replacement worker gets a
-    fresh one.  The last known-good results (the degradation ladder's
-    cached rung) stay in this process, bounded as the artifact cache's
-    entries are.
+    fresh one.
     """
 
     def __init__(self):
@@ -157,7 +155,6 @@ class ProcessCache:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._forked: list[NumericsProcess] = []
-        self._good: dict[str, object] = {}
 
     def get(self, scenario) -> _RemoteEntry:
         process = getattr(self._local, "process", None)
@@ -166,16 +163,6 @@ class ProcessCache:
             with self._lock:
                 self._forked = [p for p in self._forked if not p.dead] + [process]
         return _RemoteEntry(scenario, process)
-
-    def remember_good(self, scenario, result) -> None:
-        with self._lock:
-            self._good.pop(scenario.digest, None)
-            self._good[scenario.digest] = result
-            if len(self._good) > MAX_ENTRIES:
-                del self._good[next(iter(self._good))]
-
-    def cached_result(self, scenario):
-        return self._good.get(scenario.digest)
 
     def pids(self) -> list[int]:
         """The zygote's pid, then those of the numerics processes not known dead."""

@@ -16,9 +16,10 @@ on (retry/resume counts, dedup, degradation rung).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
-from repro.app.config import PRECONDITIONERS, AntarcticaConfig, VelocityConfig
+from repro.app.config import PRECONDITIONERS, AntarcticaConfig, VelocityConfig, as_count
 from repro.store import content_digest
 
 __all__ = ["SolveScenario", "SolveRequest", "SolveResponse", "STATUSES"]
@@ -35,7 +36,12 @@ COARSEN_FACTOR = 2.0
 
 @dataclass(frozen=True)
 class SolveScenario:
-    """One solvable problem identity (the cache and dedup key)."""
+    """One solvable problem identity (the cache and dedup key).
+
+    ``resolution_km`` is stored as a ``float`` and the three counts as
+    ``int``: ``600`` and ``600.0`` are one problem with one digest, and a
+    count that is not a whole number is refused here, not in a worker.
+    """
 
     name: str
     resolution_km: float = 600.0
@@ -49,6 +55,12 @@ class SolveScenario:
     family: str = "antarctica"
 
     def __post_init__(self):
+        res = self.resolution_km
+        if isinstance(res, bool) or not isinstance(res, numbers.Real):
+            raise ValueError(f"resolution_km must be a number, got {res!r}")
+        object.__setattr__(self, "resolution_km", float(res))
+        for name in ("num_layers", "nparts", "newton_steps"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.family not in ("antarctica", "greenland"):
             raise ValueError(f"unknown ice-sheet family {self.family!r}")
         if self.preconditioner not in PRECONDITIONERS:

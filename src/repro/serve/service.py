@@ -46,6 +46,7 @@ from repro.serve.cache import ArtifactCache
 from repro.serve.pool import Job, KillSwitch, WorkerKilled, WorkerPool
 from repro.serve.process import ProcessCache
 from repro.serve.requests import SolveRequest, SolveResponse, SolveScenario
+from repro.store import MAX_ENTRIES
 
 __all__ = ["SolveService"]
 
@@ -93,6 +94,9 @@ class SolveService:
         self.breakers: dict[str, CircuitBreaker] = {}
         #: digest -> future of the in-flight solve (the dedup join point)
         self._inflight: dict[str, asyncio.Future] = {}
+        #: digest -> last known-good result (the ladder's cached rung),
+        #: the most recently solved ``MAX_ENTRIES``; loop thread only
+        self._good: dict[str, object] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
 
     # ------------------------------------------------------------------
@@ -161,7 +165,7 @@ class SolveService:
         rung = ""
         depth = self.pool.depth()
         if depth >= self.queue_size:
-            cached = self.cache.cached_result(scenario)
+            cached = self.cached_result(scenario)
             if cached is not None:
                 metrics.counter("serve.degraded.cached").inc()
                 return self._finish(
@@ -228,7 +232,10 @@ class SolveService:
         if kind != "ok" and br is None:
             br = self.breakers[digest] = CircuitBreaker(digest)
         if kind == "ok":
-            self.cache.remember_good(solved, payload)
+            self._good.pop(solved.digest, None)
+            self._good[solved.digest] = payload
+            if len(self._good) > MAX_ENTRIES:
+                del self._good[next(iter(self._good))]
             if br is not None:
                 br.record_success()
             status = "degraded" if rung else "ok"
@@ -252,6 +259,10 @@ class SolveService:
         if not resp_fut.done():
             resp_fut.set_result(resp)
         return self._finish(resp, t0)
+
+    def cached_result(self, scenario: SolveScenario):
+        """The last known-good result for ``scenario``, or ``None``."""
+        return self._good.get(scenario.digest)
 
     @staticmethod
     def _resolve(fut: asyncio.Future, outcome) -> None:

@@ -17,7 +17,7 @@ meshes (Tuminaro et al. 2016).  This package implements that stack:
 
 from repro.solvers.gmres import GmresResult, gmres
 from repro.solvers.reductions import BlockReducer, column_block_reducer
-from repro.solvers.smoothers import IdentityPreconditioner, JacobiSmoother, VerticalLineSmoother
+from repro.solvers.smoothers import JacobiSmoother, VerticalLineSmoother
 from repro.solvers.multigrid import ColumnCollapseMdsc
 from repro.solvers.newton import NewtonResult, forcing_term, newton_solve
 
@@ -26,7 +26,6 @@ __all__ = [
     "gmres",
     "BlockReducer",
     "column_block_reducer",
-    "IdentityPreconditioner",
     "JacobiSmoother",
     "VerticalLineSmoother",
     "ColumnCollapseMdsc",

@@ -9,9 +9,10 @@ per basis column -- the bitwise-stable recurrence the golden
 trajectories pin (DESIGN.md section 7 records why it is the only one).
 
 The solver also *measures* its modeled HBM traffic: every matvec is
-priced via :mod:`repro.gpusim.solver_bytes` (CSR SpMV vs element-block
-apply vs opaque), every orthogonalization pass at the Krylov depth it
-actually ran at, and the totals land both in the returned
+priced by the operator itself (``bytes_per_matvec``: CSR SpMV or
+element-block apply, see :mod:`repro.gpusim.solver_bytes`), every
+orthogonalization pass at the Krylov depth it actually ran at, and the
+totals land both in the returned
 :class:`GmresResult` and in the ``gmres.matvec.bytes.<mode>`` /
 ``gmres.stream.bytes.<mode>`` metrics counters.  Preconditioner
 applications are not priced here (they are identical in both operator
@@ -57,9 +58,8 @@ class GmresResult:
     #: per cycle).  Never exceeds ``maxiter``: the final cycle's Krylov
     #: dimension is clamped to leave room for its closing matvec.
     matvecs: int = 0
-    #: operator-mode label of ``A`` as priced by the byte model
-    #: (``assembled`` | ``matrix-free`` | ``opaque``)
-    operator_mode: str = "opaque"
+    #: ``A.operator_mode``: ``assembled`` | ``matrix-free``
+    operator_mode: str = ""
     #: modeled HBM bytes moved by the ``matvecs`` operator applications
     matvec_bytes: float = 0.0
     #: modeled HBM bytes of the GMRES vector work (orthogonalization,
@@ -94,12 +94,6 @@ def _grown(W: np.ndarray, limit: int) -> np.ndarray:
     return out
 
 
-def _as_operator(A):
-    if callable(A):
-        return A
-    return A.matvec
-
-
 def gmres(
     A,
     b: np.ndarray,
@@ -117,7 +111,10 @@ def gmres(
     Parameters
     ----------
     A:
-        Matrix with ``matvec`` or a callable ``x -> A @ x``.
+        An operator: ``matvec`` plus the protocol members
+        ``operator_mode``, ``bytes_per_matvec`` and ``flops_per_matvec``
+        (:class:`~repro.fem.sparse.CsrMatrix`, the distributed matrix,
+        the matrix-free Jacobian).
     M:
         Right preconditioner with ``apply(r) -> ~A^-1 r`` (optional).
     tol:
@@ -143,7 +140,7 @@ def gmres(
         read the clock, so a solve that finishes within budget is
         bitwise equal to one run without a deadline.
     """
-    matvec = _as_operator(A)
+    matvec = A.matvec
     if dot is None:
         dot = np.dot
     if norm is None:
@@ -153,8 +150,7 @@ def gmres(
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     precond = (lambda r: r) if M is None else M.apply
 
-    op_mode, apply_bytes = _bytes.operator_traffic(A)
-    apply_flops = _bytes.operator_flops(A)
+    op_mode, apply_bytes, apply_flops = A.operator_mode, A.bytes_per_matvec, A.flops_per_matvec
     nmv = 0
     stream_bytes = 0.0
     stream_flops = 0.0

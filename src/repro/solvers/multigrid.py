@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fem.matfree import OperatorModeError
 from repro.fem.sparse import column_aggregates
+from repro.gpusim.solver_bytes import vector_stream_bytes
 from repro.observability import get_tracer
 from repro.solvers.smoothers import VerticalLineSmoother
 
@@ -74,11 +74,6 @@ class ColumnCollapseMdsc:
         n, blk = A.shape[0], levels * ndof
         if n != num_columns * blk:
             raise ValueError("operator size inconsistent with columns x levels x ndof")
-        if getattr(A, "collapse_map", None) is None:
-            raise OperatorModeError(
-                f"{type(self).__name__} needs an operator exposing collapse_map() "
-                f"(CsrMatrix or MatrixFreeJacobian); got {type(A).__name__}"
-            )
         if symbolic is None:
             symbolic = A.collapse_map(blk, *column_aggregates(n, blk, ndof))
         self.A, self.symbolic = A, symbolic
@@ -94,17 +89,15 @@ class ColumnCollapseMdsc:
         """Modeled HBM traffic of one V-cycle (roofline attribution).
 
         Each smoother sweep streams the fine operator once (its
-        residual product, priced per operator mode by
-        ``operator_traffic``) plus three vector passes for the block
-        solve and update -- except the first pre-smoothing sweep, which
-        starts from zero and needs no operator product; the coarse
+        residual product, the operator's ``bytes_per_matvec``) plus
+        three vector passes for the block solve and update -- except
+        the first pre-smoothing sweep, which starts from zero and needs
+        no operator product; the coarse
         correction adds one fine residual product and the
         restriction/prolongation vector streams (the tiny collapsed
         factor solve is counted as coarse-vector traffic).
         """
-        from repro.gpusim.solver_bytes import operator_traffic, vector_stream_bytes
-
-        n, op_b = self.A.shape[0], operator_traffic(self.A)[1]
+        n, op_b = self.A.shape[0], self.A.bytes_per_matvec
         sweeps = 2 * self.smoother.iters  # pre + post relaxation
         smoother_b = (sweeps - 1) * op_b + sweeps * 3 * vector_stream_bytes(n)
         coarse_b = (

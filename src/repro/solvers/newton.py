@@ -155,27 +155,6 @@ class NewtonResult:
         return self.residual_norms[-1]
 
 
-def _jacobian_finite(J) -> bool:
-    """Finiteness check on a Jacobian's stored values.
-
-    Solver operators (:class:`CsrMatrix`, :class:`DistributedMatrix`,
-    :class:`MatrixFreeJacobian`) answer through the operator protocol's
-    ``isfinite()``.  A foreign ``matvec``-only operator is probed with a
-    single ones-vector application: non-finite storage anywhere in a row
-    surfaces as a non-finite output entry, because a NaN/Inf coefficient
-    contaminates its row's sum.  Only objects exposing neither are
-    assumed healthy.
-    """
-    own_check = getattr(J, "isfinite", None)
-    if callable(own_check):
-        return bool(own_check())
-    probe_op = getattr(J, "matvec", None)
-    shape = getattr(J, "shape", None)
-    if callable(probe_op) and shape is not None:
-        return bool(np.all(np.isfinite(probe_op(np.ones(shape[1])))))
-    return True
-
-
 def _raise_nonfinite(step: int, phase: str, arr=None) -> None:
     detail = ""
     if arr is not None:
@@ -213,7 +192,8 @@ def newton_solve(
     residual_fn:
         ``x -> F(x)``, the residual-only path of the line search.
     jacobian_fn:
-        ``x -> J`` (object with ``matvec``); may be ``None`` when
+        ``x -> J``, an operator GMRES accepts (``J.isfinite()`` is the
+        per-step health check); may be ``None`` when
         ``residual_jacobian_fn`` is given.
     residual_jacobian_fn:
         ``x -> (F(x), J(x))`` evaluated in one sweep -- the step's one
@@ -309,7 +289,7 @@ def newton_solve(
         while True:
             f_new, J_new = sweep("reevaluate" if attempts else what, step)
             f_ok = bool(np.all(np.isfinite(f_new)))
-            if f_ok and _jacobian_finite(J_new):
+            if f_ok and J_new.isfinite():
                 if attempts:
                     log.record(
                         "recovery", "reevaluation", "newton.evaluate",

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fem.matfree import OperatorModeError
 from repro.fem.sparse import CsrMatrix
+from repro.gpusim.solver_bytes import vector_stream_bytes
 
 __all__ = [
-    "IdentityPreconditioner",
     "JacobiSmoother",
     "VerticalLineSmoother",
 ]
@@ -34,16 +33,6 @@ def _invert_column_blocks(blocks: np.ndarray) -> np.ndarray:
     bad = np.abs(diag) < 1.0e-300
     diag[bad] = 1.0
     return np.linalg.inv(blocks)
-
-
-class IdentityPreconditioner:
-    """No-op preconditioner (useful as a baseline in tests/benchmarks)."""
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return np.array(r)
-
-    def smooth(self, A, b, x, iters: int = 1) -> np.ndarray:
-        return np.array(x)
 
 
 class JacobiSmoother:
@@ -107,11 +96,6 @@ class VerticalLineSmoother:
     def __init__(
         self, A, block_size: int, omega: float | None = None, iters: int = 1, symbolic=None
     ):
-        if getattr(A, "collapse_map", None) is None:
-            raise OperatorModeError(
-                "VerticalLineSmoother needs an operator exposing collapse_map() / "
-                f"column_blocks() (CsrMatrix or MatrixFreeJacobian); got {type(A).__name__}"
-            )
         n = A.shape[0]
         if n % block_size != 0:
             raise ValueError(f"matrix size {n} not divisible by column block {block_size}")
@@ -146,12 +130,10 @@ class VerticalLineSmoother:
         stream plus three vector passes (block solve, norm, scale); the
         block extraction and inversion are not modeled.
         """
-        from repro.gpusim.solver_bytes import operator_traffic, vector_stream_bytes
-
         if self.lambda_max is None:
             return 0.0
         n = self.A.shape[0]
-        return _POWER_STEPS * (operator_traffic(self.A)[1] + 3 * vector_stream_bytes(n))
+        return _POWER_STEPS * (self.A.bytes_per_matvec + 3 * vector_stream_bytes(n))
 
     def _block_solve(self, r: np.ndarray) -> np.ndarray:
         rb = r.reshape(self.nblocks, self.blk)

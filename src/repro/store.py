@@ -132,14 +132,12 @@ def content_digest(key: str) -> str:
 
 
 class CacheEntry:
-    """One built scenario: problem artifacts + last good result."""
+    """One built scenario: its problem artifacts and their lock."""
 
     def __init__(self, scenario, test):
         self.scenario = scenario
         #: the built AntarcticaTest (mesh + geometry + problem)
         self.test = test
-        #: last known-good VelocitySolution (the cached-result rung)
-        self.last_good = None
         #: held by whoever solves on, or refreshes, this entry's problem
         self.lock = threading.Lock()
         self.hits = 0
@@ -160,8 +158,7 @@ class ArtifactCache:
     another solve on it, so built problems are reused by
     ``scenario.digest`` -- anything with a ``digest`` will do (and a
     ``to_config()`` when no builder is injected).  An entry
-    also keeps the last known-good solution (serve's bottom degradation
-    rung) and a lock: the problem holds per-solve mutable state (timers,
+    also keeps a lock: the problem holds per-solve mutable state (timers,
     hooks, the refreshed geometry), so one caller at a time per entry.
     """
 
@@ -206,14 +203,3 @@ class ArtifactCache:
             self._entries[digest] = entry
             metrics.gauge("serve.cache.entries").set(len(self._entries))
             return entry
-
-    def remember_good(self, scenario, result) -> None:
-        """Record a known-good result for the cached-result rung."""
-        entry = self._entries.get(scenario.digest)
-        if entry is not None:
-            entry.last_good = result
-
-    def cached_result(self, scenario):
-        """Last known-good result for ``scenario``, or None."""
-        entry = self._entries.get(scenario.digest)
-        return None if entry is None else entry.last_good

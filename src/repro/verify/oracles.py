@@ -1110,7 +1110,7 @@ def _oracle_matfree_solve():
     "GMRES byte accounting reconciles with the operator model in both operator modes",
 )
 def _oracle_matvec_bytes():
-    from repro.gpusim.solver_bytes import spmv_bytes
+    from repro.gpusim.solver_bytes import element_apply_bytes, spmv_bytes
     from repro.solvers.gmres import gmres
     from repro.solvers.smoothers import JacobiSmoother
 
@@ -1125,9 +1125,10 @@ def _oracle_matvec_bytes():
     ra = gmres(A, b, tol=1e-6, restart=200, maxiter=400, M=JacobiSmoother(A, iters=3))
     rm = gmres(B, b, tol=1e-6, restart=200, maxiter=400, M=JacobiSmoother(B, iters=3))
     divs = []
-    # exact reconciliation: accumulated matvec bytes == count * model
-    expect_a = ra.matvecs * spmv_bytes(A.shape[0], A.nnz)
-    expect_m = rm.matvecs * B.bytes_per_matvec
+    # exact reconciliation: accumulated matvec bytes == count * model,
+    # priced here from each operator's arrays, not its own protocol
+    expect_a = ra.matvecs * spmv_bytes(A.shape[0], A.nnz, A.indices.itemsize)
+    expect_m = rm.matvecs * element_apply_bytes(B.n, *B.elem_dofs.shape, B.elem_dofs.itemsize)
     for name, got, want in (
         ("assembled.matvec_bytes", ra.matvec_bytes, expect_a),
         ("matrix-free.matvec_bytes", rm.matvec_bytes, expect_m),

@@ -49,13 +49,11 @@ def _profile(tmp_path, tag, *extra):
     from repro.__main__ import main
 
     out = tmp_path / f"trace_{tag}.json"
-    snap = tmp_path / f"snap_{tag}.json"
     rc = main([
-        "profile", "--out", str(out), "--snapshot", str(snap),
-        "--resolution-km", "400", "--layers", "4", *extra,
+        "profile", "--out", str(out), "--resolution-km", "400", "--layers", "4", *extra,
     ])
     assert rc == 0
-    return out, snap
+    return out
 
 
 class TestPlantedRegression:
@@ -64,8 +62,8 @@ class TestPlantedRegression:
     def test_perfdiff_ranks_planted_span_first(self, tmp_path, capsys):
         from repro.observability.perfdiff import main as perfdiff_main
 
-        _, base = _profile(tmp_path, "base")
-        _, cur = _profile(tmp_path, "slow", "--plant-slow", f"{self.PLANT}:0.001")
+        base = _profile(tmp_path, "base")
+        cur = _profile(tmp_path, "slow", "--plant-slow", f"{self.PLANT}:0.001")
         capsys.readouterr()  # drop the profile chatter
 
         assert perfdiff_main([str(base), str(cur)]) == 0
@@ -180,9 +178,10 @@ class TestAttributionOverhead:
 
 class TestSnapshotReconciliation:
     def test_snapshot_self_never_exceeds_total(self, tmp_path):
-        _, snap = _profile(tmp_path, "recon")
-        doc = json.loads(snap.read_text())
-        assert doc["kind"] == "perf_snapshot" and doc["schema_version"] == 1
+        """The span aggregate perfdiff reads from a profile's Chrome trace."""
+        from repro.observability.perfdiff import load_perf_document
+
+        doc = load_perf_document(str(_profile(tmp_path, "recon")))
         assert doc["spans"]
         for name, rec in doc["spans"].items():
             assert 0.0 <= rec["self_s"] <= rec["total_s"] + 1e-9, name

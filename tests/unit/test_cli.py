@@ -51,8 +51,7 @@ def test_ci_gates_keep_their_flags():
     ci = _documented_invocations(REPO_ROOT / ".github/workflows/ci.yml")
     assert ["chaos", "--check", "--openmetrics", "/tmp/serve.om"] in ci
     assert [
-        "profile", "--out", "/tmp/trace.json", "--snapshot", "/tmp/perf_snapshot.json",
-        "--openmetrics", "/tmp/metrics.om",
+        "profile", "--out", "/tmp/trace.json", "--openmetrics", "/tmp/metrics.om",
     ] in ci
 
 

@@ -49,10 +49,15 @@ class TickingClock:
         return self.t
 
 
+def _csr(m):
+    m = m.tocsr()
+    return CsrMatrix(m.shape, m.indptr, m.indices, m.data)
+
+
 def _laplace_1d(n):
     main = 2.0 * np.ones(n)
     off = -1.0 * np.ones(n - 1)
-    return CsrMatrix.from_scipy(sp.diags([off, main, off], [-1, 0, 1]).tocsr())
+    return _csr(sp.diags([off, main, off], [-1, 0, 1]))
 
 
 def _cubic_system():
@@ -63,7 +68,7 @@ def _cubic_system():
         return x**3 - c
 
     def J(x):
-        return CsrMatrix.from_scipy(sp.diags(3.0 * x**2).tocsr())
+        return _csr(sp.diags(3.0 * x**2))
 
     return F, J, np.array([3.0, 3.0, 3.0, 3.0])
 

@@ -20,36 +20,46 @@ from repro.solvers import BlockReducer, column_block_reducer, gmres
 from repro.solvers.reductions import BlockReducer as BlockReducerDirect
 
 
+def _csr(dense):
+    S = sp.csr_matrix(dense)
+    return CsrMatrix(S.shape, S.indptr, S.indices, S.data)
+
+
 def _random_spd(n, seed=0):
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n))
-    return CsrMatrix.from_scipy(sp.csr_matrix(B @ B.T + n * np.eye(n)))
+    return _csr(B @ B.T + n * np.eye(n))
 
 
 def _random_nonsymmetric(n, seed=1):
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n)) + n * np.eye(n) + np.triu(rng.normal(size=(n, n)), 1)
-    return CsrMatrix.from_scipy(sp.csr_matrix(B))
+    return _csr(B)
 
 
-def _row_block_matvec(A, block_ptr):
+class _RowBlockOperator:
     """Row-partitioned SpMV: each 'rank' owns a contiguous row block.
 
     Rank-local products are placed into the result -- the distributed
     pattern with one owner per row.  scipy's CSR row slicing keeps each
     row's entries in order, so every row sum is bitwise equal to the
-    serial SpMV.
+    serial SpMV.  The operator protocol is ``A``'s.
     """
-    S = A.to_scipy()
-    blocks = [S[int(a) : int(b)] for a, b in zip(block_ptr[:-1], block_ptr[1:])]
 
-    def matvec(x):
-        y = np.empty(A.shape[0])
-        for (a, b), blk in zip(zip(block_ptr[:-1], block_ptr[1:]), blocks):
-            y[int(a) : int(b)] = blk @ x
+    def __init__(self, A, block_ptr):
+        S = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+        self.n = A.shape[0]
+        self.blocks = [
+            (int(a), int(b), S[int(a) : int(b)]) for a, b in zip(block_ptr[:-1], block_ptr[1:])
+        ]
+        self.operator_mode = A.operator_mode
+        self.bytes_per_matvec, self.flops_per_matvec = A.bytes_per_matvec, A.flops_per_matvec
+
+    def matvec(self, x):
+        y = np.empty(self.n)
+        for a, b, blk in self.blocks:
+            y[a:b] = blk @ x
         return y
-
-    return matvec
 
 
 def _block_ptr(n, nblocks):
@@ -71,7 +81,7 @@ class TestDistributedGmresExact:
 
         serial = gmres(A, b, tol=1e-12, restart=15, maxiter=200, dot=red.dot, norm=red.norm)
         dist = gmres(
-            _row_block_matvec(A, ptr),
+            _RowBlockOperator(A, ptr),
             b,
             tol=1e-12,
             restart=15,

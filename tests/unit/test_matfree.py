@@ -3,27 +3,27 @@
 Covers the :class:`MatrixFreeJacobian` protocol (matvec, diagonal,
 column blocks, Galerkin collapse) against hand-assembled dense
 references and the real assembled Jacobian; the GMRES matvec budget
-and byte-accounting regressions; the Newton finiteness probe
-for opaque operators (with a NaN-poisoned matrix-free operator under a
-:class:`RecoveryPolicy`); the fail-fast :class:`OperatorModeError` for
-operators without ``collapse_map``; and the preconditioner x operator
-mode constructibility matrix.
+and byte-accounting regressions; the Newton finiteness check through
+each operator's ``isfinite()`` (with a NaN-poisoned matrix-free operator
+under a :class:`RecoveryPolicy`); and the preconditioner x operator mode
+constructibility matrix.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
 from repro.app.config import PRECONDITIONER_TABLE
 from repro.app.velocity_solver import StokesVelocityProblem
-from repro.fem.matfree import MatrixFreeJacobian, OperatorModeError
+from repro.fem.matfree import MatrixFreeJacobian
 from repro.fem.sparse import CsrMatrix
 from repro.resilience import RecoveryPolicy
 from repro.solvers.gmres import gmres
 from repro.solvers.multigrid import ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc
-from repro.solvers.newton import _jacobian_finite, newton_solve
+from repro.solvers.newton import newton_solve
 from repro.solvers.smoothers import VerticalLineSmoother
 
 SMALL = AntarcticaConfig(
@@ -106,16 +106,16 @@ class TestMatrixFreeJacobian:
         agg = np.array([0, 1, 0, 1, 0, 1, 0, 1])  # collapse to 2 coarse dofs
         P = np.zeros((8, 2))
         P[np.arange(8), agg] = 1.0
-        Ac = op.collapse(agg, 2)
+        Ac = op.collapse_map(None, agg, 2).collapse(op)
         assert np.allclose(Ac.toarray(), P.T @ ref @ P, rtol=1e-13, atol=1e-13)
 
     def test_matvec_counter_and_shape(self):
+        """The operator counts nothing itself: tests that count products
+        wrap it in :class:`_CountingMatrixFree`."""
         op, _ = _tiny_operator()
         assert op.shape == (8, 8)
-        assert op.num_matvecs == 0
-        op.matvec(np.zeros(8))
-        op @ np.zeros(8)
-        assert op.num_matvecs == 2
+        v = np.arange(8.0)
+        assert np.array_equal(op.matvec(v), op @ v)
 
     def test_isfinite_flags_poisoned_blocks(self):
         op, _ = _tiny_operator()
@@ -126,6 +126,12 @@ class TestMatrixFreeJacobian:
     def test_bytes_per_matvec_positive(self):
         op, _ = _tiny_operator()
         assert op.bytes_per_matvec > 0.0
+        # per cell: the 4 x 4 block, 4 int64 dof ids, 4 gathered values;
+        # then the 8-dof ``y`` accumulate
+        assert op.elem_dofs.dtype == np.int64
+        assert op.bytes_per_matvec == 3 * (16 * 8 + 4 * 8 + 4 * 8) + 2 * 8 * 8
+        assert op.flops_per_matvec == 3 * (2 * 16 + 4)
+        assert op.operator_mode == "matrix-free"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -138,6 +144,47 @@ class TestMatrixFreeJacobian:
         op, _ = _tiny_operator()
         with pytest.raises(ValueError, match="length"):
             op.matvec(np.zeros(7))
+
+
+class TestOperatorProtocol:
+    """The three operators a solve builds answer the same four members:
+    ``operator_mode``, ``bytes_per_matvec``, ``flops_per_matvec`` and
+    ``isfinite()``, each priced from the dtypes of its own arrays."""
+
+    @pytest.fixture(scope="class")
+    def operators(self, problem_pair, jacobian_pair):
+        pa, _ = problem_pair
+        A, B, u = jacobian_pair
+        spmd = StokesVelocityProblem(pa.mesh, pa.geometry, replace(SMALL.velocity, nparts=4))
+        return {"csr": A, "matrix-free": B, "distributed": spmd.jacobian(u)}
+
+    def test_distributed_prices_as_its_gathered_matrix(self, operators):
+        D, A = operators["distributed"], operators["csr"]
+        G = D.gather_global()
+        n, nnz = G.shape[0], G.nnz
+        assert G.indices.dtype == G.indptr.dtype == np.int32
+        assert D.bytes_per_matvec == G.bytes_per_matvec == A.bytes_per_matvec
+        assert D.bytes_per_matvec == 12 * nnz + 4 * (n + 1) + 16 * n
+        assert D.flops_per_matvec == G.flops_per_matvec == 2 * nnz
+        assert D.operator_mode == G.operator_mode == "assembled"
+
+    @pytest.mark.parametrize("name", ["csr", "matrix-free", "distributed"])
+    def test_isfinite_catches_one_planted_nan(self, operators, name):
+        op = operators[name]
+        assert op.operator_mode == ("matrix-free" if name == "matrix-free" else "assembled")
+        assert op.bytes_per_matvec > op.flops_per_matvec > 0.0
+        values = {
+            "csr": lambda: op.data, "matrix-free": lambda: op.local_jac.reshape(-1),
+            "distributed": lambda: op.data_parts[-1],
+        }[name]()
+        assert op.isfinite()
+        kept = values[len(values) // 2]
+        values[len(values) // 2] = np.nan
+        try:
+            assert not op.isfinite()
+        finally:
+            values[len(values) // 2] = kept
+        assert op.isfinite()
 
 
 class TestAgainstAssembled:
@@ -208,10 +255,6 @@ class TestMatrixFreeSmoothers:
             )
             assert np.array_equal(op.column_blocks(blk), diag_blocks), name
 
-    def test_requires_column_blocks(self):
-        with pytest.raises(OperatorModeError, match="column_blocks"):
-            VerticalLineSmoother(_CountingOperator(np.eye(4)), 2)
-
     def test_mdsc_matches_assembled(self, problem_pair, jacobian_pair):
         pa, _ = problem_pair
         A, B, _ = jacobian_pair
@@ -240,12 +283,12 @@ class TestMatrixFreeSmoothers:
         for op in (A, B):
             sm = VerticalLineSmoother(op, blk, iters=iters)
             assert np.array_equal(sm.apply(r), sm.smooth(op, r, np.zeros_like(r)))
-        before = B.num_matvecs
+        B = _CountingMatrixFree(B)
         sm = VerticalLineSmoother(B, blk, iters=iters)
-        built = B.num_matvecs
-        assert built - before == 10
+        built = B.count
+        assert built == 10
         sm.apply(r)
-        assert B.num_matvecs - built == iters - 1
+        assert B.count - built == iters - 1
 
     def test_vcycle_operator_products_and_bytes(self, problem_pair, jacobian_pair):
         """One V-cycle applies the fine operator ``2 * iters`` times
@@ -256,6 +299,7 @@ class TestMatrixFreeSmoothers:
 
         pa, _ = problem_pair
         A, B, _ = jacobian_pair
+        B = _CountingMatrixFree(B)
         kw = dict(
             num_columns=pa.mesh.footprint.num_nodes, levels=pa.mesh.levels, smoother_iters=2
         )
@@ -264,9 +308,9 @@ class TestMatrixFreeSmoothers:
         nco = 2 * kw["num_columns"]
 
         mf = MatrixFreeColumnCollapseMdsc(B, **kw)
-        before = B.num_matvecs
+        before = B.count
         x = mf.apply(r)
-        assert B.num_matvecs - before == 4
+        assert B.count - before == 4
         x0 = mf.smoother.smooth(B, r, np.zeros_like(r))
         rr = r - B.matvec(x0)
         agg = mf.symbolic.agg
@@ -276,16 +320,12 @@ class TestMatrixFreeSmoothers:
         vec, cvec = vector_stream_bytes(n), vector_stream_bytes(nco)
         assert mf.bytes_per_apply == 4 * B.bytes_per_matvec + 16 * vec + 4 * cvec
         asm = ColumnCollapseMdsc(A, **kw)
-        assert asm.bytes_per_apply == 4 * spmv_bytes(n, A.nnz) + 16 * vec + 4 * cvec
+        assert A.indices.dtype == np.int32  # the plan's structure: 4 B per index
+        assert asm.bytes_per_apply == 4 * spmv_bytes(n, A.nnz, 4) + 16 * vec + 4 * cvec
         # the set-up's damping estimate: ten operator streams, each with
         # a block solve priced like a smoother sweep
         assert mf.bytes_per_setup == 10 * (B.bytes_per_matvec + 3 * vec)
-        assert asm.bytes_per_setup == 10 * (spmv_bytes(n, A.nnz) + 3 * vec)
-
-    def test_mdsc_requires_collapse(self):
-        for cls in (ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc):
-            with pytest.raises(OperatorModeError, match="collapse"):
-                cls(_CountingOperator(np.eye(8)), num_columns=2, levels=2)
+        assert asm.bytes_per_setup == 10 * (spmv_bytes(n, A.nnz, 4) + 3 * vec)
 
 
 class TestSymbolicSetup:
@@ -380,21 +420,29 @@ class TestSymbolicSetup:
         assert mf.bytes_per_apply > 0.0  # what the tracer's ``_apply_bytes`` reads
 
 
-class _CountingOperator:
-    """Opaque matvec+shape operator wrapping a dense matrix."""
+class _CountingOperator(CsrMatrix):
+    """A dense matrix as a :class:`CsrMatrix` that counts its products."""
 
-    def __init__(self, M, poison=False):
-        self.M = np.asarray(M, dtype=np.float64)
-        self.shape = self.M.shape
+    def __init__(self, M):
+        S = sp.csr_matrix(np.asarray(M, dtype=np.float64))
+        super().__init__(S.shape, S.indptr, S.indices, S.data)
         self.count = 0
-        self.poison = poison
 
     def matvec(self, x):
         self.count += 1
-        y = self.M @ x
-        if self.poison:
-            y[0] = np.nan
-        return y
+        return super().matvec(x)
+
+
+class _CountingMatrixFree(MatrixFreeJacobian):
+    """A copy of a matrix-free operator that counts its products."""
+
+    def __init__(self, B):
+        super().__init__(B.elem_dofs, B.local_jac, B.n, B.bc_dofs, B.diag_scale)
+        self.count = 0
+
+    def matvec(self, x):
+        self.count += 1
+        return super().matvec(x)
 
 
 def _spd(n, seed=3):
@@ -465,37 +513,27 @@ class TestFusedOrthogonalization:
     def test_byte_accounting_fields_present(self):
         op = _CountingOperator(_spd(20))
         res = gmres(op, np.ones(20), tol=1e-10, restart=20, maxiter=60)
-        assert res.operator_mode == "opaque"
-        assert res.matvec_bytes == 0.0  # opaque operators are unpriced
+        assert res.operator_mode == "assembled"
+        assert res.matvec_bytes == op.count * op.bytes_per_matvec > 0.0
         assert res.stream_bytes > 0.0
 
 
 class TestJacobianFiniteProbe:
-    """Regression: ``_jacobian_finite`` returned True for any operator
-    without ``.data`` -- NaN-poisoned matrix-free Jacobians sailed
-    through the step-boundary health check."""
+    """Regression: the step-boundary health check once passed any
+    operator without ``.data`` -- NaN-poisoned matrix-free Jacobians
+    sailed through.  Newton now asks every operator's ``isfinite()``."""
 
     def test_csr_paths(self):
         A = CsrMatrix.identity(3)
-        assert _jacobian_finite(A)
+        assert A.isfinite()
         A.data[1] = np.inf
-        assert not _jacobian_finite(A)
+        assert not A.isfinite()
 
     def test_matrix_free_own_check(self):
         op, _ = _tiny_operator()
-        assert _jacobian_finite(op)
+        assert op.isfinite()
         op.local_jac[0, 0, 0] = np.nan
-        assert not _jacobian_finite(op)
-
-    def test_opaque_operator_probed_via_matvec(self):
-        assert _jacobian_finite(_CountingOperator(np.eye(4)))
-        assert not _jacobian_finite(_CountingOperator(np.eye(4), poison=True))
-        M = np.eye(4)
-        M[2, 2] = np.nan
-        assert not _jacobian_finite(_CountingOperator(M))
-
-    def test_unprobeable_object_assumed_healthy(self):
-        assert _jacobian_finite(object())
+        assert not op.isfinite()
 
     def test_newton_rejects_poisoned_matrix_free_without_policy(self):
         op, ref = _tiny_operator(with_bc=False)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.observability.perfdiff import (
     DEFAULT_MIN_DELTA_S,
-    SNAPSHOT_KIND,
     diff_documents,
     format_diff,
     load_perf_document,
@@ -16,32 +15,16 @@ from repro.observability.perfdiff import (
 )
 
 
-def _snapshot(path, spans, counters=None, label=None):
-    doc = {
-        "kind": SNAPSHOT_KIND,
-        "schema_version": 1,
-        "spans": spans,
-        "counters": counters or {},
-    }
-    if label:
-        doc["label"] = label
-    path.write_text(json.dumps(doc))
+def _bench(path, spans):
+    """A bench document carrying per-span aggregates."""
+    path.write_text(json.dumps({"bench": "test", "spans": spans}))
     return str(path)
 
 
 class TestLoadPerfDocument:
-    def test_snapshot_format(self, tmp_path):
-        p = _snapshot(
-            tmp_path / "s.json",
-            {"gmres.cycle": {"count": 8, "total_s": 2.0, "self_s": 0.5}},
-            counters={"gmres": {"iterations": 292}},
-        )
-        doc = load_perf_document(p)
-        assert doc["spans"]["gmres.cycle"] == {"count": 8, "total_s": 2.0, "self_s": 0.5}
-        assert doc["counters"] == {"gmres.iterations": 292.0}
-
     def test_snapshot_without_self_falls_back_to_total(self, tmp_path):
-        p = _snapshot(tmp_path / "s.json", {"a": {"count": 1, "total_s": 3.0}})
+        """A span aggregate written without self time diffs on inclusive time."""
+        p = _bench(tmp_path / "s.json", {"a": {"count": 1, "total_s": 3.0}})
         doc = load_perf_document(p)
         assert doc["spans"]["a"]["self_s"] == 3.0
 
@@ -156,16 +139,16 @@ class TestDiffDocuments:
 
 class TestCli:
     def test_main_prints_attribution_table(self, tmp_path, capsys):
-        a = _snapshot(tmp_path / "a.json", {"slow": {"count": 1, "total_s": 1.0, "self_s": 1.0}})
-        b = _snapshot(tmp_path / "b.json", {"slow": {"count": 1, "total_s": 2.0, "self_s": 2.0}})
+        a = _bench(tmp_path / "a.json", {"slow": {"count": 1, "total_s": 1.0, "self_s": 1.0}})
+        b = _bench(tmp_path / "b.json", {"slow": {"count": 1, "total_s": 2.0, "self_s": 2.0}})
         assert main([a, b]) == 0
         out = capsys.readouterr().out
         assert "top regression: slow" in out
         assert "Span attribution by self time" in out
 
     def test_main_json_report(self, tmp_path, capsys):
-        a = _snapshot(tmp_path / "a.json", {"s": {"count": 1, "total_s": 1.0, "self_s": 1.0}})
-        b = _snapshot(tmp_path / "b.json", {"s": {"count": 1, "total_s": 3.0, "self_s": 3.0}})
+        a = _bench(tmp_path / "a.json", {"s": {"count": 1, "total_s": 1.0, "self_s": 1.0}})
+        b = _bench(tmp_path / "b.json", {"s": {"count": 1, "total_s": 3.0, "self_s": 3.0}})
         out_json = tmp_path / "report.json"
         assert main([a, b, "--json", str(out_json)]) == 0
         report = json.loads(out_json.read_text())
@@ -173,7 +156,7 @@ class TestCli:
 
     def test_main_bad_input_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
-        ok = _snapshot(tmp_path / "ok.json", {})
+        ok = _bench(tmp_path / "ok.json", {})
         assert main([missing, ok]) == 2
         assert "perfdiff:" in capsys.readouterr().err
 

@@ -35,6 +35,7 @@ from repro.serve import (
     WorkerPool,
 )
 from repro.serve import breaker
+from repro.serve import service as serve_service
 from repro.serve.http import serve_http
 
 
@@ -115,6 +116,33 @@ class TestRequests:
         c = scenario("a", resolution_km=501.0)
         assert a.digest == b.digest
         assert a.digest != c.digest
+
+    def test_equal_problems_share_one_digest(self):
+        """``600`` and ``600.0`` build equal configs, so they are one
+        problem: one cache entry, one dedup key, one breaker."""
+        a = scenario("a", resolution_km=600, num_layers=3.0, nparts=1, newton_steps=8.0)
+        b = scenario("b", resolution_km=600.0, num_layers=3, nparts=1.0, newton_steps=8)
+        assert a.digest == b.digest == scenario("c").digest
+        assert type(a.resolution_km) is float
+        assert [type(getattr(a, f)) for f in ("num_layers", "nparts", "newton_steps")] == [int] * 3
+        assert a.to_config() == b.to_config()
+
+    @pytest.mark.parametrize("field", ["num_layers", "nparts", "newton_steps"])
+    @pytest.mark.parametrize("value", [3.5, True, "3", float("nan")])
+    def test_a_count_that_is_not_whole_is_refused(self, field, value):
+        """Refused at admission, not in the worker (``AntarcticaConfig``
+        raised ``TypeError`` deep in the build) and not truncated."""
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            scenario("bad", **{field: value})
+
+    def test_configs_refuse_a_count_that_is_not_whole(self):
+        from repro.app.config import AntarcticaConfig, VelocityConfig
+
+        with pytest.raises(ValueError, match="num_layers must be a whole number"):
+            AntarcticaConfig(num_layers=3.5)
+        with pytest.raises(ValueError, match="nparts must be a whole number"):
+            VelocityConfig(nparts=2.5)
+        assert AntarcticaConfig(num_layers=3.0).key == AntarcticaConfig(num_layers=3).key
 
     def test_coarsened(self):
         s = scenario("s", resolution_km=500.0, num_layers=8)
@@ -306,8 +334,29 @@ class TestSolveService:
             assert resp.result is not None
             assert resp.completed
             # success recorded as the cached-result rung's last good
-            assert service.cache.cached_result(scenario("a")) is resp.result
+            assert service.cached_result(scenario("a")) is resp.result
             assert problems["a"].calls[0]["preconditioner"] is None
+        run(body())
+
+    def test_remember_good_feeds_cached_result(self, monkeypatch):
+        """The service keeps the cached rung itself, one bounded map for
+        every cache: the most recently solved ``MAX_ENTRIES`` digests."""
+        monkeypatch.setattr(serve_service, "MAX_ENTRIES", 2)
+
+        async def body():
+            service, _ = make_service()
+            a, b, c = scenario("a"), scenario("b", num_layers=4), scenario("c", num_layers=5)
+            async with service:
+                assert service.cached_result(a) is None
+                ra = await service.submit(SolveRequest(a))
+                assert service.cached_result(a) is ra.result is not None
+                rb = await service.submit(SolveRequest(b))
+                ra2 = await service.submit(SolveRequest(a))  # a is now the newest
+                await service.submit(SolveRequest(c))  # drops b
+            assert service.cached_result(a) is ra2.result
+            assert service.cached_result(b) is None and rb.result is not None
+            assert service.cached_result(c) is not None
+            assert not hasattr(service.cache, "cached_result")
         run(body())
 
     def test_retry_then_ok(self):
@@ -735,6 +784,17 @@ class TestHttp:
         error = json.loads(payload)["error"]
         assert code == 400
         assert ("must be finite" if doc.startswith("{") else "JSON object") in error
+        assert not problems
+
+    @pytest.mark.parametrize(
+        "doc", ['{"num_layers": 3.7}', '{"nparts": "2"}', '{"resolution_km": "600"}']
+    )
+    def test_a_value_of_the_wrong_type_is_a_400(self, doc):
+        """The JSON values reach the scenario as sent: a 3.7-layer request
+        used to solve 3 layers (``int()`` truncated it)."""
+        ((code, payload),), problems = self._post([self._solve_request(doc)])
+        assert code == 400
+        assert "must be a" in json.loads(payload)["error"]
         assert not problems
 
     @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])

@@ -246,15 +246,6 @@ class TestArtifactCache:
         assert cache.peek(b) is None
         assert cache.peek(c) is not None
 
-    def test_remember_good_feeds_cached_result(self):
-        cache, _ = make_cache()
-        s = scenario("a")
-        assert cache.cached_result(s) is None
-        cache.get(s)
-        token = object()
-        cache.remember_good(s, token)
-        assert cache.cached_result(s) is token
-
     def test_serve_path_is_the_same_class(self):
         """The frozen benchmark patches ``repro.serve.cache.ArtifactCache.get``."""
         from repro.serve import cache as serve_cache

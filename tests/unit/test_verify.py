@@ -217,13 +217,16 @@ class TestSanitizer:
         assert san.summary()["events"] == 0
 
     def test_gmres_runs_clean_under_sanitizer(self):
+        from repro.fem.sparse import CsrMatrix
         from repro.solvers.gmres import gmres
 
         rng = np.random.default_rng(0)
-        A = np.diag(rng.uniform(1.0, 2.0, 20)) + 0.01 * rng.normal(size=(20, 20))
+        dense = np.diag(rng.uniform(1.0, 2.0, 20)) + 0.01 * rng.normal(size=(20, 20))
+        rows, cols = np.nonzero(dense)
+        A = CsrMatrix.from_coo(rows, cols, dense[rows, cols], dense.shape)
         b = rng.normal(size=20)
         with sanitizing() as san:
-            result = gmres(lambda v: A @ v, b, tol=1e-10)
+            result = gmres(A, b, tol=1e-10)
         assert result.converged
         assert san.counts["nonfinite"] == 0
 
@@ -296,17 +299,17 @@ class TestOracles:
         assert len(divs) == 8
 
     def test_matvec_bytes_oracle_detects_a_miscounted_matvec(self, monkeypatch):
-        """GMRES billing one word per matvec more than the operator model
-        prices is a divergence of both modes' counters."""
-        from repro.gpusim import solver_bytes
+        """An operator pricing one word per matvec more than the byte
+        model of its arrays is a divergence of both modes' counters."""
+        from repro.fem.matfree import MatrixFreeJacobian
+        from repro.fem.sparse import CsrMatrix
         from repro.verify.oracles import ORACLES
 
         oracle = [o for o in ORACLES if o.name == "matvec-bytes-reconciliation"][0]
         assert not oracle.fn()[0]
-        exact = solver_bytes.operator_traffic
-        monkeypatch.setattr(
-            solver_bytes, "operator_traffic", lambda A: (exact(A)[0], exact(A)[1] + 8.0)
-        )
+        for cls in (CsrMatrix, MatrixFreeJacobian):
+            exact = cls.bytes_per_matvec.fget
+            monkeypatch.setattr(cls, "bytes_per_matvec", property(lambda A, f=exact: f(A) + 8.0))
         assert [d.name for d in oracle.fn()[0]] == [
             "assembled.matvec_bytes",
             "matrix-free.matvec_bytes",
