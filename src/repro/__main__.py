@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     observability_cli.register(sub)  # profile perfdiff
     verify_cli.register(sub)
     tune_cli.register(sub)
-    serve_cli.register(sub)  # serve chaos
+    serve_cli.register(sub)
     transient_cli.register(sub)
     sub.add_parser("all", help="every artifact, then the solve").set_defaults(run=everything)
     return ap

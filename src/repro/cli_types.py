@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import math
 
-__all__ = ["positive_int", "non_negative_int", "positive_float", "finite_float", "port", "span_delay"]
+__all__ = ["positive_int", "non_negative_int", "positive_float", "port", "span_delay"]
 
 
 def positive_int(text: str) -> int:
@@ -20,13 +20,6 @@ def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
-def finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

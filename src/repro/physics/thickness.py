@@ -100,7 +100,6 @@ class ThicknessEvolver:
         smb: np.ndarray | float = 0.0,
         bmb: np.ndarray | float = 0.0,
         enforce_cfl: bool = True,
-        flux_leak: float = 0.0,
     ) -> np.ndarray:
         """Advance ``H`` by ``dt`` years.
 
@@ -116,13 +115,6 @@ class ThicknessEvolver:
             Refuse ``dt`` beyond the stability bound with a typed
             :class:`CflViolationError` (the default); explicit opt-out
             for callers that sub-cycle themselves.
-        flux_leak:
-            Deliberate conservation violation: each edge flux deposits an
-            extra ``flux_leak`` fraction into its left cell only, so the
-            edge sum no longer telescopes to zero.  This is the planted
-            defect the CI ``transient-scenarios`` negative control arms
-            to prove the volume-conservation gate actually fires; it is
-            never set in production paths.
         """
         fp = self.footprint
         thickness = np.asarray(thickness, dtype=np.float64)
@@ -144,8 +136,6 @@ class ThicknessEvolver:
         dh = np.zeros(fp.num_elems)
         np.add.at(dh, l, -flux)
         np.add.at(dh, r, flux)
-        if flux_leak != 0.0:
-            np.add.at(dh, l, -flux_leak * np.abs(flux))
         dh /= self.areas
 
         h_unclipped = thickness + dt * (dh + np.asarray(smb) + np.asarray(bmb))

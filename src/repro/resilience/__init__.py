@@ -29,7 +29,8 @@ Quick start::
         solution = problem.solve(resilience=policy)
     print(solution.diagnostics["resilience"])
 
-or from the command line: ``python -m repro chaos``.
+or from the command line: ``python -m repro verify --suite serve`` (the chaos
+scenario, which arms the reference schedule on a 4-rank request).
 """
 
 from __future__ import annotations

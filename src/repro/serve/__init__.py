@@ -26,8 +26,8 @@ in the service shape that workload implies:
   from a zygote the service forks at construction: it builds and
   solves, the worker thread relays the job, the heartbeats and the
   outcome, so N workers compute on N cores;
-* :mod:`~repro.serve.chaos` -- the deterministic chaos acceptance run
-  behind ``python -m repro chaos``;
+* :mod:`~repro.serve.chaos` -- the deterministic chaos scenario, run by
+  the ``serve`` suite of ``python -m repro verify``;
 * :mod:`~repro.serve.http` -- a stdlib-only HTTP frontend
   (``/solve``, ``/healthz``, ``/metrics`` in OpenMetrics text).
 
@@ -43,7 +43,7 @@ Quick start::
             print(resp.status, resp.result.mean_velocity)
 
 or from the command line: ``python -m repro serve`` (HTTP) and
-``python -m repro chaos --check`` (the chaos gate).
+``python -m repro verify --suite serve`` (the chaos scenario).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from __future__ import annotations
 from repro.resilience.deadline import Deadline, SolveTimeout
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ArtifactCache, CacheEntry
-from repro.serve.chaos import run_chaos_check
 from repro.serve.pool import Job, KillSwitch, Worker, WorkerKilled, WorkerPool
 from repro.serve.requests import STATUSES, SolveRequest, SolveResponse, SolveScenario
 from repro.serve.service import SolveService
@@ -72,5 +71,4 @@ __all__ = [
     "Worker",
     "WorkerKilled",
     "WorkerPool",
-    "run_chaos_check",
 ]

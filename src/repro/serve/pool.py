@@ -23,7 +23,7 @@ Hangs are bounded by the request's cooperative
 Resume is exact: the fused Newton path re-evaluates the residual and
 Jacobian at the checkpointed iterate exactly as an uninterrupted step
 start would, so a killed-and-resumed solve is bitwise identical to an
-undisturbed one -- the property the chaos check asserts.
+undisturbed one -- the property the chaos scenario asserts.
 """
 
 from __future__ import annotations

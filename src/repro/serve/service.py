@@ -69,7 +69,6 @@ class SolveService:
         policy: RecoveryPolicy | None = None,
         cache: ArtifactCache | None = None,
         kill_switch: KillSwitch | None = None,
-        breaker_enabled: bool = True,
         clock=time.monotonic,
     ):
         if queue_size < 1:
@@ -85,7 +84,6 @@ class SolveService:
         #: the numerics processes this service forked (and stops)
         self._processes = ProcessCache() if cache is None else None
         self.cache = cache if cache is not None else self._processes
-        self.breaker_enabled = breaker_enabled
         self.kill_switch = kill_switch if kill_switch is not None else KillSwitch()
         self.clock = clock
         self.pool = WorkerPool(workers=workers)
@@ -152,7 +150,7 @@ class SolveService:
 
         # 2. circuit breaker (per scenario digest)
         br = self.breakers.get(digest)
-        if self.breaker_enabled and br is not None and not br.allow():
+        if br is not None and not br.allow():
             metrics.counter("serve.shed.breaker_open").inc()
             return self._finish(
                 SolveResponse(request=request, status="shed", reason="breaker_open"),

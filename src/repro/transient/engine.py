@@ -207,7 +207,6 @@ class TransientEngine:
         num_steps: int | None = None,
         resume_from: TransientCheckpoint | str | Path | None = None,
         kill_at_step: int | None = None,
-        plant_leak: float = 0.0,
         checkpoint_dir: str | Path | None = None,
         callback=None,
     ) -> TransientResult:
@@ -215,12 +214,11 @@ class TransientEngine:
 
         ``resume_from`` restarts bit-for-bit from a checkpoint (object
         or ``.npz`` path); ``kill_at_step=k`` checkpoints after step
-        ``k`` completes and raises :class:`TransientKilled` (the CI
-        resume drill); ``plant_leak`` passes a deliberate conservation
-        violation through to the evolver (the CI negative control);
-        ``callback(step, result_so_far_dict)`` observes each step.  A
-        fresh run takes at least one step; a resumed run with nothing left
-        to do returns the checkpointed state.
+        ``k`` completes and raises :class:`TransientKilled` (the resume
+        drill); ``k`` must be a step the run takes, ``start <= k <
+        num_steps``.  ``callback(step, result_so_far_dict)`` observes each
+        step.  A fresh run takes at least one step; a resumed run with
+        nothing left to do returns the checkpointed state.
         """
         sc = self.scenario
         total = sc.num_steps if num_steps is None else int(num_steps)
@@ -278,6 +276,9 @@ class TransientEngine:
             # reconstruct: only the cold first step of the original run
             # was not warm-started (flags are derived, not checkpointed)
             warm_flags = [sc.warm_start and i > 0 for i in range(len(newton_its))]
+        if kill_at_step is not None and not start <= kill_at_step < total:
+            raise ValueError(f"kill_at_step must be in [{start}, {total}), got {kill_at_step}")
+        if resume_from is not None:
             metrics.counter("transient.resumes").inc()
 
         clipped_total = 0.0
@@ -358,9 +359,7 @@ class TransientEngine:
                         if np.isfinite(dt_max):
                             dt = min(dt, sc.cfl_safety * dt_max)
                         smb, bmb = self._mass_balance(h, t)
-                        h = self.evolver.step(
-                            h, v_cell, dt, smb=smb, bmb=bmb, flux_leak=plant_leak
-                        )
+                        h = self.evolver.step(h, v_cell, dt, smb=smb, bmb=bmb)
                     clipped_total += self.evolver.last_step_stats["clipped_volume"]
                     source_total += self.evolver.last_step_stats["source_volume"]
 

@@ -117,8 +117,8 @@ SCENARIOS: dict[str, TransientScenario] = {
             description=(
                 "Closed mass budget on the synthetic Antarctica: zero "
                 "SMB/BMB over 20 coupled steps, so total ice volume is "
-                "a strict invariant.  The `transient --check` gate runs "
-                "this scenario and demands volume drift at roundoff, "
+                "a strict invariant.  The `transient-closed-budget` oracle "
+                "runs this scenario and demands volume drift at roundoff, "
                 "warm-start speedup, and bitwise kill/resume."
             ),
             num_steps=20,

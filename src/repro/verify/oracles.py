@@ -4,10 +4,12 @@ Every fast path in this repo exists as a rewrite of a slower reference
 -- optimized kernels vs the baseline listing, SFad derivatives vs the
 definition of a derivative, fused assembly vs separate evaluation, the
 SPMD solve vs the serial one, the rocprof byte formula vs the modeled
-traffic.  An :class:`Oracle` makes each such pair executable: run both
-sides, compare with an explicit tolerance contract, and report
-*first-divergence context* (slot, both values, error magnitudes) rather
-than a bare boolean.
+traffic, a resumed or faulted run vs the undisturbed one.  An
+:class:`Oracle` makes each such pair executable: run both sides, compare
+with an explicit tolerance contract, and report *first-divergence
+context* (slot, both values, error magnitudes) rather than a bare
+boolean.  An oracle with a planted negative control runs it too, and
+fails when the control goes undetected.
 
 The table is declarative: oracles register themselves into
 :data:`ORACLES` with a suite tag, and ``python -m repro verify --suite
@@ -16,7 +18,8 @@ contracts, from strictest to loosest:
 
 ======================  =========================================
 bitwise (rtol=atol=0)   SPMD vs serial, fused vs separate, value
-                        parts across scalar types, byte formula
+                        parts across scalar types, byte formula,
+                        resume vs uninterrupted, chaos vs fault-free
 1e-12 relative          kernel variants (reassociated fp sums)
 1e-12 relative          complex-step derivatives (exact method)
 1e-8 relative           central differences (roundoff-limited;
@@ -40,9 +43,11 @@ __all__ = [
     "run_oracles",
     "suite_names",
     "basis_divergences",
+    "drift_divergences",
+    "kill_resume_drill",
     "perturbed_divergences",
-    "predictor_resume_divergences",
     "qp_seeded_divergences",
+    "resume_divergences",
     "smoother_contraction_divergences",
 ]
 
@@ -52,7 +57,7 @@ class Oracle:
     """One executable implementation-vs-reference contract."""
 
     name: str
-    suite: str  # "kernels" | "jacobian" | "spmd" | "bytes"
+    suite: str  # "kernels" | "jacobian" | "spmd" | "bytes" | "matvec" | "transient" | "serve"
     description: str
     fn: object  # () -> (list[Divergence], detail_str)
 
@@ -764,137 +769,6 @@ def _oracle_sanitizer_clean():
     return divs, detail
 
 
-#: what forcing may cost and must save on the 12-step 400 km / 4 retreat
-#: run (measured: thickness 1.3e-9 of scale, volumes 2.6e-11, Newton
-#: steps 33 vs 32, GMRES iterations 102 vs 250)
-_INEXACT_THICKNESS_RTOL = 1.0e-7
-_INEXACT_VOLUME_RTOL = 1.0e-9
-_INEXACT_EXTRA_NEWTON_STEPS = 3
-_INEXACT_GMRES_SHARE = 0.45
-
-
-@_register(
-    "inexact-vs-exact-newton",
-    "jacobian",
-    "the retreat trajectory under Eisenstat-Walker forcing against every step solved to linear_tol",
-)
-def _oracle_inexact_newton():
-    """Both runs stop every solve on the same ``tol_abs``; pinning the
-    rule's ceiling to its floor is the exact solve."""
-    from unittest import mock
-
-    from repro.observability import get_metrics
-    from repro.solvers import newton
-    from repro.transient import TransientEngine, get_scenario
-
-    engine = TransientEngine(get_scenario("antarctica-retreat"))
-    iterations = get_metrics().counter("gmres.iterations")
-
-    def run():
-        before = iterations.value
-        result = engine.run()
-        return result, sum(result.newton_iterations), iterations.value - before
-
-    forced, forced_newton, forced_gmres = run()
-    with mock.patch.object(newton, "_ETA_MAX", newton.LINEAR_TOL):
-        exact, exact_newton, exact_gmres = run()
-
-    divs = []
-    for name, got, want, rtol in (
-        ("thickness", forced.thickness, exact.thickness, _INEXACT_THICKNESS_RTOL),
-        ("volumes", np.asarray(forced.volumes), np.asarray(exact.volumes), _INEXACT_VOLUME_RTOL),
-    ):
-        d = first_divergence(name, got, want, rtol=0.0, atol=rtol * float(np.max(np.abs(want))))
-        if d:
-            divs.append(d)
-    if forced_newton > exact_newton + _INEXACT_EXTRA_NEWTON_STEPS:
-        divs.append(
-            _out_of_bound(
-                "Newton steps", forced_newton, exact_newton + _INEXACT_EXTRA_NEWTON_STEPS
-            )
-        )
-    if forced_gmres > _INEXACT_GMRES_SHARE * exact_gmres:
-        divs.append(
-            _out_of_bound("GMRES iterations", forced_gmres, _INEXACT_GMRES_SHARE * exact_gmres)
-        )
-    return divs, (
-        f"{len(forced.dts)} steps: thickness @ {_INEXACT_THICKNESS_RTOL:g} of scale, volumes @ "
-        f"{_INEXACT_VOLUME_RTOL:g}; Newton steps {forced_newton} vs {exact_newton}, "
-        f"GMRES iterations {forced_gmres} vs {exact_gmres}"
-    )
-
-
-#: the predictor extrapolates from the steps before the kill (index 2 is
-#: the first step it fires on) and from the checkpoint's two velocities
-#: after it
-_PREDICTOR_KILL_AT = 2
-
-
-def _predictor_drill():
-    """``(engine, uninterrupted run, checkpoint loaded from the kill's .npz)``."""
-    import tempfile
-
-    from repro.transient import (
-        TransientCheckpoint,
-        TransientEngine,
-        TransientKilled,
-        get_scenario,
-    )
-
-    engine = TransientEngine(get_scenario("antarctica-retreat"))
-    full = engine.run()
-    with tempfile.TemporaryDirectory() as td:
-        try:
-            engine.run(kill_at_step=_PREDICTOR_KILL_AT, checkpoint_dir=td)
-        except TransientKilled as kill:
-            return engine, full, TransientCheckpoint.load(kill.path)
-    raise AssertionError("scripted kill did not fire")
-
-
-def predictor_resume_divergences(drop_u_before: bool = False, drill=None):
-    """The retreat run killed after step 3 and resumed from its ``.npz``
-    against the uninterrupted run, bitwise.  ``drop_u_before`` resumes
-    from the checkpoint with ``u_before`` emptied, the negative control
-    that must diverge."""
-    import dataclasses
-
-    engine, full, ckpt = drill or _predictor_drill()
-    if drop_u_before:
-        ckpt = dataclasses.replace(ckpt, u_before=np.empty(0))
-    resumed = engine.run(resume_from=ckpt)
-    divs = []
-    for name, got, want in (
-        ("thickness", resumed.thickness, full.thickness),
-        ("u", resumed.u, full.u),
-        ("particles_xy", resumed.particles.xy, full.particles.xy),
-        ("particles_zeta", resumed.particles.zeta, full.particles.zeta),
-        ("particles_active", resumed.particles.active, full.particles.active),
-        ("newton_iterations", resumed.newton_iterations, full.newton_iterations),
-    ):
-        d = first_divergence(name, got, want)
-        if d:
-            divs.append(d)
-    return divs
-
-
-@_register(
-    "transient-predictor-resume",
-    "jacobian",
-    "a retreat run killed while the velocity predictor fires resumes bitwise; dropping u_before diverges",
-)
-def _oracle_predictor_resume():
-    drill = _predictor_drill()
-    divs = predictor_resume_divergences(drill=drill)
-    planted = predictor_resume_divergences(drop_u_before=True, drill=drill)
-    if not planted:
-        divs.append(_out_of_bound("planted resume without u_before: divergences", 0.0, 1.0))
-    return divs, (
-        f"antarctica-retreat, {len(drill[1].dts)} steps, killed after step "
-        f"{_PREDICTOR_KILL_AT + 1}: thickness, u, particles and Newton counts bitwise; "
-        f"resume without u_before caught by {len(planted)} comparisons"
-    )
-
-
 # ======================================================================
 # suite "spmd": partitioned solves vs the serial solve
 # ======================================================================
@@ -1300,20 +1174,259 @@ def matfree_perturbed_divergences(rel: float = 1.0e-4):
 def _oracle_matfree_detection():
     divs = matfree_perturbed_divergences()
     if not divs:
-        return [
-            Divergence(
-                name="perturbed-operator-not-detected",
-                index=(0,),
-                lhs=0.0,
-                rhs=1.0,
-                abs_err=1.0,
-                max_abs_err=1.0,
-                num_bad=1,
-            )
-        ], "planted 1e-4 block perturbation was NOT detected"
+        return [_out_of_bound("perturbed-operator-not-detected", 0.0, 1.0)], (
+            "planted 1e-4 block perturbation was NOT detected"
+        )
     return [], (
         f"planted 1e-4 block perturbation detected "
         f"(max |diff| {divs[0].max_abs_err:.3e} over {divs[0].num_bad} entries)"
+    )
+
+
+# ======================================================================
+# suite "transient": the coupled thickness/velocity engine
+# ======================================================================
+
+#: antarctica-closed (20 steps) is killed after its 10th step, and
+#: antarctica-retreat (12 steps) after its 3rd: the velocity predictor
+#: fires on both sides of that kill (index 2 is its first step)
+_CLOSED_KILL_AT = 9
+_PREDICTOR_KILL_AT = 2
+#: relative volume drift under a zero mass balance (1.4e-16: interior
+#: upwind fluxes telescope exactly, so anything more is a bug); the
+#: planted leak's 3 steps each keep 1 - 1e-9 of the ice
+_DRIFT_TOL = 1.0e-12
+_PLANTED_LEAK = 1.0e-9
+#: GMRES iterations per warm Newton step (3.0; 8.0 at ``linear_tol``)
+_GMRES_PER_NEWTON = 4.0
+#: antarctica-retreat's 25 warm steps average at most 3.0 Newton steps
+#: (2.64; 3.56 when every step starts from the last velocity as it is)
+_PREDICTOR_WARM_STEPS = 25
+_WARM_NEWTON_MEAN = 3.0
+
+
+def kill_resume_drill(name: str, kill_at: int):
+    """``(engine, uninterrupted run of the library scenario ``name``, its
+    GMRES iterations per step, checkpoint loaded from the ``.npz`` of the
+    run killed after step ``kill_at + 1``)``."""
+    import tempfile
+
+    from repro.transient import (
+        TransientCheckpoint,
+        TransientEngine,
+        TransientKilled,
+        get_scenario,
+    )
+
+    engine = TransientEngine(get_scenario(name))
+    gmres = []
+    full = engine.run(callback=lambda step, info: gmres.append(info["gmres_iterations"]))
+    with tempfile.TemporaryDirectory() as td:
+        try:
+            engine.run(kill_at_step=kill_at, checkpoint_dir=td)
+        except TransientKilled as kill:
+            return engine, full, gmres, TransientCheckpoint.load(kill.path)
+    raise AssertionError("scripted kill did not fire")
+
+
+def resume_divergences(drill, drop_u_before: bool = False):
+    """The drill's run resumed from its ``.npz`` against the uninterrupted
+    run, bitwise.  ``drop_u_before`` resumes from the checkpoint with
+    ``u_before`` emptied, the negative control that must diverge wherever
+    the velocity predictor fires after the kill."""
+    import dataclasses
+
+    engine, full, _, ckpt = drill
+    if drop_u_before:
+        ckpt = dataclasses.replace(ckpt, u_before=np.empty(0))
+    resumed = engine.run(resume_from=ckpt)
+    divs = []
+    for name, got, want in (
+        ("thickness", resumed.thickness, full.thickness),
+        ("u", resumed.u, full.u),
+        ("particles_xy", resumed.particles.xy, full.particles.xy),
+        ("particles_zeta", resumed.particles.zeta, full.particles.zeta),
+        ("particles_active", resumed.particles.active, full.particles.active),
+        ("newton_iterations", resumed.newton_iterations, full.newton_iterations),
+    ):
+        d = first_divergence(name, got, want)
+        if d:
+            divs.append(d)
+    return divs
+
+
+def drift_divergences(result):
+    """The run's volume drift past ``_DRIFT_TOL`` (a non-finite one too)."""
+    drift = result.volume_drift
+    return [] if drift <= _DRIFT_TOL else [_out_of_bound("volume drift", drift, _DRIFT_TOL)]
+
+
+@_register(
+    "transient-closed-budget",
+    "transient",
+    "antarctica-closed conserves volume, warm steps beat the cold one on Newton and GMRES "
+    "budgets, a kill/resume is bitwise; a planted leak is caught",
+)
+def _oracle_closed_budget():
+    from unittest import mock
+
+    drill = kill_resume_drill("antarctica-closed", _CLOSED_KILL_AT)
+    engine, full, gmres, _ = drill
+    divs = drift_divergences(full) + resume_divergences(drill)
+    cold, warm = full.cold_iterations, full.warm_mean_iterations
+    if not warm < cold:
+        divs.append(_out_of_bound("warm mean Newton steps", warm, cold))
+    per_newton = sum(gmres[1:]) / sum(full.newton_iterations[1:])
+    if per_newton > _GMRES_PER_NEWTON:
+        divs.append(
+            _out_of_bound("GMRES iterations per warm Newton step", per_newton, _GMRES_PER_NEWTON)
+        )
+    step = engine.evolver.step
+    with mock.patch.object(
+        engine.evolver, "step", lambda *a, **kw: step(*a, **kw) * (1.0 - _PLANTED_LEAK)
+    ):
+        leaky = engine.run(num_steps=3)
+    if not drift_divergences(leaky):
+        divs.append(_out_of_bound("planted leak: volume drift", leaky.volume_drift, _DRIFT_TOL))
+    return divs, (
+        f"{len(full.dts)} steps: drift {full.volume_drift:.3e}; Newton steps cold {cold}, warm "
+        f"mean {warm:.2f}; {per_newton:.2f} GMRES iterations per warm Newton step; killed after "
+        f"step {_CLOSED_KILL_AT + 1}, resumed bitwise; planted leak drifts {leaky.volume_drift:.1e}"
+    )
+
+
+@_register(
+    "transient-velocity-predictor",
+    "transient",
+    "25 warm steps of antarctica-retreat average at most 3.0 Newton steps",
+)
+def _oracle_velocity_predictor():
+    from repro.transient import TransientEngine, get_scenario
+
+    retreat = get_scenario("antarctica-retreat").with_steps(1 + _PREDICTOR_WARM_STEPS)
+    warm = TransientEngine(retreat).run().warm_mean_iterations
+    divs = []
+    if not warm <= _WARM_NEWTON_MEAN:
+        divs.append(_out_of_bound("warm mean Newton steps", warm, _WARM_NEWTON_MEAN))
+    return divs, f"antarctica-retreat: warm mean {warm:.2f} over {_PREDICTOR_WARM_STEPS} steps"
+
+
+#: what forcing may cost and must save on the 12-step 400 km / 4 retreat
+#: run (measured: thickness 1.3e-9 of scale, volumes 2.6e-11, Newton
+#: steps 33 vs 32, GMRES iterations 102 vs 250)
+_INEXACT_THICKNESS_RTOL = 1.0e-7
+_INEXACT_VOLUME_RTOL = 1.0e-9
+_INEXACT_EXTRA_NEWTON_STEPS = 3
+_INEXACT_GMRES_SHARE = 0.45
+
+
+@_register(
+    "inexact-vs-exact-newton",
+    "transient",
+    "the retreat trajectory under Eisenstat-Walker forcing against every step solved to linear_tol",
+)
+def _oracle_inexact_newton():
+    """Both runs stop every solve on the same ``tol_abs``; pinning the
+    rule's ceiling to its floor is the exact solve."""
+    from unittest import mock
+
+    from repro.observability import get_metrics
+    from repro.solvers import newton
+    from repro.transient import TransientEngine, get_scenario
+
+    engine = TransientEngine(get_scenario("antarctica-retreat"))
+    iterations = get_metrics().counter("gmres.iterations")
+
+    def run():
+        before = iterations.value
+        result = engine.run()
+        return result, sum(result.newton_iterations), iterations.value - before
+
+    forced, forced_newton, forced_gmres = run()
+    with mock.patch.object(newton, "_ETA_MAX", newton.LINEAR_TOL):
+        exact, exact_newton, exact_gmres = run()
+
+    divs = []
+    for name, got, want, rtol in (
+        ("thickness", forced.thickness, exact.thickness, _INEXACT_THICKNESS_RTOL),
+        ("volumes", np.asarray(forced.volumes), np.asarray(exact.volumes), _INEXACT_VOLUME_RTOL),
+    ):
+        d = first_divergence(name, got, want, rtol=0.0, atol=rtol * float(np.max(np.abs(want))))
+        if d:
+            divs.append(d)
+    if forced_newton > exact_newton + _INEXACT_EXTRA_NEWTON_STEPS:
+        divs.append(
+            _out_of_bound(
+                "Newton steps", forced_newton, exact_newton + _INEXACT_EXTRA_NEWTON_STEPS
+            )
+        )
+    if forced_gmres > _INEXACT_GMRES_SHARE * exact_gmres:
+        divs.append(
+            _out_of_bound("GMRES iterations", forced_gmres, _INEXACT_GMRES_SHARE * exact_gmres)
+        )
+    return divs, (
+        f"{len(forced.dts)} steps: thickness @ {_INEXACT_THICKNESS_RTOL:g} of scale, volumes @ "
+        f"{_INEXACT_VOLUME_RTOL:g}; Newton steps {forced_newton} vs {exact_newton}, "
+        f"GMRES iterations {forced_gmres} vs {exact_gmres}"
+    )
+
+
+@_register(
+    "transient-predictor-resume",
+    "transient",
+    "a retreat run killed while the velocity predictor fires resumes bitwise; dropping u_before diverges",
+)
+def _oracle_predictor_resume():
+    drill = kill_resume_drill("antarctica-retreat", _PREDICTOR_KILL_AT)
+    divs = resume_divergences(drill)
+    planted = resume_divergences(drill, drop_u_before=True)
+    if not planted:
+        divs.append(_out_of_bound("planted resume without u_before: divergences", 0.0, 1.0))
+    return divs, (
+        f"antarctica-retreat, {len(drill[1].dts)} steps, killed after step "
+        f"{_PREDICTOR_KILL_AT + 1}: thickness, u, particles and Newton counts bitwise; "
+        f"resume without u_before caught by {len(planted)} comparisons"
+    )
+
+
+# ======================================================================
+# suite "serve": the solve service under faults vs fault-free solves
+# ======================================================================
+
+#: OpenMetrics families the chaos run must expose, and how many
+#: ``serve_*`` families at least
+_SERVE_FAMILIES = ("serve_requests", "serve_dedup", "serve_worker_deaths")
+_MIN_SERVE_FAMILIES = 10
+
+
+@_register(
+    "chaos-vs-fault-free",
+    "serve",
+    "dedup, worker kills, the reference fault schedule and a deadline storm against the solve "
+    "service, bitwise against fault-free solves; a breaker patched open is caught",
+)
+def _oracle_chaos():
+    from unittest import mock
+
+    from repro import observability as obs
+    from repro.serve import chaos
+    from repro.serve.breaker import CircuitBreaker
+
+    checks = chaos.chaos_assertions()
+    failed = [f"{name} {detail}".strip() for name, held, detail in checks if not held]
+    families = obs.parse_exposition(obs.render(obs.get_metrics().snapshot(), obs.get_series()))
+    served = [f for f in families if f.startswith("serve_")]
+    failed += [f"OpenMetrics family {f}" for f in _SERVE_FAMILIES if f not in families]
+    divs = [_out_of_bound(name, 0.0, 1.0) for name in failed]
+    if len(served) < _MIN_SERVE_FAMILIES:
+        divs.append(_out_of_bound("serve_* OpenMetrics families", len(served), _MIN_SERVE_FAMILIES))
+    with mock.patch.object(CircuitBreaker, "allow", return_value=True):
+        caught = [name for name, held, _ in chaos.chaos_assertions(storm_only=True) if not held]
+    if not caught:
+        divs.append(_out_of_bound("planted open breaker: failed assertions", 0.0, 1.0))
+    return divs, (
+        f"{len(checks)} assertions; {len(served)} serve_* families; the storm wave with the "
+        f"breaker patched open fails {len(caught)}"
     )
 
 

@@ -170,10 +170,15 @@ def test_a_long_cold_run_stops_on_the_roundoff_floor():
     assert sol.diagnostics["eval_sweeps"]["residual"] <= 25
 
 
-def test_transient_check_fails_when_every_step_is_solved_to_linear_tol(monkeypatch, capsys):
-    from repro.transient.cli import run_check
+def test_transient_check_fails_when_every_step_is_solved_to_linear_tol(monkeypatch):
+    """``transient-closed-budget`` holds 3.0 GMRES iterations per warm
+    Newton step to at most 4; the exact solve takes 8."""
+    from repro.verify.oracles import ORACLES
 
-    assert run_check(verbose=False) == 0
+    (oracle,) = [o for o in ORACLES if o.name == "transient-closed-budget"]
+    assert oracle.fn()[0] == []
     monkeypatch.setattr(newton_module, "_ETA_MAX", 1.0e-6)
-    assert run_check(verbose=False) == 1
-    assert "FAILED: GMRES iterations per Newton step" in capsys.readouterr().out
+    (per_newton,) = [
+        d for d in oracle.fn()[0] if d.name == "GMRES iterations per warm Newton step"
+    ]
+    assert per_newton.lhs > 4.0

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.physics.thickness import ThicknessEvolver
 from repro.store import ArtifactCache
 from repro.transient import (
     TransientCheckpoint,
@@ -23,6 +24,14 @@ from repro.transient.engine import PREDICTOR_THETA
 #: the closed-budget library scenario, truncated for test cost
 STEPS = 5
 KILL_AT = 1  # kill after step 2 of 5: resume covers most of the run
+
+
+def _oracle(name):
+    """The divergences of the registered oracle ``name``."""
+    from repro.verify.oracles import ORACLES
+
+    (oracle,) = [o for o in ORACLES if o.name == name]
+    return oracle.fn()[0]
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +92,17 @@ class TestConservation:
             baseline.volumes[0]
         )
 
-    def test_planted_leak_is_caught(self, cache, scenario):
-        """The CI negative control, in miniature."""
-        leaky = TransientEngine(scenario.with_steps(2), cache=cache).run(plant_leak=1.0e-6)
-        assert leaky.volume_drift > 1.0e-12
+    def test_planted_leak_is_caught(self, monkeypatch):
+        """A thickness step that loses a little ice fails the
+        ``transient-closed-budget`` oracle on its drift."""
+        step = ThicknessEvolver.step
+
+        def leaky_step(self, *args, **kwargs):
+            return step(self, *args, **kwargs) * (1.0 - 1.0e-9)
+
+        monkeypatch.setattr(ThicknessEvolver, "step", leaky_step)
+        (drift,) = [d for d in _oracle("transient-closed-budget") if d.name == "volume drift"]
+        assert drift.lhs > 1.0e-12
 
 
 class TestKillResume:
@@ -124,6 +140,20 @@ class TestKillResume:
             assert np.array_equal(back.thickness, done.thickness)
             assert np.array_equal(back.u, done.u)
             assert np.array_equal(back.u_before, done.u_before)
+
+    @pytest.mark.parametrize("kill_at", [STEPS, 50])
+    def test_a_kill_step_the_run_never_reaches_is_refused(self, cache, scenario, kill_at):
+        """It used to run to the end and return as if nothing was asked."""
+        engine = TransientEngine(scenario, cache=cache)
+        with pytest.raises(ValueError, match=rf"in \[0, {STEPS}\), got {kill_at}"):
+            engine.run(kill_at_step=kill_at)
+
+    def test_a_kill_step_before_the_resume_is_refused(self, tmp_path, cache, scenario):
+        engine = TransientEngine(scenario, cache=cache)
+        with pytest.raises(TransientKilled) as exc:
+            engine.run(kill_at_step=KILL_AT, checkpoint_dir=tmp_path)
+        with pytest.raises(ValueError, match=rf"in \[{KILL_AT + 1}, {STEPS}\), got {KILL_AT}"):
+            engine.run(resume_from=exc.value.path, kill_at_step=KILL_AT)
 
     def test_resume_refuses_foreign_scenario(self, tmp_path, cache, scenario):
         engine = TransientEngine(scenario, cache=cache)
@@ -197,18 +227,18 @@ class TestVelocityPredictor:
 
     def test_a_resume_without_u_before_forks_the_run(self):
         """The planted control of ``transient-predictor-resume``."""
-        from repro.verify.oracles import predictor_resume_divergences
+        from repro.verify.oracles import kill_resume_drill, resume_divergences
 
-        assert predictor_resume_divergences(drop_u_before=True)
+        drill = kill_resume_drill("antarctica-retreat", 2)
+        assert resume_divergences(drill, drop_u_before=True)
 
-    def test_the_check_fails_when_the_predictor_stops_firing(self, monkeypatch, capsys):
-        from repro.transient import cli, engine
+    def test_the_check_fails_when_the_predictor_stops_firing(self, monkeypatch):
+        from repro.transient import engine
 
         monkeypatch.setattr(engine, "PREDICTOR_THETA", 0.0)
-        assert cli.run_check(verbose=False) == 1
-        out = capsys.readouterr().out
-        assert "antarctica-retreat warm mean 3.56" in out
-        assert "FAILED: warm Newton steps with the velocity predictor" in out
+        (mean,) = _oracle("transient-velocity-predictor")
+        assert mean.name == "warm mean Newton steps"
+        assert f"{mean.lhs:.2f}" == "3.56" and mean.rhs == 3.0
 
 
 class TestArtifactReuse:

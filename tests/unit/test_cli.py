@@ -49,7 +49,7 @@ def test_every_documented_invocation_parses(doc):
 def test_ci_gates_keep_their_flags():
     """Spot-check that extraction sees multi-line commands whole."""
     ci = _documented_invocations(REPO_ROOT / ".github/workflows/ci.yml")
-    assert ["chaos", "--check", "--openmetrics", "/tmp/serve.om"] in ci
+    assert ["verify", "--suite", "kernels", "--fixture", "racy"] in ci
     assert [
         "profile", "--out", "/tmp/trace.json", "--openmetrics", "/tmp/metrics.om",
     ] in ci
@@ -69,22 +69,37 @@ def test_transient_refuses_a_run_of_no_steps(steps, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag, message",
+    "argv, message",
     [
-        (["--plant-leak", "nan"], "--plant-leak", "must be finite, got nan"),
-        (["--plant-leak", "inf"], "--plant-leak", "must be finite, got inf"),
-        (["--check", "--plant-leak=-inf"], "--plant-leak", "must be finite, got -inf"),
-        (["--kill-at", "-1"], "--kill-at", "must be at least 0, got -1"),
+        (["--kill-at", "-1"], "must be at least 0, got -1"),
+        (["--steps", "3", "--kill-at", "50"], "must be a step of the run (0 to 2), got 50"),
     ],
 )
-def test_a_transient_leak_or_kill_that_means_nothing_exits_2(argv, flag, message, capsys):
-    """Refused by the parser: past it, a NaN leak ends in a ``ValueError``
-    traceback under ``--check`` and a negative kill step is ignored."""
+def test_a_transient_kill_step_outside_the_run_exits_2(argv, message, capsys):
+    """A negative kill step used to be ignored, and so did one past the
+    last step: the run went to its end and exited 0."""
     with pytest.raises(SystemExit) as exc:
         main(["transient", *argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: {message}" in err and "Traceback" not in err
+    assert f"argument --kill-at: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transient", "antarctica-bogus"], "argument scenario: invalid choice: 'antarctica-bogus'"),
+        (["verify", "--suite", "bogus"], "argument --suite: invalid choice: 'bogus'"),
+        (["verify", "--fixture", "bogus"], "argument --fixture: invalid choice: 'bogus'"),
+    ],
+)
+def test_an_unknown_name_exits_2(argv, message, capsys):
+    """``transient`` used to end in a ``KeyError`` traceback and ``verify``
+    in ``SystemExit(str)``: both exited 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

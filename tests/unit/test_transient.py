@@ -200,12 +200,12 @@ class TestVolumeDrift:
     def test_a_non_finite_volume_fails_the_conservation_gate(self, volumes):
         """A NaN after a finite volume must not drop out of the maximum
         (Python's ``max`` drops it): the drift is non-finite and fails
-        ``drift <= tol``."""
-        from repro.transient.cli import CHECK_DRIFT_TOL
+        the ``transient-closed-budget`` oracle's drift bound."""
+        from repro.verify.oracles import drift_divergences
 
-        drift = self._result(volumes).volume_drift
-        assert not np.isfinite(drift)
-        assert not drift <= CHECK_DRIFT_TOL
+        result = self._result(volumes)
+        assert not np.isfinite(result.volume_drift)
+        assert [d.name for d in drift_divergences(result)] == ["volume drift"]
 
 
 class TestScenarios:

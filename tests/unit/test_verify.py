@@ -241,7 +241,9 @@ class TestOracles:
     def test_registry_covers_all_suites(self):
         from repro.verify.oracles import ORACLES, suite_names
 
-        assert set(suite_names()) == {"kernels", "jacobian", "spmd", "bytes", "matvec"}
+        assert set(suite_names()) == {
+            "kernels", "jacobian", "spmd", "bytes", "matvec", "transient", "serve"
+        }
         names = [o.name for o in ORACLES]
         assert len(names) == len(set(names)), "oracle names must be unique"
         # every kernel variant has a race oracle
@@ -263,6 +265,22 @@ class TestOracles:
         assert "matrix-free-vs-assembled-jv-antarctica" in names
         assert "matrix-free-vs-assembled-jv-greenland" in names
         assert "matvec-detects-perturbed-operator" in names
+
+    def test_transient_and_serve_suites_pass(self):
+        """The engine's and the service's acceptance checks, each oracle
+        with its planted control caught."""
+        from repro.verify.oracles import run_oracles
+
+        results = run_oracles(["transient", "serve"])
+        failed = [r.describe() for r in results if not r.passed]
+        assert not failed, failed
+        assert [r.name for r in results] == [
+            "transient-closed-budget",
+            "transient-velocity-predictor",
+            "inexact-vs-exact-newton",
+            "transient-predictor-resume",
+            "chaos-vs-fault-free",
+        ]
 
     def test_all_kernel_oracles_pass(self):
         from repro.verify.oracles import run_oracles
