@@ -26,9 +26,9 @@ the ``gmres.{matvec,stream}.bytes.*`` counters.  Neither mode is
 asserted to move fewer: the element apply itself streams slightly more
 than the SpMV on these meshes (DESIGN.md section 13).
 
-A third section repeats both modes with the production ``mdsc``
-preconditioner, so the gate also sees what users run: GMRES iterations,
-matvecs and the modeled V-cycle bytes per solve.  A line smoother
+A third section repeats both modes with the two-level ``mdsc``
+preconditioner, so the gate also sees a production-strength solve:
+GMRES iterations, matvecs and the modeled V-cycle bytes per solve.  A line smoother
 pushed back past its stability limit shows here as iteration growth.
 It also counts the symbolic halves of the MDSC set-up a build + solve
 constructs (one ``ColumnCollapseMap`` per problem, gated) and times the
@@ -236,7 +236,7 @@ def run_operator_modes(
     The default Jacobi preconditioner is deliberately weak: deep Krylov
     cycles put weight on the orthogonalization streams, which the
     production solve barely exercises.  ``preconditioner="mdsc"`` is
-    the production solve, whose V-cycles carry their own modeled bytes.
+    the two-level solve, whose V-cycles carry their own modeled bytes.
     """
     out = {}
     for mode in ("assembled", "matrix-free"):
@@ -473,7 +473,7 @@ def _report_tables(report: dict, modes: dict, mdsc_modes: dict) -> list[tuple[st
                     row + [mdsc_modes[row[0]]["vcycle_bytes"]]
                     for row in _mode_rows(mdsc_modes)
                 ],
-                title="Production preconditioner (mdsc), both operator modes",
+                title="Two-level preconditioner (mdsc), both operator modes",
             ),
         ),
     ]

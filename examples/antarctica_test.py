@@ -24,7 +24,7 @@ def main() -> None:
     ap.add_argument("--resolution-km", type=float, default=300.0)
     ap.add_argument("--layers", type=int, default=5)
     ap.add_argument("--impl", default="optimized", choices=["optimized", "baseline"])
-    ap.add_argument("--precond", default="mdsc", choices=PRECONDITIONERS)
+    ap.add_argument("--precond", default=VelocityConfig().preconditioner, choices=PRECONDITIONERS)
     ap.add_argument(
         "--footprint",
         default="quad",

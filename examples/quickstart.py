@@ -1,7 +1,7 @@
 """Quickstart: solve ice velocities and profile the kernels in 40 lines.
 
 Builds a coarse synthetic Antarctica, runs the full FO Stokes velocity
-solve (8 damped Newton steps, GMRES + MDSC preconditioning), then asks
+solve (8 damped Newton steps, GMRES + vertical-line preconditioning), then asks
 the GPU performance model what the paper's two kernels cost on an A100
 and one MI250X GCD.
 

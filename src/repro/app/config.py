@@ -10,10 +10,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "VelocityConfig",
     "AntarcticaConfig",
-    "Preconditioner",
-    "PRECONDITIONER_TABLE",
     "PRECONDITIONERS",
-    "PRECOND_COST_ORDER",
     "as_count",
 ]
 
@@ -33,48 +30,27 @@ def as_count(name: str, value) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class Preconditioner:
-    """One row of :data:`PRECONDITIONER_TABLE`."""
-
-    name: str
-    #: a production rung: on the serve degradation ladder (walked in
-    #: table order) and worth a measured autotuner trial (:mod:`repro.tune`)
-    production: bool = False
-
-
 #: every preconditioner the velocity solver can build, each under
 #: either operator mode and at every ``nparts``: the one statement of
-#: which names exist and what each is good for, the production rungs
-#: in ladder order (fewest iterations first).  Validation, the serve
-#: ladder, the tuner's trial list and the example's ``--precond``
-#: choices are derived from it.
+#: which names exist, the default first (what ``VelocityConfig``, serve
+#: requests and the example's ``--precond`` validate against).
 #:
-#: The flag rests on measured eight-step solves, GMRES iterations at
-#: 600 km / 3, 400 km / 4 and 200 km / 10 layers: mdsc 59 / 58 / 60,
-#: vline 86 / 86 / 88, jacobi 486 / 976 / 6127 (wall at 200 km / 10:
-#: mdsc 0.65 s, vline 0.51 s, jacobi 28-32 s).  "jacobi" and "none"
-#: cost far more in iterations than they save in set-up, so neither
-#: sheds load nor earns a tuning trial (one Jacobi solve was 91 % of a
-#: search's wall at 12-130x the default's bytes).
+#: "vline" is the default because it is the fastest on wall time.
+#: Eight-step solves, GMRES iterations at 600 km / 3, 400 km / 4 and
+#: 200 km / 10 layers: vline 86 / 86 / 88, mdsc 59 / 58 / 60, jacobi
+#: 486 / 976 / 6127.  MDSC's collapsed coarse solve saves iterations
+#: but costs more than they do: the 8-step run took 13-20 % less wall
+#: under vline from 6.8 k to 48 k dofs and 15 % less at the paper's
+#: 456 k (49 s against 58 s), with both counts flat in the mesh size,
+#: and a vline solve never imports ``scipy.sparse.linalg`` (MDSC's
+#: ``splu``).  "jacobi" and "none" cost far more in iterations than
+#: they save in set-up (jacobi 28-32 s at 200 km / 10).
 #:
 #: The resilience fallback (configured -> jacobi -> none, in
 #: ``StokesVelocityProblem._preconditioner``) is deliberately not read
 #: from this table: it answers "set-up failed, what can still be
 #: built", not "which is cheaper".
-PRECONDITIONER_TABLE = (
-    Preconditioner("mdsc", production=True),
-    Preconditioner("vline", production=True),
-    Preconditioner("jacobi"),
-    Preconditioner("none"),
-)
-
-#: name membership (what ``VelocityConfig``, ``solve(preconditioner=)``
-#: and serve requests validate against)
-PRECONDITIONERS = tuple(p.name for p in PRECONDITIONER_TABLE)
-
-#: the serve degradation ladder: the production rungs in table order
-PRECOND_COST_ORDER = tuple(p.name for p in PRECONDITIONER_TABLE if p.production)
+PRECONDITIONERS = ("vline", "mdsc", "jacobi", "none")
 
 
 def _default_operator_mode() -> str:
@@ -94,10 +70,12 @@ class VelocityConfig:
 
     kernel_impl: str = "optimized"  # "baseline" | "optimized"
     newton_steps: int = 8  # the paper's test runs 8 nonlinear steps
-    #: "mdsc" (two-level column-collapse MDSC: vertical-line relaxation +
-    #: collapsed membrane coarse solve -- the robust default), "vline"
-    #: (line relaxation only), "jacobi", or "none"
-    preconditioner: str = "mdsc"
+    #: "vline" (damped vertical-line relaxation: the default, fastest on
+    #: wall time, see :data:`PRECONDITIONERS`), "mdsc" (two-level
+    #: column-collapse MDSC: the same line relaxation plus a collapsed
+    #: membrane coarse solve -- about a third fewer GMRES iterations at
+    #: a dearer set-up and apply), "jacobi", or "none"
+    preconditioner: str = "vline"
     #: inner linear operator of the Newton--Krylov solve: "assembled"
     #: (CSR fill per step, SpMV matvecs) or "matrix-free" (GMRES applies
     #: the cached SFad element blocks directly -- no CSR fill, no
@@ -112,26 +90,6 @@ class VelocityConfig:
     #: partitioned dot products, and measured halo traffic in the
     #: diagnostics -- bit-for-bit identical to the serial solve.
     nparts: int = 1
-
-    def cheaper_preconditioner(self) -> str | None:
-        """Next cheaper rung on :data:`PRECOND_COST_ORDER`, or ``None``.
-
-        The serve degradation ladder calls this under queue pressure: a
-        request admitted with a cheaper preconditioner rung still
-        completes (degraded convergence beats shedding), and the cached
-        problem artifacts are reused -- only the per-step factory
-        changes.  At the bottom of the ladder (``vline``) and off it
-        (``jacobi``/``none``) there is nothing cheaper, so the caller
-        moves to the next degradation rung (coarser mesh, cached
-        result) instead.
-        """
-        try:
-            i = PRECOND_COST_ORDER.index(self.preconditioner)
-        except ValueError:  # "jacobi"/"none": not on the ladder
-            return None
-        if i + 1 >= len(PRECOND_COST_ORDER):
-            return None
-        return PRECOND_COST_ORDER[i + 1]
 
     def __post_init__(self):
         for name in ("newton_steps", "nparts"):

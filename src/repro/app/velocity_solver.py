@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.app.config import PRECONDITIONERS, VelocityConfig
+from repro.app.config import VelocityConfig
 from repro.constants import RHO_G_KPA
 from repro.core.lowering import pack_geom
 from repro.fem.assembly import AssemblyPlan
@@ -195,8 +195,6 @@ class StokesVelocityProblem:
         #: per solve by :meth:`solve` (None = fail-fast behavior)
         self._resilience = None
         self._precond_ladder = None
-        #: per-solve preconditioner override (serve degradation rung)
-        self._precond_override = None
 
     def _geometry_numeric_setup(self) -> None:
         """The coords-dependent slice of :meth:`_precompute`.
@@ -465,18 +463,14 @@ class StokesVelocityProblem:
 
     # ------------------------------------------------------------------
     def _preconditioner(self, A):
-        # per-solve degradation override (serve load shedding): a cheaper
-        # rung replaces the configured factory without rebuilding the
-        # problem (the cached AssemblyPlan/mesh artifacts are the
-        # expensive part; the preconditioner is rebuilt per step anyway)
-        kind = self._precond_override or self.config.preconditioner
+        kind = self.config.preconditioner
         if kind == "none":
             return None
         with get_tracer().span("precond.setup", kind=kind):
             if self._resilience is None:
                 return self._build_preconditioner(A, kind=kind)
             # recovery ladder: configured factory -> Jacobi -> none.  A
-            # failing MDSC setup degrades convergence instead of killing
+            # failing setup degrades convergence instead of killing
             # the solve; every fallback is logged by the ladder.
             if self._precond_ladder is None:
                 rungs: list[tuple[str, object]] = [
@@ -525,7 +519,6 @@ class StokesVelocityProblem:
         checkpoint_cb=None,
         resume_from=None,
         deadline=None,
-        preconditioner: str | None = None,
         newton_tol: float | None = None,
     ) -> VelocitySolution:
         """Run the damped Newton solve and report diagnostics.
@@ -552,12 +545,10 @@ class StokesVelocityProblem:
         is how a serve worker pool heartbeats and snapshots in-flight
         jobs).
 
-        Service knobs: ``deadline`` (a :class:`repro.resilience.
+        Service knob: ``deadline`` (a :class:`repro.resilience.
         Deadline`) makes the solve cooperatively abandon work past its
         wall-clock budget with a typed ``SolveTimeout`` carrying the
-        last checkpoint; ``preconditioner`` overrides the configured
-        factory for this solve only (the serve degradation ladder drops
-        to a cheaper rung under load without rebuilding the problem).
+        last checkpoint.
 
         Warm starting: ``u0`` seeds Newton with a prior velocity (the
         transient engine passes the previous step's solution), and
@@ -576,18 +567,11 @@ class StokesVelocityProblem:
         tol = NEWTON_TOL if newton_tol is None else float(newton_tol)
         if u0 is None:
             u0 = np.zeros(self.dofmap.num_dofs)
-        if preconditioner is not None and preconditioner not in PRECONDITIONERS:
-            raise ValueError(
-                f"unknown preconditioner override {preconditioner!r}; "
-                f"have {PRECONDITIONERS}"
-            )
-
         plane = fault_plane()
         if resilience is None and plane.active:
             resilience = plane.policy
         self._resilience = resilience
         self._precond_ladder = None
-        self._precond_override = preconditioner
         self._dead_ranks = set()
 
         # per-solve lifecycle for BOTH phase times and sweep counts: two
@@ -639,9 +623,7 @@ class StokesVelocityProblem:
             "num_dofs": self.dofmap.num_dofs,
             "num_cells": self.mesh.num_elems,
             "operator_mode": "matrix-free" if self.matrix_free else "assembled",
-            # the preconditioner actually used this solve (a serve
-            # degradation override wins over the configured factory)
-            "preconditioner": preconditioner or cfg.preconditioner,
+            "preconditioner": cfg.preconditioner,
             "newton_tol": tol,
             "warm_started": newton.warm_started,
             "solve_seconds": solve_seconds,

@@ -15,7 +15,7 @@ per invocation, bytes moved, phase breakdowns):
   in Perfetto; spans as X events, series as C events) and ASCII
   flame/summary tables;
 * :mod:`~repro.observability.timeseries` -- timestamped convergence
-  series (residual histories, recovery events, tuner trials) aligned
+  series (residual histories, recovery events, worker revivals) aligned
   with the span clock;
 * :mod:`~repro.observability.attribution` -- roofline annotation of
   priced spans (AI, %-of-roof vs a GPU spec) plus rocprof-formula byte

@@ -2,8 +2,8 @@
 
 Counters and histograms (``observability/metrics.py``) answer "how many
 in total"; the series registry answers "how did it evolve": Newton and
-GMRES residual histories, recovery-ladder events, autotuner trial
-outcomes -- each a named, labeled stream of ``(timestamp, value)``
+GMRES residual histories, recovery-ladder events, serve worker
+revivals -- each a named, labeled stream of ``(timestamp, value)``
 points.  These are the signals a perf-attribution pass plots against
 the span timeline: a GMRES residual plateau *inside* a slow
 ``gmres.solve`` span is the difference between "the preconditioner got

@@ -156,10 +156,10 @@ def call_with_retries(
 class PreconditionerLadder:
     """Factory chain: try each ``J -> M`` builder, fall through on failure.
 
-    The production rung order is MDSC -> Jacobi -> None: when the MDSC
-    hierarchy setup fails (singular collapsed block, injected fault),
-    the solve continues with point-Jacobi -- degraded convergence beats
-    a dead run.  Every fallback is logged as detection + recovery.
+    The production rung order is the configured preconditioner ->
+    Jacobi -> None: when its set-up fails (a singular column block or
+    collapsed MDSC operator, an injected fault), the solve continues
+    with point-Jacobi -- degraded convergence beats a dead run.  Every fallback is logged as detection + recovery.
     """
 
     def __init__(self, factories: list[tuple[str, object]], log: ResilienceLog | None = None):

@@ -11,8 +11,8 @@ in the service shape that workload implies:
 * :mod:`~repro.serve.service` -- the asyncio :class:`SolveService`:
   bounded queue, admission control, per-request deadlines propagating
   into Newton/GMRES, request dedup, retry under the recovery policy's
-  budget, and a graceful-degradation ladder (cheaper
-  preconditioner -> coarser mesh -> cached result -> shed);
+  budget, and a graceful-degradation ladder (coarser mesh -> cached
+  result -> shed);
 * :mod:`~repro.serve.breaker` -- deterministic per-scenario circuit
   breaker (closed/open/half-open, outcome-driven);
 * :mod:`~repro.serve.cache` -- the :mod:`repro.store` artifact cache

@@ -116,7 +116,7 @@ async def _handle(service: SolveService, reader, writer) -> None:
                     name=str(doc.get("name", "http")),
                     resolution_km=doc.get("resolution_km", 600.0),
                     num_layers=doc.get("num_layers", 3),
-                    preconditioner=doc.get("preconditioner", "mdsc"),
+                    preconditioner=doc.get("preconditioner", "vline"),
                     nparts=doc.get("nparts", 1),
                     newton_steps=doc.get("newton_steps", 8),
                     family=doc.get("family", "antarctica"),

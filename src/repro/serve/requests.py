@@ -46,7 +46,7 @@ class SolveScenario:
     name: str
     resolution_km: float = 600.0
     num_layers: int = 3
-    preconditioner: str = "mdsc"
+    preconditioner: str = "vline"
     nparts: int = 1
     newton_steps: int = 8
     #: which synthetic ice sheet ("antarctica" | "greenland"); part of
@@ -134,7 +134,7 @@ class SolveResponse:
     request: SolveRequest
     status: str
     #: machine-readable detail: shed reason ("queue_full", "breaker_open"),
-    #: degradation rung ("cheap_precond", "coarse_mesh", "cached"), or
+    #: degradation rung ("coarse_mesh", "cached"), or
     #: the failure/timeout message
     reason: str = ""
     #: the VelocitySolution for ok/degraded (None otherwise)

@@ -8,10 +8,10 @@ worker thread relays its requests to its own numerics process):
 2. **circuit breaker** -- per-scenario; a scenario that keeps failing
    is shed (``breaker_open``) until its half-open probe succeeds.
 3. **degradation ladder** -- admission looks at queue depth:
-   normal -> *cheaper preconditioner rung* -> *coarser mesh* ->
-   *cached last-good result* -> shed (``queue_full``).  Degraded
-   responses are typed (``degraded`` + rung) so callers know what they
-   got; they are never bitwise-compared to full-fidelity results.
+   normal -> *coarser mesh* -> *cached last-good result* -> shed
+   (``queue_full``).  Degraded responses are typed (``degraded`` +
+   rung) so callers know what they got; they are never
+   bitwise-compared to full-fidelity results.
 4. **deadline** -- the wall-clock budget starts at admission (queue
    wait counts), propagates into Newton/GMRES as a cooperative
    :class:`~repro.resilience.Deadline`, and expires as a typed
@@ -76,9 +76,9 @@ class SolveService:
         if workers < 1:  # before the fork below
             raise ValueError("at least one worker required")
         self.queue_size = queue_size
-        #: depth thresholds of the degradation ladder: they carve the
-        #: bounded queue into thirds (pressure rises -> rungs get cheaper)
-        self.degrade_precond_depth = max(1, queue_size // 3)
+        #: queue depth from which admission solves the coarser mesh (two
+        #: thirds of the bounded queue; a full queue serves the cached
+        #: result or sheds)
         self.degrade_mesh_depth = max(2, (2 * queue_size) // 3)
         self.policy = policy if policy is not None else RecoveryPolicy(max_retries=1)
         #: the numerics processes this service forked (and stops)
@@ -159,7 +159,6 @@ class SolveService:
 
         # 3. degradation ladder by queue pressure
         solved = scenario
-        precond_override: str | None = None
         rung = ""
         depth = self.pool.depth()
         if depth >= self.queue_size:
@@ -181,12 +180,6 @@ class SolveService:
             solved = scenario.coarsened()
             rung = "coarse_mesh"
             metrics.counter("serve.degraded.coarse_mesh").inc()
-        elif depth >= self.degrade_precond_depth:
-            cheaper = scenario.to_config().velocity.cheaper_preconditioner()
-            if cheaper is not None:
-                precond_override = cheaper
-                rung = "cheap_precond"
-                metrics.counter("serve.degraded.cheap_precond").inc()
 
         # 4. deadline clock starts now: queue wait spends the budget
         deadline = (
@@ -207,7 +200,7 @@ class SolveService:
             self._inflight[digest] = resp_fut
 
         def execute(job: Job):
-            return self._execute(job, solved, precond_override, deadline)
+            return self._execute(job, solved, deadline)
 
         def on_done(job: Job, outcome) -> None:
             loop.call_soon_threadsafe(self._resolve, fut, outcome)
@@ -268,7 +261,7 @@ class SolveService:
             fut.set_result(outcome)
 
     # ------------------------------------------------------------------
-    def _execute(self, job: Job, scenario: SolveScenario, precond_override, deadline):
+    def _execute(self, job: Job, scenario: SolveScenario, deadline):
         """Worker-thread body: artifacts, heartbeat, retries, typed outcome.
 
         Returns ``(kind, payload, attempts, resumes)`` -- never raises,
@@ -300,7 +293,6 @@ class SolveService:
                             checkpoint_cb=heartbeat,
                             resume_from=job.checkpoint,
                             deadline=deadline,
-                            preconditioner=precond_override,
                         )
                 return ("ok", sol, attempts, job.resumes)
             except SolveTimeout as exc:

@@ -1197,18 +1197,28 @@ _PREDICTOR_KILL_AT = 2
 #: planted leak's 3 steps each keep 1 - 1e-9 of the ice
 _DRIFT_TOL = 1.0e-12
 _PLANTED_LEAK = 1.0e-9
-#: GMRES iterations per warm Newton step (3.0; 8.0 at ``linear_tol``)
+#: antarctica-closed's GMRES iterations per warm Newton step under mdsc
+#: (3.0; 8.0 at ``linear_tol``) and under the default vline (4.5; 11.5)
 _GMRES_PER_NEWTON = 4.0
+_VLINE_GMRES_PER_NEWTON = 6.0
 #: antarctica-retreat's 25 warm steps average at most 3.0 Newton steps
 #: (2.64; 3.56 when every step starts from the last velocity as it is)
 _PREDICTOR_WARM_STEPS = 25
 _WARM_NEWTON_MEAN = 3.0
 
 
+def _gmres_per_warm_newton(engine):
+    """``(run of ``engine``'s scenario, its GMRES iterations per warm
+    Newton step)``."""
+    gmres = []
+    full = engine.run(callback=lambda step, info: gmres.append(info["gmres_iterations"]))
+    return full, sum(gmres[1:]) / sum(full.newton_iterations[1:])
+
+
 def kill_resume_drill(name: str, kill_at: int):
     """``(engine, uninterrupted run of the library scenario ``name``, its
-    GMRES iterations per step, checkpoint loaded from the ``.npz`` of the
-    run killed after step ``kill_at + 1``)``."""
+    GMRES iterations per warm Newton step, checkpoint loaded from the
+    ``.npz`` of the run killed after step ``kill_at + 1``)``."""
     import tempfile
 
     from repro.transient import (
@@ -1219,13 +1229,12 @@ def kill_resume_drill(name: str, kill_at: int):
     )
 
     engine = TransientEngine(get_scenario(name))
-    gmres = []
-    full = engine.run(callback=lambda step, info: gmres.append(info["gmres_iterations"]))
+    full, per_newton = _gmres_per_warm_newton(engine)
     with tempfile.TemporaryDirectory() as td:
         try:
             engine.run(kill_at_step=kill_at, checkpoint_dir=td)
         except TransientKilled as kill:
-            return engine, full, gmres, TransientCheckpoint.load(kill.path)
+            return engine, full, per_newton, TransientCheckpoint.load(kill.path)
     raise AssertionError("scripted kill did not fire")
 
 
@@ -1265,22 +1274,40 @@ def drift_divergences(result):
     "transient-closed-budget",
     "transient",
     "antarctica-closed conserves volume, warm steps beat the cold one on Newton and GMRES "
-    "budgets, a kill/resume is bitwise; a planted leak is caught",
+    "budgets under vline and mdsc, a kill/resume is bitwise; a planted leak is caught",
 )
 def _oracle_closed_budget():
+    from dataclasses import replace
     from unittest import mock
 
+    from repro.app import AntarcticaTest
+    from repro.store import ArtifactCache
+    from repro.transient import TransientEngine
+
     drill = kill_resume_drill("antarctica-closed", _CLOSED_KILL_AT)
-    engine, full, gmres, _ = drill
+    engine, full, per_newton, _ = drill
     divs = drift_divergences(full) + resume_divergences(drill)
     cold, warm = full.cold_iterations, full.warm_mean_iterations
     if not warm < cold:
         divs.append(_out_of_bound("warm mean Newton steps", warm, cold))
-    per_newton = sum(gmres[1:]) / sum(full.newton_iterations[1:])
-    if per_newton > _GMRES_PER_NEWTON:
-        divs.append(
-            _out_of_bound("GMRES iterations per warm Newton step", per_newton, _GMRES_PER_NEWTON)
+
+    def build_mdsc(sc):
+        cfg = sc.to_config()
+        return AntarcticaTest.build(
+            replace(cfg, velocity=replace(cfg.velocity, preconditioner="mdsc"))
         )
+
+    mdsc = TransientEngine(engine.scenario, cache=ArtifactCache(builder=build_mdsc))
+    per_newton_by_pc = {
+        engine.problem.config.preconditioner: per_newton,
+        "mdsc": _gmres_per_warm_newton(mdsc)[1],
+    }
+    bounds = {"vline": _VLINE_GMRES_PER_NEWTON, "mdsc": _GMRES_PER_NEWTON}
+    for pc, value in per_newton_by_pc.items():
+        if not value <= bounds[pc]:
+            divs.append(
+                _out_of_bound(f"GMRES iterations per warm Newton step ({pc})", value, bounds[pc])
+            )
     step = engine.evolver.step
     with mock.patch.object(
         engine.evolver, "step", lambda *a, **kw: step(*a, **kw) * (1.0 - _PLANTED_LEAK)
@@ -1290,7 +1317,8 @@ def _oracle_closed_budget():
         divs.append(_out_of_bound("planted leak: volume drift", leaky.volume_drift, _DRIFT_TOL))
     return divs, (
         f"{len(full.dts)} steps: drift {full.volume_drift:.3e}; Newton steps cold {cold}, warm "
-        f"mean {warm:.2f}; {per_newton:.2f} GMRES iterations per warm Newton step; killed after "
+        f"mean {warm:.2f}; GMRES iterations per warm Newton step "
+        f"{', '.join(f'{pc} {v:.2f}' for pc, v in per_newton_by_pc.items())}; killed after "
         f"step {_CLOSED_KILL_AT + 1}, resumed bitwise; planted leak drifts {leaky.volume_drift:.1e}"
     )
 
@@ -1312,8 +1340,9 @@ def _oracle_velocity_predictor():
 
 
 #: what forcing may cost and must save on the 12-step 400 km / 4 retreat
-#: run (measured: thickness 1.3e-9 of scale, volumes 2.6e-11, Newton
-#: steps 33 vs 32, GMRES iterations 102 vs 250)
+#: run (measured under mdsc: thickness 1.3e-9 of scale, volumes 2.6e-11,
+#: Newton steps 33 vs 32, GMRES iterations 102 vs 250; under the default
+#: vline: Newton steps 33 vs 32, GMRES iterations 148 vs 368)
 _INEXACT_THICKNESS_RTOL = 1.0e-7
 _INEXACT_VOLUME_RTOL = 1.0e-9
 _INEXACT_EXTRA_NEWTON_STEPS = 3

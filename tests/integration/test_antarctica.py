@@ -133,6 +133,14 @@ class TestJacobianConsistency:
             assert np.linalg.norm(ad - fd) / denom < 2.0e-5
 
 
+#: the three solve paths of the pinned-count tests
+_SOLVE_PATHS = pytest.mark.parametrize(
+    "velocity",
+    [dict(operator_mode="assembled"), dict(operator_mode="matrix-free"), dict(nparts=4)],
+    ids=["assembled", "matrix-free", "nparts4"],
+)
+
+
 class TestPreconditionerOptions:
     def test_vline_and_mdsc_give_same_solution(self):
         base = None
@@ -148,30 +156,37 @@ class TestPreconditionerOptions:
             else:
                 assert sol.mean_velocity == pytest.approx(base, rel=1e-6)
 
-    @pytest.mark.parametrize(
-        "velocity",
-        [
-            dict(operator_mode="assembled"),
-            dict(operator_mode="matrix-free"),
-            dict(nparts=4),
-        ],
-        ids=["assembled", "matrix-free", "nparts4"],
-    )
+    @_SOLVE_PATHS
     def test_mdsc_iterations_flat_along_newton(self, velocity):
         """With the line smoother damped inside its stability limit the
         GMRES count per Newton step does not grow along the trajectory
         (a fixed omega = 0.9 went 10 -> 24 on this mesh as lambda_max
         crossed 2 / 0.9).  The counts are pinned: a change to the sweep
         that moves derivatives in roundoff only must not move them."""
+        sol = self._pinned_solve(preconditioner="mdsc", **velocity)
+        assert max(sol.newton.linear_iterations) <= 9
+        assert sol.newton.linear_iterations == [7, 7, 7, 7, 7, 7, 8, 8]
+
+    @_SOLVE_PATHS
+    def test_default_iterations_flat_along_newton(self, velocity):
+        """The same pin on the default, line relaxation alone: flat at
+        10-11 along the trajectory where MDSC's coarse solve holds 7-8."""
+        sol = self._pinned_solve(**velocity)
+        assert sol.diagnostics["preconditioner"] == "vline"
+        assert max(sol.newton.linear_iterations) <= 12
+        assert sol.newton.linear_iterations == [10, 10, 11, 11, 11, 11, 11, 11]
+
+    @staticmethod
+    def _pinned_solve(**velocity):
+        """The 400 km / 4 eight-step solve: every linear solve converged,
+        13 residual and 8 Jacobian sweeps."""
         cfg = AntarcticaConfig(
             resolution_km=400.0, num_layers=4, velocity=VelocityConfig(**velocity)
         )
         sol = AntarcticaTest.build(cfg).run()
-        newton = sol.newton
-        assert newton.linear_flags == ["converged"] * 8
-        assert max(newton.linear_iterations) <= 9
-        assert newton.linear_iterations == [7, 7, 7, 7, 7, 7, 8, 8]
+        assert sol.newton.linear_flags == ["converged"] * 8
         assert sol.diagnostics["eval_sweeps"] == {"residual": 13, "jacobian": 8}
+        return sol
 
     @pytest.mark.parametrize(
         "velocity",

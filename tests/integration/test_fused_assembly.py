@@ -71,7 +71,29 @@ class TestGeometryOperands:
     def test_refresh_leaves_no_stale_operand(self, operator_mode):
         """G1, evaluate, G2 gives what a fresh problem taken straight to
         G2 gives: bitwise, vector and stored operator numbers."""
-        stale, fresh = (_problem(operator_mode=operator_mode).problem for _ in range(2))
+        Ma, Mb, f1 = self._refreshed_setups(operator_mode, "mdsc")
+        assert np.array_equal(Ma.smoother.inv_blocks, Mb.smoother.inv_blocks)
+        assert Ma.smoother.omega == Mb.smoother.omega
+        assert np.array_equal(Ma.apply(f1), Mb.apply(f1))
+
+    @pytest.mark.parametrize("operator_mode", ["assembled", "matrix-free"])
+    def test_refresh_leaves_no_stale_default_preconditioner(self, operator_mode):
+        """The same for the default, where the line smoother is the
+        whole preconditioner."""
+        Ma, Mb, f1 = self._refreshed_setups(operator_mode, "vline")
+        assert np.array_equal(Ma.inv_blocks, Mb.inv_blocks)
+        assert Ma.omega == Mb.omega
+        assert np.array_equal(Ma.apply(f1), Mb.apply(f1))
+
+    @staticmethod
+    def _refreshed_setups(operator_mode, preconditioner):
+        """``(stale set-up, fresh set-up, G1 residual)``: one problem
+        refreshed G1 -> evaluate and set up -> G2, the other built and
+        taken straight to G2, both set up on their G2 operators."""
+        stale, fresh = (
+            _problem(operator_mode=operator_mode, preconditioner=preconditioner).problem
+            for _ in range(2)
+        )
         h0, bed = stale.mesh.thickness2d.copy(), stale.mesh.bed2d.copy()
         u = _state(stale, 5)
         stale.refresh_geometry(0.9 * h0, bed + 0.9 * h0)
@@ -89,9 +111,7 @@ class TestGeometryOperands:
         # and the numeric refresh on it is a fresh problem's set-up
         Ma, Mb = stale._build_preconditioner(Aa), fresh._build_preconditioner(Ab)
         assert stale.mdsc_symbolic is symbolic and fresh.mdsc_symbolic is not symbolic
-        assert np.array_equal(Ma.smoother.inv_blocks, Mb.smoother.inv_blocks)
-        assert Ma.smoother.omega == Mb.smoother.omega
-        assert np.array_equal(Ma.apply(f1), Mb.apply(f1))
+        return Ma, Mb, f1
 
     def test_a_write_through_a_workset_slice_raises(self):
         """The sliced arrays belong to a problem ``ArtifactCache`` hands to

@@ -109,8 +109,7 @@ def test_an_unknown_name_exits_2(argv, message, capsys):
         ("profile", "--layers", "0"),
         ("profile", "--resolution-km", "nan"),
         ("profile", "--resolution-km", "-50"),
-        ("tune", "--layers", "0"),
-        ("tune", "--resolution-km", "inf"),
+        ("profile", "--resolution-km", "inf"),
     ],
 )
 def test_a_size_that_builds_no_mesh_exits_2(command, flag, value, capsys):

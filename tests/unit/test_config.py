@@ -10,8 +10,7 @@ in-process environment change -- was silently ignored.
 
 import pytest
 
-from repro.app.antarctica import AntarcticaTest
-from repro.app.config import PRECONDITIONER_TABLE, AntarcticaConfig, VelocityConfig
+from repro.app.config import PRECONDITIONERS, AntarcticaConfig, VelocityConfig
 from repro.serve.requests import SolveScenario
 
 
@@ -42,33 +41,20 @@ class TestEnvDefaultsAfterImport:
 
 
 class TestPreconditionerTable:
-    """Every consumer of a preconditioner name reads ``PRECONDITIONER_TABLE``
+    """Every consumer of a preconditioner name reads ``PRECONDITIONERS``
     (that every row builds under both operator modes is held in
     ``test_matfree.py::test_every_table_row_builds_and_solves``)."""
 
     def test_names_validate_for_exactly_the_table(self):
-        names = [p.name for p in PRECONDITIONER_TABLE]
-        assert names == ["mdsc", "vline", "jacobi", "none"]
+        names = list(PRECONDITIONERS)
+        assert names == ["vline", "mdsc", "jacobi", "none"]
         for name in names:
             assert VelocityConfig(preconditioner=name).preconditioner == name
             assert SolveScenario("s", preconditioner=name).preconditioner == name
-        # all three validators reject anything else, naming the valid set
-        problem = AntarcticaTest.build(AntarcticaConfig(resolution_km=400.0, num_layers=3)).problem
+        # both validators reject anything else, naming the valid set
         for reject in (
             lambda: VelocityConfig(preconditioner="bogus"),
             lambda: SolveScenario("s", preconditioner="bogus"),
-            lambda: problem.solve(preconditioner="bogus"),
         ):
             with pytest.raises(ValueError, match="bogus.*" + ".*".join(names)):
                 reject()
-
-    def test_cheaper_preconditioner_walks_the_rungs_in_order(self):
-        rungs = [p.name for p in PRECONDITIONER_TABLE if p.production]
-        assert rungs == ["mdsc", "vline"]
-        walked = rungs[:1]
-        while (nxt := VelocityConfig(preconditioner=walked[-1]).cheaper_preconditioner()):
-            walked.append(nxt)
-        assert walked == rungs
-        for p in PRECONDITIONER_TABLE:
-            if not p.production:  # off the ladder: nothing cheaper to step to
-                assert VelocityConfig(preconditioner=p.name).cheaper_preconditioner() is None

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
-from repro.app.config import PRECONDITIONER_TABLE
+from repro.app.config import PRECONDITIONERS
 from repro.app.velocity_solver import StokesVelocityProblem
 from repro.fem.matfree import MatrixFreeJacobian
 from repro.fem.sparse import CsrMatrix
@@ -596,19 +596,20 @@ class TestOperatorModeRouting:
         return AntarcticaTest.build(cfg).problem
 
     @pytest.mark.parametrize("mode", ["assembled", "matrix-free"])
-    @pytest.mark.parametrize("row", PRECONDITIONER_TABLE, ids=lambda p: p.name)
+    @pytest.mark.parametrize("row", PRECONDITIONERS)
     def test_every_table_row_builds_and_solves(self, row, mode):
-        """The constructibility matrix has no invalid cell, and the
-        production rungs converge every linear solve in both modes."""
+        """The constructibility matrix has no invalid cell, and the two
+        line-smoothed preconditioners converge every linear solve in
+        both modes."""
         cfg = AntarcticaConfig(
             resolution_km=600.0,
             num_layers=3,
-            velocity=VelocityConfig(preconditioner=row.name, operator_mode=mode),
+            velocity=VelocityConfig(preconditioner=row, operator_mode=mode),
         )
         sol = AntarcticaTest.build(cfg).problem.solve()
         assert sol.diagnostics["operator_mode"] == mode
         assert np.all(np.isfinite(sol.u))
-        if row.production:
+        if row in ("vline", "mdsc"):
             assert sol.newton.linear_flags == ["converged"] * 8
 
     @pytest.mark.parametrize("precond", ["jacobi", "vline", "none"])

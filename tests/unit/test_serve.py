@@ -5,7 +5,7 @@ they exercise the SERVICE semantics -- dedup, breaker, degradation
 ladder, retry, timeout, worker kill + checkpoint resume -- in
 milliseconds, without building a single mesh.  The stub honours the
 same solve() contract the real problem exposes (checkpoint_cb,
-resume_from, deadline, preconditioner), which is exactly the seam the
+resume_from, deadline), which is exactly the seam the
 service depends on.
 """
 
@@ -61,13 +61,9 @@ class FakeProblem:
         self.behavior = behavior or Behavior()
         self.calls: list[dict] = []
 
-    def solve(self, checkpoint_cb=None, resume_from=None, deadline=None,
-              preconditioner=None, **_kw):
+    def solve(self, checkpoint_cb=None, resume_from=None, deadline=None, **_kw):
         b = self.behavior
-        self.calls.append({
-            "resume_from": resume_from,
-            "preconditioner": preconditioner,
-        })
+        self.calls.append({"resume_from": resume_from})
         if b.entered is not None:
             b.entered.set()
         if b.block is not None:
@@ -85,7 +81,6 @@ class FakeProblem:
             u=np.arange(4.0) + b.steps,
             mean_velocity=1.0,
             newton=SimpleNamespace(iterations=b.steps),
-            preconditioner=preconditioner,
         )
 
 
@@ -335,7 +330,6 @@ class TestSolveService:
             assert resp.completed
             # success recorded as the cached-result rung's last good
             assert service.cached_result(scenario("a")) is resp.result
-            assert problems["a"].calls[0]["preconditioner"] is None
         run(body())
 
     def test_remember_good_feeds_cached_result(self, monkeypatch):
@@ -453,26 +447,6 @@ class TestSolveService:
             # a breaker is made at a digest's first failure, so a service
             # seeing only successes keeps none
             assert service.breakers == {}
-        run(body())
-
-    def test_degradation_rung_cheaper_preconditioner(self):
-        async def body():
-            service, problems = make_service()
-            service.degrade_precond_depth, service.degrade_mesh_depth = 0, 100
-            async with service:
-                resp = await service.submit(SolveRequest(scenario("a")))
-                last = await service.submit(
-                    SolveRequest(scenario("v", preconditioner="vline"))
-                )
-            assert resp.status == "degraded"
-            assert resp.reason == "cheap_precond"
-            # mdsc's next-cheaper rung in PRECOND_COST_ORDER is vline
-            assert problems["a"].calls[0]["preconditioner"] == "vline"
-            assert resp.solved == scenario("a")
-            # vline is the last rung: jacobi costs 9-35x the solve time it
-            # would shed, so the request keeps its own preconditioner
-            assert last.status == "ok"
-            assert problems["v"].calls[0]["preconditioner"] is None
         run(body())
 
     def test_degradation_rung_coarser_mesh(self):

@@ -164,7 +164,7 @@ OTHER_STR = {
     "name": "other",
     "description": "other",
     "family": "greenland",
-    "preconditioner": "vline",
+    "preconditioner": "mdsc",
     "forcing": "ramp",
 }
 LABELS = ("name", "description")
