@@ -32,11 +32,7 @@ from repro.observability import get_metrics, get_series, get_tracer
 from repro.physics.evaluators import Workset, basal_jacobian_block, build_stokes_field_manager
 from repro.physics.viscosity import flow_factor_arrhenius, glen_prefactor
 from repro.resilience.injectors import RankFailure, fault_plane
-from repro.resilience.policies import (
-    PreconditionerLadder,
-    ResilienceLog,
-    choose_survivor,
-)
+from repro.resilience.policies import ResilienceLog, choose_survivor
 from repro.solvers.multigrid import ColumnCollapseMdsc, MatrixFreeColumnCollapseMdsc
 from repro.solvers.newton import NEWTON_TOL, NewtonResult, newton_solve
 from repro.solvers.reductions import column_block_reducer
@@ -147,8 +143,9 @@ class StokesVelocityProblem:
         # step is then a pure numeric fill (no re-sort).
         self.plan = AssemblyPlan(self.dofmap, self.bc_dofs)
         #: symbolic half of the vline/MDSC set-up (``plan.collapse_map``),
-        #: built by the first set-up that needs it; topology only, like
-        #: the plan, so nothing ever invalidates it
+        #: built by the first set-up that needs it, with the coarse index
+        #: only for MDSC; topology only, like the plan, so nothing ever
+        #: invalidates it
         self.mdsc_symbolic = None
 
         # operator-mode axis: matrix-free wraps the SFad element blocks
@@ -191,10 +188,9 @@ class StokesVelocityProblem:
         #: SPMD ranks that failed mid-solve (graceful degradation state);
         #: reset at the start of every :meth:`solve`
         self._dead_ranks: set[int] = set()
-        #: active recovery policy / preconditioner fallback ladder, set
-        #: per solve by :meth:`solve` (None = fail-fast behavior)
+        #: active recovery policy, set per solve by :meth:`solve`
+        #: (None = fail-fast behavior)
         self._resilience = None
-        self._precond_ladder = None
 
     def _geometry_numeric_setup(self) -> None:
         """The coords-dependent slice of :meth:`_precompute`.
@@ -469,22 +465,27 @@ class StokesVelocityProblem:
         with get_tracer().span("precond.setup", kind=kind):
             if self._resilience is None:
                 return self._build_preconditioner(A, kind=kind)
-            # recovery ladder: configured factory -> Jacobi -> none.  A
-            # failing setup degrades convergence instead of killing
-            # the solve; every fallback is logged by the ladder.
-            if self._precond_ladder is None:
-                rungs: list[tuple[str, object]] = [
-                    (kind, lambda M, k=kind: self._build_preconditioner(M, kind=k))
-                ]
-                if kind != "jacobi":
-                    rungs.append(
-                        ("jacobi", lambda M: self._build_preconditioner(M, kind="jacobi"))
+            # recovery rungs: the configured set-up, then point Jacobi,
+            # then none -- a failing set-up degrades convergence instead
+            # of killing the solve, and the last rung cannot fail
+            log, failure = self._resilience.log, None
+            for rung in dict.fromkeys((kind, "jacobi", "none")):
+                try:
+                    M = None if rung == "none" else self._build_preconditioner(A, kind=rung)
+                except Exception as exc:  # noqa: BLE001 - any set-up may fail
+                    failure = exc
+                    log.record(
+                        "detection", "preconditioner_failure", "precond.setup",
+                        factory=rung, error=str(exc),
                     )
-                rungs.append(("none", None))
-                self._precond_ladder = PreconditionerLadder(
-                    rungs, log=self._resilience.log
-                )
-            return self._precond_ladder(A)
+                    with get_tracer().span("resilience.precond_fallback", failed=rung):
+                        continue
+                if failure is not None:
+                    log.record(
+                        "recovery", "preconditioner_fallback", "precond.setup",
+                        fell_back_to=rung, error=str(failure),
+                    )
+                return M
 
     def _build_preconditioner(self, A, kind: str | None = None):
         kind = kind if kind is not None else self.config.preconditioner
@@ -498,9 +499,10 @@ class StokesVelocityProblem:
         if kind == "jacobi":
             return JacobiSmoother(A, iters=3)
         levels = self.mesh.levels
-        if self.mdsc_symbolic is None:
-            self.mdsc_symbolic = self.plan.collapse_map(levels, 2, self.matrix_free)
         symbolic = self.mdsc_symbolic
+        if symbolic is None or (kind == "mdsc" and not symbolic.num_coarse):
+            symbolic = self.plan.collapse_map(levels, 2, self.matrix_free, coarse=kind == "mdsc")
+            self.mdsc_symbolic = symbolic
         if kind == "vline":
             # the MDSC vertical-line relaxation alone, damping derived
             # from lambda_max like inside the V-cycle: with ice-sheet
@@ -571,7 +573,6 @@ class StokesVelocityProblem:
         if resilience is None and plane.active:
             resilience = plane.policy
         self._resilience = resilience
-        self._precond_ladder = None
         self._dead_ranks = set()
 
         # per-solve lifecycle for BOTH phase times and sweep counts: two

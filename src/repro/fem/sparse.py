@@ -43,7 +43,8 @@ class ColumnCollapseMap:
     * ``coarse_dst`` -- value -> ``data`` position of ``P^T A P`` for the
       piecewise-constant ``agg`` (also the restriction / prolongation
       index), on a fixed CSC pattern that holds every diagonal
-      (``coarse_diag``: where the factorization's shift goes);
+      (``coarse_diag``: where the factorization's shift goes); only
+      with ``agg`` (``num_coarse`` is 0 without);
     * ``power_start`` -- the seeded unit vector the line smoother's
       ``lambda_max`` estimate starts from.
 
@@ -59,9 +60,10 @@ class ColumnCollapseMap:
         self, n, rows, cols, block_size=None, agg=None, num_coarse=0, entry_slot=None, bc_dofs=None
     ):
         self.n = n = int(n)
+        nc = self.num_coarse = int(num_coarse)
         self.num_values = len(rows) if entry_slot is None else len(entry_slot)
         # index arithmetic in the narrowest dtype holding every product below
-        wide = np.min_scalar_type(-max(n * (block_size or 1), (num_coarse + 1) * num_coarse) - 1)
+        wide = np.min_scalar_type(-max(n * (block_size or 1), (nc + 1) * nc) - 1)
         rows, cols = (np.asarray(a).astype(wide, copy=False) for a in (rows, cols))
         bc = np.array([] if bc_dofs is None else bc_dofs, dtype=np.int64)
         self.bc_dofs = _frozen(bc, n)
@@ -85,7 +87,6 @@ class ColumnCollapseMap:
             self.block_dst = _frozen(dst[self.block_src], size)
             self.bc_block = _frozen(bc * blk + bc % blk, size)
         if agg is not None:
-            nc = self.num_coarse = int(num_coarse)
             if np.shape(agg) != (self.n,):
                 raise ValueError("aggregate map must cover every fine dof")
             self.agg = _frozen(np.array(agg), nc)

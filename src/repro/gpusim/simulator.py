@@ -20,8 +20,6 @@ from repro.gpusim.timing import KernelTiming, estimate_time
 from repro.gpusim.trace import ThreadProgram, record_kernel_trace
 from repro.kokkos.policy import LaunchBounds
 from repro.observability import get_metrics, get_tracer
-from repro.resilience.injectors import KernelLaunchError, fault_plane
-from repro.resilience.policies import call_with_retries
 
 __all__ = ["ProblemSize", "ANTARCTICA_16KM", "KernelProfile", "GPUSimulator"]
 
@@ -111,18 +109,6 @@ class GPUSimulator:
             variant = get_variant(variant)
         if launch_bounds is None:
             launch_bounds = default_launch_bounds(variant.mode)
-
-        plane = fault_plane()
-        if plane.active:
-            # a flaky-GPU launch failure is re-launched within the
-            # policy's budget, like a retry after a transient driver error
-            retries = call_with_retries(
-                lambda: plane.poke("gpusim.launch", name=variant.key, gpu=self.spec.name),
-                plane.policy, plane.log, "gpusim.launch", "launch_failure", "launch_retry",
-                exceptions=(KernelLaunchError,), name=variant.key,
-            )
-            if retries:
-                get_metrics().counter("resilience.launch_retries").inc(retries)
 
         tr = get_tracer()
         with tr.span(

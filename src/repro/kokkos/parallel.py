@@ -16,15 +16,12 @@ from __future__ import annotations
 from repro.kokkos.policy import RangePolicy
 from repro.kokkos.space import ExecutionSpace, HostVector
 from repro.observability.tracer import get_tracer
-from repro.resilience.injectors import KernelLaunchError, fault_plane
-from repro.resilience.policies import call_with_retries
 
 __all__ = ["parallel_for", "DEFAULT_EXEC_SPACE"]
 
 #: where a launch without an explicit ``space`` runs
 DEFAULT_EXEC_SPACE = HostVector()
 _TRACER = get_tracer()
-_FAULT_PLANE = fault_plane()
 
 
 def parallel_for(
@@ -32,15 +29,6 @@ def parallel_for(
 ) -> None:
     """Execute ``functor`` over ``policy`` on ``space`` (default vectorized host)."""
     space = space or DEFAULT_EXEC_SPACE
-    plane = _FAULT_PLANE
-    if plane.active:
-        # an injected ``kernel.launch`` failure is re-submitted within the
-        # policy's retry budget, like a backend after a transient error
-        call_with_retries(
-            lambda: plane.poke("kernel.launch", name=name, extent=policy.extent),
-            plane.policy, plane.log, "kernel.launch", "launch_failure", "launch_retry",
-            exceptions=(KernelLaunchError,), name=name,
-        )
     tracer = _TRACER
     if tracer.recording:
         with tracer.span(

@@ -8,8 +8,8 @@ package gives the reproduction the same three capabilities:
 * :mod:`~repro.resilience.injectors` -- a deterministic, seeded
   fault-injection harness (:class:`FaultSchedule` armed on the
   process-wide :class:`FaultPlane`): halo-payload bit flips / drops /
-  duplicates, NaN-poisoned kernel sweeps, rank and kernel-launch
-  failures, all firing at exact scheduled occurrences;
+  duplicates, NaN-poisoned kernel sweeps and rank failures, all firing
+  at exact scheduled occurrences;
 * :mod:`~repro.resilience.detectors` -- payload checksums, per-step
   non-finite guards, GMRES outcome classification;
 * :mod:`~repro.resilience.policies` -- the recovery ladder
@@ -53,8 +53,6 @@ from repro.resilience.injectors import (
     FaultSchedule,
     HaloCorruptionError,
     Injector,
-    KernelLaunchError,
-    LaunchFail,
     NaNPoison,
     RankFailure,
     RankKill,
@@ -63,10 +61,8 @@ from repro.resilience.injectors import (
     reference_schedule,
 )
 from repro.resilience.policies import (
-    PreconditionerLadder,
     RecoveryPolicy,
     ResilienceLog,
-    call_with_retries,
     choose_survivor,
 )
 
@@ -87,17 +83,13 @@ __all__ = [
     "FaultSchedule",
     "HaloCorruptionError",
     "Injector",
-    "KernelLaunchError",
-    "LaunchFail",
     "NaNPoison",
     "RankFailure",
     "RankKill",
     "fault_injection",
     "fault_plane",
     "reference_schedule",
-    "PreconditionerLadder",
     "RecoveryPolicy",
     "ResilienceLog",
     "choose_survivor",
-    "call_with_retries",
 ]

@@ -2,26 +2,25 @@
 
 MALI/E3SM production runs survive the faults this module simulates --
 non-finite viscosities poisoning an assembly sweep, corrupted or lost
-halo messages, a node (rank) dropping out of the job, a kernel launch
-failing on a flaky GPU -- via step rejection, retries and restart
-rather than aborting.  The reproduction needs the same faults on demand
-to prove its recovery ladder works, so injection is a first-class,
-*deterministic* harness: a :class:`FaultSchedule` lists injectors with
-exact firing occurrences, every random choice comes from one seeded
-generator, and two runs of the same schedule corrupt the same bits.
+halo messages, a node (rank) dropping out of the job -- via step
+rejection, retries and restart rather than aborting.  The reproduction
+needs the same faults on demand to prove its recovery ladder works, so
+injection is a first-class, *deterministic* harness: a
+:class:`FaultSchedule` lists injectors with exact firing occurrences,
+every random choice comes from one seeded generator, and two runs of
+the same schedule corrupt the same bits.
 
 Execution model
 ---------------
 
 Instrumented call sites (halo payload refresh, evaluator sweep outputs,
-per-rank SPMD sweeps, gpusim/kokkos kernel launches) consult the
-process-wide :class:`FaultPlane`:
+per-rank SPMD sweeps) consult the process-wide :class:`FaultPlane`:
 
 * ``plane.perturb(site, payload, **ctx)`` passes a payload array through
   every injector attached to ``site`` and returns the (possibly
   corrupted) array;
 * ``plane.poke(site, **ctx)`` gives failure-type injectors the chance to
-  raise (:class:`RankFailure`, :class:`KernelLaunchError`).
+  raise (:class:`RankFailure`).
 
 Zero-overhead contract (mirrors the span tracer's ``recording`` flag): with
 no schedule armed ``plane.active`` is ``False`` and a site pays exactly
@@ -43,7 +42,6 @@ import numpy as np
 __all__ = [
     "FaultError",
     "RankFailure",
-    "KernelLaunchError",
     "HaloCorruptionError",
     "Injector",
     "BitFlip",
@@ -51,7 +49,6 @@ __all__ = [
     "DuplicateMessage",
     "NaNPoison",
     "RankKill",
-    "LaunchFail",
     "FaultSchedule",
     "reference_schedule",
     "FaultPlane",
@@ -76,10 +73,6 @@ class RankFailure(FaultError):
 
     def __reduce__(self):
         return (type(self), (self.rank, str(self)))
-
-
-class KernelLaunchError(FaultError):
-    """A simulated kernel launch failed (flaky GPU / driver hiccup)."""
 
 
 class HaloCorruptionError(FaultError):
@@ -229,24 +222,6 @@ class RankKill(Injector):
 
     def fire(self, payload, rng, ctx):
         raise RankFailure(self.rank)
-
-
-class LaunchFail(Injector):
-    """Fail a kernel launch (raises KernelLaunchError); retryable."""
-
-    kind = "launch_failure"
-
-    def __init__(self, site: str = "gpusim.launch", at=(0,), name: str | None = None):
-        super().__init__(site, at)
-        self.name = name
-
-    def matches(self, ctx):
-        return self.name is None or ctx.get("name") == self.name
-
-    def fire(self, payload, rng, ctx):
-        raise KernelLaunchError(
-            f"injected launch failure at site {self.site!r} (ctx {ctx})"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ The ladder, from cheapest to most disruptive -- each rung mirrors what
 an E3SM-class workflow does instead of aborting:
 
 1. **retry** -- corrupted halo exchange payloads are re-fetched (the
-   transport analogue of an MPI re-post); transient kernel-launch
-   failures are re-launched;
+   transport analogue of an MPI re-post);
 2. **re-evaluation** -- a non-finite residual/Jacobian sweep is rerun
    (transient corruption clears; a persistent NaN means real physics
    trouble and escalates);
@@ -15,9 +14,9 @@ an E3SM-class workflow does instead of aborting:
    timestep" of a nonlinear solve);
 4. **GMRES restart escalation** -- a stagnating linear solve retries
    with a grown Krylov space and iteration budget;
-5. **preconditioner fallback** -- if the MDSC hierarchy setup fails,
-   drop to the next factory on the ladder (Jacobi last), never to an
-   unpreconditioned abort;
+5. **preconditioner fallback** -- if the configured preconditioner's
+   set-up fails, the solve continues with point Jacobi, then with none
+   (``StokesVelocityProblem._preconditioner``), never with an abort;
 6. **SPMD degradation** -- a failed rank's owned cells are reassigned
    to a survivor (serial fallback when none remain); the
    decomposition-independent ``BlockReducer`` keeps the trajectory
@@ -34,13 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.observability import get_metrics, get_series, get_tracer
+from repro.observability import get_metrics, get_series
 
 __all__ = [
     "ResilienceLog",
     "RecoveryPolicy",
-    "call_with_retries",
-    "PreconditionerLadder",
     "choose_survivor",
 ]
 
@@ -115,89 +112,10 @@ class RecoveryPolicy:
     detected faults instead of raising (see module docstring).
     """
 
-    #: re-fetch/re-launch attempts for a corrupted exchange or failed launch
+    #: re-fetch attempts for a corrupted halo exchange (the solve
+    #: service also re-runs a failed solve this many times)
     max_retries: int = 3
     log: ResilienceLog = field(default_factory=ResilienceLog)
-
-
-def call_with_retries(
-    fn,
-    policy: RecoveryPolicy,
-    log: ResilienceLog,
-    site: str,
-    kind: str,
-    recovery: str,
-    exceptions: tuple[type[BaseException], ...] = (Exception,),
-    **detail,
-) -> int:
-    """Run ``fn`` with the policy's retry budget; return its retries.
-
-    Each failure is logged into ``log`` as a ``kind`` detection and
-    retried at once; a success after failures as one ``recovery`` event
-    (with the attempt count).  The last exception propagates once the
-    budget is spent.
-    """
-    attempt = 0
-    while True:
-        try:
-            fn()
-        except exceptions as exc:
-            attempt += 1
-            log.record("detection", kind, site, **detail, attempt=attempt, error=str(exc))
-            if attempt > policy.max_retries:
-                raise
-            continue
-        if attempt > 0:
-            with get_tracer().span("resilience.recover", site=site, kind=kind, attempts=attempt):
-                log.record("recovery", recovery, site, **detail, attempts=attempt)
-        return attempt
-
-
-class PreconditionerLadder:
-    """Factory chain: try each ``J -> M`` builder, fall through on failure.
-
-    The production rung order is the configured preconditioner ->
-    Jacobi -> None: when its set-up fails (a singular column block or
-    collapsed MDSC operator, an injected fault), the solve continues
-    with point-Jacobi -- degraded convergence beats a dead run.  Every fallback is logged as detection + recovery.
-    """
-
-    def __init__(self, factories: list[tuple[str, object]], log: ResilienceLog | None = None):
-        if not factories:
-            raise ValueError("at least one preconditioner factory required")
-        self.factories = list(factories)
-        self.log = log
-        #: name of the factory the last build actually used
-        self.last_used: str | None = None
-
-    def __call__(self, J):
-        tr = get_tracer()
-        last_exc: Exception | None = None
-        for i, (name, factory) in enumerate(self.factories):
-            try:
-                if factory is None:
-                    self.last_used = name
-                    return None
-                M = factory(J)
-                self.last_used = name
-                if i > 0 and self.log is not None:
-                    self.log.record(
-                        "recovery", "preconditioner_fallback", "precond.setup",
-                        fell_back_to=name, error=str(last_exc),
-                    )
-                return M
-            except Exception as exc:  # noqa: BLE001 - every rung may fail
-                last_exc = exc
-                if self.log is not None:
-                    self.log.record(
-                        "detection", "preconditioner_failure", "precond.setup",
-                        factory=name, error=str(exc),
-                    )
-                with tr.span("resilience.precond_fallback", failed=name):
-                    continue
-        raise RuntimeError(
-            f"every preconditioner factory failed (last: {last_exc})"
-        ) from last_exc
 
 
 def choose_survivor(dead: set[int], nparts: int) -> int | None:

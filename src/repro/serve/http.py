@@ -110,8 +110,9 @@ async def _handle(service: SolveService, reader, writer) -> None:
                 doc = json.loads(body.decode() or "{}")
                 if not isinstance(doc, dict):
                     raise ValueError("request body must be a JSON object")
-                # the JSON values as sent: the scenario refuses what is not
-                # its type (``int()`` would truncate a 3.7-layer request)
+                # the JSON values as sent: the scenario and the request refuse
+                # what is not their type (``int()`` would truncate a 3.7-layer
+                # request, ``float()`` make ``true`` a one-second deadline)
                 scenario = SolveScenario(
                     name=str(doc.get("name", "http")),
                     resolution_km=doc.get("resolution_km", 600.0),
@@ -121,11 +122,7 @@ async def _handle(service: SolveService, reader, writer) -> None:
                     newton_steps=doc.get("newton_steps", 8),
                     family=doc.get("family", "antarctica"),
                 )
-                deadline_s = doc.get("deadline_s")
-                request = SolveRequest(
-                    scenario,
-                    deadline_s=float(deadline_s) if deadline_s is not None else None,
-                )
+                request = SolveRequest(scenario, deadline_s=doc.get("deadline_s"))
             except (ValueError, TypeError, json.JSONDecodeError) as exc:
                 writer.write(_json_response(400, {"error": str(exc)}))
             else:

@@ -123,8 +123,15 @@ class SolveRequest:
     deadline_s: float | None = None
 
     def __post_init__(self):
-        if self.deadline_s is not None and not math.isfinite(self.deadline_s):
-            raise ValueError(f"deadline_s must be finite, got {self.deadline_s!r}")
+        d = self.deadline_s
+        if d is None:
+            return
+        # a bool is an int to Python, and a string converts: neither is a budget
+        if isinstance(d, bool) or not isinstance(d, numbers.Real):
+            raise ValueError(f"deadline_s must be a number, got {d!r}")
+        if not math.isfinite(d):
+            raise ValueError(f"deadline_s must be finite, got {d!r}")
+        object.__setattr__(self, "deadline_s", float(d))
 
 
 @dataclass

@@ -61,3 +61,12 @@ class TransientCheckpoint:
     def load(cls, path: str | Path) -> "TransientCheckpoint":
         """Load and integrity-check a saved checkpoint."""
         return load_record(cls, path)
+
+    def check_scenario(self, scenario) -> "TransientCheckpoint":
+        """``self``, or ``ValueError`` when another scenario wrote it."""
+        if self.scenario_digest and self.scenario_digest != scenario.digest:
+            raise ValueError(
+                f"checkpoint belongs to scenario digest {self.scenario_digest}, not "
+                f"{scenario.digest} ({scenario.name}); resuming would fork the trajectory"
+            )
+        return self

@@ -75,7 +75,12 @@ def run(args, error) -> int:
     scenario = get_scenario(args.scenario)
     if args.steps is not None:
         scenario = scenario.with_steps(args.steps)
-    resume = TransientCheckpoint.load(args.resume) if args.resume else None
+    resume = None
+    if args.resume:
+        try:
+            resume = TransientCheckpoint.load(args.resume).check_scenario(scenario)
+        except (OSError, ValueError) as exc:
+            error(f"argument --resume: {exc}")
     start = resume.step if resume is not None else 0
     if args.kill_at is not None and not start <= args.kill_at < scenario.num_steps:
         error(

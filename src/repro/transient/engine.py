@@ -254,12 +254,7 @@ class TransientEngine:
                 resume_from
                 if isinstance(resume_from, TransientCheckpoint)
                 else TransientCheckpoint.load(resume_from)
-            )
-            if ckpt.scenario_digest and ckpt.scenario_digest != sc.digest:
-                raise ValueError(
-                    f"checkpoint belongs to scenario digest {ckpt.scenario_digest}, "
-                    f"not {sc.digest} ({sc.name}); resuming would fork the trajectory"
-                )
+            ).check_scenario(sc)
             h = np.array(ckpt.thickness, dtype=np.float64)
             u_prev = np.array(ckpt.u, dtype=np.float64)
             u_before = np.array(ckpt.u_before, dtype=np.float64)

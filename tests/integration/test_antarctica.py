@@ -188,6 +188,23 @@ class TestPreconditionerOptions:
         assert sol.diagnostics["eval_sweeps"] == {"residual": 13, "jacobian": 8}
         return sol
 
+    @pytest.mark.parametrize("operator_mode", ["assembled", "matrix-free"])
+    def test_only_mdsc_builds_the_coarse_index(self, operator_mode):
+        """The line smoother reads the column blocks alone; the coarse
+        index of the collapse (about 4/5 of the map's build) is MDSC's."""
+        maps = {}
+        for precond in ("vline", "mdsc"):
+            velocity = VelocityConfig(
+                preconditioner=precond, operator_mode=operator_mode, newton_steps=2
+            )
+            cfg = AntarcticaConfig(resolution_km=400.0, num_layers=4, velocity=velocity)
+            test = AntarcticaTest.build(cfg)
+            test.run()
+            maps[precond] = test.problem.mdsc_symbolic
+        assert maps["vline"].num_coarse == 0 and not hasattr(maps["vline"], "coarse_dst")
+        assert maps["mdsc"].num_coarse > 0 and hasattr(maps["mdsc"], "coarse_dst")
+        assert np.array_equal(maps["vline"].block_dst, maps["mdsc"].block_dst)
+
     @pytest.mark.parametrize(
         "velocity",
         [dict(operator_mode="assembled"), dict(operator_mode="matrix-free"), dict(nparts=2)],
@@ -195,8 +212,9 @@ class TestPreconditionerOptions:
     )
     def test_mdsc_symbolic_half_is_built_once(self, velocity, monkeypatch):
         """One ``ColumnCollapseMap`` per problem, built by the first
-        set-up; every later set-up of the solve is numeric only -- it
-        sorts nothing and assembles nothing from COO triplets."""
+        set-up (which sorts MDSC's coarse pattern); every later set-up of
+        the solve is numeric only -- it sorts nothing and assembles
+        nothing from COO triplets."""
         from repro.fem.sparse import ColumnCollapseMap, CsrMatrix
 
         calls = {"maps": 0, "sorts": 0}
@@ -215,7 +233,9 @@ class TestPreconditionerOptions:
         monkeypatch.setattr(CsrMatrix, "from_coo", classmethod(counting(from_coo, "sorts")))
 
         cfg = AntarcticaConfig(
-            resolution_km=400.0, num_layers=4, velocity=VelocityConfig(**velocity)
+            resolution_km=400.0,
+            num_layers=4,
+            velocity=VelocityConfig(preconditioner="mdsc", **velocity),
         )
         test = AntarcticaTest.build(cfg)
         assert calls["maps"] == 0  # built on the first set-up that needs it

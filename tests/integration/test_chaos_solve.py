@@ -10,7 +10,12 @@ BFB work redistribution), so the test asserts the *strongest* form of
 the acceptance criterion: the recovered solution is bitwise equal to
 the fault-free one, far inside the ``10 * tol`` bar.
 
-The second half is the zero-overhead contract: with no schedule armed,
+A failed preconditioner set-up is recovered by falling through to the
+next rung (the configured preconditioner, then point Jacobi, then
+none); a fallen-through solve is bitwise the solve configured with that
+rung from the start.
+
+The last part is the zero-overhead contract: with no schedule armed,
 every instrumented site pays one attribute read and never enters any
 resilience code (the CI ``perf-gate`` job tracks the companion <5%
 timing bar on the solver hot-path benchmark).
@@ -19,9 +24,11 @@ timing bar on the solver hot-path benchmark).
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro import resilience as res
 from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
+from repro.app import velocity_solver
 
 #: the acceptance configuration: coarse Antarctica, 4 simulated ranks
 CHAOS_CFG = AntarcticaConfig(
@@ -90,6 +97,46 @@ class TestReferenceChaosSolve:
         flags = chaos.diagnostics["linear_flags"]
         assert len(flags) == chaos.newton.iterations
         assert set(flags) <= set(res.GMRES_FLAGS)
+
+
+def _fallback_problem(preconditioner):
+    """400 km / 4 layers, three Newton steps (enough set-ups to fall through)."""
+    velocity = VelocityConfig(preconditioner=preconditioner, newton_steps=3)
+    cfg = AntarcticaConfig(resolution_km=400.0, num_layers=4, velocity=velocity)
+    return AntarcticaTest.build(cfg).problem
+
+
+def _failing_setup(*args, **kwargs):
+    raise RuntimeError("singular column block")
+
+
+class TestPreconditionerFallback:
+    @pytest.mark.parametrize(
+        "failing, rung",
+        [(("VerticalLineSmoother",), "jacobi"), (("VerticalLineSmoother", "JacobiSmoother"), "none")],
+        ids=["vline", "vline+jacobi"],
+    )
+    def test_a_failed_setup_solves_as_the_next_rung(self, failing, rung, monkeypatch):
+        want = _fallback_problem(rung).solve()
+        for name in failing:
+            monkeypatch.setattr(velocity_solver, name, _failing_setup)
+        policy = res.RecoveryPolicy()
+        got = _fallback_problem("vline").solve(resilience=policy)
+
+        assert np.array_equal(got.u, want.u)
+        assert got.newton.linear_iterations == want.newton.linear_iterations
+        setups = got.newton.iterations
+        events = got.diagnostics["resilience"]["events"]
+        failed = [e["factory"] for e in events if e["kind"] == "preconditioner_failure"]
+        fell_back = [e["fell_back_to"] for e in events if e["kind"] == "preconditioner_fallback"]
+        assert failed == [f for _ in range(setups) for f in ("vline", "jacobi")[: len(failing)]]
+        assert fell_back == [rung] * setups
+        assert policy.log.count("recovery") == setups
+
+    def test_a_failed_setup_without_a_policy_raises(self, monkeypatch):
+        monkeypatch.setattr(velocity_solver, "VerticalLineSmoother", _failing_setup)
+        with pytest.raises(RuntimeError, match="singular column block"):
+            _fallback_problem("vline").solve()
 
 
 class TestNoInjectorOverhead:

@@ -85,6 +85,47 @@ def test_a_transient_kill_step_outside_the_run_exits_2(argv, message, capsys):
     assert f"argument --kill-at: {message}" in err and "Traceback" not in err
 
 
+def _checkpoint_of(scenario_name: str, path: Path) -> Path:
+    """A loadable checkpoint whose only meaningful field is its scenario."""
+    import numpy as np
+
+    from repro.transient.checkpoint import TransientCheckpoint
+    from repro.transient.scenarios import get_scenario
+
+    empty = np.zeros(0)
+    return TransientCheckpoint(
+        step=1, t_years=1.0, tol_abs=1.0, thickness=empty, u=empty, u_before=empty,
+        particles_xy=np.zeros((0, 2)), particles_zeta=empty,
+        particles_active=np.zeros(0, dtype=bool),
+        scenario_digest=get_scenario(scenario_name).digest,
+    ).save(path)
+
+
+@pytest.mark.parametrize(
+    "checkpoint, message",
+    [
+        (lambda d: d / "missing.npz", "No such file"),
+        (lambda d: d / "dir", "Is a directory"),
+        (lambda d: d / "corrupt.npz", "failed its integrity check"),
+        (lambda d: _checkpoint_of("antarctica-retreat", d / "other.npz"), "belongs to scenario"),
+    ],
+    ids=["missing", "directory", "corrupt", "other-scenario"],
+)
+def test_a_checkpoint_that_cannot_resume_exits_2(checkpoint, message, tmp_path, capsys, monkeypatch):
+    """Each used to end in a traceback with exit 1, the scenario mismatch
+    only after the engine was built."""
+    import repro.transient.cli as transient_cli
+
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "corrupt.npz").write_bytes(b"not a zip archive")
+    monkeypatch.setattr(transient_cli, "TransientEngine", None)  # must not be reached
+    with pytest.raises(SystemExit) as exc:
+        main(["transient", "--resume", str(checkpoint(tmp_path))])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --resume: " in err and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

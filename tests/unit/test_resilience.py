@@ -4,8 +4,7 @@ Covers the resilience package in isolation -- deterministic seeded
 injectors, checksum/finiteness/GMRES-outcome detectors, the recovery
 policy rungs, Newton checkpoint/restart -- plus the solver-level wiring:
 per-step non-finite guards that name the step and phase without a
-policy, re-evaluation / step rejection / GMRES escalation with one, and
-the instrumented launch sites in kokkos and gpusim.
+policy, and re-evaluation / step rejection / GMRES escalation with one.
 """
 
 import pickle
@@ -83,13 +82,6 @@ class TestInjectors:
         with pytest.raises(res.RankFailure) as exc:
             inj.visit(None, rng, {"rank": 2}, None)  # victim occurrence 1
         assert exc.value.rank == 2
-
-    def test_launch_fail_filters_by_name(self):
-        inj = res.LaunchFail("kernel.launch", at=(0,), name="stokes.resid")
-        rng = np.random.default_rng(0)
-        inj.visit(None, rng, {"name": "other"}, None)  # filtered: no fire
-        with pytest.raises(res.KernelLaunchError):
-            inj.visit(None, rng, {"name": "stokes.resid"}, None)
 
     def test_schedule_pending_and_fired(self):
         sched = res.FaultSchedule(
@@ -227,36 +219,6 @@ class TestPolicies:
         with pytest.raises(ValueError):
             log.record("bogus", "x", "y")
 
-    def test_call_with_retries_recovers(self):
-        policy = res.RecoveryPolicy(max_retries=3)
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        log = res.ResilienceLog()
-        retries = res.call_with_retries(
-            flaky, policy, log, "gpusim.launch", "launch_failure", "launch_retry"
-        )
-        assert retries == 2 and calls["n"] == 3
-        assert log.count("detection", "launch_failure") == 2
-        assert log.count("recovery", "launch_retry") == 1
-        assert policy.log.count("detection") == 0  # recorded into the log passed
-
-    def test_call_with_retries_exhausts_budget(self):
-        policy = res.RecoveryPolicy(max_retries=2)
-
-        def always_fails():
-            raise RuntimeError("persistent")
-
-        with pytest.raises(RuntimeError, match="persistent"):
-            res.call_with_retries(always_fails, policy, policy.log, "site", "kind", "kind_retry")
-        assert policy.log.count("detection") == 3  # initial + 2 retries
-        assert policy.log.count("recovery") == 0
-
     def test_log_extend_merges_without_double_counting(self):
         src = res.ResilienceLog()
         src.record("injection", "bitflip", "halo.payload")
@@ -269,36 +231,6 @@ class TestPolicies:
         assert [e["category"] for e in dst.events] == ["recovery", "injection", "detection"]
         # the source log mirrored its events already; the merge adds none
         assert get_metrics().snapshot()["counters"]["resilience.injection"] == before
-
-    def test_preconditioner_ladder_falls_through(self):
-        log = res.ResilienceLog()
-
-        def mdsc_fails(J):
-            raise RuntimeError("singular collapsed block")
-
-        ladder = res.PreconditionerLadder(
-            [("mdsc", mdsc_fails), ("jacobi", lambda J: "jacobi-M"), ("none", None)],
-            log=log,
-        )
-        assert ladder("J") == "jacobi-M"
-        assert ladder.last_used == "jacobi"
-        assert log.count("detection", "preconditioner_failure") == 1
-        assert log.count("recovery", "preconditioner_fallback") == 1
-
-    def test_preconditioner_ladder_none_rung(self):
-        ladder = res.PreconditionerLadder(
-            [("mdsc", lambda J: (_ for _ in ()).throw(RuntimeError("x"))), ("none", None)]
-        )
-        assert ladder("J") is None and ladder.last_used == "none"
-
-    def test_preconditioner_ladder_all_fail(self):
-        def bad(J):
-            raise RuntimeError("nope")
-
-        with pytest.raises(RuntimeError, match="every preconditioner factory failed"):
-            res.PreconditionerLadder([("a", bad), ("b", bad)])("J")
-        with pytest.raises(ValueError):
-            res.PreconditionerLadder([])
 
     def test_choose_survivor(self):
         assert res.choose_survivor({1}, 4) == 0
@@ -584,41 +516,3 @@ class TestHaloSite:
         out = halo.gather(1, field)
         assert np.array_equal(out, field[halo.local_nodes(1)])
         assert halo.meter.total_bytes > before  # normal metering still runs
-
-
-class TestLaunchSites:
-    def test_kokkos_launch_retry(self):
-        from repro.kokkos import RangePolicy, parallel_for
-
-        out = np.zeros(4)
-
-        def functor(i):  # i is a slice on the vectorized host space
-            out[i] += 1.0
-
-        policy = res.RecoveryPolicy()
-        sched = res.FaultSchedule([res.LaunchFail("kernel.launch", at=(0,))])
-        with res.fault_injection(sched, policy=policy):
-            parallel_for("resilience.test", RangePolicy(0, 4), functor)
-        assert np.array_equal(out, np.ones(4))  # retried launch ran exactly once
-        assert policy.log.count("detection", "launch_failure") == 1
-        assert policy.log.count("recovery", "launch_retry") == 1
-
-    def test_kokkos_launch_failure_exhausts_budget(self):
-        from repro.kokkos import RangePolicy, parallel_for
-
-        policy = res.RecoveryPolicy(max_retries=1)
-        sched = res.FaultSchedule([res.LaunchFail("kernel.launch", at=(0, 1, 2, 3))])
-        with res.fault_injection(sched, policy=policy):
-            with pytest.raises(res.KernelLaunchError):
-                parallel_for("resilience.test", RangePolicy(0, 4), lambda i: None)
-
-    def test_gpusim_launch_retry(self):
-        from repro.gpusim import A100, GPUSimulator, ProblemSize
-
-        sim = GPUSimulator(A100)
-        policy = res.RecoveryPolicy()
-        sched = res.FaultSchedule([res.LaunchFail("gpusim.launch", at=(0,))])
-        with res.fault_injection(sched, policy=policy):
-            profile = sim.run("optimized-residual", ProblemSize(num_cells=1000))
-        assert profile.time_s > 0.0
-        assert policy.log.count("recovery", "launch_retry") == 1

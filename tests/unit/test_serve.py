@@ -169,6 +169,18 @@ class TestRequests:
             with pytest.raises(ValueError, match="deadline_s must be finite"):
                 SolveRequest(scenario("x"), deadline_s=value)
 
+    @pytest.mark.parametrize(
+        "value", [True, False, "5", b"5", [5.0]], ids=["true", "false", "str", "bytes", "list"]
+    )
+    def test_a_deadline_that_is_not_a_number_is_refused(self, value):
+        """``True`` passed ``math.isfinite`` as 1, and the HTTP frontend's
+        ``float()`` made ``"5"`` a five-second budget."""
+        with pytest.raises(ValueError, match="deadline_s must be a number"):
+            SolveRequest(scenario("x"), deadline_s=value)
+
+    def test_a_whole_deadline_is_stored_as_seconds(self):
+        assert type(SolveRequest(scenario("x"), deadline_s=5).deadline_s) is float
+
 
 # ----------------------------------------------------------------------
 # circuit breaker state machine
@@ -761,7 +773,11 @@ class TestHttp:
         assert not problems
 
     @pytest.mark.parametrize(
-        "doc", ['{"num_layers": 3.7}', '{"nparts": "2"}', '{"resolution_km": "600"}']
+        "doc",
+        [
+            '{"num_layers": 3.7}', '{"nparts": "2"}', '{"resolution_km": "600"}',
+            '{"deadline_s": "5"}', '{"deadline_s": true}',
+        ],
     )
     def test_a_value_of_the_wrong_type_is_a_400(self, doc):
         """The JSON values reach the scenario as sent: a 3.7-layer request
