@@ -18,6 +18,7 @@ import argparse
 import numpy as np
 
 from repro.transient import SCENARIOS, TransientEngine, get_scenario
+from repro.transient.scenarios import DT_YEARS
 
 
 def main() -> None:
@@ -43,7 +44,7 @@ def main() -> None:
     engine = TransientEngine(scenario)
     print(
         f"scenario {scenario.name!r}: {scenario.num_steps} steps of "
-        f"<= {scenario.dt_years:g} yr on the {scenario.family} family "
+        f"<= {DT_YEARS:g} yr on the {scenario.family} family "
         f"({engine.footprint.num_elems} columns, {engine.mesh.nlayers} layers), "
         f"forcing = {scenario.forcing}"
     )

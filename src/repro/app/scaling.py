@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from repro.gpusim.simulator import GPUSimulator, ProblemSize
 from repro.gpusim.specs import GPUSpec
 from repro.kokkos.policy import LaunchBounds
-from repro.mesh.partition import halo_statistics, partition_footprint
+from repro.mesh.partition import ghost_columns_estimate, halo_statistics, partition_footprint
 
 __all__ = ["InterconnectSpec", "SLINGSHOT11", "ScalingModel", "ScalingPoint"]
 
@@ -109,15 +109,10 @@ class ScalingModel:
         return tj + tr
 
     def ghost_columns(self, cells_per_gpu: int) -> float:
-        """Halo width estimate: the partition boundary of a compact 2-D patch.
-
-        ``cells_per_gpu`` hexahedra over ``levels - 1`` layers gives a
-        footprint patch of ``A = cells / nz`` columns; a compact patch
-        has a boundary of about ``4 sqrt(A)`` columns.
-        """
-        nz = self.levels - 1
-        area = max(1.0, cells_per_gpu / nz)
-        return 4.0 * math.sqrt(area)
+        """Halo width estimate: the partition boundary of a compact 2-D
+        patch of ``cells_per_gpu`` hexahedra over ``levels - 1`` layers
+        (:func:`~repro.mesh.partition.ghost_columns_estimate`)."""
+        return ghost_columns_estimate(cells_per_gpu, self.levels - 1)
 
     def halo_time_per_step(
         self, cells_per_gpu: int, num_gpus: int, ghost_columns: float | None = None

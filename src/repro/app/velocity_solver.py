@@ -27,7 +27,12 @@ from repro.fem.distributed import DistributedMatrix, DistributedStokesAssembly, 
 from repro.fem.dofmap import DofMap
 from repro.mesh.extrude import ExtrudedMesh
 from repro.mesh.geometry import IceGeometry
-from repro.mesh.partition import TrafficMeter, halo_statistics, partition_footprint
+from repro.mesh.partition import (
+    TrafficMeter,
+    ghost_columns_estimate,
+    halo_statistics,
+    partition_footprint,
+)
 from repro.observability import get_metrics, get_series, get_tracer
 from repro.physics.evaluators import Workset, basal_jacobian_block, build_stokes_field_manager
 from repro.physics.viscosity import flow_factor_arrhenius, glen_prefactor
@@ -671,7 +676,7 @@ class StokesVelocityProblem:
         """
         stats = halo_statistics(self.partition)
         cells_per_rank = self.mesh.num_elems / self.config.nparts
-        analytic = 4.0 * float(np.sqrt(max(1.0, cells_per_rank / self.mesh.nlayers)))
+        analytic = ghost_columns_estimate(cells_per_rank, self.mesh.nlayers)
         return {
             "nparts": self.config.nparts,
             "halo": stats.to_dict(),

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import math
 
-__all__ = ["positive_int", "non_negative_int", "positive_float", "port", "span_delay"]
+__all__ = ["positive_int", "non_negative_int", "positive_float", "port"]
 
 
 def positive_int(text: str) -> int:
@@ -36,11 +36,3 @@ def port(text: str) -> int:
     if not 0 <= value <= 65535:
         raise argparse.ArgumentTypeError(f"must be 0-65535, got {value}")
     return value
-
-
-def span_delay(text: str) -> tuple[str, float]:
-    """``NAME:SECONDS`` with a non-empty span name and a positive, finite delay."""
-    name, sep, seconds = text.rpartition(":")
-    if not (sep and name):
-        raise argparse.ArgumentTypeError(f"expected NAME:SECONDS, got {text!r}")
-    return name, positive_float(seconds)

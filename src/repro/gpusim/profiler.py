@@ -131,12 +131,6 @@ class RocprofReport:
             + 64.0 * (c["TCC_EA_RDREQ_sum"] - c["TCC_EA_RDREQ_32B"])
         )
 
-    def csv_row(self) -> str:
-        keys = sorted(self.counters)
-        return ",".join(["KernelName"] + keys) + "\n" + ",".join(
-            [self.kernel_name] + [str(self.counters[k]) for k in keys]
-        )
-
     def render(self) -> str:
         lines = [f"== rocprof (simulated): {self.kernel_name} =="]
         for k in sorted(self.counters):

@@ -156,9 +156,3 @@ class GPUSimulator:
             occupancy=occ,
             peak_bandwidth=self.spec.hbm_bytes_per_s,
         )
-
-    def run_all_variants(self, problem: ProblemSize = ANTARCTICA_16KM) -> dict[str, KernelProfile]:
-        """Profile all four kernel variants with their default bounds."""
-        from repro.core.variants import variant_names
-
-        return {key: self.run(key, problem) for key in variant_names()}

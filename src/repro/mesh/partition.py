@@ -22,6 +22,7 @@ pieces added here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "TrafficMeter",
     "HaloStatistics",
     "halo_statistics",
+    "ghost_columns_estimate",
 ]
 
 
@@ -380,11 +382,20 @@ class HaloStatistics:
         }
 
 
+def ghost_columns_estimate(cells: float, layers: int) -> float:
+    """Ghost columns of one rank's ``cells`` hexahedra over ``layers`` layers.
+
+    The rank holds a footprint patch of ``A = cells / layers`` columns
+    (at least one); a compact patch has a boundary of about ``4 sqrt(A)``
+    columns.  :func:`halo_statistics` measures the real count.
+    """
+    return 4.0 * math.sqrt(max(1.0, cells / layers))
+
+
 def halo_statistics(partition: Partition) -> HaloStatistics:
     """Measure the per-rank ghost/send/neighbor counts of a partition.
 
-    This is the measured replacement for the ``4 sqrt(A)`` analytic
-    ghost-column guess in :class:`repro.app.scaling.ScalingModel`.
+    This is the measured replacement for :func:`ghost_columns_estimate`.
     """
     halo = HaloExchange(partition)
     nparts = partition.nparts

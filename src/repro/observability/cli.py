@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import gc
 
-from repro.cli_types import positive_float, positive_int, span_delay
+from repro.cli_types import positive_float, positive_int
 from repro.gpusim.specs import ALL_GPUS, MI250X_GCD
 from repro.observability import perfdiff
 
@@ -34,11 +34,6 @@ def profile(args) -> int:
     )
     obs.get_metrics().reset()
     obs.get_series().reset()
-    tr = obs.get_tracer()
-    if args.plant_slow:
-        # negative control for the perfdiff pipeline: slow one span by a
-        # known amount and check the diff ranks it first
-        tr.plant_slowdown(*args.plant_slow)
     # no cyclic-GC pass inside the traced run (timeit's rule): a pass over
     # the whole process heap lands in whichever span is open, and perfdiff
     # would rank that span as the regression
@@ -50,7 +45,6 @@ def profile(args) -> int:
                 test = AntarcticaTest.build(cfg)
             sol = test.run()
     finally:
-        tr.clear_slowdowns()
         if gc_enabled:
             gc.enable()
     spans = tracer.spans
@@ -112,10 +106,6 @@ def register(sub) -> None:
     p.add_argument(
         "--openmetrics", default=None,
         help="write metrics + convergence series as OpenMetrics text",
-    )
-    p.add_argument(
-        "--plant-slow", type=span_delay, default=None, metavar="NAME:SECONDS",
-        help="plant a deliberate slowdown on one span name (perfdiff negative control)",
     )
     p.add_argument(
         "--resolution-km", type=positive_float, default=300.0, help="footprint resolution [km]"

@@ -42,6 +42,8 @@ __all__ = [
 
 #: below this absolute per-span delta (seconds) a row is noise, not signal
 DEFAULT_MIN_DELTA_S = 1e-4
+#: rows printed per attribution table
+TOP_ROWS = 15
 
 
 def _flatten(prefix: str, obj, out: dict) -> None:
@@ -126,7 +128,7 @@ def load_perf_document(path: str) -> dict:
     return {"label": path, "spans": spans, "counters": counters}
 
 
-def diff_documents(base: dict, cur: dict, min_delta_s: float = DEFAULT_MIN_DELTA_S) -> dict:
+def diff_documents(base: dict, cur: dict) -> dict:
     """Span + counter deltas, ranked with regressions first.
 
     Span rows diff **self time** (exclusive of children): a slowdown
@@ -147,7 +149,7 @@ def diff_documents(base: dict, cur: dict, min_delta_s: float = DEFAULT_MIN_DELTA
         b = base["spans"].get(name, empty)
         c = cur["spans"].get(name, empty)
         delta = c["self_s"] - b["self_s"]
-        if abs(delta) < min_delta_s:
+        if abs(delta) < DEFAULT_MIN_DELTA_S:
             continue
         rows.append(
             {
@@ -212,7 +214,7 @@ def _table(headers: list, rows: list, title: str) -> str:
     return "\n".join(lines)
 
 
-def format_diff(report: dict, top: int = 15) -> str:
+def format_diff(report: dict) -> str:
     """ASCII attribution tables for a :func:`diff_documents` report."""
     parts = [
         f"perfdiff: {report['baseline']} -> {report['current']}",
@@ -233,7 +235,7 @@ def format_diff(report: dict, top: int = 15) -> str:
                 f"{r['share']:+.1%}",
                 f"{r['base_count']}->{r['cur_count']}",
             ]
-            for r in report["spans"][:top]
+            for r in report["spans"][:TOP_ROWS]
         ]
         parts.append(
             _table(
@@ -254,7 +256,7 @@ def format_diff(report: dict, top: int = 15) -> str:
                 f"{r['delta']:+g}",
                 f"{r['ratio']:.3f}x" if r["ratio"] != float("inf") else "new",
             ]
-            for r in report["counters"][:top]
+            for r in report["counters"][:TOP_ROWS]
         ]
         parts.append(_table(["counter", "base", "current", "delta", "ratio"], rows, "Counter deltas"))
     return "\n\n".join(parts)
@@ -264,11 +266,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     """The ``perfdiff`` arguments (shared with ``python -m repro perfdiff``)."""
     parser.add_argument("baseline", help="baseline Chrome trace or bench JSON")
     parser.add_argument("current", help="current Chrome trace or bench JSON")
-    parser.add_argument("--top", type=int, default=15, help="rows per table (default 15)")
-    parser.add_argument(
-        "--min-delta", type=float, default=DEFAULT_MIN_DELTA_S,
-        help="ignore span deltas below this many seconds",
-    )
     parser.add_argument("--json", dest="json_out", default=None, help="also write the report as JSON")
 
 
@@ -279,8 +276,8 @@ def run(args: argparse.Namespace) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"perfdiff: {exc}", file=sys.stderr)
         return 2
-    report = diff_documents(base, cur, min_delta_s=args.min_delta)
-    print(format_diff(report, top=args.top))
+    report = diff_documents(base, cur)
+    print(format_diff(report))
     if args.json_out:
         with open(args.json_out, "w") as f:
             json.dump(report, f, indent=2)

@@ -86,11 +86,6 @@ class _SpanHandle:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        planted = self.tracer._planted
-        if planted:
-            delay = planted.get(self.name)
-            if delay:
-                time.sleep(delay)
         t1 = time.perf_counter_ns()
         self.dur_ns = t1 - self._t0_ns
         tr = self.tracer
@@ -118,7 +113,6 @@ class SpanTracer:
         self._next_id = 0
         self._tls = threading.local()
         self._tid_map: dict[int, int] = {}
-        self._planted: dict[str, float] = {}
 
     # -- internals ------------------------------------------------------
     def _stack(self) -> list:
@@ -180,25 +174,6 @@ class SpanTracer:
         span timeline and export directly as Chrome counter events.
         """
         return (time.perf_counter_ns() - self._epoch_ns) * 1.0e-3
-
-    def plant_slowdown(self, name: str, seconds: float) -> None:
-        """Testing hook: sleep ``seconds`` whenever a span ``name`` closes.
-
-        This is how the perfdiff planted-regression controls (CI and
-        integration tests) manufacture a known culprit: the sleep lands
-        inside the span's measured duration, so attribution must rank
-        exactly that span first.  Survives :meth:`clear` (sessions clear
-        the trace after planting); remove with :meth:`clear_slowdowns`.
-        Zero/negative seconds remove the single entry.
-        """
-        if seconds and seconds > 0:
-            self._planted[name] = float(seconds)
-        else:
-            self._planted.pop(name, None)
-
-    def clear_slowdowns(self) -> None:
-        """Remove every planted slowdown."""
-        self._planted = {}
 
     def start(self) -> None:
         self.recording = True

@@ -33,7 +33,7 @@ class CflViolationError(ValueError):
         self.dt_max = float(dt_max)
         super().__init__(
             f"dt={self.dt:g} exceeds the CFL stability bound {self.dt_max:.6g}; "
-            "cap the step (dt <= cfl_safety * max_stable_dt(velocity)) or pass "
+            "cap the step (dt <= max_stable_dt(velocity)) or pass "
             "enforce_cfl=False to accept the oscillation risk explicitly"
         )
 

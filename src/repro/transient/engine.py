@@ -15,14 +15,14 @@ with the three amortizations that make it affordable:
   extrapolation of the last two velocities (:func:`warm_start_guess`;
   the first warm step, with one velocity behind it, starts from that
   velocity).  The cold start measures ``||F(0)||`` once and fixes the
-  absolute tolerance ``tol_abs = newton_rtol * ||F(0)||`` for the whole
+  absolute tolerance ``tol_abs = NEWTON_RTOL * ||F(0)||`` for the whole
   run, so warm-started steps converge in the few iterations it takes to
   re-enter the basin instead of burning the full Newton budget -- and,
   having a target, they are inexact Newton solves: GMRES runs to the
   Eisenstat-Walker term of :func:`repro.solvers.newton.forcing_term`,
   2.6 iterations per Newton step where ``linear_tol`` took 7.5;
-* **adaptive CFL stepping** -- the requested ``dt`` is capped at
-  ``cfl_safety`` times the evolver's stability bound for the current
+* **adaptive CFL stepping** -- the requested ``DT_YEARS`` is capped at
+  ``CFL_SAFETY`` times the evolver's stability bound for the current
   velocity, so the explicit upwind update stays monotone (and the
   ``H >= 0`` clip stays inactive on closed-budget runs, which is what
   lets the conservation gate demand drift at roundoff).
@@ -49,7 +49,14 @@ from repro.physics.thickness import ThicknessEvolver
 from repro.store import ArtifactCache
 from repro.transient.checkpoint import TransientCheckpoint
 from repro.transient.particles import ParticleSet
-from repro.transient.scenarios import TransientScenario
+from repro.transient.scenarios import (
+    CFL_SAFETY,
+    CHECKPOINT_EVERY,
+    DT_YEARS,
+    FORCING_RAMP_YEARS,
+    NEWTON_RTOL,
+    TransientScenario,
+)
 
 __all__ = ["TransientEngine", "TransientResult", "TransientKilled", "warm_start_guess"]
 
@@ -191,7 +198,7 @@ class TransientEngine:
             smb = -sc.forcing_amplitude * np.clip((r - 0.6) / 0.4, 0.0, 1.0)
             return smb, zero
         if sc.forcing == "ramp":
-            level = min(t_years / sc.forcing_ramp_years, 1.0)
+            level = min(t_years / FORCING_RAMP_YEARS, 1.0)
             return np.full(ne, -sc.forcing_amplitude * level), zero
         # "collapse": basal melt under floating ice, judged against the
         # *evolving* thickness's own floatation state
@@ -224,7 +231,6 @@ class TransientEngine:
         total = sc.num_steps if num_steps is None else int(num_steps)
         if resume_from is None and total < 1:
             raise ValueError(f"num_steps must be at least 1 on a fresh run, got {total}")
-        every = sc.checkpoint_every
         ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         if ckpt_dir is not None:
             ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -270,7 +276,7 @@ class TransientEngine:
             newton_its = list(ckpt.newton_iterations)
             # reconstruct: only the cold first step of the original run
             # was not warm-started (flags are derived, not checkpointed)
-            warm_flags = [sc.warm_start and i > 0 for i in range(len(newton_its))]
+            warm_flags = [i > 0 for i in range(len(newton_its))]
         if kill_at_step is not None and not start <= kill_at_step < total:
             raise ValueError(f"kill_at_step must be in [{start}, {total}), got {kill_at_step}")
         if resume_from is not None:
@@ -336,9 +342,9 @@ class TransientEngine:
                                 )
                             )
                         )
-                        tol_abs = sc.newton_rtol * f0
+                        tol_abs = NEWTON_RTOL * f0
                     u0 = None
-                    if sc.warm_start and u_prev is not None:
+                    if u_prev is not None:
                         u0 = warm_start_guess(u_prev, u_before, dts)
                     with tracer.span("transient.velocity", step=s):
                         sol = self.problem.solve(u0=u0, newton_tol=tol_abs)
@@ -349,10 +355,10 @@ class TransientEngine:
                     # 3. thickness: CFL-capped explicit upwind step
                     with tracer.span("transient.thickness", step=s):
                         v_cell = self.problem.depth_averaged_cell_velocity(sol.u)
-                        dt = sc.dt_years
+                        dt = DT_YEARS
                         dt_max = self.evolver.max_stable_dt(v_cell)
                         if np.isfinite(dt_max):
-                            dt = min(dt, sc.cfl_safety * dt_max)
+                            dt = min(dt, CFL_SAFETY * dt_max)
                         smb, bmb = self._mass_balance(h, t)
                         h = self.evolver.step(h, v_cell, dt, smb=smb, bmb=bmb)
                     clipped_total += self.evolver.last_step_stats["clipped_volume"]
@@ -395,7 +401,7 @@ class TransientEngine:
                     )
 
                 done = s + 1
-                if ckpt_dir is not None and every and done % every == 0 and done < total:
+                if ckpt_dir is not None and done % CHECKPOINT_EVERY == 0 and done < total:
                     so_far().final_checkpoint().save(ckpt_dir / f"step{done:04d}.npz")
                     metrics.counter("transient.checkpoints").inc()
                 if kill_at_step is not None and s == kill_at_step:

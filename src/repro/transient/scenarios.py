@@ -17,12 +17,34 @@ collapse) and is cheap enough for CI.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
-from repro.app.config import AntarcticaConfig, VelocityConfig
+from repro.app.config import AntarcticaConfig, VelocityConfig, as_count
 from repro.store import content_digest
 
 __all__ = ["TransientScenario", "SCENARIOS", "get_scenario", "FORCINGS"]
+
+# How every scenario is stepped (no scenario uses another value).  The
+# digest still writes each one, so changing a constant here makes every
+# checkpoint written under the old value refuse to resume.
+
+#: per-solve Newton budget: headroom over the cold solve's count
+NEWTON_STEPS = 12
+#: requested step [yr]; the CFL cap may shorten it
+DT_YEARS = 50.0
+#: fraction of the evolver's stable dt a step may take, so the explicit
+#: upwind update stays monotone and the ``H >= 0`` clip stays inactive
+#: on closed-budget runs
+CFL_SAFETY = 0.5
+#: relative Newton tolerance: ``tol_abs = NEWTON_RTOL * ||F(0)||`` of
+#: the cold solve, fixed for the whole run
+NEWTON_RTOL = 1.0e-6
+#: steps between periodic checkpoints
+CHECKPOINT_EVERY = 5
+#: time for the "ramp" forcing to reach full amplitude [yr]
+FORCING_RAMP_YEARS = 200.0
 
 #: supported mass-balance forcings (applied by the engine each step):
 #: "none" -- zero SMB/BMB everywhere (closed budget: total volume is an
@@ -44,35 +66,33 @@ class TransientScenario:
     family: str = "antarctica"  # "antarctica" | "greenland"
     resolution_km: float = 400.0
     num_layers: int = 4
-    newton_steps: int = 12  # per-solve Newton budget (headroom over cold)
     # -- stepping ------------------------------------------------------
     num_steps: int = 12
-    dt_years: float = 50.0  # requested step; CFL may shorten it
-    cfl_safety: float = 0.5  # fraction of the evolver's stable dt
-    newton_rtol: float = 1.0e-6  # tol_abs = newton_rtol * ||F(0)|| cold
-    warm_start: bool = True
-    checkpoint_every: int = 5  # steps between checkpoints (0 = final only)
     # -- forcing -------------------------------------------------------
     forcing: str = "none"
     forcing_amplitude: float = 0.0  # [m/yr] peak mass-balance magnitude
-    forcing_ramp_years: float = 200.0  # time to full amplitude ("ramp")
     # -- particles -----------------------------------------------------
     num_particles: int = 64
     particle_seed: int = 7
 
     def __post_init__(self):
+        for name in ("resolution_km", "forcing_amplitude"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for name in ("num_layers", "num_steps", "num_particles", "particle_seed"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.family not in ("antarctica", "greenland"):
             raise ValueError(f"unknown ice-sheet family {self.family!r}")
         if self.forcing not in FORCINGS:
             raise ValueError(f"unknown forcing {self.forcing!r}; have {FORCINGS}")
-        if self.num_steps <= 0 or self.dt_years <= 0.0:
-            raise ValueError("num_steps and dt_years must be positive")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must be in (0, 1]")
-        if self.newton_rtol <= 0.0:
-            raise ValueError("newton_rtol must be positive")
-        if self.num_particles < 0 or self.checkpoint_every < 0:
-            raise ValueError("num_particles and checkpoint_every must be >= 0")
+        if self.resolution_km <= 0.0 or self.num_layers <= 0 or self.num_steps <= 0:
+            raise ValueError("resolution_km, num_layers and num_steps must be positive")
+        if self.num_particles < 0 or self.particle_seed < 0:
+            raise ValueError("num_particles and particle_seed must be >= 0")
 
     @property
     def digest(self) -> str:
@@ -81,15 +101,17 @@ class TransientScenario:
         Excludes ``name`` and ``description`` (two differently-named
         scenarios with the same numbers are the same experiment, exactly
         like :class:`~repro.serve.requests.SolveScenario`); includes
-        every numeric knob because any of them changes the trajectory.
+        every numeric knob because any of them changes the trajectory,
+        the module's stepping constants too (``warm=True``: every warm
+        step starts from the velocity predictor).
         """
         return content_digest(
             f"fam={self.family}|res={self.resolution_km!r}|nz={self.num_layers}|"
-            f"ns={self.newton_steps}|steps={self.num_steps}|dt={self.dt_years!r}|"
-            f"cfl={self.cfl_safety!r}|rtol={self.newton_rtol!r}|"
-            f"warm={self.warm_start}|ce={self.checkpoint_every}|"
+            f"ns={NEWTON_STEPS}|steps={self.num_steps}|dt={DT_YEARS!r}|"
+            f"cfl={CFL_SAFETY!r}|rtol={NEWTON_RTOL!r}|"
+            f"warm=True|ce={CHECKPOINT_EVERY}|"
             f"forcing={self.forcing}|amp={self.forcing_amplitude!r}|"
-            f"rampyr={self.forcing_ramp_years!r}|"
+            f"rampyr={FORCING_RAMP_YEARS!r}|"
             f"np={self.num_particles}|pseed={self.particle_seed}"
         )
 
@@ -100,12 +122,12 @@ class TransientScenario:
             resolution_km=self.resolution_km,
             num_layers=self.num_layers,
             family=self.family,
-            velocity=VelocityConfig(newton_steps=self.newton_steps),
+            velocity=VelocityConfig(newton_steps=NEWTON_STEPS),
         )
 
     def with_steps(self, num_steps: int) -> "TransientScenario":
         """Same experiment truncated/extended to ``num_steps`` steps."""
-        return replace(self, num_steps=int(num_steps))
+        return replace(self, num_steps=num_steps)
 
 
 #: the curated scenario library, keyed by name
@@ -148,7 +170,6 @@ SCENARIOS: dict[str, TransientScenario] = {
             num_steps=10,
             forcing="ramp",
             forcing_amplitude=1.5,
-            forcing_ramp_years=200.0,
         ),
         TransientScenario(
             name="shelf-collapse",

@@ -3,9 +3,10 @@ OpenMetrics artifacts, diagnostics stability, attribution overhead.
 
 Covers the acceptance criteria of the attribution pipeline:
 
-* a profile run with a planted slowdown diffs against a clean baseline
-  and ``perfdiff`` ranks exactly the slowed span first (the CI
-  perf-gate's negative control);
+* a profile trace with a delay planted on one span name
+  (``tools/plant_delay.py``) diffs against a clean baseline run and
+  ``perfdiff`` ranks exactly the slowed span first (the CI negative
+  control);
 * ``--nparts 4`` produces a stitched Chrome trace with spans from all
   four ranks on their own pids, monotone clock-aligned timestamps, and
   a clean ``tools/check_trace.py`` verdict;
@@ -36,13 +37,12 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 TINY = AntarcticaConfig(resolution_km=400.0, num_layers=4, velocity=VelocityConfig())
 
 
-def _check_trace_fn():
+def _tool(module: str, name: str):
     sys.path.insert(0, str(REPO_ROOT / "tools"))
     try:
-        from check_trace import check_trace
+        return getattr(__import__(module), name)
     finally:
         sys.path.pop(0)
-    return check_trace
 
 
 def _profile(tmp_path, tag, *extra):
@@ -63,7 +63,10 @@ class TestPlantedRegression:
         from repro.observability.perfdiff import main as perfdiff_main
 
         base = _profile(tmp_path, "base")
-        cur = _profile(tmp_path, "slow", "--plant-slow", f"{self.PLANT}:0.001")
+        cur = _profile(tmp_path, "slow")
+        slow = json.loads(cur.read_text())
+        _tool("plant_delay", "plant_delay")(slow, self.PLANT, 0.001)
+        cur.write_text(json.dumps(slow))
         capsys.readouterr()  # drop the profile chatter
 
         assert perfdiff_main([str(base), str(cur)]) == 0
@@ -78,10 +81,6 @@ class TestPlantedRegression:
         assert report["spans"][0]["name"] == self.PLANT
         # ~292 iterations x 1ms planted: the delta is large and positive
         assert report["spans"][0]["delta_s"] > 0.05
-
-    def test_slowdown_does_not_leak_into_next_profile(self, tmp_path):
-        _profile(tmp_path, "planted", "--plant-slow", f"{self.PLANT}:0.001")
-        assert obs.get_tracer()._planted == {}
 
 
 class TestStitchedProfileCli:
@@ -99,7 +98,7 @@ class TestStitchedProfileCli:
         assert "Roofline attribution" in text
         assert "Critical path: halo wait vs compute" in text
 
-        assert _check_trace_fn()(str(out)) == []
+        assert _tool("check_trace", "check_trace")(str(out)) == []
         doc = json.loads(out.read_text())
         xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         # all four rank lanes plus the driver lane are populated

@@ -5,7 +5,6 @@ test (the same amortization the engine itself relies on), so the mesh
 and AssemblyPlan are built once for the whole module.
 """
 
-import dataclasses
 import threading
 
 import numpy as np
@@ -193,12 +192,6 @@ class TestVelocityPredictor:
             want = us[s - 1] + PREDICTOR_THETA * ratio * (us[s - 1] - us[s - 2])
             assert np.array_equal(guesses[s], want)
         assert result.u is us[3] and result.u_before is us[2]
-
-    def test_no_warm_start_means_no_guess(self, cache, monkeypatch):
-        cold = dataclasses.replace(get_scenario("antarctica-retreat").with_steps(3), warm_start=False)
-        result, guesses, _ = self._run(TransientEngine(cold, cache=cache), monkeypatch)
-        assert guesses == [None, None, None]
-        assert result.warm_started == [False, False, False]
 
     def test_the_cold_step_checkpoint_holds_no_u_before(self, cache):
         engine = TransientEngine(get_scenario("antarctica-retreat").with_steps(6), cache=cache)

@@ -179,23 +179,11 @@ def test_a_serve_setting_no_service_can_take_exits_2(flag, value, message, capsy
 
 
 @pytest.mark.parametrize(
-    "value",
-    ["gmres.iteration:abc", "gmres.iteration", "gmres.iteration:0", "gmres.iteration:-1",
-     ":0.5", "gmres.iteration:nan"],
-)
-def test_a_planted_slowdown_that_plants_nothing_exits_2(value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["profile", "--plant-slow", value])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --plant-slow: " in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ["tune", "--check"], ["table3", "--nparts", "2"], ["perfdiff", "only-one.json"], [],
         ["tune", "--gpu", "H100"], ["profile", "--gpu", "H100"],
+        ["perfdiff", "a.json", "b.json", "--top", "3"],
     ],
 )
 def test_a_flag_of_another_subcommand_exits_2(argv, capsys):

@@ -351,15 +351,6 @@ class TestSimulator:
         assert a.time_s == b.time_s
         assert a.hbm_bytes == b.hbm_bytes
 
-    def test_run_all_variants(self):
-        out = GPUSimulator(A100).run_all_variants(ProblemSize(64_000))
-        assert {
-            "baseline-jacobian",
-            "baseline-residual",
-            "optimized-jacobian",
-            "optimized-residual",
-        } <= set(out)
-
     def test_problem_size_validation(self):
         with pytest.raises(ValueError):
             ProblemSize(0)

@@ -228,8 +228,36 @@ class TestScenarios:
             TransientScenario(name="x", forcing="melt-everything")
         with pytest.raises(ValueError, match="family"):
             TransientScenario(name="x", family="mars")
-        with pytest.raises(ValueError, match="cfl"):
-            TransientScenario(name="x", cfl_safety=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_steps", 2.5), ("num_steps", True), ("num_steps", 0), ("num_steps", "3"),
+            ("num_layers", 2.5), ("num_layers", 0),
+            ("num_particles", True), ("num_particles", -1),
+            ("particle_seed", 1.5), ("particle_seed", -1),
+            ("resolution_km", -5.0), ("resolution_km", 0.0), ("resolution_km", float("inf")),
+            ("resolution_km", True), ("resolution_km", "400"),
+            ("forcing_amplitude", float("nan")), ("forcing_amplitude", float("-inf")),
+        ],
+    )
+    def test_a_value_no_run_can_take_is_refused(self, field, value):
+        """Refused at construction, not in the engine build or ``range()``."""
+        with pytest.raises(ValueError, match=field):
+            TransientScenario(name="x", **{field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(get_scenario("antarctica-retreat"), **{field: value})
+
+    def test_whole_numbers_are_one_experiment(self):
+        """``400`` and ``400.0``, ``3`` and ``3.0``: stored alike, one digest."""
+        a = TransientScenario(name="a", resolution_km=400, num_steps=3.0, forcing_amplitude=2)
+        b = TransientScenario(name="b", resolution_km=400.0, num_steps=3, forcing_amplitude=2.0)
+        assert a.digest == b.digest
+        assert (type(a.resolution_km), type(a.num_steps), type(a.forcing_amplitude)) == (
+            float, int, float,
+        )
+        with pytest.raises(ValueError, match="num_steps"):
+            a.with_steps(2.5)
 
 
 class TestGeometryCoupling:
