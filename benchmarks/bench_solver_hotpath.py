@@ -36,9 +36,11 @@ numeric set-up on the converged Jacobian (median of 7, advisory).
 
 A fourth section runs the library ``antarctica-retreat`` scenario (12
 coupled steps at the same 400 km / 4-layer size) and counts its Newton
-steps and GMRES iterations: the transient solves stop on a target and
-are the inexact ones (Eisenstat-Walker forcing), so a rule change that
-buys iterations with steps, or gives both back, moves a gated leaf.
+steps, Jacobian sweeps and GMRES iterations: the transient solves stop
+on a target and are the inexact ones (Eisenstat-Walker forcing), and
+the warm ones take chord steps (reused Jacobians), so a rule change that
+buys iterations or sweeps with steps, or gives them back, moves a gated
+leaf.
 
 Two fixed costs every small solve shares are recorded with the default
 solve: the symbolic ``AssemblyPlan`` build (``plan_build_s``, median of
@@ -290,14 +292,16 @@ def run_operator_modes(
 
 
 def run_transient_retreat() -> dict:
-    """Newton steps and GMRES iterations of the library retreat run,
-    cold step included; exact counts (``check_bench.py --rtol 0``)."""
+    """Newton steps, Jacobian sweeps and GMRES iterations of the library
+    retreat run, cold step included; exact counts (``check_bench.py
+    --rtol 0``)."""
     engine = TransientEngine(get_scenario("antarctica-retreat"))
     obs.get_metrics().reset()
     result = engine.run()
     counters = obs.get_metrics().snapshot()["counters"]
     return {
         "retreat_newton_steps": sum(result.newton_iterations),
+        "retreat_jacobian_sweeps": result.diagnostics["jacobian_sweeps"],
         "retreat_gmres_iterations": counters["gmres.iterations"],
     }
 
@@ -516,6 +520,7 @@ def main() -> int:
         print(table)
     print(
         f"transient retreat: {transient['retreat_newton_steps']} Newton steps, "
+        f"{transient['retreat_jacobian_sweeps']} Jacobian sweeps, "
         f"{transient['retreat_gmres_iterations']} GMRES iterations"
     )
     sweeps, geometry = report["sweep_ms"], report["geometry_ms"]

@@ -9,6 +9,8 @@ the commands that read it; any other spelling exits 2.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 from repro.observability import cli as observability_cli
 from repro.perf import paper
@@ -80,7 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed early (``| head``): point stdout at devnull so
+        # the interpreter's flush at exit cannot raise again (the recipe
+        # of the Python docs' ``signal`` module notes)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -513,7 +513,7 @@ class StokesVelocityProblem:
             # from lambda_max like inside the V-cycle: with ice-sheet
             # aspect ratios the exact column solve carries most of it
             return VerticalLineSmoother(A, levels * 2, iters=2, symbolic=symbolic)
-        # "mdsc": one body; the name is the frozen benchmark's span binding
+        # "mdsc": one body; benchmarks/e2e/trace.py binds its spans by this name
         mdsc = MatrixFreeColumnCollapseMdsc if self.matrix_free else ColumnCollapseMdsc
         columns = self.mesh.footprint.num_nodes
         return mdsc(A, num_columns=columns, levels=levels, ndof=2, symbolic=symbolic)
@@ -568,7 +568,11 @@ class StokesVelocityProblem:
         :func:`repro.solvers.newton.forcing_term` instead of sitting at
         the 1e-6 linear tolerance, since steps that only have to reach a
         target need not each be solved to it.  Without it every step is
-        solved to 1e-6, as the paper's test is.
+        solved to 1e-6, as the paper's test is.  A warm-started solve with
+        a target also takes chord steps while Newton contracts: the next
+        step reuses the last one's Jacobian and preconditioner
+        (``diagnostics["jacobian_reuses"]`` counts them; see
+        :data:`repro.solvers.newton._REUSE_CONTRACTION`).
         """
         cfg = self.config
         tol = NEWTON_TOL if newton_tol is None else float(newton_tol)
@@ -636,6 +640,9 @@ class StokesVelocityProblem:
             "newton_steps_per_s": newton.iterations / solve_seconds if solve_seconds > 0 else 0.0,
             "phase_seconds": phase_seconds,
             "eval_sweeps": dict(self.eval_counts),
+            # chord steps: Newton steps that reused an earlier step's
+            # Jacobian and preconditioner instead of a jacobian sweep
+            "jacobian_reuses": newton.jacobian_reuses,
             "observability": {
                 "tracing_active": tr.recording,
                 "spans_recorded": len(tr.spans),

@@ -4,8 +4,12 @@ E3SM-class workflows survive node loss by restarting the timestep from
 the last written restart file; the velocity solve gets the same shape
 at Newton granularity.  ``newton_solve`` snapshots the accepted iterate
 (plus the residual/step histories needed for seamless diagnostics)
-after every step; ``newton_solve(resume_from=ckpt)`` re-enters the loop at the checkpointed step with bit-identical
-state, so a killed solve continues instead of recomputing.
+after every step; ``newton_solve(resume_from=ckpt)`` re-enters the loop
+at the checkpointed step with bit-identical state, so a killed solve
+continues instead of recomputing.  A warm solve may be between chord
+steps (reusing an earlier iterate's Jacobian) when it is killed; the
+checkpoint then names that iterate, and the resumed solve evaluates the
+Jacobian there again instead of at its own iterate.
 
 On disk it is a :mod:`repro.store` record: one ``.npz`` of the fields
 below, written atomically and guarded by a CRC32 over all of them.
@@ -33,6 +37,10 @@ class NewtonCheckpoint:
     step_lengths: list[float] = record_field(np.float64, default_factory=list)
     linear_iterations: list[int] = record_field(np.int64, default_factory=list)
     linear_flags: list[str] = record_field("U16", default_factory=list)
+    #: the iterate at which the Jacobian the next step reuses was
+    #: evaluated (a chord step is pending), or ``None`` when the next step
+    #: sweeps fresh; files written before the field existed load as ``None``
+    jacobian_x: np.ndarray | None = record_field(np.float64, default=None)
 
     @property
     def fnorm(self) -> float:

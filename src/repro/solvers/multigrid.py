@@ -53,12 +53,12 @@ class ColumnCollapseMdsc:
     the prolongator is never formed.
     """
 
-    # The frozen benchmark wraps ``__init__`` and ``apply`` through the
-    # ``__dict__`` of BOTH class names, so each name defines its own and
-    # neither calls the other's (one set-up or V-cycle = one wrapped
+    # benchmarks/e2e/trace.py wraps ``__init__`` and ``apply`` through
+    # the ``__dict__`` of BOTH class names, so each name defines its own
+    # and neither calls the other's (one set-up or V-cycle = one wrapped
     # call); the bodies, and the constructor's signature, are
-    # ``_setup``/``_vcycle``.  The second name goes in the
-    # benchmark-archetype PR of ROADMAP item 3(a).
+    # ``_setup``/``_vcycle``.  The second name goes when the benchmark's
+    # targets drop it (ROADMAP item 1(d)).
     def __init__(self, *args, **kwargs):
         self._setup(*args, **kwargs)
 

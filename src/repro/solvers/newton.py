@@ -10,6 +10,13 @@ already produces the residual as the value component of the Jacobian
 sweep, so each step makes one ``(F(x), J(x))`` evaluate call.  Line-
 search trials use the cheap residual-only path.
 
+Chord steps.  A warm-started solve that stops on a tolerance (the
+transient engine's) skips even that call while Newton contracts: after
+a clean full step that cut ``||F||`` at least fourfold, the next step
+reuses the step's Jacobian and preconditioner (a Shamanskii / chord
+step; the residual is the accepted line-search one).  Any other outcome
+sweeps and sets up afresh, and a Jacobian never outlives its solve.
+
 Resilience.  Production ice-sheet runs hit non-finite residuals (thin-
 ice viscosity blowups), stagnating GMRES and corrupted evaluations, and
 survive them by step rejection and restart rather than aborting.  This
@@ -51,6 +58,15 @@ _EW_GAMMA = 0.9
 #: the previous term keeps the next from collapsing while
 #: ``gamma eta_{k-1}^2`` is above this
 _EW_SAFEGUARD = 0.1
+
+#: chord-step gate: a warm solve with a target reuses the last step's
+#: ``J`` and ``M`` for the next step when that step was clean (full
+#: length, GMRES converged, no recovery) and cut the accepted residual to
+#: at most this fraction.  On antarctica-retreat's 25-step window (400 km /
+#: 4): 66 -> 32 Jacobian sweeps and 66 -> 98 Newton steps for -22 % wall;
+#: 0.5 gave -25 % but took one solve to 11 of its 12 steps, 0.1 gave
+#: -14 % (DESIGN.md sections 7 and 16)
+_REUSE_CONTRACTION = 0.25
 
 #: roundoff-floor stop: ``||F|| <= _FLOOR_RTOL ||F_0||`` and the last two
 #: accepted steps both needed backtracking
@@ -134,9 +150,14 @@ class NewtonResult:
     linear_flags: list[str] = field(default_factory=list)
     #: residual-only evaluations: one per line-search trial
     num_residual_evals: int = 0
-    #: ``(f, J)`` sweeps -- one per accepted step (the initial evaluation
-    #: doubles as the step-0 sweep), plus any recovery re-evaluations
+    #: ``(f, J)`` sweeps -- one per accepted step that is not a chord
+    #: step (the initial evaluation doubles as the step-0 sweep), plus any
+    #: recovery re-evaluations and, on a resume with a chord step pending,
+    #: the one that rebuilds the reused Jacobian
     num_jacobian_evals: int = 0
+    #: chord steps: steps that reused an earlier step's Jacobian and
+    #: preconditioner instead of sweeping (warm solves with a target only)
+    jacobian_reuses: int = 0
     #: wall time per solver phase: evaluate (residual/Jacobian callbacks),
     #: preconditioner (setup per step), gmres (linear solves).  Sourced
     #: from observability spans (newton.evaluate / newton.precond_setup /
@@ -236,7 +257,10 @@ def newton_solve(
         Solve each step's linear system to :func:`forcing_term` instead
         of ``linear_tol``.  For solves that stop on a reachable ``tol``:
         a fixed-step-count run gains nothing from a cheaper step it
-        takes anyway, and its trajectory is pinned by goldens.
+        takes anyway, and its trajectory is pinned by goldens.  An
+        inexact solve from a nonzero ``x0`` (a warm start) also takes
+        chord steps (see ``_REUSE_CONTRACTION``); a cold one, started
+        far from the basin, does not.
     """
     if residual_jacobian_fn is None:
         if jacobian_fn is None:
@@ -257,6 +281,7 @@ def newton_solve(
     x = np.array(x0, dtype=np.float64)
     res = NewtonResult(x, False, 0)
     res.warm_started = bool(np.any(x != 0.0))
+    may_reuse = inexact and res.warm_started
     res.phase_seconds = phases
     start_step = 0
     if resume_from is not None:
@@ -270,26 +295,33 @@ def newton_solve(
         res.linear_flags = list(resume_from.linear_flags)
         res.checkpoint = resume_from
 
-    def sweep(what: str, step: int):
+    def sweep(what: str, step: int, at: np.ndarray):
         with tr.span("newton.evaluate", what=what, step=step) as sp:
-            out = residual_jacobian_fn(x)
+            out = residual_jacobian_fn(at)
         phases["evaluate"] += sp.dur_s
         res.num_jacobian_evals += 1
         return out
 
-    def evaluate(what: str, step: int):
-        """``(f, J)`` at the current ``x`` -- the one evaluate call.
+    # the last evaluation needed no re-run (a chord step may follow it)
+    clean_sweep = True
+
+    def evaluate(what: str, step: int, at: np.ndarray | None = None):
+        """``(f, J)`` at ``at`` (default: the current ``x``) -- the one
+        evaluate call.
 
         A NaN produced by the sweep must not propagate silently into
         norms and GMRES: without a policy it raises naming the step;
         with one the sweep is re-run (a poisoned sweep is transient,
         genuinely bad thickness/viscosity inputs are not).
         """
+        nonlocal clean_sweep
+        at = x if at is None else at
         attempts = 0
         while True:
-            f_new, J_new = sweep("reevaluate" if attempts else what, step)
+            f_new, J_new = sweep("reevaluate" if attempts else what, step, at)
             f_ok = bool(np.all(np.isfinite(f_new)))
             if f_ok and J_new.isfinite():
+                clean_sweep = not attempts
                 if attempts:
                     log.record(
                         "recovery", "reevaluation", "newton.evaluate",
@@ -309,6 +341,12 @@ def newton_solve(
                 step=step, phase=what, attempt=attempts,
             )
 
+    def set_up(J, step: int):
+        with tr.span("newton.precond_setup", step=step) as sp:
+            M = preconditioner_fn(J) if preconditioner_fn is not None else None
+        phases["preconditioner"] += sp.dur_s
+        return M
+
     def _check_deadline(phase: str) -> None:
         # cooperative budget check: reads the clock and branches only,
         # so within-budget trajectories are bitwise-deadline-free.  The
@@ -320,9 +358,10 @@ def newton_solve(
 
     # the initial evaluation doubles as the step-0 sweep (the residual
     # is the value component of the same SFad sweep), so a full solve
-    # performs exactly one DAG sweep per accepted step plus one
-    # residual-only sweep per line-search trial.  A resumed solve
-    # re-evaluates at the checkpointed iterate (same sweep shape).
+    # performs exactly one DAG sweep per accepted step that is not a
+    # chord step, plus one residual-only sweep per line-search trial.  A
+    # resumed solve re-evaluates at the checkpointed iterate (same sweep
+    # shape).
     what0 = "initial" if resume_from is None else "resume"
     _check_deadline(f"newton.{what0}")
     f, J = evaluate(what0, start_step)
@@ -337,21 +376,37 @@ def newton_solve(
         res.converged, res.stop_reason = True, "tolerance"
         return res
 
+    # ``(J, M, x_J)`` a chord step reuses: the last step's Jacobian, its
+    # preconditioner and the iterate it was evaluated at
+    carry = None
+    if may_reuse and resume_from is not None and resume_from.jacobian_x is not None:
+        # the uninterrupted solve's next step reuses the Jacobian of an
+        # earlier iterate: evaluate it there again and rebuild M (one
+        # extra sweep, on resume only; the sweep is deterministic)
+        J = None
+        x_J = np.array(resume_from.jacobian_x, dtype=np.float64)
+        J = evaluate("resume", start_step, x_J)[1]
+        carry, J = (J, set_up(J, start_step), x_J), None
+
     for step in range(start_step, max_steps):
         with tr.span("newton.step", step=step):
             alpha_cap = 1.0
             rejections = 0
             while True:  # step-attempt loop: rejected attempts retry here
                 _check_deadline(f"newton.step {step}")
-                if J is None:
-                    # the sweep's value component replaces the carried
-                    # line-search residual
-                    f, J = evaluate("step", step)
-                    fnorm = float(norm_fn(f))
-
-                with tr.span("newton.precond_setup", step=step) as sp:
-                    M = preconditioner_fn(J) if preconditioner_fn is not None else None
-                phases["preconditioner"] += sp.dur_s
+                if carry is not None:
+                    # chord step: the last step's J and M, f is the
+                    # accepted line-search residual
+                    (J, M, x_J), carry = carry, None
+                    res.jacobian_reuses += 1
+                    metrics.counter("newton.jacobian_reuses").inc()
+                else:
+                    if J is None:
+                        # the sweep's value component replaces the
+                        # carried line-search residual
+                        f, J = evaluate("step", step)
+                        fnorm = float(norm_fn(f))
+                    x_J, M = x, set_up(J, step)
 
                 # linear solve with restart escalation: a stagnating (or
                 # non-finite) GMRES retries with a grown Krylov space; a
@@ -420,9 +475,16 @@ def newton_solve(
                             dropped_preconditioner=problem == "nonfinite_direction",
                         )
 
-                # consumed: the line search reads neither, and the next
-                # attempt or step sweeps and sets up afresh.  ``M`` holds
-                # ``J`` (``M.A``), so both go before the next sweep runs.
+                # the line search reads neither J nor M.  Unless this
+                # step can still earn a chord step they go now, before
+                # the next sweep runs (``M`` holds ``J`` as ``M.A``); a
+                # held pair goes the moment the step fails the gate.
+                held = None
+                if (
+                    may_reuse and clean_sweep and lin.flag == "converged"
+                    and escalations == 0 and rejections == 0
+                ):
+                    held = (J, M, x_J)
                 J = M = None
 
                 # backtracking on ||F||, capped by the rejection backoff
@@ -439,6 +501,8 @@ def newton_solve(
                         res.num_residual_evals += 1
                         if np.all(np.isfinite(f_trial)):
                             fnorm_trial = float(norm_fn(f_trial))
+                            if fnorm_trial > _REUSE_CONTRACTION * fnorm:
+                                held = None
                             if _SAN.active:
                                 _SAN.check(
                                     "newton.residual_norm", fnorm_trial, f_trial,
@@ -461,6 +525,7 @@ def newton_solve(
                             # ``_DAMPING_MIN`` would be silently accepted
                             if policy is None:
                                 _raise_nonfinite(step, "line_search", f_trial)
+                            held = None
                             nonfinite_trials += 1
                             log.record(
                                 "detection", "nonfinite_line_search",
@@ -470,6 +535,7 @@ def newton_solve(
                                 rejected = True
                                 break
                         alpha *= 0.5
+                        held = None  # a damped step never earns a chord step
 
                 if not rejected:
                     break  # step attempt succeeded
@@ -490,6 +556,10 @@ def newton_solve(
                 metrics.counter("resilience.step_rejections").inc()
 
             x, f, fnorm = x_trial, f_trial, fnorm_trial
+            # the accepted f is bitwise the fused sweep's value part
+            # (fused == separate): a chord step's right-hand side is the
+            # one a fresh sweep would give
+            carry, held = held, None
             res.step_lengths.append(alpha)
             res.residual_norms.append(fnorm)
             series.record("newton.residual", fnorm)
@@ -506,6 +576,7 @@ def newton_solve(
                 step_lengths=list(res.step_lengths),
                 linear_iterations=list(res.linear_iterations),
                 linear_flags=list(res.linear_flags),
+                jacobian_x=None if carry is None else carry[2].copy(),
             )
             metrics.counter("newton.checkpoints").inc()
             if checkpoint_cb is not None:

@@ -59,15 +59,25 @@ def record_field(dtype, **kwargs):
     """A dataclass field stored in the record's ``.npz`` as ``dtype``.
 
     The dataclass *is* the schema (field order = key order on disk); a
-    field declared any other way makes :func:`save_record` raise.
+    field declared any other way makes :func:`save_record` raise.  A
+    field declared with ``default=None`` is optional: while it is
+    ``None`` it is not stored (nor checksummed), and a file without its
+    key loads it as ``None`` -- so a field added that way leaves the
+    files written before it readable.  Any other missing key refuses
+    the file.
     """
     return dataclasses.field(metadata={"dtype": dtype}, **kwargs)
 
 
+def _optional(f) -> bool:
+    return f.default is None
+
+
 def _encode(obj) -> dict[str, np.ndarray]:
     return {
-        f.name: np.asarray(getattr(obj, f.name), dtype=f.metadata["dtype"])
+        f.name: np.asarray(value, dtype=f.metadata["dtype"])
         for f in dataclasses.fields(obj)
+        if (value := getattr(obj, f.name)) is not None or not _optional(f)
     }
 
 
@@ -109,6 +119,9 @@ def load_record(cls, path: str | Path):
                 stored = int(z["digest"])
                 values = {}
                 for f in dataclasses.fields(cls):
+                    if _optional(f) and f.name not in z.files:
+                        values[f.name] = None
+                        continue
                     a = z[f.name]
                     to_python = a.ndim == 0 or f.default_factory is list
                     values[f.name] = a.tolist() if to_python else a

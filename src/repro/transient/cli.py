@@ -104,8 +104,19 @@ def run(args, error) -> int:
         f"done: t = {d['t_final_years']:.1f} yr, volume {result.volumes[-1]:.6e} m^3 "
         f"(drift {result.volume_drift:.3e}), cold {result.cold_iterations} its, "
         f"warm mean {result.warm_mean_iterations:.2f}, "
+        f"{d['jacobian_sweeps']} Jacobian sweeps, "
         f"{d['active_particles']}/{len(result.particles)} particles active"
     )
     if args.volume_csv:
         _write_volume_csv(Path(args.volume_csv), result)
+    # every solve of a run has a reachable target; one that ran out of
+    # steps or stopped on the roundoff floor instead is a failed run
+    off = [
+        f"step {start + i + 1} ({reason})"
+        for i, reason in enumerate(d["stop_reasons"])
+        if reason != "tolerance"
+    ]
+    if off:
+        print(f"FAIL: {len(off)} solve(s) stopped off their tolerance: {', '.join(off)}")
+        return 1
     return 0

@@ -20,7 +20,11 @@ with the three amortizations that make it affordable:
   re-enter the basin instead of burning the full Newton budget -- and,
   having a target, they are inexact Newton solves: GMRES runs to the
   Eisenstat-Walker term of :func:`repro.solvers.newton.forcing_term`,
-  2.6 iterations per Newton step where ``linear_tol`` took 7.5;
+  2.6 iterations per Newton step where ``linear_tol`` took 7.5.  Being
+  warm, they also take chord steps while Newton contracts (the last
+  step's Jacobian and preconditioner reused, see
+  ``repro.solvers.newton._REUSE_CONTRACTION``), but never across the
+  geometry refresh: each solve's first step sweeps fresh;
 * **adaptive CFL stepping** -- the requested ``DT_YEARS`` is capped at
   ``CFL_SAFETY`` times the evolver's stability bound for the current
   velocity, so the explicit upwind update stays monotone (and the
@@ -284,6 +288,9 @@ class TransientEngine:
 
         clipped_total = 0.0
         source_total = 0.0
+        # the velocity solves this call runs (a resumed run: since the resume)
+        jacobian_sweeps = 0
+        stop_reasons: list[str] = []
 
         def so_far() -> TransientResult:
             # the run up to the last recorded step (also every snapshot)
@@ -315,6 +322,11 @@ class TransientEngine:
                     ),
                     "clipped_volume": clipped_total,
                     "source_volume": source_total,
+                    # Newton's (f, J) sweeps and why each solve stopped
+                    # ("tolerance" unless it ran out of steps or hit the
+                    # roundoff floor), over the solves this call ran
+                    "jacobian_sweeps": jacobian_sweeps,
+                    "stop_reasons": list(stop_reasons),
                 },
             )
 
@@ -378,6 +390,8 @@ class TransientEngine:
                 dts.append(dt)
                 newton_its.append(sol.newton.iterations)
                 warm_flags.append(bool(sol.diagnostics["warm_started"]))
+                jacobian_sweeps += sol.newton.num_jacobian_evals
+                stop_reasons.append(sol.newton.stop_reason)
                 metrics.counter("transient.steps").inc()
                 series.record("transient.volume", vol, scenario=sc.name)
                 series.record("transient.dt", dt, scenario=sc.name)

@@ -121,6 +121,46 @@ class TestBitwiseContractsUnderForcing:
         assert resumed.newton.residual_norms == full.newton.residual_norms
         assert resumed.newton.linear_iterations == full.newton.linear_iterations
 
+    def test_warm_newton_resume_mid_solve(self, tmp_path):
+        """From half the cold solution the solve takes chord steps, with one
+        fresh sweep in between: a resume with a chord step pending (from
+        the ``.npz``) and one without both continue bitwise."""
+        problem = _problem(newton_steps=12)
+        tol = _target(problem)
+        u0 = 0.5 * problem.solve(newton_tol=tol).u
+        checkpoints = []
+        full = problem.solve(u0=u0, newton_tol=tol, checkpoint_cb=checkpoints.append)
+        pending = [c.jacobian_x is not None for c in checkpoints]
+        assert full.newton.stop_reason == "tolerance" and full.newton.jacobian_reuses >= 2
+        assert pending[:3] == [True, False, True]
+        for k in (1, 2):
+            ckpt = type(checkpoints[k]).load(checkpoints[k].save(tmp_path / f"step{k}.npz"))
+            resumed = problem.solve(u0=u0, newton_tol=tol, resume_from=ckpt)
+            assert np.array_equal(resumed.u, full.u)
+            assert resumed.newton.residual_norms == full.newton.residual_norms
+            assert resumed.newton.linear_iterations == full.newton.linear_iterations
+            # step j reuses when checkpoint j - 1 has a chord step pending;
+            # the resume sweeps at its iterate, and once more where the
+            # pending chord step's Jacobian was evaluated
+            assert resumed.newton.jacobian_reuses == sum(pending[k:-1])
+            assert resumed.newton.num_jacobian_evals == 1 + pending[k] + sum(
+                not p for p in pending[k + 1 : -1]
+            )
+
+    def test_cold_and_fixed_step_solves_sweep_once_per_newton_step(self):
+        """Chord steps are for warm solves with a target only: a cold
+        solve with a target and a warm solve with a step budget keep one
+        Jacobian sweep (and one preconditioner set-up) per Newton step."""
+        problem = _problem(newton_steps=12)
+        tol = _target(problem)
+        cold = problem.solve(newton_tol=tol)
+        fixed = problem.solve(u0=0.5 * cold.u)
+        for sol in (cold, fixed):
+            assert sol.diagnostics["jacobian_reuses"] == sol.newton.jacobian_reuses == 0
+            assert sol.newton.num_jacobian_evals == sol.newton.iterations
+            assert sol.diagnostics["eval_sweeps"]["jacobian"] == sol.newton.iterations
+        assert fixed.newton.warm_started and fixed.newton.iterations >= 4
+
     def test_a_forced_solve_under_chaos_equals_fault_free(self):
         problem = _problem(nparts=4, newton_steps=12)
         tol = _target(problem)
@@ -149,6 +189,10 @@ class TestBitwiseContractsUnderForcing:
         assert np.array_equal(spmd.u, serial.u)
         assert np.array_equal(spmd.thickness, serial.thickness)
         assert spmd.newton_iterations == serial.newton_iterations
+        # the warm step took chord steps on the distributed operator
+        sweeps = spmd.diagnostics["jacobian_sweeps"]
+        assert sweeps == serial.diagnostics["jacobian_sweeps"]
+        assert sweeps < sum(spmd.newton_iterations)
 
 
 def _gmres_per_warm_newton(engine, monkeypatch):

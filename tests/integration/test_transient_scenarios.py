@@ -231,7 +231,7 @@ class TestVelocityPredictor:
         monkeypatch.setattr(engine, "PREDICTOR_THETA", 0.0)
         (mean,) = _oracle("transient-velocity-predictor")
         assert mean.name == "warm mean Newton steps"
-        assert f"{mean.lhs:.2f}" == "3.56" and mean.rhs == 3.0
+        assert f"{mean.lhs:.2f}" == "5.08" and mean.rhs == 4.5
 
 
 class TestArtifactReuse:

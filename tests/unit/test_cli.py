@@ -1,8 +1,11 @@
 """The ``python -m repro`` command tree: every documented invocation parses,
 and a flag belongs to exactly the sub-commands that read it."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,42 @@ def test_ci_gates_keep_their_flags():
 def test_transient_is_an_ordinary_subcommand(capsys):
     assert main(["transient", "--list"]) == 0
     assert "antarctica-retreat" in capsys.readouterr().out
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    """``python -m repro table2 | head -1``: the pipe's read end is closed
+    before the report is written, which is the ``head`` that has already
+    seen its line.  The command exits 1 with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "table2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == 1
+
+
+def test_a_transient_run_reports_its_jacobian_sweeps(capsys):
+    assert main(["transient", "antarctica-retreat", "--steps", "3", "-q"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    # the cold step sweeps once per Newton step, the warm ones take chord steps
+    assert "cold 8 its, warm mean 3.50, 10 Jacobian sweeps" in summary
+
+
+def test_a_transient_solve_off_its_tolerance_exits_1(monkeypatch, capsys):
+    """An unreachable target: every solve ends on its step budget or on
+    the roundoff floor, and the run fails instead of reporting done."""
+    from repro.transient import engine
+
+    monkeypatch.setattr(engine, "NEWTON_RTOL", 1.0e-30)
+    assert main(["transient", "antarctica-retreat", "--steps", "2", "-q"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: 2 solve(s) stopped off their tolerance: step 1 (" in out
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

@@ -570,6 +570,66 @@ class TestForcingTerm:
         assert len(asked) >= 4 and set(asked) == {1.0e-7}
 
 
+class TestChordSteps:
+    """A warm solve with a target reuses the last step's ``J`` and ``M``
+    after a clean full step that cut ``||F||`` at least fourfold; any
+    other step is followed by a fresh sweep and set-up."""
+
+    @staticmethod
+    def _solve(inexact=True, **kwargs):
+        F, J, x0 = _cubic()
+        swept, setups = [], []
+
+        def FJ(x):
+            swept.append(x.copy())
+            return F(x), J(x)
+
+        def precond(A):
+            setups.append(A)
+            return JacobiSmoother(A, iters=1)
+
+        out = newton_solve(
+            F, None, x0, max_steps=40, tol=1.0e-9 * float(np.linalg.norm(F(x0))),
+            inexact=inexact, residual_jacobian_fn=FJ, preconditioner_fn=precond, **kwargs,
+        )
+        return out, swept, setups
+
+    def test_the_rule_on_the_recorded_history(self):
+        out, swept, setups = self._solve()
+        r, alpha = out.residual_norms, out.step_lengths
+        earned = [
+            alpha[k] == 1.0 and r[k + 1] <= newton_module._REUSE_CONTRACTION * r[k]
+            for k in range(out.iterations - 1)
+        ]
+        assert out.converged and out.stop_reason == "tolerance"
+        assert 0 < sum(earned) < len(earned)  # both branches ran
+        assert out.jacobian_reuses == sum(earned)
+        assert out.num_jacobian_evals == out.iterations - out.jacobian_reuses == len(swept)
+        assert len(setups) == len(swept)  # one preconditioner per fresh Jacobian
+        assert set(out.linear_flags) == {"converged"}
+
+    def test_a_solve_without_a_target_sweeps_every_step(self):
+        out, swept, setups = self._solve(inexact=False)
+        assert out.warm_started and out.jacobian_reuses == 0
+        assert out.num_jacobian_evals == out.iterations == len(swept) == len(setups)
+
+    def test_the_checkpoint_names_the_reused_iterate(self, tmp_path):
+        checkpoints = []
+        full, swept, _ = self._solve(checkpoint_cb=checkpoints.append)
+        # the last one is the converged iterate: a resume there stops at once
+        pending = [c for c in checkpoints[:-1] if c.jacobian_x is not None]
+        assert pending and len(pending) < len(checkpoints) - 1
+        for c in pending:
+            assert any(np.array_equal(c.jacobian_x, x) for x in swept)
+            back = type(c).load(c.save(tmp_path / "ckpt.npz"))
+            resumed, again, setups = self._solve(resume_from=back)
+            assert np.array_equal(resumed.x, full.x)
+            assert resumed.residual_norms == full.residual_norms
+            # the resume sweeps at its iterate, then where J was evaluated
+            assert np.array_equal(again[0], c.x)
+            assert np.array_equal(again[1], c.jacobian_x) and setups[0] is not None
+
+
 class TestRoundoffFloor:
     @staticmethod
     def _floored(floor):

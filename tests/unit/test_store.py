@@ -34,6 +34,11 @@ def _newton() -> NewtonCheckpoint:
     )
 
 
+def _newton_chord() -> NewtonCheckpoint:
+    """A Newton checkpoint with a chord step pending."""
+    return dataclasses.replace(_newton(), jacobian_x=np.linspace(-2.0, 2.0, 12))
+
+
 def _transient() -> TransientCheckpoint:
     rng = np.random.default_rng(0)
     return TransientCheckpoint(
@@ -56,12 +61,18 @@ def _transient() -> TransientCheckpoint:
 
 #: name -> (factory, bytes the schema writes for the object): a change
 #: of the on-disk format shows here.  The transient record grew by one
-#: 200-dof velocity with ``u_before`` (6044 bytes before)
-RECORDS = {"newton": (_newton, 2162), "transient": (_transient, 7892)}
+#: 200-dof velocity with ``u_before`` (6044 bytes before); a Newton
+#: checkpoint without a chord step pending writes what it always did
+RECORDS = {
+    "newton": (_newton, 2162),
+    "newton-chord": (_newton_chord, 2510),
+    "transient": (_transient, 7892),
+}
 EVERY_FIELD = [
     pytest.param(make, f.name, id=f"{name}-{f.name}")
     for name, (make, _) in RECORDS.items()
     for f in dataclasses.fields(make())
+    if getattr(make(), f.name) is not None  # an unset optional field is not stored
 ]
 EVERY_RECORD = [pytest.param(make, id=name) for name, (make, _) in RECORDS.items()]
 
@@ -123,6 +134,21 @@ class TestRecord:
         np.savez(path, **arrs)
         with pytest.raises(ValueError, match="integrity.*u_before"):
             TransientCheckpoint.load(path)
+
+    def test_a_newton_file_without_the_chord_field_sweeps_fresh(self, tmp_path):
+        """``jacobian_x`` is optional: a file written before it existed
+        (no key, digest over the other fields) loads as ``None``, while
+        stripping it from a file that had it is refused."""
+        path = _newton().save(tmp_path / "old.npz")
+        with np.load(path) as z:
+            assert "jacobian_x" not in z.files
+        assert NewtonCheckpoint.load(path).jacobian_x is None
+        path = _newton_chord().save(tmp_path / "chord.npz")
+        with np.load(path) as z:
+            arrs = {k: z[k] for k in z.files if k != "jacobian_x"}
+        np.savez(path, **arrs)
+        with pytest.raises(ValueError, match="integrity"):
+            NewtonCheckpoint.load(path)
 
     def test_missing_file_is_not_an_integrity_failure(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -247,7 +273,7 @@ class TestArtifactCache:
         assert cache.peek(c) is not None
 
     def test_serve_path_is_the_same_class(self):
-        """The frozen benchmark patches ``repro.serve.cache.ArtifactCache.get``."""
+        """``benchmarks/e2e/trace.py`` patches ``repro.serve.cache.ArtifactCache.get``."""
         from repro.serve import cache as serve_cache
 
         assert serve_cache.ArtifactCache is store.ArtifactCache

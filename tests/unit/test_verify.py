@@ -279,6 +279,7 @@ class TestOracles:
             "transient-velocity-predictor",
             "inexact-vs-exact-newton",
             "transient-predictor-resume",
+            "warm-jacobian-reuse",
             "chaos-vs-fault-free",
         ]
 
