@@ -5,7 +5,9 @@ Three pillars (see DESIGN.md §11):
 * :mod:`repro.verify.race` -- write-set and iteration-order analysis of
   ``parallel_for`` bodies (Kokkos order-independence semantics);
 * :mod:`repro.verify.oracles` -- the declarative implementation-vs-
-  reference table (``python -m repro verify`` runs it);
+  reference table (``python -m repro verify`` runs it), one module per
+  suite of :data:`SUITES` (``repro.verify.oracles.kernels``, ...), their
+  problems from :mod:`repro.verify.fixtures`;
 * :mod:`repro.verify.sanitizer` -- the opt-in NaN/Inf, cancellation and
   denormal trap with op-level provenance.
 
@@ -16,6 +18,11 @@ of the oracle/fixture modules from here would cycle back through
 """
 
 from __future__ import annotations
+
+#: the oracle suites, in registration order: each is the module
+#: ``repro.verify.oracles.<suite>``.  Stated here so that ``repro verify
+#: --suite`` lists them without importing any
+SUITES = ("kernels", "jacobian", "spmd", "bytes", "matvec", "transient", "serve")
 
 _EXPORTS = {
     # sanitizer
@@ -45,7 +52,7 @@ _EXPORTS = {
     "verify": "repro.verify.cli",
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "SUITES"])
 
 
 def __getattr__(name: str):

@@ -35,7 +35,8 @@ def _racy_report(seed: int = 0):
 
 def verify(suite: str = "all", fixture: str = "none", seed: int = 0) -> int:
     from repro.perf import format_table
-    from repro.verify.oracles import perturbed_divergences, run_oracles
+    from repro.verify.oracles import run_oracles
+    from repro.verify.oracles.kernels import perturbed_divergences
 
     rows = []
     failures = []
@@ -100,12 +101,12 @@ def verify(suite: str = "all", fixture: str = "none", seed: int = 0) -> int:
 
 
 def register(sub) -> None:
-    from repro.verify.oracles import suite_names
+    from repro.verify import SUITES
 
     p = sub.add_parser(
         "verify", help="race checks + differential oracle table", description=__doc__
     )
-    p.add_argument("--suite", default="all", choices=["all", *suite_names()], help="oracle suite")
+    p.add_argument("--suite", default="all", choices=["all", *sorted(SUITES)], help="oracle suite")
     p.add_argument(
         "--fixture", default="none", choices=["none", "racy", "perturbed"],
         help="treat a planted defect as production",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Divergence", "first_divergence", "max_abs_error"]
+__all__ = ["Divergence", "collect", "first_divergence", "max_abs_error", "mismatch", "within"]
 
 
 @dataclass(frozen=True)
@@ -82,3 +82,26 @@ def first_divergence(
         max_abs_err=max_err,
         num_bad=int(np.count_nonzero(bad)),
     )
+
+
+def within(name: str, lhs, rhs, rtol: float) -> Divergence | None:
+    """:func:`first_divergence` at ``rtol`` of each slot plus ``rtol`` of
+    ``max|rhs|``: the contract of reassociated sums, whose error scales
+    with the largest term rather than with the slot."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
+    return first_divergence(name, lhs, rhs, rtol=rtol, atol=rtol * scale)
+
+
+def mismatch(name: str, got: float, want: float) -> Divergence:
+    """A count or bound that does not hold (``got`` against ``want``), as a
+    one-slot :class:`Divergence`."""
+    err = abs(got - want)
+    return Divergence(
+        name=name, index=(0,), lhs=got, rhs=want, abs_err=err, max_abs_err=err, num_bad=1
+    )
+
+
+def collect(found) -> list[Divergence]:
+    """The comparisons of ``found`` that failed (the ``None``s dropped)."""
+    return [d for d in found if d is not None]

@@ -19,6 +19,11 @@ that cannot.  Two deliberately-broken kernels keep the subsystem honest:
 ``python -m repro verify`` runs both as a detection selftest on every
 invocation; ``--fixture racy|perturbed`` instead treats them as
 production kernels so CI can assert the nonzero exit path.
+
+The oracles' problems come from here too: :func:`antarctica` and
+:func:`greenland_mesh` build a fresh problem or mesh on every call (an
+oracle may mutate what it gets), and :func:`seeded_state` draws the
+velocity an oracle evaluates its operators at.
 """
 
 from __future__ import annotations
@@ -36,7 +41,10 @@ __all__ = [
     "RacyNodalScatter",
     "make_racy_fields",
     "PerturbedStokesFOResid",
+    "antarctica",
     "fill_stokes_fields",
+    "greenland_mesh",
+    "seeded_state",
     "stokes_fields_factory",
 ]
 
@@ -202,3 +210,42 @@ def stokes_fields_factory(
         return fill_stokes_fields(fields, seed=seed)
 
     return factory
+
+
+# ----------------------------------------------------------------------
+# the problems the oracles solve
+# ----------------------------------------------------------------------
+
+
+def antarctica(resolution_km: float = 400.0, num_layers: int = 3, footprint: str = "quad",
+               **velocity):
+    """A freshly built :class:`~repro.app.AntarcticaTest` (``.mesh``,
+    ``.geometry``, ``.problem``).  ``velocity`` holds the
+    :class:`~repro.app.VelocityConfig` fields the oracle sets; the rest
+    keep their defaults, so ``REPRO_OPERATOR_MODE`` reaches every problem
+    built without an ``operator_mode``."""
+    from repro.app import AntarcticaConfig, AntarcticaTest, VelocityConfig
+
+    return AntarcticaTest.build(AntarcticaConfig(
+        resolution_km=resolution_km, num_layers=num_layers, footprint=footprint,
+        velocity=VelocityConfig(**velocity),
+    ))
+
+
+def greenland_mesh():
+    """``(mesh, geometry)``: the golden 9 x 15 Greenland grid, 5 layers of
+    hexahedra."""
+    from repro.mesh import greenland_geometry
+    from repro.mesh.extrude import extrude_footprint
+    from repro.mesh.planar import masked_quad_footprint
+
+    geo = greenland_geometry()
+    return extrude_footprint(masked_quad_footprint(9, 15, geo.lx, geo.ly, geo.mask), geo, 5), geo
+
+
+def seeded_state(problem, rng) -> np.ndarray:
+    """A velocity of ``rng``'s normals times 10 m/yr, zero on the Dirichlet
+    dofs: the state an oracle evaluates both sides' operators at."""
+    u = rng.normal(size=problem.dofmap.num_dofs) * 10.0
+    u[problem.bc_dofs] = 0.0
+    return u

@@ -220,7 +220,7 @@ class TestVelocityPredictor:
 
     def test_a_resume_without_u_before_forks_the_run(self):
         """The planted control of ``transient-predictor-resume``."""
-        from repro.verify.oracles import kill_resume_drill, resume_divergences
+        from repro.verify.oracles.transient import kill_resume_drill, resume_divergences
 
         drill = kill_resume_drill("antarctica-retreat", 2)
         assert resume_divergences(drill, drop_u_before=True)

@@ -19,6 +19,13 @@ DOCS = ["README.md", "DESIGN.md"]
 #: a repository path under one of the three trees the docs point into;
 #: ``*`` and ``{a,b}`` stand for what a shell would expand them to
 _PATH = re.compile(r"(?<![\w./-])(?:src|benchmarks|tools)/[\w./*{},-]*[\w*}]")
+#: a path written relative to ``src/repro/`` (``serve/service.py``), or a
+#: module attribute written that way (``app/antarctica.CHECK_RTOL``): it
+#: starts with one of the package's sub-packages
+_SUBPACKAGES = sorted(
+    p.name for p in (REPO_ROOT / "src" / "repro").iterdir() if (p / "__init__.py").exists()
+)
+_PACKAGE_PATH = re.compile(rf"(?<![\w./-])(?:{'|'.join(_SUBPACKAGES)})/[\w./*{{}},-]*[\w*}}]")
 #: a dotted name under the package: a module, or an attribute of one
 _MODULE = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 
@@ -60,6 +67,17 @@ def test_every_named_path_exists(doc):
     assert not missing, f"{doc} names paths that do not exist: {missing}"
 
 
+def _package_path_exists(name: str) -> bool:
+    return _exists(f"src/repro/{name}") or _resolves("repro." + name.replace("/", "."))
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_package_relative_path_exists(doc):
+    named = sorted(set(_PACKAGE_PATH.findall((REPO_ROOT / doc).read_text())))
+    missing = [p for p in named if not _package_path_exists(p)]
+    assert not missing, f"{doc} names paths under src/repro/ that do not exist: {missing}"
+
+
 @pytest.mark.parametrize("doc", DOCS)
 def test_every_named_module_resolves(doc):
     text = (REPO_ROOT / doc).read_text()
@@ -70,9 +88,13 @@ def test_every_named_module_resolves(doc):
 
 
 def test_the_check_sees_a_stale_name():
-    """The two rules catch what they exist for: a deleted module and a
-    misnamed bench."""
+    """The three rules catch what they exist for: a deleted module, a
+    misnamed bench, and a module that became a package."""
     assert not _resolves("repro.perf.metrics")
+    assert _PACKAGE_PATH.findall("in `verify/oracles.py`,") == ["verify/oracles.py"]
+    assert not _package_path_exists("verify/oracles.py")
+    assert _package_path_exists("verify/oracles/matvec.py")
+    assert _package_path_exists("app/antarctica.CHECK_RTOL")
     assert not _exists("benchmarks/bench_ablation_opts.py")
     assert _exists("benchmarks/bench_ablation_{optimizations,cache,problem_size}.py")
     assert _PATH.findall("see `tools/check_bench.py`.") == ["tools/check_bench.py"]

@@ -271,7 +271,7 @@ class TestHostLowering:
         in the full range: the same bits, for hexahedra and prisms, and in
         Jacobian mode through the qp-seeded path's expansion product too.
         SPMD == serial, degraded-rank and resume equality rest on this."""
-        from repro.verify.oracles import _qp_seeded_pair
+        from repro.verify.oracles.kernels import _qp_seeded_pair
 
         num_cells = 300
         variant = get_variant(f"optimized-{mode}")

@@ -201,7 +201,7 @@ class TestVolumeDrift:
         """A NaN after a finite volume must not drop out of the maximum
         (Python's ``max`` drops it): the drift is non-finite and fails
         the ``transient-closed-budget`` oracle's drift bound."""
-        from repro.verify.oracles import drift_divergences
+        from repro.verify.oracles.transient import drift_divergences
 
         result = self._result(volumes)
         assert not np.isfinite(result.volume_drift)

@@ -252,6 +252,50 @@ class TestOracles:
         for key in variant_names():
             assert f"race-{key}" in names
 
+    def test_each_suite_is_the_module_of_its_name(self):
+        """The registry in the order ``repro verify`` prints it, every
+        oracle defined in ``repro.verify.oracles.<its suite>``, and the
+        CLI's suite list the same names as the registry's."""
+        from repro.verify import SUITES
+        from repro.verify.oracles import ORACLES, suite_names
+
+        assert [o.name for o in ORACLES] == [
+            *(f"{impl}-{mode}-vs-baseline"
+              for impl in ("optimized", "fused") for mode in ("residual", "jacobian")),
+            "host-lowering-vs-listing",
+            "viscosity-value-consistency",
+            *(f"race-{family}-{mode}" for family in ("baseline", "optimized", "fused", "viscosity")
+              for mode in ("residual", "jacobian")),
+            "sfad-vs-central-fd",
+            "sfad-vs-complex-step",
+            "fused-assembly-vs-separate",
+            "qp-seeded-vs-u-seeded",
+            "basis-vs-reference",
+            "sanitizer-clean-solve",
+            "spmd-vs-serial",
+            "rocprof-formula-vs-model",
+            "matrix-free-vs-assembled-jv-antarctica",
+            "matrix-free-vs-assembled-jv-greenland",
+            "matrix-free-smoother-blocks",
+            "matrix-free-solve-vs-assembled",
+            "matvec-bytes-reconciliation",
+            "smoother-contraction",
+            "mdsc-symbolic-vs-direct",
+            "matvec-detects-perturbed-operator",
+            "transient-closed-budget",
+            "transient-velocity-predictor",
+            "inexact-vs-exact-newton",
+            "transient-predictor-resume",
+            "warm-jacobian-reuse",
+            "chaos-vs-fault-free",
+        ]
+        assert [o.suite for o in ORACLES] == sorted(
+            (o.suite for o in ORACLES), key=SUITES.index
+        )
+        for o in ORACLES:
+            assert o.fn.__module__ == f"repro.verify.oracles.{o.suite}", o.name
+        assert suite_names() == sorted(SUITES)
+
     def test_matvec_suite_passes(self):
         """The operator-mode differential oracles (matrix-free vs
         assembled J@v, byte reconciliation, planted-defect detection)
@@ -338,7 +382,7 @@ class TestOracles:
         """omega = 0.9 is past 2 / lambda_max on the 600 km Jacobian: the
         oracle passes with the derived damping and flags the constant
         for both operator modes."""
-        from repro.verify.oracles import smoother_contraction_divergences
+        from repro.verify.oracles.matvec import smoother_contraction_divergences
 
         assert not smoother_contraction_divergences()[0]
         divs, _ = smoother_contraction_divergences(omega=0.9)
@@ -375,7 +419,8 @@ class TestOracles:
         of ``dUgrad(k', d')/dU(m, k'')`` swapped: element blocks of both
         element shapes and all four finite-difference directions diverge."""
         from repro.core import lowering
-        from repro.verify.oracles import ORACLES, qp_seeded_divergences
+        from repro.verify.oracles import ORACLES
+        from repro.verify.oracles.jacobian import qp_seeded_divergences
 
         assert "qp-seeded-vs-u-seeded" in [o.name for o in ORACLES if o.suite == "jacobian"]
         assert not qp_seeded_divergences()[0]
@@ -395,7 +440,8 @@ class TestOracles:
         qp-seeded sweep's element blocks and ``J @ v`` diverge, and so does
         the lowering fed Glen's ``mu`` against the listing fed ``SFad``'s."""
         from repro.physics import evaluators, viscosity
-        from repro.verify.oracles import ORACLES, qp_seeded_divergences
+        from repro.verify.oracles import ORACLES
+        from repro.verify.oracles.jacobian import qp_seeded_divergences
 
         exact = viscosity.effective_strain_rate_squared_tangent
 
@@ -426,7 +472,8 @@ class TestOracles:
         carry ``J`` (the vertical ones: a horizontal entry moves ``J @ v``
         by ~1e-5 at 400 km)."""
         from repro.core import lowering
-        from repro.verify.oracles import ORACLES, qp_seeded_divergences
+        from repro.verify.oracles import ORACLES
+        from repro.verify.oracles.jacobian import qp_seeded_divergences
 
         L = lowering._STRESS_L.copy()
         L[4, 2] = -1.0
@@ -443,13 +490,13 @@ class TestOracles:
         couples ``dx/dzeta`` is zero on an extruded mesh, so flipping it
         moves nothing; planted as the control, the oracle reports that its
         control went undetected."""
-        from repro.verify import oracles
+        from repro.verify.oracles import ORACLES, jacobian
 
-        oracle = [o for o in oracles.ORACLES if o.name == "basis-vs-reference"][0]
+        oracle = [o for o in ORACLES if o.name == "basis-vs-reference"][0]
         assert oracle.suite == "jacobian"
-        meshes = oracles._basis_meshes()
-        assert oracles.basis_divergences(meshes=meshes) == ([], 3510)
-        names = [d.name for d in oracles.basis_divergences(flip=(0, 2), meshes=meshes)[0]]
+        meshes = jacobian.basis_meshes()
+        assert jacobian.basis_divergences(meshes=meshes) == ([], 3510)
+        names = [d.name for d in jacobian.basis_divergences(flip=(0, 2), meshes=meshes)[0]]
         assert names == [
             f"{mesh}/{elem}/{field}"
             for mesh, elem in (
@@ -457,12 +504,12 @@ class TestOracles:
             )
             for field in ("grad_bf", "w_grad_bf")
         ]
-        assert oracles.basis_divergences(flip=(2, 0), meshes=meshes)[0] == []
-        monkeypatch.setattr(oracles, "_PLANTED_COFACTOR", (2, 0))
+        assert jacobian.basis_divergences(flip=(2, 0), meshes=meshes)[0] == []
+        monkeypatch.setattr(jacobian, "_PLANTED_COFACTOR", (2, 0))
         assert [d.name for d in oracle.fn()[0]] == ["planted flipped cofactor: divergences"]
 
     def test_perturbed_divergences_nonempty(self):
-        from repro.verify.oracles import perturbed_divergences
+        from repro.verify.oracles.kernels import perturbed_divergences
 
         divs = perturbed_divergences()
         assert divs and divs[0].num_bad > 0
