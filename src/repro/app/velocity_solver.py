@@ -6,8 +6,9 @@ Pipeline per nonlinear iteration, mirroring Albany:
 2. run the evaluator DAG (Gather -> Ugrad -> ViscosityFO -> BodyForce ->
    **StokesFOResid kernel** -> BasalFriction -> Scatter) in residual or
    Jacobian (SFad-16) mode;
-3. scatter-add element blocks into the global vector / CSR matrix;
-4. impose lateral Dirichlet conditions;
+3. impose the lateral Dirichlet rows on the Jacobian's element blocks;
+4. scatter-add element blocks into the global vector / CSR matrix and
+   replace the residual's Dirichlet entries;
 5. solve the Newton step with GMRES + two-level MDSC (vertical collapse
    of every column, as the extruded column-major dof numbering allows).
 """
@@ -57,6 +58,21 @@ _SWEEPS = {
     "jacobian": ("jacobian", False, True),
     "jacobian_fused": ("jacobian", True, True),
 }
+
+
+def dirichlet_block_slots(cell_dofs: np.ndarray, bc_dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the row replacement of ``bc_dofs`` goes in a ``(nc, k, k)``
+    block array whose cell ``c`` holds dofs ``cell_dofs[c]``: the flat
+    element-block rows of every Dirichlet dof, and per dof one pivot, the
+    flat index of the diagonal entry of its first such row.  Zeroing the
+    rows and writing ``s`` at the pivots makes any sum of the blocks read
+    ``s * e_i`` in Dirichlet row ``i`` (see
+    :meth:`StokesVelocityProblem._impose_dirichlet`)."""
+    k = cell_dofs.shape[1]
+    rows = np.flatnonzero(np.isin(cell_dofs, bc_dofs))
+    # element row r = c k + i; its diagonal entry is flat c k^2 + i k + i = r k + i
+    first = rows[np.unique(cell_dofs.ravel()[rows], return_index=True)[1]]
+    return rows, first * k + first % k
 
 
 @dataclass
@@ -143,10 +159,10 @@ class StokesVelocityProblem:
 
         self.field_manager = build_stokes_field_manager(cfg.kernel_impl)
 
-        # symbolic assembly, done once: sorted/deduped CSR structure,
-        # COO->CSR scatter permutation, Dirichlet masks.  Every Newton
-        # step is then a pure numeric fill (no re-sort).
-        self.plan = AssemblyPlan(self.dofmap, self.bc_dofs)
+        # symbolic assembly, done once: sorted/deduped CSR structure and
+        # COO->CSR scatter permutation.  Every Newton step is then a pure
+        # numeric fill (no re-sort).
+        self.plan = AssemblyPlan(self.dofmap)
         #: symbolic half of the vline/MDSC set-up (``plan.collapse_map``),
         #: built by the first set-up that needs it, with the coarse index
         #: only for MDSC; topology only, like the plan, so nothing ever
@@ -166,6 +182,8 @@ class StokesVelocityProblem:
                 self.plan, self.partition, mesh.levels, mesh.nlayers, meter=self.meter
             )
         self._cell_dofs = self.plan.elem_dofs if self.spmd is None else self.plan.elem_dofs[self._cells]
+        # the Dirichlet rows and pivots of the block array, in cell storage order
+        self._bc_rows, self._bc_pivots = dirichlet_block_slots(self._cell_dofs, self.bc_dofs)
 
         # deterministic reductions, one block per footprint column: used
         # by serial AND distributed solves (E3SM-style BFB reproducibility
@@ -425,6 +443,8 @@ class StokesVelocityProblem:
         self.eval_counts[dag_mode] += 1
         f = A = None
         with tr.span("stokes.scatter", operator=self.config.operator_mode, **tags) as sp:
+            if want_j:
+                self._impose_dirichlet(loc_j)
             if want_r:
                 if self.spmd is not None:
                     f = self.spmd.assemble_residual(loc_r)
@@ -434,13 +454,27 @@ class StokesVelocityProblem:
                 f[self.bc_dofs] = self.bc_diag_scale * u[self.bc_dofs]
             if want_j:
                 if self.spmd is not None:
-                    A = self.spmd.assemble_jacobian(loc_j, diag_scale=self.bc_diag_scale)
+                    A = self.spmd.assemble_jacobian(loc_j)
                 elif self.matrix_free:
-                    A = self.plan.matrix_free_operator(loc_j, diag_scale=self.bc_diag_scale)
+                    A = self.plan.matrix_free_operator(loc_j)
                 else:
-                    A = self.plan.assemble_matrix(loc_j, diag_scale=self.bc_diag_scale)
+                    A = self.plan.assemble_matrix(loc_j)
         self.phase_seconds["scatter"] += sp.dur_s
         return f, A
+
+    def _impose_dirichlet(self, blocks: np.ndarray) -> None:
+        """The matrix half of the lateral Dirichlet condition, in place on
+        the ``(num_cells, k, k)`` Jacobian blocks of the storage order:
+        every element-block row of a Dirichlet dof is zeroed and the row
+        scale ``s`` written at the dof's pivot, so each operator built from
+        the blocks -- CSR fill, SPMD rank fill, matrix-free apply, column
+        blocks, MDSC collapse -- sums row ``i`` to ``s * e_i`` with no mask
+        of its own (the residual half, ``f_i = s * u_i``, is in
+        :meth:`_evaluate`).  Runs after the sweep and its fault-plane
+        perturbation, before any operator is built."""
+        k = blocks.shape[-1]
+        blocks.reshape(-1, k)[self._bc_rows] = 0.0
+        blocks.reshape(-1)[self._bc_pivots] = self.bc_diag_scale
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """Global residual F(u) from a residual-mode sweep."""

@@ -8,11 +8,14 @@ replacement with unit diagonal).
 
 :class:`AssemblyPlan` splits assembly into a symbolic phase (done once
 per problem: sort/dedup the node-pair pattern, build the CSR structure and
-the COO->CSR scatter permutation, precompute Dirichlet masks) and a numeric
-phase (done every Newton step: a pure scatter-add into a preallocated
-``data`` array).  This mirrors how Albany/Tpetra reuse a fixed crs graph
-across nonlinear iterations instead of re-sorting the full ``nc * k^2``
-triplet list each time.
+the COO->CSR scatter permutation) and a numeric phase (done every Newton
+step: a pure scatter-add into a preallocated ``data`` array).  This
+mirrors how Albany/Tpetra reuse a fixed crs graph across nonlinear
+iterations instead of re-sorting the full ``nc * k^2`` triplet list each
+time.  The plan carries no boundary condition: a problem writes its
+Dirichlet rows into the element blocks first
+(``StokesVelocityProblem._impose_dirichlet``); ``apply_dirichlet`` is
+the same row replacement on an assembled matrix, kept as the reference.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def build_sparsity(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
 
 
 class AssemblyPlan:
-    """Cached symbolic assembly for a fixed dof map (and optional BCs).
+    """Cached symbolic assembly for a fixed dof map.
 
     Built once per problem; every subsequent assembly is a numeric fill:
 
@@ -55,12 +58,10 @@ class AssemblyPlan:
       (duplicates map to the same slot and are summed);
     * ``indptr``/``indices`` -- the fixed CSR structure, shared by every
       matrix the plan assembles (and by each matrix's scipy SpMV handle):
-      int32 while ``nnz < 2**31``, int64 past that;
-    * ``bc_clear``/``bc_diag`` -- masks over ``data`` marking Dirichlet
-      rows to clear and their diagonal slots.
+      int32 while ``nnz < 2**31``, int64 past that.
     """
 
-    def __init__(self, dofmap: DofMap, bc_dofs: np.ndarray | None = None):
+    def __init__(self, dofmap: DofMap):
         ed = dofmap.elem_dofs()
         nc, k = ed.shape
         n = dofmap.num_dofs
@@ -115,24 +116,6 @@ class AssemblyPlan:
         rows_start = nd * nd * start[:, None] + np.arange(nd) * width[:, None]
         self.indptr = np.append(rows_start, nnz).astype(index)
 
-        self.bc_dofs = None
-        self.bc_clear = None
-        self.bc_diag = None
-        if bc_dofs is not None:
-            bc_dofs = np.asarray(bc_dofs, dtype=np.int64)
-            if bc_dofs.size and (bc_dofs.min() < 0 or bc_dofs.max() >= n):
-                raise ValueError("Dirichlet dof out of range")
-            is_bc = np.zeros(n, dtype=bool)
-            is_bc[bc_dofs] = True
-            self.bc_dofs = bc_dofs
-            self.bc_clear = np.repeat(is_bc, np.diff(self.indptr))
-            # the diagonal of dof row (i, a) is slot (a, a) of node pair (i, i)
-            self.bc_diag = np.zeros(nnz, dtype=bool)
-            diag = np.flatnonzero(node_rows == node_cols)
-            for a in range(nd):
-                hit = diag[is_bc[nd * node_rows[diag] + a]]
-                self.bc_diag[first[hit] + a * stride[hit] + a] = True
-
         #: numeric fills performed so far (instrumentation for tests/benches)
         self.num_matrix_fills = 0
         #: matrix-free operators wrapped so far (the matrix-free mode's
@@ -140,36 +123,25 @@ class AssemblyPlan:
         self.num_operator_wraps = 0
 
     # ------------------------------------------------------------------
-    def assemble_matrix(self, local_jac: np.ndarray, diag_scale: float | None = None) -> CsrMatrix:
-        """Numeric fill: scatter-add local blocks into a fresh ``data`` array.
-
-        With ``diag_scale`` (requires the plan's ``bc_dofs``), Dirichlet
-        rows are cleared and given that diagonal in the same pass --
-        no per-step re-sort, no structure copies.
-        """
+    def assemble_matrix(self, local_jac: np.ndarray) -> CsrMatrix:
+        """Numeric fill: scatter-add local blocks into a fresh ``data`` array
+        -- no per-step re-sort, no structure copies."""
         if local_jac.shape != self.block_shape:
             raise ValueError(
                 f"local Jacobian must have shape {self.block_shape}, got {local_jac.shape}"
             )
         data = np.bincount(self.scatter, weights=local_jac.ravel(), minlength=self.nnz)
-        if diag_scale is not None:
-            if self.bc_clear is None:
-                raise ValueError("plan was built without Dirichlet dofs")
-            if diag_scale <= 0.0:
-                raise ValueError("diag_scale must be positive")
-            data[self.bc_clear] = 0.0
-            data[self.bc_diag] = diag_scale
         self.num_matrix_fills += 1
         return CsrMatrix((self.num_dofs, self.num_dofs), self.indptr, self.indices, data)
 
-    def matrix_free_operator(self, local_jac: np.ndarray, diag_scale: float | None = None):
+    def matrix_free_operator(self, local_jac: np.ndarray):
         """Wrap local blocks as a matrix-free operator (no CSR fill).
 
         The matrix-free counterpart of :meth:`assemble_matrix`: the same
-        ``(nc, k, k)`` SFad blocks, the same Dirichlet row replacement,
-        but the global matrix is never formed -- GMRES consumes the
-        returned :class:`repro.fem.matfree.MatrixFreeJacobian` through
-        its ``matvec``.  The plan's cached connectivity is shared, so
+        ``(nc, k, k)`` SFad blocks, but the global matrix is never
+        formed -- GMRES consumes the returned
+        :class:`repro.fem.matfree.MatrixFreeJacobian` through its
+        ``matvec``.  The plan's cached connectivity is shared, so
         wrapping is O(1) in the problem size; every matvec is a pure
         numeric sweep over the element blocks.
         """
@@ -179,15 +151,7 @@ class AssemblyPlan:
             raise ValueError(
                 f"local Jacobian must have shape {self.block_shape}, got {local_jac.shape}"
             )
-        if diag_scale is not None and self.bc_dofs is None:
-            raise ValueError("plan was built without Dirichlet dofs")
-        op = MatrixFreeJacobian(
-            self.elem_dofs,
-            local_jac,
-            self.num_dofs,
-            bc_dofs=self.bc_dofs if diag_scale is not None else None,
-            diag_scale=1.0 if diag_scale is None else diag_scale,
-        )
+        op = MatrixFreeJacobian(self.elem_dofs, local_jac, self.num_dofs)
         self.num_operator_wraps += 1
         return op
 
@@ -208,7 +172,6 @@ class AssemblyPlan:
         return ColumnCollapseMap(
             n, rows, self.indices, blk, *(column_aggregates(n, blk, ndof) if coarse else ()),
             entry_slot=self.scatter if element_values else None,
-            bc_dofs=self.bc_dofs if element_values else None,
         )
 
     def assemble_vector(self, local_res: np.ndarray) -> np.ndarray:

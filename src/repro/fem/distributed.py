@@ -127,8 +127,8 @@ class DistributedStokesAssembly:
       (the BFB invariant); a Jacobian entry ``(elem, i, j)`` follows its
       row entry, ``j`` fastest, to its local CSR slot;
     * the restricted CSR structure (owned rows x referenced columns)
-      with its slot map into the serial CSR, plus per-rank Dirichlet
-      masks;
+      with its slot map into the serial CSR (no Dirichlet mask: the
+      problem's blocks arrive with their Dirichlet rows replaced);
     * protocol-level byte counts for every exchange class.
 
     Stable sorts by owner (cells, dofs, the ``nc * k`` row entries) and
@@ -209,8 +209,6 @@ class DistributedStokesAssembly:
         self._indptr: list[np.ndarray] = []
         self._indices: list[np.ndarray] = []
         self._colmap: list[np.ndarray] = []
-        self._bc_clear: list[np.ndarray | None] = []
-        self._bc_diag: list[np.ndarray | None] = []
         #: local column positions of each neighbor's ghost columns -- the
         #: receive buffer layout of the SpMV ghost refresh, used by the
         #: checksum-verified path when the fault plane is armed
@@ -232,8 +230,6 @@ class DistributedStokesAssembly:
             self._indptr.append(rank_indptr.astype(plan.indices.dtype))
             self._indices.append((np.cumsum(used) - 1)[gcols].astype(plan.indices.dtype))
             self._colmap.append(colmap)
-            self._bc_clear.append(None if plan.bc_clear is None else plan.bc_clear[slots])
-            self._bc_diag.append(None if plan.bc_diag is None else plan.bc_diag[slots])
             col_owner = dof_owner[colmap]
             spmv_counts[p] = np.bincount(col_owner[col_owner != p], minlength=nparts)
             self._spmv_ghost_idx.append(
@@ -326,14 +322,13 @@ class DistributedStokesAssembly:
             self.meter.count_event("residual_exchange")
         return f
 
-    def assemble_jacobian(
-        self, blocks: np.ndarray, diag_scale: float | None = None
-    ) -> "DistributedMatrix":
+    def assemble_jacobian(self, blocks: np.ndarray) -> "DistributedMatrix":
         """Row-partitioned Jacobian from owner-ordered ``(num_cells, k, k)`` blocks.
 
         Each owner's CSR data is bitwise equal to the serial plan's data
-        restricted to its rows (same per-slot summation order, same
-        Dirichlet masking).  Ghost-row exports are metered per neighbor.
+        restricted to its rows (same per-slot summation order; Dirichlet
+        rows arrive already replaced in the blocks).  Ghost-row exports
+        are metered per neighbor.
         """
         rows = self._owner_blocks(blocks, self.plan.block_shape)
         tr = get_tracer()
@@ -348,19 +343,11 @@ class DistributedStokesAssembly:
                     if tr.recording
                     else nullcontext()
                 ):
-                    data = np.bincount(
+                    data_parts.append(np.bincount(
                         self._jac_slots[p],
                         weights=rows[self._res_pos[p]].ravel(),
                         minlength=len(self._gslots[p]),
-                    )
-                    if diag_scale is not None:
-                        if self._bc_clear[p] is None:
-                            raise ValueError("plan was built without Dirichlet dofs")
-                        if diag_scale <= 0.0:
-                            raise ValueError("diag_scale must be positive")
-                        data[self._bc_clear[p]] = 0.0
-                        data[self._bc_diag[p]] = diag_scale
-                    data_parts.append(data)
+                    ))
             self.meter.count_event("jacobian_exchange")
         return DistributedMatrix(self, data_parts)
 

@@ -10,14 +10,15 @@ the element blocks and applies them directly:
     gather   xe = x[elem_dofs]                  (nc, k)
     apply    ye = local_jac @ xe                (nc, k)  batched GEMV
     scatter  y  = sum-into-global(ye)           (n,)
-    bc       y[bc_dofs] = diag_scale * x[bc_dofs]
 
-The symbolic phase (connectivity, Dirichlet mask) is cached by the
-owning :class:`repro.fem.assembly.AssemblyPlan`, so each matvec is a
-pure numeric sweep -- no sorting, no structure rebuild, no ``nnz``
-array.  The Dirichlet step reproduces the assembled row-replacement
-(rows cleared, ``diag_scale`` on the diagonal) exactly: cleared rows
-contribute ``diag_scale * x[bc]`` and nothing else.
+The connectivity is cached by the owning
+:class:`repro.fem.assembly.AssemblyPlan`, so each matvec is a pure
+numeric sweep -- no sorting, no structure rebuild, no ``nnz`` array.
+The operator knows no boundary condition: the problem writes its
+Dirichlet rows into the blocks before wrapping them
+(``StokesVelocityProblem._impose_dirichlet``: rows zeroed, the row
+scale ``s`` at one pivot per dof), so a Dirichlet row of ``J @ x`` sums
+to ``s * x[i]`` exactly, as the assembled row does.
 
 The operator also exposes what MDSC preconditioning needs without a
 matrix: ``diagonal()`` (point Jacobi), ``column_blocks()`` (the
@@ -51,22 +52,11 @@ class MatrixFreeJacobian:
         ``(nc, k, k)`` dense element Jacobian blocks from the SFad sweep.
     num_dofs:
         Global dof count ``n``.
-    bc_dofs / diag_scale:
-        Dirichlet row-replacement: constrained rows act as
-        ``diag_scale * I`` (matching the assembled path's
-        ``AssemblyPlan.assemble_matrix(..., diag_scale=...)``).
     """
 
     operator_mode = "matrix-free"
 
-    def __init__(
-        self,
-        elem_dofs: np.ndarray,
-        local_jac: np.ndarray,
-        num_dofs: int,
-        bc_dofs: np.ndarray | None = None,
-        diag_scale: float = 1.0,
-    ):
+    def __init__(self, elem_dofs: np.ndarray, local_jac: np.ndarray, num_dofs: int):
         elem_dofs = np.asarray(elem_dofs, dtype=np.int64)
         local_jac = np.asarray(local_jac, dtype=np.float64)
         nc, k = elem_dofs.shape
@@ -74,24 +64,10 @@ class MatrixFreeJacobian:
             raise ValueError(
                 f"local Jacobian must have shape {(nc, k, k)}, got {local_jac.shape}"
             )
-        if diag_scale <= 0.0:
-            raise ValueError("diag_scale must be positive")
         self.elem_dofs = elem_dofs
         self.local_jac = local_jac
         self.n = int(num_dofs)
         self.shape = (self.n, self.n)
-        self.diag_scale = float(diag_scale)
-        self.bc_dofs = None
-        if bc_dofs is not None:
-            bc_dofs = np.asarray(bc_dofs, dtype=np.int64)
-            if bc_dofs.size and (bc_dofs.min() < 0 or bc_dofs.max() >= self.n):
-                raise ValueError("Dirichlet dof out of range")
-            self.bc_dofs = bc_dofs
-            is_bc = np.zeros(self.n, dtype=bool)
-            is_bc[bc_dofs] = True
-            #: element rows that are cleared Dirichlet rows, gathered once
-            #: (every matvec masks with it)
-            self._elem_row_is_bc = is_bc[elem_dofs]
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -101,15 +77,7 @@ class MatrixFreeJacobian:
             raise ValueError(f"expected a vector of length {self.n}")
         xe = x[self.elem_dofs]  # (nc, k) gather
         ye = np.matmul(self.local_jac, xe[..., None])[..., 0]  # (nc, k)
-        if self.bc_dofs is not None:
-            # cleared Dirichlet rows must not receive element
-            # contributions; zero them before the scatter so the result
-            # matches the assembled row replacement exactly
-            ye[self._elem_row_is_bc] = 0.0
-        y = np.bincount(self.elem_dofs.ravel(), weights=ye.ravel(), minlength=self.n)
-        if self.bc_dofs is not None:
-            y[self.bc_dofs] = self.diag_scale * x[self.bc_dofs]
-        return y
+        return np.bincount(self.elem_dofs.ravel(), weights=ye.ravel(), minlength=self.n)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
@@ -117,12 +85,7 @@ class MatrixFreeJacobian:
     def diagonal(self) -> np.ndarray:
         """Global diagonal (scatter of element block diagonals)."""
         de = np.einsum("cii->ci", self.local_jac)
-        if self.bc_dofs is not None:
-            de = np.where(self._elem_row_is_bc, 0.0, de)
-        d = np.bincount(self.elem_dofs.ravel(), weights=de.ravel(), minlength=self.n)
-        if self.bc_dofs is not None:
-            d[self.bc_dofs] = self.diag_scale
-        return d
+        return np.bincount(self.elem_dofs.ravel(), weights=de.ravel(), minlength=self.n)
 
     def isfinite(self) -> bool:
         """Finiteness of the stored element blocks (Newton's per-step health check)."""
@@ -137,18 +100,15 @@ class MatrixFreeJacobian:
         ed = self.elem_dofs
         k = ed.shape[1]
         rows, cols = np.repeat(ed, k, axis=1).ravel(), np.tile(ed, (1, k)).ravel()
-        return ColumnCollapseMap(
-            self.n, rows, cols, block_size, agg, num_coarse, bc_dofs=self.bc_dofs
-        )
+        return ColumnCollapseMap(self.n, rows, cols, block_size, agg, num_coarse)
 
     def column_blocks(self, block_size: int) -> np.ndarray:
         """Dense on-diagonal column blocks ``(nb, blk, blk)``.
 
         With column-major dof numbering, block ``p`` covers the dof
         range ``[p*blk, (p+1)*blk)`` (one vertical column); same-column
-        element entries are summed in element order, Dirichlet rows
-        replaced -- the matrix-free analogue of
-        :meth:`CsrMatrix.column_blocks`.
+        element entries are summed in element order -- the matrix-free
+        analogue of :meth:`CsrMatrix.column_blocks`.
         """
         return self.collapse_map(block_size).column_blocks(self)
 

@@ -50,28 +50,20 @@ class ColumnCollapseMap:
 
     A value is a CSR ``data`` slot at ``(rows, cols)`` or, with
     ``entry_slot`` (an ``AssemblyPlan.scatter``), an element-block entry
-    routed through its slot.  ``bc_dofs`` goes with element values only
-    (assembled ``data`` carries the row replacement already): values in
-    Dirichlet rows are dropped -- mapped one past the end -- and the
-    diagonals there take the operator's ``diag_scale``.  Read-only.
+    routed through its slot.  Either way the values carry the Dirichlet
+    rows already (the problem writes them into the element blocks), so a
+    Dirichlet row sums like any other.  Read-only.
     """
 
-    def __init__(
-        self, n, rows, cols, block_size=None, agg=None, num_coarse=0, entry_slot=None, bc_dofs=None
-    ):
+    def __init__(self, n, rows, cols, block_size=None, agg=None, num_coarse=0, entry_slot=None):
         self.n = n = int(n)
         nc = self.num_coarse = int(num_coarse)
         self.num_values = len(rows) if entry_slot is None else len(entry_slot)
         # index arithmetic in the narrowest dtype holding every product below
         wide = np.min_scalar_type(-max(n * (block_size or 1), (nc + 1) * nc) - 1)
         rows, cols = (np.asarray(a).astype(wide, copy=False) for a in (rows, cols))
-        bc = np.array([] if bc_dofs is None else bc_dofs, dtype=np.int64)
-        self.bc_dofs = _frozen(bc, n)
-        dropped = np.isin(rows, bc) if bc.size else None
 
-        def routed(dst, size):
-            if dropped is not None:
-                dst[dropped] = size
+        def per_value(dst, size):
             return _frozen(dst if entry_slot is None else dst[entry_slot], size)
 
         v = np.random.default_rng(0).standard_normal(n)
@@ -82,10 +74,9 @@ class ColumnCollapseMap:
                 raise ValueError(f"matrix size {self.n} not divisible by column block {blk}")
             size = self.n * blk
             on = rows // blk == cols // blk
-            dst = routed(np.where(on, rows * blk + cols % blk, size), size)
+            dst = per_value(np.where(on, rows * blk + cols % blk, size), size)
             self.block_src = _frozen(np.flatnonzero(dst < size), self.num_values)
             self.block_dst = _frozen(dst[self.block_src], size)
-            self.bc_block = _frozen(bc * blk + bc % blk, size)
         if agg is not None:
             if np.shape(agg) != (self.n,):
                 raise ValueError("aggregate map must cover every fine dof")
@@ -99,40 +90,32 @@ class ColumnCollapseMap:
             self.coarse_indices = _frozen(pattern % nc, nc)
             self.coarse_indptr = _frozen(np.searchsorted(pattern, np.arange(nc + 1) * nc), nnz)
             self.coarse_diag = _frozen(pos[len(rows) :], nnz)
-            self.coarse_dst = routed(pos[: len(rows)], nnz)
-            self.bc_coarse = _frozen(self.coarse_diag[agg[bc]], nnz)
+            self.coarse_dst = per_value(pos[: len(rows)], nnz)
 
-    def _values(self, A) -> tuple[np.ndarray, float]:
-        """``A``'s raw value array and Dirichlet diagonal -- ``ValueError``
-        unless ``A`` sits on the structure the maps index (blindly) into."""
+    def _values(self, A) -> np.ndarray:
+        """``A``'s raw value array -- ``ValueError`` unless ``A`` sits on
+        the structure the maps index (blindly) into."""
         jac = getattr(A, "local_jac", None)
         values = A.data if jac is None else jac.reshape(-1)
-        bc = getattr(A, "bc_dofs", None)
-        if (
-            A.shape[0] != self.n
-            or values.size != self.num_values
-            or not np.array_equal(() if bc is None else bc, self.bc_dofs)
-        ):
+        if A.shape[0] != self.n or values.size != self.num_values:
             raise ValueError(
                 f"{A!r} does not have the structure this ColumnCollapseMap was built on "
-                f"({self.n} dofs, {self.num_values} values, {len(self.bc_dofs)} Dirichlet rows)"
+                f"({self.n} dofs, {self.num_values} values)"
             )
-        return values, getattr(A, "diag_scale", 0.0)
+        return values
 
     def column_blocks(self, A) -> np.ndarray:
         """Dense on-diagonal blocks ``(n // blk, blk, blk)`` of ``A``."""
-        values, diag_scale = self._values(A)
+        values = self._values(A)
         size = self.n * self.block_size
         flat = np.bincount(self.block_dst, weights=values[self.block_src], minlength=size)
-        flat[self.bc_block] = diag_scale
         return flat.reshape(-1, self.block_size, self.block_size)
 
     def collapse(self, A):
         """``P^T A P`` as a scipy CSC matrix (fresh ``data``, stored pattern)."""
-        values, diag_scale = self._values(A)
+        values = self._values(A)
         nnz, nc = len(self.coarse_indices), self.num_coarse
-        data = np.bincount(self.coarse_dst, weights=values, minlength=nnz + 1)[:nnz]
-        data += diag_scale * np.bincount(self.bc_coarse, minlength=nnz)
+        data = np.bincount(self.coarse_dst, weights=values, minlength=nnz)
         return sp.csc_matrix((data, self.coarse_indices, self.coarse_indptr), shape=(nc, nc))
 
 

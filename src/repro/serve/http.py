@@ -13,7 +13,8 @@ framework -- the container ships only the scientific stack):
 
 The parser handles exactly what those endpoints need (request line,
 headers, Content-Length body); it is a test/demo surface, not a
-hardened proxy target.
+hardened proxy target.  A declared body above :data:`MAX_BODY_BYTES`
+is refused with 413 before any of it is read.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from repro.serve.service import SolveService
 
 __all__ = ["serve_http"]
 
+#: largest request body read: a solve request is a few hundred bytes
+MAX_BODY_BYTES = 64 * 1024
+
 _STATUS_HTTP = {
     "ok": 200,
     "degraded": 200,
@@ -35,8 +39,12 @@ _STATUS_HTTP = {
     "shed": 503,
 }
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            500: "Internal Server Error", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
+            413: "Payload Too Large", 500: "Internal Server Error",
+            503: "Service Unavailable", 504: "Gateway Timeout"}
+
+
+class _BodyTooLarge(ValueError):
+    """A declared Content-Length above :data:`MAX_BODY_BYTES` (-> 413)."""
 
 
 def _response(code: int, body: bytes, content_type: str) -> bytes:
@@ -71,6 +79,8 @@ async def _read_request(reader: asyncio.StreamReader):
             length = int(value.strip() or 0)  # ValueError -> 400 in _handle
             if length < 0:
                 raise ValueError(f"negative Content-Length {length}")
+    if length > MAX_BODY_BYTES:
+        raise _BodyTooLarge(f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
     try:
         body = await reader.readexactly(length) if length else b""
     except asyncio.IncompleteReadError as exc:  # -> 400 in _handle
@@ -84,8 +94,9 @@ async def _handle(service: SolveService, reader, writer) -> None:
     try:
         try:
             method, path, body = await _read_request(reader)
-        except ValueError as exc:  # malformed Content-Length, or a short body
-            writer.write(_json_response(400, {"error": str(exc)}))
+        except ValueError as exc:  # malformed or oversized Content-Length, or a short body
+            code = 413 if isinstance(exc, _BodyTooLarge) else 400
+            writer.write(_json_response(code, {"error": str(exc)}))
             await writer.drain()
             return
         if method is None:

@@ -206,7 +206,7 @@ def _oracle_mdsc_symbolic():
         levels, n, blk = problem.mesh.levels, A.shape[0], 2 * problem.mesh.levels
         shared = problem.plan.collapse_map(levels, 2, problem.matrix_free)
         # element order == CSR slot order, so the plan's fill is the dense reference
-        fill = problem.plan.assemble_matrix(A.local_jac, A.diag_scale) if problem.matrix_free else A
+        fill = problem.plan.assemble_matrix(A.local_jac) if problem.matrix_free else A
         dense = fill.toarray()
         ref_blocks = np.stack([dense[i : i + blk, i : i + blk] for i in range(0, n, blk)])
         P = np.zeros((n, n // levels))
@@ -238,10 +238,10 @@ def matfree_perturbed_divergences(rel: float = 1.0e-4):
     suite's negative control, mirroring
     :func:`repro.verify.oracles.kernels.perturbed_divergences`).
     """
-    _, rng, u, A, B = _jacobians(23)
+    pa, rng, u, A, B = _jacobians(23)
     # poison one interior (non-Dirichlet-row) block entry
     is_bc = np.zeros(B.n, dtype=bool)
-    is_bc[B.bc_dofs] = True
+    is_bc[pa.bc_dofs] = True
     cells, ii = np.nonzero(~is_bc[B.elem_dofs])
     c, i = int(cells[0]), int(ii[0])
     B.local_jac[c, i, i] *= 1.0 + rel

@@ -65,7 +65,11 @@ class TestPlantedRegression:
         base = _profile(tmp_path, "base")
         cur = _profile(tmp_path, "slow")
         slow = json.loads(cur.read_text())
-        _tool("plant_delay", "plant_delay")(slow, self.PLANT, 0.001)
+        # 10 ms per span: the ~86 planted iterations then outweigh any
+        # scheduler stall of one unplanted span between the two clean runs
+        # (their self times are tens of ms, so a 1 ms plant's 0.09 s lead
+        # can be overtaken on a loaded machine)
+        _tool("plant_delay", "plant_delay")(slow, self.PLANT, 0.010)
         cur.write_text(json.dumps(slow))
         capsys.readouterr()  # drop the profile chatter
 
@@ -79,7 +83,7 @@ class TestPlantedRegression:
         report = json.loads(report_path.read_text())
         assert report["top_regression"] == self.PLANT
         assert report["spans"][0]["name"] == self.PLANT
-        # ~292 iterations x 1ms planted: the delta is large and positive
+        # ~86 iterations x 10 ms planted: the delta is large and positive
         assert report["spans"][0]["delta_s"] > 0.05
 
 

@@ -6,7 +6,7 @@ cached symbolic plan, the one-shot COO path, and a dense scipy
 reference all agree -- and that repeated numeric fills on one plan are
 bitwise-stable.
 
-``TestNodeLevelSymbolicPhase`` holds the plan's five symbolic arrays to
+``TestNodeLevelSymbolicPhase`` holds the plan's three symbolic arrays to
 the dof-level lexsort it replaced.  That reference lives here, not in
 ``src/``: the plan sorts ``nc * nn^2`` node pairs and expands slots by
 arithmetic, and must produce what sorting all ``nc * k^2`` dof pairs did.
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.app.velocity_solver import dirichlet_block_slots
 from repro.fem.assembly import (
     AssemblyPlan,
     apply_dirichlet,
@@ -44,15 +45,7 @@ def dofmaps(draw):
     return DofMap(num_nodes=num_nodes, ndof_per_node=ndof, elems=np.array(elems))
 
 
-@st.composite
-def dofmaps_with_bcs(draw):
-    """A random dof map plus a (possibly empty) sorted set of Dirichlet dofs."""
-    dofmap = draw(dofmaps())
-    bc = draw(st.sets(st.integers(min_value=0, max_value=dofmap.num_dofs - 1)))
-    return dofmap, np.array(sorted(bc), dtype=np.int64)
-
-
-def _lexsort_reference(dofmap, bc_dofs):
+def _lexsort_reference(dofmap):
     """The dof-level symbolic phase as ``AssemblyPlan`` built it through
     PR 20: lexsort every ``(row, col)`` dof pair, dedup, rank."""
     ed = dofmap.elem_dofs()
@@ -69,17 +62,7 @@ def _lexsort_reference(dofmap, bc_dofs):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(indptr, rs[new] + 1, 1)
     np.cumsum(indptr, out=indptr)
-    is_bc = np.zeros(n, dtype=bool)
-    is_bc[bc_dofs] = True
-    row_of_slot = np.repeat(np.arange(n), np.diff(indptr))
-    bc_clear = is_bc[row_of_slot]
-    return {
-        "indptr": indptr,
-        "indices": indices,
-        "scatter": scatter,
-        "bc_clear": bc_clear,
-        "bc_diag": bc_clear & (indices == row_of_slot),
-    }
+    return {"indptr": indptr, "indices": indices, "scatter": scatter}
 
 
 #: where the plan's documented dtype is not the reference's: the CSR
@@ -88,9 +71,9 @@ def _lexsort_reference(dofmap, bc_dofs):
 _PLAN_DTYPES = {"indptr": np.int32, "indices": np.int32}
 
 
-def _assert_plan_equals_reference(dofmap, bc_dofs):
-    plan = AssemblyPlan(dofmap, bc_dofs)
-    for name, expected in _lexsort_reference(dofmap, bc_dofs).items():
+def _assert_plan_equals_reference(dofmap):
+    plan = AssemblyPlan(dofmap)
+    for name, expected in _lexsort_reference(dofmap).items():
         got = getattr(plan, name)
         assert got.dtype == _PLAN_DTYPES.get(name, expected.dtype), name
         np.testing.assert_array_equal(got, expected, err_msg=name)
@@ -156,11 +139,11 @@ class TestPlanEqualsDirect:
 
 
 class TestNodeLevelSymbolicPhase:
-    @given(dofmaps_with_bcs())
+    @given(dofmaps())
     @settings(max_examples=120, deadline=None)
-    def test_arbitrary_connectivity_matches_lexsort(self, case):
+    def test_arbitrary_connectivity_matches_lexsort(self, dofmap):
         """ndof 1..3, any connectivity, repeated nodes inside an element."""
-        _assert_plan_equals_reference(*case)
+        _assert_plan_equals_reference(dofmap)
 
     @pytest.mark.parametrize(
         "km,layers,footprint",
@@ -172,7 +155,7 @@ class TestNodeLevelSymbolicPhase:
 
         cfg = AntarcticaConfig(resolution_km=km, num_layers=layers, footprint=footprint)
         problem = AntarcticaTest.build(cfg).problem
-        _assert_plan_equals_reference(problem.dofmap, problem.bc_dofs)
+        _assert_plan_equals_reference(problem.dofmap)
 
     @pytest.mark.parametrize("ndof", [1, 2, 3])
     def test_planar_quad_mesh_matches_lexsort(self, ndof):
@@ -181,7 +164,7 @@ class TestNodeLevelSymbolicPhase:
 
         fp = quad_footprint(7, 5, 7.0, 5.0)
         dofmap = DofMap(num_nodes=len(fp.coords), ndof_per_node=ndof, elems=fp.elems)
-        _assert_plan_equals_reference(dofmap, fp.boundary_nodes * ndof)
+        _assert_plan_equals_reference(dofmap)
 
     def test_sorts_node_pairs_once_and_never_lexsorts(self, monkeypatch):
         """The regression guard in deterministic units: one sort of
@@ -207,7 +190,7 @@ class TestNodeLevelSymbolicPhase:
         monkeypatch.setattr(np, "sort", counting(sort))
         monkeypatch.setattr(np, "unique", counting(np.unique))
         monkeypatch.setattr(np, "lexsort", no_lexsort)
-        AssemblyPlan(dofmap, np.array([0, 1]))
+        AssemblyPlan(dofmap)
         assert sorted_sizes == [11 * 4 * 4]
 
 
@@ -244,6 +227,10 @@ class TestDirichletPath:
     @given(dofmaps(), st.integers(min_value=0, max_value=2**31), st.data())
     @settings(max_examples=40, deadline=None)
     def test_fused_bc_matches_apply_dirichlet(self, dofmap, seed, data):
+        """Row replacement written into the element blocks (zeroed rows,
+        ``s`` at one pivot per dof) fills, through the plan, bitwise what
+        ``apply_dirichlet`` makes of the raw blocks' matrix -- for any
+        connectivity, repeated nodes inside an element included."""
         jac, res = _local_blocks(dofmap, seed)
         nbc = data.draw(st.integers(min_value=0, max_value=dofmap.num_dofs))
         bc_dofs = np.array(
@@ -258,12 +245,16 @@ class TestDirichletPath:
             ),
             dtype=np.int64,
         )
-        plan = AssemblyPlan(dofmap, bc_dofs=bc_dofs)
-        fused = plan.assemble_matrix(jac, diag_scale=2.5)
-        unfused = plan.assemble_matrix(jac)
+        plan = AssemblyPlan(dofmap)
+        rows, pivots = dirichlet_block_slots(plan.elem_dofs, bc_dofs)
+        fused = jac.copy()
+        fused.reshape(-1, jac.shape[-1])[rows] = 0.0
+        fused.reshape(-1)[pivots] = 2.5
         rhs = plan.assemble_vector(res)
-        via_apply, _ = apply_dirichlet(unfused, rhs, bc_dofs, diag_scale=2.5)
-        np.testing.assert_array_equal(fused.toarray(), via_apply.toarray())
+        via_apply, _ = apply_dirichlet(plan.assemble_matrix(jac), rhs, bc_dofs, diag_scale=2.5)
+        got = plan.assemble_matrix(fused)
+        assert np.array_equal(got.data.view(np.uint64), via_apply.data.view(np.uint64))
+        np.testing.assert_array_equal(got.toarray(), via_apply.toarray())
 
 
 class TestPlanValidation:
@@ -276,17 +267,3 @@ class TestPlanValidation:
             plan.assemble_matrix(np.zeros((2, 3, 3)))
         with pytest.raises(ValueError):
             plan.assemble_vector(np.zeros((3, 4)))
-
-    def test_diag_scale_without_bcs_rejected(self):
-        plan = AssemblyPlan(self._map())
-        with pytest.raises(ValueError, match="without Dirichlet"):
-            plan.assemble_matrix(np.zeros((2, 4, 4)), diag_scale=1.0)
-
-    def test_nonpositive_diag_scale_rejected(self):
-        plan = AssemblyPlan(self._map(), bc_dofs=np.array([0]))
-        with pytest.raises(ValueError, match="positive"):
-            plan.assemble_matrix(np.zeros((2, 4, 4)), diag_scale=0.0)
-
-    def test_bc_dof_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            AssemblyPlan(self._map(), bc_dofs=np.array([99]))

@@ -22,6 +22,7 @@ from repro.fem import (
     apply_dirichlet,
     AssemblyPlan,
 )
+from repro.app.velocity_solver import dirichlet_block_slots
 from repro.fem.discretization import _reference_tables
 
 
@@ -474,33 +475,37 @@ class TestAssembly:
         assert np.allclose(plan.assemble_vector(local), assemble_vector(dm, local))
 
     def test_plan_dirichlet_matches_apply_dirichlet(self):
-        """The fused BC masks equal the legacy row-replacement pass."""
+        """Row replacement written into the element blocks equals the
+        legacy pass on the assembled matrix, in both operator forms."""
         rng = np.random.default_rng(2)
         elems = np.array([[0, 1, 2], [2, 3, 4], [4, 5, 0]])
         dm = DofMap(6, 2, elems)
         bc = np.array([0, 1, 7])
-        plan = AssemblyPlan(dm, bc_dofs=bc)
+        plan = AssemblyPlan(dm)
         local = rng.normal(size=(3, 6, 6))
-        A_plan = plan.assemble_matrix(local, diag_scale=3.5)
+        rows, pivots = dirichlet_block_slots(plan.elem_dofs, bc)
+        imposed = local.copy()
+        imposed.reshape(-1, 6)[rows] = 0.0
+        imposed.reshape(-1)[pivots] = 3.5
+        A_plan = plan.assemble_matrix(imposed)
         A_ref, _ = apply_dirichlet(
             assemble_matrix(dm, local), np.zeros(12), bc, diag_scale=3.5
         )
         assert np.allclose(A_plan.toarray(), A_ref.toarray(), atol=1e-14)
+        x = rng.normal(size=12)
+        y = plan.matrix_free_operator(imposed).matvec(x)
+        assert np.array_equal(y[bc], 3.5 * x[bc])
+        assert np.allclose(y, A_ref.toarray() @ x, atol=1e-13)
 
     def test_plan_validation(self):
         dm = DofMap(3, 1, np.array([[0, 1], [1, 2]]))
-        plan = AssemblyPlan(dm, bc_dofs=np.array([0]))
+        plan = AssemblyPlan(dm)
         with pytest.raises(ValueError):
             plan.assemble_matrix(np.zeros((1, 2, 2)))  # wrong cell count
         with pytest.raises(ValueError):
             plan.assemble_vector(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            plan.assemble_matrix(np.zeros((2, 2, 2)), diag_scale=-1.0)
-        with pytest.raises(ValueError):
-            AssemblyPlan(dm, bc_dofs=np.array([99]))
-        no_bc = AssemblyPlan(dm)
-        with pytest.raises(ValueError):
-            no_bc.assemble_matrix(np.zeros((2, 2, 2)), diag_scale=1.0)
+            plan.matrix_free_operator(np.zeros((1, 2, 2)))
 
     def test_dirichlet_solution_exact(self):
         """Solve 1D Laplace with Dirichlet ends; expect linear profile."""

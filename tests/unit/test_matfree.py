@@ -52,7 +52,7 @@ def jacobian_pair(problem_pair):
     return pa.jacobian(u), pm.jacobian(u), u
 
 
-def _dense_reference(elem_dofs, local_jac, n, bc=None, diag_scale=1.0):
+def _dense_reference(elem_dofs, local_jac, n):
     """Scatter element blocks into a dense matrix the slow obvious way."""
     A = np.zeros((n, n))
     for c in range(elem_dofs.shape[0]):
@@ -60,9 +60,6 @@ def _dense_reference(elem_dofs, local_jac, n, bc=None, diag_scale=1.0):
         for i, gi in enumerate(dofs):
             for j, gj in enumerate(dofs):
                 A[gi, gj] += local_jac[c, i, j]
-    if bc is not None:
-        A[bc, :] = 0.0
-        A[bc, bc] = diag_scale
     return A
 
 
@@ -71,10 +68,16 @@ def _tiny_operator(seed=0, with_bc=True, diag_scale=2.5):
     # two columns of 3 levels sharing a face: overlapping connectivity
     elem_dofs = np.array([[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]])
     local_jac = rng.normal(size=(3, 4, 4))
-    bc = np.array([0, 5]) if with_bc else None
-    op = MatrixFreeJacobian(elem_dofs, local_jac, 8, bc_dofs=bc, diag_scale=diag_scale)
-    ref = _dense_reference(elem_dofs, local_jac, 8, bc, diag_scale)
-    return op, ref
+    ref = _dense_reference(elem_dofs, local_jac, 8)
+    if with_bc:
+        # a row replacement as the problem writes it into the blocks: the
+        # rows of dofs 0 and 5 zeroed, the scale at each one's first cell
+        bc = np.array([0, 5])
+        local_jac[np.isin(elem_dofs, bc)] = 0.0
+        local_jac[0, 0, 0] = local_jac[1, 3, 3] = diag_scale
+        ref[bc, :] = 0.0
+        ref[bc, bc] = diag_scale
+    return MatrixFreeJacobian(elem_dofs, local_jac, 8), ref
 
 
 class TestMatrixFreeJacobian:
@@ -136,11 +139,6 @@ class TestMatrixFreeJacobian:
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
             MatrixFreeJacobian(np.zeros((2, 3), dtype=int), np.zeros((2, 3, 2)), 6)
-        with pytest.raises(ValueError, match="diag_scale"):
-            MatrixFreeJacobian(
-                np.zeros((1, 2), dtype=int), np.zeros((1, 2, 2)), 2,
-                bc_dofs=np.array([0]), diag_scale=0.0,
-            )
         op, _ = _tiny_operator()
         with pytest.raises(ValueError, match="length"):
             op.matvec(np.zeros(7))
@@ -245,9 +243,7 @@ class TestMatrixFreeSmoothers:
         n = A.shape[0]
         dense = {
             "csr": (A, A.toarray()),
-            "element": (
-                B, _dense_reference(B.elem_dofs, B.local_jac, n, B.bc_dofs, B.diag_scale)
-            ),
+            "element": (B, _dense_reference(B.elem_dofs, B.local_jac, n)),
         }
         for name, (op, M) in dense.items():
             diag_blocks = np.stack(
@@ -345,11 +341,10 @@ class TestSymbolicSetup:
         A, B, _ = jacobian_pair
         csr_map, elem_map = maps
         n = A.shape[0]
-        other_bc = MatrixFreeJacobian(B.elem_dofs, B.local_jac, n, B.bc_dofs[1:], B.diag_scale)
-        fewer_cells = MatrixFreeJacobian(B.elem_dofs[1:], B.local_jac[1:], n, B.bc_dofs, B.diag_scale)
+        fewer_cells = MatrixFreeJacobian(B.elem_dofs[1:], B.local_jac[1:], n)
         foreign = [
             (csr_map, B), (csr_map, CsrMatrix.identity(n)), (csr_map, CsrMatrix.identity(n + csr_map.block_size)),
-            (elem_map, A), (elem_map, other_bc), (elem_map, fewer_cells),
+            (elem_map, A), (elem_map, fewer_cells),
         ]
         for sym, op in foreign:
             for numeric in (sym.column_blocks, sym.collapse):
@@ -380,10 +375,12 @@ class TestSymbolicSetup:
         ed = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
         jac = rng.normal(size=(n - 1, 2, 2))
         bc = np.array([0, n - 1])
-        op = MatrixFreeJacobian(ed, jac, n, bc, 3.0)
-        assert op.collapse_map(blk).bc_dofs.dtype == np.int16
         rows, cols = np.repeat(ed, 2, axis=1).ravel(), np.tile(ed, (1, 2)).ravel()
         A, _ = apply_dirichlet(CsrMatrix.from_coo(rows, cols, jac.ravel(), (n, n)), np.zeros(n), bc, 0.0, 3.0)
+        # the same replacement written into the end cells' blocks
+        jac[0, 0], jac[-1, 1] = (3.0, 0.0), (0.0, 3.0)
+        op = MatrixFreeJacobian(ed, jac, n)
+        assert op.collapse_map(blk).block_dst.dtype == np.int32
         assert np.allclose(op.column_blocks(blk), A.column_blocks(blk), rtol=1e-14, atol=1e-14)
         assert op.column_blocks(blk)[-1, -1, -1] == 3.0
 
@@ -437,7 +434,7 @@ class _CountingMatrixFree(MatrixFreeJacobian):
     """A copy of a matrix-free operator that counts its products."""
 
     def __init__(self, B):
-        super().__init__(B.elem_dofs, B.local_jac, B.n, B.bc_dofs, B.diag_scale)
+        super().__init__(B.elem_dofs, B.local_jac, B.n)
         self.count = 0
 
     def matvec(self, x):

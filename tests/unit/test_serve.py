@@ -36,7 +36,7 @@ from repro.serve import (
 )
 from repro.serve import breaker
 from repro.serve import service as serve_service
-from repro.serve.http import serve_http
+from repro.serve.http import MAX_BODY_BYTES, serve_http
 
 
 # ----------------------------------------------------------------------
@@ -792,6 +792,28 @@ class TestHttp:
         raw = f"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n{{}}"
         ((code, payload),), problems = self._post([raw])
         assert code == 400 and "error" in json.loads(payload)
+        assert not problems
+
+    def test_an_oversized_content_length_is_a_413_before_the_body(self):
+        """A declared 1 GiB body is refused from the headers alone: the
+        client keeps its connection open and sends none of it."""
+        async def body():
+            service, problems = make_service()
+            async with service:
+                server_task, port = await _serving(service)
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(
+                    b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 1073741824\r\n\r\n"
+                )
+                await writer.drain()
+                data = await asyncio.wait_for(reader.read(), timeout=1.0)
+                writer.close()
+                await _stop(server_task)
+            return data, problems
+        data, problems = run(body())
+        head, _, payload = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 Payload Too Large")
+        assert str(MAX_BODY_BYTES) in json.loads(payload)["error"]
         assert not problems
 
     def test_body_shorter_than_content_length_is_a_400(self):
